@@ -2,6 +2,7 @@
 
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/socket.h>
 #include <sys/timerfd.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -213,10 +214,6 @@ node::actor_state& node::actor_at(std::size_t i) const {
   return *actors_[i];
 }
 
-const process_id& node::actor_self(std::size_t actor) const {
-  return actor_at(actor).self;
-}
-
 node::reactor* node::current_reactor() const {
   auto* r = static_cast<reactor*>(tls_reactor);
   return r != nullptr && r->owner == this ? r : nullptr;
@@ -245,6 +242,8 @@ void node::start() {
     stop_requested_ = false;
     for (auto& r : reactors_) r->exited = false;
   }
+  // A step queued when the node last stopped was dropped unrun.
+  for (auto& a : actors_) a->step_scheduled = false;
   for (auto& r : reactors_) {
     r->thread = std::thread([this, rp = r.get()] { reactor_main(*rp); });
   }
@@ -357,11 +356,6 @@ bool node::blocking_write(std::size_t actor, value_t v,
   return cv_.wait_for(lk, timeout, [&] { return a.writes_done > before; });
 }
 
-bool node::blocking_op(const std::function<void(automaton&, netout&)>& start,
-                       std::chrono::milliseconds timeout) {
-  return blocking_op(0, start, timeout);
-}
-
 bool node::blocking_op(std::size_t actor,
                        const std::function<void(automaton&, netout&)>& start,
                        std::chrono::milliseconds timeout) {
@@ -378,8 +372,6 @@ bool node::blocking_op(std::size_t actor,
         // Mirror immediately: the wait predicate must not observe the
         // stale pre-invocation idle state as completion.
         a.async_busy = a.async_iface->op_in_progress();
-        a.async_done = a.async_iface->ops_completed();
-        a.async_in_flight = a.async_iface->ops_in_flight();
       }
     }
     cv_.notify_all();
@@ -389,43 +381,28 @@ bool node::blocking_op(std::size_t actor,
                       [&] { return *started && !a.async_busy; });
 }
 
-bool node::wait_ops_in_flight_below(std::size_t limit,
-                                    std::chrono::milliseconds timeout) {
-  return wait_ops_in_flight_below(0, limit, timeout);
-}
-
-bool node::wait_ops_in_flight_below(std::size_t actor, std::size_t limit,
-                                    std::chrono::milliseconds timeout) {
+void node::set_step_hook(std::size_t actor,
+                         std::function<void(automaton&, netout&)> hook) {
   actor_state& a = actor_at(actor);
-  FASTREG_EXPECTS(a.async_iface != nullptr);
-  std::unique_lock<std::mutex> lk(mu_);
-  return cv_.wait_for(lk, timeout,
-                      [&] { return a.async_in_flight < limit; });
+  std::lock_guard<std::mutex> step(a.step_mu);
+  a.step_hook = std::move(hook);
 }
 
-bool node::wait_ops_completed(std::uint64_t target,
-                              std::chrono::milliseconds timeout) {
-  return wait_ops_completed(0, target, timeout);
-}
-
-bool node::wait_ops_completed(std::size_t actor, std::uint64_t target,
-                              std::chrono::milliseconds timeout) {
+bool node::schedule_step(std::size_t actor) {
   actor_state& a = actor_at(actor);
-  FASTREG_EXPECTS(a.async_iface != nullptr);
-  std::unique_lock<std::mutex> lk(mu_);
-  return cv_.wait_for(lk, timeout, [&] { return a.async_done >= target; });
-}
-
-std::uint64_t node::async_completed() const { return async_completed(0); }
-
-std::uint64_t node::async_completed(std::size_t actor) const {
-  actor_state& a = actor_at(actor);
-  std::lock_guard<std::mutex> lk(mu_);
-  return a.async_done;
-}
-
-void node::run_on_reactor(const std::function<void(automaton&)>& fn) {
-  run_on_reactor(0, fn);
+  reactor& home = home_of(a);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (!started_ || stop_requested_ || home.exited) return false;
+  }
+  // The flag clears BEFORE the step runs its hook, so a caller that finds
+  // a step already queued is covered by it.
+  if (a.step_scheduled.exchange(true)) return true;
+  post_to(home, [this, &a] {
+    a.step_scheduled = false;
+    poll_client_completion(a);
+  });
+  return true;
 }
 
 void node::run_on_reactor(std::size_t actor,
@@ -480,11 +457,6 @@ bool node::try_run_on_reactor(std::size_t actor,
 }
 
 void node::run_on_reactor_net(
-    const std::function<void(automaton&, netout&)>& fn) {
-  run_on_reactor_net(0, fn);
-}
-
-void node::run_on_reactor_net(
     std::size_t actor, const std::function<void(automaton&, netout&)>& fn) {
   actor_state& a = actor_at(actor);
   const bool ran = try_run_on_reactor(
@@ -529,16 +501,12 @@ checker::history node::hist() const {
 
 void node::poll_client_completion(actor_state& a) {
   std::lock_guard<std::mutex> step(a.step_mu);
+  if (a.step_hook) a.step_hook(*a.automaton_, a.port);
   if (a.async_iface != nullptr) {
     std::lock_guard<std::mutex> lk(mu_);
     const bool busy = a.async_iface->op_in_progress();
-    const std::uint64_t done = a.async_iface->ops_completed();
-    const std::size_t in_flight = a.async_iface->ops_in_flight();
-    if (busy != a.async_busy || done != a.async_done ||
-        in_flight != a.async_in_flight) {
+    if (busy != a.async_busy) {
       a.async_busy = busy;
-      a.async_done = done;
-      a.async_in_flight = in_flight;
       cv_.notify_all();
     }
   }
@@ -686,13 +654,13 @@ void node::adopt_inbound(reactor& r, unique_fd fd) {
   c.serial = next_conn_serial_.fetch_add(1, std::memory_order_relaxed);
   c.fault = default_fault_.load(std::memory_order_relaxed);
   c.cur_window_us = opt_.adaptive ? 0 : opt_.batch_window_us;
-  const bool paused = c.fault == conn_fault::pause;
+  c.epoll_mask = c.fault == conn_fault::pause ? 0u : EPOLLIN;
+  epoll_event ev{};
+  ev.events = c.epoll_mask;
+  ev.data.fd = cfd;
   r.conns.emplace(cfd, std::move(c));
   wm_.connections->add(1);
   rm_[r.index].connections->add(1);
-  epoll_event ev{};
-  ev.events = paused ? 0u : EPOLLIN;
-  ev.data.fd = cfd;
   ::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_ADD, cfd, &ev);
 }
 
@@ -705,6 +673,8 @@ void node::handle_readable(reactor& r, int fd) {
   // drain_guard_fd comment there).
   auto& c = it->second;
   if (c.fault == conn_fault::pause) return;  // interest mask raced the fault
+  // A short read emptied the socket: stop rather than spend a syscall on
+  // EAGAIN. Epoll is level-triggered, so later bytes (or EOF) re-report.
   std::uint8_t buf[64 * 1024];
   if (c.fault == conn_fault::blackhole) {
     // Partitioned: drain the socket so the kernel buffer never fills,
@@ -717,6 +687,7 @@ void node::handle_readable(reactor& r, int fd) {
         close_conn(r, fd);
         return;
       }
+      if (static_cast<std::size_t>(n) < sizeof buf) return;
     }
   }
   actor_state* owner = c.owner;
@@ -731,7 +702,7 @@ void node::handle_readable(reactor& r, int fd) {
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     if (n <= 0) {
       close_conn(r, fd);
-      return;
+      break;
     }
     wm_.bytes_in->inc(static_cast<std::uint64_t>(n));
     // Frames parse IN PLACE from the read buffer (only a trailing
@@ -785,6 +756,7 @@ void node::handle_readable(reactor& r, int fd) {
       reset = true;
       break;
     }
+    if (static_cast<std::size_t>(n) < sizeof buf) break;
   }
   if (reset) {
     // Framing lost on this stream (frame_buffer's contract), or a send
@@ -798,8 +770,8 @@ void node::handle_readable(reactor& r, int fd) {
               "write failure mid-drain)",
               to_string(self_).c_str(), fd);
     close_conn(r, fd);
-    return;
   }
+  // Even after a close: frames drained before it may have completed ops.
   poll_client_completion(*owner);
 }
 
@@ -831,7 +803,11 @@ void node::flush(reactor& r, int fd, connection& c) {
     if (cnt == 0) break;  // only a not-yet-filled tail block: nothing queued
     std::size_t queued = 0;
     for (std::size_t i = 0; i < cnt; ++i) queued += iov[i].iov_len;
-    const ssize_t n = ::writev(fd, iov, static_cast<int>(cnt));
+    // writev + MSG_NOSIGNAL: a reset peer gives EPIPE, not SIGPIPE.
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = cnt;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     wm_.writev_calls->inc();
     if (n > 0) {
       // Possibly a SHORT write: consume() leaves the remainder (even
@@ -852,15 +828,16 @@ void node::flush(reactor& r, int fd, connection& c) {
 }
 
 void node::update_epoll(reactor& r, int fd, connection& c) {
-  epoll_event ev{};
-  ev.data.fd = fd;
-  if (c.fault == conn_fault::pause) {
-    ev.events = 0;  // paused: no reads, no writes; bytes queue
-  } else {
-    ev.events = EPOLLIN;
-    if (c.connecting || c.out.bytes() > 0) ev.events |= EPOLLOUT;
+  std::uint32_t mask = 0;  // paused: no reads, no writes; bytes queue
+  if (c.fault != conn_fault::pause) {
+    mask = EPOLLIN | (c.connecting || c.out.bytes() > 0 ? EPOLLOUT : 0u);
   }
+  if (mask == c.epoll_mask) return;
+  epoll_event ev{};
+  ev.events = mask;
+  ev.data.fd = fd;
   ::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_MOD, fd, &ev);
+  c.epoll_mask = mask;
 }
 
 void node::close_conn(reactor& r, int fd) {
@@ -1340,13 +1317,13 @@ node::conn_ref node::open_to_server(reactor& r, actor_state& a,
   c.serial = next_conn_serial_.fetch_add(1, std::memory_order_relaxed);
   c.fault = default_fault_.load(std::memory_order_relaxed);
   c.cur_window_us = opt_.adaptive ? 0 : opt_.batch_window_us;
-  const bool paused = c.fault == conn_fault::pause;
+  c.epoll_mask = c.fault == conn_fault::pause ? 0u : (EPOLLIN | EPOLLOUT);
+  epoll_event ev{};
+  ev.events = c.epoll_mask;
+  ev.data.fd = raw;
   r.conns.emplace(raw, std::move(c));
   wm_.connections->add(1);
   rm_[r.index].connections->add(1);
-  epoll_event ev{};
-  ev.events = paused ? 0u : (EPOLLIN | EPOLLOUT);
-  ev.data.fd = raw;
   ::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_ADD, raw, &ev);
   // Introduce the ACTOR (not the node: a hub hosts many) so the server
   // can route replies back. The hello must precede any frame on this

@@ -148,8 +148,6 @@ class node final : public netout {
   /// Returns its actor index; the actor is pinned to reactor
   /// (index % reactors).
   std::size_t add_actor(std::unique_ptr<automaton> a);
-  [[nodiscard]] std::size_t actor_count() const { return actors_.size(); }
-  [[nodiscard]] const process_id& actor_self(std::size_t actor) const;
 
   /// Servers: bind the listener (port 0 = ephemeral) before start().
   void bind_listener(std::uint16_t port = 0);
@@ -178,41 +176,24 @@ class node final : public netout {
   /// once every op it began completed, or false on timeout. Histories
   /// are the caller's job.
   [[nodiscard]] bool blocking_op(
-      const std::function<void(automaton&, netout&)>& start,
-      std::chrono::milliseconds timeout = std::chrono::seconds(10));
-  [[nodiscard]] bool blocking_op(
       std::size_t actor, const std::function<void(automaton&, netout&)>& start,
       std::chrono::milliseconds timeout = std::chrono::seconds(10));
 
-  // Pipelined async client support (async_client_iface automata). The
-  // reactor mirrors the iface's in-flight and completed counters under
-  // mu_ so callers can wait without racing automaton internals.
-
-  /// Waits until fewer than `limit` ops are in flight on the actor (a
-  /// pipeline slot is free). False on timeout.
-  [[nodiscard]] bool wait_ops_in_flight_below(
-      std::size_t limit,
-      std::chrono::milliseconds timeout = std::chrono::seconds(10));
-  [[nodiscard]] bool wait_ops_in_flight_below(
-      std::size_t actor, std::size_t limit,
-      std::chrono::milliseconds timeout);
-  /// Waits until the actor has completed at least `target` ops since
-  /// construction. False on timeout.
-  [[nodiscard]] bool wait_ops_completed(
-      std::uint64_t target,
-      std::chrono::milliseconds timeout = std::chrono::seconds(10));
-  [[nodiscard]] bool wait_ops_completed(std::size_t actor,
-                                        std::uint64_t target,
-                                        std::chrono::milliseconds timeout);
-  /// Reactor-mirrored ops_completed() (safe from any thread).
-  [[nodiscard]] std::uint64_t async_completed() const;
-  [[nodiscard]] std::uint64_t async_completed(std::size_t actor) const;
+  /// Installs `hook` (empty = clear) to run at the end of every step of
+  /// the actor (each delivery drain, each posted task) under its step
+  /// mutex -- how a pipelined store session takes completions and begins
+  /// queued ops. Once this returns, the old hook never runs again.
+  void set_step_hook(std::size_t actor,
+                     std::function<void(automaton&, netout&)> hook);
+  /// Queues a step of the actor that only runs its hook, without waiting;
+  /// calls made before it runs share it. False when the node is not
+  /// running.
+  [[nodiscard]] bool schedule_step(std::size_t actor);
 
   /// Runs `fn` on the actor's home reactor and waits for it to finish.
   /// The only safe way for non-reactor code to inspect automaton state
   /// that late messages may still mutate (e.g. draining store
   /// completions).
-  void run_on_reactor(const std::function<void(automaton&)>& fn);
   void run_on_reactor(std::size_t actor,
                       const std::function<void(automaton&)>& fn);
 
@@ -231,7 +212,6 @@ class node final : public netout {
   /// start or re-issue protocol traffic (the reconfiguration control
   /// plane: migration handoff ops, resuming parked ops). Does NOT wait
   /// for any started op to complete -- pair with a completion poll.
-  void run_on_reactor_net(const std::function<void(automaton&, netout&)>& fn);
   void run_on_reactor_net(
       std::size_t actor,
       const std::function<void(automaton&, netout&)>& fn);
@@ -281,6 +261,8 @@ class node final : public netout {
     /// shipped frame never lands on a recycled fd.
     std::uint64_t serial{0};
     bool connecting{false};
+    /// Interest mask last given to epoll (update_epoll skips no-ops).
+    std::uint32_t epoll_mask{0};
     /// Queued bytes awaiting a deferred (windowed) flush.
     bool dirty{false};
     conn_fault fault{conn_fault::none};
@@ -340,18 +322,19 @@ class node final : public netout {
     /// step_mu. Entries are validated lazily against the connection's
     /// serial (a closed connection leaves a stale ref behind).
     std::map<std::uint32_t, conn_ref> out_to_server;
+    /// See set_step_hook. Guarded by step_mu.
+    std::function<void(automaton&, netout&)> step_hook;
+    /// A schedule_step task is queued and has not started yet.
+    std::atomic<bool> step_scheduled{false};
     // ---- guarded by the node's mu_ ----
     checker::history hist;
     std::uint64_t reads_done{0};
     std::uint64_t writes_done{0};
     std::size_t open_op_index{0};
     bool op_open{false};
-    // Reactor-maintained mirror of async_iface state, so blocking_op and
-    // the pipelined waiters can wait under mu_ without racing automaton
-    // internals.
+    // Reactor-maintained mirror of async_iface->op_in_progress(), so
+    // blocking_op can wait under mu_ without racing automaton internals.
     bool async_busy{false};
-    std::uint64_t async_done{0};
-    std::size_t async_in_flight{0};
   };
 
   void init_reactors();

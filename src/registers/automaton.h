@@ -131,24 +131,14 @@ class reader_iface {
 /// Transport-facing interface of client automata whose invocation surface
 /// is richer than reader_iface/writer_iface (the store front-end's
 /// get(key)/put(key, v), possibly several ops pipelined on distinct
-/// objects). Transports use it to detect quiescence and completions
-/// generically; the role-specific entry points stay on the concrete type.
+/// objects). Transports use it to detect quiescence generically; the
+/// role-specific entry points stay on the concrete type.
 class async_client_iface {
  public:
   virtual ~async_client_iface() = default;
 
   /// True while at least one invoked operation has not completed.
   [[nodiscard]] virtual bool op_in_progress() const = 0;
-
-  /// Total operations completed since construction (monotone).
-  [[nodiscard]] virtual std::uint64_t ops_completed() const = 0;
-
-  /// Operations invoked but not yet completed. Pipelined transports use
-  /// it as the sliding-window occupancy; the default suits clients that
-  /// hold at most one op.
-  [[nodiscard]] virtual std::size_t ops_in_flight() const {
-    return op_in_progress() ? 1 : 0;
-  }
 };
 
 /// Client-side interface of a writer automaton.

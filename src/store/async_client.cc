@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <iterator>
+#include <unordered_set>
 
 #include "common/check.h"
 #include "net/cluster.h"
@@ -159,10 +162,10 @@ submit_status async_session::try_put(const std::string& key, value_t v) {
 
 namespace {
 
-/// One client's session on a net::node (per-node or hub topology): ops
-/// go on the wire inside a reactor step on the client actor's home
-/// reactor, completions are harvested there, and both sides log into
-/// the deployment's shared op_log.
+/// One client's session on a net::node (per-node or hub topology).
+/// Admission checks the session's own window and keys, appends the op to
+/// the inbox and schedules a step of the client actor; step(), installed
+/// as the actor's step hook, does the rest on the reactor.
 class tcp_session final : public async_session {
  public:
   tcp_session(net::node& n, std::size_t actor, op_log& log,
@@ -170,119 +173,147 @@ class tcp_session final : public async_session {
       : async_session(std::move(client), depth),
         node_(n),
         actor_(actor),
-        log_(log) {}
+        log_(log) {
+    node_.set_step_hook(actor_, [this](automaton& a, netout& net) {
+      step(dynamic_cast<store::client&>(a), net);
+    });
+  }
+  // Clearing waits out a running step, so no hook call outlives *this.
+  ~tcp_session() override { node_.set_step_hook(actor_, {}); }
 
   void pump() override { harvest(); }
 
   bool drain(std::chrono::milliseconds timeout) override {
-    const bool ok = node_.wait_ops_in_flight_below(actor_, 1, timeout);
-    harvest();
-    return ok;
+    return harvest_until([&] { return in_flight() == 0; }, timeout);
   }
 
  private:
+  /// The step hook. Takes the step's completions, closing their op_log
+  /// entries at t1 = the step's time (the session's own go to the
+  /// outbox), then begins every queued op whose key is free at t0 = t1 +
+  /// 1 and flushes once: one batch frame per server. A same-key successor
+  /// begins in the step that took its predecessor's completion or later,
+  /// so its t0 is strictly greater than that t1; stamping off the reactor
+  /// could make the two look concurrent, which the checkers reject.
+  void step(client& c, netout& net) {
+    const std::uint64_t t = now_ns();
+    std::vector<store_result> done = c.take_completions();
+    if (!done.empty()) {
+      (void)log_.close(client_, done, t);
+      // A key this session did not begin: the late completion of an op a
+      // timed-out blocking call (or an earlier session) abandoned. Its
+      // log entry is closed above, and nobody waits for it.
+      std::erase_if(done, [&](const store_result& r) {
+        return begun_.erase(r.key) == 0;
+      });
+    }
+    std::vector<store_op> ops = std::exchange(queued_, {});
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      ops.insert(ops.end(), std::make_move_iterator(inbox_.begin()),
+                 std::make_move_iterator(inbox_.end()));
+      inbox_.clear();
+      if (!done.empty()) {
+        outbox_.insert(outbox_.end(), std::make_move_iterator(done.begin()),
+                       std::make_move_iterator(done.end()));
+        cv_.notify_one();
+      }
+    }
+    for (auto& op : ops) {
+      // The key's abandoned op is still pending: wait for it here rather
+      // than trip begin_*'s precondition.
+      if (c.has_pending(op.key)) {
+        queued_.push_back(std::move(op));
+        continue;
+      }
+      log_.open(client_, op.key, op.is_put, op.val, t + 1);
+      begun_.insert(op.key);
+      if (op.is_put) {
+        c.begin_put(op.key, std::move(op.val));
+      } else {
+        c.begin_get(op.key);
+      }
+    }
+    c.flush(net);
+  }
+
   submit_status try_submit(const std::string& key, bool is_put,
                            value_t v) override {
-    if (!node_.wait_ops_in_flight_below(actor_, depth_,
-                                        std::chrono::milliseconds(0))) {
-      return submit_status::window_full;
-    }
-    bool begun = false;
-    std::uint64_t steptime = 0;
-    std::vector<store_result> done;
-    node_.run_on_reactor_net(actor_, [&](automaton& a, netout& net) {
-      steptime = now_ns();
-      auto& c = dynamic_cast<client&>(a);
-      done = c.take_completions();
-      if (c.has_pending(key)) return;  // same-key op still in flight
-      if (is_put) {
-        c.begin_put(key, v);
-      } else {
-        c.begin_get(key);
-      }
-      c.flush(net);
-      begun = true;
-    });
-    if (!done.empty()) {
-      (void)log_.close(client_, done, steptime);
-      stash(std::move(done));
-    }
-    if (!begun) return submit_status::key_busy;
-    log_.open(client_, key, is_put, v, steptime + 1);
-    return submit_status::submitted;
+    harvest();
+    if (in_flight() >= depth_) return submit_status::window_full;
+    if (keys_.contains(key)) return submit_status::key_busy;
+    return enqueue(key, is_put, std::move(v));
   }
 
   bool blocking_submit(const std::string& key, bool is_put, value_t v,
                        std::chrono::milliseconds timeout) override {
+    const auto admissible = [&] {
+      return in_flight() < depth_ && !keys_.contains(key);
+    };
+    return harvest_until(admissible, timeout) &&
+           enqueue(key, is_put, std::move(v)) == submit_status::submitted;
+  }
+
+  submit_status enqueue(const std::string& key, bool is_put, value_t v) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      inbox_.push_back(store_op{key, is_put, std::move(v)});
+    }
+    if (!node_.schedule_step(actor_)) {
+      // Node not running: withdraw the op. Only this thread appends, and
+      // the reactor takes the inbox whole, so a non-empty inbox ends in it.
+      std::lock_guard<std::mutex> lk(mu_);
+      if (!inbox_.empty()) inbox_.pop_back();
+      return submit_status::failed;
+    }
+    keys_.insert(key);
+    return submit_status::submitted;
+  }
+
+  /// Moves the outbox into the results stash, freeing window slots and
+  /// keys.
+  void harvest() {
+    std::vector<store_result> done;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      done.swap(outbox_);
+    }
+    for (const auto& r : done) keys_.erase(r.key);
+    stash(std::move(done));
+  }
+
+  /// Harvests until `ready()` holds, sleeping on the outbox in between.
+  /// False when `timeout` runs out first.
+  template <typename Ready>
+  bool harvest_until(Ready ready, std::chrono::milliseconds timeout) {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
     for (;;) {
-      // A free window slot first; completions only ever shrink the window
-      // between this wait and the reactor step below (this thread is the
-      // sole submitter on the client), so the slot cannot vanish.
-      if (!node_.wait_ops_in_flight_below(actor_, depth_, timeout)) {
-        return false;
-      }
-      bool begun = false;
-      std::uint64_t completed_before = 0;
-      // Completion (t1) and invocation (t0) times are both taken ON the
-      // reactor, at the top of the step that harvests the completions and
-      // begins the new op. Completions harvested here finished strictly
-      // before this step ran, and the new op starts strictly after, so
-      // recording t1 = steptime < t0 = steptime + 1 preserves the real
-      // precedence -- timestamping outside the step would let a just-
-      // finished same-key op appear concurrent with its successor, which
-      // the checkers reject as a well-formedness violation.
-      std::uint64_t steptime = 0;
-      std::vector<store_result> done;
-      node_.run_on_reactor_net(actor_, [&](automaton& a, netout& net) {
-        steptime = now_ns();
-        auto& c = dynamic_cast<client&>(a);
-        done = c.take_completions();
-        if (c.has_pending(key)) {
-          // Baseline for the wait below, captured ON the reactor: reading
-          // the mirror after this step returns would race a completion
-          // landing in between and wait for one more than will ever come.
-          completed_before = c.ops_completed();
-          return;  // same-key op still in flight
-        }
-        if (is_put) {
-          c.begin_put(key, v);
-        } else {
-          c.begin_get(key);
-        }
-        c.flush(net);
-        begun = true;
-      });
-      if (!done.empty()) {
-        (void)log_.close(client_, done, steptime);
-        stash(std::move(done));
-      }
-      if (begun) {
-        log_.open(client_, key, is_put, v, steptime + 1);
-        return true;
-      }
-      // The key's previous op (possibly abandoned by a timed-out blocking
-      // call) is still in flight: wait for any completion, then retry.
-      if (!node_.wait_ops_completed(actor_, completed_before + 1, timeout)) {
+      harvest();
+      if (ready()) return true;
+      std::unique_lock<std::mutex> lk(mu_);
+      if (!cv_.wait_until(lk, deadline, [&] { return !outbox_.empty(); })) {
         return false;
       }
     }
-  }
-
-  /// take_completions on the reactor (so late server acks cannot race
-  /// the drain); closes log entries and stashes the results.
-  void harvest() {
-    std::vector<store_result> done;
-    node_.run_on_reactor(actor_, [&done](automaton& a) {
-      done = dynamic_cast<client&>(a).take_completions();
-    });
-    if (done.empty()) return;
-    (void)log_.close(client_, done, now_ns());
-    stash(std::move(done));
   }
 
   net::node& node_;
   std::size_t actor_;
   op_log& log_;
+  /// Keys of admitted ops not yet harvested (session thread only).
+  std::unordered_set<std::string> keys_;
+  // The handoff with the reactor.
+  std::mutex mu_;
+  std::condition_variable cv_;  // signalled when the outbox grows
+  /// Admitted ops the reactor has not taken yet. Guarded by mu_.
+  std::vector<store_op> inbox_;
+  /// Completions of this session's ops, not yet harvested. Guarded by mu_.
+  std::vector<store_result> outbox_;
+  // Reactor side: touched only inside step(), under the step mutex.
+  /// Taken from the inbox but not begun: the key is still pending.
+  std::vector<store_op> queued_;
+  /// Keys of this session's begun, not yet completed ops.
+  std::unordered_set<std::string> begun_;
 };
 
 }  // namespace

@@ -12,10 +12,11 @@
 // Surface:
 //  * try_get/try_put -- one admission attempt, never blocks: `submitted`
 //    once the op is accepted into the window, `window_full` when `depth`
-//    ops are already in flight, `key_busy` when the same (client, key)
-//    already has an op in flight (per-object well-formedness).
+//    ops are already in flight, `key_busy` when the session already has
+//    an op in flight on the key (per-object well-formedness), `failed`
+//    when the transport is down.
 //  * get/put -- blocking submit: waits for admission (window slot + key
-//    free), returns once the op is on the wire. False on timeout.
+//    free), returns once the op is admitted. False on timeout.
 //  * pump() -- makes progress without submitting: issues anything
 //    buffered and harvests completions into the results stash.
 //  * drain() -- waits until nothing submitted remains in flight.
@@ -71,8 +72,9 @@ enum class submit_status : std::uint8_t {
 /// Invocation/completion log shared by every TCP session and blocking
 /// call of a deployment, written once and rebuilt into per-key histories
 /// on demand. Timestamps are steady-clock nanoseconds taken by the
-/// caller (ON the reactor for pipelined submits, so same-key precedence
-/// is preserved -- see tcp session internals). Thread-safe.
+/// caller; a session takes both ON the client's reactor, in the steps
+/// that begin and complete the op, so same-key precedence is preserved
+/// (see tcp_session::step). Thread-safe.
 class op_log {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -125,8 +127,8 @@ class async_session {
   async_session(const async_session&) = delete;
   async_session& operator=(const async_session&) = delete;
 
-  /// Blocking submits: wait for admission, return once the op is on the
-  /// wire. False on timeout (the op was NOT submitted).
+  /// Blocking submits: wait for admission, return once the op is
+  /// admitted. False on timeout (the op was NOT submitted).
   [[nodiscard]] bool get(
       const std::string& key,
       std::chrono::milliseconds timeout = std::chrono::seconds(10));
@@ -136,7 +138,9 @@ class async_session {
 
   /// Non-blocking admission attempts. A sim session buffers accepted ops
   /// until the next pump() so they leave in ONE invocation step (batched
-  /// envelopes); a TCP session puts them on the wire immediately.
+  /// envelopes). A TCP session queues them for the client actor's next
+  /// reactor step, which begins them all -- each behind any op a timed-out
+  /// blocking call left on its key -- in one batch frame per server.
   [[nodiscard]] submit_status try_get(const std::string& key);
   [[nodiscard]] submit_status try_put(const std::string& key, value_t v);
 
@@ -150,9 +154,9 @@ class async_session {
   [[nodiscard]] virtual bool drain(
       std::chrono::milliseconds timeout = std::chrono::seconds(10)) = 0;
 
-  /// Harvested completions since the last call, completion-ordered (may
-  /// include late completions of ops an earlier timed-out blocking store
-  /// call abandoned on this client).
+  /// Harvested completions of this session's ops since the last call,
+  /// completion-ordered. (On TCP, a late completion of an op a timed-out
+  /// blocking store call abandoned only closes that call's log entry.)
   [[nodiscard]] std::vector<store_result> take_results() {
     return std::exchange(results_, {});
   }

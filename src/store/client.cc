@@ -29,7 +29,6 @@ client::client(const client& o)
       mig_(o.mig_),
       mig_seq_(o.mig_seq_),
       completions_(o.completions_),
-      completed_(o.completed_),
       stats_(o.stats_),
       stats_seq_(o.stats_seq_),
       parks_total_(o.parks_total_),
@@ -451,7 +450,6 @@ void client::poll_object(object_id obj) {
     res.rounds = rr->rounds;
   }
   completions_.push_back(std::move(res));
-  ++completed_;
   pending_.erase(it);
 }
 

@@ -82,7 +82,6 @@ class client final : public automaton, public async_client_iface {
 
   /// Completed ops since the last call, in completion order.
   [[nodiscard]] std::vector<store_result> take_completions();
-  [[nodiscard]] std::size_t pending_count() const { return pending_.size(); }
   /// True while an op on `key` is in flight (e.g. orphaned by a driver
   /// timeout); begin_get/begin_put on such a key would violate their
   /// precondition.
@@ -156,14 +155,6 @@ class client final : public automaton, public async_client_iface {
   // async_client_iface
   [[nodiscard]] bool op_in_progress() const override {
     return !pending_.empty();
-  }
-  [[nodiscard]] std::uint64_t ops_completed() const override {
-    return completed_;
-  }
-  /// Window occupancy for pipelined transports (parked ops included:
-  /// they still hold their key).
-  [[nodiscard]] std::size_t ops_in_flight() const override {
-    return pending_.size();
   }
 
   // automaton
@@ -248,7 +239,6 @@ class client final : public automaton, public async_client_iface {
   std::uint64_t mig_seq_{0};
   batch_collector outbox_;
   std::vector<store_result> completions_;
-  std::uint64_t completed_{0};
   /// Scrape state: stashed stats_ack dump and the sequence its reply
   /// must echo (stale acks of an earlier scrape are dropped).
   std::optional<std::string> stats_;

@@ -1,6 +1,7 @@
 #include "store/tcp_store.h"
 
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -154,8 +155,8 @@ std::string tcp_store::scrape(std::uint32_t server_index,
     pollfd p{fd.get(), POLLOUT, 0};
     const int pr = ::poll(&p, 1, remaining_ms());
     if (pr <= 0) return {};
-    const ssize_t n =
-        ::write(fd.get(), bytes.data() + off, bytes.size() - off);
+    const ssize_t n = ::send(fd.get(), bytes.data() + off,
+                             bytes.size() - off, MSG_NOSIGNAL);
     if (n > 0) {
       off += static_cast<std::size_t>(n);
       continue;

@@ -21,8 +21,9 @@
 // keeps the wire busy across round trips instead of idling between them.
 //
 // Timeouts: a timed-out op may still be in flight; until it completes,
-// further ops on the same (client, key) fail fast (nullopt/false) rather
-// than abort, and a late completion closes the abandoned op's history
+// further blocking ops on the same (client, key) fail fast (nullopt/
+// false) rather than abort -- a session op on that key waits for it
+// instead -- and a late completion closes the abandoned op's history
 // record instead of leaking into a later call's results.
 #pragma once
 

@@ -350,11 +350,14 @@ TEST(ObsSnapshot, IntervalScrapeRollsItsBaselineForward) {
   c.reset();
   obs::interval_scrape scrape;
   c.inc(5);
-  const auto* first = find_row(scrape.take(), "test_interval_total");
+  // Each delta is held in a named vector: find_row points into it.
+  const auto d1 = scrape.take();
+  const auto* first = find_row(d1, "test_interval_total");
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first->value, 5);
   c.inc(3);
-  const auto* second = find_row(scrape.take(), "test_interval_total");
+  const auto d2 = scrape.take();
+  const auto* second = find_row(d2, "test_interval_total");
   ASSERT_NE(second, nullptr);
   EXPECT_EQ(second->value, 3);
   // Nothing moved: the delta is zero, and the dump still validates.

@@ -2,13 +2,17 @@
 // same session surface drives the deterministic simulator and the real
 // TCP cluster, so one scripted driver must produce verifier-clean,
 // shape-identical histories on both. Also covered: the non-blocking
-// admission statuses (window_full / key_busy) and their registry
-// counters, backpressure against a paused (slow) server fleet,
-// connection churn while a pipeline is in flight, and a multi-reactor
-// hub+server run whose data races -- if any -- are TSan's to find.
+// admission statuses (window_full / key_busy / failed) and their
+// registry counters on both transports, TCP admission coalescing into
+// one batch frame per server, a session op queued behind a key a
+// timed-out blocking call abandoned, backpressure against a paused
+// (slow) server fleet, connection churn while a pipeline is in flight,
+// and a multi-reactor hub+server run whose data races -- if any -- are
+// TSan's to find.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -104,23 +108,36 @@ TEST(StoreFrontend, SameScriptOnSimAndTcpVerifierIdenticalShape) {
   }
 }
 
-/// Sum of an admission counter's delta across an interval scrape.
-double admission_delta(const std::vector<obs::sample>& rows,
-                       const char* result) {
-  const std::string want = "fastreg_store_admission_total{result=\"" +
-                           std::string(result) + "\"}";
+/// Sum of a counter's delta across an interval scrape (`series` is the
+/// full name, labels included).
+double counter_delta(const std::vector<obs::sample>& rows,
+                     const std::string& series) {
   double s = 0;
   for (const auto& row : rows) {
-    if (row.name == want) s += row.value;
+    if (row.name == series) s += row.value;
   }
   return s;
 }
 
-TEST(StoreFrontend, SimAdmissionStatusesAndCounters) {
-  const auto cfg = frontend_cfg(5, 1, 1);
-  sim_store s(cfg);
-  rng r(11);
-  sim_frontend fe(s, r);
+double admission_delta(const std::vector<obs::sample>& rows,
+                       const char* result) {
+  return counter_delta(rows, "fastreg_store_admission_total{result=\"" +
+                                 std::string(result) + "\"}");
+}
+
+/// Pause-faults (or heals) every server of the deployment.
+void fault_servers(tcp_store& ts, net::conn_fault f) {
+  for (std::uint32_t i = 0; i < ts.config().base.S(); ++i) {
+    ts.cluster().server(i).set_fault_all(f);
+  }
+}
+
+/// The admission script both transports must answer identically: a
+/// window of 2, a busy key, a full window, then a drained, free window.
+/// `settle` runs once the window is full (TCP heals its paused servers
+/// there so the drain can complete).
+template <typename Settle>
+void run_admission_script(store_frontend& fe, Settle settle) {
   obs::interval_scrape scrape;
 
   auto w = fe.open_session(writer_id(0), /*depth=*/2);
@@ -131,6 +148,7 @@ TEST(StoreFrontend, SimAdmissionStatusesAndCounters) {
   // Window of 2 is full, even for a fresh key.
   EXPECT_EQ(w->try_put("k2", "d"), submit_status::window_full);
   EXPECT_EQ(w->in_flight(), 2u);
+  settle();
 
   ASSERT_TRUE(w->drain());
   EXPECT_EQ(w->in_flight(), 0u);
@@ -146,6 +164,132 @@ TEST(StoreFrontend, SimAdmissionStatusesAndCounters) {
 
   const auto res = fe.gather().verify();
   EXPECT_TRUE(res.ok) << res.error;
+}
+
+TEST(StoreFrontend, SimAdmissionStatusesAndCounters) {
+  const auto cfg = frontend_cfg(5, 1, 1);
+  sim_store s(cfg);
+  rng r(11);
+  sim_frontend fe(s, r);
+  run_admission_script(fe, [] {});
+}
+
+TEST(StoreFrontend, TcpAdmissionStatusesAndCounters) {
+  // Every server is paused while the window fills, so no completion can
+  // free a slot or a key early and the statuses are exact. The blocking
+  // put connects the writer to every server before the pause.
+  const auto cfg = frontend_cfg(3, 1, 1);
+  tcp_store ts(cfg);
+  ts.start();
+  ASSERT_TRUE(ts.put(0, "k0", "seed"));
+  fault_servers(ts, net::conn_fault::pause);
+  run_admission_script(ts.frontend(),
+                       [&] { fault_servers(ts, net::conn_fault::none); });
+  ts.stop();
+}
+
+TEST(StoreFrontend, TcpQueuedAdmissionsLeaveAsOneBatchFramePerServer) {
+  // Admission never waits for the reactor. Ops admitted while the hub's
+  // reactor is held up queue in the session; the next step begins them
+  // all and sends ONE batch frame per server, not one frame per op.
+  // fast_swmr reads take one round, so those are the hub's only frames.
+  auto cfg = frontend_cfg(5, 1, 1);
+  cfg.shard_protocols = {"fast_swmr"};
+  net::cluster_options copt;
+  copt.client_hub = true;
+  tcp_store ts(cfg, net::node_options{}, copt);
+  ts.start();
+  for (int k = 0; k < 8; ++k) {
+    ASSERT_TRUE(ts.put(0, "k" + std::to_string(k), "seed"));
+  }
+  ASSERT_TRUE(ts.get(0, "k0").has_value());  // connects the reader
+
+  net::node& hub = ts.cluster().hub();
+  const std::size_t actor = ts.cluster().client_actor(reader_id(0));
+  auto se = ts.open_session(reader_id(0), /*depth=*/8);
+  std::promise<void> held;
+  std::promise<void> release;
+  std::thread holder([&] {
+    hub.run_on_reactor(actor, [&](automaton&) {
+      held.set_value();
+      release.get_future().wait();
+    });
+  });
+  held.get_future().wait();
+  obs::interval_scrape scrape;
+  for (int k = 0; k < 8; ++k) {
+    EXPECT_EQ(se->try_get("k" + std::to_string(k)),
+              submit_status::submitted);
+  }
+  release.set_value();
+  holder.join();
+  ASSERT_TRUE(se->drain(10s));
+  EXPECT_EQ(se->take_results().size(), 8u);
+
+  const double frames = counter_delta(
+      scrape.take(),
+      "fastreg_net_frames_out_total{node=\"" + to_string(hub.self()) + "\"}");
+  EXPECT_EQ(frames, 5.0) << "8 queued gets must leave as one batch frame "
+                            "per server";
+  const auto res = ts.gather().verify();
+  EXPECT_TRUE(res.ok) << res.error;
+  ts.stop();
+}
+
+TEST(StoreFrontend, TcpSessionOpWaitsForAbandonedKey) {
+  // A blocking get that times out against a paused fleet leaves its op
+  // pending on the client. A session get on the same key must queue
+  // behind it -- not abort on begin_get's precondition, not report
+  // key_busy -- and complete once the servers heal.
+  const auto cfg = frontend_cfg(3, 1, 1);
+  tcp_store ts(cfg);
+  ts.start();
+  ASSERT_TRUE(ts.put(0, "k0", "seed"));
+  ASSERT_TRUE(ts.get(0, "k0").has_value());  // connects the reader
+
+  fault_servers(ts, net::conn_fault::pause);
+  EXPECT_FALSE(ts.get(0, "k0", 50ms).has_value());
+  auto se = ts.open_session(reader_id(0), /*depth=*/2);
+  ASSERT_TRUE(se->get("k0"));
+  EXPECT_FALSE(se->drain(100ms));
+  EXPECT_EQ(se->in_flight(), 1u);
+
+  fault_servers(ts, net::conn_fault::none);
+  ASSERT_TRUE(se->drain(10s));
+  // Only the session's own op is reported; the abandoned one's late
+  // completion closes the timed-out call's log entry.
+  const auto results = se->take_results();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results.front().val, "seed");
+  const auto hist = ts.gather();
+  EXPECT_TRUE(hist.all_complete());
+  const auto res = hist.verify();
+  EXPECT_TRUE(res.ok) << res.error;
+  ts.stop();
+}
+
+TEST(StoreFrontend, TcpAdmissionFailsOnStoppedClientNode) {
+  const auto cfg = frontend_cfg(3, 1, 1);
+  tcp_store ts(cfg);
+  ts.start();
+  ASSERT_TRUE(ts.put(0, "k0", "seed"));
+  ASSERT_TRUE(ts.get(0, "k0").has_value());
+
+  obs::interval_scrape scrape;
+  auto se = ts.open_session(reader_id(0), /*depth=*/2);
+  // Paused servers keep k0 in flight across the stop below.
+  fault_servers(ts, net::conn_fault::pause);
+  EXPECT_EQ(se->try_get("k0"), submit_status::submitted);
+  ts.cluster().client_node(reader_id(0)).stop();
+  EXPECT_EQ(se->try_get("k1"), submit_status::failed);
+  EXPECT_FALSE(se->get("k1", 100ms));
+  EXPECT_EQ(se->submitted(), 1u);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(se->drain(100ms));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 5s);
+  EXPECT_EQ(se->in_flight(), 1u);
+  EXPECT_GE(admission_delta(scrape.take(), "failed"), 2.0);
+  ts.stop();
 }
 
 TEST(StoreFrontend, TcpBackpressureAgainstPausedServers) {
@@ -165,18 +309,14 @@ TEST(StoreFrontend, TcpBackpressureAgainstPausedServers) {
   ASSERT_TRUE(ts.get(0, "k0").has_value());
 
   auto se = ts.open_session(reader_id(0), /*depth=*/2);
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    ts.cluster().server(i).set_fault_all(net::conn_fault::pause);
-  }
+  fault_servers(ts, net::conn_fault::pause);
   EXPECT_EQ(se->try_get("k0"), submit_status::submitted);
   EXPECT_EQ(se->try_get("k1"), submit_status::submitted);
   EXPECT_EQ(se->try_get("k2"), submit_status::window_full);
   EXPECT_FALSE(se->drain(100ms));
   EXPECT_EQ(se->in_flight(), 2u);
 
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    ts.cluster().server(i).set_fault_all(net::conn_fault::none);
-  }
+  fault_servers(ts, net::conn_fault::none);
   ASSERT_TRUE(se->drain(10s));
   EXPECT_EQ(se->take_results().size(), 2u);
   const auto res = ts.gather().verify();
