@@ -20,7 +20,6 @@
 #include "net/cluster.h"
 #include "obs/recorder.h"
 #include "obs/timeline.h"
-#include "obs/trace.h"
 #include "registers/registry.h"
 
 using namespace fastreg;
@@ -31,7 +30,8 @@ namespace {
 struct tcp_result {
   stats read_us;
   stats write_us;
-  obs::rounds_summary traced;
+  stats read_rounds;
+  stats write_rounds;
   bool atomic{false};
 };
 
@@ -63,19 +63,14 @@ tcp_result run_tcp(const std::string& proto, std::uint32_t S, std::uint32_t t,
     out.read_us.add(
         std::chrono::duration<double, std::micro>(t2 - t1).count());
   }
-  // Rounds column: a short traced pass AFTER the latency loop, so the
-  // tracer's (cheap but nonzero) recording never touches the latency
-  // numbers above. The hooks fire on the client reactor threads; 20 ops
-  // are plenty to pin a mean that must be exactly 1.0 or 2.0.
-  obs::set_tracing(true);
-  obs::reset_traces();
-  for (int k = 0; k < 20; ++k) {
-    (void)c.writer().blocking_write("t" + std::to_string(k));
-    (void)c.reader(0).blocking_read();
+  // Rounds per op from the clients' histories (the warmup pair included:
+  // an op's round count does not depend on connection setup).
+  const auto hist = c.gather_history();
+  for (const auto& op : hist.ops()) {
+    if (!op.response_time) continue;
+    (op.is_write ? out.write_rounds : out.read_rounds).add(op.rounds);
   }
-  out.traced = obs::summarize_rounds(obs::take_traces());
-  obs::set_tracing(false);
-  out.atomic = checker::check_swmr_atomicity(c.gather_history()).ok;
+  out.atomic = checker::check_swmr_atomicity(hist).ok;
   c.stop();
   return out;
 }
@@ -165,15 +160,15 @@ int main(int argc, char** argv) {
                std::to_string(c.window_us),
                fmt(res.read_us.p50()), fmt(res.read_us.p99()),
                fmt(res.write_us.p50()), fmt(ratio, 2),
-               fmt(res.traced.read_rounds), fmt(res.traced.write_rounds),
+               fmt(res.read_rounds.mean()), fmt(res.write_rounds.mean()),
                res.atomic ? "yes" : "NO"});
   }
   t.print();
   std::printf("\nexpected shape: fast_swmr read/write ~= 1.0 (both one "
               "RTT); abd ~= 2.0; maxmin between; RSA signing adds a "
               "visible constant to fast_bft writes and reads. rd/wr_rounds "
-              "are tracer-measured on a separate short pass: fast_swmr "
-              "and maxmin reads 1.0, abd reads 2.0, all writes 1.0. The "
+              "come from the op histories: fast_swmr and maxmin reads "
+              "1.0, abd reads 2.0, all writes 1.0. The "
               "window_us=200 rows show the batching window's latency tax "
               "on isolated ops -- roughly the window per round trip; "
               "throughput workloads buy it back (E12c).\n");

@@ -35,7 +35,6 @@
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
-#include "obs/trace.h"
 #include "store/tcp_store.h"
 
 using namespace fastreg;
@@ -502,8 +501,8 @@ void run_fanin_part(bool smoke) {
 // ------------------------------------------ --obs-check: telemetry gate --
 
 /// One blocking-op measurement pass over a warm store; returns get p50
-/// in microseconds. Identical work whether tracing is on or off -- the
-/// caller toggles the tracer around calls to isolate its cost.
+/// in microseconds. Identical work whether recording is on or off -- the
+/// caller toggles the recorder around calls to isolate its cost.
 double obs_check_pass(store::tcp_store& ts, std::uint32_t R,
                       std::uint32_t keys, int rounds) {
   std::vector<std::vector<double>> lat_us(R);
@@ -539,14 +538,13 @@ double obs_check_pass(store::tcp_store& ts, std::uint32_t R,
 
 /// CI gate: (a) the stats_req scrape over a raw socket yields a dump
 /// that parses under the exposition grammar, and (b) window-0 blocking
-/// get p50 with the phase tracer ON -- and, separately, with the flight
-/// recorder ON -- stays within 5% of both off in the SAME run. Rotating
-/// passes, best-of-3 per mode: the min is what the machine can do, so a
-/// spurious scheduler spike in one pass cannot fake (or mask) a
-/// regression. Writes the dump to `dump_path` (when given) for the
-/// external obs_check validator.
+/// get p50 with the flight recorder ON stays within 5% of recording off
+/// in the SAME run. Rotating passes, best-of-5 per mode: the min is what
+/// the machine can do, so a spurious scheduler spike in one pass cannot
+/// fake (or mask) a regression. Writes the dump to `dump_path` (when
+/// given) for the external obs_check validator.
 int run_obs_check(const char* dump_path) {
-  std::printf("E12 --obs-check: tracing/recording overhead + scrape "
+  std::printf("E12 --obs-check: recording overhead + scrape "
               "validation\n\n");
   const std::uint32_t R = 4;
   const std::uint32_t keys = 64;
@@ -575,9 +573,7 @@ int run_obs_check(const char* dump_path) {
   }
 
   double best_off = 0;
-  double best_on = 0;
   double best_rec = 0;
-  double best_on_ratio = 0;
   double best_rec_ratio = 0;
   // Mode order rotates across passes: a fixed order would hand whichever
   // mode always runs last any systematic drift (thermal, page cache) as
@@ -586,41 +582,23 @@ int run_obs_check(const char* dump_path) {
   // measuring scheduler noise -- the min of five keeps it below the 5%
   // threshold. Two ways to pass, either suffices: the global minima
   // compare (best each mode ever did), and the best WITHIN-pass ratio
-  // (three adjacent measurements, so multi-second load drift -- which
-  // can deny one mode the quiet window another got -- cancels out).
+  // (two adjacent measurements, so multi-second load drift -- which can
+  // deny one mode the quiet window the other got -- cancels out).
   for (int i = 0; i < 5; ++i) {
-    double off = 0, on = 0, rec = 0;
-    for (int m = 0; m < 3; ++m) {
-      switch ((i + m) % 3) {
-        case 0:
-          obs::set_tracing(false);
-          obs::set_recording(false);
-          off = obs_check_pass(ts, R, keys, rounds);
-          break;
-        case 1:
-          obs::set_tracing(true);
-          obs::set_recording(false);
-          on = obs_check_pass(ts, R, keys, rounds);
-          break;
-        default:
-          obs::set_tracing(false);
-          obs::set_recording(true);
-          rec = obs_check_pass(ts, R, keys, rounds);
-          break;
-      }
+    double off = 0, rec = 0;
+    for (int m = 0; m < 2; ++m) {
+      const bool recording = (i + m) % 2 == 1;
+      obs::set_recording(recording);
+      (recording ? rec : off) = obs_check_pass(ts, R, keys, rounds);
     }
-    std::printf("  pass %d: get_p50 off=%sus trace=%sus record=%sus\n",
-                i + 1, fmt(off).c_str(), fmt(on).c_str(),
-                fmt(rec).c_str());
+    std::printf("  pass %d: get_p50 off=%sus record=%sus\n", i + 1,
+                fmt(off).c_str(), fmt(rec).c_str());
     if (i == 0 || off < best_off) best_off = off;
-    if (i == 0 || on < best_on) best_on = on;
     if (i == 0 || rec < best_rec) best_rec = rec;
-    if (off > 0) {
-      if (i == 0 || on / off < best_on_ratio) best_on_ratio = on / off;
-      if (i == 0 || rec / off < best_rec_ratio) best_rec_ratio = rec / off;
+    if (off > 0 && (i == 0 || rec / off < best_rec_ratio)) {
+      best_rec_ratio = rec / off;
     }
   }
-  obs::set_tracing(false);
   obs::set_recording(false);
 
   const std::string dump = ts.scrape(0);
@@ -654,16 +632,10 @@ int run_obs_check(const char* dump_path) {
     }
   }
   const double limit = best_off * 1.05;
-  std::printf("overhead: best p50 off=%sus trace=%sus record=%sus "
-              "(limit %sus); best within-pass ratio trace=%s record=%s\n",
-              fmt(best_off).c_str(), fmt(best_on).c_str(),
-              fmt(best_rec).c_str(), fmt(limit).c_str(),
-              fmt(best_on_ratio, 3).c_str(),
-              fmt(best_rec_ratio, 3).c_str());
-  if (best_on > limit && best_on_ratio > 1.05) {
-    std::printf("FAIL: tracing-on p50 regressed more than 5%%\n");
-    ok = false;
-  }
+  std::printf("overhead: best p50 off=%sus record=%sus (limit %sus); "
+              "best within-pass ratio record=%s\n",
+              fmt(best_off).c_str(), fmt(best_rec).c_str(),
+              fmt(limit).c_str(), fmt(best_rec_ratio, 3).c_str());
   if (best_rec > limit && best_rec_ratio > 1.05) {
     std::printf("FAIL: recording-on p50 regressed more than 5%%\n");
     ok = false;

@@ -23,8 +23,7 @@ void sweep(bool concurrent) {
               concurrent ? "b" : "a",
               concurrent ? "concurrent closed-loop" : "isolated");
   table t({"proto", "S", "t", "R", "read_p50", "read_p99", "write_p50",
-           "rd_rounds", "wr_rounds", "rd_traced", "wr_traced", "msgs/op",
-           "atomic"});
+           "rd_rounds", "wr_rounds", "msgs/op", "atomic"});
   struct cfg_case {
     std::uint32_t S, t, R;
   };
@@ -47,16 +46,13 @@ void sweep(bool concurrent) {
                  std::to_string(c.R), fmt(rep.read_latency.p50()),
                  fmt(rep.read_latency.p99()), fmt(rep.write_latency.p50()),
                  fmt(rep.read_rounds.mean()), fmt(rep.write_rounds.mean()),
-                 fmt(rep.traced.read_rounds), fmt(rep.traced.write_rounds),
                  fmt(rep.msgs_per_op), atomic.ok ? "yes" : "NO"});
     }
   }
   t.print();
   std::printf(
       "expected shape: fast_swmr read_p50 ~= write_p50 (1 RTT, ~200 ticks); "
-      "abd read ~= 2x (2 RTT); maxmin ~= 1.5x (3 one-way delays). "
-      "rd/wr_traced are the tracer's issue/ack-measured rounds and must "
-      "match rd/wr_rounds (fast_swmr 1.0, abd reads 2.0).\n\n");
+      "abd read ~= 2x (2 RTT); maxmin ~= 1.5x (3 one-way delays).\n\n");
 }
 
 }  // namespace

@@ -17,12 +17,6 @@ latency_report run_measured(const protocol& proto, const system_config& cfg,
   rng r(opt.seed);
   sim::uniform_delay delays(opt.delay_lo, opt.delay_hi);
 
-  // Trace the whole run so the report's rounds column is MEASURED at the
-  // protocol's issue/ack hooks, not trusted from completion records.
-  const bool was_tracing = obs::tracing_enabled();
-  obs::set_tracing(true);
-  obs::reset_traces();
-
   FASTREG_EXPECTS(opt.crash_servers <= cfg.t());
   if (!opt.crash_midway) {
     for (std::uint32_t i = 0; i < opt.crash_servers; ++i) {
@@ -81,8 +75,6 @@ latency_report run_measured(const protocol& proto, const system_config& cfg,
   }
 
   latency_report rep;
-  rep.traced = obs::summarize_rounds(obs::take_traces());
-  obs::set_tracing(was_tracing);
   rep.hist = w.hist();
   std::uint64_t completed = 0;
   for (const auto& op : rep.hist.ops()) {

@@ -12,7 +12,6 @@
 
 #include "benchutil/stats.h"
 #include "checker/history.h"
-#include "obs/trace.h"
 #include "registers/automaton.h"
 #include "store/sim_store.h"
 
@@ -36,12 +35,11 @@ struct workload_options {
 struct latency_report {
   stats read_latency;
   stats write_latency;
+  /// Rounds per completed op, from the history records. A recorder test
+  /// (test_recorder.cc) checks them against the requests each op put on
+  /// the wire.
   stats read_rounds;
   stats write_rounds;
-  /// Rounds MEASURED by the obs tracer's protocol hooks (issue/ack
-  /// boundaries), independent of the rounds the automata self-report in
-  /// completions. The two agreeing is the cross-check E1/E5 print.
-  obs::rounds_summary traced;
   double msgs_per_op{0};
   bool all_complete{true};
   checker::history hist;

@@ -15,7 +15,6 @@
 
 #include "common/check.h"
 #include "common/log.h"
-#include "obs/trace.h"
 
 namespace fastreg::net {
 
@@ -180,7 +179,6 @@ void node::bind_node_metrics() {
     rm_[i].connections = &reg.get_gauge("fastreg_net_reactor_connections", rl);
   }
   preheat_framing_metrics();
-  obs::preheat_trace_metrics();
 }
 
 std::size_t node::add_actor(std::unique_ptr<automaton> a) {

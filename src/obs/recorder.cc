@@ -2,20 +2,31 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <mutex>
 
-#include "obs/trace.h"
+#include "common/log.h"
 
 namespace fastreg::obs {
 
 namespace detail {
+// Strict parsing, as for node_options::from_env: a value that asks for
+// something other than recording must say so instead of silently
+// recording nothing. The warning bypasses the log level (off by default).
 std::atomic<bool> recording_on{[] {
   const char* v = std::getenv("FASTREG_OBS");
-  return v != nullptr && std::strcmp(v, "record") == 0;
+  if (v == nullptr || *v == '\0') return false;
+  if (std::strcmp(v, "record") == 0) return true;
+  log_write(log_level::warn, __FILE__, __LINE__,
+            fastreg::detail::log_format(
+                "ignoring FASTREG_OBS=\"%s\" (the accepted value is "
+                "\"record\"); the flight recorder stays off",
+                v));
+  return false;
 }()};
 }  // namespace detail
 
@@ -23,6 +34,33 @@ bool recording_enabled() { return recording_active(); }
 void set_recording(bool on) {
   detail::recording_on.store(on, std::memory_order_relaxed);
 }
+
+// ------------------------------------------------------------------ clock --
+
+namespace {
+thread_local std::uint64_t t_time = 0;
+thread_local bool t_time_set = false;
+}  // namespace
+
+scoped_trace_time::scoped_trace_time(std::uint64_t t)
+    : prev_(t_time), had_prev_(t_time_set) {
+  t_time = t;
+  t_time_set = true;
+}
+scoped_trace_time::~scoped_trace_time() {
+  t_time = prev_;
+  t_time_set = had_prev_;
+}
+
+std::uint64_t trace_now() {
+  if (t_time_set) return t_time;
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+bool trace_time_overridden() { return t_time_set; }
 
 // -------------------------------------------------------------- trace ids --
 
@@ -97,13 +135,25 @@ struct alignas(64) recorder::slot {
 
 namespace {
 
+constexpr std::size_t k_default_ring = 4096;
+/// 2^24 slots of 64 bytes is a 1 GiB ring per node: anything larger is a
+/// typo, not a sizing decision.
+constexpr unsigned long k_max_ring = 1ul << 24;
+
 std::size_t ring_capacity_from_env() {
-  std::size_t cap = 4096;
-  if (const char* v = std::getenv("FASTREG_OBS_RING")) {
-    const long parsed = std::atol(v);
-    if (parsed > 0) cap = static_cast<std::size_t>(parsed);
+  const char* v = std::getenv("FASTREG_OBS_RING");
+  if (v == nullptr || *v == '\0') return k_default_ring;
+  char* end = nullptr;
+  const unsigned long parsed = std::strtoul(v, &end, 10);
+  if (end != v && *end == '\0' && parsed > 0 && parsed <= k_max_ring) {
+    return parsed;
   }
-  return cap;
+  log_write(log_level::warn, __FILE__, __LINE__,
+            fastreg::detail::log_format(
+                "ignoring malformed FASTREG_OBS_RING=\"%s\" (expected a "
+                "slot count in 1..%lu); using %zu slots",
+                v, k_max_ring, k_default_ring));
+  return k_default_ring;
 }
 
 }  // namespace

@@ -8,11 +8,11 @@
 // and renders the dumps. tools/trace_merge drives both from the CLI.
 //
 // Cost: every hook starts with one relaxed atomic load of the global
-// gate (recording_active()) and returns when recording is off — the
-// same discipline as trace.h's tracing gate, and asserted the same way
-// in tests. When on, a record() is one fetch_add plus eight relaxed
-// stores into a preallocated slot: no locks, no allocation, no
-// syscalls, safe from reactor threads.
+// gate (recording_active()) and returns when recording is off; a test
+// asserts that a run with the gate off leaves every ring empty. When
+// on, a record() is one fetch_add plus eight relaxed stores into a
+// preallocated slot: no locks, no allocation, no syscalls, safe from
+// reactor threads.
 //
 // Concurrency: each 64-byte slot is a seqlock — a stamp word bracketing
 // seven relaxed-atomic payload words. Writers claim slots with a single
@@ -25,11 +25,16 @@
 //
 // Clock domains (the contract timeline.h's merge relies on): each event
 // stores trace_now() plus a one-bit domain tag from
-// trace_time_overridden(). dom=sim timestamps are simulator ticks —
-// globally ordered across all simulated nodes by the scheduler. dom=ns
-// timestamps are steady-clock nanoseconds of the ONE process all
-// net::node reactors share, so they are mutually comparable too. The
-// two domains are never compared with each other.
+// trace_time_overridden(). The simulator overrides trace_now() with its
+// tick counter around every automaton step (scoped_trace_time);
+// otherwise it reads the steady clock in nanoseconds -- the same clock
+// net::node stamps its histories with -- so recorder events always
+// agree with the linearizability history the same run produced.
+// dom=sim timestamps are simulator ticks -- globally ordered across all
+// simulated nodes by the scheduler. dom=ns timestamps are steady-clock
+// nanoseconds of the ONE process all net::node reactors share, so they
+// are mutually comparable too. The two domains are never compared with
+// each other.
 #pragma once
 
 #include <atomic>
@@ -51,12 +56,38 @@ extern std::atomic<bool> recording_on;
 }
 
 /// True when the flight recorder is capturing. Initialized once from
-/// FASTREG_OBS ("record" enables).
+/// FASTREG_OBS ("record" enables; any other non-empty value is warned
+/// about and ignored).
 [[nodiscard]] inline bool recording_active() {
   return detail::recording_on.load(std::memory_order_relaxed);
 }
 [[nodiscard]] bool recording_enabled();
 void set_recording(bool on);
+
+// ------------------------------------------------------------------ clock --
+
+/// Overrides trace_now() for the current thread (the simulator sets its
+/// tick counter around automaton steps). Restores on destruction.
+class scoped_trace_time {
+ public:
+  explicit scoped_trace_time(std::uint64_t t);
+  ~scoped_trace_time();
+  scoped_trace_time(const scoped_trace_time&) = delete;
+  scoped_trace_time& operator=(const scoped_trace_time&) = delete;
+
+ private:
+  std::uint64_t prev_;
+  bool had_prev_;
+};
+
+/// The thread's trace clock: the active override, else steady-clock ns.
+[[nodiscard]] std::uint64_t trace_now();
+
+/// True while a scoped_trace_time override is active on this thread --
+/// i.e. trace_now() is returning simulator ticks, not steady-clock ns.
+/// The recorder stores this bit with every event so the merge pass
+/// never orders a sim tick against a wall-clock nanosecond.
+[[nodiscard]] bool trace_time_overridden();
 
 // -------------------------------------------------------------- trace ids --
 
@@ -173,8 +204,9 @@ class recorder {
 };
 
 /// The named node's recorder, created on first use (ring capacity from
-/// FASTREG_OBS_RING, default 4096 slots). Pointers are stable for the
-/// process lifetime.
+/// FASTREG_OBS_RING, default 4096 slots; a value that is not a whole
+/// number in 1..2^24 is warned about and the default kept). Pointers are
+/// stable for the process lifetime.
 [[nodiscard]] recorder& recorder_for(const process_id& node);
 
 /// Every registered node's dump, as (node name, dump text) pairs sorted

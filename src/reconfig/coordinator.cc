@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 
 namespace fastreg::reconfig {
 

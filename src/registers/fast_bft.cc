@@ -1,7 +1,6 @@
 #include "registers/fast_bft.h"
 
 #include "common/check.h"
-#include "obs/trace.h"
 
 namespace fastreg {
 
@@ -28,8 +27,6 @@ fast_bft_writer::fast_bft_writer(system_config cfg, object_id obj)
 void fast_bft_writer::invoke_write(netout& net, value_t v) {
   FASTREG_EXPECTS(!pending_);
   pending_ = true;
-  obs::op_begin(self(), /*is_write=*/true);
-  obs::round_issue(self(), 1);
   cur_val_ = std::move(v);
   acks_.clear();
   message m;
@@ -65,8 +62,6 @@ void fast_bft_writer::on_message(netout&, const process_id& from,
     last_val_ = cur_val_;
     ts_ += 1;
     completed_ += 1;
-    obs::round_ack(self(), 1);
-    obs::op_end(self(), 1);
   }
 }
 
@@ -92,8 +87,6 @@ fast_bft_reader::fast_bft_reader(system_config cfg, std::uint32_t index)
 void fast_bft_reader::invoke_read(netout& net) {
   FASTREG_EXPECTS(!pending_);
   pending_ = true;
-  obs::op_begin(self(), /*is_write=*/false);
-  obs::round_issue(self(), 1);
   rcounter_ += 1;
   acks_.clear();
   ack_from_.clear();
@@ -162,8 +155,6 @@ void fast_bft_reader::decide() {
   pending_ = false;
   completed_ += 1;
   last_result_ = std::move(res);
-  obs::round_ack(self(), 1);
-  obs::op_end(self(), 1);
 }
 
 std::unique_ptr<automaton> fast_bft_reader::clone() const {

@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "crypto/sig.h"
-#include "obs/trace.h"
 
 namespace fastreg::store {
 
@@ -65,9 +64,6 @@ automaton& client::inner_for(object_id obj) {
 void client::invoke_on(object_id obj, pending_op& op) {
   auto& inner = inner_for(obj);
   op.epoch = epoch();
-  // The inner automaton does not know its object id; publish it so the
-  // tracer keys this invocation's op under (self, obj).
-  obs::scoped_trace_object trace_obj(obj);
   tagging_netout tagged(outbox_, obj, epoch(), op.attempt, false, op.trace,
                         op.span);
   if (op.is_put) {
@@ -365,7 +361,6 @@ void client::route(const process_id& from, const message& m) {
   // EARLIER ops cannot alias either -- disambiguates (mirroring the
   // check handle_nack performs).
   if (m.attempt != attempt) return;
-  obs::scoped_trace_object trace_obj(m.obj);
   // Follow-up rounds the reply triggers stay on the op's trace; the
   // pending record is authoritative, the reply's stamp the fallback.
   std::uint64_t trace = m.trace;

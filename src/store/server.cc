@@ -5,7 +5,7 @@
 #include "common/check.h"
 #include "common/log.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 
 namespace fastreg::store {
 

@@ -1,22 +1,18 @@
 // Observability: registry concurrency, histogram accuracy, the
-// streaming bench accumulator, tracer-measured rounds-per-op, and the
-// stats_req/stats_ack scrape on both deployments. The concurrent cases
-// double as the TSan surface for the metrics hot path (run with
-// -DFASTREG_SANITIZE=thread).
+// streaming bench accumulator, and the stats_req/stats_ack scrape on
+// both deployments. The concurrent cases double as the TSan surface for
+// the metrics hot path (run with -DFASTREG_SANITIZE=thread); the
+// recorder's reactor-thread surface is in test_recorder.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "benchutil/stats.h"
-#include "benchutil/workload.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
-#include "registers/registry.h"
 #include "store/sim_store.h"
 #include "store/tcp_store.h"
 
@@ -165,32 +161,6 @@ TEST(StreamHist, EmptyAndReset) {
   EXPECT_EQ(s.max(), 0.0);
 }
 
-// ----------------------------------------------------- rounds from traces
-
-TEST(ObsTrace, FastReadIsOneRoundAbdIsTwo) {
-  const std::vector<std::tuple<const char*, double, double>> cases = {
-      {"fast_swmr", 1.0, 1.0}, {"abd", 2.0, 1.0}, {"mwmr", 2.0, 2.0}};
-  for (const auto& [proto, rd, wr] : cases) {
-    system_config cfg;
-    cfg.servers = 7;
-    cfg.t_failures = 1;
-    cfg.readers = 2;
-    if (std::string(proto) == "mwmr") cfg.writers = 2;
-    benchutil::workload_options opt;
-    opt.num_writes = 10;
-    opt.reads_per_reader = 10;
-    const auto rep =
-        benchutil::run_measured(*make_protocol(proto), cfg, opt);
-    // The tracer's issue/ack hooks, not the completion records: an
-    // automaton claiming the wrong round count in its result would not
-    // fool this.
-    EXPECT_GT(rep.traced.reads, 0u) << proto;
-    EXPECT_GT(rep.traced.writes, 0u) << proto;
-    EXPECT_DOUBLE_EQ(rep.traced.read_rounds, rd) << proto;
-    EXPECT_DOUBLE_EQ(rep.traced.write_rounds, wr) << proto;
-  }
-}
-
 // ------------------------------------------------------------ text dump
 
 TEST(ObsDump, RenderValidatesAndGarbageDoesNot) {
@@ -256,43 +226,6 @@ TEST(ObsScrape, TcpScrapeTimesOutCleanly) {
   ts.stop();  // ports are now closed
   const auto dump = ts.scrape(0, std::chrono::milliseconds(200));
   EXPECT_TRUE(dump.empty());
-}
-
-// ----------------------------------------- reactor-thread hooks (TSan)
-
-TEST(ObsTrace, ReactorHooksRaceFreeUnderConcurrentScrape) {
-  const bool was = obs::tracing_enabled();
-  obs::set_tracing(true);
-  obs::reset_traces();
-  store::tcp_store ts(small_store_cfg({"fast_swmr", "abd"}));
-  ts.start();
-  std::thread writer([&] {
-    for (int n = 1; n <= 10; ++n) {
-      ASSERT_TRUE(
-          ts.put(0, "k" + std::to_string(n % 3), "v" + std::to_string(n)));
-    }
-  });
-  std::vector<std::thread> readers;
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    readers.emplace_back([&, i] {
-      for (int n = 0; n < 8; ++n) {
-        (void)ts.get(i, "k" + std::to_string(n % 3));
-      }
-    });
-  }
-  // Snapshot + render + scrape while the reactor threads trace and count.
-  for (int i = 0; i < 10; ++i) {
-    (void)obs::snapshot();
-    (void)obs::render_text();
-  }
-  const auto dump = ts.scrape(0);
-  EXPECT_FALSE(dump.empty());
-  writer.join();
-  for (auto& th : readers) th.join();
-  const auto traces = obs::take_traces();
-  EXPECT_FALSE(traces.empty());
-  obs::set_tracing(was);
-  ts.stop();
 }
 
 // ------------------------------------------- interval (delta) scraping

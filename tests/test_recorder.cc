@@ -1,21 +1,33 @@
 // Flight recorder (src/obs/recorder.h + src/obs/timeline.h): ring
-// semantics, the dump grammar, trace/span on the wire, trace
-// propagation across a live reshard on both transports, and the
-// forensics path -- a checker failure must leave behind per-node dumps
-// that merge into a causally-valid timeline and reject tampering.
+// semantics and sizing, the dump grammar, trace/span on the wire, rounds
+// per op counted from the wire against the histories, trace propagation
+// across a live reshard on both transports, the reactor-thread TSan
+// surface, and the forensics path -- a checker failure must leave
+// behind per-node dumps that merge into a causally-valid timeline and
+// reject tampering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "benchutil/stress.h"
+#include "benchutil/workload.h"
+#include "net/cluster.h"
 #include "net/framing.h"
+#include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/timeline.h"
 #include "registers/message.h"
+#include "registers/registry.h"
+#include "store/tcp_store.h"
 
 namespace fastreg {
 namespace {
@@ -71,6 +83,27 @@ TEST(RecorderRing, CapacityRoundsUpAndOverwritesOldest) {
   }
   r.reset();
   EXPECT_TRUE(r.entries().empty());
+}
+
+TEST(RecorderRing, RingSizeFromEnvIsParsedStrictly) {
+  const char* prev = std::getenv("FASTREG_OBS_RING");
+  const std::string saved = prev != nullptr ? prev : "";
+  // A node's ring is sized when its recorder is first created, so each
+  // case asks for a node id nothing else in the binary uses.
+  const auto ring_for = [](const char* value, std::uint32_t node) {
+    setenv("FASTREG_OBS_RING", value, 1);
+    return obs::recorder_for(server_id(90'000 + node)).capacity();
+  };
+  EXPECT_EQ(ring_for("1000", 1), 1024u);
+  EXPECT_EQ(ring_for("12abc", 2), 4096u) << "garbage keeps the default";
+  EXPECT_EQ(ring_for("0", 3), 4096u) << "zero keeps the default";
+  EXPECT_EQ(ring_for("99999999999", 4), 4096u)
+      << "more than 2^24 slots keeps the default";
+  if (prev != nullptr) {
+    setenv("FASTREG_OBS_RING", saved.c_str(), 1);
+  } else {
+    unsetenv("FASTREG_OBS_RING");
+  }
 }
 
 TEST(RecorderRing, ObjectFilterAndFieldRoundTrip) {
@@ -196,6 +229,117 @@ TEST(RecorderGate, HooksCaptureNothingWhenOff) {
   EXPECT_TRUE(obs::recorder_dump_all().empty());
 }
 
+// -------------------------------------------------- rounds on the wire --
+
+/// Rounds per op, reads and writes apart.
+struct round_tally {
+  std::uint64_t read_rounds{0};
+  std::uint64_t write_rounds{0};
+  std::size_t reads{0};
+  std::size_t writes{0};
+
+  void add(bool is_write, std::uint64_t rounds) {
+    (is_write ? write_rounds : read_rounds) += rounds;
+    ++(is_write ? writes : reads);
+  }
+  [[nodiscard]] double read_mean() const {
+    return reads == 0 ? 0 : static_cast<double>(read_rounds) /
+                                static_cast<double>(reads);
+  }
+  [[nodiscard]] double write_mean() const {
+    return writes == 0 ? 0 : static_cast<double>(write_rounds) /
+                                 static_cast<double>(writes);
+  }
+};
+
+/// What the automata reported: the rounds of every completed op.
+round_tally rounds_in_history(const checker::history& h) {
+  round_tally out;
+  for (const auto& op : h.ops()) {
+    if (op.response_time) {
+      out.add(op.is_write, static_cast<std::uint64_t>(op.rounds));
+    }
+  }
+  return out;
+}
+
+/// What the clients put on the wire: every round broadcasts one request
+/// type under the op's trace id, so an op's rounds are the distinct
+/// types its client sent. A writer node's traces are writes, a reader
+/// node's reads.
+round_tally rounds_on_wire(const system_config& cfg) {
+  round_tally out;
+  const auto count = [&](const process_id& client) {
+    std::map<std::uint64_t, std::set<std::uint8_t>> types_by_trace;
+    for (const auto& e : obs::recorder_for(client).entries()) {
+      if (e.ev == obs::rec_event::send && e.trace != 0) {
+        types_by_trace[e.trace].insert(e.mtype);
+      }
+    }
+    for (const auto& per_trace : types_by_trace) {
+      out.add(client.is_writer(), per_trace.second.size());
+    }
+  };
+  for (std::uint32_t j = 0; j < cfg.W(); ++j) count(writer_id(j));
+  for (std::uint32_t i = 0; i < cfg.R(); ++i) count(reader_id(i));
+  return out;
+}
+
+/// The wire count matches theory, and the history reports the same op
+/// counts and mean rounds as the wire: an automaton that misreports its
+/// rounds in its completions fails here.
+void expect_rounds(const std::string& what, const round_tally& wire,
+                   const round_tally& hist, double rd, double wr) {
+  EXPECT_GT(wire.reads, 0u) << what;
+  EXPECT_GT(wire.writes, 0u) << what;
+  EXPECT_EQ(wire.reads, hist.reads) << what;
+  EXPECT_EQ(wire.writes, hist.writes) << what;
+  EXPECT_DOUBLE_EQ(wire.read_mean(), rd) << what;
+  EXPECT_DOUBLE_EQ(wire.write_mean(), wr) << what;
+  EXPECT_DOUBLE_EQ(hist.read_mean(), wire.read_mean()) << what;
+  EXPECT_DOUBLE_EQ(hist.write_mean(), wire.write_mean()) << what;
+}
+
+TEST(RecorderRounds, WireRequestsMatchHistoryRoundsOnSim) {
+  recording_guard guard(true);
+  const std::vector<std::tuple<const char*, double, double>> cases = {
+      {"fast_swmr", 1.0, 1.0}, {"abd", 2.0, 1.0}, {"mwmr", 2.0, 2.0}};
+  for (const auto& [proto, rd, wr] : cases) {
+    system_config cfg;
+    cfg.servers = 7;
+    cfg.t_failures = 1;
+    cfg.readers = 2;
+    if (std::string(proto) == "mwmr") cfg.writers = 2;
+    benchutil::workload_options opt;
+    opt.num_writes = 10;
+    opt.reads_per_reader = 10;
+    obs::recorder_reset_all();
+    const auto rep = benchutil::run_measured(*make_protocol(proto), cfg, opt);
+    ASSERT_TRUE(rep.all_complete) << proto;
+    expect_rounds(proto, rounds_on_wire(cfg), rounds_in_history(rep.hist),
+                  rd, wr);
+  }
+}
+
+TEST(RecorderRounds, WireRequestsMatchHistoryRoundsOverTcp) {
+  recording_guard guard(true);
+  system_config cfg;
+  cfg.servers = 5;
+  cfg.t_failures = 1;
+  cfg.readers = 1;
+  obs::recorder_reset_all();
+  net::cluster c(cfg, *make_protocol("abd"), {});
+  c.start();
+  for (int k = 0; k < 10; ++k) {
+    ASSERT_TRUE(c.writer().blocking_write("v" + std::to_string(k)));
+    ASSERT_TRUE(c.reader(0).blocking_read().has_value());
+  }
+  const auto hist = c.gather_history();
+  c.stop();
+  expect_rounds("abd over tcp", rounds_on_wire(cfg), rounds_in_history(hist),
+                2.0, 1.0);
+}
+
 // --------------------------------- trace propagation across a reshard --
 
 /// Full merged timeline of every node's ring, for live-reshard runs.
@@ -317,6 +461,56 @@ TEST(RecorderReshard, TcpReshardCarriesTraceIdsEndToEnd) {
   // hold it to the same trace/span contract as the sim (seed-install
   // ordering included -- dumps are taken after the run quiesces).
   check_park_resume(merged, /*expect_seed=*/true);
+}
+
+// ----------------------------------------- reactor-thread hooks (TSan) --
+
+TEST(RecorderConcurrency, ReactorHooksRaceFreeUnderConcurrentScrape) {
+  recording_guard guard(true);
+  obs::recorder_reset_all();
+  store::store_config cfg;
+  cfg.base.servers = 5;
+  cfg.base.t_failures = 1;
+  cfg.base.readers = 2;
+  cfg.base.writers = 1;
+  cfg.num_shards = 2;
+  cfg.shard_protocols = {"fast_swmr", "abd"};
+  store::tcp_store ts(cfg);
+  ts.start();
+  std::thread writer([&] {
+    for (int n = 1; n <= 10; ++n) {
+      ASSERT_TRUE(
+          ts.put(0, "k" + std::to_string(n % 3), "v" + std::to_string(n)));
+    }
+  });
+  std::vector<std::thread> readers;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    readers.emplace_back([&, i] {
+      for (int n = 0; n < 8; ++n) {
+        (void)ts.get(i, "k" + std::to_string(n % 3));
+      }
+    });
+  }
+  // Snapshot, render, dump and scrape while the reactor threads record
+  // and count. A dump taken mid-traffic skips torn slots, so it still
+  // parses.
+  for (int i = 0; i < 10; ++i) {
+    (void)obs::snapshot();
+    (void)obs::render_text();
+    for (const auto& [node, dump] : obs::recorder_dump_all()) {
+      EXPECT_EQ(obs::validate_recorder_dump(dump), "") << node;
+    }
+  }
+  EXPECT_FALSE(ts.scrape(0).empty());
+  writer.join();
+  for (auto& th : readers) th.join();
+  const auto dumps = obs::recorder_dump_all();
+  EXPECT_FALSE(dumps.empty());
+  for (const auto& [node, dump] : dumps) {
+    EXPECT_FALSE(dump.empty()) << node;
+    EXPECT_EQ(obs::validate_recorder_dump(dump), "") << node;
+  }
+  ts.stop();
 }
 
 // ----------------------------------------------------------- forensics --
