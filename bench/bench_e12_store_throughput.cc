@@ -69,6 +69,24 @@ store::store_config make_store_cfg(const mix& m, std::uint32_t num_shards,
   return cfg;
 }
 
+/// One put by writer 0 through the store's blocking helper.
+bool put_one(store::tcp_store& ts, std::string key, value_t v) {
+  const store::store_op op{std::move(key), /*is_put=*/true, std::move(v)};
+  return store::submit_and_drain(ts.frontend(), writer_id(0), {&op, 1})
+      .has_value();
+}
+
+/// Seeds keys 0..n-1 and connects every client to every server.
+void warm_up(store::tcp_store& ts, std::uint32_t n, std::uint32_t R) {
+  for (std::uint32_t k = 0; k < n; ++k) {
+    (void)put_one(ts, "key" + std::to_string(k), "seed");
+  }
+  const store::store_op get{"key0", /*is_put=*/false, {}};
+  for (std::uint32_t i = 0; i < R; ++i) {
+    (void)store::submit_and_drain(ts.frontend(), reader_id(i), {&get, 1});
+  }
+}
+
 void run_sim_part() {
   std::printf("E12a: store throughput on the timed simulator "
               "(delay U[50,150] ticks, R=3 readers, batch=8)\n\n");
@@ -102,7 +120,8 @@ void run_sim_part() {
 
 void run_tcp_part() {
   std::printf("E12b: store throughput over real TCP sockets (localhost, "
-              "2 reader threads, multi_get batch=8)\n\n");
+              "2 reader threads, 8-key get batches: 8 submits, one "
+              "drain)\n\n");
   table t({"keys", "mix", "ops/s", "get_p50_us", "get_p99_us", "atomic"});
   const std::uint32_t R = 2;
   const int rounds = 40;
@@ -110,19 +129,15 @@ void run_tcp_part() {
     for (const auto& m : mixes()) {
       store::tcp_store ts(make_store_cfg(m, /*num_shards=*/4, R));
       ts.start();
-      // Warmup: establish every client-server connection.
-      for (std::uint32_t k = 0; k < std::min(keys, 8u); ++k) {
-        (void)ts.put(0, "key" + std::to_string(k), "seed");
-      }
-      for (std::uint32_t i = 0; i < R; ++i) (void)ts.get(i, "key0");
+      warm_up(ts, std::min(keys, 8u), R);
 
       std::vector<std::vector<double>> lat_us(R);
       const auto t0 = std::chrono::steady_clock::now();
       std::thread writer([&] {
         rng r(7);
         for (int n = 0; n < rounds; ++n) {
-          (void)ts.put(0, "key" + std::to_string(r.below(keys)),
-                       "v" + std::to_string(n + 1));
+          (void)put_one(ts, "key" + std::to_string(r.below(keys)),
+                        "v" + std::to_string(n + 1));
         }
       });
       std::vector<std::thread> readers;
@@ -133,9 +148,13 @@ void run_tcp_part() {
           for (std::uint32_t k = 0; k < keys; ++k) idx[k] = k;
           const std::uint32_t batch = std::min(8u, keys);
           for (int n = 0; n < rounds; ++n) {
-            const auto ks = sample_distinct_keys(r, idx, batch);
+            std::vector<store::store_op> gets;
+            for (auto& k : sample_distinct_keys(r, idx, batch)) {
+              gets.push_back(store::store_op{std::move(k), false, {}});
+            }
             const auto s0 = std::chrono::steady_clock::now();
-            const auto res = ts.multi_get(i, ks);
+            const auto res =
+                store::submit_and_drain(ts.frontend(), reader_id(i), gets);
             const auto s1 = std::chrono::steady_clock::now();
             if (!res) continue;
             // The batch's gets are genuinely concurrent; each op carries
@@ -169,7 +188,7 @@ void run_tcp_part() {
   }
   t.print();
   std::printf("\nexpected shape: abd ~= 2x fast_swmr get latency (two "
-              "round trips vs one); ops/s scales with the multi_get "
+              "round trips vs one); ops/s scales with the get "
               "batch because k gets share one envelope per server.\n");
 }
 
@@ -213,7 +232,7 @@ void run_wire_knob_part(bool smoke) {
               "readers, abd shards, 64 keys, single-key ops). Rows vary "
               "ONLY the reactor batch window and the pipelined client "
               "depth; the first row (window 0, depth 1: flush-per-step, "
-              "one blocking op per client) is the pre-pipeline "
+              "one op at a time per client) is the pre-pipeline "
               "baseline. frames/writev is the measured coalescing factor, "
               "from a reset-free obs::interval_scrape per row.\n\n");
   const std::uint32_t R = 7;
@@ -237,11 +256,7 @@ void run_wire_knob_part(bool smoke) {
     cfg.shard_protocols = {"abd"};
     store::tcp_store ts(cfg, m.nopt);
     ts.start();
-    // Warmup: connections + initial values.
-    for (std::uint32_t k = 0; k < keys; ++k) {
-      (void)ts.put(0, "key" + std::to_string(k), "seed");
-    }
-    for (std::uint32_t i = 0; i < R; ++i) (void)ts.get(i, "key0");
+    warm_up(ts, keys, R);
     (void)scrape.take();  // drop the warmup's counter deltas
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -251,37 +266,25 @@ void run_wire_knob_part(bool smoke) {
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             t0.time_since_epoch())
             .count());
+    // Depth 1 is the closed loop: each op waits for the previous one.
     std::thread writer([&] {
       rng r(7);
-      if (m.depth == 1) {
-        for (int n = 0; n < rounds; ++n) {
-          (void)ts.put(0, "key" + std::to_string(r.below(keys)),
-                       "v" + std::to_string(n + 1));
-        }
-      } else {
-        auto p = ts.open_session(writer_id(0), m.depth);
-        for (int n = 0; n < rounds; ++n) {
-          (void)p->put("key" + std::to_string(r.below(keys)),
-                       "v" + std::to_string(n + 1));
-        }
-        (void)p->drain();
+      auto p = ts.open_session(writer_id(0), m.depth);
+      for (int n = 0; n < rounds; ++n) {
+        (void)p->put("key" + std::to_string(r.below(keys)),
+                     "v" + std::to_string(n + 1));
       }
+      (void)p->drain();
     });
     std::vector<std::thread> readers;
     for (std::uint32_t i = 0; i < R; ++i) {
       readers.emplace_back([&, i] {
         rng r(100 + i);
-        if (m.depth == 1) {
-          for (int n = 0; n < rounds; ++n) {
-            (void)ts.get(i, "key" + std::to_string(r.below(keys)));
-          }
-        } else {
-          auto p = ts.open_session(reader_id(i), m.depth);
-          for (int n = 0; n < rounds; ++n) {
-            (void)p->get("key" + std::to_string(r.below(keys)));
-          }
-          (void)p->drain();
+        auto p = ts.open_session(reader_id(i), m.depth);
+        for (int n = 0; n < rounds; ++n) {
+          (void)p->get("key" + std::to_string(r.below(keys)));
         }
+        (void)p->drain();
       });
     }
     writer.join();
@@ -289,8 +292,8 @@ void run_wire_knob_part(bool smoke) {
     const auto t1 = std::chrono::steady_clock::now();
 
     const auto hist = ts.gather();
-    // Per-op latency from the shared op log (valid for blocking and
-    // pipelined rows alike); warmup ops are excluded by count.
+    // Per-op latency from the shared op log; warmup ops are excluded by
+    // invocation time.
     stats get_us;
     std::uint64_t completed = 0;
     for (const auto& [key, h] : hist.all()) {
@@ -394,7 +397,7 @@ void run_fanin_part(bool smoke) {
     // decrements unflushed, so each row reports its own delta.
     const double conns0 = server_connections_now();
     for (std::uint32_t k = 0; k < keys; ++k) {
-      (void)ts.put(0, "key" + std::to_string(k), "seed");
+      (void)put_one(ts, "key" + std::to_string(k), "seed");
     }
 
     struct fan_slot {
@@ -416,8 +419,8 @@ void run_fanin_part(bool smoke) {
     std::thread writer([&] {
       rng r(7);
       for (std::uint32_t n = 0; n < writer_rounds; ++n) {
-        if (!ts.put(0, "key" + std::to_string(r.below(keys)),
-                    "v" + std::to_string(n + 1))) {
+        if (!put_one(ts, "key" + std::to_string(r.below(keys)),
+                     "v" + std::to_string(n + 1))) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -500,28 +503,34 @@ void run_fanin_part(bool smoke) {
 
 // ------------------------------------------ --obs-check: telemetry gate --
 
-/// One blocking-op measurement pass over a warm store; returns get p50
-/// in microseconds. Identical work whether recording is on or off -- the
-/// caller toggles the recorder around calls to isolate its cost.
+/// One closed-loop measurement pass (depth-1 sessions: one op at a time
+/// per client) over a warm store; returns get p50 in microseconds.
+/// Identical work whether recording is on or off -- the caller toggles
+/// the recorder around calls to isolate its cost.
 double obs_check_pass(store::tcp_store& ts, std::uint32_t R,
                       std::uint32_t keys, int rounds) {
   std::vector<std::vector<double>> lat_us(R);
   std::thread writer([&] {
     rng r(7);
+    auto w = ts.open_session(writer_id(0), /*depth=*/1);
     for (int n = 0; n < rounds; ++n) {
-      (void)ts.put(0, "key" + std::to_string(r.below(keys)),
+      (void)w->put("key" + std::to_string(r.below(keys)),
                    "v" + std::to_string(n + 1));
     }
+    (void)w->drain();
   });
   std::vector<std::thread> readers;
   for (std::uint32_t i = 0; i < R; ++i) {
     readers.emplace_back([&, i] {
       rng r(100 + i);
+      auto se = ts.open_session(reader_id(i), /*depth=*/1);
       for (int n = 0; n < rounds; ++n) {
         const auto s0 = std::chrono::steady_clock::now();
-        const auto res = ts.get(i, "key" + std::to_string(r.below(keys)));
+        const bool ok = se->get("key" + std::to_string(r.below(keys))) &&
+                        se->drain();
         const auto s1 = std::chrono::steady_clock::now();
-        if (!res) continue;
+        (void)se->take_results();
+        if (!ok) continue;
         lat_us[i].push_back(
             std::chrono::duration<double, std::micro>(s1 - s0).count());
       }
@@ -537,9 +546,10 @@ double obs_check_pass(store::tcp_store& ts, std::uint32_t R,
 }
 
 /// CI gate: (a) the stats_req scrape over a raw socket yields a dump
-/// that parses under the exposition grammar, and (b) window-0 blocking
-/// get p50 with the flight recorder ON stays within 5% of recording off
-/// in the SAME run. Rotating passes, best-of-5 per mode: the min is what
+/// that parses under the exposition grammar, and (b) window-0
+/// closed-loop get p50 with the flight recorder ON stays within 5% of
+/// recording off in the SAME run. Rotating passes, best-of-5 per mode:
+/// the min is what
 /// the machine can do, so a spurious scheduler spike in one pass cannot
 /// fake (or mask) a regression. Writes the dump to `dump_path` (when
 /// given) for the external obs_check validator.
@@ -558,14 +568,11 @@ int run_obs_check(const char* dump_path) {
   cfg.shard_protocols = {"abd"};
   store::tcp_store ts(cfg);  // window 0: the latency-first default
   ts.start();
-  for (std::uint32_t k = 0; k < keys; ++k) {
-    (void)ts.put(0, "key" + std::to_string(k), "seed");
-  }
-  for (std::uint32_t i = 0; i < R; ++i) (void)ts.get(i, "key0");
+  warm_up(ts, keys, R);
   {
-    // Touch the pipelined front-end so the admission counters exist and
-    // the dump check below covers them. The session is closed before
-    // the measurement passes run blocking ops on the same index.
+    // Push back once so the key_busy admission counter exists and the
+    // dump check below covers it. The session is closed before the
+    // measurement passes open their own on the same index.
     auto se = ts.open_session(reader_id(0), /*depth=*/2);
     (void)se->try_get("key0");
     (void)se->try_get("key0");  // key_busy: counted, not submitted

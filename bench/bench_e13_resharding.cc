@@ -211,7 +211,10 @@ void run_tcp_part(table& t) {
   cfg.shard_protocols = {"abd"};
   store::tcp_store ts(cfg);
   ts.start();
-  for (const auto& k : keys) (void)ts.put(0, k, k + ":0");
+  for (const auto& k : keys) {
+    const store::store_op seed{k, /*is_put=*/true, k + ":0"};
+    (void)store::submit_and_drain(ts.frontend(), writer_id(0), {&seed, 1});
+  }
 
   struct sample {
     double done_s;  // completion time, seconds since bench start
@@ -228,11 +231,15 @@ void run_tcp_part(table& t) {
   const zipf_sampler zipf(num_keys, 1.1);
   std::thread writer([&] {
     rng r(7);
+    // Depth-1 sessions: one op at a time per client, timed end to end.
+    auto se = ts.open_session(writer_id(0), /*depth=*/1);
     for (std::uint64_t n = 1; !stop.load(); ++n) {
       const auto& key = keys[zipf.sample(r)];
       const auto s0 = std::chrono::steady_clock::now();
-      if (!ts.put(0, key, "w" + std::to_string(n))) continue;
+      const bool ok = se->put(key, "w" + std::to_string(n)) && se->drain();
       const auto s1 = std::chrono::steady_clock::now();
+      (void)se->take_results();
+      if (!ok) continue;
       per_thread[0].push_back(
           {since_start(s1),
            std::chrono::duration<double, std::micro>(s1 - s0).count(),
@@ -243,12 +250,14 @@ void run_tcp_part(table& t) {
   for (std::uint32_t i = 0; i < cfg.base.R(); ++i) {
     readers.emplace_back([&, i] {
       rng r(100 + i);
+      auto se = ts.open_session(reader_id(i), /*depth=*/1);
       while (!stop.load()) {
         const auto& key = keys[zipf.sample(r)];
         const auto s0 = std::chrono::steady_clock::now();
-        const auto res = ts.get(i, key);
+        const bool ok = se->get(key) && se->drain();
         const auto s1 = std::chrono::steady_clock::now();
-        if (!res) continue;
+        (void)se->take_results();
+        if (!ok) continue;
         per_thread[1 + i].push_back(
             {since_start(s1),
              std::chrono::duration<double, std::micro>(s1 - s0).count(),

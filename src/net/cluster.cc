@@ -5,6 +5,18 @@
 #include "common/check.h"
 
 namespace fastreg::net {
+namespace {
+
+/// A node hosting one automaton (a server, or a per-node client).
+std::unique_ptr<node> single_actor_node(
+    const system_config& cfg, std::unique_ptr<automaton> a,
+    std::shared_ptr<const address_book> book, node_options opt) {
+  auto n = std::make_unique<node>(cfg, std::move(book), opt);
+  n->add_actor(std::move(a));
+  return n;
+}
+
+}  // namespace
 
 cluster::cluster(system_config cfg, const protocol& proto, node_options nopt,
                  cluster_options copt)
@@ -18,8 +30,7 @@ cluster::cluster(system_config cfg, const protocol& proto, node_options nopt,
   node_options sopt = nopt;
   sopt.reactors = std::max<std::uint32_t>(1, copt_.server_reactors);
   for (std::uint32_t i = 0; i < cfg_.S(); ++i) {
-    auto n = std::make_unique<node>(cfg_, proto.make_server(cfg_, i), book_,
-                                    sopt);
+    auto n = single_actor_node(cfg_, proto.make_server(cfg_, i), book_, sopt);
     n->bind_listener(0);
     book_->server_ports.push_back(n->listen_port());
     servers_.push_back(std::move(n));
@@ -39,12 +50,12 @@ cluster::cluster(system_config cfg, const protocol& proto, node_options nopt,
     return;
   }
   for (std::uint32_t i = 0; i < cfg_.R(); ++i) {
-    readers_.push_back(std::make_unique<node>(
-        cfg_, proto.make_reader(cfg_, i), book_, nopt));
+    readers_.push_back(
+        single_actor_node(cfg_, proto.make_reader(cfg_, i), book_, nopt));
   }
   for (std::uint32_t i = 0; i < cfg_.W(); ++i) {
-    writers_.push_back(std::make_unique<node>(
-        cfg_, proto.make_writer(cfg_, i), book_, nopt));
+    writers_.push_back(
+        single_actor_node(cfg_, proto.make_writer(cfg_, i), book_, nopt));
   }
 }
 
@@ -87,8 +98,7 @@ void cluster::restart_server(std::uint32_t i) {
   servers_[i].reset();
   node_options sopt = nopt_;
   sopt.reactors = std::max<std::uint32_t>(1, copt_.server_reactors);
-  auto n = std::make_unique<node>(cfg_, proto_->make_server(cfg_, i), book_,
-                                  sopt);
+  auto n = single_actor_node(cfg_, proto_->make_server(cfg_, i), book_, sopt);
   n->bind_listener(port);
   servers_[i] = std::move(n);
   if (started_) servers_[i]->start();
@@ -110,36 +120,14 @@ std::size_t cluster::client_actor(const process_id& pid) const {
 
 checker::history cluster::gather_history() const {
   if (hub_) return hub_->hist();  // already merged across its actors
-  // Merge per-node histories by invocation time.
   std::vector<checker::op_record> all;
-  // Note: hist() returns by value; keep the copy alive while iterating
-  // (binding the range-for directly to hist().ops() would dangle in C++20).
-  for (const auto& n : writers_) {
-    const checker::history h = n->hist();
-    for (const auto& op : h.ops()) all.push_back(op);
-  }
-  for (const auto& n : readers_) {
-    const checker::history h = n->hist();
-    for (const auto& op : h.ops()) all.push_back(op);
-  }
-  std::sort(all.begin(), all.end(),
-            [](const checker::op_record& a, const checker::op_record& b) {
-              return a.invoke_time < b.invoke_time;
-            });
-  checker::history merged;
-  for (const auto& op : all) {
-    const auto idx =
-        merged.begin_op(op.client, op.is_write, op.invoke_time, op.val);
-    if (op.response_time) {
-      if (op.is_write) {
-        merged.complete_write(idx, *op.response_time, op.rounds);
-      } else {
-        merged.complete_read(idx, *op.response_time, op.ts, op.wid, op.val,
-                             op.rounds);
-      }
+  for (const auto* nodes : {&writers_, &readers_}) {
+    for (const auto& n : *nodes) {
+      const checker::history h = n->hist();  // by value: keep it alive
+      all.insert(all.end(), h.ops().begin(), h.ops().end());
     }
   }
-  return merged;
+  return checker::merge_by_invoke_time(std::move(all));
 }
 
 }  // namespace fastreg::net

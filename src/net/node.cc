@@ -103,12 +103,6 @@ node::node(system_config cfg, std::shared_ptr<const address_book> book,
   init_reactors();
 }
 
-node::node(system_config cfg, std::unique_ptr<automaton> a,
-           std::shared_ptr<const address_book> book, node_options opt)
-    : node(std::move(cfg), std::move(book), opt) {
-  add_actor(std::move(a));
-}
-
 node::~node() { stop(); }
 
 void node::init_reactors() {
@@ -192,7 +186,6 @@ std::size_t node::add_actor(std::unique_ptr<automaton> a) {
   st->self = st->automaton_->self();
   st->home_reactor =
       static_cast<std::uint32_t>(actors_.size()) % opt_.reactors;
-  st->async_iface = dynamic_cast<async_client_iface*>(st->automaton_.get());
   st->reader = as_reader(st->automaton_.get());
   st->writer = as_writer(st->automaton_.get());
   st->rec = &obs::recorder_for(st->self);
@@ -290,12 +283,8 @@ void node::post_to(reactor& r, std::function<void()> fn) {
 
 std::optional<read_result> node::blocking_read(
     std::chrono::milliseconds timeout) {
-  return blocking_read(0, timeout);
-}
-
-std::optional<read_result> node::blocking_read(
-    std::size_t actor, std::chrono::milliseconds timeout) {
-  actor_state& a = actor_at(actor);
+  FASTREG_EXPECTS(actors_.size() == 1);
+  actor_state& a = *actors_[0];
   FASTREG_EXPECTS(a.reader != nullptr);
   std::uint64_t before;
   {
@@ -325,12 +314,8 @@ std::optional<read_result> node::blocking_read(
 }
 
 bool node::blocking_write(value_t v, std::chrono::milliseconds timeout) {
-  return blocking_write(0, std::move(v), timeout);
-}
-
-bool node::blocking_write(std::size_t actor, value_t v,
-                          std::chrono::milliseconds timeout) {
-  actor_state& a = actor_at(actor);
+  FASTREG_EXPECTS(actors_.size() == 1);
+  actor_state& a = *actors_[0];
   FASTREG_EXPECTS(a.writer != nullptr);
   std::uint64_t before;
   {
@@ -354,33 +339,7 @@ bool node::blocking_write(std::size_t actor, value_t v,
   return cv_.wait_for(lk, timeout, [&] { return a.writes_done > before; });
 }
 
-bool node::blocking_op(std::size_t actor,
-                       const std::function<void(automaton&, netout&)>& start,
-                       std::chrono::milliseconds timeout) {
-  actor_state& a = actor_at(actor);
-  FASTREG_EXPECTS(a.async_iface != nullptr);
-  auto started = std::make_shared<bool>(false);
-  post_to(home_of(a), [this, &a, start, started] {
-    {
-      std::lock_guard<std::mutex> step(a.step_mu);
-      start(*a.automaton_, a.port);
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        *started = true;
-        // Mirror immediately: the wait predicate must not observe the
-        // stale pre-invocation idle state as completion.
-        a.async_busy = a.async_iface->op_in_progress();
-      }
-    }
-    cv_.notify_all();
-  });
-  std::unique_lock<std::mutex> lk(mu_);
-  return cv_.wait_for(lk, timeout,
-                      [&] { return *started && !a.async_busy; });
-}
-
-void node::set_step_hook(std::size_t actor,
-                         std::function<void(automaton&, netout&)> hook) {
+void node::set_step_hook(std::size_t actor, step_fn hook) {
   actor_state& a = actor_at(actor);
   std::lock_guard<std::mutex> step(a.step_mu);
   a.step_hook = std::move(hook);
@@ -403,23 +362,17 @@ bool node::schedule_step(std::size_t actor) {
   return true;
 }
 
-void node::run_on_reactor(std::size_t actor,
-                          const std::function<void(automaton&)>& fn) {
+void node::run_on_reactor(std::size_t actor, const step_fn& fn) {
   // Reactor not running (never started, already stopped, or it exited
   // before draining the task): the caller has exclusive access, run
   // inline instead of waiting forever on a task nothing will drain.
   if (try_run_on_reactor(actor, fn)) return;
   actor_state& a = actor_at(actor);
   std::lock_guard<std::mutex> step(a.step_mu);
-  fn(*a.automaton_);
+  fn(*a.automaton_, a.port);
 }
 
-bool node::try_run_on_reactor(const std::function<void(automaton&)>& fn) {
-  return try_run_on_reactor(0, fn);
-}
-
-bool node::try_run_on_reactor(std::size_t actor,
-                              const std::function<void(automaton&)>& fn) {
+bool node::try_run_on_reactor(std::size_t actor, const step_fn& fn) {
   actor_state& a = actor_at(actor);
   reactor& home = home_of(a);
   {
@@ -438,7 +391,7 @@ bool node::try_run_on_reactor(std::size_t actor,
   post_to(home, [this, &a, fn, done] {
     {
       std::lock_guard<std::mutex> step(a.step_mu);
-      fn(*a.automaton_);
+      fn(*a.automaton_, a.port);
     }
     poll_client_completion(a);
     {
@@ -454,60 +407,20 @@ bool node::try_run_on_reactor(std::size_t actor,
   return *done;
 }
 
-void node::run_on_reactor_net(
-    std::size_t actor, const std::function<void(automaton&, netout&)>& fn) {
-  actor_state& a = actor_at(actor);
-  const bool ran = try_run_on_reactor(
-      actor, [&a, &fn](automaton& au) { fn(au, a.port); });
-  if (!ran) {
-    {
-      std::lock_guard<std::mutex> step(a.step_mu);
-      fn(*a.automaton_, a.port);
-    }
-    poll_client_completion(a);
-  }
-}
-
 checker::history node::hist() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (actors_.size() == 1) return actors_[0]->hist;
-  // Hub node: merge the actors' histories by invocation time (same merge
-  // the cluster applies across nodes).
   std::vector<checker::op_record> all;
-  for (const auto& a : actors_) {
-    for (const auto& op : a->hist.ops()) all.push_back(op);
-  }
-  std::sort(all.begin(), all.end(),
-            [](const checker::op_record& x, const checker::op_record& y) {
-              return x.invoke_time < y.invoke_time;
-            });
-  checker::history merged;
-  for (const auto& op : all) {
-    const auto idx =
-        merged.begin_op(op.client, op.is_write, op.invoke_time, op.val);
-    if (op.response_time) {
-      if (op.is_write) {
-        merged.complete_write(idx, *op.response_time, op.rounds);
-      } else {
-        merged.complete_read(idx, *op.response_time, op.ts, op.wid, op.val,
-                             op.rounds);
-      }
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (const auto& a : actors_) {
+      all.insert(all.end(), a->hist.ops().begin(), a->hist.ops().end());
     }
   }
-  return merged;
+  return checker::merge_by_invoke_time(std::move(all));
 }
 
 void node::poll_client_completion(actor_state& a) {
   std::lock_guard<std::mutex> step(a.step_mu);
   if (a.step_hook) a.step_hook(*a.automaton_, a.port);
-  if (a.async_iface != nullptr) {
-    std::lock_guard<std::mutex> lk(mu_);
-    const bool busy = a.async_iface->op_in_progress();
-    if (busy != a.async_busy) {
-      a.async_busy = busy;
-      cv_.notify_all();
-    }
-  }
   if (a.reader != nullptr) {
     std::lock_guard<std::mutex> lk(mu_);
     if (a.op_open && a.reader->reads_completed() > a.reads_done) {
@@ -1154,23 +1067,6 @@ void node::actor_port::send_batch(const process_id& to,
   n->send_batch_from(*a, to, std::move(msgs));
 }
 
-// The node-as-netout entry points operate on actor 0 and take its step
-// mutex themselves: they are for EXTERNAL drivers only. Automata always
-// send through their actor_port (whose calls originate inside steps that
-// already hold the mutex) -- handing an automaton the node itself would
-// deadlock here.
-void node::send(const process_id& to, message m) {
-  actor_state& a = actor_at(0);
-  std::lock_guard<std::mutex> step(a.step_mu);
-  send_from(a, to, std::move(m));
-}
-
-void node::send_batch(const process_id& to, std::vector<message> msgs) {
-  actor_state& a = actor_at(0);
-  std::lock_guard<std::mutex> step(a.step_mu);
-  send_batch_from(a, to, std::move(msgs));
-}
-
 void node::send_from(actor_state& a, const process_id& to, message m) {
   stamp_if_untraced(m);
   if (obs::recording_active()) {
@@ -1205,18 +1101,9 @@ void node::route_from(actor_state& a, const process_id& to,
                       std::vector<message> msgs, bool batch) {
   reactor* cur = current_reactor();
   if (cur == nullptr) {
-    // Off-reactor send (external driver): run on the actor's home
-    // reactor, which then owns any connection it creates.
-    reactor& home = home_of(a);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!started_ || home.exited) return;  // node not running: drop
-    }
-    auto moved = std::make_shared<std::vector<message>>(std::move(msgs));
-    post_to(home, [this, &a, to, moved, batch] {
-      std::lock_guard<std::mutex> step(a.step_mu);
-      route_from(a, to, std::move(*moved), batch);
-    });
+    // Only run_on_reactor's inline fallback steps an actor off its
+    // reactors, and only while the node is not running: nothing can carry
+    // the frames, so drop them like any send into a dead node.
     return;
   }
   if (to.is_server()) {

@@ -19,17 +19,22 @@
 // and is encoded there, so receivers observe the same frame/step
 // structure either way.
 //
-// Actors: the classic constructor hosts one automaton (actor 0) and every
-// historical entry point keeps working unchanged. A node built with the
-// hub constructor hosts MANY client automata (add_actor) multiplexed over
-// the reactor pool -- the fan-in configuration the store's async
-// front-end uses to drive thousands of pipelined client connections from
-// a handful of threads. Each actor is pinned to a home reactor
-// (index % reactors); its invocations run there and its outbound
+// Actors: a node hosts one or more automata, installed with add_actor
+// before start() and addressed by actor index. A server or per-node
+// client has exactly one (actor 0); a hub hosts MANY client automata
+// multiplexed over the reactor pool -- the fan-in configuration the
+// store's async front-end uses to drive thousands of pipelined client
+// connections from a handful of threads. Each actor is pinned to a home
+// reactor (index % reactors); its invocations run there and its outbound
 // connections are created there, so a client actor's whole data path is
 // single-threaded. Server automata may be stepped from any reactor
 // (deliveries arrive on whichever reactor owns the inbound connection);
 // a per-actor step mutex serializes those steps.
+//
+// Waiting for an operation: a store client's ops are driven by a step
+// hook (set_step_hook / schedule_step, installed by the store's
+// sessions); blocking_read/blocking_write drive a single raw register
+// automaton.
 //
 // Outbound path (zero-copy): frames encode straight into the destination
 // connection's buffer_chain (exact-size reservation, no intermediate byte
@@ -129,17 +134,16 @@ struct node_options {
   [[nodiscard]] static node_options from_env();
 };
 
-class node final : public netout {
+class node final {
  public:
-  /// Classic single-automaton node: the automaton becomes actor 0 and
-  /// every un-indexed entry point below operates on it.
-  node(system_config cfg, std::unique_ptr<automaton> a,
-       std::shared_ptr<const address_book> book, node_options opt = {});
-  /// Hub node: starts with no actors; add client automata with
-  /// add_actor() before start().
+  /// An automaton step run on the actor's home reactor, with the actor's
+  /// netout so it can send.
+  using step_fn = std::function<void(automaton&, netout&)>;
+
+  /// Starts with no actors; install them with add_actor() before start().
   node(system_config cfg, std::shared_ptr<const address_book> book,
        node_options opt = {});
-  ~node() override;
+  ~node();
 
   node(const node&) = delete;
   node& operator=(const node&) = delete;
@@ -156,46 +160,33 @@ class node final : public netout {
   void start();
   void stop();
 
-  /// Blocking client operations (call from any non-reactor thread).
-  /// Returns nullopt / false on timeout.
+  /// Blocking raw-register operations on a single-actor client node (call
+  /// from any non-reactor thread), recorded in hist(). Returns nullopt /
+  /// false on timeout.
   [[nodiscard]] std::optional<read_result> blocking_read(
-      std::chrono::milliseconds timeout = std::chrono::seconds(10));
-  [[nodiscard]] std::optional<read_result> blocking_read(
-      std::size_t actor,
       std::chrono::milliseconds timeout = std::chrono::seconds(10));
   [[nodiscard]] bool blocking_write(
       value_t v,
-      std::chrono::milliseconds timeout = std::chrono::seconds(10));
-  [[nodiscard]] bool blocking_write(
-      std::size_t actor, value_t v,
-      std::chrono::milliseconds timeout = std::chrono::seconds(10));
-
-  /// Generic blocking invocation for automata that expose
-  /// async_client_iface (the store front-end): `start` runs on the
-  /// actor's home reactor (it may begin several pipelined ops); returns
-  /// once every op it began completed, or false on timeout. Histories
-  /// are the caller's job.
-  [[nodiscard]] bool blocking_op(
-      std::size_t actor, const std::function<void(automaton&, netout&)>& start,
       std::chrono::milliseconds timeout = std::chrono::seconds(10));
 
   /// Installs `hook` (empty = clear) to run at the end of every step of
   /// the actor (each delivery drain, each posted task) under its step
   /// mutex -- how a pipelined store session takes completions and begins
   /// queued ops. Once this returns, the old hook never runs again.
-  void set_step_hook(std::size_t actor,
-                     std::function<void(automaton&, netout&)> hook);
+  void set_step_hook(std::size_t actor, step_fn hook);
   /// Queues a step of the actor that only runs its hook, without waiting;
   /// calls made before it runs share it. False when the node is not
   /// running.
   [[nodiscard]] bool schedule_step(std::size_t actor);
 
-  /// Runs `fn` on the actor's home reactor and waits for it to finish.
-  /// The only safe way for non-reactor code to inspect automaton state
-  /// that late messages may still mutate (e.g. draining store
-  /// completions).
-  void run_on_reactor(std::size_t actor,
-                      const std::function<void(automaton&)>& fn);
+  /// Runs `fn` as a step of the actor on its home reactor and waits for
+  /// it to finish (not for any op it starts). The only safe way for
+  /// non-reactor code to inspect automaton state that late messages may
+  /// still mutate, or to start or re-issue protocol traffic (the
+  /// reconfiguration control plane: migration handoff ops, resuming
+  /// parked ops). When the reactor is not running, the caller has
+  /// exclusive access and `fn` runs inline; its sends are dropped.
+  void run_on_reactor(std::size_t actor, const step_fn& fn);
 
   /// Like run_on_reactor, but NEVER runs `fn` inline when the reactor is
   /// not running: returns false instead (also when the reactor exits
@@ -203,18 +194,7 @@ class node final : public netout {
   /// crashed (the reconfiguration control plane) -- the inline fallback
   /// would mutate a "crashed" automaton behind the deployment's back and
   /// is racy against a concurrent stop().
-  [[nodiscard]] bool try_run_on_reactor(
-      const std::function<void(automaton&)>& fn);
-  [[nodiscard]] bool try_run_on_reactor(
-      std::size_t actor, const std::function<void(automaton&)>& fn);
-
-  /// Like run_on_reactor, but hands `fn` the actor's netout so it can
-  /// start or re-issue protocol traffic (the reconfiguration control
-  /// plane: migration handoff ops, resuming parked ops). Does NOT wait
-  /// for any started op to complete -- pair with a completion poll.
-  void run_on_reactor_net(
-      std::size_t actor,
-      const std::function<void(automaton&, netout&)>& fn);
+  [[nodiscard]] bool try_run_on_reactor(std::size_t actor, const step_fn& fn);
 
   /// Applies `f` to every current connection on every reactor (and to
   /// connections accepted/opened later, until cleared with
@@ -231,12 +211,6 @@ class node final : public netout {
   [[nodiscard]] checker::history hist() const;
 
   [[nodiscard]] const process_id& self() const { return self_; }
-
-  // netout over actor 0, for drivers that treat the node itself as the
-  // automaton's port (single-actor nodes only; must honor the same
-  // step-serialization contract as reactor-delivered steps).
-  void send(const process_id& to, message m) override;
-  void send_batch(const process_id& to, std::vector<message> msgs) override;
 
  private:
   struct actor_state;
@@ -309,7 +283,6 @@ class node final : public netout {
     process_id self{};
     std::uint32_t home_reactor{0};
     /// Cached cross-casts; non-null per the automaton's roles.
-    async_client_iface* async_iface{nullptr};
     reader_iface* reader{nullptr};
     writer_iface* writer{nullptr};
     obs::recorder* rec{nullptr};
@@ -323,7 +296,7 @@ class node final : public netout {
     /// serial (a closed connection leaves a stale ref behind).
     std::map<std::uint32_t, conn_ref> out_to_server;
     /// See set_step_hook. Guarded by step_mu.
-    std::function<void(automaton&, netout&)> step_hook;
+    step_fn step_hook;
     /// A schedule_step task is queued and has not started yet.
     std::atomic<bool> step_scheduled{false};
     // ---- guarded by the node's mu_ ----
@@ -332,9 +305,6 @@ class node final : public netout {
     std::uint64_t writes_done{0};
     std::size_t open_op_index{0};
     bool op_open{false};
-    // Reactor-maintained mirror of async_iface->op_in_progress(), so
-    // blocking_op can wait under mu_ without racing automaton internals.
-    bool async_busy{false};
   };
 
   void init_reactors();

@@ -6,10 +6,11 @@
 // thread; client steps go through world::invoke_step so their sends land
 // in the world's in-transit set like any other step.
 //
-// TCP: control actions are posted to each node's reactor thread
-// (run_on_reactor / run_on_reactor_net), so they serialize with live
-// traffic exactly like delivered frames. The coordinator may therefore
-// run on its own thread next to concurrently operating client threads.
+// TCP: control actions run as steps on each node's reactor thread
+// (run_on_reactor), so they serialize with live traffic -- and with the
+// step hook of any store session open on the client -- exactly like
+// delivered frames. The coordinator may therefore run on its own thread
+// next to concurrently operating client threads.
 #pragma once
 
 #include "reconfig/coordinator.h"
@@ -76,7 +77,9 @@ class tcp_control final : public control_plane {
     // run_on_reactor would fall back to running inline, un-crashing the
     // automaton's state behind the deployment's back.
     return s_.cluster().server(index).try_run_on_reactor(
-        [&](automaton& a) { fn(dynamic_cast<store::server&>(a)); });
+        0, [&](automaton& a, netout&) {
+          fn(dynamic_cast<store::server&>(a));
+        });
   }
 
   void publish(std::shared_ptr<const store::shard_map> next) override {
@@ -85,53 +88,44 @@ class tcp_control final : public control_plane {
 
   void with_migrator(
       const std::function<void(store::client&, netout&)>& fn) override {
-    // The migrator is reader 0, addressed through client_node /
-    // client_actor so per-node and hub client topologies both work.
-    auto& c = s_.cluster();
-    c.client_node(reader_id(0))
-        .run_on_reactor_net(c.client_actor(reader_id(0)),
-                            [&](automaton& a, netout& net) {
-                              fn(dynamic_cast<store::client&>(a), net);
-                            });
+    on_client(reader_id(0), fn);  // the migrator is reader 0
   }
 
   bool migrator_done() override {
     bool done = false;
     // Marshal the peek through the reactor: the migration op's state is
     // mutated by live traffic on that thread.
-    auto& c = s_.cluster();
-    c.client_node(reader_id(0))
-        .run_on_reactor(c.client_actor(reader_id(0)), [&](automaton& a) {
-          done = dynamic_cast<store::client&>(a).mig_done();
-        });
+    on_client(reader_id(0),
+              [&](store::client& c, netout&) { done = c.mig_done(); });
     return done;
   }
 
   register_snapshot migrator_snapshot() override {
     register_snapshot snap;
-    auto& c = s_.cluster();
-    c.client_node(reader_id(0))
-        .run_on_reactor(c.client_actor(reader_id(0)), [&](automaton& a) {
-          snap = dynamic_cast<store::client&>(a).mig_snapshot();
-        });
+    on_client(reader_id(0),
+              [&](store::client& c, netout&) { snap = c.mig_snapshot(); });
     return snap;
   }
 
   void for_each_client(
       const std::function<void(store::client&, netout&)>& fn) override {
     const auto& base = s_.config().base;
-    auto& c = s_.cluster();
-    const auto step = [&](const process_id& pid) {
-      c.client_node(pid).run_on_reactor_net(
-          c.client_actor(pid), [&](automaton& a, netout& net) {
-            fn(dynamic_cast<store::client&>(a), net);
-          });
-    };
-    for (std::uint32_t j = 0; j < base.W(); ++j) step(writer_id(j));
-    for (std::uint32_t i = 0; i < base.R(); ++i) step(reader_id(i));
+    for (std::uint32_t j = 0; j < base.W(); ++j) on_client(writer_id(j), fn);
+    for (std::uint32_t i = 0; i < base.R(); ++i) on_client(reader_id(i), fn);
   }
 
  private:
+  /// Runs `fn` as a step of client `pid`, addressed through client_node /
+  /// client_actor so per-node and hub client topologies both work.
+  void on_client(const process_id& pid,
+                 const std::function<void(store::client&, netout&)>& fn) {
+    auto& c = s_.cluster();
+    c.client_node(pid).run_on_reactor(
+        c.client_actor(pid), [&](automaton& a, netout& net) {
+          fn(dynamic_cast<store::client&>(a), net);
+        });
+  }
+
   store::tcp_store& s_;
 };
 

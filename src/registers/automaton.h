@@ -128,19 +128,6 @@ class reader_iface {
   [[nodiscard]] virtual std::uint64_t reads_completed() const = 0;
 };
 
-/// Transport-facing interface of client automata whose invocation surface
-/// is richer than reader_iface/writer_iface (the store front-end's
-/// get(key)/put(key, v), possibly several ops pipelined on distinct
-/// objects). Transports use it to detect quiescence generically; the
-/// role-specific entry points stay on the concrete type.
-class async_client_iface {
- public:
-  virtual ~async_client_iface() = default;
-
-  /// True while at least one invoked operation has not completed.
-  [[nodiscard]] virtual bool op_in_progress() const = 0;
-};
-
 /// Client-side interface of a writer automaton.
 class writer_iface {
  public:

@@ -25,8 +25,8 @@ std::uint64_t now_ns() {
 
 // --------------------------------------------------------------- op_log --
 
-std::size_t op_log::open(const process_id& client_pid, const std::string& key,
-                         bool is_put, const value_t& v, std::uint64_t t0) {
+void op_log::open(const process_id& client_pid, const std::string& key,
+                  bool is_put, const value_t& v, std::uint64_t t0) {
   std::lock_guard<std::mutex> lk(mu_);
   raw_op op;
   op.key = key;
@@ -35,26 +35,19 @@ std::size_t op_log::open(const process_id& client_pid, const std::string& key,
   op.t0 = t0;
   if (is_put) op.val = v;
   log_.push_back(std::move(op));
-  const std::size_t idx = log_.size() - 1;
-  open_[{client_pid, key}].push_back(idx);
-  return idx;
+  open_[{client_pid, key}].push_back(log_.size() - 1);
 }
 
-std::vector<std::size_t> op_log::close(
-    const process_id& client_pid, const std::vector<store_result>& results,
-    std::uint64_t t1) {
+void op_log::close(const process_id& client_pid,
+                   const std::vector<store_result>& results,
+                   std::uint64_t t1) {
   std::lock_guard<std::mutex> lk(mu_);
   // Match completions to the EARLIEST incomplete log entry for their
   // (client, key): a stale completion closes the abandoned older entry,
-  // a fresh one closes its own call's.
-  std::vector<std::size_t> closed;
-  closed.reserve(results.size());
+  // a fresh one closes its own session's.
   for (const auto& r : results) {
     const auto open_it = open_.find({client_pid, r.key});
-    if (open_it == open_.end() || open_it->second.empty()) {
-      closed.push_back(npos);
-      continue;
-    }
+    if (open_it == open_.end() || open_it->second.empty()) continue;
     const std::size_t i = open_it->second.front();
     open_it->second.pop_front();
     if (open_it->second.empty()) open_.erase(open_it);
@@ -64,9 +57,7 @@ std::vector<std::size_t> op_log::close(
     op.wid = r.wid;
     if (!r.is_put) op.val = r.val;
     op.rounds = r.rounds;
-    closed.push_back(i);
   }
-  return closed;
 }
 
 store_histories op_log::gather() const {
@@ -158,6 +149,20 @@ submit_status async_session::try_put(const std::string& key, value_t v) {
   return st;
 }
 
+std::optional<std::vector<store_result>> submit_and_drain(
+    store_frontend& fe, const process_id& client,
+    std::span<const store_op> ops, std::chrono::milliseconds timeout) {
+  FASTREG_EXPECTS(!ops.empty());
+  auto se = fe.open_session(client, static_cast<std::uint32_t>(ops.size()));
+  for (const auto& op : ops) {
+    const submit_status st =
+        op.is_put ? se->try_put(op.key, op.val) : se->try_get(op.key);
+    if (st != submit_status::submitted) return std::nullopt;
+  }
+  if (!se->drain(timeout)) return std::nullopt;
+  return se->take_results();
+}
+
 // ---------------------------------------------------------- TCP backend --
 
 namespace {
@@ -199,10 +204,10 @@ class tcp_session final : public async_session {
     const std::uint64_t t = now_ns();
     std::vector<store_result> done = c.take_completions();
     if (!done.empty()) {
-      (void)log_.close(client_, done, t);
-      // A key this session did not begin: the late completion of an op a
-      // timed-out blocking call (or an earlier session) abandoned. Its
-      // log entry is closed above, and nobody waits for it.
+      log_.close(client_, done, t);
+      // A key this session did not begin: the late completion of an op an
+      // earlier session gave up on. Its log entry is closed above, and
+      // nobody waits for it.
       std::erase_if(done, [&](const store_result& r) {
         return begun_.erase(r.key) == 0;
       });

@@ -3,11 +3,10 @@
 // in flight, backed by either the deterministic simulator (sim_store /
 // sim::world) or the real-socket deployment (net::cluster / net::node).
 //
-// This collapses what used to be two parallel drivers -- the TCP-only
-// `tcp_store::pipeline` and the simulator's `invoke_*_batch` loops --
-// into one surface, so stress harnesses, benches and tests submit ops
-// the same way on both transports and their histories are gathered by
-// the same logging code.
+// It is the store's one client path: stress harnesses, benches and tests
+// submit ops the same way on both transports, and their histories are
+// gathered by the same logging code. submit_and_drain (below) is the one
+// blocking convenience on top of it.
 //
 // Surface:
 //  * try_get/try_put -- one admission attempt, never blocks: `submitted`
@@ -22,11 +21,15 @@
 //  * drain() -- waits until nothing submitted remains in flight.
 //  * take_results() -- completion-ordered results since the last call.
 //
-// Threading: one session per client index at a time, driven from one
-// thread (the same exclusivity rule as the blocking store calls, which
-// must not be mixed with an active session on that index). Different
-// sessions may live on different threads; on TCP they may share a hub
-// node whose reactor pool multiplexes all their connections.
+// Threading: one session per client index at a time (submit_and_drain
+// opens one too), driven from one thread. Different sessions may live on
+// different threads; on TCP they may share a hub node whose reactor pool
+// multiplexes all their connections.
+//
+// Giving up: an op still in flight when its session closes (a drain
+// timed out) is abandoned, not cancelled. On TCP the client's next
+// session queues an op on the same key behind it, and the abandoned
+// op's late completion only closes its op_log entry.
 //
 // Admission outcomes are counted in the process registry
 // (fastreg_store_admission_total{result=...}) so a scrape shows how
@@ -40,6 +43,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,28 +73,24 @@ enum class submit_status : std::uint8_t {
   failed = 3,
 };
 
-/// Invocation/completion log shared by every TCP session and blocking
-/// call of a deployment, written once and rebuilt into per-key histories
-/// on demand. Timestamps are steady-clock nanoseconds taken by the
-/// caller; a session takes both ON the client's reactor, in the steps
-/// that begin and complete the op, so same-key precedence is preserved
-/// (see tcp_session::step). Thread-safe.
+/// Invocation/completion log shared by every TCP session of a
+/// deployment, written once and rebuilt into per-key histories on
+/// demand. Timestamps are steady-clock nanoseconds; a session takes both
+/// ON the client's reactor, in the steps that begin and complete the op,
+/// so same-key precedence is preserved (see tcp_session::step).
+/// Thread-safe.
 class op_log {
  public:
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
   /// Appends an incomplete entry for a just-invoked op and registers it
-  /// as the open op for (client, key). Returns its log index.
-  std::size_t open(const process_id& client, const std::string& key,
-                   bool is_put, const value_t& v, std::uint64_t t0);
+  /// as the open op for (client, key).
+  void open(const process_id& client, const std::string& key, bool is_put,
+            const value_t& v, std::uint64_t t0);
 
   /// Closes the EARLIEST incomplete entry for each result's (client,
   /// key): a stale completion closes the abandoned older entry, a fresh
-  /// one closes its own call's. Returns the closed log indices
-  /// (parallel to `results`; npos for results with no open entry).
-  std::vector<std::size_t> close(const process_id& client,
-                                 const std::vector<store_result>& results,
-                                 std::uint64_t t1);
+  /// one closes its own session's.
+  void close(const process_id& client,
+             const std::vector<store_result>& results, std::uint64_t t1);
 
   /// Per-key histories of everything logged so far, rebuilt in
   /// invocation-time order.
@@ -139,8 +139,8 @@ class async_session {
   /// Non-blocking admission attempts. A sim session buffers accepted ops
   /// until the next pump() so they leave in ONE invocation step (batched
   /// envelopes). A TCP session queues them for the client actor's next
-  /// reactor step, which begins them all -- each behind any op a timed-out
-  /// blocking call left on its key -- in one batch frame per server.
+  /// reactor step, which begins them all -- each behind any op an earlier
+  /// session abandoned on its key -- in one batch frame per server.
   [[nodiscard]] submit_status try_get(const std::string& key);
   [[nodiscard]] submit_status try_put(const std::string& key, value_t v);
 
@@ -155,8 +155,8 @@ class async_session {
       std::chrono::milliseconds timeout = std::chrono::seconds(10)) = 0;
 
   /// Harvested completions of this session's ops since the last call,
-  /// completion-ordered. (On TCP, a late completion of an op a timed-out
-  /// blocking store call abandoned only closes that call's log entry.)
+  /// completion-ordered. (On TCP, a late completion of an op an earlier
+  /// session abandoned only closes that op's log entry.)
   [[nodiscard]] std::vector<store_result> take_results() {
     return std::exchange(results_, {});
   }
@@ -200,7 +200,7 @@ class async_session {
 };
 
 /// A deployment that can hand out pipelined sessions and gather the
-/// per-key histories of everything they (and the blocking calls) did.
+/// per-key histories of everything they did.
 class store_frontend {
  public:
   virtual ~store_frontend() = default;
@@ -252,5 +252,16 @@ class sim_frontend final : public store_frontend {
   sim_store& s_;
   rng& r_;
 };
+
+/// The store's blocking convenience, on either transport: opens a session
+/// for `client` with a window of ops.size(), submits every op before
+/// draining (so they share batches on the wire), drains, and returns the
+/// completion-ordered results. nullopt when an op is not admitted (two
+/// ops on one key, or the transport is down) or the drain times out; ops
+/// still in flight then are abandoned (see the file comment).
+[[nodiscard]] std::optional<std::vector<store_result>> submit_and_drain(
+    store_frontend& fe, const process_id& client,
+    std::span<const store_op> ops,
+    std::chrono::milliseconds timeout = std::chrono::seconds(10));
 
 }  // namespace fastreg::store

@@ -60,7 +60,7 @@ struct store_result {
   int rounds{0};
 };
 
-class client final : public automaton, public async_client_iface {
+class client final : public automaton {
  public:
   client(std::shared_ptr<const shard_map> shards, process_id self,
          map_source source = {});
@@ -68,8 +68,9 @@ class client final : public automaton, public async_client_iface {
   client& operator=(const client&) = delete;
 
   // ------------------------------------------------------------ front-end --
-  // Call within an invocation step (world::invoke_step / node::blocking_op):
-  // begin one or more ops on DISTINCT keys, then flush() exactly once.
+  // Call within an invocation step (world::invoke_step, or a TCP session's
+  // step hook): begin one or more ops on DISTINCT keys, then flush()
+  // exactly once.
 
   /// Starts a read of `key` (reader-role clients only). Precondition: no
   /// op pending on this key.
@@ -91,7 +92,7 @@ class client final : public automaton, public async_client_iface {
 
   // ---------------------------------------------------------- reconfig --
   // Control-plane surface; call on the automaton's thread (between steps
-  // on the simulator, via node::run_on_reactor* on TCP).
+  // on the simulator, via node::run_on_reactor on TCP).
 
   [[nodiscard]] epoch_t epoch() const { return map_->epoch(); }
   /// Ops parked behind a draining key, awaiting resume_parked.
@@ -152,10 +153,8 @@ class client final : public automaton, public async_client_iface {
   /// The scraped `name{labels} value` text dump; empty if none arrived.
   [[nodiscard]] std::string take_stats();
 
-  // async_client_iface
-  [[nodiscard]] bool op_in_progress() const override {
-    return !pending_.empty();
-  }
+  /// True while at least one invoked operation has not completed.
+  [[nodiscard]] bool op_in_progress() const { return !pending_.empty(); }
 
   // automaton
   void on_message(netout& net, const process_id& from,

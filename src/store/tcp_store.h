@@ -1,38 +1,33 @@
 // Real-socket deployment of the store: a net::cluster hosting store
-// client/server automata, with blocking get/put/multi_get front-ends and
-// per-key history gathering.
+// client/server automata, the pipelined front-end over it, and per-key
+// history gathering.
 //
 // Client topology follows the cluster's (net::cluster_options): per-node
 // (one node and reactor thread per client, the default) or hub (every
 // client an actor on one node whose reactor pool carries all their
-// connections). All the entry points below address clients through
+// connections). Sessions address clients through
 // cluster::client_node/client_actor, so they work unchanged under both.
 //
-// Threading contract: at most one blocking operation at a time per client
-// index (same rule as node::blocking_read); different client indices may
-// be driven from different threads concurrently. multi_get pipelines all
-// its keys in one reactor step, so requests and replies travel as batch
-// frames.
+// Every operation goes through the front-end (store/async_client.h):
+// open_session() gives a client a sliding window of up to `depth` ops in
+// flight, and submit_and_drain() is the blocking one-shot over it (a
+// depth-1 session is the one-blocking-op-at-a-time loop). Combined with
+// the per-connection batch window (net::node_options) pipelining keeps
+// the wire busy across round trips instead of idling between them.
 //
-// For sustained throughput, open_session() (the unified async front-end
-// of store/async_client.h) replaces the one-blocking-op-at-a-time loop
-// with a sliding window of up to `depth` ops in flight per client.
-// Combined with the per-connection batch window (net::node_options) this
-// keeps the wire busy across round trips instead of idling between them.
+// Threading contract: one live session per client index at a time,
+// driven from one thread; different client indices may be driven from
+// different threads concurrently.
 //
-// Timeouts: a timed-out op may still be in flight; until it completes,
-// further blocking ops on the same (client, key) fail fast (nullopt/
-// false) rather than abort -- a session op on that key waits for it
-// instead -- and a late completion closes the abandoned op's history
-// record instead of leaking into a later call's results.
+// Timeouts: a session (or submit_and_drain) that gives up on an op leaves
+// it in flight, abandoned. The client's next session queues an op on the
+// same key behind it, and the late completion closes the abandoned op's
+// history record without being reported to anyone.
 #pragma once
 
 #include <chrono>
 #include <memory>
-#include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "net/cluster.h"
 #include "store/async_client.h"
@@ -62,34 +57,10 @@ class tcp_store {
   [[nodiscard]] net::cluster& cluster() { return cluster_; }
   [[nodiscard]] store_protocol& proto() { return proto_; }
 
-  /// Blocking single-key ops. nullopt / false on timeout.
-  [[nodiscard]] std::optional<store_result> get(
-      std::uint32_t reader_index, const std::string& key,
-      std::chrono::milliseconds timeout = std::chrono::seconds(10));
-  [[nodiscard]] bool put(
-      std::uint32_t writer_index, const std::string& key, value_t v,
-      std::chrono::milliseconds timeout = std::chrono::seconds(10));
-
-  /// Pipelined read of several distinct keys issued in ONE step (batched
-  /// on the wire). Returns completion-ordered results, or nullopt if any
-  /// key timed out (partial completions are still recorded in histories).
-  [[nodiscard]] std::optional<std::vector<store_result>> multi_get(
-      std::uint32_t reader_index, const std::vector<std::string>& keys,
-      std::chrono::milliseconds timeout = std::chrono::seconds(10));
-
-  /// Pipelined write of several distinct keys issued in ONE step.
-  [[nodiscard]] bool multi_put(
-      std::uint32_t writer_index,
-      const std::vector<std::pair<std::string, value_t>>& kvs,
-      std::chrono::milliseconds timeout = std::chrono::seconds(10));
-
-  /// The unified pipelined front-end over this deployment. Sessions from
-  /// it share the deployment's op log with the blocking calls above, so
-  /// gather() sees everything either path did.
+  /// The pipelined front-end over this deployment; every session from it
+  /// logs into the deployment's op log, so gather() sees all of them.
   [[nodiscard]] tcp_frontend& frontend() { return fe_; }
-  /// Convenience for frontend().open_session: the pipelined session for
-  /// one client (one live session per client index; do not mix with
-  /// blocking calls on the same index).
+  /// Convenience for frontend().open_session.
   [[nodiscard]] std::unique_ptr<async_session> open_session(
       const process_id& client, std::uint32_t depth) {
     return fe_.open_session(client, depth);
@@ -111,11 +82,6 @@ class tcp_store {
       std::chrono::milliseconds timeout = std::chrono::seconds(10));
 
  private:
-  std::optional<std::vector<store_result>> run_ops(
-      const process_id& client,
-      const std::vector<std::pair<std::string, value_t>>& kvs, bool is_put,
-      std::chrono::milliseconds timeout);
-
   store_protocol proto_;
   net::cluster cluster_;
   op_log log_;

@@ -387,6 +387,18 @@ double counter_total(const std::string& prefix) {
   return total;
 }
 
+/// Live sum of every fastreg_net_reactor_connections series of a server
+/// node (labels render as node="s1", node="s2", ...).
+double server_connections() {
+  double total = 0;
+  for (const auto& s : obs::snapshot()) {
+    if (s.name.rfind("fastreg_net_reactor_connections{node=\"s", 0) == 0) {
+      total += s.value;
+    }
+  }
+  return total;
+}
+
 TEST(Cluster, SignalStormDuringWorkloadClosesZeroConnections) {
   // An interrupted syscall is a signal, not a peer event: before the
   // EINTR-aware read/writev/accept/epoll paths, every stray signal that
@@ -402,13 +414,26 @@ TEST(Cluster, SignalStormDuringWorkloadClosesZeroConnections) {
   struct sigaction old_sa{};
   ASSERT_EQ(::sigaction(SIGUSR1, &sa, &old_sa), 0);
 
+  // Gauge rows outlive their nodes (a destroyed node never closes its
+  // connections), so count this cluster's from a baseline.
+  const double conns0 = server_connections();
   cluster c(make_cfg(5, 1, 2), *make_protocol("fast_swmr"));
   c.start();
   // Warm-up pass: every client-server connection exists afterwards, so
-  // any accept during the storm pass can only be a reconnect.
+  // any accept during the storm pass can only be a reconnect. An op
+  // returns once a QUORUM answered: the slowest server may not have
+  // accepted yet, so wait until all (W+R)*S connections are adopted.
   ASSERT_TRUE(c.writer().blocking_write("warmup"));
   ASSERT_TRUE(c.reader(0).blocking_read().has_value());
   ASSERT_TRUE(c.reader(1).blocking_read().has_value());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server_connections() - conns0 < 3 * 5) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "only " << server_connections() - conns0
+        << " of 15 client connections reached the servers";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   // Block SIGUSR1 on this thread (and, by mask inheritance, the storm
   // thread): the kernel then delivers the process-directed signals below

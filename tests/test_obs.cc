@@ -15,6 +15,7 @@
 #include "obs/metrics.h"
 #include "store/sim_store.h"
 #include "store/tcp_store.h"
+#include "store_test_util.h"
 
 namespace fastreg {
 namespace {
@@ -202,8 +203,9 @@ TEST(ObsScrape, SimStatsRoundTrip) {
 TEST(ObsScrape, TcpStatsRoundTripOverRawSocket) {
   store::tcp_store ts(small_store_cfg({"fast_swmr", "abd"}));
   ts.start();
-  ASSERT_TRUE(ts.put(0, "alpha", "a1"));
-  const auto a = ts.get(0, "alpha");
+  auto& fe = ts.frontend();
+  ASSERT_TRUE(store::test::put_one(fe, 0, "alpha", "a1"));
+  const auto a = store::test::get_one(fe, 0, "alpha");
   ASSERT_TRUE(a.has_value());
   const auto dump = ts.scrape(0);
   ASSERT_FALSE(dump.empty());
@@ -211,8 +213,8 @@ TEST(ObsScrape, TcpStatsRoundTripOverRawSocket) {
   EXPECT_NE(dump.find("fastreg_store_ops_total"), std::string::npos);
   EXPECT_NE(dump.find("fastreg_net_frames_in_total"), std::string::npos);
   // Live traffic keeps flowing after a scrape.
-  ASSERT_TRUE(ts.put(0, "alpha", "a2"));
-  const auto b = ts.get(1, "alpha");
+  ASSERT_TRUE(store::test::put_one(fe, 0, "alpha", "a2"));
+  const auto b = store::test::get_one(fe, 1, "alpha");
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(b->val, "a2");
   EXPECT_TRUE(ts.gather().verify().ok);

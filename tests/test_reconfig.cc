@@ -14,6 +14,7 @@
 #include "reconfig/versioned_map.h"
 #include "store/sim_store.h"
 #include "store/tcp_store.h"
+#include "store_test_util.h"
 
 namespace fastreg::reconfig {
 namespace {
@@ -849,23 +850,25 @@ TEST(SimReconfig, SeedDelayedPastItsMigrationIsDropped) {
 TEST(TcpReconfig, LiveReshardUnderConcurrentTraffic) {
   store::tcp_store ts(make_cfg({"abd"}, 2, /*R=*/2, /*S=*/5));
   ts.start();
+  auto& fe = ts.frontend();
   const std::vector<std::string> keys = {"k0", "k1", "k2", "k3"};
   for (const auto& k : keys) {
-    ASSERT_TRUE(ts.put(0, k, k + ":0"));
+    ASSERT_TRUE(store::test::put_one(fe, 0, k, k + ":0"));
   }
 
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     for (int n = 1; n <= 200 && (!stop.load() || n <= 4); ++n) {
-      ASSERT_TRUE(ts.put(0, keys[static_cast<std::size_t>(n) % keys.size()],
-                         "w" + std::to_string(n)));
+      ASSERT_TRUE(store::test::put_one(
+          fe, 0, keys[static_cast<std::size_t>(n) % keys.size()],
+          "w" + std::to_string(n)));
     }
   });
   std::vector<std::thread> readers;
   for (std::uint32_t i = 0; i < 2; ++i) {
     readers.emplace_back([&, i] {
       for (int n = 0; n <= 200 && (!stop.load() || n < 2); ++n) {
-        const auto res = ts.multi_get(i, {keys[0], keys[2]});
+        const auto res = store::test::get_many(fe, i, {keys[0], keys[2]});
         ASSERT_TRUE(res.has_value());
       }
     });
@@ -889,7 +892,7 @@ TEST(TcpReconfig, LiveReshardUnderConcurrentTraffic) {
 
   // Post-reshard, the store still serves every key.
   for (const auto& k : keys) {
-    const auto res = ts.get(1, k);
+    const auto res = store::test::get_one(fe, 1, k);
     ASSERT_TRUE(res.has_value()) << k;
     EXPECT_FALSE(res->val.empty()) << k;
   }
@@ -906,24 +909,26 @@ TEST(TcpReconfig, ReshardCompletesWithServerCrashedThroughout) {
   // list -- still completes with every op accounted for.
   store::tcp_store ts(make_cfg({"abd"}, 2, /*R=*/2, /*S=*/5));
   ts.start();
+  auto& fe = ts.frontend();
   const std::vector<std::string> keys = {"k0", "k1", "k2", "k3"};
   for (const auto& k : keys) {
-    ASSERT_TRUE(ts.put(0, k, k + ":0"));
+    ASSERT_TRUE(store::test::put_one(fe, 0, k, k + ":0"));
   }
   ts.cluster().server(4).stop();  // crashed for the whole reshard
 
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     for (int n = 1; n <= 200 && (!stop.load() || n <= 4); ++n) {
-      ASSERT_TRUE(ts.put(0, keys[static_cast<std::size_t>(n) % keys.size()],
-                         "w" + std::to_string(n)));
+      ASSERT_TRUE(store::test::put_one(
+          fe, 0, keys[static_cast<std::size_t>(n) % keys.size()],
+          "w" + std::to_string(n)));
     }
   });
   std::vector<std::thread> readers;
   for (std::uint32_t i = 0; i < 2; ++i) {
     readers.emplace_back([&, i] {
       for (int n = 0; n <= 200 && (!stop.load() || n < 2); ++n) {
-        const auto res = ts.multi_get(i, {keys[1], keys[3]});
+        const auto res = store::test::get_many(fe, i, {keys[1], keys[3]});
         ASSERT_TRUE(res.has_value());
       }
     });
@@ -948,7 +953,7 @@ TEST(TcpReconfig, ReshardCompletesWithServerCrashedThroughout) {
 
   // Post-reshard, quorums of the 4 live servers serve every key.
   for (const auto& k : keys) {
-    const auto res = ts.get(1, k);
+    const auto res = store::test::get_one(fe, 1, k);
     ASSERT_TRUE(res.has_value()) << k;
     EXPECT_FALSE(res->val.empty()) << k;
   }

@@ -28,6 +28,7 @@
 #include "registers/message.h"
 #include "registers/registry.h"
 #include "store/tcp_store.h"
+#include "store_test_util.h"
 
 namespace fastreg {
 namespace {
@@ -479,15 +480,17 @@ TEST(RecorderConcurrency, ReactorHooksRaceFreeUnderConcurrentScrape) {
   ts.start();
   std::thread writer([&] {
     for (int n = 1; n <= 10; ++n) {
-      ASSERT_TRUE(
-          ts.put(0, "k" + std::to_string(n % 3), "v" + std::to_string(n)));
+      ASSERT_TRUE(store::test::put_one(ts.frontend(), 0,
+                                       "k" + std::to_string(n % 3),
+                                       "v" + std::to_string(n)));
     }
   });
   std::vector<std::thread> readers;
   for (std::uint32_t i = 0; i < 2; ++i) {
     readers.emplace_back([&, i] {
       for (int n = 0; n < 8; ++n) {
-        (void)ts.get(i, "k" + std::to_string(n % 3));
+        (void)store::test::get_one(ts.frontend(), i,
+                                   "k" + std::to_string(n % 3));
       }
     });
   }

@@ -1,6 +1,6 @@
 // The sharded multi-object store: routing, batching, per-key atomicity
 // under random schedules, every registry protocol as a shard protocol,
-// and the TCP deployment.
+// the blocking helper on both transports, and the TCP deployment.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -12,6 +12,7 @@
 #include "store/shard_map.h"
 #include "store/sim_store.h"
 #include "store/tcp_store.h"
+#include "store_test_util.h"
 
 namespace fastreg::store {
 namespace {
@@ -358,17 +359,18 @@ TEST(StoreServer, FetchBufferOverflowNackIsCountedAndObservable) {
   EXPECT_EQ(s.fetch_overflow_nacks(), 1u);
 }
 
-// -------------------------------------------------------------- TCP store
+// --------------------------------------------------- blocking helper
 
-TEST(TcpStore, PutGetAndMultiGetOverSockets) {
-  tcp_store ts(small_cfg({"fast_swmr", "abd"}, 4, /*R=*/2, /*S=*/5));
-  ts.start();
-  ASSERT_TRUE(ts.put(0, "alpha", "a1"));
-  ASSERT_TRUE(ts.put(0, "beta", "b1"));
-  const auto a = ts.get(0, "alpha");
+/// The blocking helper's contract, the same on both transports: puts, a
+/// get, and one 3-key read (k submits, one drain) whose never-written key
+/// returns bottom; the history verifies.
+void run_helper_script(store_frontend& fe) {
+  ASSERT_TRUE(test::put_one(fe, 0, "alpha", "a1"));
+  ASSERT_TRUE(test::put_one(fe, 0, "beta", "b1"));
+  const auto a = test::get_one(fe, 0, "alpha");
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->val, "a1");
-  const auto many = ts.multi_get(1, {"alpha", "beta", "gamma"});
+  const auto many = test::get_many(fe, 1, {"alpha", "beta", "gamma"});
   ASSERT_TRUE(many.has_value());
   EXPECT_EQ(many->size(), 3u);
   for (const auto& res : *many) {
@@ -377,12 +379,30 @@ TEST(TcpStore, PutGetAndMultiGetOverSockets) {
     } else if (res.key == "beta") {
       EXPECT_EQ(res.val, "b1");
     } else {
-      EXPECT_EQ(res.val, "");  // "gamma" was never written
+      EXPECT_EQ(res.key, "gamma");
+      EXPECT_EQ(res.val, "");  // never written: bottom
+      EXPECT_EQ(res.ts, k_initial_ts);
     }
   }
-  const auto hist = ts.gather();
+  const auto hist = fe.gather();
   EXPECT_EQ(hist.key_count(), 3u);
+  EXPECT_TRUE(hist.all_complete());
   EXPECT_TRUE(hist.verify().ok);
+}
+
+TEST(SimStore, PutGetAndMultiGetThroughBlockingHelper) {
+  sim_store s(small_cfg({"fast_swmr", "abd"}, 4, /*R=*/2, /*S=*/5));
+  rng r(4);
+  sim_frontend fe(s, r);
+  run_helper_script(fe);
+}
+
+// -------------------------------------------------------------- TCP store
+
+TEST(TcpStore, PutGetAndMultiGetOverSockets) {
+  tcp_store ts(small_cfg({"fast_swmr", "abd"}, 4, /*R=*/2, /*S=*/5));
+  ts.start();
+  run_helper_script(ts.frontend());
   ts.stop();
 }
 
@@ -391,15 +411,17 @@ TEST(TcpStore, ConcurrentClientsStayAtomicPerKey) {
   ts.start();
   std::thread writer([&] {
     for (int n = 1; n <= 12; ++n) {
-      ASSERT_TRUE(ts.put(0, "k" + std::to_string(n % 4),
-                         "v" + std::to_string(n)));
+      ASSERT_TRUE(test::put_one(ts.frontend(), 0,
+                                "k" + std::to_string(n % 4),
+                                "v" + std::to_string(n)));
     }
   });
   std::vector<std::thread> readers;
   for (std::uint32_t i = 0; i < 2; ++i) {
     readers.emplace_back([&, i] {
       for (int n = 0; n < 8; ++n) {
-        const auto res = ts.multi_get(i, {"k0", "k1", "k2", "k3"});
+        const auto res =
+            test::get_many(ts.frontend(), i, {"k0", "k1", "k2", "k3"});
         ASSERT_TRUE(res.has_value());
         EXPECT_EQ(res->size(), 4u);
       }

@@ -5,7 +5,7 @@
 // admission statuses (window_full / key_busy / failed) and their
 // registry counters on both transports, TCP admission coalescing into
 // one batch frame per server, a session op queued behind a key a
-// timed-out blocking call abandoned, backpressure against a paused
+// timed-out submit_and_drain abandoned, backpressure against a paused
 // (slow) server fleet, connection churn while a pipeline is in flight,
 // and a multi-reactor hub+server run whose data races -- if any -- are
 // TSan's to find.
@@ -24,6 +24,7 @@
 #include "store/async_client.h"
 #include "store/sim_store.h"
 #include "store/tcp_store.h"
+#include "store_test_util.h"
 
 namespace fastreg::store {
 namespace {
@@ -181,10 +182,10 @@ TEST(StoreFrontend, TcpAdmissionStatusesAndCounters) {
   const auto cfg = frontend_cfg(3, 1, 1);
   tcp_store ts(cfg);
   ts.start();
-  ASSERT_TRUE(ts.put(0, "k0", "seed"));
+  auto& fe = ts.frontend();
+  ASSERT_TRUE(test::put_one(fe, 0, "k0", "seed"));
   fault_servers(ts, net::conn_fault::pause);
-  run_admission_script(ts.frontend(),
-                       [&] { fault_servers(ts, net::conn_fault::none); });
+  run_admission_script(fe, [&] { fault_servers(ts, net::conn_fault::none); });
   ts.stop();
 }
 
@@ -199,10 +200,12 @@ TEST(StoreFrontend, TcpQueuedAdmissionsLeaveAsOneBatchFramePerServer) {
   copt.client_hub = true;
   tcp_store ts(cfg, net::node_options{}, copt);
   ts.start();
+  auto& fe = ts.frontend();
   for (int k = 0; k < 8; ++k) {
-    ASSERT_TRUE(ts.put(0, "k" + std::to_string(k), "seed"));
+    ASSERT_TRUE(test::put_one(fe, 0, "k" + std::to_string(k), "seed"));
   }
-  ASSERT_TRUE(ts.get(0, "k0").has_value());  // connects the reader
+  // Connects the reader to every server.
+  ASSERT_TRUE(test::get_one(fe, 0, "k0").has_value());
 
   net::node& hub = ts.cluster().hub();
   const std::size_t actor = ts.cluster().client_actor(reader_id(0));
@@ -210,7 +213,7 @@ TEST(StoreFrontend, TcpQueuedAdmissionsLeaveAsOneBatchFramePerServer) {
   std::promise<void> held;
   std::promise<void> release;
   std::thread holder([&] {
-    hub.run_on_reactor(actor, [&](automaton&) {
+    hub.run_on_reactor(actor, [&](automaton&, netout&) {
       held.set_value();
       release.get_future().wait();
     });
@@ -237,18 +240,21 @@ TEST(StoreFrontend, TcpQueuedAdmissionsLeaveAsOneBatchFramePerServer) {
 }
 
 TEST(StoreFrontend, TcpSessionOpWaitsForAbandonedKey) {
-  // A blocking get that times out against a paused fleet leaves its op
-  // pending on the client. A session get on the same key must queue
-  // behind it -- not abort on begin_get's precondition, not report
-  // key_busy -- and complete once the servers heal.
+  // A submit_and_drain get that times out against a paused fleet closes
+  // its session and leaves its op pending on the client. A later session
+  // get on the same key must queue behind it -- not abort on begin_get's
+  // precondition, not report key_busy -- and complete once the servers
+  // heal.
   const auto cfg = frontend_cfg(3, 1, 1);
   tcp_store ts(cfg);
   ts.start();
-  ASSERT_TRUE(ts.put(0, "k0", "seed"));
-  ASSERT_TRUE(ts.get(0, "k0").has_value());  // connects the reader
+  auto& fe = ts.frontend();
+  ASSERT_TRUE(test::put_one(fe, 0, "k0", "seed"));
+  // Connects the reader to every server.
+  ASSERT_TRUE(test::get_one(fe, 0, "k0").has_value());
 
   fault_servers(ts, net::conn_fault::pause);
-  EXPECT_FALSE(ts.get(0, "k0", 50ms).has_value());
+  EXPECT_FALSE(test::get_one(fe, 0, "k0", 50ms).has_value());
   auto se = ts.open_session(reader_id(0), /*depth=*/2);
   ASSERT_TRUE(se->get("k0"));
   EXPECT_FALSE(se->drain(100ms));
@@ -257,7 +263,7 @@ TEST(StoreFrontend, TcpSessionOpWaitsForAbandonedKey) {
   fault_servers(ts, net::conn_fault::none);
   ASSERT_TRUE(se->drain(10s));
   // Only the session's own op is reported; the abandoned one's late
-  // completion closes the timed-out call's log entry.
+  // completion closes the timed-out helper call's log entry.
   const auto results = se->take_results();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results.front().val, "seed");
@@ -272,8 +278,9 @@ TEST(StoreFrontend, TcpAdmissionFailsOnStoppedClientNode) {
   const auto cfg = frontend_cfg(3, 1, 1);
   tcp_store ts(cfg);
   ts.start();
-  ASSERT_TRUE(ts.put(0, "k0", "seed"));
-  ASSERT_TRUE(ts.get(0, "k0").has_value());
+  auto& fe = ts.frontend();
+  ASSERT_TRUE(test::put_one(fe, 0, "k0", "seed"));
+  ASSERT_TRUE(test::get_one(fe, 0, "k0").has_value());
 
   obs::interval_scrape scrape;
   auto se = ts.open_session(reader_id(0), /*depth=*/2);
@@ -301,12 +308,13 @@ TEST(StoreFrontend, TcpBackpressureAgainstPausedServers) {
   const auto cfg = frontend_cfg(3, 1, 1);
   tcp_store ts(cfg);
   ts.start();
+  auto& fe = ts.frontend();
   for (int k = 0; k < 3; ++k) {
-    ASSERT_TRUE(ts.put(0, "k" + std::to_string(k), "seed"));
+    ASSERT_TRUE(test::put_one(fe, 0, "k" + std::to_string(k), "seed"));
   }
   // Warm the reader's connections BEFORE the pause so the submits below
   // test backpressure, not connect-while-paused.
-  ASSERT_TRUE(ts.get(0, "k0").has_value());
+  ASSERT_TRUE(test::get_one(fe, 0, "k0").has_value());
 
   auto se = ts.open_session(reader_id(0), /*depth=*/2);
   fault_servers(ts, net::conn_fault::pause);
@@ -332,8 +340,9 @@ TEST(StoreFrontend, TcpConnectionChurnMidPipeline) {
   const auto cfg = frontend_cfg(5, 1, 1);
   tcp_store ts(cfg);
   ts.start();
+  auto& fe = ts.frontend();
   for (int k = 0; k < 4; ++k) {
-    ASSERT_TRUE(ts.put(0, script_key(k), "seed"));
+    ASSERT_TRUE(test::put_one(fe, 0, script_key(k), "seed"));
   }
 
   auto w = ts.open_session(writer_id(0), /*depth=*/4);
@@ -373,8 +382,9 @@ TEST(StoreFrontend, MultiReactorHubAndServersConcurrentSessions) {
   copt.hub_reactors = 2;
   tcp_store ts(cfg, net::node_options{}, copt);
   ts.start();
+  auto& fe = ts.frontend();
   for (int k = 0; k < 4; ++k) {
-    ASSERT_TRUE(ts.put(0, script_key(k), "seed"));
+    ASSERT_TRUE(test::put_one(fe, 0, script_key(k), "seed"));
   }
 
   std::thread writer([&] {
