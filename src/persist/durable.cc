@@ -58,6 +58,7 @@ server_durability::server_durability(options opt, std::uint32_t server_index)
   pm_.torn_tail_truncations =
       &reg.get_counter("fastreg_persist_torn_tail_truncations_total", lbl);
   pm_.replay_ns = &reg.get_histogram("fastreg_persist_replay_ns", lbl);
+  pm_.snapshot_ns = &reg.get_histogram("fastreg_persist_snapshot_ns", lbl);
   replay();
 }
 
@@ -118,10 +119,11 @@ void server_durability::discard_recovered() {
   std::filesystem::remove(snap_path_, ec);
 }
 
-void server_durability::append(const log_record& rec) {
+template <typename Append>
+void server_durability::counted(Append&& append) {
   const std::uint64_t bytes_before = log_.bytes_appended();
   const std::uint64_t fsyncs_before = log_.fsyncs_;
-  log_.append(rec);
+  append();
   pm_.log_bytes->inc(log_.bytes_appended() - bytes_before);
   pm_.log_records->inc();
   if (log_.fsyncs_ > fsyncs_before) {
@@ -132,22 +134,12 @@ void server_durability::append(const log_record& rec) {
 
 void server_durability::append_op(epoch_t epoch, object_id obj,
                                   const register_snapshot& s) {
-  log_record rec;
-  rec.k = log_record::kind::op;
-  rec.epoch = epoch;
-  rec.obj = obj;
-  rec.snap = s;
-  append(rec);
+  counted([&] { log_.append(log_record::kind::op, epoch, obj, s); });
 }
 
 void server_durability::append_seed(epoch_t epoch, object_id obj,
                                     const register_snapshot& s) {
-  log_record rec;
-  rec.k = log_record::kind::seed;
-  rec.epoch = epoch;
-  rec.obj = obj;
-  rec.snap = s;
-  append(rec);
+  counted([&] { log_.append(log_record::kind::seed, epoch, obj, s); });
 }
 
 void server_durability::append_epoch_mark(
@@ -156,31 +148,31 @@ void server_durability::append_epoch_mark(
   rec.k = log_record::kind::epoch_mark;
   rec.epoch = epoch;
   rec.fenced = fenced;
-  append(rec);
+  counted([&] { log_.append(rec); });
 }
 
 void server_durability::write_snapshot(
-    epoch_t epoch,
-    std::vector<std::pair<object_id, register_snapshot>> objects) {
-  snapshot_data snap;
-  snap.epoch = epoch;
-  snap.objects = std::move(objects);
+    epoch_t epoch, std::uint32_t count,
+    const std::function<void(snapshot_writer&)>& fill) {
+  const std::uint64_t t0 = steady_now_ns();
+  snapshot_writer w(snap_path_, opt_.fsync, epoch, count);
+  fill(w);
   std::string err;
-  if (!write_snapshot_file(snap_path_, snap, opt_.fsync, &err)) {
+  // A failed snapshot is retried only after another snapshot_every
+  // records accumulate, not on every subsequent append.
+  since_snapshot_ = 0;
+  if (!w.commit(&err)) {
     LOG_ERROR("persist: server %u snapshot failed: %s -- keeping the log "
               "(replay falls back to it)",
               index_, err.c_str());
-    // Retry only after another snapshot_every records accumulate, not on
-    // every subsequent append.
-    since_snapshot_ = 0;
     return;
   }
   pm_.snapshots->inc();
-  since_snapshot_ = 0;
-  // The snapshot covers everything the log held; a crash between the
-  // rename above and this truncate replays snapshot + full log, which is
-  // correct (later records win) -- just slower, and only until the next
-  // snapshot.
+  pm_.snapshot_ns->observe(steady_now_ns() - t0);
+  // The snapshot covers everything the log held, and commit() made its
+  // rename durable first (directory fsync). A crash between the rename
+  // and this truncate replays snapshot + full log, which is correct
+  // (later records win) -- just slower, and only until the next snapshot.
   log_.reset();
 }
 

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -55,9 +56,11 @@ class server_durability {
   [[nodiscard]] bool snapshot_due() const {
     return since_snapshot_ >= opt_.snapshot_every;
   }
-  void write_snapshot(
-      epoch_t epoch,
-      std::vector<std::pair<object_id, register_snapshot>> objects);
+  /// Streams a full-state snapshot of exactly `count` objects: `fill`
+  /// add()s each of them to the writer. A committed snapshot truncates
+  /// the log it supersedes; a failed one keeps the log.
+  void write_snapshot(epoch_t epoch, std::uint32_t count,
+                      const std::function<void(snapshot_writer&)>& fill);
 
   /// Forces the log to disk (tests and orderly shutdown).
   void sync() { log_.sync(); }
@@ -76,7 +79,9 @@ class server_durability {
                                                  std::uint32_t index);
 
  private:
-  void append(const log_record& rec);
+  /// Runs one log append and mirrors its bytes and fsyncs into pm_.
+  template <typename Append>
+  void counted(Append&& append);
   void replay();
 
   options opt_;
@@ -94,6 +99,7 @@ class server_durability {
     obs::counter* replayed_records{nullptr};
     obs::counter* torn_tail_truncations{nullptr};
     obs::histogram* replay_ns{nullptr};
+    obs::histogram* snapshot_ns{nullptr};
   };
   persist_metrics pm_;
 };

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 
 #include "common/check.h"
 #include "common/log.h"
@@ -21,8 +22,47 @@ namespace {
 
 constexpr std::uint32_t k_snap_magic = 0x4e535246;  // "FRSN" little-endian
 constexpr std::uint32_t k_snap_version = 1;
+/// Snapshot header: magic, version, payload length, payload CRC.
+constexpr std::size_t k_snap_header = 16;
+/// Offset of the snapshot header's payload length (the CRC follows it).
+constexpr off_t k_snap_len_offset = 8;
 /// Frame header: payload length + payload CRC.
 constexpr std::size_t k_frame_header = 8;
+
+using crc_tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slicing-by-8 tables for the IEEE 802.3 reflected polynomial: t[0] is
+/// the bytewise table, and t[k][i] is t[0][i] advanced through k more
+/// zero bytes, so eight lookups advance the CRC by eight bytes at once.
+constexpr crc_tables make_crc_tables() {
+  crc_tables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+  }
+  return t;
+}
+
+constexpr crc_tables k_crc_tables = make_crc_tables();
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+void store_le32(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
 
 std::uint64_t steady_now_ns() {
   return static_cast<std::uint64_t>(
@@ -46,27 +86,67 @@ bool full_write(int fd, const std::uint8_t* data, std::size_t len) {
   return true;
 }
 
-/// Reads the whole file into a byte vector; nullopt when it cannot be
-/// opened (missing file included -- callers distinguish via errno).
+/// full_write at a file offset (the file position is left alone).
+bool full_pwrite(int fd, const std::uint8_t* data, std::size_t len,
+                 off_t offset) {
+  while (len > 0) {
+    const ssize_t n = ::pwrite(fd, data, len, offset);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    data += n;
+    len -= static_cast<std::size_t>(n);
+    offset += n;
+  }
+  return true;
+}
+
+/// fsyncs the directory holding `path`, making a rename into it durable.
+/// On failure errno is the failed call's.
+bool fsync_parent_dir(const std::string& path) {
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  int fd;
+  do {
+    fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  } while (fd < 0 && errno == EINTR);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  const int fsync_errno = errno;
+  ::close(fd);
+  errno = fsync_errno;
+  return ok;
+}
+
+/// Reads the whole file into a byte vector sized once from fstat; nullopt
+/// when it cannot be opened (missing file included -- callers distinguish
+/// via errno).
 std::optional<std::vector<std::uint8_t>> read_file(const std::string& path) {
   int fd;
   do {
     fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   } while (fd < 0 && errno == EINTR);
   if (fd < 0) return std::nullopt;
-  std::vector<std::uint8_t> out;
-  std::uint8_t buf[64 * 1024];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return std::nullopt;
+  }
+  std::vector<std::uint8_t> out(static_cast<std::size_t>(st.st_size));
+  std::size_t got = 0;
+  while (got < out.size()) {
+    const ssize_t n = ::read(fd, out.data() + got, out.size() - got);
     if (n < 0) {
       if (errno == EINTR) continue;
       ::close(fd);
       return std::nullopt;
     }
-    if (n == 0) break;
-    out.insert(out.end(), buf, buf + n);
+    if (n == 0) break;  // shrank since the fstat
+    got += static_cast<std::size_t>(n);
   }
   ::close(fd);
+  out.resize(got);
   return out;
 }
 
@@ -96,19 +176,6 @@ bool decode_snapshot_fields(byte_reader& r, object_id& obj,
   s.prev = std::move(*prev);
   s.sig = std::move(*sig);
   return true;
-}
-
-std::vector<std::uint8_t> encode_record(const log_record& rec) {
-  byte_writer w;
-  w.put_u8(static_cast<std::uint8_t>(rec.k));
-  w.put_u64(rec.epoch);
-  if (rec.k == log_record::kind::epoch_mark) {
-    w.put_u32(static_cast<std::uint32_t>(rec.fenced.size()));
-    for (const auto obj : rec.fenced) w.put_u64(obj);
-  } else {
-    encode_snapshot_fields(w, rec.obj, rec.snap);
-  }
-  return w.take();
 }
 
 std::optional<log_record> decode_record(std::span<const std::uint8_t> payload) {
@@ -147,23 +214,19 @@ std::optional<log_record> decode_record(std::span<const std::uint8_t> payload) {
 
 // ------------------------------------------------------------------ crc32 --
 
-std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  // IEEE 802.3 reflected polynomial, table built on first use.
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t c = 0xffffffffu;
-  for (const auto b : data) {
-    c = table[(c ^ b) & 0xffu] ^ (c >> 8);
+std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t prev) {
+  const auto& t = k_crc_tables;
+  std::uint32_t c = prev ^ 0xffffffffu;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+        t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+        t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   return c ^ 0xffffffffu;
 }
 
@@ -224,14 +287,38 @@ wal::~wal() {
 }
 
 void wal::append(const log_record& rec) {
+  if (rec.k != log_record::kind::epoch_mark) {
+    append(rec.k, rec.epoch, rec.obj, rec.snap);
+    return;
+  }
   if (fd_ < 0) return;
-  const auto payload = encode_record(rec);
-  byte_writer frame;
-  frame.put_u32(static_cast<std::uint32_t>(payload.size()));
-  frame.put_u32(crc32(payload));
-  std::vector<std::uint8_t> bytes = frame.take();
-  bytes.insert(bytes.end(), payload.begin(), payload.end());
-  if (!full_write(fd_, bytes.data(), bytes.size())) {
+  frame_.assign(k_frame_header, 0);
+  byte_writer w(frame_);
+  w.put_u8(static_cast<std::uint8_t>(rec.k));
+  w.put_u64(rec.epoch);
+  w.put_u32(static_cast<std::uint32_t>(rec.fenced.size()));
+  for (const auto obj : rec.fenced) w.put_u64(obj);
+  write_frame();
+}
+
+void wal::append(log_record::kind k, epoch_t epoch, object_id obj,
+                 const register_snapshot& s) {
+  FASTREG_EXPECTS(k != log_record::kind::epoch_mark);
+  if (fd_ < 0) return;
+  frame_.assign(k_frame_header, 0);
+  byte_writer w(frame_);
+  w.put_u8(static_cast<std::uint8_t>(k));
+  w.put_u64(epoch);
+  encode_snapshot_fields(w, obj, s);
+  write_frame();
+}
+
+void wal::write_frame() {
+  const auto payload =
+      std::span<const std::uint8_t>(frame_).subspan(k_frame_header);
+  store_le32(frame_.data(), static_cast<std::uint32_t>(payload.size()));
+  store_le32(frame_.data() + 4, crc32(payload));
+  if (!full_write(fd_, frame_.data(), frame_.size())) {
     LOG_ERROR("persist: append to %s failed: %s -- closing the log "
               "(server keeps serving without durability)",
               path_.c_str(), std::strerror(errno));
@@ -240,8 +327,8 @@ void wal::append(const log_record& rec) {
     return;
   }
   ++appended_;
-  bytes_ += bytes.size();
-  dirty_bytes_ += bytes.size();
+  bytes_ += frame_.size();
+  dirty_bytes_ += frame_.size();
   maybe_sync();
 }
 
@@ -336,49 +423,104 @@ wal_load_result wal::load(const std::string& path, bool repair) {
 
 // -------------------------------------------------------------- snapshots --
 
-bool write_snapshot_file(const std::string& path, const snapshot_data& snap,
-                         fsync_policy policy, std::string* err) {
-  byte_writer body;
-  body.put_u64(snap.epoch);
-  body.put_u32(static_cast<std::uint32_t>(snap.objects.size()));
-  for (const auto& [obj, s] : snap.objects) {
-    encode_snapshot_fields(body, obj, s);
-  }
-  const auto payload = body.take();
-  byte_writer file;
-  file.put_u32(k_snap_magic);
-  file.put_u32(k_snap_version);
-  file.put_u32(static_cast<std::uint32_t>(payload.size()));
-  file.put_u32(crc32(payload));
-  std::vector<std::uint8_t> bytes = file.take();
-  bytes.insert(bytes.end(), payload.begin(), payload.end());
-
-  const std::string tmp = path + ".tmp";
-  int fd;
+snapshot_writer::snapshot_writer(std::string path, fsync_policy policy,
+                                 epoch_t epoch, std::uint32_t count)
+    : path_(std::move(path)),
+      tmp_(path_ + ".tmp"),
+      policy_(policy),
+      count_(count) {
   do {
-    fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC | O_CLOEXEC, 0644);
-  } while (fd < 0 && errno == EINTR);
-  if (fd < 0) {
-    if (err) *err = "open " + tmp + ": " + std::strerror(errno);
-    return false;
+    fd_ = ::open(tmp_.c_str(), O_CREAT | O_WRONLY | O_TRUNC | O_CLOEXEC,
+                 0644);
+  } while (fd_ < 0 && errno == EINTR);
+  if (fd_ < 0) {
+    fail("open", tmp_);
+    return;
   }
-  if (!full_write(fd, bytes.data(), bytes.size())) {
-    if (err) *err = "write " + tmp + ": " + std::strerror(errno);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return false;
+  buf_.reserve(k_buffer_bytes);
+  byte_writer w(buf_);
+  w.put_u32(k_snap_magic);
+  w.put_u32(k_snap_version);
+  w.put_u32(0);  // payload_len, patched by commit()
+  w.put_u32(0);  // crc, likewise
+  w.put_u64(epoch);
+  w.put_u32(count);
+}
+
+snapshot_writer::~snapshot_writer() {
+  if (fd_ >= 0) ::close(fd_);
+  if (!renamed_) ::unlink(tmp_.c_str());
+}
+
+void snapshot_writer::fail(const char* what, const std::string& file) {
+  if (error_.empty()) {
+    error_ = std::string(what) + " " + file + ": " + std::strerror(errno);
+  }
+}
+
+void snapshot_writer::add(object_id obj, const register_snapshot& s) {
+  ++added_;
+  if (!error_.empty()) return;
+  byte_writer w(buf_);
+  encode_snapshot_fields(w, obj, s);
+  if (buf_.size() >= k_buffer_bytes) flush();
+}
+
+void snapshot_writer::flush() {
+  if (!error_.empty()) return;
+  // The header is not part of the CRC'd payload.
+  const std::size_t skip = written_ == 0 ? k_snap_header : 0;
+  crc_ = crc32(std::span<const std::uint8_t>(buf_).subspan(skip), crc_);
+  if (!full_write(fd_, buf_.data(), buf_.size())) {
+    fail("write", tmp_);
+    return;
+  }
+  written_ += buf_.size();
+  buf_.clear();
+}
+
+bool snapshot_writer::commit(std::string* err) {
+  FASTREG_EXPECTS(added_ == count_);
+  const bool durable = policy_ != fsync_policy::never;
+  flush();
+  if (error_.empty()) {
+    std::uint8_t len_crc[8];
+    store_le32(len_crc, static_cast<std::uint32_t>(written_ - k_snap_header));
+    store_le32(len_crc + 4, crc_);
+    if (!full_pwrite(fd_, len_crc, sizeof len_crc, k_snap_len_offset)) {
+      fail("write", tmp_);
+    }
   }
   // The rename is only atomic-durable if the tmp's bytes are on disk
   // first; under fsync never the page cache is the declared contract.
-  if (policy != fsync_policy::never) ::fsync(fd);
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    if (err) *err = "rename " + tmp + " -> " + path + ": " +
-                    std::strerror(errno);
-    ::unlink(tmp.c_str());
-    return false;
+  if (error_.empty() && durable && ::fsync(fd_) != 0) fail("fsync", tmp_);
+  if (error_.empty()) {
+    const int rc = ::close(fd_);
+    fd_ = -1;
+    if (rc != 0) fail("close", tmp_);
   }
-  return true;
+  if (error_.empty()) {
+    if (::rename(tmp_.c_str(), path_.c_str()) != 0) {
+      fail("rename", tmp_ + " -> " + path_);
+    } else {
+      renamed_ = true;
+      // Otherwise power loss could keep the log truncation the caller
+      // does next while losing the rename.
+      if (durable && !fsync_parent_dir(path_)) {
+        fail("fsync the directory of", path_);
+      }
+    }
+  }
+  if (!error_.empty() && err != nullptr) *err = error_;
+  return error_.empty();
+}
+
+bool write_snapshot_file(const std::string& path, const snapshot_data& snap,
+                         fsync_policy policy, std::string* err) {
+  snapshot_writer w(path, policy, snap.epoch,
+                    static_cast<std::uint32_t>(snap.objects.size()));
+  for (const auto& [obj, s] : snap.objects) w.add(obj, s);
+  return w.commit(err);
 }
 
 std::optional<snapshot_data> load_snapshot_file(const std::string& path,

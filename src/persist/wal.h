@@ -18,11 +18,27 @@
 // or fails its CRC, reports why, and (repair mode) truncates the file to
 // the last valid frame so the next append continues a clean log.
 //
+// Each append encodes the frame (an 8-byte header placeholder, then the
+// payload) into one buffer the wal reuses, patches length and CRC into the
+// header, and issues one write.
+//
 // Snapshot format (separate file, rewritten atomically via tmp+rename):
 //
 //   u32 magic "FRSN" | u32 version | u32 payload_len | u32 crc32(payload)
 //   | payload = u64 epoch | u32 count | count x (u64 object | i64 ts |
 //                i32 wid | string val | string prev | bytes sig)
+//
+// snapshot_writer streams a snapshot in bounded memory; the bytes are the
+// same as encoding the whole file at once. It writes the header with
+// placeholder payload_len/crc to `<path>.tmp`, then encodes each object
+// into a fixed-size buffer, extending a running CRC and writing the buffer
+// out whenever it fills. The caller declares `count` up front because it
+// sits inside the CRC'd payload. commit() then, in order: writes the last
+// buffer, patches payload_len and crc into the header, fsyncs the tmp,
+// closes it, renames it over `path`, and fsyncs the directory so the
+// rename itself is durable. The fsyncs are skipped under fsync=never.
+// Any failure leaves `path` as it was and removes the tmp; only a
+// successful commit lets the caller truncate the log the snapshot covers.
 //
 // A snapshot that fails validation is REJECTED with a diagnostic (the
 // server starts from the log alone, or empty); it is never partially
@@ -41,8 +57,10 @@
 
 namespace fastreg::persist {
 
-/// CRC-32 (IEEE 802.3, reflected), the frame checksum.
-[[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data);
+/// CRC-32 (IEEE 802.3, reflected), the frame checksum. `prev` chains:
+/// crc32(b, crc32(a)) == crc32(a followed by b).
+[[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data,
+                                  std::uint32_t prev = 0);
 
 struct log_record {
   enum class kind : std::uint8_t { op = 1, seed = 2, epoch_mark = 3 };
@@ -82,6 +100,9 @@ class wal {
   wal& operator=(const wal&) = delete;
 
   void append(const log_record& rec);
+  /// An op or seed record, encoded straight from `s` (no log_record copy).
+  void append(log_record::kind k, epoch_t epoch, object_id obj,
+              const register_snapshot& s);
   /// Forces an fsync now (policy-independent; used by tests).
   void sync();
   /// Empties the log (the snapshot that was just written supersedes it).
@@ -98,6 +119,8 @@ class wal {
                                             bool repair);
 
  private:
+  /// Patches frame_'s header, writes the frame, counts it, maybe syncs.
+  void write_frame();
   void maybe_sync();
 
   std::string path_;
@@ -111,6 +134,8 @@ class wal {
   std::uint64_t last_sync_ns_{0};
   /// Un-synced bytes since the last fsync (skip no-op fsyncs).
   std::uint64_t dirty_bytes_{0};
+  /// The frame being appended, reused across appends.
+  std::vector<std::uint8_t> frame_;
 
   friend class server_durability;
 };
@@ -120,9 +145,49 @@ struct snapshot_data {
   std::vector<std::pair<object_id, register_snapshot>> objects{};
 };
 
-/// Atomically replaces `path` with the encoded snapshot (tmp + rename;
-/// fsync'd before the rename unless `policy` is never). Returns false and
-/// fills `err` on I/O failure.
+/// Streams one snapshot of exactly `count` objects to `path` (see the
+/// file comment for the commit order). Write errors are sticky: later
+/// add()s are ignored and commit() reports the first one.
+class snapshot_writer {
+ public:
+  /// Bytes buffered before they are written out (an object larger than
+  /// this still goes out whole).
+  static constexpr std::size_t k_buffer_bytes = 256 * 1024;
+
+  snapshot_writer(std::string path, fsync_policy policy, epoch_t epoch,
+                  std::uint32_t count);
+  /// Removes the tmp file unless commit() renamed it.
+  ~snapshot_writer();
+  snapshot_writer(const snapshot_writer&) = delete;
+  snapshot_writer& operator=(const snapshot_writer&) = delete;
+
+  void add(object_id obj, const register_snapshot& s);
+  /// Replaces `path` with the snapshot. Returns false and fills `err`
+  /// when any step failed; `path` is then untouched unless only the
+  /// final directory fsync failed.
+  bool commit(std::string* err);
+
+ private:
+  void flush();
+  void fail(const char* what, const std::string& file);
+
+  std::string path_;
+  std::string tmp_;
+  fsync_policy policy_;
+  std::uint32_t count_;
+  std::uint32_t added_{0};
+  int fd_{-1};
+  bool renamed_{false};
+  std::string error_{};
+  std::vector<std::uint8_t> buf_;
+  /// Bytes written to the tmp so far, header included.
+  std::uint64_t written_{0};
+  /// Running CRC of the payload written so far.
+  std::uint32_t crc_{0};
+};
+
+/// Atomically replaces `path` with the encoded snapshot, through
+/// snapshot_writer. Returns false and fills `err` on I/O failure.
 bool write_snapshot_file(const std::string& path, const snapshot_data& snap,
                          fsync_policy policy, std::string* err);
 

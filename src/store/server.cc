@@ -76,14 +76,19 @@ void server::maybe_persist(object_id obj) {
 
 void server::maybe_snapshot() {
   if (!durable_ || !durable_->snapshot_due()) return;
-  std::vector<std::pair<object_id, register_snapshot>> objs;
-  objs.reserve(objects_.size());
+  // The count sits inside the snapshot's CRC'd payload, ahead of the
+  // objects, so it is taken in a pass of its own; both passes walk
+  // objects_ unmodified, hence in the same order.
+  std::uint32_t count = 0;
   for (const auto& [obj, a] : objects_) {
-    if (auto* s = as_seedable(a.get())) {
-      objs.emplace_back(obj, s->peek_state());
-    }
+    if (as_seedable(a.get()) != nullptr) ++count;
   }
-  durable_->write_snapshot(map_->epoch(), std::move(objs));
+  durable_->write_snapshot(
+      map_->epoch(), count, [this](persist::snapshot_writer& w) {
+        for (const auto& [obj, a] : objects_) {
+          if (auto* s = as_seedable(a.get())) w.add(obj, s->peek_state());
+        }
+      });
 }
 
 void server::bind_metrics() {

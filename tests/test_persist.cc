@@ -1,10 +1,13 @@
 // Durability and crash-recovery suite (src/persist + the store's rejoin
-// path): WAL framing round-trips, torn-tail truncation at the last valid
-// CRC frame, corrupt-record and corrupt-snapshot rejection with useful
-// diagnostics, the fsync-policy matrix, epoch fencing of stale recovered
-// state, and the end-to-end acceptance schedule -- a server killed in the
-// middle of a Zipf-keyed load restarts, replays snapshot + log tail,
-// rejoins, and every per-key history still verifies, on both transports.
+// path): the CRC, WAL framing round-trips, golden bytes for the frozen
+// log and snapshot formats, streamed snapshots larger than the writer's
+// buffer, a failed snapshot keeping the log, torn-tail truncation at the
+// last valid CRC frame, corrupt-record and corrupt-snapshot rejection
+// with useful diagnostics, the fsync-policy matrix, epoch fencing of
+// stale recovered state, and the end-to-end acceptance schedule -- a
+// server killed in the middle of a Zipf-keyed load restarts, replays
+// snapshot + log tail, rejoins, and every per-key history still
+// verifies, on both transports.
 //
 // "Crash" here is in-process (world::crash / node::stop), so the log
 // bytes survive in the page cache regardless of fsync policy -- which is
@@ -17,7 +20,9 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "benchutil/stress.h"
@@ -89,6 +94,75 @@ void corrupt_byte(const std::string& path, std::uint64_t offset) {
   c = static_cast<char>(c ^ 0x5a);
   f.seekp(static_cast<std::streamoff>(offset));
   f.write(&c, 1);
+}
+
+/// The whole file as lowercase hex.
+std::string file_hex(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::string out;
+  char c = 0;
+  while (in.get(c)) {
+    static constexpr char k_digits[] = "0123456789abcdef";
+    const auto b = static_cast<unsigned char>(c);
+    out += k_digits[b >> 4];
+    out += k_digits[b & 0xf];
+  }
+  return out;
+}
+
+using object_list = std::vector<std::pair<object_id, register_snapshot>>;
+
+/// Streams `objs` through server_durability's snapshot entry point, the
+/// way store::server does.
+void write_snap(server_durability& d, epoch_t epoch, const object_list& objs) {
+  d.write_snapshot(epoch, static_cast<std::uint32_t>(objs.size()),
+                   [&](snapshot_writer& w) {
+                     for (const auto& [obj, s] : objs) w.add(obj, s);
+                   });
+}
+
+/// The textbook bit-at-a-time CRC-32, the reference crc32 must match.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
+  std::uint32_t c = 0xffffffffu;
+  for (const auto b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? (c >> 1) ^ 0xedb88320u : c >> 1;
+    }
+  }
+  return ~c;
+}
+
+std::span<const std::uint8_t> as_bytes(const std::string& s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+// ------------------------------------------------------------------ CRC --
+
+TEST(Crc32, MatchesTheIeeeCheckValueAndChains) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(as_bytes(check)), 0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
+  const std::string text = "slicing-by-8 must chain across any split point";
+  const auto all = as_bytes(text);
+  for (std::size_t cut = 0; cut <= all.size(); ++cut) {
+    EXPECT_EQ(crc32(all.subspan(cut), crc32(all.first(cut))), crc32(all))
+        << "split at " << cut;
+  }
+}
+
+TEST(Crc32, MatchesTheBitwiseReferenceOnRandomBuffers) {
+  rng r(2026);
+  std::vector<std::uint8_t> pool(8 * 1024);
+  for (auto& b : pool) b = static_cast<std::uint8_t>(r.next());
+  const std::span<const std::uint8_t> all(pool);
+  for (int i = 0; i < 10'000; ++i) {
+    const auto off = r.below(4096);
+    const auto len = r.below(4097);
+    const auto buf = all.subspan(off, len);
+    ASSERT_EQ(crc32(buf), crc32_bitwise(buf))
+        << "offset " << off << " length " << len;
+  }
 }
 
 // ------------------------------------------------------------- WAL unit --
@@ -208,6 +282,79 @@ TEST(Wal, SnapshotRoundTripsAndCorruptionIsRejectedWholesale) {
   EXPECT_TRUE(err.empty());
 }
 
+// The on-disk format is frozen: these bytes were produced by the
+// whole-buffer encoder that preceded the streaming one, and files from
+// either must load in the other.
+register_snapshot golden_a() { return snap(9, 1, "x"); }
+register_snapshot golden_b() {
+  auto s = snap(4, 0, "yz");
+  s.prev = "p";
+  s.sig = {0xde, 0xad};
+  return s;
+}
+
+TEST(Wal, SnapshotBytesMatchTheGoldenEncoding) {
+  temp_dir td("golden_snap");
+  options o;
+  o.dir = td.path();
+  o.fsync = fsync_policy::never;
+  server_durability d(o, 0);
+  write_snap(d, 3, {{7, golden_a()}, {0x0102030405060708ull, golden_b()}});
+  EXPECT_EQ(file_hex(d.snap_path()),
+            "4652534e0100000052000000350eb87f03000000000000000200000007000000"
+            "0000000009000000000000000100000001000000780000000000000000080706"
+            "050403020104000000000000000000000002000000797a010000007002000000"
+            "dead");
+}
+
+TEST(Wal, LogRecordBytesMatchTheGoldenEncoding) {
+  temp_dir td("golden_log");
+  options o;
+  o.dir = td.path();
+  o.fsync = fsync_policy::never;
+  server_durability d(o, 0);
+  d.append_op(2, 11, golden_a());
+  d.append_seed(2, 12, golden_b());
+  d.append_epoch_mark(3, {11, 99});
+  EXPECT_EQ(file_hex(d.log_path()),
+            "2a00000068cb31e10102000000000000000b0000000000000009000000000000"
+            "0001000000010000007800000000000000002e0000001ee6f875020200000000"
+            "0000000c0000000000000004000000000000000000000002000000797a010000"
+            "007002000000dead1d0000000453f362030300000000000000020000000b0000"
+            "00000000006300000000000000");
+}
+
+TEST(Wal, SnapshotLargerThanTheWriterBufferStreamsTheSameBytes) {
+  temp_dir td("snap_big");
+  snapshot_data want;
+  want.epoch = 5;
+  for (object_id obj = 0; obj < 900; ++obj) {
+    want.objects.emplace_back(
+        obj, snap(static_cast<ts_t>(obj + 1), static_cast<std::int32_t>(obj % 3),
+                  std::string(1000, static_cast<char>('a' + obj % 26))));
+  }
+  // One object larger than the whole buffer on its own.
+  want.objects.emplace_back(
+      1000, snap(1, 0, std::string(snapshot_writer::k_buffer_bytes + 17, 'z')));
+  const std::string file = td.path() + "/whole.snap";
+  std::string err;
+  ASSERT_TRUE(write_snapshot_file(file, want, fsync_policy::never, &err))
+      << err;
+  EXPECT_GT(file_size(file), 3 * snapshot_writer::k_buffer_bytes);
+
+  options o;
+  o.dir = td.path();
+  o.fsync = fsync_policy::never;
+  server_durability d(o, 0);
+  write_snap(d, want.epoch, want.objects);
+  EXPECT_EQ(file_hex(d.snap_path()), file_hex(file));
+
+  const auto got = load_snapshot_file(d.snap_path(), &err);
+  ASSERT_TRUE(got.has_value()) << err;
+  EXPECT_EQ(got->epoch, want.epoch);
+  EXPECT_EQ(got->objects, want.objects);
+}
+
 // -------------------------------------------------- durability replay --
 
 TEST(Durability, ReplaysSnapshotThenLogTailKeepingLatestPerObject) {
@@ -222,7 +369,7 @@ TEST(Durability, ReplaysSnapshotThenLogTailKeepingLatestPerObject) {
     d.append_seed(0, 1, snap(1, 0, "seeded"));
     d.append_op(0, 1, snap(2, 0, "old"));
     d.append_op(0, 2, snap(5, 1, "keep"));
-    d.write_snapshot(0, {{1, snap(2, 0, "old")}, {2, snap(5, 1, "keep")}});
+    write_snap(d, 0, {{1, snap(2, 0, "old")}, {2, snap(5, 1, "keep")}});
     d.append_op(0, 1, snap(3, 0, "tail-wins"));
   }
   server_durability d2(o, 0);
@@ -252,6 +399,50 @@ TEST(Durability, TornLogTailRepairedOnConstruction) {
   EXPECT_EQ(d2.recovered().objects.size(), 2u);
   EXPECT_EQ(file_size(log), clean)
       << "replay should repair-truncate the torn tail on disk";
+}
+
+TEST(Durability, FailedSnapshotKeepsTheLogAndRecoversEveryRecord) {
+  temp_dir td("snap_fail");
+  options o;
+  o.dir = td.path();
+  o.fsync = fsync_policy::every_op;
+  o.snapshot_every = 4;
+  const std::string log = server_durability::log_path_for(td.path(), 0);
+  const std::string snap_path =
+      server_durability::snap_path_for(td.path(), 0);
+  // A directory where the tmp file goes: opening it for writing fails
+  // even as root.
+  std::filesystem::create_directories(snap_path + ".tmp");
+  object_list state;
+  {
+    server_durability d(o, 0);
+    for (object_id obj = 1; obj <= 10; ++obj) {
+      state.emplace_back(obj, snap(static_cast<ts_t>(obj), 0,
+                                   "v" + std::to_string(obj)));
+      d.append_op(0, obj, state.back().second);
+      if (d.snapshot_due()) write_snap(d, 0, state);
+    }
+  }
+  EXPECT_EQ(wal::load(log, /*repair=*/false).records.size(), state.size())
+      << "a failed snapshot must not truncate the log";
+  EXPECT_FALSE(std::filesystem::exists(snap_path));
+  {
+    server_durability d(o, 0);
+    ASSERT_TRUE(d.recovered().found);
+    ASSERT_EQ(d.recovered().objects.size(), state.size());
+    for (const auto& [obj, s] : state) {
+      EXPECT_EQ(d.recovered().objects.at(obj), s) << "object " << obj;
+    }
+    // Once the obstruction is gone the next due snapshot commits and
+    // supersedes the log.
+    std::filesystem::remove(snap_path + ".tmp");
+    for (int i = 0; i < 4; ++i) d.append_op(0, 1, state.front().second);
+    ASSERT_TRUE(d.snapshot_due());
+    write_snap(d, 0, state);
+    EXPECT_EQ(file_size(log), 0u);
+    EXPECT_TRUE(std::filesystem::exists(snap_path));
+    EXPECT_FALSE(std::filesystem::exists(snap_path + ".tmp"));
+  }
 }
 
 TEST(Durability, EpochMarkDropsFencedObjectsAndAdvancesEpoch) {
@@ -309,7 +500,7 @@ TEST(Recovery, EpochFenceDiscardsStaleStateAndItsDiskBacking) {
   {
     server_durability d(cfg.persist, 0);
     d.append_op(0, 42, snap(5, 0, "stale"));
-    d.write_snapshot(0, {{42, snap(5, 0, "stale")}});
+    write_snap(d, 0, {{42, snap(5, 0, "stale")}});
   }
   // The fleet reconfigured to epoch 1 while this server was down: its
   // epoch-0 idea of the world is void. It must come up EMPTY (the
