@@ -60,6 +60,11 @@ void recovery_row(table& t, persist::fsync_policy policy) {
   const auto key = [&] { return "k" + std::to_string(zipf.sample(r)); };
 
   const std::uint32_t crash_index = cfg.base.S() - 1;
+  auto& reg = obs::registry::instance();
+  const auto& crash_records = reg.get_counter(
+      "fastreg_persist_log_records_total",
+      "node=\"" + to_string(server_id(crash_index)) + "\"");
+  const std::uint64_t records_before = crash_records.value();
   std::uint32_t puts_left = 1000;
   std::vector<std::uint32_t> gets_left(cfg.base.R(), 500);
   std::uint64_t put_seq = 0, guard = 0;
@@ -96,9 +101,7 @@ void recovery_row(table& t, persist::fsync_policy policy) {
       persist::server_durability::snap_path_for(dir.string(), crash_index);
   const std::uint64_t log_b = file_bytes(log_path);
   const std::uint64_t snap_b = file_bytes(snap_path);
-  const std::uint64_t records =
-      s.server_at(crash_index).durable()->records_appended();
-  auto& reg = obs::registry::instance();
+  const std::uint64_t records = crash_records.value() - records_before;
   const auto snap_ns = [&](std::uint32_t i) -> const obs::histogram& {
     return reg.get_histogram("fastreg_persist_snapshot_ns",
                              "node=\"" + to_string(server_id(i)) + "\"");

@@ -134,7 +134,6 @@ frame_buffer::parse_result frame_buffer::parse_one(const std::uint8_t* data,
     // Hopeless: with the length prefix untrustworthy there is no reliable
     // frame boundary left on this stream. Latch corrupt(); the owner
     // resets the connection (see the class comment).
-    ++malformed_;
     malformed_frames_counter().inc();
     corrupt_ = true;
     corrupt_streams_counter().inc();
@@ -150,7 +149,6 @@ frame_buffer::parse_result frame_buffer::parse_one(const std::uint8_t* data,
   byte_reader r(std::span<const std::uint8_t>(body + 1, len - 1));
   const auto from = decode_process_id(r);
   if (!from) {
-    ++malformed_;
     malformed_frames_counter().inc();
     return parse_result::skip;
   }
@@ -163,7 +161,6 @@ frame_buffer::parse_result frame_buffer::parse_one(const std::uint8_t* data,
     out.kind = frame_kind::msg;
     auto m = decode_message(r);
     if (!m) {
-      ++malformed_;
       malformed_frames_counter().inc();
       return parse_result::skip;
     }
@@ -178,7 +175,6 @@ frame_buffer::parse_result frame_buffer::parse_one(const std::uint8_t* data,
     // must hold BEFORE any allocation sized by count, or a crafted count
     // forces a multi-GB reserve and bad_alloc kills the process.
     if (!count || *count == 0 || *count > r.remaining() / 40) {
-      ++malformed_;
       malformed_frames_counter().inc();
       return parse_result::skip;
     }
@@ -186,7 +182,6 @@ frame_buffer::parse_result frame_buffer::parse_one(const std::uint8_t* data,
     for (std::uint32_t i = 0; i < *count; ++i) {
       auto m = decode_message(r);
       if (!m) {
-        ++malformed_;
         malformed_frames_counter().inc();
         out.batch.clear();
         return parse_result::skip;
@@ -195,7 +190,6 @@ frame_buffer::parse_result frame_buffer::parse_one(const std::uint8_t* data,
     }
     return parse_result::ok;
   }
-  ++malformed_;
   malformed_frames_counter().inc();
   return parse_result::skip;
 }

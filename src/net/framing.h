@@ -69,7 +69,7 @@ std::size_t append_batch_frame(std::vector<std::uint8_t>& out,
 /// Two failure severities:
 ///  * A frame with a PLAUSIBLE length prefix but an undecodable payload
 ///    is skipped by exactly its declared extent; later frames on the
-///    stream still parse (malformed_count grows).
+///    stream still parse (fastreg_net_malformed_frames_total grows).
 ///  * An IMPLAUSIBLE length prefix (zero, or beyond max_frame_bytes)
 ///    means framing itself is lost: every byte after it is unattributable
 ///    garbage, and scanning for the "next" frame could resynchronize on
@@ -116,7 +116,6 @@ class frame_buffer {
     if (pos < n) buf_.insert(buf_.end(), data + pos, data + n);
   }
 
-  [[nodiscard]] std::uint64_t malformed_count() const { return malformed_; }
   /// Framing lost (hopeless length prefix): reset the connection.
   [[nodiscard]] bool corrupt() const { return corrupt_; }
 
@@ -135,7 +134,6 @@ class frame_buffer {
 
   std::vector<std::uint8_t> buf_;
   std::size_t consumed_{0};
-  std::uint64_t malformed_{0};
   bool corrupt_{false};
 };
 

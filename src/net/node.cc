@@ -158,7 +158,6 @@ void node::bind_node_metrics() {
   wm_.window_widen =
       &reg.get_counter("fastreg_net_window_widen_total", lbl);
   wm_.conn_resets = &reg.get_counter("fastreg_net_conn_resets_total", lbl);
-  wm_.connections = &reg.get_gauge("fastreg_net_connections", lbl);
   wm_.backlog_bytes = &reg.get_gauge("fastreg_net_backlog_bytes", lbl);
   wm_.flush_ns = &reg.get_histogram("fastreg_net_flush_ns", lbl);
   wm_.window_wait_ns = &reg.get_histogram("fastreg_net_window_wait_ns", lbl);
@@ -570,7 +569,6 @@ void node::adopt_inbound(reactor& r, unique_fd fd) {
   ev.events = c.epoll_mask;
   ev.data.fd = cfd;
   r.conns.emplace(cfd, std::move(c));
-  wm_.connections->add(1);
   rm_[r.index].connections->add(1);
   ::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_ADD, cfd, &ev);
 }
@@ -780,7 +778,6 @@ void node::close_conn(reactor& r, int fd) {
   std::erase(r.dirty_fds, fd);
   ::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_DEL, fd, nullptr);
   wm_.backlog_bytes->add(-static_cast<std::int64_t>(it->second.out.bytes()));
-  wm_.connections->add(-1);
   rm_[r.index].connections->add(-1);
   r.conns.erase(it);  // unique_fd closes
 }
@@ -1207,7 +1204,6 @@ node::conn_ref node::open_to_server(reactor& r, actor_state& a,
   ev.events = c.epoll_mask;
   ev.data.fd = raw;
   r.conns.emplace(raw, std::move(c));
-  wm_.connections->add(1);
   rm_[r.index].connections->add(1);
   ::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_ADD, raw, &ev);
   // Introduce the ACTOR (not the node: a hub hosts many) so the server

@@ -404,7 +404,6 @@ class node final {
     obs::counter* flushes_bytes{nullptr};
     obs::counter* window_widen{nullptr};
     obs::counter* conn_resets{nullptr};
-    obs::gauge* connections{nullptr};
     obs::gauge* backlog_bytes{nullptr};
     obs::histogram* flush_ns{nullptr};
     obs::histogram* window_wait_ns{nullptr};
@@ -417,6 +416,7 @@ class node final {
     obs::counter* tasks_run{nullptr};
     obs::counter* accepts{nullptr};
     obs::counter* ships_in{nullptr};
+    /// Open connections; a node's total is the sum over its reactors.
     obs::gauge* connections{nullptr};
   };
   std::vector<reactor_metrics> rm_;

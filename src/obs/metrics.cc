@@ -16,24 +16,14 @@ namespace {
 
 // Hot-loop registration contract (see registry::mark_hot_loop_thread):
 // reactor threads set `hot_loop_thread`; series creation on them is a
-// bug unless an allow_hot_registration scope is live.
+// bug.
 thread_local bool hot_loop_thread = false;
-thread_local int hot_registration_exemptions = 0;
 
-void check_creation_allowed() {
-  FASTREG_CHECK(!hot_loop_thread || hot_registration_exemptions > 0);
-}
+void check_creation_allowed() { FASTREG_CHECK(!hot_loop_thread); }
 
 }  // namespace
 
 void registry::mark_hot_loop_thread(bool hot) { hot_loop_thread = hot; }
-
-allow_hot_registration::allow_hot_registration() {
-  ++hot_registration_exemptions;
-}
-allow_hot_registration::~allow_hot_registration() {
-  --hot_registration_exemptions;
-}
 
 // ---------------------------------------------------------------- counter --
 

@@ -148,9 +148,9 @@ class registry {
                                          std::string_view labels = {});
 
   /// Declares (or undeclares) the calling thread a hot loop: any
-  /// subsequent series CREATION from it is a contract violation unless
-  /// wrapped in allow_hot_registration. Fetches of existing series stay
-  /// legal (they still lock, so hot paths should cache handles anyway).
+  /// subsequent series CREATION from it is a contract violation. Fetches
+  /// of existing series stay legal (they still lock, so hot paths should
+  /// cache handles anyway).
   static void mark_hot_loop_thread(bool hot);
 
   /// All current samples, name-sorted (histograms expanded).
@@ -164,19 +164,6 @@ class registry {
   registry() = default;
   struct impl;
   [[nodiscard]] impl& self() const;
-};
-
-/// Scoped exemption from the hot-loop registration check, for control-
-/// plane work that legitimately runs on a reactor thread (e.g. a
-/// reconfiguration installing a new shard map creates that map's
-/// counters from a posted task). Construction is cheap (one
-/// thread_local increment); nests.
-class allow_hot_registration {
- public:
-  allow_hot_registration();
-  ~allow_hot_registration();
-  allow_hot_registration(const allow_hot_registration&) = delete;
-  allow_hot_registration& operator=(const allow_hot_registration&) = delete;
 };
 
 /// Conveniences over registry::instance().

@@ -26,6 +26,10 @@ const std::string& ensure_dir(const std::string& dir) {
   return dir;
 }
 
+std::string node_label(std::uint32_t index) {
+  return "node=\"" + to_string(server_id(index)) + "\"";
+}
+
 }  // namespace
 
 std::string server_durability::log_path_for(const std::string& dir,
@@ -43,15 +47,9 @@ server_durability::server_durability(options opt, std::uint32_t server_index)
       index_(server_index),
       snap_path_(snap_path_for(ensure_dir(opt_.dir), server_index)),
       log_(log_path_for(opt_.dir, server_index), opt_.fsync,
-           opt_.fsync_interval_ms) {
-  // Server construction is a control-plane event (deployment, restart,
-  // reconfig), the same exemption store::server::bind_metrics uses.
-  obs::allow_hot_registration exempt;
+           opt_.fsync_interval_ms, node_label(server_index)) {
   auto& reg = obs::registry::instance();
-  const std::string lbl = "node=\"" + to_string(server_id(index_)) + "\"";
-  pm_.log_bytes = &reg.get_counter("fastreg_persist_log_bytes_total", lbl);
-  pm_.log_records = &reg.get_counter("fastreg_persist_log_records_total", lbl);
-  pm_.fsyncs = &reg.get_counter("fastreg_persist_fsyncs_total", lbl);
+  const std::string lbl = node_label(index_);
   pm_.snapshots = &reg.get_counter("fastreg_persist_snapshots_total", lbl);
   pm_.replayed_records =
       &reg.get_counter("fastreg_persist_replayed_records_total", lbl);
@@ -119,27 +117,16 @@ void server_durability::discard_recovered() {
   std::filesystem::remove(snap_path_, ec);
 }
 
-template <typename Append>
-void server_durability::counted(Append&& append) {
-  const std::uint64_t bytes_before = log_.bytes_appended();
-  const std::uint64_t fsyncs_before = log_.fsyncs_;
-  append();
-  pm_.log_bytes->inc(log_.bytes_appended() - bytes_before);
-  pm_.log_records->inc();
-  if (log_.fsyncs_ > fsyncs_before) {
-    pm_.fsyncs->inc(log_.fsyncs_ - fsyncs_before);
-  }
-  ++since_snapshot_;
-}
-
 void server_durability::append_op(epoch_t epoch, object_id obj,
                                   const register_snapshot& s) {
-  counted([&] { log_.append(log_record::kind::op, epoch, obj, s); });
+  log_.append(log_record::kind::op, epoch, obj, s);
+  ++since_snapshot_;
 }
 
 void server_durability::append_seed(epoch_t epoch, object_id obj,
                                     const register_snapshot& s) {
-  counted([&] { log_.append(log_record::kind::seed, epoch, obj, s); });
+  log_.append(log_record::kind::seed, epoch, obj, s);
+  ++since_snapshot_;
 }
 
 void server_durability::append_epoch_mark(
@@ -148,7 +135,8 @@ void server_durability::append_epoch_mark(
   rec.k = log_record::kind::epoch_mark;
   rec.epoch = epoch;
   rec.fenced = fenced;
-  counted([&] { log_.append(rec); });
+  log_.append(rec);
+  ++since_snapshot_;
 }
 
 void server_durability::write_snapshot(

@@ -68,9 +68,6 @@ class server_durability {
   [[nodiscard]] const options& opts() const { return opt_; }
   [[nodiscard]] const std::string& log_path() const { return log_.path(); }
   [[nodiscard]] const std::string& snap_path() const { return snap_path_; }
-  [[nodiscard]] std::uint64_t records_appended() const {
-    return log_.records_appended();
-  }
 
   /// Log/snapshot file names under `dir` for server `index`.
   [[nodiscard]] static std::string log_path_for(const std::string& dir,
@@ -79,9 +76,6 @@ class server_durability {
                                                  std::uint32_t index);
 
  private:
-  /// Runs one log append and mirrors its bytes and fsyncs into pm_.
-  template <typename Append>
-  void counted(Append&& append);
   void replay();
 
   options opt_;
@@ -89,12 +83,11 @@ class server_durability {
   std::string snap_path_;
   wal log_;
   recovered_state rec_;
+  /// Appends requested since the last snapshot attempt, written or not.
   std::uint64_t since_snapshot_{0};
 
+  /// The log's own rows (records, bytes, fsyncs) are counted by log_.
   struct persist_metrics {
-    obs::counter* log_bytes{nullptr};
-    obs::counter* log_records{nullptr};
-    obs::counter* fsyncs{nullptr};
     obs::counter* snapshots{nullptr};
     obs::counter* replayed_records{nullptr};
     obs::counter* torn_tail_truncations{nullptr};

@@ -263,10 +263,16 @@ options options::from_env(std::string dir) {
 // -------------------------------------------------------------------- wal --
 
 wal::wal(std::string path, fsync_policy policy,
-         std::uint64_t fsync_interval_ms)
+         std::uint64_t fsync_interval_ms, std::string_view metric_labels)
     : path_(std::move(path)),
       policy_(policy),
-      fsync_interval_ms_(fsync_interval_ms) {
+      fsync_interval_ms_(fsync_interval_ms),
+      records_(obs::registry::instance().get_counter(
+          "fastreg_persist_log_records_total", metric_labels)),
+      bytes_(obs::registry::instance().get_counter(
+          "fastreg_persist_log_bytes_total", metric_labels)),
+      fsyncs_(obs::registry::instance().get_counter(
+          "fastreg_persist_fsyncs_total", metric_labels)) {
   do {
     fd_ = ::open(path_.c_str(), O_CREAT | O_WRONLY | O_APPEND | O_CLOEXEC,
                  0644);
@@ -280,10 +286,8 @@ wal::wal(std::string path, fsync_policy policy,
 }
 
 wal::~wal() {
-  if (fd_ >= 0) {
-    if (policy_ != fsync_policy::never && dirty_bytes_ > 0) ::fsync(fd_);
-    ::close(fd_);
-  }
+  if (policy_ != fsync_policy::never) sync();
+  if (fd_ >= 0) ::close(fd_);
 }
 
 void wal::append(const log_record& rec) {
@@ -319,17 +323,21 @@ void wal::write_frame() {
   store_le32(frame_.data(), static_cast<std::uint32_t>(payload.size()));
   store_le32(frame_.data() + 4, crc32(payload));
   if (!full_write(fd_, frame_.data(), frame_.size())) {
-    LOG_ERROR("persist: append to %s failed: %s -- closing the log "
-              "(server keeps serving without durability)",
-              path_.c_str(), std::strerror(errno));
-    ::close(fd_);
-    fd_ = -1;
+    close_on_error("append to");
     return;
   }
-  ++appended_;
-  bytes_ += frame_.size();
+  records_.inc();
+  bytes_.inc(frame_.size());
   dirty_bytes_ += frame_.size();
   maybe_sync();
+}
+
+void wal::close_on_error(const char* what) {
+  LOG_ERROR("persist: %s %s failed: %s -- closing the log (server keeps "
+            "serving without durability)",
+            what, path_.c_str(), std::strerror(errno));
+  ::close(fd_);
+  fd_ = -1;
 }
 
 void wal::maybe_sync() {
@@ -350,8 +358,12 @@ void wal::maybe_sync() {
 
 void wal::sync() {
   if (fd_ < 0 || dirty_bytes_ == 0) return;
-  ::fsync(fd_);
-  ++fsyncs_;
+  if (::fsync(fd_) != 0) {
+    // The unsynced bytes may be lost, so no later record may follow them.
+    close_on_error("fsync of");
+    return;
+  }
+  fsyncs_.inc();
   dirty_bytes_ = 0;
   last_sync_ns_ = steady_now_ns();
 }

@@ -49,9 +49,11 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "persist/options.h"
 #include "registers/automaton.h"
 
@@ -89,12 +91,17 @@ struct wal_load_result {
   [[nodiscard]] bool truncated() const { return dropped_bytes > 0; }
 };
 
-/// The append side of one server's op log. Append failures are logged and
-/// counted, never fatal: a server that cannot persist keeps serving (it
-/// degrades to the in-memory-only behavior the crash budget covers).
+/// The append side of one server's op log. A failed write or fsync is
+/// logged and closes the log, so nothing is appended after data that may
+/// not be on disk; it is never fatal: a server that cannot persist keeps
+/// serving (it degrades to the in-memory-only behavior the crash budget
+/// covers). Records, bytes and fsyncs are counted only when they succeed,
+/// in the fastreg_persist_{log_records,log_bytes,fsyncs}_total rows that
+/// carry `metric_labels` (e.g. `node="s1"`).
 class wal {
  public:
-  wal(std::string path, fsync_policy policy, std::uint64_t fsync_interval_ms);
+  wal(std::string path, fsync_policy policy, std::uint64_t fsync_interval_ms,
+      std::string_view metric_labels);
   ~wal();
   wal(const wal&) = delete;
   wal& operator=(const wal&) = delete;
@@ -108,8 +115,6 @@ class wal {
   /// Empties the log (the snapshot that was just written supersedes it).
   void reset();
 
-  [[nodiscard]] std::uint64_t records_appended() const { return appended_; }
-  [[nodiscard]] std::uint64_t bytes_appended() const { return bytes_; }
   [[nodiscard]] const std::string& path() const { return path_; }
 
   /// Scans `path` front to back. With `repair`, a file with a torn or
@@ -122,22 +127,22 @@ class wal {
   /// Patches frame_'s header, writes the frame, counts it, maybe syncs.
   void write_frame();
   void maybe_sync();
+  /// Logs errno for the failed `what` and closes the log for good.
+  void close_on_error(const char* what);
 
   std::string path_;
   fsync_policy policy_;
   std::uint64_t fsync_interval_ms_;
   int fd_{-1};
-  std::uint64_t appended_{0};
-  std::uint64_t bytes_{0};
-  std::uint64_t fsyncs_{0};
+  obs::counter& records_;
+  obs::counter& bytes_;
+  obs::counter& fsyncs_;
   /// steady_clock nanoseconds of the last fsync (interval policy).
   std::uint64_t last_sync_ns_{0};
   /// Un-synced bytes since the last fsync (skip no-op fsyncs).
   std::uint64_t dirty_bytes_{0};
   /// The frame being appended, reused across appends.
   std::vector<std::uint8_t> frame_;
-
-  friend class server_durability;
 };
 
 struct snapshot_data {

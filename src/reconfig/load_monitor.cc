@@ -131,7 +131,12 @@ std::optional<reconfig_plan> load_monitor::sample(
 
 auto_resharder::auto_resharder(control_plane& ctl, store::map_source maps,
                                options opt)
-    : ctl_(ctl), maps_(std::move(maps)), opt_(opt), mon_(ctl, opt.monitor) {
+    : ctl_(ctl),
+      maps_(std::move(maps)),
+      opt_(opt),
+      mon_(ctl, opt.monitor),
+      reshard_starts_(obs::registry::instance().get_counter(
+          "fastreg_reshards_started_total")) {
   FASTREG_EXPECTS(maps_ != nullptr);
   FASTREG_EXPECTS(opt_.sample_every > 0);
 }
@@ -153,10 +158,7 @@ void auto_resharder::step() {
     coord_.reset();
     return;
   }
-  ++started_;
-  obs::registry::instance()
-      .get_counter("fastreg_reshards_started_total")
-      .inc();
+  reshard_starts_.inc();
 }
 
 }  // namespace fastreg::reconfig

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "reconfig/coordinator.h"
 #include "reconfig/plan.h"
 #include "store/shard_map.h"
@@ -132,7 +133,6 @@ class auto_resharder {
   [[nodiscard]] bool resharding() const {
     return coord_.has_value() && !coord_->done();
   }
-  [[nodiscard]] std::uint64_t reshards_started() const { return started_; }
   [[nodiscard]] const load_monitor& monitor() const { return mon_; }
 
  private:
@@ -143,7 +143,8 @@ class auto_resharder {
   /// The in-flight (or last finished) migration; rebuilt per reshard.
   std::optional<coordinator> coord_;
   std::uint64_t ticks_{0};
-  std::uint64_t started_{0};
+  /// fastreg_reshards_started_total: reshards started in this process.
+  obs::counter& reshard_starts_;
 };
 
 }  // namespace fastreg::reconfig

@@ -24,7 +24,16 @@ constexpr std::size_t k_max_fetch_gossip = 16;
 server::server(std::shared_ptr<const shard_map> shards, std::uint32_t index)
     : map_(std::move(shards)), index_(index) {
   shard_ops_.assign(map_->num_shards(), 0);
-  bind_metrics();
+  auto& reg = obs::registry::instance();
+  const std::string lbl = "node=\"" + to_string(server_id(index_)) + "\"";
+  sm_.ops = &reg.get_counter("fastreg_store_ops_total", lbl);
+  sm_.nacks = &reg.get_counter("fastreg_store_epoch_nacks_total", lbl);
+  sm_.fetch_reqs = &reg.get_counter("fastreg_store_fetches_started_total", lbl);
+  sm_.fetch_overflow =
+      &reg.get_counter("fastreg_store_fetch_overflow_nacks_total", lbl);
+  sm_.epoch = &reg.get_gauge("fastreg_store_epoch", lbl);
+  sm_.serve_ns = &reg.get_histogram("fastreg_store_serve_ns", lbl);
+  rec_ = &obs::recorder_for(server_id(index_));
   sm_.epoch->set(static_cast<std::int64_t>(map_->epoch()));
   if (map_->config().persist.enabled()) {
     durable_ = std::make_unique<persist::server_durability>(
@@ -91,30 +100,6 @@ void server::maybe_snapshot() {
       });
 }
 
-void server::bind_metrics() {
-  // Re-binding happens during install_map, which a reshard posts to the
-  // reactor thread: a control-plane creation, explicitly exempted from
-  // the registry's hot-loop check (new shard labels may not exist yet).
-  obs::allow_hot_registration exempt;
-  auto& reg = obs::registry::instance();
-  const std::string lbl = "node=\"" + to_string(server_id(index_)) + "\"";
-  sm_.ops = &reg.get_counter("fastreg_store_ops_total", lbl);
-  sm_.nacks = &reg.get_counter("fastreg_store_epoch_nacks_total", lbl);
-  sm_.fetch_reqs = &reg.get_counter("fastreg_store_fetches_started_total", lbl);
-  sm_.fetch_overflow =
-      &reg.get_counter("fastreg_store_fetch_overflow_nacks_total", lbl);
-  sm_.epoch = &reg.get_gauge("fastreg_store_epoch", lbl);
-  sm_.serve_ns = &reg.get_histogram("fastreg_store_serve_ns", lbl);
-  rec_ = &obs::recorder_for(server_id(index_));
-  shard_counters_.clear();
-  shard_counters_.reserve(map_->num_shards());
-  for (std::uint32_t s = 0; s < map_->num_shards(); ++s) {
-    shard_counters_.push_back(&reg.get_counter(
-        "fastreg_store_shard_ops_total",
-        lbl + ",shard=\"" + std::to_string(s) + "\""));
-  }
-}
-
 server::server(const server& o)
     : map_(o.map_),
       prev_map_(o.prev_map_),
@@ -124,9 +109,7 @@ server::server(const server& o)
       fetch_subs_(o.fetch_subs_),
       force_moved_(o.force_moved_),
       shard_ops_(o.shard_ops_),
-      fetch_overflow_nacks_(o.fetch_overflow_nacks_),
       sm_(o.sm_),
-      shard_counters_(o.shard_counters_),
       rec_(o.rec_) {
   FASTREG_EXPECTS(o.outbox_.empty());
   for (const auto& [obj, a] : o.objects_) {
@@ -213,7 +196,6 @@ void server::install_map(std::shared_ptr<const shard_map> next,
     durable_->append_epoch_mark(map_->epoch(), fenced);
   }
   shard_ops_.assign(map_->num_shards(), 0);
-  bind_metrics();  // shard count may have changed
   sm_.epoch->set(static_cast<std::int64_t>(map_->epoch()));
   // Fetches of the retired generation cannot resolve anymore; nack what
   // they buffered (gossip is simply dropped: it means nothing across
@@ -378,14 +360,13 @@ void server::enqueue_fetch(const process_id& from, const message& m) {
     // parks, and nothing resumes it until the object's NEXT migration --
     // so count and alarm: a nonzero counter means a deployment actually
     // reached this state and someone may be parked for a long time.
-    ++fetch_overflow_nacks_;
     sm_.fetch_overflow->inc();
     LOG_WARN("server %u: fetch buffer overflow for object %llu, nacking "
              "%s (parked until the next reconfiguration); %llu overflow "
              "nacks total",
              index_, static_cast<unsigned long long>(m.obj),
              to_string(from).c_str(),
-             static_cast<unsigned long long>(fetch_overflow_nacks_));
+             static_cast<unsigned long long>(sm_.fetch_overflow->value()));
     send_nack(from, m);
     return;
   } else {
@@ -564,10 +545,8 @@ void server::handle_one(const process_id& from, const message& m) {
       return;
     }
   }
-  const std::size_t shard = map_->shard_of_object(m.obj);
-  ++shard_ops_[shard];
+  ++shard_ops_[map_->shard_of_object(m.obj)];
   sm_.ops->inc();
-  shard_counters_[shard]->inc();
   if (obs::recording_active()) {
     rec_->record(obs::rec_event::serve, m.trace, m.span,
                  static_cast<std::uint8_t>(m.type), from, m.obj,

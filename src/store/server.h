@@ -96,15 +96,6 @@ class server final : public automaton {
   /// (diagnostic).
   [[nodiscard]] std::size_t objects_hosted() const { return objects_.size(); }
 
-  /// Client data messages nacked because a lazy seed fetch's buffer was
-  /// full (k_max_fetch_waiting). Each such nack parks a client that is
-  /// only resumed by the object's NEXT migration -- unreachable with
-  /// one-op-per-object clients, so a nonzero counter is an alarm (also
-  /// logged at warn level) that a deployment hit the gap ROADMAP flags.
-  [[nodiscard]] std::uint64_t fetch_overflow_nacks() const {
-    return fetch_overflow_nacks_;
-  }
-
   /// The server's object index: every object it hosts, current AND
   /// previous generation. The reconfiguration coordinator unions these
   /// across a quorum of servers to discover the live key set (every
@@ -218,8 +209,6 @@ class server final : public automaton {
   std::unordered_set<object_id> force_moved_;
   /// Client data messages per shard of the current map (load signal).
   std::vector<std::uint64_t> shard_ops_;
-  /// Lifetime count of buffered-fetch overflow nacks (see accessor).
-  std::uint64_t fetch_overflow_nacks_{0};
   batch_collector outbox_;
   /// Durability engine; null when persistence is off. NOT cloned: a
   /// fork()'d sibling appending to the same file would interleave two
@@ -232,9 +221,11 @@ class server final : public automaton {
   std::size_t recovered_objects_{0};
 
   /// Registry handles (per-server label), resolved in the constructor.
-  /// The members above stay the source of truth for the accessors --
-  /// clones share these handles, so the registry sees the union of every
-  /// clone's activity while each clone's accessors stay exact.
+  /// These rows are the only copy of the counts they hold; clones share
+  /// the handles, so a row sums every clone's activity.
+  /// fetch_overflow counts client data nacked because a lazy fetch's
+  /// buffer was full: such a client is only resumed by the object's NEXT
+  /// migration, so a nonzero row is an alarm (also logged at warn level).
   struct srv_metrics {
     obs::counter* ops{nullptr};
     obs::counter* nacks{nullptr};
@@ -244,12 +235,8 @@ class server final : public automaton {
     obs::histogram* serve_ns{nullptr};
   };
   srv_metrics sm_;
-  /// One op counter per shard of the current map (label shard="k");
-  /// rebuilt on install_map when the shard count changes.
-  std::vector<obs::counter*> shard_counters_;
   /// Flight recorder for this node (stable global, cached like sm_).
   obs::recorder* rec_{nullptr};
-  void bind_metrics();
 };
 
 }  // namespace fastreg::store

@@ -6,6 +6,7 @@
 
 #include <functional>
 
+#include "obs/metrics.h"
 #include "reconfig/control.h"
 #include "reconfig/load_monitor.h"
 #include "store/sim_store.h"
@@ -24,6 +25,13 @@ store::store_config make_cfg(std::vector<std::string> protos,
   cfg.num_shards = num_shards;
   cfg.shard_protocols = std::move(protos);
   return cfg;
+}
+
+/// fastreg_reshards_started_total: reshards started in this process.
+std::uint64_t reshards_started() {
+  return obs::registry::instance()
+      .get_counter("fastreg_reshards_started_total")
+      .value();
 }
 
 // ------------------------------------------------- plan builder (pure) --
@@ -147,6 +155,7 @@ TEST(SimAutoReshard, HotShardPromotedWithoutAnOperator) {
   opt.sample_every = 400;
   opt.monitor.min_total_ops = 64;
   auto_resharder ar(ctl, s.proto().maps()->source(), opt);
+  const std::uint64_t started0 = reshards_started();
 
   // Heavily skewed closed loop: ~7 of 8 ops hit "hot". The monitor must
   // notice, reshard once, and the migration must drain mid-traffic.
@@ -176,7 +185,7 @@ TEST(SimAutoReshard, HotShardPromotedWithoutAnOperator) {
       break;
     }
   }
-  EXPECT_GE(ar.reshards_started(), 1u);
+  EXPECT_GE(reshards_started() - started0, 1u);
   EXPECT_FALSE(ar.resharding());
   EXPECT_GE(s.proto().maps()->epoch(), 1u);
   // The hot key's shard now runs the fast protocol...
@@ -238,6 +247,7 @@ TEST(SimAutoReshard, PromotedShardCoolsAndDemotesWithoutChurn) {
   opt.monitor.demote_protocol = "abd";
   opt.monitor.demote_after = 3;
   auto_resharder ar(ctl, s.proto().maps()->source(), opt);
+  const std::uint64_t started0 = reshards_started();
 
   // Drives closed-loop traffic with `pick` until `until` holds (checked
   // between steps) -- the promote, cool-down and steady phases share the
@@ -265,8 +275,9 @@ TEST(SimAutoReshard, PromotedShardCoolsAndDemotesWithoutChurn) {
   const auto pick_hot = [&]() -> const std::string& {
     return r.below(8) < 7 ? hot : keys[1 + r.below(3)];
   };
-  ASSERT_TRUE(drive(pick_hot, [&] { return ar.reshards_started() == 1; },
-                    2'000'000));
+  ASSERT_TRUE(drive(
+      pick_hot, [&] { return reshards_started() == started0 + 1; },
+      2'000'000));
   EXPECT_EQ(
       s.shards()->protocol_for_object(store::key_object_id(hot)).name(),
       "fast_swmr");
@@ -277,8 +288,9 @@ TEST(SimAutoReshard, PromotedShardCoolsAndDemotesWithoutChurn) {
   const auto pick_cold = [&]() -> const std::string& {
     return keys[1 + r.below(3)];
   };
-  ASSERT_TRUE(drive(pick_cold, [&] { return ar.reshards_started() == 2; },
-                    4'000'000));
+  ASSERT_TRUE(drive(
+      pick_cold, [&] { return reshards_started() == started0 + 2; },
+      4'000'000));
   EXPECT_EQ(
       s.shards()->protocol_for_object(store::key_object_id(hot)).name(),
       "abd");
@@ -290,7 +302,7 @@ TEST(SimAutoReshard, PromotedShardCoolsAndDemotesWithoutChurn) {
   std::uint32_t cold_ops = 600;
   EXPECT_TRUE(drive(pick_cold, [&] { return --cold_ops == 0; },
                     4'000'000));
-  EXPECT_EQ(ar.reshards_started(), 2u);
+  EXPECT_EQ(reshards_started() - started0, 2u);
 
   // Quiesce and verify every per-key history across all three epochs.
   std::uint64_t drain_guard = 0;

@@ -23,6 +23,13 @@ namespace {
 
 using test::make_cfg;
 
+/// fastreg_net_malformed_frames_total: malformed frames in this process.
+std::uint64_t malformed_frames() {
+  return obs::registry::instance()
+      .get_counter("fastreg_net_malformed_frames_total")
+      .value();
+}
+
 // ---------------------------------------------------------------- framing
 
 TEST(Framing, HelloRoundTrip) {
@@ -123,12 +130,13 @@ TEST(Framing, MalformedPayloadCountedAndSkipped) {
   std::vector<std::uint8_t> junk = {3, 0, 0, 0, 1, 0xff, 0xff};
   const auto good = encode_hello(writer_id(0));
   junk.insert(junk.end(), good.begin(), good.end());
+  const std::uint64_t malformed0 = malformed_frames();
   frame_buffer fb;
   fb.feed(junk.data(), junk.size());
   const auto f = fb.next();
   ASSERT_TRUE(f.has_value());
   EXPECT_EQ(f->kind, frame_kind::hello);
-  EXPECT_GE(fb.malformed_count(), 1u);
+  EXPECT_GE(malformed_frames() - malformed0, 1u);
 }
 
 TEST(Framing, BatchFrameRoundTrip) {
@@ -177,12 +185,13 @@ TEST(Framing, MalformedBatchCountedAndSkipped) {
   bytes.insert(bytes.end(), w.bytes().begin(), w.bytes().end());
   const auto good = encode_hello(writer_id(0));
   bytes.insert(bytes.end(), good.begin(), good.end());
+  const std::uint64_t malformed0 = malformed_frames();
   frame_buffer fb;
   fb.feed(bytes.data(), bytes.size());
   const auto f = fb.next();
   ASSERT_TRUE(f.has_value());
   EXPECT_EQ(f->kind, frame_kind::hello);
-  EXPECT_GE(fb.malformed_count(), 1u);
+  EXPECT_GE(malformed_frames() - malformed0, 1u);
 }
 
 TEST(Framing, HostileBatchCountRejectedWithoutAllocating) {
@@ -201,18 +210,20 @@ TEST(Framing, HostileBatchCountRejectedWithoutAllocating) {
   }
   bytes.push_back(static_cast<std::uint8_t>(frame_kind::batch));
   bytes.insert(bytes.end(), w.bytes().begin(), w.bytes().end());
+  const std::uint64_t malformed0 = malformed_frames();
   frame_buffer fb;
   fb.feed(bytes.data(), bytes.size());
   EXPECT_FALSE(fb.next().has_value());
-  EXPECT_EQ(fb.malformed_count(), 1u);
+  EXPECT_EQ(malformed_frames() - malformed0, 1u);
 }
 
 TEST(Framing, OversizedLengthLatchesCorrupt) {
   std::vector<std::uint8_t> evil = {0xff, 0xff, 0xff, 0xff, 1};
+  const std::uint64_t malformed0 = malformed_frames();
   frame_buffer fb;
   fb.feed(evil.data(), evil.size());
   EXPECT_FALSE(fb.next().has_value());
-  EXPECT_EQ(fb.malformed_count(), 1u);
+  EXPECT_EQ(malformed_frames() - malformed0, 1u);
   // An implausible length prefix means framing is lost for good: the
   // buffer latches corrupt() and the owner must reset the connection.
   EXPECT_TRUE(fb.corrupt());
@@ -224,11 +235,12 @@ TEST(Framing, OversizedLengthLatchesCorrupt) {
 
 TEST(Framing, ZeroLengthLatchesCorrupt) {
   std::vector<std::uint8_t> evil = {0, 0, 0, 0, 7};
+  const std::uint64_t malformed0 = malformed_frames();
   frame_buffer fb;
   fb.feed(evil.data(), evil.size());
   EXPECT_FALSE(fb.next().has_value());
   EXPECT_TRUE(fb.corrupt());
-  EXPECT_EQ(fb.malformed_count(), 1u);
+  EXPECT_EQ(malformed_frames() - malformed0, 1u);
 }
 
 TEST(Framing, IntactFramesBeforeCorruptionStillParse) {

@@ -7,7 +7,9 @@
 // stale recovered state, and the end-to-end acceptance schedule -- a
 // server killed in the middle of a Zipf-keyed load restarts, replays
 // snapshot + log tail, rejoins, and every per-key history still
-// verifies, on both transports.
+// verifies, on both transports. Last, the registry rows benchmark/
+// reads: a durable TCP workload must move each of them, and the log's
+// rows must match what the log files hold.
 //
 // "Crash" here is in-process (world::crash / node::stop), so the log
 // bytes survive in the page cache regardless of fsync policy -- which is
@@ -20,6 +22,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -29,10 +32,13 @@
 #include "benchutil/workload.h"
 #include "common/check.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "persist/durable.h"
 #include "persist/wal.h"
 #include "store/server.h"
 #include "store/sim_store.h"
+#include "store/tcp_store.h"
+#include "store_test_util.h"
 
 namespace fastreg::persist {
 namespace {
@@ -137,6 +143,17 @@ std::span<const std::uint8_t> as_bytes(const std::string& s) {
   return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
 }
 
+/// The registry label of server `index`'s rows.
+std::string node_label(std::uint32_t index) {
+  return "node=\"" + to_string(server_id(index)) + "\"";
+}
+
+/// Current value of the counter `name{labels}`.
+std::uint64_t counter_value(const std::string& name,
+                            const std::string& labels) {
+  return obs::registry::instance().get_counter(name, labels).value();
+}
+
 // ------------------------------------------------------------------ CRC --
 
 TEST(Crc32, MatchesTheIeeeCheckValueAndChains) {
@@ -187,10 +204,17 @@ TEST(Wal, RoundTripsOpSeedAndEpochMarkRecords) {
     want.push_back(mark);
   }
   {
-    wal w(path, fsync_policy::never, 0);
+    const std::string lbl = node_label(0);
+    const auto records0 =
+        counter_value("fastreg_persist_log_records_total", lbl);
+    const auto bytes0 = counter_value("fastreg_persist_log_bytes_total", lbl);
+    wal w(path, fsync_policy::never, 0, lbl);
     for (const auto& r : want) w.append(r);
-    EXPECT_EQ(w.records_appended(), want.size());
-    EXPECT_EQ(w.bytes_appended(), file_size(path));
+    EXPECT_EQ(counter_value("fastreg_persist_log_records_total", lbl) -
+                  records0,
+              want.size());
+    EXPECT_EQ(counter_value("fastreg_persist_log_bytes_total", lbl) - bytes0,
+              file_size(path));
   }
   const auto got = wal::load(path, /*repair=*/false);
   EXPECT_EQ(got.records, want);
@@ -202,7 +226,7 @@ TEST(Wal, TornTailTruncatedAtLastValidCrcFrame) {
   temp_dir td("torn");
   const std::string path = td.path() + "/server_0.log";
   {
-    wal w(path, fsync_policy::never, 0);
+    wal w(path, fsync_policy::never, 0, node_label(0));
     for (int i = 0; i < 3; ++i) {
       w.append(op_rec(0, 5, snap(i + 1, 0, "v" + std::to_string(i))));
     }
@@ -234,9 +258,9 @@ TEST(Wal, CorruptRecordRejectedWithOffsetAndCrcDiagnostic) {
   const std::string path = td.path() + "/server_0.log";
   std::uint64_t first_frame_end = 0;
   {
-    wal w(path, fsync_policy::never, 0);
+    wal w(path, fsync_policy::never, 0, node_label(0));
     w.append(op_rec(0, 5, snap(1, 0, "good")));
-    first_frame_end = w.bytes_appended();
+    first_frame_end = file_size(path);
     w.append(op_rec(0, 5, snap(2, 0, "bad-to-be")));
     w.append(op_rec(0, 5, snap(3, 0, "unreachable")));
   }
@@ -443,6 +467,29 @@ TEST(Durability, FailedSnapshotKeepsTheLogAndRecoversEveryRecord) {
     EXPECT_TRUE(std::filesystem::exists(snap_path));
     EXPECT_FALSE(std::filesystem::exists(snap_path + ".tmp"));
   }
+}
+
+TEST(Durability, ClosedLogCountsNoRecordsBytesOrFsyncs) {
+  // A directory where the log goes: opening it for writing fails, so the
+  // log is closed from the start and every append is dropped. The rows
+  // count what reached the file, so none of them may move.
+  temp_dir td("closed_log");
+  options o;
+  o.dir = td.path();
+  o.fsync = fsync_policy::every_op;
+  std::filesystem::create_directories(
+      server_durability::log_path_for(td.path(), 0));
+  const std::string lbl = node_label(0);
+  const auto records0 = counter_value("fastreg_persist_log_records_total", lbl);
+  const auto bytes0 = counter_value("fastreg_persist_log_bytes_total", lbl);
+  const auto fsyncs0 = counter_value("fastreg_persist_fsyncs_total", lbl);
+  server_durability d(o, 0);
+  for (object_id obj = 1; obj <= 3; ++obj) {
+    d.append_op(0, obj, snap(1, 0, "dropped"));
+  }
+  EXPECT_EQ(counter_value("fastreg_persist_log_records_total", lbl), records0);
+  EXPECT_EQ(counter_value("fastreg_persist_log_bytes_total", lbl), bytes0);
+  EXPECT_EQ(counter_value("fastreg_persist_fsyncs_total", lbl), fsyncs0);
 }
 
 TEST(Durability, EpochMarkDropsFencedObjectsAndAdvancesEpoch) {
@@ -676,6 +723,94 @@ TEST(Recovery, TcpStressCrashRestartScheduleWithDurableState) {
   EXPECT_GT(file_size(server_durability::log_path_for(td.path(), 4)) +
                 file_size(server_durability::snap_path_for(td.path(), 4)),
             0u);
+}
+
+// ------------------------------------------- the benchmark's registry rows --
+
+/// Sum of the rows named `name` or `name{...}` (how benchmark/ reads a
+/// series); nullopt when no such row is registered.
+std::optional<double> series_sum(const std::vector<obs::sample>& rows,
+                                 const std::string& name) {
+  std::optional<double> sum;
+  for (const auto& r : rows) {
+    if (r.name == name || r.name.rfind(name + "{", 0) == 0) {
+      sum = sum.value_or(0) + r.value;
+    }
+  }
+  return sum;
+}
+
+TEST(RegistryContract, DurableTcpWorkloadMovesEveryRowTheBenchmarkReads) {
+  temp_dir td("contract");
+  store::store_config cfg;
+  cfg.base.servers = 3;
+  cfg.base.t_failures = 1;
+  cfg.base.readers = 1;
+  cfg.base.writers = 1;
+  cfg.shard_protocols = {"abd"};
+  cfg.persist.dir = td.path();
+  cfg.persist.fsync = fsync_policy::every_op;
+  // Above the op count: no snapshot truncates a log, so each log file
+  // holds every record its server appended.
+  cfg.persist.snapshot_every = 1000;
+  const auto before = obs::snapshot();
+  {
+    store::tcp_store ts(cfg);
+    ts.start();
+    for (int i = 0; i < 24; ++i) {
+      const std::string key = "k" + std::to_string(i % 4);
+      ASSERT_TRUE(store::test::put_one(ts.frontend(), 0, key,
+                                       "v" + std::to_string(i)));
+      ASSERT_TRUE(store::test::get_one(ts.frontend(), 0, key).has_value());
+    }
+    ts.stop();
+  }
+  const auto delta = obs::diff_snapshot(obs::snapshot(), before);
+
+  for (const char* name :
+       {"fastreg_store_serve_ns_sum", "fastreg_store_serve_ns_count",
+        "fastreg_net_frames_out_total", "fastreg_net_writev_calls_total",
+        "fastreg_net_bytes_out_total", "fastreg_net_reactor_tasks_total",
+        "fastreg_net_flush_ns_sum", "fastreg_net_flush_ns_count"}) {
+    const auto sum = series_sum(delta, name);
+    ASSERT_TRUE(sum.has_value()) << name;
+    EXPECT_GT(*sum, 0) << name;
+  }
+  for (std::uint32_t i = 0; i < cfg.base.S(); ++i) {
+    const std::string lbl = "{" + node_label(i) + "}";
+    const auto row = [&](const std::string& name) {
+      const auto v = series_sum(delta, name + lbl);
+      EXPECT_TRUE(v.has_value()) << name + lbl;
+      return v.value_or(-1);
+    };
+    EXPECT_GT(row("fastreg_store_ops_total"), 0);
+    EXPECT_GT(row("fastreg_persist_replay_ns_count"), 0);
+    EXPECT_EQ(row("fastreg_persist_snapshots_total"), 0);
+    // The log rows count exactly what reached the file: every record the
+    // log reads back, and every byte of it. Under every_op each record is
+    // fsynced once.
+    const std::string log = server_durability::log_path_for(td.path(), i);
+    const auto loaded = wal::load(log, /*repair=*/false);
+    EXPECT_FALSE(loaded.truncated()) << loaded.warning;
+    EXPECT_GT(loaded.records.size(), 0u) << log;
+    EXPECT_EQ(row("fastreg_persist_log_records_total"),
+              static_cast<double>(loaded.records.size()));
+    EXPECT_EQ(row("fastreg_persist_log_bytes_total"),
+              static_cast<double>(file_size(log)));
+    EXPECT_EQ(row("fastreg_persist_fsyncs_total"),
+              static_cast<double>(loaded.records.size()));
+  }
+
+  // A snapshot, here of server 0's recovered state, moves its row.
+  const auto snaps0 =
+      counter_value("fastreg_persist_snapshots_total", node_label(0));
+  server_durability d(cfg.persist, 0);
+  ASSERT_TRUE(d.recovered().found);
+  const object_list state(d.recovered().objects.begin(),
+                          d.recovered().objects.end());
+  write_snap(d, d.recovered().epoch, state);
+  EXPECT_EQ(counter_value("fastreg_persist_snapshots_total", node_label(0)),
+            snaps0 + 1);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "benchutil/workload.h"
 #include "crypto/sig.h"
+#include "obs/metrics.h"
 #include "registers/registry.h"
 #include "store/shard_map.h"
 #include "store/sim_store.h"
@@ -317,6 +318,11 @@ TEST(StoreServer, FetchBufferOverflowNackIsCountedAndObservable) {
   cfg1.shard_protocols = {"fast_swmr"};  // name change: every object moves
   server s(std::make_shared<const shard_map>(cfg0), /*index=*/0);
   s.install_map(std::make_shared<const shard_map>(cfg1, /*epoch=*/1));
+  const auto& row = obs::registry::instance().get_counter(
+      "fastreg_store_fetch_overflow_nacks_total",
+      "node=\"" + to_string(server_id(0)) + "\"");
+  const std::uint64_t before = row.value();
+  const auto overflow_nacks = [&] { return row.value() - before; };
 
   const object_id obj = key_object_id("parked");
   capture_netout net;
@@ -327,7 +333,7 @@ TEST(StoreServer, FetchBufferOverflowNackIsCountedAndObservable) {
     m.epoch = 1;
     m.attempt = i;
     s.on_message(net, reader_id(0), m);
-    EXPECT_EQ(s.fetch_overflow_nacks(), 0u) << "message " << i;
+    EXPECT_EQ(overflow_nacks(), 0u) << "message " << i;
   }
   // 64 buffered messages, no nacks yet; the first message fanned the
   // fetch_req out to the 4 peers.
@@ -340,7 +346,7 @@ TEST(StoreServer, FetchBufferOverflowNackIsCountedAndObservable) {
   overflow.epoch = 1;
   overflow.attempt = 64;
   s.on_message(net, reader_id(1), overflow);
-  EXPECT_EQ(s.fetch_overflow_nacks(), 1u);
+  EXPECT_EQ(overflow_nacks(), 1u);
   EXPECT_EQ(net.count(msg_type::epoch_nack), 1u);
   // The nack went to the overflowing client, tagged with its attempt so
   // the client recognizes (and parks on) it.
@@ -356,7 +362,7 @@ TEST(StoreServer, FetchBufferOverflowNackIsCountedAndObservable) {
   other.obj = key_object_id("other");
   other.epoch = 1;
   s.on_message(net, reader_id(0), other);
-  EXPECT_EQ(s.fetch_overflow_nacks(), 1u);
+  EXPECT_EQ(overflow_nacks(), 1u);
 }
 
 // --------------------------------------------------- blocking helper

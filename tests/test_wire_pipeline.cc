@@ -22,6 +22,7 @@
 #include "net/buffer_chain.h"
 #include "net/cluster.h"
 #include "net/framing.h"
+#include "obs/metrics.h"
 #include "registers/registry.h"
 #include "store/tcp_store.h"
 
@@ -63,6 +64,13 @@ message make_msg(std::size_t val_len = 24) {
   m.sig = {1, 2, 3, 4};
   m.origin = reader_id(1);
   return m;
+}
+
+/// fastreg_net_malformed_frames_total: malformed frames in this process.
+std::uint64_t malformed_frames() {
+  return obs::registry::instance()
+      .get_counter("fastreg_net_malformed_frames_total")
+      .value();
 }
 
 // ------------------------------------------------------- exact sizing --
@@ -208,6 +216,7 @@ TEST(DrainParser, FramesStraddlingReceiveBufferBoundaries) {
   // must reassemble the same frame sequence.
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{3},
                                   std::size_t{64}, stream.size()}) {
+    const std::uint64_t malformed0 = malformed_frames();
     frame_buffer fb;
     const auto got = drain_in_chunks(stream, chunk, fb);
     ASSERT_EQ(got.size(), sent.size()) << "chunk=" << chunk;
@@ -218,7 +227,7 @@ TEST(DrainParser, FramesStraddlingReceiveBufferBoundaries) {
       EXPECT_EQ(*got[i].msg, sent[i]) << "chunk=" << chunk;
     }
     EXPECT_FALSE(fb.corrupt());
-    EXPECT_EQ(fb.malformed_count(), 0u);
+    EXPECT_EQ(malformed_frames() - malformed0, 0u);
   }
 }
 
@@ -248,12 +257,13 @@ TEST(DrainParser, CorruptLengthPrefixLatchesAndKeepsEarlierFrames) {
 
   for (const std::size_t chunk :
        {std::size_t{1}, first_frame_end, stream.size()}) {
+    const std::uint64_t malformed0 = malformed_frames();
     frame_buffer fb;
     const auto got = drain_in_chunks(stream, chunk, fb);
     ASSERT_EQ(got.size(), 1u) << "chunk=" << chunk;
     EXPECT_TRUE(got[0].msg.has_value());
     EXPECT_TRUE(fb.corrupt());
-    EXPECT_GE(fb.malformed_count(), 1u);
+    EXPECT_GE(malformed_frames() - malformed0, 1u);
     // Latched: further bytes are discarded, no frames ever emerge.
     std::vector<std::uint8_t> more;
     append_msg_frame(more, server_id(1), m);
