@@ -3,29 +3,73 @@
 // are machine-dependent, the ratios are the reproduction target:
 // abd read ~= 2x fast read; maxmin in between; write ~= fast read.
 //
+// Each protocol runs as a one-shard store (store::tcp_store with
+// shard_protocols = {proto}), the one TCP client path: the writer and
+// the reader each drive one depth-1 session on one key, one op at a
+// time. Rounds per op come from the store's histories.
+//
+// E11 is a check as well as a table: it exits non-zero when a row's
+// history is not atomic, or when its mean rd_rounds/wr_rounds differ
+// from the protocol's read_rounds()/write_rounds().
+//
 // `--trace-out FILE` skips the latency table and instead runs a short
 // flight-recorded pass per protocol, merges every node's recorder ring
 // into one causally-ordered timeline, and writes it as Chrome
 // trace-event JSON (load in about:tracing or Perfetto). CI smoke-runs
 // this and validates the output with `trace_merge --validate`.
+#include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "benchutil/stats.h"
 #include "benchutil/table.h"
-#include "checker/atomicity.h"
 #include "crypto/sig.h"
-#include "net/cluster.h"
 #include "obs/recorder.h"
 #include "obs/timeline.h"
 #include "registers/registry.h"
+#include "store/tcp_store.h"
 
 using namespace fastreg;
 using namespace fastreg::benchutil;
 
 namespace {
+
+/// The one key every op touches: a one-shard store holding one register.
+constexpr const char* k_key = "reg";
+
+/// A one-shard store running `proto` with S servers, t crash failures,
+/// one writer and one reader.
+store::store_config one_register(const std::string& proto, std::uint32_t S,
+                                 std::uint32_t t, const std::string& sigs) {
+  store::store_config cfg;
+  cfg.base.servers = S;
+  cfg.base.t_failures = t;
+  cfg.base.readers = 1;
+  if (!sigs.empty()) cfg.base.sigs = crypto::make_signature_scheme(sigs);
+  cfg.shard_protocols = {proto};
+  return cfg;
+}
+
+/// The writer's and the reader's depth-1 sessions, reused for every op:
+/// each call submits one op and drains it.
+struct register_clients {
+  std::unique_ptr<store::async_session> w, r;
+
+  explicit register_clients(store::tcp_store& ts)
+      : w(ts.open_session(writer_id(0), 1)),
+        r(ts.open_session(reader_id(0), 1)) {}
+
+  bool write(value_t v) {
+    return w->put(k_key, std::move(v)) && w->drain() &&
+           !w->take_results().empty();
+  }
+  bool read() {
+    return r->get(k_key) && r->drain() && !r->take_results().empty();
+  }
+};
 
 struct tcp_result {
   stats read_us;
@@ -38,40 +82,40 @@ struct tcp_result {
 tcp_result run_tcp(const std::string& proto, std::uint32_t S, std::uint32_t t,
                    const std::string& sigs, int ops,
                    std::uint32_t window_us) {
-  system_config cfg;
-  cfg.servers = S;
-  cfg.t_failures = t;
-  cfg.readers = 1;
-  if (!sigs.empty()) cfg.sigs = crypto::make_signature_scheme(sigs);
   net::node_options nopt;
   nopt.batch_window_us = window_us;
-  net::cluster c(cfg, *make_protocol(proto), nopt);
-  c.start();
+  store::tcp_store ts(one_register(proto, S, t, sigs), nopt);
+  ts.start();
   tcp_result out;
-  // Warmup: establish connections.
-  (void)c.writer().blocking_write("warmup");
-  (void)c.reader(0).blocking_read();
-  for (int k = 0; k < ops; ++k) {
-    auto t0 = std::chrono::steady_clock::now();
-    const bool ok = c.writer().blocking_write("v" + std::to_string(k + 1));
-    auto t1 = std::chrono::steady_clock::now();
-    const auto rd = c.reader(0).blocking_read();
-    auto t2 = std::chrono::steady_clock::now();
-    if (!ok || !rd) continue;
-    out.write_us.add(
-        std::chrono::duration<double, std::micro>(t1 - t0).count());
-    out.read_us.add(
-        std::chrono::duration<double, std::micro>(t2 - t1).count());
+  {
+    register_clients c(ts);
+    // Warmup: establish connections.
+    (void)c.write("warmup");
+    (void)c.read();
+    for (int k = 0; k < ops; ++k) {
+      auto t0 = std::chrono::steady_clock::now();
+      const bool ok = c.write("v" + std::to_string(k + 1));
+      auto t1 = std::chrono::steady_clock::now();
+      const bool rd = c.read();
+      auto t2 = std::chrono::steady_clock::now();
+      if (!ok || !rd) continue;
+      out.write_us.add(
+          std::chrono::duration<double, std::micro>(t1 - t0).count());
+      out.read_us.add(
+          std::chrono::duration<double, std::micro>(t2 - t1).count());
+    }
   }
-  // Rounds per op from the clients' histories (the warmup pair included:
-  // an op's round count does not depend on connection setup).
-  const auto hist = c.gather_history();
-  for (const auto& op : hist.ops()) {
-    if (!op.response_time) continue;
-    (op.is_write ? out.write_rounds : out.read_rounds).add(op.rounds);
+  // Rounds per op from the store's history (the warmup pair included: an
+  // op's round count does not depend on connection setup).
+  const auto hists = ts.gather();
+  for (const auto& [key, h] : hists.all()) {
+    for (const auto& op : h.ops()) {
+      if (!op.response_time) continue;
+      (op.is_write ? out.write_rounds : out.read_rounds).add(op.rounds);
+    }
   }
-  out.atomic = checker::check_swmr_atomicity(hist).ok;
-  c.stop();
+  out.atomic = hists.verify().ok;
+  ts.stop();
   return out;
 }
 
@@ -82,18 +126,16 @@ int run_trace_out(const char* out_path) {
   obs::set_recording(true);
   obs::recorder_reset_all();
   for (const char* proto : {"fast_swmr", "abd", "maxmin"}) {
-    system_config cfg;
-    cfg.servers = 5;
-    cfg.t_failures = 1;
-    cfg.readers = 1;
-    net::cluster c(cfg, *make_protocol(proto), {});
-    c.start();
-    for (int k = 0; k < 10; ++k) {
-      (void)c.writer().blocking_write(std::string(proto) + ":" +
-                                      std::to_string(k));
-      (void)c.reader(0).blocking_read();
+    store::tcp_store ts(one_register(proto, 5, 1, ""), {});
+    ts.start();
+    {
+      register_clients c(ts);
+      for (int k = 0; k < 10; ++k) {
+        (void)c.write(std::string(proto) + ":" + std::to_string(k));
+        (void)c.read();
+      }
     }
-    c.stop();
+    ts.stop();
   }
   obs::set_recording(false);
   std::vector<std::vector<obs::timeline_event>> per_node;
@@ -145,6 +187,7 @@ int main(int argc, char** argv) {
   // the windowed rows price the Nagle-style coalescing in p50 terms for
   // single blocking ops -- the worst case for a window, since nothing
   // else shares the flush.
+  std::vector<std::string> failures;
   for (const auto c :
        {row{"fast_swmr", 5, 1, "", 0}, row{"abd", 5, 1, "", 0},
         row{"maxmin", 5, 1, "", 0}, row{"fast_bft", 7, 1, "oracle", 0},
@@ -153,10 +196,22 @@ int main(int argc, char** argv) {
     const auto res = run_tcp(c.proto, c.S, c.t, c.sigs,
                              std::string(c.sigs) == "rsa" ? 60 : ops,
                              c.window_us);
+    const std::string sigs = std::string(c.sigs).empty() ? "-" : c.sigs;
+    const std::string name = std::string(c.proto) + " sigs=" + sigs +
+                             " window_us=" + std::to_string(c.window_us);
+    if (!res.atomic) failures.push_back(name + ": history not atomic");
+    const auto theory = make_protocol(c.proto);
+    if (res.read_rounds.mean() != theory->read_rounds() ||
+        res.write_rounds.mean() != theory->write_rounds()) {
+      failures.push_back(name + ": rounds " + fmt(res.read_rounds.mean()) +
+                         "/" + fmt(res.write_rounds.mean()) +
+                         ", the protocol declares " +
+                         std::to_string(theory->read_rounds()) + "/" +
+                         std::to_string(theory->write_rounds()));
+    }
     const double ratio =
         res.write_us.p50() > 0 ? res.read_us.p50() / res.write_us.p50() : 0;
-    t.add_row({c.proto, std::to_string(c.S),
-               std::string(c.sigs).empty() ? "-" : c.sigs,
+    t.add_row({c.proto, std::to_string(c.S), sigs,
                std::to_string(c.window_us),
                fmt(res.read_us.p50()), fmt(res.read_us.p99()),
                fmt(res.write_us.p50()), fmt(ratio, 2),
@@ -172,5 +227,8 @@ int main(int argc, char** argv) {
               "window_us=200 rows show the batching window's latency tax "
               "on isolated ops -- roughly the window per round trip; "
               "throughput workloads buy it back (E12c).\n");
-  return 0;
+  for (const auto& f : failures) {
+    std::fprintf(stderr, "E11 FAILED: %s\n", f.c_str());
+  }
+  return failures.empty() ? 0 : 1;
 }

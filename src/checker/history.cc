@@ -73,27 +73,6 @@ std::vector<op_record> history::completed_reads() const {
   return out;
 }
 
-history merge_by_invoke_time(std::vector<op_record> ops) {
-  // Stable: ties keep each source history's own (invocation) order.
-  std::stable_sort(ops.begin(), ops.end(),
-                   [](const op_record& a, const op_record& b) {
-                     return a.invoke_time < b.invoke_time;
-                   });
-  history merged;
-  for (const auto& op : ops) {
-    const auto idx =
-        merged.begin_op(op.client, op.is_write, op.invoke_time, op.val);
-    if (!op.response_time) continue;
-    if (op.is_write) {
-      merged.complete_write(idx, *op.response_time, op.rounds);
-    } else {
-      merged.complete_read(idx, *op.response_time, op.ts, op.wid, op.val,
-                           op.rounds);
-    }
-  }
-  return merged;
-}
-
 std::string history::dump() const {
   std::string out;
   for (std::size_t i = 0; i < ops_.size(); ++i) {

@@ -60,9 +60,4 @@ class history {
   std::unordered_map<process_id, std::size_t> last_op_;
 };
 
-/// Rebuilds one history from op records gathered across several (each
-/// internally well-formed) histories, in invocation-time order. Times must
-/// share one clock -- the TCP deployment's steady clock does.
-[[nodiscard]] history merge_by_invoke_time(std::vector<op_record> ops);
-
 }  // namespace fastreg::checker

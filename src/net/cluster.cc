@@ -118,16 +118,4 @@ std::size_t cluster::client_actor(const process_id& pid) const {
   return cfg_.W() + pid.index;
 }
 
-checker::history cluster::gather_history() const {
-  if (hub_) return hub_->hist();  // already merged across its actors
-  std::vector<checker::op_record> all;
-  for (const auto* nodes : {&writers_, &readers_}) {
-    for (const auto& n : *nodes) {
-      const checker::history h = n->hist();  // by value: keep it alive
-      all.insert(all.end(), h.ops().begin(), h.ops().end());
-    }
-  }
-  return checker::merge_by_invoke_time(std::move(all));
-}
-
 }  // namespace fastreg::net

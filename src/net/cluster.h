@@ -1,7 +1,8 @@
 // An in-process TCP deployment of a full protocol instance: S server
-// nodes plus the client side, over real localhost sockets. Used by the
-// examples, the TCP latency bench (E11), the store front-end, and the
-// end-to-end socket tests.
+// nodes plus the client side, over real localhost sockets. Its one user
+// is store::tcp_store, which deploys the store protocol on it; every TCP
+// example, bench (E11 included, through a one-shard store) and test
+// reaches the sockets that way.
 //
 // Client topology is selectable (cluster_options):
 //  * per-node (default): every reader and writer is its own node with its
@@ -11,15 +12,14 @@
 //    whose reactor pool (hub_reactors) carries every client connection --
 //    the fan-in layout the pipelined store front-end uses to drive
 //    thousands of clients from a few threads.
-// Code that addresses clients by process_id through client_node() /
-// client_actor() works unchanged under either topology.
+// Clients are addressed by process_id through client_node() /
+// client_actor(), which work unchanged under either topology.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "checker/history.h"
 #include "common/check.h"
 #include "net/node.h"
 #include "registers/automaton.h"
@@ -63,16 +63,6 @@ class cluster {
   /// schedule); do not call concurrently with start()/stop().
   void restart_server(std::uint32_t i);
 
-  /// Per-client-node accessors (per-node topology only; a hub cluster
-  /// has no per-client nodes -- use client_node()/client_actor()).
-  [[nodiscard]] node& writer(std::uint32_t i = 0) {
-    FASTREG_EXPECTS(!copt_.client_hub);
-    return *writers_[i];
-  }
-  [[nodiscard]] node& reader(std::uint32_t i) {
-    FASTREG_EXPECTS(!copt_.client_hub);
-    return *readers_[i];
-  }
   [[nodiscard]] node& server(std::uint32_t i) { return *servers_[i]; }
 
   /// The node hosting client `pid` and the actor index of `pid` on it:
@@ -90,10 +80,6 @@ class cluster {
 
   [[nodiscard]] const address_book& book() const { return *book_; }
   [[nodiscard]] const system_config& config() const { return cfg_; }
-
-  /// Merged history of all client nodes (timestamps share the steady
-  /// clock, so cross-node ordering is meaningful on one machine).
-  [[nodiscard]] checker::history gather_history() const;
 
  private:
   system_config cfg_;

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <span>
@@ -185,8 +186,6 @@ std::size_t node::add_actor(std::unique_ptr<automaton> a) {
   st->self = st->automaton_->self();
   st->home_reactor =
       static_cast<std::uint32_t>(actors_.size()) % opt_.reactors;
-  st->reader = as_reader(st->automaton_.get());
-  st->writer = as_writer(st->automaton_.get());
   st->rec = &obs::recorder_for(st->self);
   st->port.n = this;
   st->port.a = st.get();
@@ -278,65 +277,7 @@ void node::post_to(reactor& r, std::function<void()> fn) {
   wake(r);
 }
 
-// ----------------------------------------------------------- client calls --
-
-std::optional<read_result> node::blocking_read(
-    std::chrono::milliseconds timeout) {
-  FASTREG_EXPECTS(actors_.size() == 1);
-  actor_state& a = *actors_[0];
-  FASTREG_EXPECTS(a.reader != nullptr);
-  std::uint64_t before;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    before = a.reads_done;
-  }
-  post_to(home_of(a), [this, &a] {
-    {
-      std::lock_guard<std::mutex> step(a.step_mu);
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        a.open_op_index = a.hist.begin_op(a.self, false, now_ns());
-        a.op_open = true;
-      }
-      // Register automata never stamp their messages; the ambient trace
-      // context tags everything this invocation sends (see send_from).
-      obs::scoped_trace_ctx trace_ctx(obs::next_trace_id(), 0);
-      a.reader->invoke_read(a.port);
-    }
-    poll_client_completion(a);
-  });
-  std::unique_lock<std::mutex> lk(mu_);
-  if (!cv_.wait_for(lk, timeout, [&] { return a.reads_done > before; })) {
-    return std::nullopt;
-  }
-  return a.reader->last_read();
-}
-
-bool node::blocking_write(value_t v, std::chrono::milliseconds timeout) {
-  FASTREG_EXPECTS(actors_.size() == 1);
-  actor_state& a = *actors_[0];
-  FASTREG_EXPECTS(a.writer != nullptr);
-  std::uint64_t before;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    before = a.writes_done;
-  }
-  post_to(home_of(a), [this, &a, v = std::move(v)]() mutable {
-    {
-      std::lock_guard<std::mutex> step(a.step_mu);
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        a.open_op_index = a.hist.begin_op(a.self, true, now_ns(), v);
-        a.op_open = true;
-      }
-      obs::scoped_trace_ctx trace_ctx(obs::next_trace_id(), 0);
-      a.writer->invoke_write(a.port, std::move(v));
-    }
-    poll_client_completion(a);
-  });
-  std::unique_lock<std::mutex> lk(mu_);
-  return cv_.wait_for(lk, timeout, [&] { return a.writes_done > before; });
-}
+// ------------------------------------------------------------ actor steps --
 
 void node::set_step_hook(std::size_t actor, step_fn hook) {
   actor_state& a = actor_at(actor);
@@ -356,7 +297,7 @@ bool node::schedule_step(std::size_t actor) {
   if (a.step_scheduled.exchange(true)) return true;
   post_to(home, [this, &a] {
     a.step_scheduled = false;
-    poll_client_completion(a);
+    run_step_hook(a);
   });
   return true;
 }
@@ -392,7 +333,7 @@ bool node::try_run_on_reactor(std::size_t actor, const step_fn& fn) {
       std::lock_guard<std::mutex> step(a.step_mu);
       fn(*a.automaton_, a.port);
     }
-    poll_client_completion(a);
+    run_step_hook(a);
     {
       std::lock_guard<std::mutex> lk(mu_);
       *done = true;
@@ -406,42 +347,9 @@ bool node::try_run_on_reactor(std::size_t actor, const step_fn& fn) {
   return *done;
 }
 
-checker::history node::hist() const {
-  std::vector<checker::op_record> all;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const auto& a : actors_) {
-      all.insert(all.end(), a->hist.ops().begin(), a->hist.ops().end());
-    }
-  }
-  return checker::merge_by_invoke_time(std::move(all));
-}
-
-void node::poll_client_completion(actor_state& a) {
+void node::run_step_hook(actor_state& a) {
   std::lock_guard<std::mutex> step(a.step_mu);
   if (a.step_hook) a.step_hook(*a.automaton_, a.port);
-  if (a.reader != nullptr) {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (a.op_open && a.reader->reads_completed() > a.reads_done) {
-      const auto& res = a.reader->last_read();
-      FASTREG_CHECK(res.has_value());
-      a.hist.complete_read(a.open_op_index, now_ns(), res->ts, res->wid,
-                           res->val, res->rounds);
-      a.op_open = false;
-      a.reads_done = a.reader->reads_completed();
-      cv_.notify_all();
-    }
-  }
-  if (a.writer != nullptr) {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (a.op_open && a.writer->writes_completed() > a.writes_done) {
-      a.hist.complete_write(a.open_op_index, now_ns(),
-                            a.writer->last_write_rounds());
-      a.op_open = false;
-      a.writes_done = a.writer->writes_completed();
-      cv_.notify_all();
-    }
-  }
 }
 
 // ------------------------------------------------------------------ reactor --
@@ -681,7 +589,7 @@ void node::handle_readable(reactor& r, int fd) {
     close_conn(r, fd);
   }
   // Even after a close: frames drained before it may have completed ops.
-  poll_client_completion(*owner);
+  run_step_hook(*owner);
 }
 
 void node::handle_writable(reactor& r, int fd) {
@@ -1044,8 +952,8 @@ void node::apply_fault(reactor& r, int fd, connection& c, conn_fault f) {
 namespace {
 
 // Register automata never stamp their messages; the reactor step's
-// ambient trace context (set by the invocation or the delivery being
-// handled) fills the gap. Store messages arrive here already stamped.
+// ambient trace context (set by the delivery being handled) fills the
+// gap. Store messages arrive here already stamped.
 void stamp_if_untraced(message& m) {
   if (m.trace != 0) return;
   const auto ctx = obs::current_trace_ctx();

@@ -31,10 +31,12 @@
 // (deliveries arrive on whichever reactor owns the inbound connection);
 // a per-actor step mutex serializes those steps.
 //
-// Waiting for an operation: a store client's ops are driven by a step
-// hook (set_step_hook / schedule_step, installed by the store's
-// sessions); blocking_read/blocking_write drive a single raw register
-// automaton.
+// Waiting for an operation: the node knows nothing of operations. Every
+// TCP client is a store client, and the store's sessions install a step
+// hook (set_step_hook / schedule_step) that begins their queued ops and
+// takes completions; the hook is the only way a caller learns an op
+// completed. The node's own waits (run_on_reactor, fault application)
+// wait for a posted step or a reactor ack, never for an op.
 //
 // Outbound path (zero-copy): frames encode straight into the destination
 // connection's buffer_chain (exact-size reservation, no intermediate byte
@@ -55,7 +57,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -68,7 +69,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "checker/history.h"
 #include "net/buffer_chain.h"
 #include "net/framing.h"
 #include "net/socket.h"
@@ -160,15 +160,6 @@ class node final {
   void start();
   void stop();
 
-  /// Blocking raw-register operations on a single-actor client node (call
-  /// from any non-reactor thread), recorded in hist(). Returns nullopt /
-  /// false on timeout.
-  [[nodiscard]] std::optional<read_result> blocking_read(
-      std::chrono::milliseconds timeout = std::chrono::seconds(10));
-  [[nodiscard]] bool blocking_write(
-      value_t v,
-      std::chrono::milliseconds timeout = std::chrono::seconds(10));
-
   /// Installs `hook` (empty = clear) to run at the end of every step of
   /// the actor (each delivery drain, each posted task) under its step
   /// mutex -- how a pipelined store session takes completions and begins
@@ -205,10 +196,6 @@ class node final {
   /// Hard-resets every connection on every reactor (the peers reconnect
   /// with fresh framing state).
   void reset_all_conns();
-
-  /// Merged operation history recorded by this node's client actors.
-  /// Safe to call after stop(), or concurrently (copies under lock).
-  [[nodiscard]] checker::history hist() const;
 
   [[nodiscard]] const process_id& self() const { return self_; }
 
@@ -282,9 +269,6 @@ class node final {
     std::unique_ptr<automaton> automaton_;
     process_id self{};
     std::uint32_t home_reactor{0};
-    /// Cached cross-casts; non-null per the automaton's roles.
-    reader_iface* reader{nullptr};
-    writer_iface* writer{nullptr};
     obs::recorder* rec{nullptr};
     actor_port port{};
     /// Serializes automaton steps. Uncontended for client actors (all
@@ -299,12 +283,6 @@ class node final {
     step_fn step_hook;
     /// A schedule_step task is queued and has not started yet.
     std::atomic<bool> step_scheduled{false};
-    // ---- guarded by the node's mu_ ----
-    checker::history hist;
-    std::uint64_t reads_done{0};
-    std::uint64_t writes_done{0};
-    std::size_t open_op_index{0};
-    bool op_open{false};
   };
 
   void init_reactors();
@@ -367,7 +345,9 @@ class node final {
   /// exited). No-op before start().
   void run_on_all_reactors(const std::function<void(reactor&)>& fn);
 
-  void poll_client_completion(actor_state& a);
+  /// Runs the actor's step hook, if one is installed, under its step
+  /// mutex: the end of every step of the actor.
+  void run_step_hook(actor_state& a);
 
   system_config cfg_;
   std::shared_ptr<const address_book> book_;
@@ -422,7 +402,9 @@ class node final {
   std::vector<reactor_metrics> rm_;
   bool metrics_bound_{false};
 
-  mutable std::mutex mu_;
+  /// Guards the run state and each reactor's `exited`; cv_ wakes callers
+  /// waiting for a posted step or for every reactor's ack.
+  std::mutex mu_;
   std::condition_variable cv_;
   bool started_{false};
   bool stop_requested_{false};

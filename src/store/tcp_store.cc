@@ -43,19 +43,31 @@ std::string tcp_store::scrape(std::uint32_t server_index,
     return static_cast<int>(std::max<std::int64_t>(0, left.count()));
   };
 
+  // A signal landing in poll, send or read is not a failure: retry, with
+  // the time left recomputed on every pass.
+  const auto wait_for = [&](short events) {
+    for (;;) {
+      pollfd p{fd.get(), events, 0};
+      const int pr = ::poll(&p, 1, remaining_ms());
+      if (pr > 0) return true;
+      if (pr == 0 || errno != EINTR) return false;
+    }
+  };
+  const auto retry = [](ssize_t n) {
+    return n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK);
+  };
+
   // Non-blocking connect: wait for writability, then push the request.
   std::size_t off = 0;
   while (off < bytes.size()) {
-    pollfd p{fd.get(), POLLOUT, 0};
-    const int pr = ::poll(&p, 1, remaining_ms());
-    if (pr <= 0) return {};
+    if (!wait_for(POLLOUT)) return {};
     const ssize_t n = ::send(fd.get(), bytes.data() + off,
                              bytes.size() - off, MSG_NOSIGNAL);
     if (n > 0) {
       off += static_cast<std::size_t>(n);
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) continue;
+    if (retry(n)) continue;
     return {};
   }
 
@@ -63,14 +75,12 @@ std::string tcp_store::scrape(std::uint32_t server_index,
   std::string dump;
   bool got = false;
   while (!got) {
-    pollfd p{fd.get(), POLLIN, 0};
-    const int pr = ::poll(&p, 1, remaining_ms());
-    if (pr <= 0) return {};
+    if (!wait_for(POLLIN)) return {};
     std::uint8_t buf[64 * 1024];
     const ssize_t n = ::read(fd.get(), buf, sizeof buf);
     if (n == 0) return {};  // server closed without answering
     if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) continue;
+      if (retry(n)) continue;
       return {};
     }
     in.drain(buf, static_cast<std::size_t>(n), [&](net::frame&& f) {

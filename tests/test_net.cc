@@ -1,7 +1,8 @@
 // TCP transport: framing robustness, then end-to-end protocol runs over
-// real localhost sockets.
+// real localhost sockets, each protocol deployed as a one-shard store.
 #include <gtest/gtest.h>
 #include <poll.h>
+#include <pthread.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -11,16 +12,20 @@
 #include <thread>
 
 #include "checker/atomicity.h"
-#include "net/cluster.h"
 #include "net/framing.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
-#include "registers/registry.h"
 #include "sim_test_util.h"
+#include "store/tcp_store.h"
+#include "store_test_util.h"
 
 namespace fastreg::net {
 namespace {
 
+using store::tcp_store;
+using store::test::k_register_key;
+using store::test::one_register;
+using store::test::register_client;
 using test::make_cfg;
 
 /// fastreg_net_malformed_frames_total: malformed frames in this process.
@@ -265,16 +270,21 @@ TEST(Framing, IntactFramesBeforeCorruptionStillParse) {
 }
 
 // ------------------------------------------------------------- end-to-end
+//
+// Every TCP client is a store client: each protocol runs as a one-shard
+// store, and each client drives one depth-1 session on one key.
 
 TEST(Cluster, CorruptStreamResetsConnectionAndServerKeepsServing) {
-  cluster c(make_cfg(3, 1, 1), *make_protocol("abd"));
-  c.start();
-  ASSERT_TRUE(c.writer().blocking_write("before-garbage"));
+  tcp_store ts(one_register(make_cfg(3, 1, 1), "abd"));
+  ts.start();
+  register_client w(ts.frontend(), writer_id(0));
+  register_client r(ts.frontend(), reader_id(0));
+  ASSERT_TRUE(w.write("before-garbage"));
 
   // A raw connection feeding an implausible length prefix: the server
   // must reset it (frame_buffer's corruption contract) rather than stall
   // or crash, and unrelated clients keep being served.
-  unique_fd evil = connect_to(c.book().server_ports[0]);
+  unique_fd evil = connect_to(ts.cluster().book().server_ports[0]);
   ASSERT_TRUE(evil.valid());
   const std::uint8_t garbage[] = {0xff, 0xff, 0xff, 0xff, 0x42};
   ASSERT_EQ(::send(evil.get(), garbage, sizeof garbage, 0),
@@ -285,108 +295,126 @@ TEST(Cluster, CorruptStreamResetsConnectionAndServerKeepsServing) {
   std::uint8_t buf[16];
   EXPECT_LE(::recv(evil.get(), buf, sizeof buf, 0), 0);
 
-  ASSERT_TRUE(c.writer().blocking_write("after-garbage"));
-  const auto r = c.reader(0).blocking_read();
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->val, "after-garbage");
-  c.stop();
+  ASSERT_TRUE(w.write("after-garbage"));
+  const auto res = r.read();
+  ASSERT_TRUE(res.has_value());
+  EXPECT_EQ(res->val, "after-garbage");
+  ts.stop();
 }
 
 TEST(Cluster, FastSwmrWriteReadOverTcp) {
-  cluster c(make_cfg(5, 1, 2), *make_protocol("fast_swmr"));
-  c.start();
-  ASSERT_TRUE(c.writer().blocking_write("over-the-wire"));
-  const auto r0 = c.reader(0).blocking_read();
+  tcp_store ts(one_register(make_cfg(5, 1, 2), "fast_swmr"));
+  ts.start();
+  register_client w(ts.frontend(), writer_id(0));
+  register_client r(ts.frontend(), reader_id(0));
+  ASSERT_TRUE(w.write("over-the-wire"));
+  const auto r0 = r.read();
   ASSERT_TRUE(r0.has_value());
   EXPECT_EQ(r0->val, "over-the-wire");
   EXPECT_EQ(r0->rounds, 1);
-  c.stop();
+  ts.stop();
 }
 
 TEST(Cluster, AbdReadTakesTwoRounds) {
-  cluster c(make_cfg(3, 1, 1), *make_protocol("abd"));
-  c.start();
-  ASSERT_TRUE(c.writer().blocking_write("abd-value"));
-  const auto r0 = c.reader(0).blocking_read();
+  tcp_store ts(one_register(make_cfg(3, 1, 1), "abd"));
+  ts.start();
+  register_client w(ts.frontend(), writer_id(0));
+  register_client r(ts.frontend(), reader_id(0));
+  ASSERT_TRUE(w.write("abd-value"));
+  const auto r0 = r.read();
   ASSERT_TRUE(r0.has_value());
   EXPECT_EQ(r0->val, "abd-value");
   EXPECT_EQ(r0->rounds, 2);
-  c.stop();
+  ts.stop();
 }
 
 TEST(Cluster, MaxminGossipsServerToServer) {
-  cluster c(make_cfg(5, 2, 1), *make_protocol("maxmin"));
-  c.start();
-  ASSERT_TRUE(c.writer().blocking_write("gossiped"));
-  const auto r0 = c.reader(0).blocking_read();
+  tcp_store ts(one_register(make_cfg(5, 2, 1), "maxmin"));
+  ts.start();
+  register_client w(ts.frontend(), writer_id(0));
+  register_client r(ts.frontend(), reader_id(0));
+  ASSERT_TRUE(w.write("gossiped"));
+  const auto r0 = r.read();
   ASSERT_TRUE(r0.has_value());
   EXPECT_EQ(r0->val, "gossiped");
-  c.stop();
+  ts.stop();
 }
 
 TEST(Cluster, BftWithRealRsaSignatures) {
-  cluster c(make_cfg(8, 1, 1, 1, 1, "rsa"), *make_protocol("fast_bft"));
-  c.start();
-  ASSERT_TRUE(c.writer().blocking_write("rsa-signed"));
-  const auto r0 = c.reader(0).blocking_read();
+  tcp_store ts(one_register(make_cfg(8, 1, 1, 1, 1, "rsa"), "fast_bft"));
+  ts.start();
+  register_client w(ts.frontend(), writer_id(0));
+  register_client r(ts.frontend(), reader_id(0));
+  ASSERT_TRUE(w.write("rsa-signed"));
+  const auto r0 = r.read();
   ASSERT_TRUE(r0.has_value());
   EXPECT_EQ(r0->val, "rsa-signed");
-  c.stop();
+  ts.stop();
 }
 
 TEST(Cluster, SequencesOfOpsStayAtomic) {
-  cluster c(make_cfg(7, 1, 2), *make_protocol("fast_swmr"));
-  c.start();
+  tcp_store ts(one_register(make_cfg(7, 1, 2), "fast_swmr"));
+  ts.start();
+  register_client w(ts.frontend(), writer_id(0));
+  register_client r0(ts.frontend(), reader_id(0));
+  register_client r1(ts.frontend(), reader_id(1));
   for (int k = 1; k <= 10; ++k) {
-    ASSERT_TRUE(c.writer().blocking_write("v" + std::to_string(k)));
-    const auto a = c.reader(0).blocking_read();
-    const auto b = c.reader(1).blocking_read();
+    ASSERT_TRUE(w.write("v" + std::to_string(k)));
+    const auto a = r0.read();
+    const auto b = r1.read();
     ASSERT_TRUE(a.has_value());
     ASSERT_TRUE(b.has_value());
     EXPECT_EQ(a->val, "v" + std::to_string(k));
     EXPECT_EQ(b->val, "v" + std::to_string(k));
   }
-  const auto hist = c.gather_history();
+  const auto hists = ts.gather();
+  const auto& hist = hists.all().at(k_register_key);
   const auto res = checker::check_swmr_atomicity(hist);
   EXPECT_TRUE(res.ok) << res.error;
   EXPECT_TRUE(checker::check_fastness(hist, 1, 1).ok);
-  c.stop();
+  ts.stop();
 }
 
 TEST(Cluster, ConcurrentClientsProduceAtomicHistory) {
-  cluster c(make_cfg(9, 1, 3), *make_protocol("fast_swmr"));
-  c.start();
+  tcp_store ts(one_register(make_cfg(9, 1, 3), "fast_swmr"));
+  ts.start();
   std::thread writer_thread([&] {
+    register_client w(ts.frontend(), writer_id(0));
     for (int k = 1; k <= 15; ++k) {
-      ASSERT_TRUE(c.writer().blocking_write("v" + std::to_string(k)));
+      ASSERT_TRUE(w.write("v" + std::to_string(k)));
     }
   });
   std::vector<std::thread> reader_threads;
   for (std::uint32_t i = 0; i < 3; ++i) {
     reader_threads.emplace_back([&, i] {
+      register_client r(ts.frontend(), reader_id(i));
       for (int k = 0; k < 10; ++k) {
-        ASSERT_TRUE(c.reader(i).blocking_read().has_value());
+        ASSERT_TRUE(r.read().has_value());
       }
     });
   }
   writer_thread.join();
   for (auto& t : reader_threads) t.join();
-  const auto hist = c.gather_history();
+  const auto hists = ts.gather();
+  const auto& hist = hists.all().at(k_register_key);
+  EXPECT_EQ(hist.size(), 15u + 3 * 10);
   const auto res = checker::check_swmr_atomicity(hist);
   EXPECT_TRUE(res.ok) << res.error << "\n" << hist.dump();
-  c.stop();
+  ts.stop();
 }
 
 TEST(Cluster, ServerStopModelsCrashToleratedByQuorum) {
-  cluster c(make_cfg(5, 1, 1), *make_protocol("fast_swmr"));
-  c.start();
-  ASSERT_TRUE(c.writer().blocking_write("before-crash"));
-  c.server(0).stop();  // one server goes dark: within the t = 1 budget
-  ASSERT_TRUE(c.writer().blocking_write("after-crash"));
-  const auto r0 = c.reader(0).blocking_read();
+  tcp_store ts(one_register(make_cfg(5, 1, 1), "fast_swmr"));
+  ts.start();
+  register_client w(ts.frontend(), writer_id(0));
+  register_client r(ts.frontend(), reader_id(0));
+  ASSERT_TRUE(w.write("before-crash"));
+  ts.cluster().server(0).stop();  // one server goes dark: within t = 1
+  ASSERT_TRUE(w.write("after-crash"));
+  const auto r0 = r.read();
   ASSERT_TRUE(r0.has_value());
   EXPECT_EQ(r0->val, "after-crash");
-  c.stop();
+  ts.stop();
 }
 
 /// Sum of every registry counter series whose name starts with `prefix`
@@ -429,15 +457,18 @@ TEST(Cluster, SignalStormDuringWorkloadClosesZeroConnections) {
   // Gauge rows outlive their nodes (a destroyed node never closes its
   // connections), so count this cluster's from a baseline.
   const double conns0 = server_connections();
-  cluster c(make_cfg(5, 1, 2), *make_protocol("fast_swmr"));
-  c.start();
+  tcp_store ts(one_register(make_cfg(5, 1, 2), "fast_swmr"));
+  ts.start();
+  register_client w(ts.frontend(), writer_id(0));
+  register_client r0(ts.frontend(), reader_id(0));
+  register_client r1(ts.frontend(), reader_id(1));
   // Warm-up pass: every client-server connection exists afterwards, so
   // any accept during the storm pass can only be a reconnect. An op
   // returns once a QUORUM answered: the slowest server may not have
   // accepted yet, so wait until all (W+R)*S connections are adopted.
-  ASSERT_TRUE(c.writer().blocking_write("warmup"));
-  ASSERT_TRUE(c.reader(0).blocking_read().has_value());
-  ASSERT_TRUE(c.reader(1).blocking_read().has_value());
+  ASSERT_TRUE(w.write("warmup"));
+  ASSERT_TRUE(r0.read().has_value());
+  ASSERT_TRUE(r1.read().has_value());
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (server_connections() - conns0 < 3 * 5) {
@@ -450,7 +481,7 @@ TEST(Cluster, SignalStormDuringWorkloadClosesZeroConnections) {
   // Block SIGUSR1 on this thread (and, by mask inheritance, the storm
   // thread): the kernel then delivers the process-directed signals below
   // only to threads that keep it unblocked -- the reactor threads
-  // c.start() spawned before this mask change.
+  // ts.start() spawned before this mask change.
   sigset_t storm_set, old_set;
   sigemptyset(&storm_set);
   sigaddset(&storm_set, SIGUSR1);
@@ -474,9 +505,9 @@ TEST(Cluster, SignalStormDuringWorkloadClosesZeroConnections) {
   });
   const std::string big(16 * 1024, 'x');  // multi-read-sized frames
   for (int k = 1; k <= 100; ++k) {
-    ASSERT_TRUE(c.writer().blocking_write(big + std::to_string(k)));
-    ASSERT_TRUE(c.reader(0).blocking_read().has_value());
-    ASSERT_TRUE(c.reader(1).blocking_read().has_value());
+    ASSERT_TRUE(w.write(big + std::to_string(k)));
+    ASSERT_TRUE(r0.read().has_value());
+    ASSERT_TRUE(r1.read().has_value());
   }
   storming.store(false);
   storm.join();
@@ -486,24 +517,63 @@ TEST(Cluster, SignalStormDuringWorkloadClosesZeroConnections) {
       << "a connection was closed and re-accepted during the storm";
   EXPECT_EQ(counter_total("fastreg_net_conn_resets_total"), resets_before);
 
-  const auto hist = c.gather_history();
-  EXPECT_TRUE(checker::check_swmr_atomicity(hist).ok);
-  c.stop();
+  EXPECT_TRUE(ts.gather().verify().ok);
+  ts.stop();
   ASSERT_EQ(pthread_sigmask(SIG_SETMASK, &old_set, nullptr), 0);
   ASSERT_EQ(::sigaction(SIGUSR1, &old_sa, nullptr), 0);
 }
 
+TEST(Cluster, ScrapeRetriesSyscallsASignalInterrupts) {
+  // tcp_store::scrape polls, sends and reads on a raw socket from the
+  // calling thread. A signal landing in one of those calls is EINTR, not
+  // a dead server: under a SIGUSR1 storm aimed at the scraping thread
+  // alone, every scrape must still return the dump.
+  struct sigaction sa{};
+  sa.sa_handler = [](int) {};
+  sigemptyset(&sa.sa_mask);
+  sa.sa_flags = 0;  // deliberately NOT SA_RESTART: syscalls must see EINTR
+  struct sigaction old_sa{};
+  ASSERT_EQ(::sigaction(SIGUSR1, &sa, &old_sa), 0);
+
+  tcp_store ts(one_register(make_cfg(3, 1, 1), "abd"));
+  ts.start();
+  const pthread_t scraper = ::pthread_self();
+  std::atomic<bool> storming{true};
+  // Two senders: one alone lands a signal inside a syscall too rarely to
+  // fail a scrape that gives up on EINTR in every run.
+  std::vector<std::thread> storms;
+  for (int s = 0; s < 2; ++s) {
+    storms.emplace_back([&] {
+      while (storming.load(std::memory_order_relaxed)) {
+        ::pthread_kill(scraper, SIGUSR1);
+        ::sched_yield();
+      }
+    });
+  }
+  int empty = 0;
+  for (std::uint32_t k = 0; k < 200; ++k) {
+    if (ts.scrape(k % 3).empty()) ++empty;
+  }
+  storming.store(false);
+  for (auto& t : storms) t.join();
+  ts.stop();
+  ASSERT_EQ(::sigaction(SIGUSR1, &old_sa, nullptr), 0);
+  EXPECT_EQ(empty, 0) << "of 200 scrapes under the storm";
+}
+
 TEST(Cluster, MwmrTwoWritersOverTcp) {
-  cluster c(make_cfg(5, 2, 2, 0, 2), *make_protocol("mwmr"));
-  c.start();
-  ASSERT_TRUE(c.writer(0).blocking_write("from-w1"));
-  ASSERT_TRUE(c.writer(1).blocking_write("from-w2"));
-  const auto r0 = c.reader(0).blocking_read();
+  tcp_store ts(one_register(make_cfg(5, 2, 2, 0, 2), "mwmr"));
+  ts.start();
+  register_client w0(ts.frontend(), writer_id(0));
+  register_client w1(ts.frontend(), writer_id(1));
+  register_client r(ts.frontend(), reader_id(0));
+  ASSERT_TRUE(w0.write("from-w1"));
+  ASSERT_TRUE(w1.write("from-w2"));
+  const auto r0 = r.read();
   ASSERT_TRUE(r0.has_value());
   EXPECT_EQ(r0->val, "from-w2");
-  const auto hist = c.gather_history();
-  EXPECT_TRUE(checker::check_linearizable(hist).ok);
-  c.stop();
+  EXPECT_TRUE(ts.gather().verify(store::verify_mode::mwmr_oracle).ok);
+  ts.stop();
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 
 #include "benchutil/stress.h"
 #include "benchutil/workload.h"
-#include "net/cluster.h"
 #include "net/framing.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
@@ -301,16 +300,24 @@ void expect_rounds(const std::string& what, const round_tally& wire,
   EXPECT_DOUBLE_EQ(hist.write_mean(), wire.write_mean()) << what;
 }
 
+/// Theory's read/write rounds per protocol, checked on both transports.
+const std::vector<std::tuple<const char*, double, double>> k_round_cases = {
+    {"fast_swmr", 1.0, 1.0}, {"abd", 2.0, 1.0}, {"mwmr", 2.0, 2.0}};
+
+/// S = 7, t = 1, two readers; mwmr also gets two writers.
+system_config round_case_cfg(const std::string& proto) {
+  system_config cfg;
+  cfg.servers = 7;
+  cfg.t_failures = 1;
+  cfg.readers = 2;
+  if (proto == "mwmr") cfg.writers = 2;
+  return cfg;
+}
+
 TEST(RecorderRounds, WireRequestsMatchHistoryRoundsOnSim) {
   recording_guard guard(true);
-  const std::vector<std::tuple<const char*, double, double>> cases = {
-      {"fast_swmr", 1.0, 1.0}, {"abd", 2.0, 1.0}, {"mwmr", 2.0, 2.0}};
-  for (const auto& [proto, rd, wr] : cases) {
-    system_config cfg;
-    cfg.servers = 7;
-    cfg.t_failures = 1;
-    cfg.readers = 2;
-    if (std::string(proto) == "mwmr") cfg.writers = 2;
+  for (const auto& [proto, rd, wr] : k_round_cases) {
+    const system_config cfg = round_case_cfg(proto);
     benchutil::workload_options opt;
     opt.num_writes = 10;
     opt.reads_per_reader = 10;
@@ -324,21 +331,35 @@ TEST(RecorderRounds, WireRequestsMatchHistoryRoundsOnSim) {
 
 TEST(RecorderRounds, WireRequestsMatchHistoryRoundsOverTcp) {
   recording_guard guard(true);
-  system_config cfg;
-  cfg.servers = 5;
-  cfg.t_failures = 1;
-  cfg.readers = 1;
-  obs::recorder_reset_all();
-  net::cluster c(cfg, *make_protocol("abd"), {});
-  c.start();
-  for (int k = 0; k < 10; ++k) {
-    ASSERT_TRUE(c.writer().blocking_write("v" + std::to_string(k)));
-    ASSERT_TRUE(c.reader(0).blocking_read().has_value());
+  for (const auto& [proto, rd, wr] : k_round_cases) {
+    const system_config cfg = round_case_cfg(proto);
+    obs::recorder_reset_all();
+    store::tcp_store ts(store::test::one_register(cfg, proto),
+                        net::node_options{});
+    ts.start();
+    {
+      std::vector<store::test::register_client> clients;
+      for (std::uint32_t j = 0; j < cfg.W(); ++j) {
+        clients.emplace_back(ts.frontend(), writer_id(j));
+      }
+      for (std::uint32_t i = 0; i < cfg.R(); ++i) {
+        clients.emplace_back(ts.frontend(), reader_id(i));
+      }
+      for (int k = 0; k < 10; ++k) {
+        for (std::uint32_t j = 0; j < cfg.W(); ++j) {
+          ASSERT_TRUE(clients[j].write("v" + std::to_string(k))) << proto;
+        }
+        for (std::uint32_t i = 0; i < cfg.R(); ++i) {
+          ASSERT_TRUE(clients[cfg.W() + i].read().has_value()) << proto;
+        }
+      }
+    }
+    const auto hists = ts.gather();
+    ts.stop();
+    const auto& hist = hists.all().at(store::test::k_register_key);
+    expect_rounds(std::string(proto) + " over tcp", rounds_on_wire(cfg),
+                  rounds_in_history(hist), rd, wr);
   }
-  const auto hist = c.gather_history();
-  c.stop();
-  expect_rounds("abd over tcp", rounds_on_wire(cfg), rounds_in_history(hist),
-                2.0, 1.0);
 }
 
 // --------------------------------- trace propagation across a reshard --

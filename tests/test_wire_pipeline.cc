@@ -6,7 +6,8 @@
 //    ones that end mid-block;
 //  * frame_buffer::drain parses in place, reassembles frames straddling
 //    receive-buffer boundaries, and still latches corrupt();
-//  * a TCP cluster stays correct under fixed and adaptive batch windows;
+//  * a TCP deployment (a one-shard store) stays correct under fixed and
+//    adaptive batch windows;
 //  * the pipelined store client keeps N ops in flight and the resulting
 //    histories verify.
 #include <gtest/gtest.h>
@@ -18,13 +19,11 @@
 #include <string>
 #include <vector>
 
-#include "checker/atomicity.h"
 #include "net/buffer_chain.h"
-#include "net/cluster.h"
 #include "net/framing.h"
 #include "obs/metrics.h"
-#include "registers/registry.h"
 #include "store/tcp_store.h"
+#include "store_test_util.h"
 
 // ------------------------------------------------- allocation counting --
 // Global operator new override: every heap allocation in the process is
@@ -289,16 +288,18 @@ void run_cluster_ops(node_options nopt) {
   cfg.servers = 5;
   cfg.t_failures = 1;
   cfg.readers = 1;
-  cluster c(cfg, *make_protocol("abd"), nopt);
-  c.start();
+  store::tcp_store ts(store::test::one_register(cfg, "abd"), nopt);
+  ts.start();
+  store::test::register_client w(ts.frontend(), writer_id(0));
+  store::test::register_client r(ts.frontend(), reader_id(0));
   for (int k = 0; k < 20; ++k) {
-    ASSERT_TRUE(c.writer().blocking_write("v" + std::to_string(k + 1)));
-    const auto rd = c.reader(0).blocking_read();
+    ASSERT_TRUE(w.write("v" + std::to_string(k + 1)));
+    const auto rd = r.read();
     ASSERT_TRUE(rd.has_value());
     EXPECT_EQ(rd->val, "v" + std::to_string(k + 1));
   }
-  EXPECT_TRUE(checker::check_swmr_atomicity(c.gather_history()).ok);
-  c.stop();
+  EXPECT_TRUE(ts.gather().verify().ok);
+  ts.stop();
 }
 
 TEST(BatchWindow, FixedWindowClusterStaysCorrect) {
