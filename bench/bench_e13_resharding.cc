@@ -35,6 +35,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -61,6 +62,37 @@ std::vector<std::string> make_keys(std::uint32_t n) {
   }
   return keys;
 }
+
+/// A depth-1 session for the writer and every reader of a sim_store, open
+/// for the whole run: each op is issued in its own invocation step and
+/// completes through the session's world step hook.
+class sim_sessions {
+ public:
+  sim_sessions(store::sim_store& s, rng& r)
+      : fe_(s, r), writer_(fe_.open_session(writer_id(0), 1)) {
+    for (std::uint32_t i = 0; i < s.config().base.R(); ++i) {
+      readers_.push_back(fe_.open_session(reader_id(i), 1));
+    }
+  }
+
+  void put(const std::string& key, value_t v) {
+    issue(*writer_, writer_->try_put(key, std::move(v)));
+  }
+  void get(std::uint32_t reader, const std::string& key) {
+    issue(*readers_[reader], readers_[reader]->try_get(key));
+  }
+
+ private:
+  static void issue(store::async_session& se, store::submit_status st) {
+    FASTREG_CHECK(st == store::submit_status::submitted);
+    se.pump();
+    (void)se.take_results();
+  }
+
+  store::sim_frontend fe_;
+  std::unique_ptr<store::async_session> writer_;
+  std::vector<std::unique_ptr<store::async_session>> readers_;
+};
 
 struct phase_window {
   stats get_lat;
@@ -106,6 +138,7 @@ void run_sim_part(table& t, bool crash_one) {
   rng r(1234);
   sim::uniform_delay delays(50, 150);
   const zipf_sampler zipf(num_keys, 1.1);
+  sim_sessions ses(s, r);
 
   reconfig::sim_control ctl(s);
   reconfig::coordinator coord(ctl, keys);
@@ -143,13 +176,13 @@ void run_sim_part(table& t, bool crash_one) {
     if (puts_left > 0 && !s.writer_client(0).op_in_progress()) {
       --puts_left;
       const auto& key = keys[zipf.sample(r)];
-      s.invoke_put(0, key, "v" + std::to_string(++put_seq));
+      ses.put(key, "v" + std::to_string(++put_seq));
       invoked = true;
     }
     for (std::uint32_t i = 0; i < cfg.base.R(); ++i) {
       if (gets_left[i] == 0 || s.reader_client(i).op_in_progress()) continue;
       --gets_left[i];
-      s.invoke_get(i, keys[zipf.sample(r)]);
+      ses.get(i, keys[zipf.sample(r)]);
       invoked = true;
     }
     if (s.world().in_transit().empty()) {
@@ -329,6 +362,7 @@ void run_rejoin_part(table& t, persist::fsync_policy policy) {
   store::sim_store s(cfg);
   rng r(99);
   const zipf_sampler zipf(num_keys, 1.1);
+  sim_sessions ses(s, r);
 
   const std::uint32_t crash_index = cfg.base.S() - 1;
   std::uint32_t puts_left = 300;
@@ -357,14 +391,14 @@ void run_rejoin_part(table& t, persist::fsync_policy policy) {
       --puts_left;
       ++invoked;
       invoked_now = true;
-      s.invoke_put(0, keys[zipf.sample(r)], "v" + std::to_string(++put_seq));
+      ses.put(keys[zipf.sample(r)], "v" + std::to_string(++put_seq));
     }
     for (std::uint32_t i = 0; i < cfg.base.R(); ++i) {
       if (gets_left[i] == 0 || s.reader_client(i).op_in_progress()) continue;
       --gets_left[i];
       ++invoked;
       invoked_now = true;
-      s.invoke_get(i, keys[zipf.sample(r)]);
+      ses.get(i, keys[zipf.sample(r)]);
     }
     if (s.world().in_transit().empty()) {
       if (invoked_now || coord_active) continue;

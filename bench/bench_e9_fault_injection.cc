@@ -16,6 +16,8 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
+#include <vector>
 
 #include "benchutil/table.h"
 #include "benchutil/workload.h"
@@ -58,6 +60,18 @@ void recovery_row(table& t, persist::fsync_policy policy) {
   rng r(42);
   const zipf_sampler zipf(32, 0.99);
   const auto key = [&] { return "k" + std::to_string(zipf.sample(r)); };
+  // One session per client for the whole load, one op in flight each.
+  store::sim_frontend fe(s, r);
+  auto writer = fe.open_session(writer_id(0), 1);
+  std::vector<std::unique_ptr<store::async_session>> readers;
+  for (std::uint32_t i = 0; i < cfg.base.R(); ++i) {
+    readers.push_back(fe.open_session(reader_id(i), 1));
+  }
+  const auto issue = [](store::async_session& se, store::submit_status st) {
+    FASTREG_CHECK(st == store::submit_status::submitted);
+    se.pump();
+    (void)se.take_results();
+  };
 
   const std::uint32_t crash_index = cfg.base.S() - 1;
   auto& reg = obs::registry::instance();
@@ -75,13 +89,13 @@ void recovery_row(table& t, persist::fsync_policy policy) {
     if (puts_left > 0 && !s.writer_client(0).op_in_progress()) {
       --puts_left;
       invoked = true;
-      s.invoke_put(0, key(), "v" + std::to_string(++put_seq));
+      issue(*writer, writer->try_put(key(), "v" + std::to_string(++put_seq)));
     }
     for (std::uint32_t i = 0; i < cfg.base.R(); ++i) {
       if (gets_left[i] == 0 || s.reader_client(i).op_in_progress()) continue;
       --gets_left[i];
       invoked = true;
-      s.invoke_get(i, key());
+      issue(*readers[i], readers[i]->try_get(key()));
     }
     if (s.world().in_transit().empty()) {
       if (invoked) continue;

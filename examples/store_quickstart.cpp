@@ -2,11 +2,12 @@
 //
 //  1. Configure a sharded store: 4 shards, hot shards on the fast
 //     one-round protocol, the rest on ABD.
-//  2. put()/get() by key on the deterministic simulator; keys route to
-//     shards by hash, each shard runs its own protocol.
+//  2. put()/get() by key through a session on the deterministic
+//     simulator; keys route to shards by hash, each shard runs its own
+//     protocol.
 //  3. Pipeline a batch of gets: requests and replies share envelopes
 //     (the store's batched transport).
-//  4. Demultiplex per-key histories and verify each object's atomicity.
+//  4. Verify each object's atomicity on the per-key histories.
 //
 // Build & run:  ./build/store_quickstart
 #include <cstdio>
@@ -28,32 +29,41 @@ int main() {
   store::sim_store s(cfg);
   rng schedule(/*seed=*/2026);
   sim::uniform_delay delays(50, 150);
+  // Sessions: the store's one client path (store::tcp_store hands out the
+  // same ones over TCP). The frontend's rng drives blocking calls only.
+  store::sim_frontend fe(s, schedule);
+  auto writer = fe.open_session(writer_id(0), /*depth=*/1);
+  auto reader = fe.open_session(reader_id(0), /*depth=*/1);
 
-  // --- 2. Keyed writes and reads.
+  // --- 2. Keyed writes and reads: put/get issue the op, the schedule
+  // delivers it, and the session collects the result.
   for (const char* key : {"user:alice", "user:bob", "cfg:limit"}) {
-    s.invoke_put(0, key, std::string("value-of-") + key);
+    if (!writer->put(key, std::string("value-of-") + key)) return 1;
     s.run_timed(schedule, delays);
   }
   for (const char* key : {"user:alice", "cfg:limit"}) {
-    s.invoke_get(0, key);
+    if (!reader->get(key)) return 1;
     s.run_timed(schedule, delays);
-    const auto reads = s.histories().all().at(key).completed_reads();
+    const auto got = reader->take_results();
     std::printf("get(%s) -> \"%s\"  (shard %u, %s, %d round-trip%s)\n", key,
-                reads.back().val.c_str(), s.shards()->shard_of_key(key),
+                got.back().val.c_str(), s.shards()->shard_of_key(key),
                 s.shards()->protocol_for_object(store::key_object_id(key))
                     .name()
                     .c_str(),
-                reads.back().rounds, reads.back().rounds == 1 ? "" : "s");
+                got.back().rounds, got.back().rounds == 1 ? "" : "s");
   }
 
   // --- 3. A pipelined batch: 8 gets leave in ONE envelope per server.
   const auto env_before = s.world().envelopes_sent();
   const auto msg_before = s.world().messages_sent();
-  std::vector<store::store_op> gets;
+  auto batch = fe.open_session(reader_id(1), /*depth=*/8);
   for (int i = 0; i < 8; ++i) {
-    gets.push_back({"item" + std::to_string(i), /*is_put=*/false, {}});
+    if (batch->try_get("item" + std::to_string(i)) !=
+        store::submit_status::submitted) {
+      return 1;
+    }
   }
-  s.invoke_ops(reader_id(1), gets);
+  batch->pump();  // one invocation step for all 8
   s.run_timed(schedule, delays);
   std::printf("\nbatched 8 gets: %llu envelopes carried %llu messages\n",
               static_cast<unsigned long long>(s.world().envelopes_sent() -
@@ -62,9 +72,10 @@ int main() {
                                               msg_before));
 
   // --- 4. Per-key verification.
-  const auto res = s.histories().verify();
+  const auto hist = fe.gather();
+  const auto res = hist.verify();
   std::printf("\n%zu keys, %zu ops, per-key atomicity: %s\n",
-              s.histories().key_count(), s.histories().total_ops(),
+              hist.key_count(), hist.total_ops(),
               res.ok ? "OK" : res.error.c_str());
   return res.ok ? 0 : 1;
 }

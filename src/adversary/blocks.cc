@@ -1,6 +1,5 @@
 #include "adversary/blocks.h"
 
-#include <algorithm>
 #include <numeric>
 
 #include "common/check.h"
@@ -18,12 +17,6 @@ block_partition block_partition::from_sizes(
     p.blocks_.push_back(std::move(blk));
   }
   return p;
-}
-
-bool block_partition::contains(std::size_t block_index,
-                               std::uint32_t server) const {
-  const auto& blk = blocks_[block_index];
-  return std::find(blk.begin(), blk.end(), server) != blk.end();
 }
 
 std::vector<bool> block_partition::membership(

@@ -31,8 +31,6 @@ class block_partition {
   [[nodiscard]] const std::vector<std::uint32_t>& block(std::size_t i) const {
     return blocks_[i];
   }
-  [[nodiscard]] bool contains(std::size_t block_index,
-                              std::uint32_t server) const;
   /// Union of the given blocks, as a server-index set membership test.
   [[nodiscard]] std::vector<bool> membership(
       const std::vector<std::size_t>& block_indices,

@@ -94,24 +94,6 @@ value_t extend_with_r2(world& w, std::uint32_t skip) {
 
 }  // namespace
 
-std::string mwmr_report::summary() const {
-  std::string out = "series=[";
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    if (i != 0) out += ",";
-    out += series[i];
-  }
-  out += "] P1(run^1)=" + std::string(p1_ok_run1 ? "ok" : "VIOLATED");
-  out += " P1(run^{S+1})=" + std::string(p1_ok_runlast ? "ok" : "VIOLATED");
-  if (flip_index) {
-    out += " flip@i1=" + std::to_string(*flip_index);
-    out += " r2(run')=" + (r2_run_prime ? *r2_run_prime : "?");
-    out += " r2(run'')=" + (r2_run_doubleprime ? *r2_run_doubleprime : "?");
-    out += p2_violation ? " P2 VIOLATED" : " P2 ok";
-  }
-  out += violation ? " => NOT ATOMIC" : " => no violation found";
-  return out;
-}
-
 mwmr_report run_mwmr_lower_bound(const protocol& proto, std::uint32_t S) {
   FASTREG_EXPECTS(proto.read_rounds() == 1 && proto.write_rounds() == 1);
   FASTREG_EXPECTS(S >= 2);

@@ -51,8 +51,6 @@ struct mwmr_report {
   /// Some property failed somewhere: the protocol is not atomic.
   bool violation{false};
   std::vector<std::string> trace{};
-
-  [[nodiscard]] std::string summary() const;
 };
 
 /// Runs the construction with W = R = 2, t = 1 and `S` servers against a

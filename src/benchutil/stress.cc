@@ -188,6 +188,21 @@ stress_report run_sim_stress(const stress_options& opt) {
   rng r(opt.seed);
   sim::uniform_delay delays(opt.delay_lo, opt.delay_hi);
   const auto keys = make_keys(opt.num_keys);
+  // One depth-1 session per client for the whole run; each op is issued
+  // in its own invocation step.
+  store::sim_frontend fe(s, r);
+  std::vector<std::unique_ptr<store::async_session>> wses, rses;
+  for (std::uint32_t j = 0; j < opt.W; ++j) {
+    wses.push_back(fe.open_session(writer_id(j), 1));
+  }
+  for (std::uint32_t i = 0; i < opt.R; ++i) {
+    rses.push_back(fe.open_session(reader_id(i), 1));
+  }
+  const auto issue = [](store::async_session& se, store::submit_status st) {
+    FASTREG_CHECK(st == store::submit_status::submitted);
+    se.pump();
+    (void)se.take_results();
+  };
 
   std::vector<std::uint32_t> puts_left(opt.W, opt.puts_per_writer);
   std::vector<std::uint32_t> gets_left(opt.R, opt.gets_per_reader);
@@ -267,16 +282,18 @@ stress_report run_sim_stress(const stress_options& opt) {
       --puts_left[j];
       ++invoked;
       invoked_now = true;
-      s.invoke_put(j, keys[r.below(keys.size())],
-                   "w" + std::to_string(j) + ":" +
-                       std::to_string(++put_seq[j]));
+      auto& se = *wses[j];
+      issue(se, se.try_put(keys[r.below(keys.size())],
+                           "w" + std::to_string(j) + ":" +
+                               std::to_string(++put_seq[j])));
     }
     for (std::uint32_t i = 0; i < opt.R; ++i) {
       if (gets_left[i] == 0 || s.reader_client(i).op_in_progress()) continue;
       --gets_left[i];
       ++invoked;
       invoked_now = true;
-      s.invoke_get(i, keys[r.below(keys.size())]);
+      auto& se = *rses[i];
+      issue(se, se.try_get(keys[r.below(keys.size())]));
     }
 
     if (s.world().in_transit().empty()) {

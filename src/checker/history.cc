@@ -47,6 +47,24 @@ void history::complete_write(std::size_t index, std::uint64_t response_time,
   op.rounds = rounds;
 }
 
+std::optional<std::size_t> history::open_op(const process_id& client) const {
+  const auto it = last_op_.find(client);
+  if (it == last_op_.end() || ops_[it->second].response_time) {
+    return std::nullopt;
+  }
+  return it->second;
+}
+
+void history::sort_by_invoke_time() {
+  const auto by_invoke = [](const op_record& a, const op_record& b) {
+    return a.invoke_time < b.invoke_time;
+  };
+  if (std::is_sorted(ops_.begin(), ops_.end(), by_invoke)) return;
+  std::stable_sort(ops_.begin(), ops_.end(), by_invoke);
+  last_op_.clear();
+  for (std::size_t i = 0; i < ops_.size(); ++i) last_op_[ops_[i].client] = i;
+}
+
 std::vector<op_record> history::writes_by(const process_id& client) const {
   std::vector<op_record> out;
   for (const auto& op : ops_) {

@@ -42,6 +42,14 @@ class history {
   void complete_write(std::size_t index, std::uint64_t response_time,
                       int rounds);
 
+  /// Reorders the ops by invocation time, stably (each client's own ops
+  /// keep their order). Invalidates the indices begin_op returned.
+  void sort_by_invoke_time();
+
+  /// Index of `client`'s outstanding op; nullopt when it has none.
+  [[nodiscard]] std::optional<std::size_t> open_op(
+      const process_id& client) const;
+
   [[nodiscard]] const std::vector<op_record>& ops() const { return ops_; }
   [[nodiscard]] std::size_t size() const { return ops_.size(); }
   [[nodiscard]] const op_record& op(std::size_t i) const { return ops_[i]; }

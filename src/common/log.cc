@@ -49,14 +49,10 @@ std::string& node_storage() {
 
 }  // namespace
 
-log_level& log_config::storage() {
-  static log_level lv = level_from_env();
+log_level log_config::level() {
+  static const log_level lv = level_from_env();
   return lv;
 }
-
-log_level log_config::level() { return storage(); }
-
-void log_config::set_level(log_level lv) { storage() = lv; }
 
 void log_set_node(std::string node) { node_storage() = std::move(node); }
 

@@ -1,6 +1,6 @@
 // Tiny leveled logger. Off by default so simulations stay fast; enable via
-// fastreg::log_config::set_level or the FASTREG_LOG environment variable
-// (trace|debug|info|warn|error|off).
+// the FASTREG_LOG environment variable (trace|debug|info|warn|error|off),
+// read once on first use.
 #pragma once
 
 #include <cstdio>
@@ -20,10 +20,6 @@ enum class log_level : int {
 class log_config {
  public:
   static log_level level();
-  static void set_level(log_level lv);
-
- private:
-  static log_level& storage();
 };
 
 void log_write(log_level lv, const char* file, int line, const std::string& msg);

@@ -43,8 +43,6 @@ class seen_set {
 
   friend bool operator==(const seen_set&, const seen_set&) = default;
 
-  [[nodiscard]] std::string to_string() const;
-
  private:
   static std::uint64_t bit(const process_id& p) {
     const std::uint32_t slot = client_slot(p);

@@ -16,17 +16,4 @@ std::string to_string(const process_id& p) {
   return "?";
 }
 
-std::string seen_set::to_string() const {
-  std::string out = "{";
-  bool first = true;
-  for (std::uint32_t slot = 0; slot < max_clients; ++slot) {
-    if ((bits_ & (std::uint64_t{1} << slot)) == 0) continue;
-    if (!first) out += ",";
-    first = false;
-    out += slot == 0 ? "w" : "r" + std::to_string(slot);
-  }
-  out += "}";
-  return out;
-}
-
 }  // namespace fastreg

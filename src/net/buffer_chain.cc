@@ -63,11 +63,6 @@ void buffer_chain::consume(std::size_t n) {
   // zero-length front block can only be the not-yet-filled tail, keep it.
 }
 
-void buffer_chain::clear() {
-  for (auto& b : blocks_) recycle(std::move(b.data));
-  blocks_.clear();
-}
-
 void buffer_chain::recycle(std::vector<std::uint8_t> data) {
   // Oversized one-off blocks (giant frames) are not worth keeping.
   if (spare_.size() >= max_spare_blocks || data.capacity() > 2 * block_bytes) {

@@ -49,9 +49,6 @@ class buffer_chain {
   /// recycled onto the freelist.
   void consume(std::size_t n);
 
-  /// Drops all unsent bytes (connection teardown), keeping the freelist.
-  void clear();
-
  private:
   struct block {
     std::vector<std::uint8_t> data;

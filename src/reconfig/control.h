@@ -4,7 +4,8 @@
 //
 // Simulator: control actions run between world steps on the driving
 // thread; client steps go through world::invoke_step so their sends land
-// in the world's in-transit set like any other step.
+// in the world's in-transit set, and the step hook of any store session
+// open on the client runs, like any other step.
 //
 // TCP: control actions run as steps on each node's reactor thread
 // (run_on_reactor), so they serialize with live traffic -- and with the

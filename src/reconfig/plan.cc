@@ -5,15 +5,6 @@
 
 namespace fastreg::reconfig {
 
-std::string reconfig_plan::describe() const {
-  std::string out = "shards=" + std::to_string(num_shards) + " protos=";
-  for (std::size_t i = 0; i < shard_protocols.size(); ++i) {
-    if (i != 0) out += "+";
-    out += shard_protocols[i];
-  }
-  return out;
-}
-
 std::string validate_plan(const store::shard_map& cur,
                           const reconfig_plan& plan) {
   if (plan.num_shards < 1) return "plan needs at least one shard";

@@ -18,8 +18,6 @@ struct reconfig_plan {
   std::uint32_t num_shards{1};
   /// Registry names, assigned round-robin exactly like store_config.
   std::vector<std::string> shard_protocols{};
-
-  [[nodiscard]] std::string describe() const;
 };
 
 /// Empty string when the plan may be applied on top of `cur`; otherwise a

@@ -160,7 +160,7 @@ void world::invoke_write(std::uint32_t writer_index, value_t v) {
   obs::scoped_trace_ctx trace_ctx(obs::next_trace_id(), 0);
   scoped_log_node log_node(to_string(wid));
   w->invoke_write(*this, std::move(v));
-  flush_sends(wid);
+  end_step(wid);
 }
 
 void world::invoke_read(std::uint32_t reader_index) {
@@ -177,7 +177,7 @@ void world::invoke_read(std::uint32_t reader_index) {
   obs::scoped_trace_ctx trace_ctx(obs::next_trace_id(), 0);
   scoped_log_node log_node(to_string(rid));
   r->invoke_read(*this);
-  flush_sends(rid);
+  end_step(rid);
 }
 
 void world::invoke_step(const process_id& p,
@@ -187,6 +187,20 @@ void world::invoke_step(const process_id& p,
   obs::scoped_trace_time trace_time(now_);
   scoped_log_node log_node(to_string(p));
   fn(*this);
+  end_step(p);
+}
+
+void world::set_step_hook(const process_id& p, step_fn hook) {
+  const std::size_t i = index_of(p);
+  if (hooks_.size() <= i) hooks_.resize(i + 1);
+  hooks_[i] = std::move(hook);
+}
+
+void world::end_step(const process_id& p) {
+  if (!hooks_.empty()) {
+    const std::size_t i = index_of(p);
+    if (i < hooks_.size() && hooks_[i]) hooks_[i](*procs_[i], *this);
+  }
   flush_sends(p);
 }
 
@@ -252,7 +266,7 @@ void world::do_step(const process_id& to, const envelope& env) {
     all.insert(all.end(), env.tail.begin(), env.tail.end());
     a.on_batch(*this, env.from, all);
   }
-  flush_sends(to);
+  end_step(to);
   delivered_count_ += env.message_count();
   poll_completion(to);
 }
@@ -400,8 +414,6 @@ void world::partition(const process_id& a, const process_id& b) {
 void world::heal(const process_id& a, const process_id& b) {
   blocked_.erase(link_key(a, b));
 }
-
-void world::heal_all() { blocked_.clear(); }
 
 bool world::link_blocked(const process_id& a, const process_id& b) const {
   return !blocked_.empty() && blocked_.contains(link_key(a, b));

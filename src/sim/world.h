@@ -143,9 +143,17 @@ class world final : public netout {
   /// Runs `fn` as a locally-triggered step of process p (a client
   /// invocation that is not a register read/write -- e.g. the store
   /// front-end's get/put) and flushes p's sends into mset. Callers manage
-  /// their own histories and completion polling.
+  /// their own histories; completions reach them through p's step hook.
   void invoke_step(const process_id& p,
                    const std::function<void(netout&)>& fn);
+
+  using step_fn = std::function<void(automaton&, netout&)>;
+  /// Installs `hook` (empty = clear) to run at the end of every step of p
+  /// -- each delivery and each invocation, before the step's sends are
+  /// flushed -- the simulator's net::node::set_step_hook: how a store
+  /// session learns, at the step that completed them, which of its ops
+  /// completed. fork() does not copy hooks.
+  void set_step_hook(const process_id& p, step_fn hook);
 
   // ----------------------------------------------------- manual driving --
   /// Executes step <to, {m}> for the envelope with this id. Returns false
@@ -206,7 +214,6 @@ class world final : public netout {
   void partition(const process_id& a, const process_id& b);
   /// Unblocks the link between a and b.
   void heal(const process_id& a, const process_id& b);
-  void heal_all();
   [[nodiscard]] bool link_blocked(const process_id& a,
                                   const process_id& b) const;
   [[nodiscard]] std::size_t blocked_links() const { return blocked_.size(); }
@@ -229,6 +236,8 @@ class world final : public netout {
   };
 
   void do_step(const process_id& to, const envelope& env);
+  /// Ends p's step: runs its hook, then flushes its sends into mset.
+  void end_step(const process_id& p);
   void poll_completion(const process_id& p);
   void flush_sends(const process_id& from);
   [[nodiscard]] std::size_t index_of(const process_id& p) const;
@@ -248,6 +257,8 @@ class world final : public netout {
   std::set<std::pair<process_id, process_id>> blocked_;
   std::unordered_map<process_id, std::size_t> armed_partial_crash_;
   std::unordered_map<process_id, client_state> clients_;
+  /// Step hooks by process index (see set_step_hook); not forked.
+  std::vector<step_fn> hooks_;
   checker::history history_;
   std::uint64_t sent_count_{0};
   std::uint64_t delivered_count_{0};

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <iterator>
-#include <unordered_set>
 
 #include "common/check.h"
 #include "net/cluster.h"
@@ -28,65 +27,46 @@ std::uint64_t now_ns() {
 void op_log::open(const process_id& client_pid, const std::string& key,
                   bool is_put, const value_t& v, std::uint64_t t0) {
   std::lock_guard<std::mutex> lk(mu_);
-  raw_op op;
-  op.key = key;
-  op.client = client_pid;
-  op.is_put = is_put;
-  op.t0 = t0;
-  if (is_put) op.val = v;
-  log_.push_back(std::move(op));
-  open_[{client_pid, key}].push_back(log_.size() - 1);
+  auto it = by_key_.find(key);
+  if (it == by_key_.end()) it = by_key_.emplace(key, &hist_.for_key(key)).first;
+  it->second->begin_op(client_pid, is_put, t0, is_put ? v : value_t{});
 }
 
 void op_log::close(const process_id& client_pid,
                    const std::vector<store_result>& results,
                    std::uint64_t t1) {
   std::lock_guard<std::mutex> lk(mu_);
-  // Match completions to the EARLIEST incomplete log entry for their
-  // (client, key): a stale completion closes the abandoned older entry,
-  // a fresh one closes its own session's.
   for (const auto& r : results) {
-    const auto open_it = open_.find({client_pid, r.key});
-    if (open_it == open_.end() || open_it->second.empty()) continue;
-    const std::size_t i = open_it->second.front();
-    open_it->second.pop_front();
-    if (open_it->second.empty()) open_.erase(open_it);
-    auto& op = log_[i];
-    op.t1 = t1;
-    op.ts = r.ts;
-    op.wid = r.wid;
-    if (!r.is_put) op.val = r.val;
-    op.rounds = r.rounds;
+    const auto it = by_key_.find(r.key);
+    if (it == by_key_.end()) continue;
+    checker::history& h = *it->second;
+    const auto i = h.open_op(client_pid);
+    if (!i) continue;
+    if (r.is_put) {
+      h.complete_write(*i, t1, r.rounds);
+    } else {
+      h.complete_read(*i, t1, r.ts, r.wid, r.val, r.rounds);
+    }
   }
 }
 
 store_histories op_log::gather() const {
-  std::vector<raw_op> log;
+  store_histories out;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    log = log_;
+    out = hist_;
   }
-  std::sort(log.begin(), log.end(),
-            [](const raw_op& a, const raw_op& b) { return a.t0 < b.t0; });
-  store_histories out;
-  for (const auto& op : log) {
-    auto& h = out.for_key(op.key);
-    const auto idx = h.begin_op(op.client, op.is_put, op.t0,
-                                op.is_put ? op.val : value_t{});
-    if (!op.t1) continue;
-    if (op.is_put) {
-      h.complete_write(idx, *op.t1, op.rounds);
-    } else {
-      h.complete_read(idx, *op.t1, op.ts, op.wid, op.val, op.rounds);
-    }
-  }
+  // Each reactor stamps t0 before it takes the lock, so two clients' ops
+  // on one key may have been recorded out of invocation order.
+  for (const auto& [key, h] : out.all()) out.for_key(key).sort_by_invoke_time();
   return out;
 }
 
 // -------------------------------------------------------- async_session --
 
-async_session::async_session(process_id client, std::uint32_t depth)
-    : client_(std::move(client)), depth_(depth) {
+async_session::async_session(process_id client, std::uint32_t depth,
+                             op_log& log)
+    : client_(std::move(client)), depth_(depth), log_(log) {
   FASTREG_EXPECTS(depth >= 1);
   // Session construction happens on the driver thread, never inside a
   // reactor loop, so fetching (and on first use creating) the admission
@@ -111,6 +91,27 @@ void async_session::stash(std::vector<store_result> done) {
   harvested_ += done.size();
   results_.insert(results_.end(), std::make_move_iterator(done.begin()),
                   std::make_move_iterator(done.end()));
+}
+
+std::vector<store_result> async_session::complete(client& c,
+                                                  std::uint64_t t1) {
+  std::vector<store_result> done = c.take_completions();
+  if (done.empty()) return done;
+  log_.close(client_, done, t1);
+  std::erase_if(done, [&](const store_result& r) {
+    return begun_.erase(r.key) == 0;
+  });
+  return done;
+}
+
+void async_session::begin(client& c, store_op op, std::uint64_t t0) {
+  log_.open(client_, op.key, op.is_put, op.val, t0);
+  begun_.insert(op.key);
+  if (op.is_put) {
+    c.begin_put(op.key, std::move(op.val));
+  } else {
+    c.begin_get(op.key);
+  }
 }
 
 bool async_session::get(const std::string& key,
@@ -175,10 +176,9 @@ class tcp_session final : public async_session {
  public:
   tcp_session(net::node& n, std::size_t actor, op_log& log,
               process_id client, std::uint32_t depth)
-      : async_session(std::move(client), depth),
+      : async_session(std::move(client), depth, log),
         node_(n),
-        actor_(actor),
-        log_(log) {
+        actor_(actor) {
     node_.set_step_hook(actor_, [this](automaton& a, netout& net) {
       step(dynamic_cast<store::client&>(a), net);
     });
@@ -193,25 +193,16 @@ class tcp_session final : public async_session {
   }
 
  private:
-  /// The step hook. Takes the step's completions, closing their op_log
-  /// entries at t1 = the step's time (the session's own go to the
-  /// outbox), then begins every queued op whose key is free at t0 = t1 +
-  /// 1 and flushes once: one batch frame per server. A same-key successor
-  /// begins in the step that took its predecessor's completion or later,
-  /// so its t0 is strictly greater than that t1; stamping off the reactor
-  /// could make the two look concurrent, which the checkers reject.
+  /// The step hook. Takes the step's completions at t1 = the step's time
+  /// (the session's own go to the outbox), then begins every queued op
+  /// whose key is free at t0 = t1 + 1 and flushes once: one batch frame
+  /// per server. A same-key successor begins in the step that took its
+  /// predecessor's completion or later, so its t0 is strictly greater
+  /// than that t1; stamping off the reactor could make the two look
+  /// concurrent, which the checkers reject.
   void step(client& c, netout& net) {
     const std::uint64_t t = now_ns();
-    std::vector<store_result> done = c.take_completions();
-    if (!done.empty()) {
-      log_.close(client_, done, t);
-      // A key this session did not begin: the late completion of an op an
-      // earlier session gave up on. Its log entry is closed above, and
-      // nobody waits for it.
-      std::erase_if(done, [&](const store_result& r) {
-        return begun_.erase(r.key) == 0;
-      });
-    }
+    std::vector<store_result> done = complete(c, t);
     std::vector<store_op> ops = std::exchange(queued_, {});
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -231,13 +222,7 @@ class tcp_session final : public async_session {
         queued_.push_back(std::move(op));
         continue;
       }
-      log_.open(client_, op.key, op.is_put, op.val, t + 1);
-      begun_.insert(op.key);
-      if (op.is_put) {
-        c.begin_put(op.key, std::move(op.val));
-      } else {
-        c.begin_get(op.key);
-      }
+      begin(c, std::move(op), t + 1);
     }
     c.flush(net);
   }
@@ -304,7 +289,6 @@ class tcp_session final : public async_session {
 
   net::node& node_;
   std::size_t actor_;
-  op_log& log_;
   /// Keys of admitted ops not yet harvested (session thread only).
   std::unordered_set<std::string> keys_;
   // The handoff with the reactor.
@@ -314,11 +298,10 @@ class tcp_session final : public async_session {
   std::vector<store_op> inbox_;
   /// Completions of this session's ops, not yet harvested. Guarded by mu_.
   std::vector<store_result> outbox_;
-  // Reactor side: touched only inside step(), under the step mutex.
   /// Taken from the inbox but not begun: the key is still pending.
+  /// Reactor side: touched only inside step(), under the step mutex, like
+  /// the base's begun_.
   std::vector<store_op> queued_;
-  /// Keys of this session's begun, not yet completed ops.
-  std::unordered_set<std::string> begun_;
 };
 
 }  // namespace
@@ -330,32 +313,37 @@ std::unique_ptr<async_session> tcp_frontend::open_session(
                                        log_, client_pid, depth);
 }
 
-store_histories tcp_frontend::gather() const { return log_.gather(); }
-
 // ---------------------------------------------------------- sim backend --
 
 namespace {
 
 /// One client's session on the deterministic simulator. try_* buffers
 /// admitted ops; pump() issues the whole buffer in ONE invoke_step
-/// (batched envelopes) and collects the completions the sim_store
-/// tapped for this client. Blocking calls run the world (run_random on
+/// (batched envelopes). The world step hook takes completions at the
+/// step that delivers them. Blocking calls run the world (run_random on
 /// the frontend's rng) until admission/completion, guarded by a step
 /// budget so a wedged schedule fails instead of spinning forever.
 class sim_session final : public async_session {
  public:
   sim_session(sim_store& s, rng& r, process_id client, std::uint32_t depth)
-      : async_session(std::move(client), depth), s_(s), r_(r) {
-    s_.tap_client(client_);
+      : async_session(std::move(client), depth, s.log()), s_(s), r_(r) {
+    // Completions that landed while no session was open close now,
+    // before this session begins an op on their keys.
+    (void)complete(automaton_ref(), s_.world().now());
+    s_.world().set_step_hook(client_, [this](automaton& a, netout&) {
+      stash(complete(dynamic_cast<store::client&>(a), s_.world().now()));
+    });
   }
-  ~sim_session() override { s_.untap_client(client_); }
+  ~sim_session() override { s_.world().set_step_hook(client_, {}); }
 
   void pump() override {
-    if (!buf_.empty()) {
-      s_.invoke_ops(client_, buf_);
-      buf_.clear();
-    }
-    stash(s_.take_tapped(client_));
+    if (buf_.empty()) return;
+    auto& c = automaton_ref();
+    s_.world().invoke_step(client_, [&](netout& net) {
+      for (auto& op : buf_) begin(c, std::move(op), s_.world().now());
+      c.flush(net);
+    });
+    buf_.clear();
   }
 
   bool drain(std::chrono::milliseconds) override {
@@ -364,7 +352,6 @@ class sim_session final : public async_session {
     while (in_flight() > 0) {
       if (++guard > k_step_budget) return false;
       if (s_.run_random(r_, 1) == 0) return false;  // wedged
-      pump();
     }
     return true;
   }
@@ -397,13 +384,10 @@ class sim_session final : public async_session {
     std::uint64_t guard = 0;
     for (;;) {
       const submit_status st = try_submit(key, is_put, v);
-      if (st == submit_status::submitted) {
-        // Blocking semantics promise the op is ON the wire on return, so
-        // the buffered batch (this op included) is issued now.
-        pump();
-        return true;
-      }
+      // Blocking semantics promise the op is ON the wire on return, and a
+      // wait must not hold admitted ops back: issue the buffer either way.
       pump();
+      if (st == submit_status::submitted) return true;
       if (++guard > k_step_budget) return false;
       if (s_.run_random(r_, 1) == 0) return false;  // wedged
     }
@@ -416,11 +400,12 @@ class sim_session final : public async_session {
 
 }  // namespace
 
+sim_frontend::sim_frontend(sim_store& s, rng& r)
+    : store_frontend(s.log()), s_(s), r_(r) {}
+
 std::unique_ptr<async_session> sim_frontend::open_session(
     const process_id& client_pid, std::uint32_t depth) {
   return std::make_unique<sim_session>(s_, r_, client_pid, depth);
 }
-
-store_histories sim_frontend::gather() const { return s_.histories(); }
 
 }  // namespace fastreg::store

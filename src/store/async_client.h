@@ -3,10 +3,18 @@
 // in flight, backed by either the deterministic simulator (sim_store /
 // sim::world) or the real-socket deployment (net::cluster / net::node).
 //
-// It is the store's one client path: stress harnesses, benches and tests
-// submit ops the same way on both transports, and their histories are
-// gathered by the same logging code. submit_and_drain (below) is the one
-// blocking convenience on top of it.
+// It is the store's one client path: stress harnesses, benches, tests
+// and examples submit ops the same way on both transports.
+// submit_and_drain (below) is the one blocking convenience on top of it.
+//
+// One way to learn that an op completed, on both transports: a session
+// installs a step hook on its client's process (sim::world or
+// net::node::set_step_hook) that runs at the end of every step of that
+// client. The hook takes the step's completions and closes their op_log
+// entries at the step's time, so a response is recorded at the step that
+// delivered it, however the step was driven (a schedule, a manual
+// world().deliver, a reactor). op_log is the store's only history
+// recorder.
 //
 // Surface:
 //  * try_get/try_put -- one admission attempt, never blocks: `submitted`
@@ -27,8 +35,8 @@
 // multiplexes all their connections.
 //
 // Giving up: an op still in flight when its session closes (a drain
-// timed out) is abandoned, not cancelled. On TCP the client's next
-// session queues an op on the same key behind it, and the abandoned
+// timed out) is abandoned, not cancelled. The client's next session
+// waits for it before beginning an op on the same key, and the abandoned
 // op's late completion only closes its op_log entry.
 //
 // Admission outcomes are counted in the process registry
@@ -38,13 +46,13 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -73,49 +81,41 @@ enum class submit_status : std::uint8_t {
   failed = 3,
 };
 
-/// Invocation/completion log shared by every TCP session of a
-/// deployment, written once and rebuilt into per-key histories on
-/// demand. Timestamps are steady-clock nanoseconds; a session takes both
-/// ON the client's reactor, in the steps that begin and complete the op,
-/// so same-key precedence is preserved (see tcp_session::step).
-/// Thread-safe.
+/// The store's one history recorder, shared by every session of a
+/// deployment on either transport: a session opens an entry in the step
+/// that begins an op and closes it in the step that takes its completion,
+/// straight into the per-key histories. Times are the transport's:
+/// simulator ticks (world::now) or steady-clock nanoseconds taken on the
+/// client's reactor, so same-key precedence is preserved (see
+/// tcp_session::step). Thread-safe.
 class op_log {
  public:
-  /// Appends an incomplete entry for a just-invoked op and registers it
-  /// as the open op for (client, key).
+  /// Records an op of `client` on `key` invoked at t0, still open. A
+  /// client begins an op on a key only after its previous one there was
+  /// closed, so it has at most one open op per key.
   void open(const process_id& client, const std::string& key, bool is_put,
             const value_t& v, std::uint64_t t0);
 
-  /// Closes the EARLIEST incomplete entry for each result's (client,
-  /// key): a stale completion closes the abandoned older entry, a fresh
-  /// one closes its own session's.
+  /// Closes the open op of each result's (client, key) at t1. A session
+  /// that opened it, or the client's next one, closes it; results with
+  /// no open op are ignored.
   void close(const process_id& client,
              const std::vector<store_result>& results, std::uint64_t t1);
 
-  /// Per-key histories of everything logged so far, rebuilt in
-  /// invocation-time order.
+  /// A copy of the per-key histories, taken under the lock (safe while
+  /// TCP sessions run), each key's ops in invocation-time order.
   [[nodiscard]] store_histories gather() const;
 
- private:
-  struct raw_op {
-    std::string key{};
-    process_id client{};
-    bool is_put{false};
-    std::uint64_t t0{0};
-    std::optional<std::uint64_t> t1{};
-    ts_t ts{k_initial_ts};
-    std::int32_t wid{0};
-    value_t val{};
-    int rounds{0};
-  };
+  /// The live per-key histories, neither copied nor locked: for
+  /// single-threaded drivers (the simulator), which append in time order.
+  [[nodiscard]] const store_histories& histories() const { return hist_; }
 
+ private:
   mutable std::mutex mu_;
-  std::vector<raw_op> log_;
-  /// Indices of incomplete log_ entries per (client, key), oldest first,
-  /// so completions match their op in O(log n) instead of rescanning the
-  /// whole append-only log.
-  std::map<std::pair<process_id, std::string>, std::deque<std::size_t>>
-      open_;
+  store_histories hist_;
+  /// Each key's history in hist_ (map nodes never move): a hash lookup
+  /// on the reactor instead of a walk down the ordered map.
+  std::unordered_map<std::string, checker::history*> by_key_;
 };
 
 /// One client's pipelined session (see file comment for the surface and
@@ -155,8 +155,8 @@ class async_session {
       std::chrono::milliseconds timeout = std::chrono::seconds(10)) = 0;
 
   /// Harvested completions of this session's ops since the last call,
-  /// completion-ordered. (On TCP, a late completion of an op an earlier
-  /// session abandoned only closes that op's log entry.)
+  /// completion-ordered. (A late completion of an op an earlier session
+  /// abandoned only closes that op's log entry.)
   [[nodiscard]] std::vector<store_result> take_results() {
     return std::exchange(results_, {});
   }
@@ -171,7 +171,7 @@ class async_session {
   [[nodiscard]] std::uint32_t depth() const { return depth_; }
 
  protected:
-  async_session(process_id client, std::uint32_t depth);
+  async_session(process_id client, std::uint32_t depth, op_log& log);
 
   /// One admission attempt (never blocks).
   [[nodiscard]] virtual submit_status try_submit(const std::string& key,
@@ -185,11 +185,26 @@ class async_session {
   /// in-flight accounting.
   void stash(std::vector<store_result> done);
 
+  // The step hook's two halves, shared by both transports; called only
+  // where no step of the client can run concurrently (inside its steps,
+  // or between steps on the simulator).
+  /// Takes c's completions and closes their op_log entries at the step's
+  /// time t1. Drops the completions of ops this session did not begin
+  /// (an earlier session abandoned them; nobody waits for them) and
+  /// returns the rest, for the caller to stash.
+  [[nodiscard]] std::vector<store_result> complete(client& c,
+                                                   std::uint64_t t1);
+  /// Opens op's op_log entry at t0 and begins it on c.
+  void begin(client& c, store_op op, std::uint64_t t0);
+
   process_id client_;
   std::uint32_t depth_;
   std::uint64_t submitted_{0};
   std::uint64_t harvested_{0};
   std::vector<store_result> results_;
+  op_log& log_;
+  /// Keys of this session's begun, not yet completed ops (step side).
+  std::unordered_set<std::string> begun_;
 
  private:
   void count(submit_status st);
@@ -211,7 +226,14 @@ class store_frontend {
   [[nodiscard]] virtual std::unique_ptr<async_session> open_session(
       const process_id& client, std::uint32_t depth) = 0;
 
-  [[nodiscard]] virtual store_histories gather() const = 0;
+  /// Per-key histories of everything the deployment's sessions did (see
+  /// op_log::gather).
+  [[nodiscard]] store_histories gather() const { return log_.gather(); }
+
+ protected:
+  explicit store_frontend(op_log& log) : log_(log) {}
+
+  op_log& log_;
 };
 
 /// TCP backend: sessions submit through the client's node (per-node or
@@ -220,21 +242,19 @@ class store_frontend {
 class tcp_frontend final : public store_frontend {
  public:
   tcp_frontend(net::cluster& cluster, op_log& log)
-      : cluster_(cluster), log_(log) {}
+      : store_frontend(log), cluster_(cluster) {}
 
   [[nodiscard]] std::unique_ptr<async_session> open_session(
       const process_id& client, std::uint32_t depth) override;
-  [[nodiscard]] store_histories gather() const override;
 
  private:
   net::cluster& cluster_;
-  op_log& log_;
 };
 
 /// Simulator backend: sessions buffer admissions and issue them in ONE
 /// world::invoke_step per pump() (batched envelopes, the sim equivalent
-/// of a wire flush). Histories stay on the sim_store's virtual-time
-/// recording path. The driver still owns the schedule: sessions never
+/// of a wire flush), and log into the sim_store's op_log through their
+/// world step hooks. The driver still owns the schedule: sessions never
 /// step the world except inside blocking_submit/drain, which use the
 /// frontend's rng to run the world until admission/completion.
 class sim_frontend final : public store_frontend {
@@ -242,11 +262,10 @@ class sim_frontend final : public store_frontend {
   /// `r` drives world steps for the blocking calls; it aliases the
   /// driver's rng so blocking and scripted schedules interleave
   /// deterministically.
-  sim_frontend(sim_store& s, rng& r) : s_(s), r_(r) {}
+  sim_frontend(sim_store& s, rng& r);
 
   [[nodiscard]] std::unique_ptr<async_session> open_session(
       const process_id& client, std::uint32_t depth) override;
-  [[nodiscard]] store_histories gather() const override;
 
  private:
   sim_store& s_;

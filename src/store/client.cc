@@ -165,10 +165,6 @@ void client::refresh_map() {
   }
 }
 
-void client::resume_parked(const std::string& key) {
-  resume_parked(key_object_id(key));
-}
-
 void client::resume_parked(object_id obj) {
   refresh_map();
   const auto it = pending_.find(obj);
@@ -184,11 +180,6 @@ void client::resume_parked(object_id obj) {
   // an older epoch and only parks current-epoch attempts, which only a
   // later reconfiguration nacks (and then resumes).
   reissue(it->first, it->second);
-}
-
-void client::seed_writer_floor(const std::string& key,
-                               const register_snapshot& s) {
-  seed_writer_floor(key_object_id(key), s);
 }
 
 void client::seed_writer_floor(object_id obj, const register_snapshot& s) {

@@ -106,8 +106,7 @@ class client final : public automaton {
 
   /// Re-issues the parked op (if any) the object holds, after refreshing
   /// the map. Called by the migration coordinator once the object's drain
-  /// completed. Follow with flush(). The string overload hashes the key.
-  void resume_parked(const std::string& key);
+  /// completed. Follow with flush().
   void resume_parked(object_id obj);
 
   /// Records the migrated state of the object so the writer automaton the
@@ -116,7 +115,6 @@ class client final : public automaton {
   /// in flight on the object is parked (its automaton predates the floor,
   /// so its requests could complete below the seeded state); the resume
   /// that follows every floor install re-issues it floored.
-  void seed_writer_floor(const std::string& key, const register_snapshot& s);
   void seed_writer_floor(object_id obj, const register_snapshot& s);
 
   // Migration handoff I/O: the coordinator drives these on ONE client (by

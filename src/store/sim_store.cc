@@ -38,95 +38,6 @@ server& sim_store::restart_server(std::uint32_t i) {
   return server_at(i);
 }
 
-void sim_store::record_invoke(const process_id& p, const std::string& key,
-                              bool is_put, const value_t& v) {
-  open_[p][key] =
-      hist_.for_key(key).begin_op(p, is_put, world_.now(), v);
-}
-
-void sim_store::invoke_get(std::uint32_t reader_index,
-                           const std::string& key) {
-  const store_op op{key, /*is_put=*/false, {}};
-  invoke_ops(reader_id(reader_index), std::span<const store_op>(&op, 1));
-}
-
-void sim_store::invoke_put(std::uint32_t writer_index, const std::string& key,
-                           value_t v) {
-  const store_op op{key, /*is_put=*/true, std::move(v)};
-  invoke_ops(writer_id(writer_index), std::span<const store_op>(&op, 1));
-}
-
-void sim_store::invoke_ops(const process_id& p,
-                           std::span<const store_op> ops) {
-  auto& c = client_at(p);
-  world_.invoke_step(p, [&](netout& net) {
-    for (const auto& op : ops) {
-      record_invoke(p, op.key, op.is_put, op.val);
-      if (op.is_put) {
-        c.begin_put(op.key, op.val);
-      } else {
-        c.begin_get(op.key);
-      }
-    }
-    c.flush(net);
-  });
-}
-
-void sim_store::tap_client(const process_id& p) { taps_[p]; }
-
-void sim_store::untap_client(const process_id& p) { taps_.erase(p); }
-
-std::vector<store_result> sim_store::take_tapped(const process_id& p) {
-  const auto it = taps_.find(p);
-  if (it == taps_.end()) return {};
-  return std::exchange(it->second, {});
-}
-
-void sim_store::drain_completions() {
-  const auto& cfg = proto_.config().base;
-  for (std::uint32_t role = 0; role < 2; ++role) {
-    const bool writers = role == 0;
-    const std::uint32_t count = writers ? cfg.W() : cfg.R();
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const process_id p = writers ? writer_id(i) : reader_id(i);
-      for (auto& res : client_at(p).take_completions()) {
-        auto& open_for_p = open_[p];
-        const auto it = open_for_p.find(res.key);
-        FASTREG_CHECK(it != open_for_p.end());
-        auto& h = hist_.for_key(res.key);
-        if (res.is_put) {
-          h.complete_write(it->second, world_.now(), res.rounds);
-        } else {
-          h.complete_read(it->second, world_.now(), res.ts, res.wid,
-                          res.val, res.rounds);
-        }
-        open_for_p.erase(it);
-        const auto tap = taps_.find(p);
-        if (tap != taps_.end()) tap->second.push_back(std::move(res));
-      }
-    }
-  }
-}
-
-std::uint64_t sim_store::run_random(rng& r, std::uint64_t max_steps) {
-  std::uint64_t steps = 0;
-  while (steps < max_steps && world_.run_random(r, 1) == 1) {
-    ++steps;
-    drain_completions();
-  }
-  return steps;
-}
-
-std::uint64_t sim_store::run_timed(rng& r, sim::delay_model& delays,
-                                   std::uint64_t max_steps) {
-  std::uint64_t steps = 0;
-  while (steps < max_steps && world_.run_timed(r, delays, 1) == 1) {
-    ++steps;
-    drain_completions();
-  }
-  return steps;
-}
-
 std::string sim_store::scrape(std::uint32_t server_index, rng& r,
                               std::uint64_t max_steps) {
   const process_id p = reader_id(0);
@@ -135,12 +46,7 @@ std::string sim_store::scrape(std::uint32_t server_index, rng& r,
     c.begin_stats(server_index);
     c.flush(net);
   });
-  std::uint64_t steps = 0;
-  while (!c.stats_ready() && steps < max_steps &&
-         world_.run_random(r, 1) == 1) {
-    ++steps;
-    drain_completions();  // a scrape may interleave with live traffic
-  }
+  world_.run_random_until(r, [&] { return c.stats_ready(); }, max_steps);
   return c.take_stats();
 }
 

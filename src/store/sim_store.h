@@ -1,20 +1,21 @@
 // Deterministic simulator deployment of the store: installs store client
-// and server automata into a sim::world, drives invocations through
-// world::invoke_step, and demultiplexes every completed get/put into
-// per-key histories.
+// and server automata into a sim::world and owns the deployment's op_log.
 //
-// Scheduling is delegated to the world (random or timed), one step at a
-// time so completions are harvested as they happen; the usual drivers
-// (adversary surgery, crash injection) keep working on the underlying
-// world.
+// Clients are driven only through sessions (sim_frontend over this store,
+// store/async_client.h), exactly as on TCP: a session issues its ops in
+// world invocation steps and takes completions in the world step hook of
+// its client, recording both into the op_log, so every response lands at
+// the step that delivered it -- whether a schedule below or a manual
+// world().deliver ran that step.
+//
+// Scheduling is the world's (random or timed); the usual drivers
+// (adversary surgery, crash injection) work on the underlying world.
 #pragma once
 
-#include <span>
 #include <string>
-#include <unordered_map>
-#include <utility>
 
 #include "sim/world.h"
+#include "store/async_client.h"
 #include "store/histories.h"
 #include "store/store.h"
 
@@ -45,36 +46,18 @@ class sim_store {
   /// otherwise -- and swaps it in un-crashed. Returns the new server.
   server& restart_server(std::uint32_t i);
 
-  // ----------------------------------------------------------- invocations --
-  void invoke_get(std::uint32_t reader_index, const std::string& key);
-  void invoke_put(std::uint32_t writer_index, const std::string& key,
-                  value_t v);
-  /// Pipelined invocations: every op in `ops` starts in ONE step, so the
-  /// requests leave as batched envelopes (one per server). Keys must be
-  /// distinct and op-free. This is the submission primitive the unified
-  /// async front-end (store/async_client.h) issues through; invoke_get/
-  /// invoke_put are one-op shims over it.
-  void invoke_ops(const process_id& p, std::span<const store_op> ops);
-
   // ------------------------------------------------------------- schedules --
-  /// Single-step wrappers around the world's schedules that harvest store
-  /// completions after every step. Return the number of steps executed.
-  std::uint64_t run_random(rng& r, std::uint64_t max_steps = 1'000'000);
+  /// The world's schedules. Return the number of steps executed.
+  std::uint64_t run_random(rng& r, std::uint64_t max_steps = 1'000'000) {
+    return world_.run_random(r, max_steps);
+  }
   std::uint64_t run_timed(rng& r, sim::delay_model& delays,
-                          std::uint64_t max_steps = 1'000'000);
+                          std::uint64_t max_steps = 1'000'000) {
+    return world_.run_timed(r, delays, max_steps);
+  }
 
   /// True when no client has an op in flight and no message is in transit.
   [[nodiscard]] bool idle();
-
-  /// Completes history records for everything the clients finished.
-  void drain_completions();
-
-  // Per-client completion taps, for the async front-end's sessions:
-  // while `p` is tapped, every completion drained for it is ALSO copied
-  // into a per-client stash fetched (and cleared) with take_tapped.
-  void tap_client(const process_id& p);
-  void untap_client(const process_id& p);
-  [[nodiscard]] std::vector<store_result> take_tapped(const process_id& p);
 
   /// Scrapes server `server_index`'s metrics over the simulated data
   /// path (stats_req/stats_ack through reader 0), driving the world
@@ -83,22 +66,19 @@ class sim_store {
   [[nodiscard]] std::string scrape(std::uint32_t server_index, rng& r,
                                    std::uint64_t max_steps = 10'000);
 
-  [[nodiscard]] const store_histories& histories() const { return hist_; }
+  /// The op log every session over this store records into.
+  [[nodiscard]] op_log& log() { return log_; }
+  /// Per-key histories of every session's ops, without a copy.
+  [[nodiscard]] const store_histories& histories() const {
+    return log_.histories();
+  }
 
  private:
   client& client_at(const process_id& p);
-  void record_invoke(const process_id& p, const std::string& key,
-                     bool is_put, const value_t& v);
 
   store_protocol proto_;
   sim::world world_;
-  store_histories hist_;
-  /// Open op index per (client, key), for completing history records.
-  std::unordered_map<process_id,
-                     std::unordered_map<std::string, std::size_t>>
-      open_;
-  /// Completion stashes of tapped clients (see tap_client).
-  std::unordered_map<process_id, std::vector<store_result>> taps_;
+  op_log log_;
 };
 
 }  // namespace fastreg::store

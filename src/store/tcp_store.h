@@ -66,7 +66,7 @@ class tcp_store {
     return fe_.open_session(client, depth);
   }
 
-  /// Per-key histories of everything invoked so far, rebuilt in
+  /// Per-key histories of everything invoked so far, each key's ops in
   /// invocation-time order (steady-clock nanoseconds, one machine, so
   /// cross-node ordering is meaningful). Thread-safe.
   [[nodiscard]] store_histories gather() const { return log_.gather(); }

@@ -1,17 +1,21 @@
 // One-op and one-batch wrappers over store::submit_and_drain, so tests
-// read as "put this, get that" on either transport; and the one-register
-// deployment (a one-shard store) with a blocking client per process.
+// read as "put this, get that" on either transport; the one-register
+// deployment (a one-shard store) with a blocking client per process; and
+// sim_clients, a session per simulator client for tests that script the
+// schedule themselves.
 #pragma once
 
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "store/async_client.h"
+#include "store/sim_store.h"
 
 namespace fastreg::store::test {
 
@@ -84,6 +88,54 @@ class register_client {
 
   std::unique_ptr<async_session> session_;
   std::string key_;
+};
+
+/// A session for every client of a sim_store, open for this object's
+/// lifetime, for tests that script invocations and the schedule
+/// themselves: put/get/submit admit ops and issue them in one invocation
+/// step without stepping the world, and each client's step hook records
+/// every completion at the step that delivered it. Declare it after the
+/// sim_store, so its sessions close first.
+class sim_clients {
+ public:
+  /// `r` is the sessions' rng for blocking calls, which this class never
+  /// makes: the caller's schedule is untouched.
+  sim_clients(sim_store& s, rng& r) : fe_(s, r) {
+    const auto& base = s.config().base;
+    for (std::uint32_t j = 0; j < base.W(); ++j) {
+      writers_.push_back(fe_.open_session(writer_id(j), k_depth));
+    }
+    for (std::uint32_t i = 0; i < base.R(); ++i) {
+      readers_.push_back(fe_.open_session(reader_id(i), k_depth));
+    }
+  }
+
+  void put(std::uint32_t writer, std::string key, value_t v) {
+    const store_op op{std::move(key), /*is_put=*/true, std::move(v)};
+    submit(writer_id(writer), {&op, 1});
+  }
+  void get(std::uint32_t reader, std::string key) {
+    const store_op op{std::move(key), /*is_put=*/false, {}};
+    submit(reader_id(reader), {&op, 1});
+  }
+  /// Issues `ops` (distinct keys, none in flight) from `client` in ONE
+  /// invocation step: batched envelopes.
+  void submit(const process_id& client, std::span<const store_op> ops) {
+    async_session& se = client.is_writer() ? *writers_.at(client.index)
+                                           : *readers_.at(client.index);
+    for (const auto& op : ops) {
+      const auto st = op.is_put ? se.try_put(op.key, op.val)
+                                : se.try_get(op.key);
+      FASTREG_CHECK(st == submit_status::submitted);
+    }
+    se.pump();
+  }
+
+ private:
+  static constexpr std::uint32_t k_depth = 1024;
+
+  sim_frontend fe_;
+  std::vector<std::unique_ptr<async_session>> writers_, readers_;
 };
 
 }  // namespace fastreg::store::test

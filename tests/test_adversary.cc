@@ -163,7 +163,7 @@ TEST(MwmrLowerBound, NaiveFastMwmrIsNotAtomic) {
   for (const std::uint32_t S : {3u, 5u, 8u}) {
     const auto rep =
         run_mwmr_lower_bound(*make_protocol("naive_fast_mwmr"), S);
-    EXPECT_TRUE(rep.violation) << "S=" << S << ": " << rep.summary();
+    EXPECT_TRUE(rep.violation) << "S=" << S;
     EXPECT_EQ(rep.series.size(), S + 1);
   }
 }

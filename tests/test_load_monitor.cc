@@ -10,6 +10,7 @@
 #include "reconfig/control.h"
 #include "reconfig/load_monitor.h"
 #include "store/sim_store.h"
+#include "store_test_util.h"
 
 namespace fastreg::reconfig {
 namespace {
@@ -138,10 +139,11 @@ TEST(Demotion, StreaksExtendOnCoolResetOnWarm) {
 TEST(SimAutoReshard, HotShardPromotedWithoutAnOperator) {
   store::sim_store s(make_cfg({"abd"}, 4));
   rng r(123);
+  store::test::sim_clients clients(s, r);
   // Give every key initial state so discovery has something to migrate.
   const std::vector<std::string> keys = {"hot", "c1", "c2", "c3"};
   std::uint64_t seq = 0;
-  for (const auto& k : keys) s.invoke_put(0, k, k + std::to_string(++seq));
+  for (const auto& k : keys) clients.put(0, k, k + std::to_string(++seq));
   std::uint64_t guard = 0;
   while (!s.idle()) {
     ASSERT_LT(++guard, 1'000'000u);
@@ -170,12 +172,12 @@ TEST(SimAutoReshard, HotShardPromotedWithoutAnOperator) {
     };
     if (puts_left > 0 && !s.writer_client(0).op_in_progress()) {
       --puts_left;
-      s.invoke_put(0, pick(), "v" + std::to_string(++seq));
+      clients.put(0, pick(), "v" + std::to_string(++seq));
     }
     for (std::uint32_t i = 0; i < 2; ++i) {
       if (gets_left[i] > 0 && !s.reader_client(i).op_in_progress()) {
         --gets_left[i];
-        s.invoke_get(i, pick());
+        clients.get(i, pick());
       }
     }
     if (!s.world().in_transit().empty()) {
@@ -193,7 +195,7 @@ TEST(SimAutoReshard, HotShardPromotedWithoutAnOperator) {
   EXPECT_EQ(cur->protocol_for_object(store::key_object_id("hot")).name(),
             "fast_swmr");
   // ...and serves one-round reads.
-  s.invoke_get(0, "hot");
+  clients.get(0, "hot");
   guard = 0;
   while (!s.idle()) {
     ASSERT_LT(++guard, 1'000'000u);
@@ -210,6 +212,7 @@ TEST(SimAutoReshard, HotShardPromotedWithoutAnOperator) {
 TEST(SimAutoReshard, PromotedShardCoolsAndDemotesWithoutChurn) {
   store::sim_store s(make_cfg({"abd"}, 4));
   rng r(321);
+  store::test::sim_clients clients(s, r);
 
   // One representative key per shard, so cooling the promoted shard is
   // unambiguous (no cold key accidentally keeps it warm).
@@ -228,7 +231,7 @@ TEST(SimAutoReshard, PromotedShardCoolsAndDemotesWithoutChurn) {
   const std::string hot = keys[0];
 
   std::uint64_t seq = 0;
-  for (const auto& k : keys) s.invoke_put(0, k, k + std::to_string(++seq));
+  for (const auto& k : keys) clients.put(0, k, k + std::to_string(++seq));
   std::uint64_t guard = 0;
   while (!s.idle()) {
     ASSERT_LT(++guard, 1'000'000u);
@@ -261,10 +264,10 @@ TEST(SimAutoReshard, PromotedShardCoolsAndDemotesWithoutChurn) {
       ar.step();
       if (!ar.resharding() && until()) return true;
       if (!s.writer_client(0).op_in_progress()) {
-        s.invoke_put(0, pick(), "v" + std::to_string(++seq));
+        clients.put(0, pick(), "v" + std::to_string(++seq));
       }
       for (std::uint32_t i = 0; i < 2; ++i) {
-        if (!s.reader_client(i).op_in_progress()) s.invoke_get(i, pick());
+        if (!s.reader_client(i).op_in_progress()) clients.get(i, pick());
       }
       if (!s.world().in_transit().empty()) s.run_random(r, 1);
     }

@@ -561,6 +561,59 @@ TEST(Cluster, ScrapeRetriesSyscallsASignalInterrupts) {
   EXPECT_EQ(empty, 0) << "of 200 scrapes under the storm";
 }
 
+struct ship_run {
+  double ships{0};
+  checker::check_result check{};
+};
+
+/// One writer and three readers, each on its own thread, run 200 ops each
+/// against a one-shard maxmin store (S = 5, t = 1) whose server nodes
+/// run `server_reactors` reactors. Returns how many frame batches the
+/// nodes shipped between their reactors, and the history's check.
+ship_run run_maxmin_with_server_reactors(std::uint32_t server_reactors) {
+  cluster_options copt;
+  copt.server_reactors = server_reactors;
+  tcp_store ts(one_register(make_cfg(5, 1, 3), "maxmin"),
+               node_options::from_env(), copt);
+  const double ships0 = counter_total("fastreg_net_reactor_ships_total");
+  ts.start();
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    register_client w(ts.frontend(), writer_id(0));
+    for (int k = 1; k <= 200; ++k) {
+      ASSERT_TRUE(w.write("v" + std::to_string(k)));
+    }
+  });
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    threads.emplace_back([&, i] {
+      register_client r(ts.frontend(), reader_id(i));
+      for (int k = 0; k < 200; ++k) ASSERT_TRUE(r.read().has_value());
+    });
+  }
+  for (auto& th : threads) th.join();
+  ts.stop();
+  ship_run out;
+  out.ships = counter_total("fastreg_net_reactor_ships_total") - ships0;
+  out.check =
+      checker::check_swmr_atomicity(ts.gather().all().at(k_register_key));
+  return out;
+}
+
+TEST(Cluster, MultiReactorServersShipGossipAcrossReactors) {
+  // A server actor steps on whichever of its node's reactors received the
+  // frame, but its connection to a peer server lives on the reactor that
+  // opened it. maxmin servers gossip with each other, so with several
+  // reactors per server node that gossip crosses reactors and is shipped
+  // to the connection's owner (node::ship_to). With one reactor per node
+  // nothing ships.
+  const auto multi = run_maxmin_with_server_reactors(4);
+  EXPECT_GT(multi.ships, 0.0);
+  EXPECT_TRUE(multi.check.ok) << multi.check.error;
+  const auto single = run_maxmin_with_server_reactors(1);
+  EXPECT_EQ(single.ships, 0.0);
+  EXPECT_TRUE(single.check.ok) << single.check.error;
+}
+
 TEST(Cluster, MwmrTwoWritersOverTcp) {
   tcp_store ts(one_register(make_cfg(5, 2, 2, 0, 2), "mwmr"));
   ts.start();

@@ -186,8 +186,9 @@ TEST(ObsDump, RenderValidatesAndGarbageDoesNot) {
 TEST(ObsScrape, SimStatsRoundTrip) {
   store::sim_store s(small_store_cfg({"fast_swmr", "abd"}));
   rng r(5);
+  store::test::sim_clients clients(s, r);
   for (int n = 1; n <= 6; ++n) {
-    s.invoke_put(0, "k" + std::to_string(n % 3), "v" + std::to_string(n));
+    clients.put(0, "k" + std::to_string(n % 3), "v" + std::to_string(n));
     s.run_random(r, 10'000);
   }
   const auto dump = s.scrape(0, r);

@@ -1,13 +1,13 @@
 // Durability and crash-recovery suite (src/persist + the store's rejoin
 // path): the CRC, WAL framing round-trips, golden bytes for the frozen
 // log and snapshot formats, streamed snapshots larger than the writer's
-// buffer, a failed snapshot keeping the log, torn-tail truncation at the
-// last valid CRC frame, corrupt-record and corrupt-snapshot rejection
-// with useful diagnostics, the fsync-policy matrix, epoch fencing of
-// stale recovered state, and the end-to-end acceptance schedule -- a
-// server killed in the middle of a Zipf-keyed load restarts, replays
-// snapshot + log tail, rejoins, and every per-key history still
-// verifies, on both transports. Last, the registry rows benchmark/
+// buffer, a failed snapshot keeping the log, a failed append closing the
+// log, torn-tail truncation at the last valid CRC frame, corrupt-record
+// and corrupt-snapshot rejection with useful diagnostics, the
+// fsync-policy matrix, epoch fencing of stale recovered state, and the
+// end-to-end acceptance schedule -- a server killed in the middle of a
+// Zipf-keyed load restarts, replays snapshot + log tail, rejoins, and
+// every per-key history still verifies, on both transports. Last, the registry rows benchmark/
 // reads: a durable TCP workload must move each of them, and the log's
 // rows must match what the log files hold.
 //
@@ -15,6 +15,8 @@
 // bytes survive in the page cache regardless of fsync policy -- which is
 // exactly what makes the recovery tests deterministic under fsync=never.
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -251,6 +253,76 @@ TEST(Wal, TornTailTruncatedAtLastValidCrcFrame) {
   const auto again = wal::load(path, /*repair=*/false);
   EXPECT_FALSE(again.truncated()) << again.warning;
   EXPECT_EQ(again.records.size(), 3u);
+}
+
+/// Caps this process's file size (RLIMIT_FSIZE) at `bytes` with SIGXFSZ
+/// ignored, so a write crossing the cap is cut short and the next one
+/// fails with EFBIG; both are restored on destruction.
+class file_size_cap {
+ public:
+  explicit file_size_cap(std::uint64_t bytes) {
+    struct sigaction ign{};
+    ign.sa_handler = SIG_IGN;
+    sigemptyset(&ign.sa_mask);
+    ::sigaction(SIGXFSZ, &ign, &old_sa_);
+    ::getrlimit(RLIMIT_FSIZE, &old_lim_);
+    rlimit lim = old_lim_;
+    lim.rlim_cur = static_cast<rlim_t>(bytes);
+    ok_ = ::setrlimit(RLIMIT_FSIZE, &lim) == 0;
+  }
+  ~file_size_cap() {
+    ::setrlimit(RLIMIT_FSIZE, &old_lim_);
+    ::sigaction(SIGXFSZ, &old_sa_, nullptr);
+  }
+  file_size_cap(const file_size_cap&) = delete;
+  file_size_cap& operator=(const file_size_cap&) = delete;
+
+  [[nodiscard]] bool ok() const { return ok_; }
+
+ private:
+  struct sigaction old_sa_{};
+  rlimit old_lim_{};
+  bool ok_{false};
+};
+
+TEST(Wal, WriteFailureClosesTheLogAndKeepsTheFramesBeforeIt) {
+  // A failed append: the file-size cap cuts the 4th frame in half, and
+  // the write of its rest fails (EFBIG, as ENOSPC would). The log must
+  // close, count only the 3 frames that reached the file, drop every
+  // later append, and load back as those 3 frames once the torn half is
+  // repaired away.
+  temp_dir td("write_fail");
+  const std::string path = td.path() + "/server_0.log";
+  const std::string lbl = node_label(0);
+  const auto rec = [](int i) {
+    return op_rec(0, 5, snap(i + 1, 0, "v" + std::to_string(i)));
+  };
+  std::uint64_t frame = 0;  // every rec(i) encodes to the same size
+  {
+    const std::string probe = td.path() + "/probe.log";
+    { wal(probe, fsync_policy::never, 0, lbl).append(rec(0)); }
+    frame = file_size(probe);
+  }
+  ASSERT_GT(frame, 0u);
+  const auto records0 = counter_value("fastreg_persist_log_records_total", lbl);
+  const auto bytes0 = counter_value("fastreg_persist_log_bytes_total", lbl);
+  {
+    file_size_cap cap(frame * 7 / 2);
+    ASSERT_TRUE(cap.ok());
+    wal w(path, fsync_policy::never, 0, lbl);
+    for (int i = 0; i < 6; ++i) w.append(rec(i));
+  }
+  EXPECT_EQ(counter_value("fastreg_persist_log_records_total", lbl) - records0,
+            3u);
+  EXPECT_EQ(counter_value("fastreg_persist_log_bytes_total", lbl) - bytes0,
+            3 * frame);
+  EXPECT_EQ(file_size(path), frame * 7 / 2);  // appends 5 and 6 dropped
+
+  const auto res = wal::load(path, /*repair=*/true);
+  ASSERT_EQ(res.records.size(), 3u);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(res.records[i], rec(i)) << i;
+  EXPECT_NE(res.warning.find("torn tail"), std::string::npos) << res.warning;
+  EXPECT_EQ(file_size(path), 3 * frame);
 }
 
 TEST(Wal, CorruptRecordRejectedWithOffsetAndCrcDiagnostic) {
@@ -583,6 +655,7 @@ std::size_t run_sim_kill_restart(const std::string& dir,
   cfg.persist.snapshot_every = 64;  // several snapshot cycles per run
   store::sim_store s(cfg);
   rng r(seed);
+  store::test::sim_clients clients(s, r);
   const benchutil::zipf_sampler zipf(/*n=*/20, /*s=*/0.99);
   const auto key = [&] { return "k" + std::to_string(zipf.sample(r)); };
 
@@ -610,16 +683,16 @@ std::size_t run_sim_kill_restart(const std::string& dir,
       --puts_left[j];
       ++invoked;
       invoked_now = true;
-      s.invoke_put(j, key(),
-                   "w" + std::to_string(j) + ":" +
-                       std::to_string(++put_seq[j]));
+      clients.put(j, key(),
+                  "w" + std::to_string(j) + ":" +
+                      std::to_string(++put_seq[j]));
     }
     for (std::uint32_t i = 0; i < 2; ++i) {
       if (gets_left[i] == 0 || s.reader_client(i).op_in_progress()) continue;
       --gets_left[i];
       ++invoked;
       invoked_now = true;
-      s.invoke_get(i, key());
+      clients.get(i, key());
     }
     if (s.world().in_transit().empty()) {
       if (invoked_now) continue;

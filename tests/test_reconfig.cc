@@ -125,9 +125,10 @@ TEST(VersionedMapDeath, InstallMustAdvanceByOne) {
 TEST(SimReconfig, ValuesSurviveProtocolSwitchAndShardCountChange) {
   store::sim_store s(make_cfg({"abd"}, 2));
   rng r(11);
+  store::test::sim_clients clients(s, r);
   std::vector<std::string> keys;
   for (int i = 0; i < 8; ++i) keys.push_back("key" + std::to_string(i));
-  for (const auto& k : keys) s.invoke_put(0, k, "v:" + k);
+  for (const auto& k : keys) clients.put(0, k, "v:" + k);
   run_until_idle(s, r);
 
   sim_control ctl(s);
@@ -145,7 +146,7 @@ TEST(SimReconfig, ValuesSurviveProtocolSwitchAndShardCountChange) {
   // Every migrated value must be readable under the new map, from both
   // readers, with no post-migration writes.
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    s.invoke_get(static_cast<std::uint32_t>(i % 2), keys[i]);
+    clients.get(static_cast<std::uint32_t>(i % 2), keys[i]);
   }
   run_until_idle(s, r);
   const auto& hist = s.histories();
@@ -162,9 +163,10 @@ TEST(SimReconfig, FastReadsAfterPromotionToFastSwmr) {
   // One shard, abd -> fast_swmr: the "promote the hot shard" move.
   store::sim_store s(make_cfg({"abd"}, 1));
   rng r(12);
-  s.invoke_put(0, "hot", "h1");
+  store::test::sim_clients clients(s, r);
+  clients.put(0, "hot", "h1");
   run_until_idle(s, r);
-  s.invoke_get(0, "hot");
+  clients.get(0, "hot");
   run_until_idle(s, r);
 
   sim_control ctl(s);
@@ -173,11 +175,11 @@ TEST(SimReconfig, FastReadsAfterPromotionToFastSwmr) {
       << coord.error();
   drive_reconfig(s, coord, r);
 
-  s.invoke_get(1, "hot");
+  clients.get(1, "hot");
   run_until_idle(s, r);
-  s.invoke_put(0, "hot", "h2");
+  clients.put(0, "hot", "h2");
   run_until_idle(s, r);
-  s.invoke_get(0, "hot");
+  clients.get(0, "hot");
   run_until_idle(s, r);
 
   const auto& h = s.histories().all().at("hot");
@@ -195,7 +197,8 @@ TEST(SimReconfig, FastReadsAfterPromotionToFastSwmr) {
 TEST(SimReconfig, OpsHoldDuringDrainAndComplete) {
   store::sim_store s(make_cfg({"abd"}, 1));
   rng r(13);
-  s.invoke_put(0, "k", "v1");
+  store::test::sim_clients clients(s, r);
+  clients.put(0, "k", "v1");
   run_until_idle(s, r);
 
   sim_control ctl(s);
@@ -207,8 +210,8 @@ TEST(SimReconfig, OpsHoldDuringDrainAndComplete) {
   // epoch and buffered behind the servers' lazy seed fetch (no seed
   // exists anywhere yet, and the old generation's state is still set
   // aside, so the fetches go dormant) -- not completed and not lost.
-  s.invoke_get(0, "k");
-  s.invoke_put(0, "k", "v2");
+  clients.get(0, "k");
+  clients.put(0, "k", "v2");
   std::uint64_t guard = 0;
   while (!s.world().in_transit().empty()) {
     ASSERT_LT(++guard, 100'000u);
@@ -239,7 +242,8 @@ TEST(SimReconfig, DuplicateKeysInCoordinatorListHandOffOnce) {
   // completion.
   store::sim_store s(make_cfg({"abd"}, 1));
   rng r(55);
-  s.invoke_put(0, "k", "v1");
+  store::test::sim_clients clients(s, r);
+  clients.put(0, "k", "v1");
   run_until_idle(s, r);
 
   sim_control ctl(s);
@@ -250,9 +254,9 @@ TEST(SimReconfig, DuplicateKeysInCoordinatorListHandOffOnce) {
   EXPECT_EQ(coord.stats().keys_considered, 3u);
   EXPECT_EQ(coord.stats().keys_moved, 1u);
 
-  s.invoke_put(0, "k", "v2");
+  clients.put(0, "k", "v2");
   run_until_idle(s, r);
-  s.invoke_get(0, "k");
+  clients.get(0, "k");
   run_until_idle(s, r);
   EXPECT_TRUE(s.histories().all_complete());
   const auto reads = s.histories().all().at("k").completed_reads();
@@ -272,7 +276,8 @@ TEST(SimReconfig, InFlightPutAtNewEpochCannotOutrunWriterFloor) {
   // re-issues it above the migrated timestamp.
   store::sim_store s(make_cfg({"fast_swmr"}, 1));
   rng r(77);
-  s.invoke_put(0, "k", "v1");
+  store::test::sim_clients clients(s, r);
+  clients.put(0, "k", "v1");
   run_until_idle(s, r);
 
   sim_control ctl(s);
@@ -287,7 +292,7 @@ TEST(SimReconfig, InFlightPutAtNewEpochCannotOutrunWriterFloor) {
     s.writer_client(0).flush(net);
   });
   ASSERT_EQ(s.writer_client(0).epoch(), 1u);
-  s.invoke_put(0, "k", "v2");
+  clients.put(0, "k", "v2");
 
   // Adversarial schedule, phase by phase. First: deliver only the state
   // read, holding the put's write_reqs, until the coordinator installs
@@ -321,7 +326,6 @@ TEST(SimReconfig, InFlightPutAtNewEpochCannotOutrunWriterFloor) {
       [](const sim::envelope& e) { return !e.msg.mig; });  // write_reqs
   s.world().deliver_matching(
       [](const sim::envelope& e) { return !e.msg.mig; });  // write_acks
-  s.drain_completions();
   ASSERT_TRUE(s.writer_client(0).op_in_progress());
   EXPECT_EQ(s.writer_client(0).parked_count(), 1u);
 
@@ -329,7 +333,7 @@ TEST(SimReconfig, InFlightPutAtNewEpochCannotOutrunWriterFloor) {
   // timestamp, it completes and must be durable.
   drive_reconfig(s, coord, r);
   run_until_idle(s, r);
-  s.invoke_get(0, "k");
+  clients.get(0, "k");
   run_until_idle(s, r);
   EXPECT_TRUE(s.histories().all_complete());
   const auto reads = s.histories().all().at("k").completed_reads();
@@ -347,6 +351,7 @@ TEST(SimReconfig, HistoriesSpanningEpochChangeLinearize) {
   for (std::uint64_t seed = 21; seed <= 32; ++seed) {
     store::sim_store s(make_cfg({"fast_swmr", "abd"}, 4, /*R=*/3));
     rng r(seed);
+    store::test::sim_clients clients(s, r);
     sim_control ctl(s);
     coordinator coord(ctl, keys);
     bool started = false;
@@ -380,15 +385,15 @@ TEST(SimReconfig, HistoriesSpanningEpochChangeLinearize) {
       const auto dice = r.below(8);
       if (dice == 0 && can_put) {
         --puts_left;
-        s.invoke_put(0, keys[r.below(keys.size())],
-                     "v" + std::to_string(++put_seq));
+        clients.put(0, keys[r.below(keys.size())],
+                    "v" + std::to_string(++put_seq));
         continue;
       }
       if (dice == 1 && can_get) {
         const auto i = static_cast<std::uint32_t>(r.below(3));
         if (gets_left[i] > 0 && !s.reader_client(i).op_in_progress()) {
           --gets_left[i];
-          s.invoke_get(i, keys[r.below(keys.size())]);
+          clients.get(i, keys[r.below(keys.size())]);
         }
         continue;
       }
@@ -408,9 +413,10 @@ TEST(SimReconfig, SequentialReshardsCompose) {
   // one's previous generation and re-fence the moved keys.
   store::sim_store s(make_cfg({"abd"}, 2));
   rng r(41);
+  store::test::sim_clients clients(s, r);
   const std::vector<std::string> keys = {"m", "n", "o"};
   std::uint64_t seq = 0;
-  for (const auto& k : keys) s.invoke_put(0, k, k + std::to_string(++seq));
+  for (const auto& k : keys) clients.put(0, k, k + std::to_string(++seq));
   run_until_idle(s, r);
 
   sim_control ctl(s);
@@ -420,7 +426,7 @@ TEST(SimReconfig, SequentialReshardsCompose) {
         << coord.error();
     drive_reconfig(s, coord, r);
   }
-  for (const auto& k : keys) s.invoke_put(0, k, k + std::to_string(++seq));
+  for (const auto& k : keys) clients.put(0, k, k + std::to_string(++seq));
   run_until_idle(s, r);
   {
     coordinator coord(ctl, keys);
@@ -429,7 +435,7 @@ TEST(SimReconfig, SequentialReshardsCompose) {
     drive_reconfig(s, coord, r);
   }
   EXPECT_EQ(s.proto().maps()->epoch(), 2u);
-  for (const auto& k : keys) s.invoke_get(1, k);
+  for (const auto& k : keys) clients.get(1, k);
   run_until_idle(s, r);
   EXPECT_TRUE(s.histories().all_complete());
   EXPECT_TRUE(s.histories().verify().ok);
@@ -447,8 +453,9 @@ TEST(SimReconfig, SameLayoutEpochBumpIsInvisibleToOps) {
   cfg.base.sigs = crypto::make_signature_scheme("oracle", /*seed=*/99);
   store::sim_store s(cfg);
   rng r(31);
-  s.invoke_put(0, "x", "x1");
-  s.invoke_put(0, "y", "y1");
+  store::test::sim_clients clients(s, r);
+  clients.put(0, "x", "x1");
+  clients.put(0, "y", "y1");
   run_until_idle(s, r);
 
   sim_control ctl(s);
@@ -461,11 +468,11 @@ TEST(SimReconfig, SameLayoutEpochBumpIsInvisibleToOps) {
 
   // Ops keep flowing across the bump; the carried fast_bft instances
   // (including their signed state) answer without re-migration.
-  s.invoke_get(0, "x");
+  clients.get(0, "x");
   run_until_idle(s, r);
-  s.invoke_put(0, "x", "x2");
+  clients.put(0, "x", "x2");
   run_until_idle(s, r);
-  s.invoke_get(0, "x");
+  clients.get(0, "x");
   run_until_idle(s, r);
   const auto reads = s.histories().all().at("x").completed_reads();
   ASSERT_EQ(reads.size(), 2u);
@@ -484,10 +491,11 @@ TEST_P(ReconfigEveryPair, PutMigrateGetPutGet) {
   const auto& [from, to] = GetParam();
   store::sim_store s(make_cfg({from}, 2));
   rng r(fnv1a64(from + to));
+  store::test::sim_clients clients(s, r);
   const std::vector<std::string> keys = {"p", "q", "r"};
   std::uint64_t seq = 0;
   for (const auto& k : keys) {
-    s.invoke_put(0, k, k + std::to_string(++seq));
+    clients.put(0, k, k + std::to_string(++seq));
   }
   run_until_idle(s, r);
 
@@ -499,15 +507,15 @@ TEST_P(ReconfigEveryPair, PutMigrateGetPutGet) {
   EXPECT_EQ(coord.stats().keys_moved, from == to ? 0u : keys.size());
 
   for (const auto& k : keys) {
-    s.invoke_get(0, k);
+    clients.get(0, k);
   }
   run_until_idle(s, r);
   for (const auto& k : keys) {
-    s.invoke_put(0, k, k + std::to_string(++seq));
+    clients.put(0, k, k + std::to_string(++seq));
   }
   run_until_idle(s, r);
   for (const auto& k : keys) {
-    s.invoke_get(1, k);
+    clients.get(1, k);
   }
   run_until_idle(s, r);
   EXPECT_TRUE(s.histories().all_complete());
@@ -542,9 +550,10 @@ TEST(SimReconfig, CrashedServerMidReshardStillCompletes) {
   // must still complete -- every wait in the pipeline is a quorum wait.
   store::sim_store s(make_cfg({"abd"}, 1, /*R=*/2, /*S=*/7));
   rng r(91);
+  store::test::sim_clients clients(s, r);
   const std::vector<std::string> keys = {"k0", "k1", "k2", "k3"};
   std::uint64_t seq = 0;
-  for (const auto& k : keys) s.invoke_put(0, k, k + std::to_string(++seq));
+  for (const auto& k : keys) clients.put(0, k, k + std::to_string(++seq));
   run_until_idle(s, r);
 
   sim_control ctl(s);
@@ -553,8 +562,8 @@ TEST(SimReconfig, CrashedServerMidReshardStillCompletes) {
       << coord.error();
   // Kill a server mid-migration, with handoff traffic in flight; invoke
   // ops on draining keys so completions depend on the drain lifting.
-  s.invoke_get(0, "k1");
-  s.invoke_put(0, "k2", "mid");
+  clients.get(0, "k1");
+  clients.put(0, "k2", "mid");
   std::uint64_t steps = 0;
   while (!coord.done() && steps < 40) {
     coord.step();
@@ -562,7 +571,7 @@ TEST(SimReconfig, CrashedServerMidReshardStillCompletes) {
   }
   ASSERT_FALSE(coord.done());  // still migrating when the crash hits
   s.world().crash(server_id(6));
-  s.invoke_get(1, "k3");
+  clients.get(1, "k3");
   drive_reconfig(s, coord, r);
   EXPECT_TRUE(coord.done());
   EXPECT_EQ(coord.stats().keys_moved, keys.size());
@@ -572,7 +581,7 @@ TEST(SimReconfig, CrashedServerMidReshardStillCompletes) {
 
   // The store still serves every key with the crash outstanding (S = 7,
   // t = 1: quorums of the 6 live servers suffice).
-  for (const auto& k : keys) s.invoke_get(0, k);
+  for (const auto& k : keys) clients.get(0, k);
   run_until_idle(s, r);
   EXPECT_TRUE(s.histories().all_complete());
   const auto res = s.histories().verify();
@@ -585,9 +594,10 @@ TEST(SimReconfig, ServerCrashedForEntireMigration) {
   // true with zero parked ops.
   store::sim_store s(make_cfg({"abd"}, 2, /*R=*/2, /*S=*/7));
   rng r(92);
+  store::test::sim_clients clients(s, r);
   const std::vector<std::string> keys = {"a", "b", "c"};
   std::uint64_t seq = 0;
-  for (const auto& k : keys) s.invoke_put(0, k, k + std::to_string(++seq));
+  for (const auto& k : keys) clients.put(0, k, k + std::to_string(++seq));
   run_until_idle(s, r);
 
   s.world().crash(server_id(3));
@@ -595,11 +605,11 @@ TEST(SimReconfig, ServerCrashedForEntireMigration) {
   coordinator coord(ctl, keys);
   ASSERT_TRUE(coord.start(s.shards(), reconfig_plan{3, {"fast_swmr"}}))
       << coord.error();
-  s.invoke_put(0, "a", "during");
+  clients.put(0, "a", "during");
   drive_reconfig(s, coord, r);
   EXPECT_TRUE(coord.done());
   run_until_idle(s, r);
-  for (const auto& k : keys) s.invoke_get(1, k);
+  for (const auto& k : keys) clients.get(1, k);
   run_until_idle(s, r);
   EXPECT_TRUE(s.histories().all_complete());
   const auto reads = s.histories().all().at("a").completed_reads();
@@ -611,7 +621,8 @@ TEST(SimReconfig, ServerCrashedForEntireMigration) {
 TEST(SimReconfig, TooManyCrashedServersRefusedUpFront) {
   store::sim_store s(make_cfg({"abd"}, 1, /*R=*/2, /*S=*/5));
   rng r(93);
-  s.invoke_put(0, "k", "v");
+  store::test::sim_clients clients(s, r);
+  clients.put(0, "k", "v");
   run_until_idle(s, r);
   s.world().crash(server_id(0));
   s.world().crash(server_id(1));  // 3 of 5 reachable < quorum 4
@@ -634,9 +645,10 @@ TEST(SimReconfig, UnlistedKeyDiscoveredAndMigrated) {
   // discovery unions the servers' object indexes.
   store::sim_store s(make_cfg({"abd"}, 1, /*R=*/2, /*S=*/7));
   rng r(94);
+  store::test::sim_clients clients(s, r);
   const std::vector<std::string> keys = {"k0", "k1", "k2", "k3"};
   std::uint64_t seq = 0;
-  for (const auto& k : keys) s.invoke_put(0, k, k + std::to_string(++seq));
+  for (const auto& k : keys) clients.put(0, k, k + std::to_string(++seq));
   run_until_idle(s, r);
 
   sim_control ctl(s);
@@ -648,9 +660,9 @@ TEST(SimReconfig, UnlistedKeyDiscoveredAndMigrated) {
   EXPECT_EQ(coord.stats().keys_moved, keys.size());
 
   // The omitted keys serve reads under the new protocol (one round).
-  s.invoke_get(0, "k2");
+  clients.get(0, "k2");
   run_until_idle(s, r);
-  s.invoke_get(1, "k3");
+  clients.get(1, "k3");
   run_until_idle(s, r);
   EXPECT_TRUE(s.histories().all_complete());
   for (const auto* k : {"k2", "k3"}) {
@@ -666,9 +678,10 @@ TEST(SimReconfig, DiscoveryAloneMigratesEverything) {
   // No keys at all: the coordinator migrates purely from the indexes.
   store::sim_store s(make_cfg({"abd"}, 2, /*R=*/2, /*S=*/7));
   rng r(95);
+  store::test::sim_clients clients(s, r);
   const std::vector<std::string> keys = {"x", "y", "z"};
   std::uint64_t seq = 0;
-  for (const auto& k : keys) s.invoke_put(0, k, k + std::to_string(++seq));
+  for (const auto& k : keys) clients.put(0, k, k + std::to_string(++seq));
   run_until_idle(s, r);
 
   sim_control ctl(s);
@@ -678,7 +691,7 @@ TEST(SimReconfig, DiscoveryAloneMigratesEverything) {
   drive_reconfig(s, coord, r);
   EXPECT_EQ(coord.stats().keys_discovered, keys.size());
   EXPECT_EQ(coord.stats().keys_moved, keys.size());
-  for (const auto& k : keys) s.invoke_get(0, k);
+  for (const auto& k : keys) clients.get(0, k);
   run_until_idle(s, r);
   EXPECT_TRUE(s.histories().all_complete());
   EXPECT_TRUE(s.histories().verify().ok);
@@ -690,7 +703,8 @@ TEST(SimReconfig, LazySeedFetchHealsServerThatMissedTheSeed) {
   // pull the snapshot from a generation peer before answering.
   store::sim_store s(make_cfg({"abd"}, 1, /*R=*/2, /*S=*/7));
   rng r(96);
-  s.invoke_put(0, "k", "v1");
+  store::test::sim_clients clients(s, r);
+  clients.put(0, "k", "v1");
   run_until_idle(s, r);
 
   sim_control ctl(s);
@@ -714,7 +728,7 @@ TEST(SimReconfig, LazySeedFetchHealsServerThatMissedTheSeed) {
   // A fast_swmr read waits for S - t = 6 of 7 answers, so server 0 is on
   // the critical path of every read once any other server lags; the read
   // completing proves the lazy fetch answered.
-  s.invoke_get(0, "k");
+  clients.get(0, "k");
   run_until_idle(s, r);
   EXPECT_EQ(s.server_at(0).seeded_count(), 1u);  // healed via fetch
   const auto reads = s.histories().all().at("k").completed_reads();
@@ -729,7 +743,8 @@ TEST(SimReconfig, BrandNewKeyUsableUnderDrainedMap) {
   // from a safe majority of peers and self-seeds bottom.
   store::sim_store s(make_cfg({"abd"}, 1, /*R=*/2, /*S=*/7));
   rng r(97);
-  s.invoke_put(0, "old", "o1");
+  store::test::sim_clients clients(s, r);
+  clients.put(0, "old", "o1");
   run_until_idle(s, r);
 
   sim_control ctl(s);
@@ -738,9 +753,9 @@ TEST(SimReconfig, BrandNewKeyUsableUnderDrainedMap) {
       << coord.error();
   drive_reconfig(s, coord, r);
 
-  s.invoke_put(0, "brand-new", "n1");
+  clients.put(0, "brand-new", "n1");
   run_until_idle(s, r);
-  s.invoke_get(0, "brand-new");
+  clients.get(0, "brand-new");
   run_until_idle(s, r);
   EXPECT_TRUE(s.histories().all_complete());
   const auto reads = s.histories().all().at("brand-new").completed_reads();
@@ -757,7 +772,8 @@ TEST(SimReconfig, MissedSeedStateReHandedOffByNextReshard) {
   // of server 0 silently serving regressed (bottom) state.
   store::sim_store s(make_cfg({"abd"}, 1, /*R=*/2, /*S=*/7));
   rng r(98);
-  s.invoke_put(0, "k", "v1");
+  store::test::sim_clients clients(s, r);
+  clients.put(0, "k", "v1");
   run_until_idle(s, r);
 
   sim_control ctl(s);
@@ -787,7 +803,7 @@ TEST(SimReconfig, MissedSeedStateReHandedOffByNextReshard) {
     EXPECT_EQ(coord.stats().keys_moved, 1u);  // the force-moved "k"
   }
   EXPECT_EQ(s.server_at(0).seeded_count(), 1u);  // finally seeded
-  s.invoke_get(0, "k");
+  clients.get(0, "k");
   run_until_idle(s, r);
   const auto reads = s.histories().all().at("k").completed_reads();
   ASSERT_EQ(reads.size(), 1u);
@@ -804,7 +820,8 @@ TEST(SimReconfig, SeedDelayedPastItsMigrationIsDropped) {
   // with their current generation.
   store::sim_store s(make_cfg({"abd"}, 1, /*R=*/2, /*S=*/7));
   rng r(99);
-  s.invoke_put(0, "k", "v1");
+  store::test::sim_clients clients(s, r);
+  clients.put(0, "k", "v1");
   run_until_idle(s, r);
 
   sim_control ctl(s);
@@ -837,7 +854,7 @@ TEST(SimReconfig, SeedDelayedPastItsMigrationIsDropped) {
   drive_reconfig(s, coord, r);
   EXPECT_EQ(coord.stats().keys_moved, 1u);
   EXPECT_EQ(s.server_at(0).seeded_count(), 1u);  // the REAL epoch-2 seed
-  s.invoke_get(0, "k");
+  clients.get(0, "k");
   run_until_idle(s, r);
   const auto reads = s.histories().all().at("k").completed_reads();
   ASSERT_EQ(reads.size(), 1u);

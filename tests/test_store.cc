@@ -79,13 +79,14 @@ TEST(ShardMap, MwmrShardsAcceptMultipleWriters) {
 TEST(SimStore, PutThenGetRoundTrips) {
   sim_store s(small_cfg({"fast_swmr", "abd"}, 4));
   rng r(1);
+  test::sim_clients clients(s, r);
   sim::uniform_delay d(50, 150);
-  s.invoke_put(0, "alpha", "1");
-  s.invoke_put(0, "beta", "2");
+  clients.put(0, "alpha", "1");
+  clients.put(0, "beta", "2");
   s.run_timed(r, d);
   ASSERT_TRUE(s.idle());
-  s.invoke_get(0, "alpha");
-  s.invoke_get(1, "beta");
+  clients.get(0, "alpha");
+  clients.get(1, "beta");
   s.run_timed(r, d);
   ASSERT_TRUE(s.idle());
   const auto& hist = s.histories();
@@ -105,6 +106,7 @@ TEST(SimStore, ShardProtocolDictatesReadRounds) {
   // trips, keys on the fast_swmr shard 1.
   sim_store s(small_cfg({"fast_swmr", "abd"}, 2));
   rng r(2);
+  test::sim_clients clients(s, r);
   sim::uniform_delay d(100, 100);
   // Find one key per shard.
   std::string fast_key, abd_key;
@@ -112,11 +114,11 @@ TEST(SimStore, ShardProtocolDictatesReadRounds) {
     const auto key = "key" + std::to_string(i);
     (s.shards()->shard_of_key(key) == 0 ? fast_key : abd_key) = key;
   }
-  s.invoke_put(0, fast_key, "f");
-  s.invoke_put(0, abd_key, "a");
+  clients.put(0, fast_key, "f");
+  clients.put(0, abd_key, "a");
   s.run_timed(r, d);
-  s.invoke_get(0, fast_key);
-  s.invoke_get(0, abd_key);
+  clients.get(0, fast_key);
+  clients.get(0, abd_key);
   s.run_timed(r, d);
   ASSERT_TRUE(s.idle());
   const auto fast_reads = s.histories().all().at(fast_key).completed_reads();
@@ -133,6 +135,7 @@ TEST(SimStore, ConcurrentOverlappingKeysLinearizePerKey) {
   for (const std::uint64_t seed : {11ull, 22ull, 33ull, 44ull}) {
     sim_store s(small_cfg({"fast_swmr", "abd"}, 4, /*R=*/3));
     rng r(seed);
+    test::sim_clients clients(s, r);
     const std::vector<std::string> keys = {"a", "b", "c", "d", "e"};
     std::uint32_t puts_left = 20;
     std::vector<std::uint32_t> gets_left(3, 15);
@@ -152,15 +155,15 @@ TEST(SimStore, ConcurrentOverlappingKeysLinearizePerKey) {
       const auto dice = r.below(8);
       if (dice == 0 && can_put) {
         --puts_left;
-        s.invoke_put(0, keys[r.below(keys.size())],
-                     "v" + std::to_string(++put_seq));
+        clients.put(0, keys[r.below(keys.size())],
+                    "v" + std::to_string(++put_seq));
         continue;
       }
       if (dice == 1 && can_get) {
         const auto i = static_cast<std::uint32_t>(r.below(3));
         if (gets_left[i] > 0 && !s.reader_client(i).op_in_progress()) {
           --gets_left[i];
-          s.invoke_get(i, keys[r.below(keys.size())]);
+          clients.get(i, keys[r.below(keys.size())]);
         }
         continue;
       }
@@ -176,6 +179,7 @@ TEST(SimStore, PipelinedBatchesCoalesceEnvelopes) {
   store_config cfg = small_cfg({"fast_swmr"}, 1, /*R=*/1);
   sim_store s(cfg);
   rng r(3);
+  test::sim_clients clients(s, r);
   sim::uniform_delay d(50, 150);
   const std::vector<std::string> keys = {"k0", "k1", "k2", "k3",
                                          "k4", "k5", "k6", "k7"};
@@ -184,9 +188,9 @@ TEST(SimStore, PipelinedBatchesCoalesceEnvelopes) {
     puts.push_back(store_op{k, /*is_put=*/true, "v:" + k});
     gets.push_back(store_op{k, /*is_put=*/false, {}});
   }
-  s.invoke_ops(writer_id(0), puts);
+  clients.submit(writer_id(0), puts);
   s.run_timed(r, d);
-  s.invoke_ops(reader_id(0), gets);
+  clients.submit(reader_id(0), gets);
   s.run_timed(r, d);
   ASSERT_TRUE(s.idle());
   EXPECT_TRUE(s.histories().all_complete());
@@ -203,7 +207,8 @@ TEST(SimStore, PipelinedBatchesCoalesceEnvelopes) {
 TEST(SimStore, WorldForkClonesStoreAutomata) {
   sim_store s(small_cfg({"abd"}, 2));
   rng r(5);
-  s.invoke_put(0, "x", "1");
+  test::sim_clients clients(s, r);
+  clients.put(0, "x", "1");
   // Mid-flight fork: both branches must independently complete the op.
   auto forked = s.world().fork();
   s.run_random(r, 100);
@@ -211,6 +216,64 @@ TEST(SimStore, WorldForkClonesStoreAutomata) {
   forked.run_random(r2, 100);
   EXPECT_TRUE(s.idle());
   EXPECT_TRUE(forked.in_transit().empty());
+}
+
+TEST(SimStore, CompletionRecordedAtDeliveringStep) {
+  // No schedule runs: the requests, then the acks one server at a time,
+  // are delivered by hand. The put's response must be recorded at the
+  // step that delivered its completing ack, not at a later run_* call
+  // (a later response widens the op's interval) and not never.
+  sim_store s(small_cfg({"abd"}, 1, /*R=*/1, /*S=*/5));
+  rng r(8);
+  sim_frontend fe(s, r);
+  auto w = fe.open_session(writer_id(0), /*depth=*/1);
+  ASSERT_EQ(w->try_put("k", "v"), submit_status::submitted);
+  w->pump();
+  ASSERT_EQ(s.world().deliver_matching(
+                [](const sim::envelope& e) { return e.to.is_server(); }),
+            5u);
+  for (std::uint32_t i = 0; i < 5 && w->in_flight() > 0; ++i) {
+    ASSERT_EQ(s.world().deliver_matching([&](const sim::envelope& e) {
+      return e.to == writer_id(0) && e.from == server_id(i);
+    }),
+              1u);
+  }
+  const auto& op = s.histories().all().at("k").op(0);
+  ASSERT_TRUE(op.response_time.has_value()) << "the put is still open";
+  EXPECT_EQ(*op.response_time, s.world().now());
+  const auto results = w->take_results();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].key, "k");
+}
+
+TEST(SimStore, AbandonedOpClosedByNextSessionAtItsCompletionStep) {
+  // A session that closes with an op in flight abandons it. The client's
+  // next session closes that op's history entry in the step that
+  // completes it, and does not report it among its own results.
+  sim_store s(small_cfg({"abd"}, 1, /*R=*/1, /*S=*/5));
+  rng r(9);
+  sim_frontend fe(s, r);
+  {
+    auto first = fe.open_session(reader_id(0), /*depth=*/1);
+    ASSERT_EQ(first->try_get("old"), submit_status::submitted);
+    first->pump();
+  }
+  auto next = fe.open_session(reader_id(0), /*depth=*/1);
+  ASSERT_EQ(next->try_get("new"), submit_status::submitted);
+  next->pump();
+  const auto old_op = [&] { return s.histories().all().at("old").op(0); };
+  while (!old_op().response_time) {
+    ASSERT_FALSE(s.world().in_transit().empty())
+        << "the abandoned get was never closed";
+    s.world().deliver(s.world().in_transit().front().id);
+  }
+  EXPECT_EQ(*old_op().response_time, s.world().now());
+  ASSERT_TRUE(next->drain());
+  const auto results = next->take_results();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].key, "new");
+  EXPECT_TRUE(s.histories().all_complete());
+  EXPECT_TRUE(s.histories().verify().ok);
 }
 
 // ----------------------------------------- every protocol as a shard
@@ -236,6 +299,7 @@ TEST_P(StoreEveryProtocol, RandomWorkloadLinearizesPerKey) {
       << name << " infeasible under " << cfg.describe();
 
   rng r(fnv1a64(name));
+  test::sim_clients clients(s, r);
   const std::vector<std::string> keys = {"p", "q", "r"};
   std::uint32_t puts_left = 8, gets_left = 8;
   std::uint64_t seq = 0, guard = 0;
@@ -250,13 +314,13 @@ TEST_P(StoreEveryProtocol, RandomWorkloadLinearizesPerKey) {
     const auto dice = r.below(8);
     if (dice == 0 && can_put) {
       --puts_left;
-      s.invoke_put(0, keys[r.below(keys.size())],
-                   "v" + std::to_string(++seq));
+      clients.put(0, keys[r.below(keys.size())],
+                  "v" + std::to_string(++seq));
       continue;
     }
     if (dice == 1 && can_get) {
       --gets_left;
-      s.invoke_get(0, keys[r.below(keys.size())]);
+      clients.get(0, keys[r.below(keys.size())]);
       continue;
     }
     if (can_deliver) s.run_random(r, 1);
