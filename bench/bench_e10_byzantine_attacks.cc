@@ -18,20 +18,23 @@ using namespace fastreg::adversary;
 namespace {
 
 std::unique_ptr<automaton> make_attack(const std::string& kind,
+                                       const protocol& proto,
                                        const system_config& cfg,
-                                       sim::world& w, std::uint32_t index) {
-  auto* cur = w.get(server_id(index));
+                                       std::uint32_t index) {
   if (kind == "stale") return std::make_unique<stale_server>(index);
   if (kind == "forge") return std::make_unique<forging_server>(index);
   if (kind == "mute") return std::make_unique<mute_server>(index);
+  // The wrappers are installed before any traffic, so a fresh server
+  // holds exactly the state of the one it replaces.
+  const auto honest = [&] { return proto.make_server(cfg, index); };
   if (kind == "seen_liar") {
-    return std::make_unique<seen_liar_server>(cur->clone(), cfg.R());
+    return std::make_unique<seen_liar_server>(honest(), cfg.R());
   }
   if (kind == "equivocate") {
-    return std::make_unique<equivocating_server>(cur->clone(), index);
+    return std::make_unique<equivocating_server>(honest(), index);
   }
   return std::make_unique<two_faced_server>(
-      cur->clone(), std::unordered_set<process_id>{reader_id(0)});
+      honest(), honest(), std::unordered_set<process_id>{reader_id(0)});
 }
 
 }  // namespace
@@ -49,12 +52,13 @@ int main() {
     cfg.b_malicious = 2;
     cfg.readers = 2;
     cfg.sigs = crypto::make_signature_scheme("oracle");
+    const auto proto = make_protocol("fast_bft");
     sim::world w(cfg);
-    w.install(*make_protocol("fast_bft"));
+    w.install(*proto);
     for (std::uint32_t i = 0; i < cfg.b(); ++i) {
       const std::uint32_t victim = 4 + 9 * i;
       w.replace_automaton(server_id(victim),
-                          make_attack(kind, cfg, w, victim));
+                          make_attack(kind, *proto, cfg, victim));
     }
     rng r(99);
     std::uint32_t writes = 0;

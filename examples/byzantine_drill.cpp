@@ -22,7 +22,8 @@ namespace {
 
 void drill(const char* attack_name,
            const std::function<std::unique_ptr<automaton>(
-               sim::world&, const system_config&, std::uint32_t)>& corrupt) {
+               const protocol&, const system_config&, std::uint32_t)>&
+               corrupt) {
   system_config cfg;
   cfg.servers = 19;
   cfg.t_failures = 3;
@@ -30,11 +31,14 @@ void drill(const char* attack_name,
   cfg.readers = 2;
   cfg.sigs = crypto::make_signature_scheme("oracle");
 
+  const auto proto = make_protocol("fast_bft");
   sim::world w(cfg);
-  w.install(*make_protocol("fast_bft"));
+  w.install(*proto);
+  // Attacks go in before any traffic: a wrapper's fresh inner server
+  // holds exactly the state of the server it replaces.
   const std::uint32_t victims[2] = {3, 11};
   for (const auto v : victims) {
-    w.replace_automaton(server_id(v), corrupt(w, cfg, v));
+    w.replace_automaton(server_id(v), corrupt(*proto, cfg, v));
   }
 
   rng r(7);
@@ -65,24 +69,24 @@ int main() {
               "(19 > (R+2)t + (R+1)b = 18)\n");
   std::printf("two servers (s4, s12) run each attack while clients "
               "operate:\n\n");
-  drill("stale", [](sim::world&, const system_config&, std::uint32_t v) {
+  drill("stale", [](const protocol&, const system_config&, std::uint32_t v) {
     return std::make_unique<stale_server>(v);
   });
-  drill("forge", [](sim::world&, const system_config&, std::uint32_t v) {
+  drill("forge", [](const protocol&, const system_config&, std::uint32_t v) {
     return std::make_unique<forging_server>(v);
   });
-  drill("mute", [](sim::world&, const system_config&, std::uint32_t v) {
+  drill("mute", [](const protocol&, const system_config&, std::uint32_t v) {
     return std::make_unique<mute_server>(v);
   });
   drill("seen_liar",
-        [](sim::world& w, const system_config& cfg, std::uint32_t v) {
-          return std::make_unique<seen_liar_server>(
-              w.get(server_id(v))->clone(), cfg.R());
+        [](const protocol& p, const system_config& cfg, std::uint32_t v) {
+          return std::make_unique<seen_liar_server>(p.make_server(cfg, v),
+                                                    cfg.R());
         });
   drill("two_faced",
-        [](sim::world& w, const system_config&, std::uint32_t v) {
+        [](const protocol& p, const system_config& cfg, std::uint32_t v) {
           return std::make_unique<two_faced_server>(
-              w.get(server_id(v))->clone(),
+              p.make_server(cfg, v), p.make_server(cfg, v),
               std::unordered_set<process_id>{reader_id(0)});
         });
   std::printf(

@@ -16,15 +16,15 @@ using namespace fastreg::adversary;
 namespace {
 
 /// Renders a Figure 3-style diagram: one column per invocation, one row
-/// per block; '#' = the block received & answered the invocation's
-/// message, '.' = skipped.
-void diagram(const swmr_partition& sp,
+/// per block B_1..B_{R'+2}; '#' = the block received & answered the
+/// invocation's message, '.' = skipped.
+void diagram(const bft_partition& sp,
              const std::vector<std::pair<std::string, std::vector<bool>>>&
                  columns) {
   std::printf("        ");
   for (const auto& [name, _] : columns) std::printf("%-6s", name.c_str());
   std::printf("\n");
-  for (std::size_t b = 0; b < sp.part.block_count(); ++b) {
+  for (std::size_t b = 0; b < sp.readers_used + 2; ++b) {
     std::printf("  B%-3zu  ", b + 1);
     for (const auto& [_, hits] : columns) {
       std::printf("%-6s", hits[b] ? "#" : ".");
@@ -50,7 +50,9 @@ int main(int argc, char** argv) {
                                             "below breaks any fast "
                                             "implementation");
 
-  const auto sp = make_swmr_partition(S, t, R);
+  // Section 5's partition is Section 6.2's with no malicious blocks
+  // (b = 0): its T-blocks are B_1..B_{R'+2}.
+  const auto sp = make_bft_partition(S, t, /*b=*/0, R);
   if (!sp) {
     std::printf("no block partition exists -- the configuration is in the "
                 "feasible region, where Figure 2's protocol is proven "

@@ -10,6 +10,9 @@
 // signatures cannot detect, because withholding a signed value is not
 // forgery. That is exactly why b weakens the bound from S > (R+2)t to
 // S > (R+2)t + (R+1)b.
+//
+// At b = 0 the B-blocks are empty and the schedule is Section 5's
+// (swmr_lower_bound.h); run_swmr_lower_bound runs this code with b = 0.
 #pragma once
 
 #include "adversary/report.h"

@@ -31,9 +31,10 @@ std::vector<bool> block_partition::membership(
 
 std::string block_partition::describe(
     const std::vector<std::string>& names) const {
+  FASTREG_EXPECTS(names.size() <= blocks_.size());
   std::string out;
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    out += (i < names.size() ? names[i] : "B" + std::to_string(i + 1)) + "={";
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    out += names[i] + "={";
     for (std::size_t j = 0; j < blocks_[i].size(); ++j) {
       if (j != 0) out += ",";
       out += "s" + std::to_string(blocks_[i][j] + 1);
@@ -62,27 +63,6 @@ std::vector<std::uint32_t> fill_sizes(std::uint32_t S,
 }
 
 }  // namespace
-
-std::optional<swmr_partition> make_swmr_partition(std::uint32_t S,
-                                                  std::uint32_t t,
-                                                  std::uint32_t R) {
-  if (t == 0) return std::nullopt;
-  for (std::uint32_t rp = 2; rp <= R; ++rp) {
-    if (static_cast<std::uint64_t>(rp + 2) * t < S) continue;
-    // Fill B_{R'+1} (index rp) first: it is the only block that receives
-    // the write, and the construction needs it non-empty.
-    std::vector<std::uint32_t> caps(rp + 2, t);
-    std::vector<std::size_t> priority;
-    priority.push_back(rp);
-    for (std::size_t i = 0; i < rp; ++i) priority.push_back(i);
-    priority.push_back(rp + 1);
-    swmr_partition out;
-    out.readers_used = rp;
-    out.part = block_partition::from_sizes(fill_sizes(S, caps, priority));
-    return out;
-  }
-  return std::nullopt;
-}
 
 std::optional<bft_partition> make_bft_partition(std::uint32_t S,
                                                 std::uint32_t t,

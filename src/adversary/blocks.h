@@ -1,9 +1,10 @@
 // Server block partitions for the lower-bound constructions.
 //
-// Section 5 partitions the S servers into R+2 blocks B_1..B_{R+2} of size
-// at most t (possible iff (R+2)t >= S, i.e. exactly when the fast SWMR
-// bound fails). Section 6.2 uses T_1..T_{R+2} of size at most t plus
-// B_1..B_{R+1} of size at most b (possible iff (R+2)t + (R+1)b >= S).
+// Section 6.2 partitions the S servers into T_1..T_{R+2} of size at most t
+// plus B_1..B_{R+1} of size at most b (possible iff (R+2)t + (R+1)b >= S).
+// At b = 0 the B-blocks are empty and T_1..T_{R+2} are Section 5's blocks
+// B_1..B_{R+2} of size at most t (possible iff (R+2)t >= S, i.e. exactly
+// when the fast SWMR bound fails).
 //
 // When more readers exist than the construction needs, it uses the minimal
 // number R' >= 2 for which the partition exists (the paper's footnote 5
@@ -36,6 +37,7 @@ class block_partition {
       const std::vector<std::size_t>& block_indices,
       std::uint32_t num_servers) const;
 
+  /// Lists the first names.size() blocks as "name={s1,s2} ...".
   [[nodiscard]] std::string describe(const std::vector<std::string>& names)
       const;
 
@@ -43,22 +45,13 @@ class block_partition {
   std::vector<std::vector<std::uint32_t>> blocks_;
 };
 
-/// Crash-model partition (Section 5): R'+2 blocks, |B_i| <= t, covering S.
-/// Fill order: B_{R'+1} (receives the write) first, then B_1..B_{R'},
-/// then B_{R'+2}. Returns nullopt when S > (R'+2)*t for every R' <= R,
-/// i.e. inside the feasible region.
-struct swmr_partition {
-  std::uint32_t readers_used{0};  // R'
-  block_partition part;           // blocks [0..R'+1] are B_1..B_{R'+2}
-};
-[[nodiscard]] std::optional<swmr_partition> make_swmr_partition(
-    std::uint32_t S, std::uint32_t t, std::uint32_t R);
-
 /// Arbitrary-failure partition (Section 6.2): T_1..T_{R'+2} (cap t) and
 /// B_1..B_{R'+1} (cap b). Fill order: T_{R'+1}, B_{R'+1} first (they
-/// receive the write), then the rest.
+/// receive the write), then T_1..T_{R'}, B_1..B_{R'}, and T_{R'+2} last.
+/// Returns nullopt when S > (R'+2)t + (R'+1)b for every R' <= R, i.e.
+/// inside the feasible region. b = 0 gives the crash-model partition.
 struct bft_partition {
-  std::uint32_t readers_used{0};
+  std::uint32_t readers_used{0};  // R'
   block_partition part;  // blocks [0..R'+1] = T_1..T_{R'+2},
                          // blocks [R'+2 .. 2R'+2] = B_1..B_{R'+1}
   [[nodiscard]] std::size_t T(std::size_t j) const { return j - 1; }

@@ -3,6 +3,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
+
 namespace fastreg::adversary {
 namespace {
 
@@ -69,9 +71,6 @@ seen_liar_server::seen_liar_server(std::unique_ptr<automaton> inner,
                                    std::uint32_t clients)
     : inner_(std::move(inner)), clients_(clients) {}
 
-seen_liar_server::seen_liar_server(const seen_liar_server& o)
-    : inner_(o.inner_->clone()), clients_(o.clients_) {}
-
 void seen_liar_server::on_message(netout& net, const process_id& from,
                                   const message& m) {
   capture_net cap;
@@ -88,16 +87,14 @@ void seen_liar_server::on_message(netout& net, const process_id& from,
 
 // -------------------------------------------------------- two_faced_server --
 
-two_faced_server::two_faced_server(std::unique_ptr<automaton> inner,
+two_faced_server::two_faced_server(std::unique_ptr<automaton> real,
+                                   std::unique_ptr<automaton> shadow,
                                    std::unordered_set<process_id> targets)
-    : real_(std::move(inner)),
-      shadow_(real_->clone()),
-      shadow_targets_(std::move(targets)) {}
-
-two_faced_server::two_faced_server(const two_faced_server& o)
-    : real_(o.real_->clone()),
-      shadow_(o.shadow_->clone()),
-      shadow_targets_(o.shadow_targets_) {}
+    : real_(std::move(real)),
+      shadow_(std::move(shadow)),
+      shadow_targets_(std::move(targets)) {
+  FASTREG_EXPECTS(shadow_->self() == real_->self());
+}
 
 void two_faced_server::on_message(netout& net, const process_id& from,
                                   const message& m) {
@@ -123,9 +120,6 @@ void two_faced_server::on_message(netout& net, const process_id& from,
 equivocating_server::equivocating_server(std::unique_ptr<automaton> inner,
                                          std::uint32_t index)
     : inner_(std::move(inner)), index_(index) {}
-
-equivocating_server::equivocating_server(const equivocating_server& o)
-    : inner_(o.inner_->clone()), index_(o.index_) {}
 
 void equivocating_server::on_message(netout& net, const process_id& from,
                                      const message& m) {

@@ -8,9 +8,14 @@
 //    protocol must mask any b of these.
 //  * Proof gadgets: two_faced_server implements the Section 6.2 failure
 //    "replies to r1 as if it never received the write, to everyone else
-//    as if it were correct" by running a real and a shadow copy of the
-//    server; memory-loss ("B_i loses its memory") is done by replacing a
-//    server with a fresh automaton.
+//    as if it were correct" by running a real and a shadow instance of
+//    the server; memory-loss ("B_i loses its memory") is done by replacing
+//    a server with a fresh automaton.
+//
+// The wrappers take the automata they wrap by ownership. Nothing copies a
+// running automaton: a caller wraps before any traffic, passing a fresh
+// protocol::make_server() automaton whose state equals the installed
+// server's at that point.
 //
 // None of these behaviours can forge the writer's signature: they only
 // ever replay stored signed triples or emit garbage signatures, exactly
@@ -29,9 +34,6 @@ class mute_server final : public automaton {
  public:
   explicit mute_server(std::uint32_t index) : index_(index) {}
   void on_message(netout&, const process_id&, const message&) override {}
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override {
-    return std::make_unique<mute_server>(*this);
-  }
   [[nodiscard]] process_id self() const override { return server_id(index_); }
 
  private:
@@ -45,9 +47,6 @@ class stale_server final : public automaton {
   explicit stale_server(std::uint32_t index) : index_(index) {}
   void on_message(netout& net, const process_id& from,
                   const message& m) override;
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override {
-    return std::make_unique<stale_server>(*this);
-  }
   [[nodiscard]] process_id self() const override { return server_id(index_); }
 
  private:
@@ -61,9 +60,6 @@ class forging_server final : public automaton {
   explicit forging_server(std::uint32_t index) : index_(index) {}
   void on_message(netout& net, const process_id& from,
                   const message& m) override;
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override {
-    return std::make_unique<forging_server>(*this);
-  }
   [[nodiscard]] process_id self() const override { return server_id(index_); }
 
  private:
@@ -76,12 +72,8 @@ class forging_server final : public automaton {
 class seen_liar_server final : public automaton {
  public:
   seen_liar_server(std::unique_ptr<automaton> inner, std::uint32_t clients);
-  seen_liar_server(const seen_liar_server& o);
   void on_message(netout& net, const process_id& from,
                   const message& m) override;
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override {
-    return std::make_unique<seen_liar_server>(*this);
-  }
   [[nodiscard]] process_id self() const override { return inner_->self(); }
 
  private:
@@ -94,17 +86,15 @@ class seen_liar_server final : public automaton {
 /// Section 6.2 "fails and loses its memory / two-faced" behaviour.
 class two_faced_server final : public automaton {
  public:
-  /// `inner` must be the server's current state; the shadow starts as a
-  /// clone of it (so "from that point on" semantics are exact).
-  two_faced_server(std::unique_ptr<automaton> inner,
+  /// `real` and `shadow` must hold the same state -- in practice two
+  /// fresh make_server() automata installed before any traffic -- so the
+  /// shadow forgets exactly what arrives from this point on.
+  two_faced_server(std::unique_ptr<automaton> real,
+                   std::unique_ptr<automaton> shadow,
                    std::unordered_set<process_id> shadow_targets);
-  two_faced_server(const two_faced_server& o);
 
   void on_message(netout& net, const process_id& from,
                   const message& m) override;
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override {
-    return std::make_unique<two_faced_server>(*this);
-  }
   [[nodiscard]] process_id self() const override { return real_->self(); }
 
  private:
@@ -118,12 +108,8 @@ class two_faced_server final : public automaton {
 class equivocating_server final : public automaton {
  public:
   equivocating_server(std::unique_ptr<automaton> inner, std::uint32_t index);
-  equivocating_server(const equivocating_server& o);
   void on_message(netout& net, const process_id& from,
                   const message& m) override;
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override {
-    return std::make_unique<equivocating_server>(*this);
-  }
   [[nodiscard]] process_id self() const override { return server_id(index_); }
 
  private:

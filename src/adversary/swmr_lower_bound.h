@@ -18,6 +18,10 @@
 // Running it against the Figure 2 protocol outside its feasible region
 // produces a checker-certified violation; inside the region the partition
 // does not exist and the construction reports "not applicable".
+//
+// This is Section 6.2's construction (bft_lower_bound.h) at b = 0: its
+// malicious blocks are empty, so no server turns two-faced, and its
+// T-blocks are the B_i above. One implementation runs both.
 #pragma once
 
 #include "adversary/report.h"
@@ -27,7 +31,7 @@ namespace fastreg::adversary {
 
 /// Runs the construction against `proto` under `cfg` (uses cfg.S/t/R;
 /// b is ignored -- crash model). The protocol must have 1-round reads and
-/// writes; this is asserted.
+/// writes; this is asserted. The report names the blocks B_1..B_{R'+2}.
 [[nodiscard]] construction_report run_swmr_lower_bound(
     const protocol& proto, const system_config& cfg);
 

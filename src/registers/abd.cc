@@ -50,10 +50,6 @@ void quorum_server::on_message(netout& net, const process_id& from,
   net.send(from, reply);
 }
 
-std::unique_ptr<automaton> quorum_server::clone() const {
-  return std::make_unique<quorum_server>(*this);
-}
-
 register_snapshot quorum_server::peek_state() const {
   // prev mirrors val: the quorum family never serves a value older than
   // its stored one, so the "preceding write" tag is the value itself.
@@ -94,10 +90,6 @@ void abd_writer::on_message(netout&, const process_id& from,
     pending_ = false;
     completed_ += 1;
   }
-}
-
-std::unique_ptr<automaton> abd_writer::clone() const {
-  return std::make_unique<abd_writer>(*this);
 }
 
 void abd_writer::seed_writer(const register_snapshot& migrated) {
@@ -164,10 +156,6 @@ void abd_reader::on_message(netout& net, const process_id& from,
       last_result_ = read_result{best_ts_.num, best_ts_.wid, best_val_, 2};
     }
   }
-}
-
-std::unique_ptr<automaton> abd_reader::clone() const {
-  return std::make_unique<abd_reader>(*this);
 }
 
 // -------------------------------------------------------------- protocol --

@@ -31,7 +31,6 @@ class quorum_server final : public automaton, public seedable {
 
   void on_message(netout& net, const process_id& from,
                   const message& m) override;
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override;
   [[nodiscard]] process_id self() const override {
     return server_id(index_);
   }
@@ -56,7 +55,6 @@ class abd_writer final : public automaton, public writer_iface {
 
   void on_message(netout& net, const process_id& from,
                   const message& m) override;
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override;
   [[nodiscard]] process_id self() const override { return writer_id(0); }
 
   void invoke_write(netout& net, value_t v) override;
@@ -83,7 +81,6 @@ class abd_reader final : public automaton, public reader_iface {
 
   void on_message(netout& net, const process_id& from,
                   const message& m) override;
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override;
   [[nodiscard]] process_id self() const override {
     return reader_id(index_);
   }

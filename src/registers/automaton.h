@@ -9,9 +9,10 @@
 // to message *sets* atomically).
 //
 // Automata are transport-agnostic: the same objects run on the in-memory
-// simulator (src/sim) and on TCP (src/net). They are also deep-clonable so
-// the adversary harness can fork a partial run into the indistinguishable
-// sibling runs that the lower-bound proofs compare.
+// simulator (src/sim) and on TCP (src/net). They are deterministic, so the
+// adversary harness never copies one: each of the indistinguishable
+// sibling runs the lower-bound proofs compare is replayed from a fresh
+// world (src/adversary).
 #pragma once
 
 #include <cstdint>
@@ -59,10 +60,6 @@ class automaton {
                         std::span<const message> msgs) {
     for (const auto& m : msgs) on_message(net, from, m);
   }
-
-  /// Deep copy, including all protocol state. Clones share the (immutable
-  /// or internally synchronized) signature scheme.
-  [[nodiscard]] virtual std::unique_ptr<automaton> clone() const = 0;
 
   [[nodiscard]] virtual process_id self() const = 0;
 };

@@ -65,10 +65,6 @@ void fast_bft_writer::on_message(netout&, const process_id& from,
   }
 }
 
-std::unique_ptr<automaton> fast_bft_writer::clone() const {
-  return std::make_unique<fast_bft_writer>(*this);
-}
-
 void fast_bft_writer::seed_writer(const register_snapshot& migrated) {
   FASTREG_EXPECTS(!pending_);
   if (migrated.ts + 1 > ts_) {
@@ -157,10 +153,6 @@ void fast_bft_reader::decide() {
   last_result_ = std::move(res);
 }
 
-std::unique_ptr<automaton> fast_bft_reader::clone() const {
-  return std::make_unique<fast_bft_reader>(*this);
-}
-
 // ---------------------------------------------------------------- server --
 
 fast_bft_server::fast_bft_server(system_config cfg, std::uint32_t index)
@@ -200,10 +192,6 @@ void fast_bft_server::on_message(netout& net, const process_id& from,
   reply.seen = seen_;
   reply.rcounter = m.rcounter;
   net.send(from, reply);
-}
-
-std::unique_ptr<automaton> fast_bft_server::clone() const {
-  return std::make_unique<fast_bft_server>(*this);
 }
 
 register_snapshot fast_bft_server::peek_state() const {

@@ -42,7 +42,6 @@ class fast_bft_writer final : public automaton, public writer_iface {
 
   void on_message(netout& net, const process_id& from,
                   const message& m) override;
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override;
   [[nodiscard]] process_id self() const override { return writer_id(0); }
 
   void invoke_write(netout& net, value_t v) override;
@@ -70,7 +69,6 @@ class fast_bft_reader final : public automaton, public reader_iface {
 
   void on_message(netout& net, const process_id& from,
                   const message& m) override;
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override;
   [[nodiscard]] process_id self() const override {
     return reader_id(index_);
   }
@@ -109,7 +107,6 @@ class fast_bft_server final : public automaton, public seedable {
 
   void on_message(netout& net, const process_id& from,
                   const message& m) override;
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override;
   [[nodiscard]] process_id self() const override {
     return server_id(index_);
   }

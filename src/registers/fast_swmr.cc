@@ -37,10 +37,6 @@ void fast_swmr_writer::on_message(netout&, const process_id& from,
   }
 }
 
-std::unique_ptr<automaton> fast_swmr_writer::clone() const {
-  return std::make_unique<fast_swmr_writer>(*this);
-}
-
 void fast_swmr_writer::seed_writer(const register_snapshot& migrated) {
   FASTREG_EXPECTS(!pending_);
   if (migrated.ts + 1 > ts_) {
@@ -121,10 +117,6 @@ void fast_swmr_reader::decide() {
   last_result_ = std::move(res);
 }
 
-std::unique_ptr<automaton> fast_swmr_reader::clone() const {
-  return std::make_unique<fast_swmr_reader>(*this);
-}
-
 // ---------------------------------------------------------------- server --
 
 fast_swmr_server::fast_swmr_server(system_config cfg, std::uint32_t index)
@@ -161,10 +153,6 @@ void fast_swmr_server::on_message(netout& net, const process_id& from,
   reply.seen = seen_;
   reply.rcounter = m.rcounter;
   net.send(from, reply);
-}
-
-std::unique_ptr<automaton> fast_swmr_server::clone() const {
-  return std::make_unique<fast_swmr_server>(*this);
 }
 
 register_snapshot fast_swmr_server::peek_state() const {

@@ -30,7 +30,6 @@ class fast_swmr_writer final : public automaton, public writer_iface {
 
   void on_message(netout& net, const process_id& from,
                   const message& m) override;
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override;
   [[nodiscard]] process_id self() const override { return writer_id(0); }
 
   void invoke_write(netout& net, value_t v) override;
@@ -60,7 +59,6 @@ class fast_swmr_reader final : public automaton, public reader_iface {
 
   void on_message(netout& net, const process_id& from,
                   const message& m) override;
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override;
   [[nodiscard]] process_id self() const override {
     return reader_id(index_);
   }
@@ -99,7 +97,6 @@ class fast_swmr_server final : public automaton, public seedable {
 
   void on_message(netout& net, const process_id& from,
                   const message& m) override;
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override;
   [[nodiscard]] process_id self() const override {
     return server_id(index_);
   }

@@ -85,10 +85,6 @@ void maxmin_server::maybe_reply(netout& net, const process_id& reader,
   net.send(reader, reply);
 }
 
-std::unique_ptr<automaton> maxmin_server::clone() const {
-  return std::make_unique<maxmin_server>(*this);
-}
-
 // --------------------------------------------------------- maxmin_reader --
 
 maxmin_reader::maxmin_reader(system_config cfg, std::uint32_t index)
@@ -127,10 +123,6 @@ void maxmin_reader::on_message(netout&, const process_id& from,
     completed_ += 1;
     last_result_ = read_result{min_ts_.num, min_ts_.wid, min_val_, 1};
   }
-}
-
-std::unique_ptr<automaton> maxmin_reader::clone() const {
-  return std::make_unique<maxmin_reader>(*this);
 }
 
 // -------------------------------------------------------------- protocol --

@@ -60,10 +60,6 @@ void mwmr_writer::on_message(netout& net, const process_id& from,
   }
 }
 
-std::unique_ptr<automaton> mwmr_writer::clone() const {
-  return std::make_unique<mwmr_writer>(*this);
-}
-
 // ----------------------------------------------------------- mwmr_reader --
 
 mwmr_reader::mwmr_reader(system_config cfg, std::uint32_t index)
@@ -121,10 +117,6 @@ void mwmr_reader::on_message(netout& net, const process_id& from,
   }
 }
 
-std::unique_ptr<automaton> mwmr_reader::clone() const {
-  return std::make_unique<mwmr_reader>(*this);
-}
-
 // ----------------------------------------------------- naive_mwmr_writer --
 
 naive_mwmr_writer::naive_mwmr_writer(system_config cfg, std::uint32_t index)
@@ -156,10 +148,6 @@ void naive_mwmr_writer::on_message(netout&, const process_id& from,
     pending_ = false;
     completed_ += 1;
   }
-}
-
-std::unique_ptr<automaton> naive_mwmr_writer::clone() const {
-  return std::make_unique<naive_mwmr_writer>(*this);
 }
 
 // ------------------------------------------------------------- protocols --
@@ -212,10 +200,6 @@ void lww_server::on_message(netout& net, const process_id& from,
       return;
   }
   net.send(from, reply);
-}
-
-std::unique_ptr<automaton> lww_server::clone() const {
-  return std::make_unique<lww_server>(*this);
 }
 
 std::unique_ptr<automaton> naive_fast_mwmr_lww_protocol::make_writer(

@@ -28,7 +28,6 @@ class mwmr_writer final : public automaton, public writer_iface {
 
   void on_message(netout& net, const process_id& from,
                   const message& m) override;
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override;
   [[nodiscard]] process_id self() const override { return writer_id(index_); }
 
   void invoke_write(netout& net, value_t v) override;
@@ -61,7 +60,6 @@ class mwmr_reader final : public automaton, public reader_iface {
 
   void on_message(netout& net, const process_id& from,
                   const message& m) override;
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override;
   [[nodiscard]] process_id self() const override {
     return reader_id(index_);
   }
@@ -172,7 +170,6 @@ class lww_server final : public automaton, public seedable {
   lww_server(system_config cfg, std::uint32_t index);
   void on_message(netout& net, const process_id& from,
                   const message& m) override;
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override;
   [[nodiscard]] process_id self() const override {
     return server_id(index_);
   }
@@ -199,7 +196,6 @@ class naive_mwmr_writer final : public automaton, public writer_iface {
 
   void on_message(netout& net, const process_id& from,
                   const message& m) override;
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override;
   [[nodiscard]] process_id self() const override { return writer_id(index_); }
 
   void invoke_write(netout& net, value_t v) override;

@@ -40,10 +40,6 @@ void regular_reader::on_message(netout&, const process_id& from,
   }
 }
 
-std::unique_ptr<automaton> regular_reader::clone() const {
-  return std::make_unique<regular_reader>(*this);
-}
-
 // --------------------------------------------- single_reader_fast_reader --
 
 single_reader_fast_reader::single_reader_fast_reader(system_config cfg,
@@ -86,10 +82,6 @@ void single_reader_fast_reader::on_message(netout&, const process_id& from,
     completed_ += 1;
     last_result_ = read_result{last_ts_.num, last_ts_.wid, last_val_, 1};
   }
-}
-
-std::unique_ptr<automaton> single_reader_fast_reader::clone() const {
-  return std::make_unique<single_reader_fast_reader>(*this);
 }
 
 // ------------------------------------------------------------- protocols --

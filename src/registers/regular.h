@@ -31,7 +31,6 @@ class regular_reader final : public automaton, public reader_iface {
 
   void on_message(netout& net, const process_id& from,
                   const message& m) override;
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override;
   [[nodiscard]] process_id self() const override {
     return reader_id(index_);
   }
@@ -63,7 +62,6 @@ class single_reader_fast_reader final : public automaton, public reader_iface {
 
   void on_message(netout& net, const process_id& from,
                   const message& m) override;
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override;
   [[nodiscard]] process_id self() const override {
     return reader_id(index_);
   }

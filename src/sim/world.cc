@@ -43,6 +43,7 @@ std::size_t world::index_of(const process_id& p) const {
 
 void world::replace_automaton(const process_id& p,
                               std::unique_ptr<automaton> a) {
+  FASTREG_EXPECTS(a != nullptr && a->self() == p);
   procs_[index_of(p)] = std::move(a);
 }
 
@@ -386,7 +387,6 @@ std::uint64_t world::run_timed_until(rng& r, delay_model& delays,
 void world::crash(const process_id& p) { crashed_.insert(p); }
 
 void world::restart(const process_id& p, std::unique_ptr<automaton> a) {
-  FASTREG_EXPECTS(a != nullptr);
   crashed_.erase(p);
   armed_partial_crash_.erase(p);
   replace_automaton(p, std::move(a));
@@ -417,26 +417,6 @@ void world::heal(const process_id& a, const process_id& b) {
 
 bool world::link_blocked(const process_id& a, const process_id& b) const {
   return !blocked_.empty() && blocked_.contains(link_key(a, b));
-}
-
-// ------------------------------------------------------------------ fork --
-
-world world::fork() const {
-  world w(cfg_);
-  w.procs_.reserve(procs_.size());
-  for (const auto& a : procs_) w.procs_.push_back(a->clone());
-  w.mset_ = mset_;
-  w.next_envelope_id_ = next_envelope_id_;
-  w.now_ = now_;
-  w.crashed_ = crashed_;
-  w.blocked_ = blocked_;
-  w.armed_partial_crash_ = armed_partial_crash_;
-  w.clients_ = clients_;
-  w.history_ = history_;
-  w.sent_count_ = sent_count_;
-  w.delivered_count_ = delivered_count_;
-  w.envelopes_sent_ = envelopes_sent_;
-  return w;
 }
 
 }  // namespace fastreg::sim

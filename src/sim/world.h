@@ -24,8 +24,8 @@
 // Byzantine behaviours are injected by replacing a server's automaton
 // (see adversary/byzantine.h).
 //
-// world is deep-copyable via fork(): the adversary uses this to branch a
-// partial run into the indistinguishable siblings the proofs compare.
+// world is deterministic and never copied: the adversary replays each of
+// the indistinguishable sibling runs the proofs compare from a fresh world.
 #pragma once
 
 #include <cstdint>
@@ -105,6 +105,7 @@ class world final : public netout {
   void install(const protocol& proto);
 
   /// Swaps in a replacement automaton (Byzantine injection, memory loss).
+  /// Precondition: a->self() == p, so the replacement answers as p.
   void replace_automaton(const process_id& p, std::unique_ptr<automaton> a);
 
   // ------------------------------------------------------------ queries --
@@ -152,7 +153,7 @@ class world final : public netout {
   /// -- each delivery and each invocation, before the step's sends are
   /// flushed -- the simulator's net::node::set_step_hook: how a store
   /// session learns, at the step that completed them, which of its ops
-  /// completed. fork() does not copy hooks.
+  /// completed.
   void set_step_hook(const process_id& p, step_fn hook);
 
   // ----------------------------------------------------- manual driving --
@@ -221,9 +222,6 @@ class world final : public netout {
   // ------------------------------------------------------------ history --
   [[nodiscard]] const checker::history& hist() const { return history_; }
 
-  /// Deep copy: clones all automata and the in-transit set.
-  [[nodiscard]] world fork() const;
-
   // netout (valid only inside a step; automata receive *this).
   void send(const process_id& to, message m) override;
   void send_batch(const process_id& to, std::vector<message> msgs) override;
@@ -243,7 +241,6 @@ class world final : public netout {
   [[nodiscard]] std::size_t index_of(const process_id& p) const;
   /// Cached obs::recorder_for lookup (the recorders are process-global
   /// and outlive every world; the cache only avoids the registry lock).
-  /// Deliberately not copied by fork(): it rebuilds lazily.
   [[nodiscard]] obs::recorder& rec_for(const process_id& p);
 
   system_config cfg_;
@@ -253,11 +250,11 @@ class world final : public netout {
   std::uint64_t now_{0};
   std::unordered_set<process_id> crashed_;
   /// Blocked links as order-normalized endpoint pairs (deterministic
-  /// iteration keeps fork() and schedules reproducible).
+  /// iteration keeps schedules reproducible).
   std::set<std::pair<process_id, process_id>> blocked_;
   std::unordered_map<process_id, std::size_t> armed_partial_crash_;
   std::unordered_map<process_id, client_state> clients_;
-  /// Step hooks by process index (see set_step_hook); not forked.
+  /// Step hooks by process index (see set_step_hook).
   std::vector<step_fn> hooks_;
   checker::history history_;
   std::uint64_t sent_count_{0};

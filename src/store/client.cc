@@ -18,29 +18,6 @@ client::client(std::shared_ptr<const shard_map> shards, process_id self,
   rec_ = &obs::recorder_for(self_);
 }
 
-client::client(const client& o)
-    : map_(o.map_),
-      source_(o.source_),
-      self_(o.self_),
-      floors_(o.floors_),
-      pending_(o.pending_),
-      attempts_(o.attempts_),
-      mig_(o.mig_),
-      mig_seq_(o.mig_seq_),
-      completions_(o.completions_),
-      stats_(o.stats_),
-      stats_seq_(o.stats_seq_),
-      parks_total_(o.parks_total_),
-      resumes_total_(o.resumes_total_),
-      rec_(o.rec_) {
-  // outbox_ is intentionally not copied: it is empty between steps, and
-  // clone() (world::fork) only runs between steps.
-  FASTREG_EXPECTS(o.outbox_.empty());
-  for (const auto& [obj, inner] : o.objects_) {
-    objects_.emplace(obj, inner_automaton{inner.a->clone(), inner.birth});
-  }
-}
-
 automaton& client::inner_for(object_id obj) {
   auto it = objects_.find(obj);
   if (it == objects_.end()) {
@@ -437,10 +414,6 @@ void client::poll_object(object_id obj) {
   }
   completions_.push_back(std::move(res));
   pending_.erase(it);
-}
-
-std::unique_ptr<automaton> client::clone() const {
-  return std::unique_ptr<automaton>(new client(*this));
 }
 
 }  // namespace fastreg::store

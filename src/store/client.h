@@ -64,8 +64,6 @@ class client final : public automaton {
  public:
   client(std::shared_ptr<const shard_map> shards, process_id self,
          map_source source = {});
-  client(const client& o);
-  client& operator=(const client&) = delete;
 
   // ------------------------------------------------------------ front-end --
   // Call within an invocation step (world::invoke_step, or a TCP session's
@@ -159,7 +157,6 @@ class client final : public automaton {
                   const message& m) override;
   void on_batch(netout& net, const process_id& from,
                 std::span<const message> msgs) override;
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override;
   [[nodiscard]] process_id self() const override { return self_; }
 
   /// Distinct objects this client has touched (diagnostic).
@@ -240,8 +237,9 @@ class client final : public automaton {
   /// must echo (stale acks of an earlier scrape are dropped).
   std::optional<std::string> stats_;
   std::uint64_t stats_seq_{0};
-  /// Registry handles (per-client label); clones share them, so the
-  /// registry counts the union while parked_count() stays exact.
+  /// Registry handles (per-client label): every client with this id in
+  /// the process shares the rows, so the registry counts the union while
+  /// parked_count() stays exact.
   obs::counter* parks_total_{nullptr};
   obs::counter* resumes_total_{nullptr};
   /// Flight recorder for this node (stable global; cached like the

@@ -100,26 +100,6 @@ void server::maybe_snapshot() {
       });
 }
 
-server::server(const server& o)
-    : map_(o.map_),
-      prev_map_(o.prev_map_),
-      index_(o.index_),
-      seed_snaps_(o.seed_snaps_),
-      fetches_(o.fetches_),
-      fetch_subs_(o.fetch_subs_),
-      force_moved_(o.force_moved_),
-      shard_ops_(o.shard_ops_),
-      sm_(o.sm_),
-      rec_(o.rec_) {
-  FASTREG_EXPECTS(o.outbox_.empty());
-  for (const auto& [obj, a] : o.objects_) {
-    objects_.emplace(obj, a->clone());
-  }
-  for (const auto& [obj, a] : o.prev_objects_) {
-    prev_objects_.emplace(obj, a->clone());
-  }
-}
-
 automaton& server::inner_for(object_id obj) {
   auto it = objects_.find(obj);
   if (it == objects_.end()) {
@@ -575,10 +555,6 @@ void server::on_batch(netout& net, const process_id& from,
   for (const auto& m : msgs) handle_one(from, m);
   sm_.serve_ns->observe(obs::trace_now() - t0);
   outbox_.flush(net);
-}
-
-std::unique_ptr<automaton> server::clone() const {
-  return std::unique_ptr<automaton>(new server(*this));
 }
 
 }  // namespace fastreg::store

@@ -61,14 +61,11 @@ namespace fastreg::store {
 class server final : public automaton {
  public:
   server(std::shared_ptr<const shard_map> shards, std::uint32_t index);
-  server(const server& o);
-  server& operator=(const server&) = delete;
 
   void on_message(netout& net, const process_id& from,
                   const message& m) override;
   void on_batch(netout& net, const process_id& from,
                 std::span<const message> msgs) override;
-  [[nodiscard]] std::unique_ptr<automaton> clone() const override;
   [[nodiscard]] process_id self() const override { return server_id(index_); }
 
   // ---------------------------------------------------------- reconfig --
@@ -210,10 +207,7 @@ class server final : public automaton {
   /// Client data messages per shard of the current map (load signal).
   std::vector<std::uint64_t> shard_ops_;
   batch_collector outbox_;
-  /// Durability engine; null when persistence is off. NOT cloned: a
-  /// fork()'d sibling appending to the same file would interleave two
-  /// histories in one log (clones exist only for adversary surgery,
-  /// which never persists).
+  /// Durability engine; null when persistence is off.
   std::unique_ptr<persist::server_durability> durable_;
   /// Last wts persisted per object; an op record is appended only when
   /// serving a message advanced past it.
@@ -221,8 +215,9 @@ class server final : public automaton {
   std::size_t recovered_objects_{0};
 
   /// Registry handles (per-server label), resolved in the constructor.
-  /// These rows are the only copy of the counts they hold; clones share
-  /// the handles, so a row sums every clone's activity.
+  /// These rows are the only copy of the counts they hold; every server
+  /// with this index in the process (a restarted one included) shares
+  /// them, so a row sums all their activity.
   /// fetch_overflow counts client data nacked because a lazy fetch's
   /// buffer was full: such a client is only resumed by the object's NEXT
   /// migration, so a nonzero row is an alarm (also logged at warn level).

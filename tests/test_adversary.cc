@@ -19,28 +19,33 @@ using test::make_cfg;
 
 // -------------------------------------------------------------- partitions
 
+// Section 5's crash-model partition is Section 6.2's at b = 0.
+
 TEST(Blocks, SwmrPartitionExistsIffInfeasible) {
   // S=8, t=2: fast feasible iff R < 2. R=2 -> partition exists.
-  EXPECT_TRUE(make_swmr_partition(8, 2, 2).has_value());
+  EXPECT_TRUE(make_bft_partition(8, 2, 0, 2).has_value());
   // S=9, t=2, R=2: 9 > 8 feasible -> no partition.
-  EXPECT_FALSE(make_swmr_partition(9, 2, 2).has_value());
-  EXPECT_FALSE(make_swmr_partition(8, 0, 5).has_value());
+  EXPECT_FALSE(make_bft_partition(9, 2, 0, 2).has_value());
+  EXPECT_FALSE(make_bft_partition(8, 0, 0, 5).has_value());
 }
 
 TEST(Blocks, SwmrPartitionShapes) {
-  const auto sp = make_swmr_partition(8, 2, 4);
+  const auto sp = make_bft_partition(8, 2, 0, 4);
   ASSERT_TRUE(sp.has_value());
   // Minimal R' with (R'+2)*2 >= 8 is R'=2.
   EXPECT_EQ(sp->readers_used, 2u);
-  ASSERT_EQ(sp->part.block_count(), 4u);
+  ASSERT_EQ(sp->part.block_count(), 7u);  // T_1..T_4, B_1..B_3
   std::uint32_t total = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_LE(sp->part.block(i).size(), 2u);
-    total += sp->part.block(i).size();
+  for (std::size_t j = 1; j <= 4; ++j) {
+    EXPECT_LE(sp->part.block(sp->T(j)).size(), 2u);
+    total += sp->part.block(sp->T(j)).size();
   }
   EXPECT_EQ(total, 8u);
-  // B_{R'+1} (index R') must be non-empty: it alone receives the write.
-  EXPECT_FALSE(sp->part.block(sp->readers_used).empty());
+  for (std::size_t j = 1; j <= 3; ++j) {
+    EXPECT_TRUE(sp->part.block(sp->B(j)).empty());
+  }
+  // T_{R'+1} must be non-empty: it alone receives the write.
+  EXPECT_FALSE(sp->part.block(sp->T(sp->readers_used + 1)).empty());
 }
 
 TEST(Blocks, BftPartitionRespectsBothCaps) {
@@ -64,7 +69,7 @@ TEST(Blocks, BftPartitionRespectsBothCaps) {
 }
 
 TEST(Blocks, MembershipUnionsBlocks) {
-  const auto sp = make_swmr_partition(8, 2, 2);
+  const auto sp = make_bft_partition(8, 2, 0, 2);
   ASSERT_TRUE(sp.has_value());
   const auto in = sp->part.membership({0, 1}, 8);
   std::uint32_t count = 0;

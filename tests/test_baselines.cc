@@ -369,11 +369,11 @@ TEST(Registry, AllNamesConstructible) {
     auto srv = proto->make_server(cfg, 0);
     auto rd = proto->make_reader(cfg, 0);
     auto wr = proto->make_writer(cfg, 0);
-    EXPECT_TRUE(srv->self().is_server());
+    EXPECT_EQ(srv->self(), server_id(0)) << name;
     EXPECT_NE(as_reader(rd.get()), nullptr) << name;
     EXPECT_NE(as_writer(wr.get()), nullptr) << name;
-    // clone() preserves identity.
-    EXPECT_EQ(srv->clone()->self(), srv->self());
+    EXPECT_EQ(rd->self(), reader_id(0)) << name;
+    EXPECT_EQ(wr->self(), writer_id(0)) << name;
   }
 }
 

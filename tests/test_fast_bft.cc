@@ -180,14 +180,15 @@ TEST_P(BftAttackTest, AtomicityAndLivenessUnderMaxByzantine) {
   // S=19 > 12 + 6 = 18.
   const auto cfg = bft_cfg(19, 3, 2, 2);
   ASSERT_TRUE(fast_bft_feasible(cfg.S(), cfg.t(), cfg.b(), cfg.R()));
+  const fast_bft_protocol proto;
   sim::world w(cfg);
-  w.install(fast_bft_protocol{});
+  w.install(proto);
   rng r(seed);
 
-  // Corrupt exactly b servers with the chosen behaviour.
+  // Corrupt exactly b servers with the chosen behaviour, before any
+  // traffic: a wrapper's fresh inner server equals the one it replaces.
   for (std::uint32_t i = 0; i < cfg.b(); ++i) {
     const process_id victim = server_id(5 + 7 * i);
-    auto* cur = w.get(victim);
     std::unique_ptr<automaton> evil;
     switch (attack.kind) {
       case 0:
@@ -200,11 +201,12 @@ TEST_P(BftAttackTest, AtomicityAndLivenessUnderMaxByzantine) {
         evil = std::make_unique<mute_server>(victim.index);
         break;
       case 3:
-        evil = std::make_unique<seen_liar_server>(cur->clone(), cfg.R());
+        evil = std::make_unique<seen_liar_server>(
+            proto.make_server(cfg, victim.index), cfg.R());
         break;
       default:
-        evil = std::make_unique<equivocating_server>(cur->clone(),
-                                                     victim.index);
+        evil = std::make_unique<equivocating_server>(
+            proto.make_server(cfg, victim.index), victim.index);
         break;
     }
     w.replace_automaton(victim, std::move(evil));

@@ -1,7 +1,8 @@
 // The simulator itself: mset semantics, manual stepping, schedulers,
-// failure injection, forking, history recording.
+// failure injection, automaton replacement, history recording.
 #include <gtest/gtest.h>
 
+#include "adversary/byzantine.h"
 #include "checker/atomicity.h"
 #include "registers/registry.h"
 #include "sim/world.h"
@@ -124,28 +125,6 @@ TEST(World, TimedRunRespectsDueOrder) {
   EXPECT_EQ(w.last_read(0)->val, "x");
 }
 
-TEST(World, ForkIsDeepAndIndependent) {
-  auto w = make_world("fast_swmr", 8, 1, 2);
-  rng r(5);
-  w.invoke_write("x");
-  // Deliver to one server only, then fork.
-  w.deliver_matching(
-      [](const envelope& e) { return e.to == server_id(0); });
-  world w2 = w.fork();
-  EXPECT_EQ(w2.in_transit().size(), w.in_transit().size());
-
-  // Finishing the write in the fork does not affect the original.
-  rng r2(6);
-  w2.run_random(r2);
-  EXPECT_FALSE(w2.writer(0)->write_in_progress());
-  EXPECT_TRUE(w.writer(0)->write_in_progress());
-  EXPECT_FALSE(w.in_transit().empty());
-
-  // And the original can still complete on its own.
-  w.run_random(r);
-  EXPECT_FALSE(w.writer(0)->write_in_progress());
-}
-
 TEST(World, HistoryRecordsIntervalsAndValues) {
   auto w = make_world("abd", 3, 1, 1);
   rng r(7);
@@ -166,13 +145,23 @@ TEST(World, HistoryRecordsIntervalsAndValues) {
 TEST(World, ReplaceAutomatonSwapsBehaviour) {
   auto w = make_world("abd", 3, 1, 1);
   rng r(8);
-  // Replace server 0 with a fresh clone of server 1's type (a benign swap
-  // that proves the hook works; byzantine tests use it for real attacks).
+  // Replace server 0 with a fresh server of the same protocol (a benign
+  // swap that proves the hook works; byzantine tests use it for real
+  // attacks).
   w.replace_automaton(server_id(0),
                       make_protocol("abd")->make_server(w.config(), 0));
   w.invoke_write("x");
   w.run_random(r);
   EXPECT_FALSE(w.writer(0)->write_in_progress());
+}
+
+TEST(World, ReplaceAutomatonRejectsAnotherProcessIdentity) {
+  // A replacement answers under its own self(): installed at another
+  // index it would speak for the wrong server, so it is refused.
+  auto w = make_world("abd", 3, 1, 1);
+  EXPECT_DEATH(w.replace_automaton(server_id(1),
+                                   std::make_unique<adversary::mute_server>(2)),
+               "precondition failed");
 }
 
 TEST(World, MessagesSentCounterTracksTraffic) {

@@ -204,20 +204,6 @@ TEST(SimStore, PipelinedBatchesCoalesceEnvelopes) {
   }
 }
 
-TEST(SimStore, WorldForkClonesStoreAutomata) {
-  sim_store s(small_cfg({"abd"}, 2));
-  rng r(5);
-  test::sim_clients clients(s, r);
-  clients.put(0, "x", "1");
-  // Mid-flight fork: both branches must independently complete the op.
-  auto forked = s.world().fork();
-  s.run_random(r, 100);
-  rng r2(6);
-  forked.run_random(r2, 100);
-  EXPECT_TRUE(s.idle());
-  EXPECT_TRUE(forked.in_transit().empty());
-}
-
 TEST(SimStore, CompletionRecordedAtDeliveringStep) {
   // No schedule runs: the requests, then the acks one server at a time,
   // are delivered by hand. The put's response must be recorded at the
