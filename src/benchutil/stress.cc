@@ -1,6 +1,8 @@
 #include "benchutil/stress.h"
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -10,6 +12,7 @@
 #include <thread>
 
 #include "common/check.h"
+#include "common/log.h"
 #include "common/rng.h"
 #include "crypto/sig.h"
 #include "obs/recorder.h"
@@ -147,9 +150,38 @@ store::verify_mode stress_verify_mode(const stress_options& opt) {
   return store::verify_mode::swmr_atomic;
 }
 
+namespace {
+
+/// The whole of environment variable `name` as an unsigned integer
+/// (decimal, 0x hex or 0 octal) of at least `min`; nullopt when it is
+/// unset or empty. Anything else -- "0x1g", "abc", a sign, an overflow --
+/// is warned about at every log level and also yields nullopt, so a
+/// mistyped replay seed never silently runs a different one.
+std::optional<std::uint64_t> env_u64(const char* name, std::uint64_t min,
+                                     const char* fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(v, &end, 0);
+  if (std::isdigit(static_cast<unsigned char>(*v)) != 0 && *end == '\0' &&
+      errno == 0 && parsed >= min) {
+    return parsed;
+  }
+  log_write(log_level::warn, __FILE__, __LINE__,
+            detail::log_format("ignoring malformed %s=\"%s\" (expected a "
+                               "whole number >= %llu); %s",
+                               name, v, static_cast<unsigned long long>(min),
+                               fallback));
+  return std::nullopt;
+}
+
+}  // namespace
+
 std::uint64_t stress_seed_from_env() {
-  if (const char* env = std::getenv("FASTREG_STRESS_SEED")) {
-    return std::strtoull(env, nullptr, 0);
+  if (const auto seed = env_u64("FASTREG_STRESS_SEED", 0,
+                                "using a fresh random seed")) {
+    return *seed;
   }
   std::random_device rd;
   std::uint64_t seed = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
@@ -159,11 +191,10 @@ std::uint64_t stress_seed_from_env() {
 }
 
 std::uint32_t stress_iters(std::uint32_t base) {
-  std::uint64_t mult = 1;
-  if (const char* env = std::getenv("FASTREG_STRESS_ITERS")) {
-    mult = std::strtoull(env, nullptr, 0);
-    if (mult == 0) mult = 1;
-  }
+  // Capped at 2^32 - 1 so base * mult cannot wrap.
+  const std::uint64_t mult = std::min<std::uint64_t>(
+      env_u64("FASTREG_STRESS_ITERS", 1, "using 1").value_or(1),
+      0xffffffffull);
   const std::uint64_t scaled = static_cast<std::uint64_t>(base) * mult;
   return static_cast<std::uint32_t>(
       std::min<std::uint64_t>(scaled, 0xffffffffull));

@@ -123,11 +123,14 @@ struct stress_report {
 [[nodiscard]] stress_report run_tcp_stress(const stress_options& opt);
 
 /// FASTREG_STRESS_SEED when set, otherwise fresh entropy. Print the seed
-/// on every failure so the run can be replayed.
+/// on every failure so the run can be replayed. The value must be a whole
+/// number (decimal, 0x hex or 0 octal); anything else is warned about on
+/// stderr and a fresh seed is used.
 [[nodiscard]] std::uint64_t stress_seed_from_env();
 
 /// `base` scaled by FASTREG_STRESS_ITERS (default 1): the knob nightly
-/// soak jobs raise ~20x without touching the tests.
+/// soak jobs raise ~20x without touching the tests. A value that is not a
+/// whole number >= 1 is warned about and the default kept.
 [[nodiscard]] std::uint32_t stress_iters(std::uint32_t base);
 
 }  // namespace fastreg::benchutil

@@ -1,8 +1,14 @@
-// history bookkeeping, the stats/table helpers, and the measured-workload
-// driver that powers every experiment binary.
+// history bookkeeping, the stats/table helpers, the stress harness's
+// environment knobs, and the measured-workload driver that powers every
+// experiment binary.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+#include <tuple>
+
 #include "benchutil/stats.h"
+#include "benchutil/stress.h"
 #include "benchutil/table.h"
 #include "benchutil/workload.h"
 #include "checker/atomicity.h"
@@ -230,6 +236,71 @@ TEST(Workload, MessageComplexityScalesWithS) {
   // 2S messages per op (S requests + S replies when none crash).
   EXPECT_NEAR(small.msgs_per_op, 8.0, 0.5);
   EXPECT_NEAR(large.msgs_per_op, 32.0, 0.5);
+}
+
+// ------------------------------------------------------- stress env --
+
+TEST(StressEnv, SeedAndItersFromEnvAreParsedStrictly) {
+  const char* prev_seed = std::getenv("FASTREG_STRESS_SEED");
+  const char* prev_iters = std::getenv("FASTREG_STRESS_ITERS");
+  const std::string saved_seed = prev_seed != nullptr ? prev_seed : "";
+  const std::string saved_iters = prev_iters != nullptr ? prev_iters : "";
+  // Each call returns its value and whatever it warned on stderr.
+  const auto seed_for = [](const char* value, std::string* warning) {
+    setenv("FASTREG_STRESS_SEED", value, 1);
+    testing::internal::CaptureStderr();
+    const auto seed = benchutil::stress_seed_from_env();
+    *warning = testing::internal::GetCapturedStderr();
+    return seed;
+  };
+  const auto iters_for = [](const char* value, std::string* warning) {
+    setenv("FASTREG_STRESS_ITERS", value, 1);
+    testing::internal::CaptureStderr();
+    const auto iters = benchutil::stress_iters(10);
+    *warning = testing::internal::GetCapturedStderr();
+    return iters;
+  };
+  std::string warning;
+  EXPECT_EQ(seed_for("42", &warning), 42u);
+  EXPECT_EQ(warning, "");
+  EXPECT_EQ(seed_for("0x1f", &warning), 31u);
+  EXPECT_EQ(warning, "");
+  // Garbage falls back to a fresh random seed, not to what a prefix
+  // parse reads, and always says so.
+  struct bad_seed {
+    const char* value;
+    std::uint64_t prefix_parse;
+  };
+  for (const auto& [bad, prefix] :
+       {bad_seed{"0x1g", 1}, bad_seed{"abc", 0}, bad_seed{"-1", ~0ull},
+        bad_seed{" 7", 7}, bad_seed{"99999999999999999999", ~0ull}}) {
+    EXPECT_NE(seed_for(bad, &warning), prefix) << bad;
+    EXPECT_NE(warning.find("ignoring malformed FASTREG_STRESS_SEED"),
+              std::string::npos)
+        << bad;
+  }
+
+  EXPECT_EQ(iters_for("3", &warning), 30u);
+  EXPECT_EQ(warning, "");
+  EXPECT_EQ(iters_for("0x2", &warning), 20u);
+  for (const char* bad : {"0", "3x", "-2", ""}) {
+    EXPECT_EQ(iters_for(bad, &warning), 10u) << "keeps the default: " << bad;
+    EXPECT_EQ(warning.find("FASTREG_STRESS_ITERS") != std::string::npos,
+              *bad != '\0')
+        << "an empty value is unset, anything else malformed: " << bad;
+  }
+  EXPECT_EQ(iters_for("99999999999999", &warning), 0xffffffffu)
+      << "a huge multiplier saturates instead of wrapping";
+
+  for (const auto& [name, prev, saved] :
+       {std::tuple{"FASTREG_STRESS_SEED", prev_seed, saved_seed},
+        std::tuple{"FASTREG_STRESS_ITERS", prev_iters, saved_iters}}) {
+    if (prev != nullptr) {
+      setenv(name, saved.c_str(), 1);
+    } else {
+      unsetenv(name);
+    }
+  }
 }
 
 // ------------------------------------------------------------- zipf --

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -34,9 +35,11 @@
 #include "benchutil/workload.h"
 #include "common/check.h"
 #include "common/rng.h"
+#include "crypto/sig.h"
 #include "obs/metrics.h"
 #include "persist/durable.h"
 #include "persist/wal.h"
+#include "registers/fast_bft.h"
 #include "store/server.h"
 #include "store/sim_store.h"
 #include "store/tcp_store.h"
@@ -638,21 +641,33 @@ TEST(Recovery, EpochFenceDiscardsStaleStateAndItsDiskBacking) {
 
 // ------------------------------------- kill mid-load, restart, verify --
 
-/// The acceptance schedule on the simulator: a Zipf-keyed MWMR load, one
-/// server killed a third of the way in, restarted (replaying its durable
-/// state) at two thirds, and every per-key history verified at the end.
-/// Returns the restarted server's recovered-object count.
-std::size_t run_sim_kill_restart(const std::string& dir,
-                                 fsync_policy policy, std::uint64_t seed) {
+/// A durable S = 5, t = 1 store with R = 2 readers and W writers, all of
+/// whose keys run `protocol`, snapshotting every 64 records.
+store::store_config durable_cfg(const std::string& dir, fsync_policy policy,
+                                const std::string& protocol,
+                                std::uint32_t writers) {
   store::store_config cfg;
   cfg.base.servers = 5;
   cfg.base.t_failures = 1;
   cfg.base.readers = 2;
-  cfg.base.writers = 2;
-  cfg.shard_protocols = {"mwmr"};
+  cfg.base.writers = writers;
+  cfg.shard_protocols = {protocol};
   cfg.persist.dir = dir;
   cfg.persist.fsync = policy;
   cfg.persist.snapshot_every = 64;  // several snapshot cycles per run
+  return cfg;
+}
+
+/// The acceptance schedule on the simulator: a Zipf-keyed load, one
+/// server killed a third of the way in, restarted (replaying its durable
+/// state) at two thirds, and every per-key history verified at the end
+/// (MWMR when cfg has several writers, SWMR atomicity otherwise).
+/// `on_restart` sees the restarted server as its constructor left it.
+/// Returns the restarted server's recovered-object count.
+std::size_t run_sim_kill_restart(
+    const store::store_config& cfg, std::uint64_t seed,
+    const std::function<void(store::server&)>& on_restart = {}) {
+  const std::uint32_t W = cfg.base.W();
   store::sim_store s(cfg);
   rng r(seed);
   store::test::sim_clients clients(s, r);
@@ -660,10 +675,10 @@ std::size_t run_sim_kill_restart(const std::string& dir,
   const auto key = [&] { return "k" + std::to_string(zipf.sample(r)); };
 
   const std::uint32_t per_client = 160;
-  std::vector<std::uint32_t> puts_left(2, per_client);
+  std::vector<std::uint32_t> puts_left(W, per_client);
   std::vector<std::uint32_t> gets_left(2, per_client);
-  std::vector<std::uint64_t> put_seq(2, 0);
-  const std::uint64_t total = 4ull * per_client;
+  std::vector<std::uint64_t> put_seq(W, 0);
+  const std::uint64_t total = (W + 2ull) * per_client;
   std::uint64_t invoked = 0, guard = 0;
   bool crashed = false;
   std::size_t recovered = 0;
@@ -676,9 +691,10 @@ std::size_t run_sim_kill_restart(const std::string& dir,
     if (crashed && recovered == 0 && invoked >= 2 * total / 3) {
       auto& ns = s.restart_server(4);
       recovered = ns.recovered_objects();
+      if (on_restart) on_restart(ns);
     }
     bool invoked_now = false;
-    for (std::uint32_t j = 0; j < 2; ++j) {
+    for (std::uint32_t j = 0; j < W; ++j) {
       if (puts_left[j] == 0 || s.writer_client(j).op_in_progress()) continue;
       --puts_left[j];
       ++invoked;
@@ -702,8 +718,9 @@ std::size_t run_sim_kill_restart(const std::string& dir,
   }
   EXPECT_TRUE(s.histories().all_complete());
   std::string failing;
-  const auto res =
-      s.histories().verify(store::verify_mode::mwmr, &failing);
+  const auto res = s.histories().verify(
+      W > 1 ? store::verify_mode::mwmr : store::verify_mode::swmr_atomic,
+      &failing);
   EXPECT_TRUE(res.ok) << "seed " << seed << " key " << failing << ": "
                       << res.error;
   return recovered;
@@ -712,7 +729,8 @@ std::size_t run_sim_kill_restart(const std::string& dir,
 TEST(Recovery, SimServerKilledMidZipfLoadRestartsReplaysAndRejoins) {
   temp_dir td("sim_kill");
   const auto recovered = run_sim_kill_restart(
-      td.path(), fsync_policy::never, benchutil::stress_seed_from_env());
+      durable_cfg(td.path(), fsync_policy::never, "mwmr", 2),
+      benchutil::stress_seed_from_env());
   // Two thirds of a 640-op Zipf load has touched (and persisted) state on
   // every server; a restart that replayed nothing would mean the durable
   // path never engaged.
@@ -722,14 +740,44 @@ TEST(Recovery, SimServerKilledMidZipfLoadRestartsReplaysAndRejoins) {
             0u);
 }
 
+TEST(Recovery, SimFastBftServerRestartKeepsWriterSignatures) {
+  // The Byzantine-model register persists the writer's signature with each
+  // value: a restarted replica that replayed a value without it could
+  // never serve that value again (readers discard unsigned timestamps).
+  temp_dir td("sim_fast_bft");
+  auto cfg = durable_cfg(td.path(), fsync_policy::never, "fast_bft", 1);
+  cfg.base.sigs = crypto::make_signature_scheme("oracle");
+  const auto seed = benchutil::stress_seed_from_env();
+  std::size_t signed_objects = 0;
+  const auto recovered = run_sim_kill_restart(
+      cfg, seed, [&](store::server& ns) {
+        ASSERT_NE(ns.durable(), nullptr);
+        for (const auto& [obj, snap] : ns.durable()->recovered().objects) {
+          if (snap.ts == k_initial_ts) continue;
+          message m;
+          m.obj = obj;
+          m.ts = snap.ts;
+          m.wid = snap.wid;
+          m.val = snap.val;
+          m.prev = snap.prev;
+          m.sig = snap.sig;
+          EXPECT_TRUE(valid_signed_ts(cfg.base, m))
+              << "seed " << seed << " object " << obj << " ts " << snap.ts;
+          ++signed_objects;
+        }
+      });
+  EXPECT_GT(recovered, 0u);
+  EXPECT_GT(signed_objects, 0u);
+}
+
 TEST(Recovery, FsyncPolicyMatrixSmoke) {
   // Same kill/restart/verify schedule under every fsync policy: the knob
   // must change only WHEN bytes reach the platter, never what replays.
   for (const auto policy : {fsync_policy::never, fsync_policy::interval,
                             fsync_policy::every_op}) {
     temp_dir td(std::string("matrix_") + to_string(policy));
-    const auto recovered =
-        run_sim_kill_restart(td.path(), policy, /*seed=*/7);
+    const auto recovered = run_sim_kill_restart(
+        durable_cfg(td.path(), policy, "mwmr", 2), /*seed=*/7);
     EXPECT_GT(recovered, 0u) << "policy " << to_string(policy);
   }
 }
