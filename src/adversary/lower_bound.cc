@@ -40,8 +40,8 @@ void deliver_requests(world& w, const process_id& client,
                       const std::vector<bool>& allowed) {
   w.deliver_matching([&](const envelope& e) {
     return e.from == client && e.to.is_server() && allowed[e.to.index] &&
-           (e.msg.type == msg_type::read_req ||
-            e.msg.type == msg_type::write_req);
+           (e.msg().type == msg_type::read_req ||
+            e.msg().type == msg_type::write_req);
   });
 }
 

@@ -30,7 +30,7 @@ run_state make_run(const protocol& proto, const system_config& cfg,
   auto deliver_write_to = [&](const process_id& writer, std::uint32_t srv) {
     w.deliver_matching([&](const envelope& e) {
       return e.from == writer && e.to == server_id(srv) &&
-             e.msg.type == msg_type::write_req;
+             e.msg().type == msg_type::write_req;
     });
   };
   auto deliver_client_acks = [&](const process_id& client) {

@@ -77,7 +77,6 @@ bool rsa_signature_scheme::verify(const process_id& signer,
 
 std::unique_ptr<signature_scheme> make_signature_scheme(
     const std::string& name, std::uint64_t seed) {
-  if (name == "null") return std::make_unique<null_signature_scheme>();
   if (name == "oracle") {
     return std::make_unique<oracle_signature_scheme>(seed);
   }

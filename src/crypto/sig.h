@@ -6,8 +6,8 @@
 //   Property 2 (Unforgeability): it is impossible to forge the writer's
 //   signature.
 //
-// Three interchangeable implementations:
-//   * null_signature_scheme   -- no-op; for crash-model protocols.
+// Two interchangeable implementations (crash-model protocols use none:
+// system_config::sigs stays null):
 //   * oracle_signature_scheme -- keyed-hash oracle; exact unforgeability
 //     within the process, negligible cost. Default for simulations.
 //   * rsa_signature_scheme    -- real RSA over SHA-256; for TCP runs and
@@ -43,20 +43,6 @@ class signature_scheme {
       std::span<const std::uint8_t> sig) const = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
-};
-
-/// Always-valid scheme for protocols that do not use signatures.
-class null_signature_scheme final : public signature_scheme {
- public:
-  [[nodiscard]] std::vector<std::uint8_t> sign(
-      const process_id&, std::span<const std::uint8_t>) override {
-    return {};
-  }
-  [[nodiscard]] bool verify(const process_id&, std::span<const std::uint8_t>,
-                            std::span<const std::uint8_t>) const override {
-    return true;
-  }
-  [[nodiscard]] std::string name() const override { return "null"; }
 };
 
 /// Keyed-hash oracle: sig = SHA-256(secret_key[signer] || payload).
@@ -104,7 +90,7 @@ class rsa_signature_scheme final : public signature_scheme {
   mutable std::unordered_map<process_id, rsa_keypair> keys_;
 };
 
-/// Factory by name ("null" | "oracle" | "rsa"), used by benches/examples.
+/// Factory by name ("oracle" | "rsa"), used by benches/examples.
 [[nodiscard]] std::unique_ptr<signature_scheme> make_signature_scheme(
     const std::string& name, std::uint64_t seed = 42);
 

@@ -26,9 +26,6 @@ obs::counter& corrupt_streams_counter() {
 /// Payload size (everything after the u32 length prefix, kind byte
 /// included) of each frame flavor.
 std::size_t hello_payload_size() { return 1 + process_id_wire_size(); }
-std::size_t msg_payload_size(const message& m) {
-  return 1 + process_id_wire_size() + message_wire_size(m);
-}
 std::size_t batch_payload_size(std::span<const message> msgs) {
   std::size_t n = 1 + process_id_wire_size() + wire_size_u32();
   for (const auto& m : msgs) n += message_wire_size(m);
@@ -40,10 +37,6 @@ std::size_t batch_payload_size(std::span<const message> msgs) {
 void preheat_framing_metrics() {
   (void)malformed_frames_counter();
   (void)corrupt_streams_counter();
-}
-
-std::size_t msg_frame_wire_size(const message& m) {
-  return 4 + msg_payload_size(m);
 }
 
 std::size_t batch_frame_wire_size(std::span<const message> msgs) {
@@ -58,18 +51,6 @@ std::size_t append_hello_frame(std::vector<std::uint8_t>& out,
   w.put_u32(static_cast<std::uint32_t>(payload));
   w.put_u8(static_cast<std::uint8_t>(frame_kind::hello));
   encode_process_id(w, from);
-  return w.written();
-}
-
-std::size_t append_msg_frame(std::vector<std::uint8_t>& out,
-                             const process_id& from, const message& m) {
-  const std::size_t payload = msg_payload_size(m);
-  out.reserve(out.size() + 4 + payload);
-  byte_writer w(out);
-  w.put_u32(static_cast<std::uint32_t>(payload));
-  w.put_u8(static_cast<std::uint8_t>(frame_kind::msg));
-  encode_process_id(w, from);
-  encode_message(w, m);
   return w.written();
 }
 
@@ -90,13 +71,6 @@ std::size_t append_batch_frame(std::vector<std::uint8_t>& out,
 std::vector<std::uint8_t> encode_hello(const process_id& from) {
   std::vector<std::uint8_t> out;
   append_hello_frame(out, from);
-  return out;
-}
-
-std::vector<std::uint8_t> encode_msg_frame(const process_id& from,
-                                           const message& m) {
-  std::vector<std::uint8_t> out;
-  append_msg_frame(out, from, m);
   return out;
 }
 
@@ -154,17 +128,11 @@ frame_buffer::parse_result frame_buffer::parse_one(const std::uint8_t* data,
   }
   out.from = *from;
   if (kind == static_cast<std::uint8_t>(frame_kind::hello)) {
-    out.kind = frame_kind::hello;
-    return parse_result::ok;
-  }
-  if (kind == static_cast<std::uint8_t>(frame_kind::msg)) {
-    out.kind = frame_kind::msg;
-    auto m = decode_message(r);
-    if (!m) {
+    if (r.remaining() != 0) {  // trailing bytes after the process id
       malformed_frames_counter().inc();
       return parse_result::skip;
     }
-    out.msg = std::move(*m);
+    out.kind = frame_kind::hello;
     return parse_result::ok;
   }
   if (kind == static_cast<std::uint8_t>(frame_kind::batch)) {
@@ -187,6 +155,11 @@ frame_buffer::parse_result frame_buffer::parse_one(const std::uint8_t* data,
         return parse_result::skip;
       }
       out.batch.push_back(std::move(*m));
+    }
+    if (r.remaining() != 0) {  // trailing bytes after the last message
+      malformed_frames_counter().inc();
+      out.batch.clear();
+      return parse_result::skip;
     }
     return parse_result::ok;
   }

@@ -3,11 +3,14 @@
 // Frame layout: u32 length (LE) | u8 kind | payload.
 //   kind 0 (hello): payload = sender process_id. Sent once per connection
 //                   so the acceptor learns who is on the other end.
-//   kind 1 (msg):   payload = sender process_id + encoded message.
 //   kind 2 (batch): payload = sender process_id + u32 count + count
-//                   encoded messages. One frame per send_batch call, so a
-//                   burst of store traffic to one destination pays the
-//                   frame and syscall overhead once.
+//                   encoded messages. Every send is one such frame (a
+//                   one-message send is a frame of count 1) and is
+//                   delivered as one automaton step, so a burst of store
+//                   traffic to one destination pays the frame and syscall
+//                   overhead once.
+// Kind 1 is retired: a frame of any kind other than 0 or 2 is malformed,
+// and so is a payload with bytes left over after its last field.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +23,7 @@
 
 namespace fastreg::net {
 
-enum class frame_kind : std::uint8_t { hello = 0, msg = 1, batch = 2 };
+enum class frame_kind : std::uint8_t { hello = 0, batch = 2 };
 
 /// Forces creation of framing's lazily-registered process-global
 /// counters (malformed frames, corrupt streams). Reactor threads run
@@ -30,9 +33,8 @@ enum class frame_kind : std::uint8_t { hello = 0, msg = 1, batch = 2 };
 void preheat_framing_metrics();
 
 struct frame {
-  frame_kind kind{frame_kind::msg};
+  frame_kind kind{frame_kind::batch};
   process_id from{};
-  std::optional<message> msg{};  // present for kind::msg
   std::vector<message> batch{};  // non-empty for kind::batch
 };
 
@@ -44,21 +46,16 @@ struct frame {
 // returns the bytes appended.
 std::size_t append_hello_frame(std::vector<std::uint8_t>& out,
                                const process_id& from);
-std::size_t append_msg_frame(std::vector<std::uint8_t>& out,
-                             const process_id& from, const message& m);
 std::size_t append_batch_frame(std::vector<std::uint8_t>& out,
                                const process_id& from,
                                std::span<const message> msgs);
 
 /// Exact on-wire size of the frame append_*_frame would emit (header
 /// included); what transports pass to buffer_chain::tail_for.
-[[nodiscard]] std::size_t msg_frame_wire_size(const message& m);
 [[nodiscard]] std::size_t batch_frame_wire_size(std::span<const message> msgs);
 
 // Owned-buffer conveniences (tests, one-shot sends).
 [[nodiscard]] std::vector<std::uint8_t> encode_hello(const process_id& from);
-[[nodiscard]] std::vector<std::uint8_t> encode_msg_frame(
-    const process_id& from, const message& m);
 [[nodiscard]] std::vector<std::uint8_t> encode_batch_frame(
     const process_id& from, std::span<const message> msgs);
 

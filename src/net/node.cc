@@ -539,33 +539,21 @@ void node::handle_readable(reactor& r, int fd) {
           inbound_by_peer_[f.from] = conn_ref{r.index, fd, c.serial};
           return;
         }
-        if (f.kind == frame_kind::batch) {
-          if (obs::recording_active()) {
-            for (const auto& m : f.batch) {
-              owner->rec->record(obs::rec_event::recv, m.trace, m.span,
-                                 static_cast<std::uint8_t>(m.type), f.from,
-                                 m.obj, m.epoch, m.ts);
-            }
+        // Every other frame parse_one lets through is a non-empty batch:
+        // one send, delivered as one step.
+        if (obs::recording_active()) {
+          for (const auto& m : f.batch) {
+            owner->rec->record(obs::rec_event::recv, m.trace, m.span,
+                               static_cast<std::uint8_t>(m.type), f.from,
+                               m.obj, m.epoch, m.ts);
           }
-          // Ambient trace ctx for replies of trace-oblivious automata; a
-          // batch carries the head's (store automata stamp replies
-          // themselves, matching the simulator's convention).
-          obs::scoped_trace_ctx trace_ctx(
-              f.batch.empty() ? 0 : f.batch.front().trace,
-              f.batch.empty() ? std::uint16_t{0} : f.batch.front().span);
-          owner->automaton_->on_batch(owner->port, f.from, f.batch);
-          return;
         }
-        if (f.msg.has_value()) {
-          if (obs::recording_active()) {
-            owner->rec->record(obs::rec_event::recv, f.msg->trace,
-                               f.msg->span,
-                               static_cast<std::uint8_t>(f.msg->type), f.from,
-                               f.msg->obj, f.msg->epoch, f.msg->ts);
-          }
-          obs::scoped_trace_ctx trace_ctx(f.msg->trace, f.msg->span);
-          owner->automaton_->on_message(owner->port, f.from, *f.msg);
-        }
+        // Ambient trace ctx for replies of trace-oblivious automata; a
+        // batch carries the head's (store automata stamp replies
+        // themselves, matching the simulator's convention).
+        obs::scoped_trace_ctx trace_ctx(f.batch.front().trace,
+                                        f.batch.front().span);
+        owner->automaton_->on_batch(owner->port, f.from, f.batch);
       });
     }
     r.drain_guard_fd = -1;
@@ -964,33 +952,19 @@ void stamp_if_untraced(message& m) {
 }  // namespace
 
 void node::actor_port::send(const process_id& to, message m) {
-  n->send_from(*a, to, std::move(m));
+  std::vector<message> one;
+  one.push_back(std::move(m));
+  n->send_from(*a, to, std::move(one));
 }
 
 void node::actor_port::send_batch(const process_id& to,
                                   std::vector<message> msgs) {
-  n->send_batch_from(*a, to, std::move(msgs));
+  n->send_from(*a, to, std::move(msgs));
 }
 
-void node::send_from(actor_state& a, const process_id& to, message m) {
-  stamp_if_untraced(m);
-  if (obs::recording_active()) {
-    a.rec->record(obs::rec_event::send, m.trace, m.span,
-                  static_cast<std::uint8_t>(m.type), to, m.obj, m.epoch,
-                  m.ts);
-  }
-  std::vector<message> one;
-  one.push_back(std::move(m));
-  route_from(a, to, std::move(one), /*batch=*/false);
-}
-
-void node::send_batch_from(actor_state& a, const process_id& to,
-                           std::vector<message> msgs) {
+void node::send_from(actor_state& a, const process_id& to,
+                     std::vector<message> msgs) {
   FASTREG_EXPECTS(!msgs.empty());
-  if (msgs.size() == 1) {
-    send_from(a, to, std::move(msgs.front()));
-    return;
-  }
   for (auto& m : msgs) stamp_if_untraced(m);
   if (obs::recording_active()) {
     for (const auto& m : msgs) {
@@ -999,11 +973,11 @@ void node::send_batch_from(actor_state& a, const process_id& to,
                     m.ts);
     }
   }
-  route_from(a, to, std::move(msgs), /*batch=*/true);
+  route_from(a, to, std::move(msgs));
 }
 
 void node::route_from(actor_state& a, const process_id& to,
-                      std::vector<message> msgs, bool batch) {
+                      std::vector<message> msgs) {
   reactor* cur = current_reactor();
   if (cur == nullptr) {
     // Only run_on_reactor's inline fallback steps an actor off its
@@ -1016,12 +990,12 @@ void node::route_from(actor_state& a, const process_id& to,
         it != a.out_to_server.end()) {
       const conn_ref ref = it->second;
       if (ref.reactor != cur->index) {
-        ship_to(ref, a, static_cast<int>(to.index), std::move(msgs), batch);
+        ship_to(ref, a, static_cast<int>(to.index), std::move(msgs));
         return;
       }
       if (auto cit = cur->conns.find(ref.fd);
           cit != cur->conns.end() && cit->second.serial == ref.serial) {
-        queue_frames(*cur, ref.fd, cit->second, a.self, msgs, batch);
+        queue_frames(*cur, ref.fd, cit->second, a.self, msgs);
         return;
       }
       // Stale (connection closed; fd possibly recycled): reconnect.
@@ -1030,7 +1004,7 @@ void node::route_from(actor_state& a, const process_id& to,
     const conn_ref ref = open_to_server(*cur, a, to.index);
     auto cit = cur->conns.find(ref.fd);
     FASTREG_CHECK(cit != cur->conns.end());
-    queue_frames(*cur, ref.fd, cit->second, a.self, msgs, batch);
+    queue_frames(*cur, ref.fd, cit->second, a.self, msgs);
     return;
   }
   // Replies to clients (or servers acting as clients of this server) go
@@ -1050,12 +1024,12 @@ void node::route_from(actor_state& a, const process_id& to,
     return;
   }
   if (ref.reactor != cur->index) {
-    ship_to(ref, a, /*server_index=*/-1, std::move(msgs), batch);
+    ship_to(ref, a, /*server_index=*/-1, std::move(msgs));
     return;
   }
   if (auto cit = cur->conns.find(ref.fd);
       cit != cur->conns.end() && cit->second.serial == ref.serial) {
-    queue_frames(*cur, ref.fd, cit->second, a.self, msgs, batch);
+    queue_frames(*cur, ref.fd, cit->second, a.self, msgs);
     return;
   }
   LOG_DEBUG("%s: route to %s went away; dropping frame",
@@ -1063,7 +1037,7 @@ void node::route_from(actor_state& a, const process_id& to,
 }
 
 void node::ship_to(const conn_ref& ref, actor_state& a, int server_index,
-                   std::vector<message> msgs, bool batch) {
+                   std::vector<message> msgs) {
   // The connection lives on another reactor (or this thread is no
   // reactor at all): the frames must be encoded into its chain by the
   // owning thread. Ship them over; the serial check drops the frames
@@ -1074,7 +1048,7 @@ void node::ship_to(const conn_ref& ref, actor_state& a, int server_index,
     if (r.exited) return;
   }
   auto moved = std::make_shared<std::vector<message>>(std::move(msgs));
-  post_to(r, [this, &a, ref, server_index, moved, batch] {
+  post_to(r, [this, &a, ref, server_index, moved] {
     reactor& owner = *reactors_[ref.reactor];
     auto it = owner.conns.find(ref.fd);
     if (it == owner.conns.end() || it->second.serial != ref.serial) {
@@ -1091,7 +1065,7 @@ void node::ship_to(const conn_ref& ref, actor_state& a, int server_index,
       return;
     }
     rm_[owner.index].ships_in->inc();
-    queue_frames(owner, ref.fd, it->second, a.self, *moved, batch);
+    queue_frames(owner, ref.fd, it->second, a.self, *moved);
   });
 }
 
@@ -1129,49 +1103,33 @@ node::conn_ref node::open_to_server(reactor& r, actor_state& a,
 }
 
 void node::queue_frames(reactor& r, int fd, connection& c,
-                        const process_id& from, std::vector<message>& msgs,
-                        bool batch) {
+                        const process_id& from, std::vector<message>& msgs) {
   if (c.fault == conn_fault::blackhole) return;  // sent into the void
   const std::size_t before = c.out.bytes();
-  if (!batch || msgs.size() == 1) {
-    // Encoded in place into the connection's chain: no intermediate
-    // per-message byte vector.
-    for (const auto& m : msgs) {
-      append_msg_frame(c.out.tail_for(msg_frame_wire_size(m)), from, m);
-      wm_.frames_out->inc();
-    }
-  } else {
-    // Chunk so no frame approaches frame_buffer::max_frame_bytes -- the
-    // receiver treats an oversized frame as stream corruption and resets
-    // the connection, which batching large values could otherwise
-    // trigger.
-    constexpr std::size_t chunk_limit = frame_buffer::max_frame_bytes / 4;
-    std::size_t begin = 0;
-    std::size_t bytes = 0;
-    for (std::size_t i = 0; i < msgs.size(); ++i) {
-      const std::size_t sz = message_wire_size(msgs[i]);
-      if (i > begin && bytes + sz > chunk_limit) {
-        const auto chunk =
-            std::span<const message>(msgs.data() + begin, i - begin);
-        append_batch_frame(c.out.tail_for(batch_frame_wire_size(chunk)), from,
-                           chunk);
-        wm_.frames_out->inc();
-        begin = i;
-        bytes = 0;
-      }
-      bytes += sz;
-    }
+  // Encoded in place into the connection's chain, chunked so no frame
+  // approaches frame_buffer::max_frame_bytes -- the receiver treats an
+  // oversized frame as stream corruption and resets the connection,
+  // which batching large values could otherwise trigger.
+  constexpr std::size_t chunk_limit = frame_buffer::max_frame_bytes / 4;
+  const auto append_chunk = [&](std::size_t begin, std::size_t end) {
     const auto chunk =
-        std::span<const message>(msgs.data() + begin, msgs.size() - begin);
-    if (chunk.size() == 1) {
-      append_msg_frame(c.out.tail_for(msg_frame_wire_size(chunk.front())),
-                       from, chunk.front());
-    } else {
-      append_batch_frame(c.out.tail_for(batch_frame_wire_size(chunk)), from,
-                         chunk);
-    }
+        std::span<const message>(msgs.data() + begin, end - begin);
+    append_batch_frame(c.out.tail_for(batch_frame_wire_size(chunk)), from,
+                       chunk);
     wm_.frames_out->inc();
+  };
+  std::size_t begin = 0;
+  std::size_t bytes = 0;
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    const std::size_t sz = message_wire_size(msgs[i]);
+    if (i > begin && bytes + sz > chunk_limit) {
+      append_chunk(begin, i);
+      begin = i;
+      bytes = 0;
+    }
+    bytes += sz;
   }
+  append_chunk(begin, msgs.size());
   wm_.backlog_bytes->add(static_cast<std::int64_t>(c.out.bytes() - before));
   after_queue(r, fd, c);
 }

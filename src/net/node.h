@@ -38,16 +38,18 @@
 // completed. The node's own waits (run_on_reactor, fault application)
 // wait for a posted step or a reactor ack, never for an op.
 //
-// Outbound path (zero-copy): frames encode straight into the destination
-// connection's buffer_chain (exact-size reservation, no intermediate byte
-// vector), and a flush hands the whole chain to one writev. The flush
-// controller is per-CONNECTION: each connection has its own batch window
-// (node_options::batch_window_us / adaptive) plus a bytes budget
+// Outbound path (zero-copy): every send -- a one-message send() or a
+// send_batch() -- is one message list, encoded as one count-prefixed
+// batch frame straight into the destination connection's buffer_chain
+// (exact-size reservation, no intermediate byte vector); a flush hands
+// the whole chain to one writev. The receiver delivers each frame as one
+// on_batch step, exactly as the simulator delivers one envelope. The
+// flush controller is per-CONNECTION: each connection has its own batch
+// window (node_options::batch_window_us / adaptive) plus a bytes budget
 // (node_options::flush_bytes) that flushes early when the backlog is
 // already worth a writev. Coalescing is strictly at the BYTE level --
-// each send/send_batch still forms its own frame, so the receiving
-// automaton observes exactly the same step structure (one on_batch per
-// send_batch) as the simulator's envelope model, whatever the window is.
+// frames are never merged, so the step structure is the same whatever
+// the window is.
 //
 // Fault hooks: every connection can be paused (no reads, no writes --
 // bytes queue up; healing flushes them), blackholed (reads and writes
@@ -322,17 +324,16 @@ class node final {
 
   // Send path. All called with a.step_mu held (sends only originate
   // inside automaton steps / invocations, which hold it).
-  void send_from(actor_state& a, const process_id& to, message m);
-  void send_batch_from(actor_state& a, const process_id& to,
-                       std::vector<message> msgs);
+  void send_from(actor_state& a, const process_id& to,
+                 std::vector<message> msgs);
   void route_from(actor_state& a, const process_id& to,
-                  std::vector<message> msgs, bool batch);
+                  std::vector<message> msgs);
   /// Encodes `msgs` into the connection's chain on its owning reactor
-  /// (inline when that is the current context) and runs the flush
-  /// controller. `batch` selects batch frames (with chunking) vs one msg
-  /// frame.
+  /// (inline when that is the current context) as count-prefixed batch
+  /// frames -- one, unless the messages exceed the chunk limit -- and
+  /// runs the flush controller.
   void queue_frames(reactor& r, int fd, connection& c, const process_id& from,
-                    std::vector<message>& msgs, bool batch);
+                    std::vector<message>& msgs);
   /// Opens an outbound connection to server `index` on reactor `r` for
   /// actor `a` (hello first) and registers it in a.out_to_server.
   conn_ref open_to_server(reactor& r, actor_state& a, std::uint32_t index);
@@ -340,7 +341,7 @@ class node final {
   /// (and, for server routes, lazily invalidates a.out_to_server) when
   /// the serial shows the connection is gone.
   void ship_to(const conn_ref& ref, actor_state& a, int server_index,
-               std::vector<message> msgs, bool batch);
+               std::vector<message> msgs);
   /// Runs `fn` on every reactor and returns once all acknowledged (or
   /// exited). No-op before start().
   void run_on_all_reactors(const std::function<void(reactor&)>& fn);

@@ -2,11 +2,13 @@
 //
 // A distributed algorithm is a collection of automata, one per process.
 // Computation proceeds in steps <p, M>: process p atomically consumes a set
-// of messages M, updates its state, and emits a set of messages. fastreg
-// automata receive one message per on_message call (a step <p, {m}> -- the
-// general <p, M> form is a sequence of such calls from the driver's point
-// of view, which is equivalent for our protocols since none of them react
-// to message *sets* atomically).
+// of messages M, updates its state, and emits a set of messages. Both
+// transports deliver every step as one on_batch call carrying the message
+// list of one send (a list of one for a plain send). The base on_batch
+// unrolls the step into one on_message call per message, which is
+// equivalent for the register protocols since none of them react to
+// message *sets* atomically; the store's multiplexing automata override
+// on_batch to coalesce the replies a step triggers.
 //
 // Automata are transport-agnostic: the same objects run on the in-memory
 // simulator (src/sim) and on TCP (src/net). They are deterministic, so the
@@ -48,14 +50,16 @@ class automaton {
  public:
   virtual ~automaton() = default;
 
-  /// Deliver one message (a step <p, {m}>).
+  /// Deliver one message of a step (see on_batch).
   virtual void on_message(netout& net, const process_id& from,
                           const message& m) = 0;
 
-  /// Deliver a batched envelope as ONE step <p, M>. The default unrolls to
-  /// per-message steps, which is equivalent for the register protocols
-  /// (none react to message *sets* atomically). The store's automata
-  /// override it to coalesce the replies the batch triggers.
+  /// Deliver one transport unit (a sim envelope, a TCP frame) as ONE step
+  /// <p, M>; the only entry point the transports call. The default
+  /// unrolls to per-message on_message calls, which is equivalent for the
+  /// register protocols (none react to message *sets* atomically). The
+  /// store's automata override it to coalesce the replies the step
+  /// triggers.
   virtual void on_batch(netout& net, const process_id& from,
                         std::span<const message> msgs) {
     for (const auto& m : msgs) on_message(net, from, m);

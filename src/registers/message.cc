@@ -128,6 +128,9 @@ std::optional<message> decode_message(byte_reader& r) {
       !val || !prev || !seen_bits || !rcounter || !sig || !origin) {
     return std::nullopt;
   }
+  // The span travels as a u32 but is a u16 in memory: a wider value is
+  // malformed, not something to truncate.
+  if (*span > 0xFFFFu) return std::nullopt;
   m.obj = *obj;
   m.epoch = *epoch;
   m.attempt = *attempt;

@@ -89,19 +89,15 @@ void stamp_if_untraced(message& m) {
 }  // namespace
 
 void world::send(const process_id& to, message m) {
-  stamp_if_untraced(m);
-  outbox_.push_back({to, std::move(m), {}});
+  std::vector<message> one;
+  one.push_back(std::move(m));
+  send_batch(to, std::move(one));
 }
 
 void world::send_batch(const process_id& to, std::vector<message> msgs) {
   FASTREG_EXPECTS(!msgs.empty());
   for (auto& m : msgs) stamp_if_untraced(m);
-  outbox_entry e;
-  e.to = to;
-  e.first = std::move(msgs.front());
-  e.tail.assign(std::make_move_iterator(msgs.begin() + 1),
-                std::make_move_iterator(msgs.end()));
-  outbox_.push_back(std::move(e));
+  outbox_.push_back({to, std::move(msgs)});
 }
 
 void world::flush_sends(const process_id& from) {
@@ -118,18 +114,14 @@ void world::flush_sends(const process_id& from) {
     env.id = next_envelope_id_++;
     env.from = from;
     env.to = outbox_[i].to;
-    env.msg = std::move(outbox_[i].first);
-    env.tail = std::move(outbox_[i].tail);
+    env.msgs = std::move(outbox_[i].msgs);
     env.sent_at = now_;
     env.due_at = 0;
-    sent_count_ += env.message_count();
+    sent_count_ += env.msgs.size();
     ++envelopes_sent_;
     if (rec) {
       auto& r = rec_for(from);
-      r.record(obs::rec_event::send, env.msg.trace, env.msg.span,
-               static_cast<std::uint8_t>(env.msg.type), env.to, env.msg.obj,
-               env.msg.epoch, env.msg.ts);
-      for (const auto& m : env.tail) {
+      for (const auto& m : env.msgs) {
         r.record(obs::rec_event::send, m.trace, m.span,
                  static_cast<std::uint8_t>(m.type), env.to, m.obj, m.epoch,
                  m.ts);
@@ -245,30 +237,19 @@ void world::do_step(const process_id& to, const envelope& env) {
   // Replies a trace-oblivious automaton sends during this step inherit
   // the delivered message's identity (batches only carry one ambient
   // ctx -- the head's -- but store automata stamp replies themselves).
-  obs::scoped_trace_ctx trace_ctx(env.msg.trace, env.msg.span);
+  obs::scoped_trace_ctx trace_ctx(env.msg().trace, env.msg().span);
   scoped_log_node log_node(to_string(to));
   if (obs::recording_active()) {
     auto& r = rec_for(to);
-    r.record(obs::rec_event::recv, env.msg.trace, env.msg.span,
-             static_cast<std::uint8_t>(env.msg.type), env.from, env.msg.obj,
-             env.msg.epoch, env.msg.ts);
-    for (const auto& m : env.tail) {
+    for (const auto& m : env.msgs) {
       r.record(obs::rec_event::recv, m.trace, m.span,
                static_cast<std::uint8_t>(m.type), env.from, m.obj, m.epoch,
                m.ts);
     }
   }
-  if (env.tail.empty()) {
-    a.on_message(*this, env.from, env.msg);
-  } else {
-    std::vector<message> all;
-    all.reserve(env.message_count());
-    all.push_back(env.msg);
-    all.insert(all.end(), env.tail.begin(), env.tail.end());
-    a.on_batch(*this, env.from, all);
-  }
+  a.on_batch(*this, env.from, env.msgs);
   end_step(to);
-  delivered_count_ += env.message_count();
+  delivered_count_ += env.msgs.size();
   poll_completion(to);
 }
 

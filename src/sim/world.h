@@ -47,24 +47,25 @@
 
 namespace fastreg::sim {
 
-/// A message in transit (an element of the paper's mset). A batched send
-/// (netout::send_batch) travels as ONE envelope: `msg` holds the first
-/// message and `tail` the rest, so the whole batch costs a single latency
-/// sample and a single delivery step -- the simulator's model of the
-/// per-packet overhead batching amortizes. Register protocols never
-/// batch, so adversary code matching on `msg` is unaffected.
+/// A transport unit in transit (an element of the paper's mset): the
+/// non-empty list of messages one send put in flight. A one-message
+/// send() is a list of one; a send_batch() travels whole, so the batch
+/// costs a single latency sample and is delivered as a single on_batch
+/// step <p, M> -- the simulator's model of the per-packet overhead
+/// batching amortizes, and the same unit a TCP frame is.
 struct envelope {
   std::uint64_t id{0};
   process_id from{};
   process_id to{};
-  message msg{};
-  std::vector<message> tail{};
+  std::vector<message> msgs{};
   /// Logical time the message was sent.
   std::uint64_t sent_at{0};
   /// Delivery due time; assigned by run_timed, ignored by other drivers.
   std::uint64_t due_at{0};
 
-  [[nodiscard]] std::size_t message_count() const { return 1 + tail.size(); }
+  /// The head message. Register protocols never batch, so adversary
+  /// predicates match on it alone.
+  [[nodiscard]] const message& msg() const { return msgs.front(); }
 };
 
 /// Per-message latency model for run_timed.
@@ -125,7 +126,7 @@ class world final : public netout {
     return delivered_count_;
   }
   /// Transport units put in flight: a batched send counts once here but
-  /// message_count() times in messages_sent(). The gap is the batching win.
+  /// once per message in messages_sent(). The gap is the batching win.
   [[nodiscard]] std::uint64_t envelopes_sent() const {
     return envelopes_sent_;
   }
@@ -157,7 +158,7 @@ class world final : public netout {
   void set_step_hook(const process_id& p, step_fn hook);
 
   // ----------------------------------------------------- manual driving --
-  /// Executes step <to, {m}> for the envelope with this id. Returns false
+  /// Executes step <to, M> for the envelope with this id. Returns false
   /// if the id is no longer in transit. Delivery to a crashed process
   /// consumes the message without a step.
   bool deliver(std::uint64_t envelope_id);
@@ -263,12 +264,10 @@ class world final : public netout {
 
   // Sends captured during the current step, flushed into mset_ afterwards
   // (possibly truncated by an armed partial-broadcast crash). Each entry
-  // becomes one envelope; only batched sends pay for a tail vector, so
-  // the register protocols' single-message hot path stays allocation-free.
+  // becomes one envelope.
   struct outbox_entry {
     process_id to{};
-    message first{};
-    std::vector<message> tail{};
+    std::vector<message> msgs{};
   };
   std::vector<outbox_entry> outbox_;
   std::unordered_map<process_id, obs::recorder*> rec_cache_;

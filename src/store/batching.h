@@ -6,9 +6,10 @@
 // step the collector flushes: all messages to one destination leave as a
 // single send_batch (one envelope on the simulator, one frame on TCP).
 //
-// Envelope-semantics parity (sim == TCP): one send_batch is ALWAYS one
-// delivery unit -- a sim envelope delivered as one on_batch step, and one
-// TCP batch frame delivered as one on_batch step. The TCP reactor's
+// Envelope-semantics parity (sim == TCP): every send -- a send_batch or a
+// one-message send -- is ALWAYS one delivery unit: a sim envelope
+// delivered as one on_batch step, and one TCP batch frame delivered as
+// one on_batch step (tests/test_net.cc, DeliveryUnit.*). The TCP reactor's
 // time-window flush (net::node_options) coalesces strictly at the byte
 // level, packing several such frames into one writev; it never merges or
 // splits the frames themselves, so the receiving automaton's step
@@ -36,16 +37,10 @@ class batch_collector {
     groups_.emplace_back(to, std::vector<message>{std::move(m)});
   }
 
-  /// Emits one send (or send_batch) per destination, in first-touch order
-  /// so simulator schedules stay deterministic, then resets.
+  /// Emits one send_batch per destination, in first-touch order so
+  /// simulator schedules stay deterministic, then resets.
   void flush(netout& net) {
-    for (auto& [dest, msgs] : groups_) {
-      if (msgs.size() == 1) {
-        net.send(dest, std::move(msgs.front()));
-      } else {
-        net.send_batch(dest, std::move(msgs));
-      }
-    }
+    for (auto& [dest, msgs] : groups_) net.send_batch(dest, std::move(msgs));
     groups_.clear();
   }
 

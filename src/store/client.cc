@@ -364,9 +364,7 @@ bool client::dispatch_one(const process_id& from, const message& m) {
 
 void client::on_message(netout& net, const process_id& from,
                         const message& m) {
-  const bool poll = dispatch_one(from, m);
-  flush(net);
-  if (poll) poll_object(m.obj);
+  on_batch(net, from, std::span<const message>(&m, 1));
 }
 
 void client::on_batch(netout& net, const process_id& from,

@@ -540,10 +540,7 @@ void server::handle_one(const process_id& from, const message& m) {
 
 void server::on_message(netout& net, const process_id& from,
                         const message& m) {
-  const std::uint64_t t0 = obs::trace_now();
-  handle_one(from, m);
-  sm_.serve_ns->observe(obs::trace_now() - t0);
-  outbox_.flush(net);
+  on_batch(net, from, std::span<const message>(&m, 1));
 }
 
 void server::on_batch(netout& net, const process_id& from,

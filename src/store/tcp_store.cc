@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -33,7 +34,8 @@ std::string tcp_store::scrape(std::uint32_t server_index,
   message req;
   req.type = msg_type::stats_req;
   req.rcounter = 1;
-  const auto frame = net::encode_msg_frame(scraper, req);
+  const auto frame =
+      net::encode_batch_frame(scraper, std::span<const message>(&req, 1));
   bytes.insert(bytes.end(), frame.begin(), frame.end());
 
   const auto deadline = std::chrono::steady_clock::now() + timeout;
@@ -84,10 +86,11 @@ std::string tcp_store::scrape(std::uint32_t server_index,
       return {};
     }
     in.drain(buf, static_cast<std::size_t>(n), [&](net::frame&& f) {
-      if (f.kind == net::frame_kind::msg && f.msg.has_value() &&
-          f.msg->type == msg_type::stats_ack) {
-        dump = std::move(f.msg->val);
-        got = true;
+      for (auto& m : f.batch) {
+        if (m.type == msg_type::stats_ack) {
+          dump = std::move(m.val);
+          got = true;
+        }
       }
     });
     if (in.corrupt()) return {};

@@ -3,6 +3,9 @@
 // machinery, MWMR timestamps, and the protocol registry.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "checker/atomicity.h"
 #include "registers/abd.h"
 #include "registers/maxmin.h"
@@ -382,14 +385,32 @@ TEST(Registry, UnknownNameReturnsNull) {
 }
 
 TEST(Registry, RoundsMatchPaperTable) {
-  EXPECT_EQ(make_protocol("fast_swmr")->read_rounds(), 1);
-  EXPECT_EQ(make_protocol("fast_bft")->read_rounds(), 1);
-  EXPECT_EQ(make_protocol("abd")->read_rounds(), 2);
-  EXPECT_EQ(make_protocol("abd")->write_rounds(), 1);
-  EXPECT_EQ(make_protocol("mwmr")->read_rounds(), 2);
-  EXPECT_EQ(make_protocol("mwmr")->write_rounds(), 2);
-  EXPECT_EQ(make_protocol("regular")->read_rounds(), 1);
-  EXPECT_EQ(make_protocol("single_reader")->read_rounds(), 1);
+  struct row {
+    int read_rounds;
+    int write_rounds;
+    bool multi_writer;
+  };
+  const std::map<std::string, row> table = {
+      {"fast_swmr", {1, 1, false}},
+      {"fast_bft", {1, 1, false}},
+      {"abd", {2, 1, false}},
+      {"maxmin", {1, 1, false}},
+      {"regular", {1, 1, false}},
+      {"single_reader", {1, 1, false}},
+      {"mwmr", {2, 2, true}},
+      {"naive_fast_mwmr", {1, 1, true}},
+      {"naive_fast_mwmr_lww", {1, 1, true}},
+  };
+  // Every registered protocol has a row: a new one fails until added.
+  EXPECT_EQ(protocol_names().size(), table.size());
+  for (const auto& name : protocol_names()) {
+    const auto it = table.find(name);
+    ASSERT_NE(it, table.end()) << name << " has no row";
+    const auto proto = make_protocol(name);
+    EXPECT_EQ(proto->read_rounds(), it->second.read_rounds) << name;
+    EXPECT_EQ(proto->write_rounds(), it->second.write_rounds) << name;
+    EXPECT_EQ(proto->multi_writer(), it->second.multi_writer) << name;
+  }
 }
 
 TEST(Registry, FeasibilityDelegation) {

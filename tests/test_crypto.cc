@@ -232,13 +232,7 @@ TEST(SigScheme, UnforgeabilityOracle) {
       scheme.verify(writer_id(0), std::vector<std::uint8_t>{9}, sig));
 }
 
-TEST(SigScheme, NullSchemeAcceptsEverything) {
-  null_signature_scheme scheme;
-  EXPECT_TRUE(scheme.verify(writer_id(0), std::vector<std::uint8_t>{1}, {}));
-}
-
 TEST(SigScheme, FactoryNames) {
-  EXPECT_EQ(make_signature_scheme("null")->name(), "null");
   EXPECT_EQ(make_signature_scheme("oracle")->name(), "oracle");
   EXPECT_EQ(make_signature_scheme("rsa")->name(), "rsa");
 }

@@ -230,7 +230,7 @@ TEST(FastSwmr, IncompleteWriteSeenBySomeReader) {
   w.invoke_write("incomplete");
   // Deliver the write to exactly one server, then stall the writer.
   w.deliver_matching([&](const sim::envelope& e) {
-    return e.msg.type == msg_type::write_req && e.to == server_id(0);
+    return e.msg().type == msg_type::write_req && e.to == server_id(0);
   });
   w.invoke_read(0);
   w.run_random_until(r, [&] { return !w.reader(0)->read_in_progress(); });

@@ -9,12 +9,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <span>
 #include <thread>
+#include <vector>
 
 #include "checker/atomicity.h"
 #include "net/framing.h"
+#include "net/node.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
+#include "registers/registry.h"
+#include "sim/world.h"
 #include "sim_test_util.h"
 #include "store/tcp_store.h"
 #include "store_test_util.h"
@@ -33,6 +39,12 @@ std::uint64_t malformed_frames() {
   return obs::registry::instance()
       .get_counter("fastreg_net_malformed_frames_total")
       .value();
+}
+
+/// The frame one send of `m` puts on the wire: a batch frame of count 1.
+std::vector<std::uint8_t> one_message_frame(const process_id& from,
+                                            const message& m) {
+  return encode_batch_frame(from, std::span<const message>(&m, 1));
 }
 
 // ---------------------------------------------------------------- framing
@@ -59,15 +71,15 @@ TEST(Framing, MessageRoundTrip) {
   m.seen.insert(reader_id(1));
   m.rcounter = 7;
   m.sig = {1, 2, 3, 4};
-  const auto bytes = encode_msg_frame(server_id(2), m);
+  const auto bytes = one_message_frame(server_id(2), m);
   frame_buffer fb;
   fb.feed(bytes.data(), bytes.size());
   const auto f = fb.next();
   ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f->kind, frame_kind::msg);
+  EXPECT_EQ(f->kind, frame_kind::batch);
   EXPECT_EQ(f->from, server_id(2));
-  ASSERT_TRUE(f->msg.has_value());
-  EXPECT_EQ(*f->msg, m);
+  ASSERT_EQ(f->batch.size(), 1u);
+  EXPECT_EQ(f->batch[0], m);
 }
 
 TEST(Framing, EpochAttemptAndMigSurviveTheWire) {
@@ -89,16 +101,16 @@ TEST(Framing, EpochAttemptAndMigSurviveTheWire) {
     m.prev = "older";
     m.sig = {9, 8, 7};
     m.rcounter = 12;
-    const auto bytes = encode_msg_frame(server_id(0), m);
+    const auto bytes = one_message_frame(server_id(0), m);
     frame_buffer fb;
     fb.feed(bytes.data(), bytes.size());
     const auto f = fb.next();
     ASSERT_TRUE(f.has_value()) << to_string(type);
-    ASSERT_TRUE(f->msg.has_value());
-    EXPECT_EQ(*f->msg, m) << to_string(type);
-    EXPECT_EQ(f->msg->epoch, m.epoch);
-    EXPECT_EQ(f->msg->attempt, 3u);
-    EXPECT_EQ(f->msg->mig, m.mig);
+    ASSERT_EQ(f->batch.size(), 1u);
+    EXPECT_EQ(f->batch[0], m) << to_string(type);
+    EXPECT_EQ(f->batch[0].epoch, m.epoch);
+    EXPECT_EQ(f->batch[0].attempt, 3u);
+    EXPECT_EQ(f->batch[0].mig, m.mig);
   }
 }
 
@@ -107,21 +119,22 @@ TEST(Framing, ByteAtATimeDelivery) {
   m.type = msg_type::write_req;
   m.ts = 1;
   m.val = "x";
-  const auto bytes = encode_msg_frame(writer_id(0), m);
+  const auto bytes = one_message_frame(writer_id(0), m);
   frame_buffer fb;
   for (const std::uint8_t b : bytes) {
     fb.feed(&b, 1);
   }
   const auto f = fb.next();
   ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f->msg->val, "x");
+  ASSERT_EQ(f->batch.size(), 1u);
+  EXPECT_EQ(f->batch[0].val, "x");
 }
 
 TEST(Framing, MultipleFramesInOneFeed) {
   message m;
   m.type = msg_type::read_req;
-  auto bytes = encode_msg_frame(reader_id(0), m);
-  const auto more = encode_msg_frame(reader_id(1), m);
+  auto bytes = one_message_frame(reader_id(0), m);
+  const auto more = one_message_frame(reader_id(1), m);
   bytes.insert(bytes.end(), more.begin(), more.end());
   frame_buffer fb;
   fb.feed(bytes.data(), bytes.size());
@@ -169,7 +182,7 @@ TEST(Framing, BatchFrameRoundTrip) {
 TEST(Framing, BatchIsOneFrameNotThree) {
   std::vector<message> msgs(3);
   const auto batched = encode_batch_frame(reader_id(0), msgs);
-  const auto single = encode_msg_frame(reader_id(0), msgs[0]);
+  const auto single = one_message_frame(reader_id(0), msgs[0]);
   // Per-message frame overhead (length, kind, sender) is paid once.
   EXPECT_LT(batched.size(), 3 * single.size());
 }
@@ -252,7 +265,7 @@ TEST(Framing, IntactFramesBeforeCorruptionStillParse) {
   // Frames already framed correctly ahead of the bad length prefix are
   // delivered; only the tail after it is lost to the reset.
   const auto a = encode_hello(reader_id(1));
-  const auto b = encode_msg_frame(server_id(2), message{});
+  const auto b = one_message_frame(server_id(2), message{});
   std::vector<std::uint8_t> bytes;
   bytes.insert(bytes.end(), a.begin(), a.end());
   bytes.insert(bytes.end(), b.begin(), b.end());
@@ -264,9 +277,205 @@ TEST(Framing, IntactFramesBeforeCorruptionStillParse) {
   EXPECT_EQ(f1->kind, frame_kind::hello);
   const auto f2 = fb.next();
   ASSERT_TRUE(f2.has_value());
-  EXPECT_EQ(f2->kind, frame_kind::msg);
+  EXPECT_EQ(f2->kind, frame_kind::batch);
   EXPECT_FALSE(fb.next().has_value());
   EXPECT_TRUE(fb.corrupt());
+}
+
+/// Appends `extra` zero bytes to a frame's payload and grows its length
+/// prefix to cover them: a well-framed payload with trailing bytes.
+void pad_payload(std::vector<std::uint8_t>& bytes, std::size_t extra) {
+  bytes.insert(bytes.end(), extra, 0);
+  const auto len = static_cast<std::uint32_t>(bytes.size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    bytes[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(len >> (8 * i));
+  }
+}
+
+/// Feeds `bytes` through drain() and returns the frames it emitted.
+std::vector<frame> drain_all(frame_buffer& fb,
+                             const std::vector<std::uint8_t>& bytes) {
+  std::vector<frame> got;
+  fb.drain(bytes.data(), bytes.size(),
+           [&](frame&& f) { got.push_back(std::move(f)); });
+  return got;
+}
+
+TEST(Framing, SpanWiderThanU16IsMalformedNotTruncated) {
+  message m;
+  m.type = msg_type::read_req;
+  m.trace = 5;
+  m.span = 0xbeef;
+  auto bytes = one_message_frame(reader_id(0), m);
+  // The span's u32 sits after the frame header (length, kind, sender,
+  // count) and the message's type, obj, epoch, attempt, mig and trace.
+  const std::size_t at =
+      4 + 1 + process_id_wire_size() + 4 + 1 + 8 + 8 + 4 + 1 + 8;
+  ASSERT_EQ(bytes[at], 0xef);
+  ASSERT_EQ(bytes[at + 1], 0xbe);
+  ASSERT_EQ(bytes[at + 2], 0);
+  bytes[at + 2] = 1;  // span 0x1beef: does not fit the in-memory u16
+  const auto good = one_message_frame(reader_id(1), m);
+  bytes.insert(bytes.end(), good.begin(), good.end());
+  const std::uint64_t malformed0 = malformed_frames();
+  frame_buffer fb;
+  const auto got = drain_all(fb, bytes);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].from, reader_id(1));
+  ASSERT_EQ(got[0].batch.size(), 1u);
+  EXPECT_EQ(got[0].batch[0].span, 0xbeef);
+  EXPECT_EQ(malformed_frames() - malformed0, 1u);
+  EXPECT_FALSE(fb.corrupt());
+}
+
+TEST(Framing, HelloWithTrailingBytesIsMalformed) {
+  auto bytes = encode_hello(reader_id(3));
+  pad_payload(bytes, 2);
+  const auto good = encode_hello(reader_id(4));
+  bytes.insert(bytes.end(), good.begin(), good.end());
+  const std::uint64_t malformed0 = malformed_frames();
+  frame_buffer fb;
+  const auto got = drain_all(fb, bytes);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].kind, frame_kind::hello);
+  EXPECT_EQ(got[0].from, reader_id(4));
+  EXPECT_EQ(malformed_frames() - malformed0, 1u);
+  EXPECT_FALSE(fb.corrupt());
+}
+
+TEST(Framing, BatchWithTrailingBytesIsMalformed) {
+  const std::vector<message> msgs(2);
+  auto bytes = encode_batch_frame(server_id(0), msgs);
+  pad_payload(bytes, 3);
+  const auto good = encode_batch_frame(server_id(1), msgs);
+  bytes.insert(bytes.end(), good.begin(), good.end());
+  const std::uint64_t malformed0 = malformed_frames();
+  frame_buffer fb;
+  const auto got = drain_all(fb, bytes);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].from, server_id(1));
+  EXPECT_EQ(got[0].batch.size(), 2u);
+  EXPECT_EQ(malformed_frames() - malformed0, 1u);
+  EXPECT_FALSE(fb.corrupt());
+}
+
+TEST(Framing, RetiredMsgKindIsSkippedAndTheStreamContinues) {
+  // Kind 1 once carried a lone message; every send is a batch frame now.
+  message m;
+  m.type = msg_type::read_req;
+  auto bytes = one_message_frame(reader_id(0), m);
+  bytes[4] = 1;
+  const auto good = one_message_frame(reader_id(1), m);
+  bytes.insert(bytes.end(), good.begin(), good.end());
+  const std::uint64_t malformed0 = malformed_frames();
+  frame_buffer fb;
+  const auto got = drain_all(fb, bytes);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].kind, frame_kind::batch);
+  EXPECT_EQ(got[0].from, reader_id(1));
+  EXPECT_EQ(malformed_frames() - malformed0, 1u);
+  EXPECT_FALSE(fb.corrupt());
+}
+
+// ---------------------------------------------------------- delivery unit
+//
+// batching.h's parity claim: on both transports every send is one
+// delivery unit, handed to the receiving automaton as one on_batch step.
+
+/// Records the size and the messages of every on_batch step it takes;
+/// counts on_message calls, which no transport makes directly.
+class step_recorder final : public automaton {
+ public:
+  explicit step_recorder(process_id self) : self_(self) {}
+
+  void on_message(netout&, const process_id&, const message&) override {
+    ++direct_messages;
+  }
+  void on_batch(netout&, const process_id&,
+                std::span<const message> msgs) override {
+    steps.emplace_back(msgs.begin(), msgs.end());
+  }
+  [[nodiscard]] process_id self() const override { return self_; }
+
+  std::vector<std::vector<message>> steps;
+  std::size_t direct_messages{0};
+
+ private:
+  process_id self_;
+};
+
+/// One send of a lone message, then one send_batch of three.
+void send_one_then_three(netout& net, const process_id& to) {
+  message m;
+  m.type = msg_type::read_req;
+  m.rcounter = 1;
+  net.send(to, m);
+  std::vector<message> three(3);
+  for (std::size_t i = 0; i < three.size(); ++i) {
+    three[i].type = msg_type::read_req;
+    three[i].rcounter = 2 + i;
+  }
+  net.send_batch(to, std::move(three));
+}
+
+void expect_one_step_per_send(const std::vector<std::vector<message>>& steps,
+                              std::size_t direct_messages) {
+  EXPECT_EQ(direct_messages, 0u);
+  ASSERT_EQ(steps.size(), 2u);
+  ASSERT_EQ(steps[0].size(), 1u);
+  ASSERT_EQ(steps[1].size(), 3u);
+  EXPECT_EQ(steps[0][0].rcounter, 1u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(steps[1][i].rcounter, 2 + i);
+  }
+}
+
+TEST(DeliveryUnit, SimWorldDeliversEachSendAsOneStep) {
+  sim::world w(make_cfg(3, 1, 1));
+  w.install(*make_protocol("abd"));
+  auto owned = std::make_unique<step_recorder>(server_id(0));
+  const step_recorder& rec = *owned;
+  w.replace_automaton(server_id(0), std::move(owned));
+  w.invoke_step(reader_id(0),
+                [](netout& net) { send_one_then_three(net, server_id(0)); });
+  EXPECT_EQ(w.envelopes_sent(), 2u);
+  EXPECT_EQ(w.messages_sent(), 4u);
+  EXPECT_EQ(w.deliver_matching([](const sim::envelope&) { return true; }),
+            2u);
+  expect_one_step_per_send(rec.steps, rec.direct_messages);
+}
+
+TEST(DeliveryUnit, TcpNodesDeliverEachSendAsOneStep) {
+  const auto cfg = make_cfg(3, 1, 1);
+  auto book = std::make_shared<address_book>();
+  node server(cfg, book);
+  server.add_actor(std::make_unique<step_recorder>(server_id(0)));
+  server.bind_listener(0);
+  book->server_ports = {server.listen_port()};
+  node client(cfg, book);
+  client.add_actor(std::make_unique<step_recorder>(reader_id(0)));
+  server.start();
+  client.start();
+  client.run_on_reactor(0, [](automaton&, netout& net) {
+    send_one_then_three(net, server_id(0));
+  });
+  // Read the server automaton's steps on its own reactor.
+  std::vector<std::vector<message>> steps;
+  std::size_t direct_messages = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (steps.size() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    server.run_on_reactor(0, [&](automaton& a, netout&) {
+      const auto& rec = static_cast<const step_recorder&>(a);
+      steps = rec.steps;
+      direct_messages = rec.direct_messages;
+    });
+  }
+  client.stop();
+  server.stop();
+  expect_one_step_per_send(steps, direct_messages);
 }
 
 // ------------------------------------------------------------- end-to-end

@@ -300,7 +300,7 @@ TEST(SimReconfig, InFlightPutAtNewEpochCannotOutrunWriterFloor) {
   const auto has_seed_req = [&] {
     return !s.world()
                 .find_envelopes([](const sim::envelope& e) {
-                  return e.msg.type == msg_type::seed_req;
+                  return e.msg().type == msg_type::seed_req;
                 })
                 .empty();
   };
@@ -309,13 +309,13 @@ TEST(SimReconfig, InFlightPutAtNewEpochCannotOutrunWriterFloor) {
     ASSERT_LT(++guard, 100'000u);
     coord.step();
     s.world().deliver_matching([](const sim::envelope& e) {
-      return e.msg.mig && e.msg.type != msg_type::seed_req;
+      return e.msg().mig && e.msg().type != msg_type::seed_req;
     });
   }
   // The servers seed; their seed_acks stay in transit, so the
   // coordinator cannot resume anyone yet.
   s.world().deliver_matching([](const sim::envelope& e) {
-    return e.msg.type == msg_type::seed_req;
+    return e.msg().type == msg_type::seed_req;
   });
   // Now the held un-floored write_reqs land on the freshly seeded
   // servers (no nack anymore), and their acks -- echoing the request's
@@ -323,9 +323,9 @@ TEST(SimReconfig, InFlightPutAtNewEpochCannotOutrunWriterFloor) {
   // park, the put would complete HERE, before the resume, with no server
   // storing v2.
   s.world().deliver_matching(
-      [](const sim::envelope& e) { return !e.msg.mig; });  // write_reqs
+      [](const sim::envelope& e) { return !e.msg().mig; });  // write_reqs
   s.world().deliver_matching(
-      [](const sim::envelope& e) { return !e.msg.mig; });  // write_acks
+      [](const sim::envelope& e) { return !e.msg().mig; });  // write_acks
   ASSERT_TRUE(s.writer_client(0).op_in_progress());
   EXPECT_EQ(s.writer_client(0).parked_count(), 1u);
 
@@ -716,7 +716,7 @@ TEST(SimReconfig, LazySeedFetchHealsServerThatMissedTheSeed) {
     ASSERT_LT(++guard, 1'000'000u);
     coord.step();
     s.world().drop_matching([](const sim::envelope& e) {
-      return e.msg.type == msg_type::seed_req && e.to == server_id(0);
+      return e.msg().type == msg_type::seed_req && e.to == server_id(0);
     });
     if (!s.world().in_transit().empty()) s.run_random(r, 1);
   }
@@ -786,7 +786,7 @@ TEST(SimReconfig, MissedSeedStateReHandedOffByNextReshard) {
       ASSERT_LT(++guard, 1'000'000u);
       coord.step();
       s.world().drop_matching([](const sim::envelope& e) {
-        return e.msg.type == msg_type::seed_req && e.to == server_id(0);
+        return e.msg().type == msg_type::seed_req && e.to == server_id(0);
       });
       if (!s.world().in_transit().empty()) s.run_random(r, 1);
     }
@@ -826,7 +826,7 @@ TEST(SimReconfig, SeedDelayedPastItsMigrationIsDropped) {
 
   sim_control ctl(s);
   const auto held = [](const sim::envelope& e) {
-    return e.msg.type == msg_type::seed_req && e.to == server_id(0);
+    return e.msg().type == msg_type::seed_req && e.to == server_id(0);
   };
   {
     coordinator coord(ctl, {"k"});

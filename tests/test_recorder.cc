@@ -12,6 +12,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -36,7 +37,6 @@ using benchutil::run_sim_stress;
 using benchutil::run_tcp_stress;
 using benchutil::stress_options;
 using net::encode_batch_frame;
-using net::encode_msg_frame;
 using net::frame_buffer;
 
 /// Restores the recording gate on scope exit so a failing ASSERT cannot
@@ -182,15 +182,17 @@ TEST(RecorderWire, TraceAndSpanSurviveMsgAndBatchFrames) {
   m.obj = 42;
   m.trace = 0x1122334455667788ull;
   m.span = 513;
-  const auto bytes = encode_msg_frame(reader_id(0), m);
+  // A one-message send: a batch frame of count 1.
+  const auto bytes =
+      encode_batch_frame(reader_id(0), std::span<const message>(&m, 1));
   frame_buffer fb;
   fb.feed(bytes.data(), bytes.size());
   const auto f = fb.next();
   ASSERT_TRUE(f.has_value());
-  ASSERT_TRUE(f->msg.has_value());
-  EXPECT_EQ(f->msg->trace, m.trace);
-  EXPECT_EQ(f->msg->span, m.span);
-  EXPECT_EQ(*f->msg, m);
+  ASSERT_EQ(f->batch.size(), 1u);
+  EXPECT_EQ(f->batch[0].trace, m.trace);
+  EXPECT_EQ(f->batch[0].span, m.span);
+  EXPECT_EQ(f->batch[0], m);
 
   message m2 = m;
   m2.trace = 7;

@@ -28,7 +28,7 @@ TEST(World, InvokeWritePutsMessagesInTransit) {
   for (const auto& e : w.in_transit()) {
     EXPECT_EQ(e.from, writer_id(0));
     EXPECT_TRUE(e.to.is_server());
-    EXPECT_EQ(e.msg.type, msg_type::write_req);
+    EXPECT_EQ(e.msg().type, msg_type::write_req);
   }
 }
 
@@ -49,11 +49,11 @@ TEST(World, DeliverMatchingSnapshotSemantics) {
   // Deliver all write requests; acks generated during the sweep must not
   // be delivered by the same call.
   const std::size_t n = w.deliver_matching(
-      [](const envelope& e) { return e.msg.type == msg_type::write_req; });
+      [](const envelope& e) { return e.msg().type == msg_type::write_req; });
   EXPECT_EQ(n, 3u);
   EXPECT_EQ(w.in_transit().size(), 3u);  // 3 acks remain
   for (const auto& e : w.in_transit()) {
-    EXPECT_EQ(e.msg.type, msg_type::write_ack);
+    EXPECT_EQ(e.msg().type, msg_type::write_ack);
   }
 }
 

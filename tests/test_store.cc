@@ -12,6 +12,7 @@
 #include "registers/registry.h"
 #include "store/shard_map.h"
 #include "store/sim_store.h"
+#include "store/store.h"
 #include "store/tcp_store.h"
 #include "store_test_util.h"
 
@@ -72,6 +73,22 @@ TEST(ShardMap, MwmrShardsAcceptMultipleWriters) {
   cfg.base.writers = 2;
   shard_map m(cfg);
   EXPECT_TRUE(m.all_multi_writer());
+}
+
+// -------------------------------------------------------- store protocol
+
+/// A store's metadata, read through the protocol interface callers use.
+void expect_store_rounds(const protocol& p, int read_rounds,
+                         int write_rounds) {
+  EXPECT_EQ(p.name(), "store");
+  EXPECT_EQ(p.read_rounds(), read_rounds);
+  EXPECT_EQ(p.write_rounds(), write_rounds);
+}
+
+TEST(StoreProtocol, NameAndRoundsAreTheMaximumOverShards) {
+  expect_store_rounds(store_protocol(small_cfg({"fast_swmr"})), 1, 1);
+  expect_store_rounds(store_protocol(small_cfg({"fast_swmr", "abd"})), 2, 1);
+  expect_store_rounds(store_protocol(small_cfg({"mwmr"})), 2, 2);
 }
 
 // ------------------------------------------------------------- sim store
@@ -413,6 +430,25 @@ TEST(StoreServer, FetchBufferOverflowNackIsCountedAndObservable) {
   other.epoch = 1;
   s.on_message(net, reader_id(0), other);
   EXPECT_EQ(overflow_nacks(), 1u);
+}
+
+TEST(StoreClient, OnMessageIsAOneMessageStep) {
+  // The transports deliver every step through on_batch; a direct
+  // on_message call is the same step with one message in it.
+  const store_protocol proto(small_cfg({"abd"}));
+  const auto a = proto.make_reader(proto.config().base, 0);
+  auto& c = dynamic_cast<client&>(*a);
+  capture_netout net;
+  c.begin_stats(2);
+  c.flush(net);
+  ASSERT_EQ(net.count(msg_type::stats_req), 1u);
+  message ack;
+  ack.type = msg_type::stats_ack;
+  ack.rcounter = net.sent.back().second.rcounter;
+  ack.val = "dump";
+  a->on_message(net, server_id(2), ack);
+  ASSERT_TRUE(c.stats_ready());
+  EXPECT_EQ(c.take_stats(), "dump");
 }
 
 // --------------------------------------------------- blocking helper

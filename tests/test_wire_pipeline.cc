@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <new>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,9 @@ message make_msg(std::size_t val_len = 24) {
   return m;
 }
 
+/// What one send of `m` encodes: a batch frame of count 1.
+std::span<const message> one(const message& m) { return {&m, 1}; }
+
 /// fastreg_net_malformed_frames_total: malformed frames in this process.
 std::uint64_t malformed_frames() {
   return obs::registry::instance()
@@ -77,9 +81,9 @@ std::uint64_t malformed_frames() {
 TEST(WireEncoder, PrecomputedSizesAreExact) {
   const auto m = make_msg();
   std::vector<std::uint8_t> out;
-  EXPECT_EQ(append_msg_frame(out, server_id(0), m),
-            msg_frame_wire_size(m));
-  EXPECT_EQ(out.size(), msg_frame_wire_size(m));
+  EXPECT_EQ(append_batch_frame(out, server_id(0), one(m)),
+            batch_frame_wire_size(one(m)));
+  EXPECT_EQ(out.size(), batch_frame_wire_size(one(m)));
 
   const std::vector<message> batch = {make_msg(4), make_msg(100)};
   std::vector<std::uint8_t> bout;
@@ -89,7 +93,7 @@ TEST(WireEncoder, PrecomputedSizesAreExact) {
 
   // The append encoders emit byte-identical frames to the owned-buffer
   // conveniences (same codec, same framing).
-  EXPECT_EQ(out, encode_msg_frame(server_id(0), m));
+  EXPECT_EQ(out, encode_batch_frame(server_id(0), one(m)));
   EXPECT_EQ(bout, encode_batch_frame(server_id(0), batch));
 }
 
@@ -101,7 +105,7 @@ TEST(WireEncoder, SteadyStateEncodePerformsNoHeapAllocation) {
   // Warmup: the first round grows the buffer to its steady-state
   // capacity (this one MAY allocate).
   append_hello_frame(out, reader_id(0));
-  append_msg_frame(out, server_id(3), m);
+  append_batch_frame(out, server_id(3), one(m));
   append_batch_frame(out, server_id(3), batch);
   const std::size_t warmed_capacity = out.capacity();
 
@@ -110,7 +114,7 @@ TEST(WireEncoder, SteadyStateEncodePerformsNoHeapAllocation) {
   for (int i = 0; i < 1000; ++i) {
     out.clear();  // keeps capacity
     append_hello_frame(out, reader_id(0));
-    append_msg_frame(out, server_id(3), m);
+    append_batch_frame(out, server_id(3), one(m));
     append_batch_frame(out, server_id(3), batch);
   }
   const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
@@ -143,9 +147,9 @@ TEST(BufferChain, ShortWriteResumptionAcrossBlocks) {
   std::vector<std::uint8_t> expect;
   for (int i = 0; i < 9; ++i) {
     const auto m = make_msg(20'000 + static_cast<std::size_t>(i));
-    append_msg_frame(chain.tail_for(msg_frame_wire_size(m)), server_id(0),
-                     m);
-    append_msg_frame(expect, server_id(0), m);
+    append_batch_frame(chain.tail_for(batch_frame_wire_size(one(m))),
+                       server_id(0), one(m));
+    append_batch_frame(expect, server_id(0), one(m));
   }
   EXPECT_EQ(chain.bytes(), expect.size());
 
@@ -181,8 +185,8 @@ TEST(BufferChain, RecyclesBlocksAcrossFlushCycles) {
   const auto m = make_msg(1000);
   for (int cycle = 0; cycle < 50; ++cycle) {
     for (int i = 0; i < 80; ++i) {  // ~80 KB: spans at least two blocks
-      append_msg_frame(chain.tail_for(msg_frame_wire_size(m)),
-                       server_id(0), m);
+      append_batch_frame(chain.tail_for(batch_frame_wire_size(one(m))),
+                         server_id(0), one(m));
     }
     chain.consume(chain.bytes());
     EXPECT_TRUE(chain.empty());
@@ -208,7 +212,7 @@ TEST(DrainParser, FramesStraddlingReceiveBufferBoundaries) {
   for (int i = 0; i < 7; ++i) {
     auto m = make_msg(static_cast<std::size_t>(10 + 40 * i));
     m.rcounter = static_cast<std::uint64_t>(i);
-    append_msg_frame(stream, server_id(2), m);
+    append_batch_frame(stream, server_id(2), one(m));
     sent.push_back(std::move(m));
   }
   // Every chunking -- byte-at-a-time up through one-read-per-stream --
@@ -220,10 +224,10 @@ TEST(DrainParser, FramesStraddlingReceiveBufferBoundaries) {
     const auto got = drain_in_chunks(stream, chunk, fb);
     ASSERT_EQ(got.size(), sent.size()) << "chunk=" << chunk;
     for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].kind, frame_kind::msg);
+      EXPECT_EQ(got[i].kind, frame_kind::batch);
       EXPECT_EQ(got[i].from, server_id(2));
-      ASSERT_TRUE(got[i].msg.has_value());
-      EXPECT_EQ(*got[i].msg, sent[i]) << "chunk=" << chunk;
+      ASSERT_EQ(got[i].batch.size(), 1u);
+      EXPECT_EQ(got[i].batch[0], sent[i]) << "chunk=" << chunk;
     }
     EXPECT_FALSE(fb.corrupt());
     EXPECT_EQ(malformed_frames() - malformed0, 0u);
@@ -248,11 +252,11 @@ TEST(DrainParser, BatchFramesSurviveStraddling) {
 TEST(DrainParser, CorruptLengthPrefixLatchesAndKeepsEarlierFrames) {
   const auto m = make_msg();
   std::vector<std::uint8_t> stream;
-  append_msg_frame(stream, server_id(1), m);
+  append_batch_frame(stream, server_id(1), one(m));
   const std::size_t first_frame_end = stream.size();
   // A zero length prefix: framing is unrecoverable from here.
   stream.insert(stream.end(), {0, 0, 0, 0});
-  append_msg_frame(stream, server_id(1), m);  // unreachable garbage
+  append_batch_frame(stream, server_id(1), one(m));  // unreachable garbage
 
   for (const std::size_t chunk :
        {std::size_t{1}, first_frame_end, stream.size()}) {
@@ -260,12 +264,12 @@ TEST(DrainParser, CorruptLengthPrefixLatchesAndKeepsEarlierFrames) {
     frame_buffer fb;
     const auto got = drain_in_chunks(stream, chunk, fb);
     ASSERT_EQ(got.size(), 1u) << "chunk=" << chunk;
-    EXPECT_TRUE(got[0].msg.has_value());
+    EXPECT_EQ(got[0].batch.size(), 1u);
     EXPECT_TRUE(fb.corrupt());
     EXPECT_GE(malformed_frames() - malformed0, 1u);
     // Latched: further bytes are discarded, no frames ever emerge.
     std::vector<std::uint8_t> more;
-    append_msg_frame(more, server_id(1), m);
+    append_batch_frame(more, server_id(1), one(m));
     std::size_t extra = 0;
     fb.drain(more.data(), more.size(), [&](frame&&) { ++extra; });
     EXPECT_EQ(extra, 0u);
