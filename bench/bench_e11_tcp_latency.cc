@@ -12,6 +12,12 @@
 // history is not atomic, or when its mean rd_rounds/wr_rounds differ
 // from the protocol's read_rounds()/write_rounds().
 //
+// A second table prices each row's ops in reactor syscalls: the
+// net::node registry rows (epoll_wait returns, socket reads, sendmsg
+// calls, eventfd wakes from the reactor's own thread or another one,
+// timerfd arms, epoll_ctl calls) summed over every node of the
+// deployment during the timed ops, divided by the op count.
+//
 // `--trace-out FILE` skips the latency table and instead runs a short
 // flight-recorded pass per protocol, merges every node's recorder ring
 // into one causally-ordered timeline, and writes it as Chrome
@@ -22,11 +28,13 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "benchutil/stats.h"
 #include "benchutil/table.h"
 #include "crypto/sig.h"
+#include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/timeline.h"
 #include "registers/registry.h"
@@ -71,12 +79,48 @@ struct register_clients {
   }
 };
 
+/// One column of the syscall table: a registry series, narrowed to the
+/// rows carrying `label` when it is not empty.
+struct syscall_column {
+  const char* title;
+  const char* series;
+  const char* label;
+};
+
+constexpr syscall_column k_syscall_columns[] = {
+    {"frames", "fastreg_net_frames_out_total", ""},
+    {"sendmsg", "fastreg_net_writev_calls_total", ""},
+    {"read", "fastreg_net_socket_reads_total", ""},
+    {"epoll_wait", "fastreg_net_epoll_waits_total", ""},
+    {"wake_own", "fastreg_net_eventfd_wakes_total", "from=\"own\""},
+    {"wake_other", "fastreg_net_eventfd_wakes_total", "from=\"other\""},
+    {"timerfd_arm", "fastreg_net_timerfd_arms_total", ""},
+    {"epoll_ctl", "fastreg_net_epoll_ctls_total", ""},
+};
+
+/// Sum of `col`'s rows in an interval scrape.
+double column_total(const std::vector<obs::sample>& rows,
+                    const syscall_column& col) {
+  double total = 0;
+  for (const auto& s : rows) {
+    const std::string_view name = s.name;
+    if (name.substr(0, name.find('{')) != col.series) continue;
+    if (*col.label != '\0' && name.find(col.label) == std::string_view::npos) {
+      continue;
+    }
+    total += s.value;
+  }
+  return total;
+}
+
 struct tcp_result {
   stats read_us;
   stats write_us;
   stats read_rounds;
   stats write_rounds;
   bool atomic{false};
+  /// Per k_syscall_columns entry: the count per timed op.
+  std::vector<double> syscalls_per_op;
 };
 
 tcp_result run_tcp(const std::string& proto, std::uint32_t S, std::uint32_t t,
@@ -92,6 +136,7 @@ tcp_result run_tcp(const std::string& proto, std::uint32_t S, std::uint32_t t,
     // Warmup: establish connections.
     (void)c.write("warmup");
     (void)c.read();
+    obs::interval_scrape scrape;
     for (int k = 0; k < ops; ++k) {
       auto t0 = std::chrono::steady_clock::now();
       const bool ok = c.write("v" + std::to_string(k + 1));
@@ -103,6 +148,10 @@ tcp_result run_tcp(const std::string& proto, std::uint32_t S, std::uint32_t t,
           std::chrono::duration<double, std::micro>(t1 - t0).count());
       out.read_us.add(
           std::chrono::duration<double, std::micro>(t2 - t1).count());
+    }
+    const auto rows = scrape.take();
+    for (const auto& col : k_syscall_columns) {
+      out.syscalls_per_op.push_back(column_total(rows, col) / (2.0 * ops));
     }
   }
   // Rounds per op from the store's history (the warmup pair included: an
@@ -187,6 +236,9 @@ int main(int argc, char** argv) {
   // the windowed rows price the Nagle-style coalescing in p50 terms for
   // single blocking ops -- the worst case for a window, since nothing
   // else shares the flush.
+  std::vector<std::string> sys_cols = {"proto", "window_us"};
+  for (const auto& col : k_syscall_columns) sys_cols.push_back(col.title);
+  table sys(sys_cols);
   std::vector<std::string> failures;
   for (const auto c :
        {row{"fast_swmr", 5, 1, "", 0}, row{"abd", 5, 1, "", 0},
@@ -217,6 +269,9 @@ int main(int argc, char** argv) {
                fmt(res.write_us.p50()), fmt(ratio, 2),
                fmt(res.read_rounds.mean()), fmt(res.write_rounds.mean()),
                res.atomic ? "yes" : "NO"});
+    std::vector<std::string> sys_row = {c.proto, std::to_string(c.window_us)};
+    for (const double v : res.syscalls_per_op) sys_row.push_back(fmt(v, 2));
+    sys.add_row(sys_row);
   }
   t.print();
   std::printf("\nexpected shape: fast_swmr read/write ~= 1.0 (both one "
@@ -227,6 +282,9 @@ int main(int argc, char** argv) {
               "window_us=200 rows show the batching window's latency tax "
               "on isolated ops -- roughly the window per round trip; "
               "throughput workloads buy it back (E12c).\n");
+  std::printf("\nreactor syscalls per op (one write or one read; every "
+              "node of the deployment, timed ops only):\n\n");
+  sys.print();
   for (const auto& f : failures) {
     std::fprintf(stderr, "E11 FAILED: %s\n", f.c_str());
   }

@@ -45,7 +45,7 @@ void stale_server::on_message(netout& net, const process_id& from,
   reply.ts = k_initial_ts;  // pretend nothing was ever written
   reply.rcounter = m.rcounter;
   reply.seen.insert(from);
-  net.send(from, reply);
+  net.send(from, std::move(reply));
 }
 
 // ---------------------------------------------------------- forging_server --
@@ -62,7 +62,7 @@ void forging_server::on_message(netout& net, const process_id& from,
   reply.sig = {0xde, 0xad, 0xbe, 0xef};  // cannot forge a real signature
   reply.rcounter = m.rcounter;
   reply.seen.insert(from);
-  net.send(from, reply);
+  net.send(from, std::move(reply));
 }
 
 // -------------------------------------------------------- seen_liar_server --
@@ -131,7 +131,7 @@ void equivocating_server::on_message(netout& net, const process_id& from,
     reply.ts = k_initial_ts;
     reply.rcounter = m.rcounter;
     reply.seen.insert(from);
-    net.send(from, reply);
+    net.send(from, std::move(reply));
     return;
   }
   inner_->on_message(net, from, m);

@@ -159,6 +159,8 @@ void node::bind_node_metrics() {
   wm_.window_widen =
       &reg.get_counter("fastreg_net_window_widen_total", lbl);
   wm_.conn_resets = &reg.get_counter("fastreg_net_conn_resets_total", lbl);
+  wm_.malformed_frames =
+      &reg.get_counter("fastreg_net_malformed_frames_total");
   wm_.backlog_bytes = &reg.get_gauge("fastreg_net_backlog_bytes", lbl);
   wm_.flush_ns = &reg.get_histogram("fastreg_net_flush_ns", lbl);
   wm_.window_wait_ns = &reg.get_histogram("fastreg_net_window_wait_ns", lbl);
@@ -171,6 +173,15 @@ void node::bind_node_metrics() {
     rm_[i].ships_in =
         &reg.get_counter("fastreg_net_reactor_ships_total", rl);
     rm_[i].connections = &reg.get_gauge("fastreg_net_reactor_connections", rl);
+    rm_[i].epoll_waits = &reg.get_counter("fastreg_net_epoll_waits_total", rl);
+    rm_[i].socket_reads =
+        &reg.get_counter("fastreg_net_socket_reads_total", rl);
+    rm_[i].wakes_own = &reg.get_counter("fastreg_net_eventfd_wakes_total",
+                                        rl + ",from=\"own\"");
+    rm_[i].wakes_other = &reg.get_counter("fastreg_net_eventfd_wakes_total",
+                                          rl + ",from=\"other\"");
+    rm_[i].timer_arms = &reg.get_counter("fastreg_net_timerfd_arms_total", rl);
+    rm_[i].epoll_ctls = &reg.get_counter("fastreg_net_epoll_ctls_total", rl);
   }
   preheat_framing_metrics();
 }
@@ -255,6 +266,9 @@ void node::wake(reactor& r) {
   // next epoll timeout: retry EINTR, and log anything else. EAGAIN is
   // benign -- the eventfd counter is saturated, so a wakeup is already
   // pending and the reactor cannot miss the queue.
+  (current_reactor() == &r ? rm_[r.index].wakes_own
+                            : rm_[r.index].wakes_other)
+      ->inc();
   const std::uint64_t one = 1;
   for (;;) {
     const ssize_t n = ::write(r.event_fd.get(), &one, sizeof one);
@@ -376,6 +390,7 @@ void node::reactor_main(reactor& r) {
     // below rather than indexing events[] with garbage, but still run the
     // task drain -- a signal must not delay posted work.
     int n = ::epoll_wait(r.epoll_fd.get(), events, 64, wait_ms);
+    rm_[r.index].epoll_waits->inc();
     if (n < 0) {
       if (errno != EINTR) {
         LOG_WARN("%s: reactor %u epoll_wait failed: %s",
@@ -478,6 +493,7 @@ void node::adopt_inbound(reactor& r, unique_fd fd) {
   ev.data.fd = cfd;
   r.conns.emplace(cfd, std::move(c));
   rm_[r.index].connections->add(1);
+  rm_[r.index].epoll_ctls->inc();
   ::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_ADD, cfd, &ev);
 }
 
@@ -498,6 +514,7 @@ void node::handle_readable(reactor& r, int fd) {
     // discard everything (still detect EOF).
     for (;;) {
       const ssize_t n = ::read(fd, buf, sizeof buf);
+      rm_[r.index].socket_reads->inc();
       if (n < 0 && errno == EINTR) continue;  // interrupted, not dead
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
       if (n <= 0) {
@@ -512,6 +529,7 @@ void node::handle_readable(reactor& r, int fd) {
   bool reset = false;
   for (;;) {
     const ssize_t n = ::read(fd, buf, sizeof buf);
+    rm_[r.index].socket_reads->inc();
     // EINTR is a signal, not a peer event: falling through to the n <= 0
     // branch here tore down a healthy connection on every stray SIGPROF/
     // SIGCHLD, surfacing as conn_resets under load. Retry instead.
@@ -533,6 +551,14 @@ void node::handle_readable(reactor& r, int fd) {
       std::lock_guard<std::mutex> step(owner->step_mu);
       c.in.drain(buf, static_cast<std::size_t>(n), [&](frame&& f) {
         wm_.frames_in->inc();
+        // A server index at or beyond S names no process of this
+        // deployment, and automata count acks by server index in a
+        // server_set, whose insert rejects an index past its mask: such a
+        // frame is malformed. Skip it and keep the stream.
+        if (f.from.is_server() && f.from.index >= cfg_.S()) {
+          wm_.malformed_frames->inc();
+          return;
+        }
         if (f.kind == frame_kind::hello) {
           c.peer = f.from;
           std::lock_guard<std::mutex> route(route_mu_);
@@ -641,6 +667,7 @@ void node::update_epoll(reactor& r, int fd, connection& c) {
   epoll_event ev{};
   ev.events = mask;
   ev.data.fd = fd;
+  rm_[r.index].epoll_ctls->inc();
   ::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_MOD, fd, &ev);
   c.epoll_mask = mask;
 }
@@ -672,6 +699,7 @@ void node::close_conn(reactor& r, int fd) {
   // mid-step. Stale refs are detected by serial mismatch at the next
   // send and lazily invalidated there.
   std::erase(r.dirty_fds, fd);
+  rm_[r.index].epoll_ctls->inc();
   ::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_DEL, fd, nullptr);
   wm_.backlog_bytes->add(-static_cast<std::int64_t>(it->second.out.bytes()));
   rm_[r.index].connections->add(-1);
@@ -698,6 +726,7 @@ void node::arm_window_at(reactor& r, std::uint64_t deadline_ns) {
   if (spec.it_value.tv_sec == 0 && spec.it_value.tv_nsec == 0) {
     spec.it_value.tv_nsec = 1;  // fire immediately rather than disarm
   }
+  rm_[r.index].timer_arms->inc();
   ::timerfd_settime(r.timer_fd.get(), 0, &spec, nullptr);
   r.window_armed = true;
   r.armed_deadline_ns = deadline_ns;
@@ -937,20 +966,6 @@ void node::apply_fault(reactor& r, int fd, connection& c, conn_fault f) {
 
 // -------------------------------------------------------------- send path --
 
-namespace {
-
-// Register automata never stamp their messages; the reactor step's
-// ambient trace context (set by the delivery being handled) fills the
-// gap. Store messages arrive here already stamped.
-void stamp_if_untraced(message& m) {
-  if (m.trace != 0) return;
-  const auto ctx = obs::current_trace_ctx();
-  m.trace = ctx.trace;
-  m.span = ctx.span;
-}
-
-}  // namespace
-
 void node::actor_port::send(const process_id& to, message m) {
   std::vector<message> one;
   one.push_back(std::move(m));
@@ -1087,6 +1102,7 @@ node::conn_ref node::open_to_server(reactor& r, actor_state& a,
   ev.data.fd = raw;
   r.conns.emplace(raw, std::move(c));
   rm_[r.index].connections->add(1);
+  rm_[r.index].epoll_ctls->inc();
   ::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_ADD, raw, &ev);
   // Introduce the ACTOR (not the node: a hub hosts many) so the server
   // can route replies back. The hello must precede any frame on this

@@ -385,6 +385,8 @@ class node final {
     obs::counter* flushes_bytes{nullptr};
     obs::counter* window_widen{nullptr};
     obs::counter* conn_resets{nullptr};
+    /// framing's process-global malformed-frame counter.
+    obs::counter* malformed_frames{nullptr};
     obs::gauge* backlog_bytes{nullptr};
     obs::histogram* flush_ns{nullptr};
     obs::histogram* window_wait_ns{nullptr};
@@ -399,6 +401,18 @@ class node final {
     obs::counter* ships_in{nullptr};
     /// Open connections; a node's total is the sum over its reactors.
     obs::gauge* connections{nullptr};
+    // The reactor's syscalls besides sendmsg (wm_.writev_calls): what a
+    // round costs the kernel, counted where each call is made.
+    obs::counter* epoll_waits{nullptr};
+    obs::counter* socket_reads{nullptr};
+    /// eventfd wakeup writes, by whether the reactor woke itself (a post
+    /// from its own thread) or another thread woke it.
+    obs::counter* wakes_own{nullptr};
+    obs::counter* wakes_other{nullptr};
+    obs::counter* timer_arms{nullptr};
+    /// epoll_ctl calls after construction (connection add, mask change,
+    /// removal).
+    obs::counter* epoll_ctls{nullptr};
   };
   std::vector<reactor_metrics> rm_;
   bool metrics_bound_{false};

@@ -47,7 +47,7 @@ void quorum_server::on_message(netout& net, const process_id& from,
     default:
       return;
   }
-  net.send(from, reply);
+  net.send(from, std::move(reply));
 }
 
 register_snapshot quorum_server::peek_state() const {
@@ -63,7 +63,9 @@ void quorum_server::seed_state(const register_snapshot& s) {
 
 // ------------------------------------------------------------ abd_writer --
 
-abd_writer::abd_writer(system_config cfg) : cfg_(std::move(cfg)) {}
+abd_writer::abd_writer(system_config cfg) : cfg_(std::move(cfg)) {
+  FASTREG_EXPECTS(cfg_.S() <= server_set::max_servers);
+}
 
 void abd_writer::invoke_write(netout& net, value_t v) {
   FASTREG_EXPECTS(!pending_);
@@ -76,9 +78,7 @@ void abd_writer::invoke_write(netout& net, value_t v) {
   m.ts = ts_;
   m.val = std::move(v);
   m.rcounter = rcounter_;
-  for (std::uint32_t i = 0; i < cfg_.S(); ++i) {
-    net.send(server_id(i), m);
-  }
+  send_to_servers(net, cfg_.S(), std::move(m));
 }
 
 void abd_writer::on_message(netout&, const process_id& from,
@@ -102,7 +102,9 @@ void abd_writer::seed_writer(const register_snapshot& migrated) {
 // ------------------------------------------------------------ abd_reader --
 
 abd_reader::abd_reader(system_config cfg, std::uint32_t index)
-    : cfg_(std::move(cfg)), index_(index) {}
+    : cfg_(std::move(cfg)), index_(index) {
+  FASTREG_EXPECTS(cfg_.S() <= server_set::max_servers);
+}
 
 void abd_reader::invoke_read(netout& net) {
   FASTREG_EXPECTS(phase_ == phase::idle);
@@ -114,17 +116,14 @@ void abd_reader::invoke_read(netout& net) {
   message m;
   m.type = msg_type::read_req;
   m.rcounter = rcounter_;
-  for (std::uint32_t i = 0; i < cfg_.S(); ++i) {
-    net.send(server_id(i), m);
-  }
+  send_to_servers(net, cfg_.S(), std::move(m));
 }
 
 void abd_reader::on_message(netout& net, const process_id& from,
                             const message& m) {
   if (!from.is_server() || m.rcounter != rcounter_) return;
   if (phase_ == phase::query && m.type == msg_type::read_ack) {
-    if (acks_.contains(from.index)) return;
-    acks_.insert(from.index);
+    if (!acks_.insert(from.index)) return;
     if (m.wts() > best_ts_) {
       best_ts_ = m.wts();
       best_val_ = m.val;
@@ -141,15 +140,12 @@ void abd_reader::on_message(netout& net, const process_id& from,
       wb.wid = best_ts_.wid;
       wb.val = best_val_;
       wb.rcounter = rcounter_;
-      for (std::uint32_t i = 0; i < cfg_.S(); ++i) {
-        net.send(server_id(i), wb);
-      }
+      send_to_servers(net, cfg_.S(), std::move(wb));
     }
     return;
   }
   if (phase_ == phase::write_back && m.type == msg_type::wb_ack) {
-    if (acks_.contains(from.index)) return;
-    acks_.insert(from.index);
+    if (!acks_.insert(from.index)) return;
     if (acks_.size() >= cfg_.quorum()) {
       phase_ = phase::idle;
       completed_ += 1;

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "registers/automaton.h"
@@ -69,7 +68,7 @@ class abd_writer final : public automaton, public writer_iface {
   system_config cfg_;
   ts_t ts_{0};
   bool pending_{false};
-  std::unordered_set<std::uint32_t> acks_{};
+  server_set acks_{};
   std::uint64_t completed_{0};
   std::uint64_t rcounter_{0};
 };
@@ -105,7 +104,7 @@ class abd_reader final : public automaton, public reader_iface {
   std::uint64_t rcounter_{0};
   wts_t best_ts_{};
   value_t best_val_{};
-  std::unordered_set<std::uint32_t> acks_{};
+  server_set acks_{};
   std::optional<read_result> last_result_{};
   std::uint64_t completed_{0};
 };

@@ -22,8 +22,10 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/server_set.h"
 #include "registers/config.h"
 #include "registers/message.h"
 
@@ -44,6 +46,20 @@ class netout {
     for (auto& m : msgs) send(to, std::move(m));
   }
 };
+
+/// Sends `m` to servers 0..servers-1 in index order, skipping `except` (a
+/// server broadcasting to its peers). The last send takes `m` by move, so
+/// a broadcast makes one copy fewer than it has targets.
+inline void send_to_servers(netout& net, std::uint32_t servers, message m,
+                            std::uint32_t except = ~0u) {
+  std::uint32_t last = servers;  // one past the last target
+  if (last > 0 && last - 1 == except) --last;
+  if (last == 0) return;
+  for (std::uint32_t i = 0; i + 1 < last; ++i) {
+    if (i != except) net.send(server_id(i), m);
+  }
+  net.send(server_id(last - 1), std::move(m));
+}
 
 /// Base automaton: a deterministic state machine driven by messages.
 class automaton {

@@ -22,6 +22,7 @@ bool valid_signed_ts(const system_config& cfg, const message& m) {
 fast_bft_writer::fast_bft_writer(system_config cfg, object_id obj)
     : cfg_(std::move(cfg)), obj_(obj) {
   FASTREG_EXPECTS(cfg_.sigs != nullptr);
+  FASTREG_EXPECTS(cfg_.S() <= server_set::max_servers);
 }
 
 void fast_bft_writer::invoke_write(netout& net, value_t v) {
@@ -42,9 +43,7 @@ void fast_bft_writer::invoke_write(netout& net, value_t v) {
   m.sig = cfg_.sigs->sign(
       writer_id(0),
       std::span<const std::uint8_t>(payload.data(), payload.size()));
-  for (std::uint32_t i = 0; i < cfg_.S(); ++i) {
-    net.send(server_id(i), m);
-  }
+  send_to_servers(net, cfg_.S(), std::move(m));
 }
 
 void fast_bft_writer::on_message(netout&, const process_id& from,
@@ -78,6 +77,7 @@ void fast_bft_writer::seed_writer(const register_snapshot& migrated) {
 fast_bft_reader::fast_bft_reader(system_config cfg, std::uint32_t index)
     : cfg_(std::move(cfg)), index_(index) {
   FASTREG_EXPECTS(cfg_.sigs != nullptr);
+  FASTREG_EXPECTS(cfg_.S() <= server_set::max_servers);
 }
 
 void fast_bft_reader::invoke_read(netout& net) {
@@ -86,6 +86,10 @@ void fast_bft_reader::invoke_read(netout& net) {
   rcounter_ += 1;
   acks_.clear();
   ack_from_.clear();
+  max_.tv.ts = k_initial_ts;
+  max_.tv.val.clear();
+  max_.tv.prev.clear();
+  max_.sig.clear();
   // Lines 13-14: write back the highest signed timestamp (with its writer
   // signature) observed by the previous read.
   message m;
@@ -95,9 +99,7 @@ void fast_bft_reader::invoke_read(netout& net) {
   m.prev = maxts_.tv.prev;
   m.sig = maxts_.sig;
   m.rcounter = rcounter_;
-  for (std::uint32_t i = 0; i < cfg_.S(); ++i) {
-    net.send(server_id(i), m);
-  }
+  send_to_servers(net, cfg_.S(), std::move(m));
 }
 
 void fast_bft_reader::on_message(netout&, const process_id& from,
@@ -114,39 +116,40 @@ void fast_bft_reader::on_message(netout&, const process_id& from,
     return;
   }
   ack_from_.insert(from.index);
-  acks_.push_back(m);
+  acks_.push_back({m.ts, m.seen});
+  // decide() keeps the signed tags of the LAST ack carrying maxTS; an ack
+  // at or above every earlier one may be it.
+  if (m.ts >= max_.tv.ts) {
+    max_.tv.ts = m.ts;
+    max_.tv.val = m.val;
+    max_.tv.prev = m.prev;
+    max_.sig = m.sig;
+  }
   if (acks_.size() >= cfg_.quorum()) decide();
 }
 
 void fast_bft_reader::decide() {
-  ts_t max_ts = k_initial_ts;
-  for (const auto& a : acks_) max_ts = std::max(max_ts, a.ts);
+  const ts_t max_ts = max_.tv.ts;
 
-  std::vector<seen_set> max_seen;
-  signed_value max_val;
-  max_val.tv.ts = max_ts;
+  max_seen_.clear();
   for (const auto& a : acks_) {
-    if (a.ts != max_ts) continue;
-    max_seen.push_back(a.seen);
-    max_val.tv.val = a.val;
-    max_val.tv.prev = a.prev;
-    max_val.sig = a.sig;
+    if (a.ts == max_ts) max_seen_.push_back(a.seen);
   }
 
-  maxts_ = max_val;
+  maxts_ = max_;
 
   // Line 19 with the arbitrary-failure threshold S - a*t - (a-1)*b.
   last_witness_ =
-      fast_read_predicate_witness(std::span<const seen_set>(max_seen),
+      fast_read_predicate_witness(std::span<const seen_set>(max_seen_),
                                   cfg_.S(), cfg_.t(), cfg_.b(), cfg_.R());
   read_result res;
   res.rounds = 1;
   if (last_witness_ > 0 || max_ts == k_initial_ts) {
     res.ts = max_ts;
-    res.val = max_val.tv.val;
+    res.val = maxts_.tv.val;
   } else {
     res.ts = max_ts - 1;
-    res.val = max_val.tv.prev;
+    res.val = maxts_.tv.prev;
   }
   pending_ = false;
   completed_ += 1;
@@ -191,7 +194,7 @@ void fast_bft_server::on_message(netout& net, const process_id& from,
   reply.sig = cur_.sig;
   reply.seen = seen_;
   reply.rcounter = m.rcounter;
-  net.send(from, reply);
+  net.send(from, std::move(reply));
 }
 
 register_snapshot fast_bft_server::peek_state() const {

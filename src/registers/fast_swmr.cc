@@ -6,7 +6,9 @@ namespace fastreg {
 
 // ---------------------------------------------------------------- writer --
 
-fast_swmr_writer::fast_swmr_writer(system_config cfg) : cfg_(std::move(cfg)) {}
+fast_swmr_writer::fast_swmr_writer(system_config cfg) : cfg_(std::move(cfg)) {
+  FASTREG_EXPECTS(cfg_.S() <= server_set::max_servers);
+}
 
 void fast_swmr_writer::invoke_write(netout& net, value_t v) {
   FASTREG_EXPECTS(!pending_);
@@ -19,9 +21,7 @@ void fast_swmr_writer::invoke_write(netout& net, value_t v) {
   m.val = cur_val_;
   m.prev = last_val_;
   m.rcounter = 0;  // the writer's rCounter is always 0 (Section 4)
-  for (std::uint32_t i = 0; i < cfg_.S(); ++i) {
-    net.send(server_id(i), m);
-  }
+  send_to_servers(net, cfg_.S(), std::move(m));
 }
 
 void fast_swmr_writer::on_message(netout&, const process_id& from,
@@ -50,7 +50,9 @@ void fast_swmr_writer::seed_writer(const register_snapshot& migrated) {
 // ---------------------------------------------------------------- reader --
 
 fast_swmr_reader::fast_swmr_reader(system_config cfg, std::uint32_t index)
-    : cfg_(std::move(cfg)), index_(index) {}
+    : cfg_(std::move(cfg)), index_(index) {
+  FASTREG_EXPECTS(cfg_.S() <= server_set::max_servers);
+}
 
 void fast_swmr_reader::invoke_read(netout& net) {
   FASTREG_EXPECTS(!pending_);
@@ -58,6 +60,9 @@ void fast_swmr_reader::invoke_read(netout& net) {
   rcounter_ += 1;  // line 13
   acks_.clear();
   ack_from_.clear();
+  max_.ts = k_initial_ts;
+  max_.val.clear();
+  max_.prev.clear();
   message m;
   m.type = msg_type::read_req;
   // Line 13-14: the read message carries the reader's previous maximum
@@ -66,51 +71,49 @@ void fast_swmr_reader::invoke_read(netout& net) {
   m.val = maxts_.val;
   m.prev = maxts_.prev;
   m.rcounter = rcounter_;
-  for (std::uint32_t i = 0; i < cfg_.S(); ++i) {
-    net.send(server_id(i), m);
-  }
+  send_to_servers(net, cfg_.S(), std::move(m));
 }
 
 void fast_swmr_reader::on_message(netout&, const process_id& from,
                                   const message& m) {
   if (!pending_ || m.type != msg_type::read_ack || !from.is_server()) return;
   if (m.rcounter != rcounter_) return;          // stale ack from an old read
-  if (ack_from_.contains(from.index)) return;   // one ack per server
-  ack_from_.insert(from.index);
-  acks_.push_back(m);
+  if (!ack_from_.insert(from.index)) return;    // one ack per server
+  acks_.push_back({m.ts, m.seen});
+  // decide() returns the value tags of the LAST ack carrying maxTS; an
+  // ack at or above every earlier one may be it.
+  if (m.ts >= max_.ts) {
+    max_.ts = m.ts;
+    max_.val = m.val;
+    max_.prev = m.prev;
+  }
   if (acks_.size() >= cfg_.quorum()) decide();
 }
 
 void fast_swmr_reader::decide() {
-  // Line 17: maxTS over received READACKs.
-  ts_t max_ts = k_initial_ts;
-  for (const auto& a : acks_) max_ts = std::max(max_ts, a.ts);
+  // Line 17: maxTS over received READACKs (tracked as they arrived).
+  const ts_t max_ts = max_.ts;
 
-  // Line 18: the messages carrying maxTS, plus the value tags they carry.
-  std::vector<seen_set> max_seen;
-  tagged_value max_val;
-  max_val.ts = max_ts;
+  // Line 18: the seen sets of the messages carrying maxTS.
+  max_seen_.clear();
   for (const auto& a : acks_) {
-    if (a.ts != max_ts) continue;
-    max_seen.push_back(a.seen);
-    max_val.val = a.val;
-    max_val.prev = a.prev;
+    if (a.ts == max_ts) max_seen_.push_back(a.seen);
   }
 
-  maxts_ = max_val;  // written back by the next read (line 13)
+  maxts_ = max_;  // written back by the next read (line 13)
 
   // Lines 19-22: return maxTS's value iff the predicate holds, otherwise
   // the previous write's value.
   last_witness_ = fast_read_predicate_witness(
-      std::span<const seen_set>(max_seen), cfg_.S(), cfg_.t(), 0, cfg_.R());
+      std::span<const seen_set>(max_seen_), cfg_.S(), cfg_.t(), 0, cfg_.R());
   read_result res;
   res.rounds = 1;
   if (last_witness_ > 0 || max_ts == k_initial_ts) {
     res.ts = max_ts;
-    res.val = max_val.val;
+    res.val = maxts_.val;
   } else {
     res.ts = max_ts - 1;
-    res.val = max_val.prev;
+    res.val = maxts_.prev;
   }
   pending_ = false;
   completed_ += 1;
@@ -152,7 +155,7 @@ void fast_swmr_server::on_message(netout& net, const process_id& from,
   reply.prev = cur_.prev;
   reply.seen = seen_;
   reply.rcounter = m.rcounter;
-  net.send(from, reply);
+  net.send(from, std::move(reply));
 }
 
 register_snapshot fast_swmr_server::peek_state() const {

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "registers/automaton.h"
@@ -49,7 +48,7 @@ class fast_swmr_writer final : public automaton, public writer_iface {
   bool pending_{false};
   value_t cur_val_{};
   value_t last_val_{};  // value of the immediately preceding write
-  std::unordered_set<std::uint32_t> acks_{};
+  server_set acks_{};
   std::uint64_t completed_{0};
 };
 
@@ -84,8 +83,16 @@ class fast_swmr_reader final : public automaton, public reader_iface {
   tagged_value maxts_{};  // written back on the next read (line 13)
   std::uint64_t rcounter_{0};
   bool pending_{false};
-  std::vector<message> acks_{};
-  std::unordered_set<std::uint32_t> ack_from_{};
+  /// What decide() reads of each READACK of the current read.
+  struct ack_view {
+    ts_t ts{k_initial_ts};
+    seen_set seen{};
+  };
+  std::vector<ack_view> acks_{};
+  server_set ack_from_{};
+  /// maxTS so far with the value tags of the last ack carrying it.
+  tagged_value max_{};
+  std::vector<seen_set> max_seen_{};  // decide()'s scratch
   std::optional<read_result> last_result_{};
   std::uint64_t completed_{0};
   std::uint32_t last_witness_{0};

@@ -7,7 +7,9 @@ namespace fastreg {
 // --------------------------------------------------------- maxmin_server --
 
 maxmin_server::maxmin_server(system_config cfg, std::uint32_t index)
-    : cfg_(std::move(cfg)), index_(index) {}
+    : cfg_(std::move(cfg)), index_(index) {
+  FASTREG_EXPECTS(cfg_.S() <= server_set::max_servers);
+}
 
 void maxmin_server::on_message(netout& net, const process_id& from,
                                const message& m) {
@@ -23,7 +25,7 @@ void maxmin_server::on_message(netout& net, const process_id& from,
       reply.ts = m.ts;
       reply.wid = m.wid;
       reply.rcounter = m.rcounter;
-      net.send(from, reply);
+      net.send(from, std::move(reply));
       return;
     }
     case msg_type::read_req: {
@@ -40,10 +42,8 @@ void maxmin_server::on_message(netout& net, const process_id& from,
       gossip.val = val_;
       gossip.origin = from;
       gossip.rcounter = m.rcounter;
-      for (std::uint32_t i = 0; i < cfg_.S(); ++i) {
-        if (i != index_) net.send(server_id(i), gossip);
-      }
-      if (g.senders.insert(index_).second && ts_ > g.max_ts) {
+      send_to_servers(net, cfg_.S(), std::move(gossip), index_);
+      if (g.senders.insert(index_) && ts_ > g.max_ts) {
         g.max_ts = ts_;
         g.max_val = val_;
       }
@@ -53,7 +53,7 @@ void maxmin_server::on_message(netout& net, const process_id& from,
     case msg_type::gossip: {
       if (!from.is_server()) return;
       auto& g = gathers_[{m.origin.index, m.rcounter, m.attempt}];
-      if (!g.senders.insert(from.index).second) return;
+      if (!g.senders.insert(from.index)) return;
       if (m.wts() > g.max_ts) {
         g.max_ts = m.wts();
         g.max_val = m.val;
@@ -82,13 +82,15 @@ void maxmin_server::maybe_reply(netout& net, const process_id& reader,
   reply.wid = ts_.wid;
   reply.val = val_;
   reply.rcounter = rc;
-  net.send(reader, reply);
+  net.send(reader, std::move(reply));
 }
 
 // --------------------------------------------------------- maxmin_reader --
 
 maxmin_reader::maxmin_reader(system_config cfg, std::uint32_t index)
-    : cfg_(std::move(cfg)), index_(index) {}
+    : cfg_(std::move(cfg)), index_(index) {
+  FASTREG_EXPECTS(cfg_.S() <= server_set::max_servers);
+}
 
 void maxmin_reader::invoke_read(netout& net) {
   FASTREG_EXPECTS(!pending_);
@@ -101,16 +103,13 @@ void maxmin_reader::invoke_read(netout& net) {
   message m;
   m.type = msg_type::read_req;
   m.rcounter = rcounter_;
-  for (std::uint32_t i = 0; i < cfg_.S(); ++i) {
-    net.send(server_id(i), m);
-  }
+  send_to_servers(net, cfg_.S(), std::move(m));
 }
 
 void maxmin_reader::on_message(netout&, const process_id& from,
                                const message& m) {
   if (!pending_ || m.type != msg_type::read_ack || !from.is_server()) return;
-  if (m.rcounter != rcounter_ || acks_.contains(from.index)) return;
-  acks_.insert(from.index);
+  if (m.rcounter != rcounter_ || !acks_.insert(from.index)) return;
   // The "min" half of max-min: return the smallest adopted maximum, which
   // is guaranteed to be stored at a majority of servers.
   if (!have_min_ || m.wts() < min_ts_) {

@@ -18,7 +18,6 @@
 #include <map>
 #include <optional>
 #include <tuple>
-#include <unordered_set>
 
 #include "registers/abd.h"
 #include "registers/automaton.h"
@@ -47,7 +46,7 @@ class maxmin_server final : public automaton, public seedable {
 
  private:
   struct gather {
-    std::unordered_set<std::uint32_t> senders{};
+    server_set senders{};
     wts_t max_ts{};
     value_t max_val{};
     bool got_read_req{false};
@@ -103,7 +102,7 @@ class maxmin_reader final : public automaton, public reader_iface {
   bool have_min_{false};
   wts_t min_ts_{};
   value_t min_val_{};
-  std::unordered_set<std::uint32_t> acks_{};
+  server_set acks_{};
   std::optional<read_result> last_result_{};
   std::uint64_t completed_{0};
 };

@@ -1,5 +1,6 @@
 #include "registers/message.h"
 
+#include "obs/recorder.h"
 #include "registers/config.h"
 
 namespace fastreg {
@@ -65,6 +66,13 @@ std::vector<std::uint8_t> signed_payload(object_id obj, ts_t ts,
   w.put_string(val);
   w.put_string(prev);
   return w.take();
+}
+
+void stamp_if_untraced(message& m) {
+  if (m.trace != 0) return;
+  const auto ctx = obs::current_trace_ctx();
+  m.trace = ctx.trace;
+  m.span = ctx.span;
 }
 
 std::vector<std::uint8_t> signed_payload(const message& m) {

@@ -129,6 +129,13 @@ struct message {
   friend bool operator==(const message&, const message&) = default;
 };
 
+/// Stamps the calling step's ambient trace context (obs/recorder.h) on
+/// a message that carries no trace id yet. Register automata never stamp
+/// their messages; both transports call this on every send so those
+/// messages inherit the id of the delivery or invocation that caused
+/// them. Store messages arrive already stamped and keep their id.
+void stamp_if_untraced(message& m);
+
 /// Canonical byte payload the writer signs: (obj, ts, wid, val, prev).
 /// Shared by signers (writer) and verifiers (servers, readers). Binding
 /// the object id prevents a malicious server from replaying a correctly

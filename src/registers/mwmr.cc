@@ -8,7 +8,9 @@ namespace fastreg {
 // ----------------------------------------------------------- mwmr_writer --
 
 mwmr_writer::mwmr_writer(system_config cfg, std::uint32_t index)
-    : cfg_(std::move(cfg)), index_(index) {}
+    : cfg_(std::move(cfg)), index_(index) {
+  FASTREG_EXPECTS(cfg_.S() <= server_set::max_servers);
+}
 
 void mwmr_writer::invoke_write(netout& net, value_t v) {
   FASTREG_EXPECTS(phase_ == phase::idle);
@@ -20,17 +22,14 @@ void mwmr_writer::invoke_write(netout& net, value_t v) {
   message m;
   m.type = msg_type::query_req;
   m.rcounter = rcounter_;
-  for (std::uint32_t i = 0; i < cfg_.S(); ++i) {
-    net.send(server_id(i), m);
-  }
+  send_to_servers(net, cfg_.S(), std::move(m));
 }
 
 void mwmr_writer::on_message(netout& net, const process_id& from,
                              const message& m) {
   if (!from.is_server() || m.rcounter != rcounter_) return;
   if (phase_ == phase::query && m.type == msg_type::query_ack) {
-    if (acks_.contains(from.index)) return;
-    acks_.insert(from.index);
+    if (!acks_.insert(from.index)) return;
     max_num_ = std::max(max_num_, m.ts);
     if (acks_.size() >= cfg_.quorum()) {
       phase_ = phase::write;
@@ -42,17 +41,14 @@ void mwmr_writer::on_message(netout& net, const process_id& from,
       // wid 0 is reserved for "no writer" in defaulted wts_t; writers use
       // index + 1 so that distinct writers always compare differently.
       w.wid = static_cast<std::int32_t>(index_) + 1;
-      w.val = pending_val_;
+      w.val = std::move(pending_val_);
       w.rcounter = rcounter_;
-      for (std::uint32_t i = 0; i < cfg_.S(); ++i) {
-        net.send(server_id(i), w);
-      }
+      send_to_servers(net, cfg_.S(), std::move(w));
     }
     return;
   }
   if (phase_ == phase::write && m.type == msg_type::write_ack) {
-    if (acks_.contains(from.index)) return;
-    acks_.insert(from.index);
+    if (!acks_.insert(from.index)) return;
     if (acks_.size() >= cfg_.quorum()) {
       phase_ = phase::idle;
       completed_ += 1;
@@ -63,7 +59,9 @@ void mwmr_writer::on_message(netout& net, const process_id& from,
 // ----------------------------------------------------------- mwmr_reader --
 
 mwmr_reader::mwmr_reader(system_config cfg, std::uint32_t index)
-    : cfg_(std::move(cfg)), index_(index) {}
+    : cfg_(std::move(cfg)), index_(index) {
+  FASTREG_EXPECTS(cfg_.S() <= server_set::max_servers);
+}
 
 void mwmr_reader::invoke_read(netout& net) {
   FASTREG_EXPECTS(phase_ == phase::idle);
@@ -75,17 +73,14 @@ void mwmr_reader::invoke_read(netout& net) {
   message m;
   m.type = msg_type::read_req;
   m.rcounter = rcounter_;
-  for (std::uint32_t i = 0; i < cfg_.S(); ++i) {
-    net.send(server_id(i), m);
-  }
+  send_to_servers(net, cfg_.S(), std::move(m));
 }
 
 void mwmr_reader::on_message(netout& net, const process_id& from,
                              const message& m) {
   if (!from.is_server() || m.rcounter != rcounter_) return;
   if (phase_ == phase::query && m.type == msg_type::read_ack) {
-    if (acks_.contains(from.index)) return;
-    acks_.insert(from.index);
+    if (!acks_.insert(from.index)) return;
     if (m.wts() > best_ts_) {
       best_ts_ = m.wts();
       best_val_ = m.val;
@@ -100,15 +95,12 @@ void mwmr_reader::on_message(netout& net, const process_id& from,
       wb.wid = best_ts_.wid;
       wb.val = best_val_;
       wb.rcounter = rcounter_;
-      for (std::uint32_t i = 0; i < cfg_.S(); ++i) {
-        net.send(server_id(i), wb);
-      }
+      send_to_servers(net, cfg_.S(), std::move(wb));
     }
     return;
   }
   if (phase_ == phase::write_back && m.type == msg_type::wb_ack) {
-    if (acks_.contains(from.index)) return;
-    acks_.insert(from.index);
+    if (!acks_.insert(from.index)) return;
     if (acks_.size() >= cfg_.quorum()) {
       phase_ = phase::idle;
       completed_ += 1;
@@ -120,7 +112,9 @@ void mwmr_reader::on_message(netout& net, const process_id& from,
 // ----------------------------------------------------- naive_mwmr_writer --
 
 naive_mwmr_writer::naive_mwmr_writer(system_config cfg, std::uint32_t index)
-    : cfg_(std::move(cfg)), index_(index) {}
+    : cfg_(std::move(cfg)), index_(index) {
+  FASTREG_EXPECTS(cfg_.S() <= server_set::max_servers);
+}
 
 void naive_mwmr_writer::invoke_write(netout& net, value_t v) {
   FASTREG_EXPECTS(!pending_);
@@ -134,9 +128,7 @@ void naive_mwmr_writer::invoke_write(netout& net, value_t v) {
   m.wid = static_cast<std::int32_t>(index_) + 1;
   m.val = std::move(v);
   m.rcounter = rcounter_;
-  for (std::uint32_t i = 0; i < cfg_.S(); ++i) {
-    net.send(server_id(i), m);
-  }
+  send_to_servers(net, cfg_.S(), std::move(m));
 }
 
 void naive_mwmr_writer::on_message(netout&, const process_id& from,
@@ -199,7 +191,7 @@ void lww_server::on_message(netout& net, const process_id& from,
     default:
       return;
   }
-  net.send(from, reply);
+  net.send(from, std::move(reply));
 }
 
 std::unique_ptr<automaton> naive_fast_mwmr_lww_protocol::make_writer(

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_set>
 
 #include "registers/abd.h"
 #include "registers/automaton.h"
@@ -48,7 +47,7 @@ class mwmr_writer final : public automaton, public writer_iface {
   std::uint64_t rcounter_{0};
   value_t pending_val_{};
   ts_t max_num_{0};
-  std::unordered_set<std::uint32_t> acks_{};
+  server_set acks_{};
   std::uint64_t completed_{0};
 };
 
@@ -84,7 +83,7 @@ class mwmr_reader final : public automaton, public reader_iface {
   std::uint64_t rcounter_{0};
   wts_t best_ts_{};
   value_t best_val_{};
-  std::unordered_set<std::uint32_t> acks_{};
+  server_set acks_{};
   std::optional<read_result> last_result_{};
   std::uint64_t completed_{0};
 };
@@ -214,7 +213,7 @@ class naive_mwmr_writer final : public automaton, public writer_iface {
   ts_t ts_{0};
   bool pending_{false};
   std::uint64_t rcounter_{0};
-  std::unordered_set<std::uint32_t> acks_{};
+  server_set acks_{};
   std::uint64_t completed_{0};
 };
 

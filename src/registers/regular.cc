@@ -7,7 +7,9 @@ namespace fastreg {
 // -------------------------------------------------------- regular_reader --
 
 regular_reader::regular_reader(system_config cfg, std::uint32_t index)
-    : cfg_(std::move(cfg)), index_(index) {}
+    : cfg_(std::move(cfg)), index_(index) {
+  FASTREG_EXPECTS(cfg_.S() <= server_set::max_servers);
+}
 
 void regular_reader::invoke_read(netout& net) {
   FASTREG_EXPECTS(!pending_);
@@ -19,16 +21,13 @@ void regular_reader::invoke_read(netout& net) {
   message m;
   m.type = msg_type::read_req;
   m.rcounter = rcounter_;
-  for (std::uint32_t i = 0; i < cfg_.S(); ++i) {
-    net.send(server_id(i), m);
-  }
+  send_to_servers(net, cfg_.S(), std::move(m));
 }
 
 void regular_reader::on_message(netout&, const process_id& from,
                                 const message& m) {
   if (!pending_ || m.type != msg_type::read_ack || !from.is_server()) return;
-  if (m.rcounter != rcounter_ || acks_.contains(from.index)) return;
-  acks_.insert(from.index);
+  if (m.rcounter != rcounter_ || !acks_.insert(from.index)) return;
   if (m.wts() > best_ts_) {
     best_ts_ = m.wts();
     best_val_ = m.val;
@@ -44,7 +43,9 @@ void regular_reader::on_message(netout&, const process_id& from,
 
 single_reader_fast_reader::single_reader_fast_reader(system_config cfg,
                                                      std::uint32_t index)
-    : cfg_(std::move(cfg)), index_(index) {}
+    : cfg_(std::move(cfg)), index_(index) {
+  FASTREG_EXPECTS(cfg_.S() <= server_set::max_servers);
+}
 
 void single_reader_fast_reader::invoke_read(netout& net) {
   FASTREG_EXPECTS(!pending_);
@@ -56,16 +57,13 @@ void single_reader_fast_reader::invoke_read(netout& net) {
   message m;
   m.type = msg_type::read_req;
   m.rcounter = rcounter_;
-  for (std::uint32_t i = 0; i < cfg_.S(); ++i) {
-    net.send(server_id(i), m);
-  }
+  send_to_servers(net, cfg_.S(), std::move(m));
 }
 
 void single_reader_fast_reader::on_message(netout&, const process_id& from,
                                            const message& m) {
   if (!pending_ || m.type != msg_type::read_ack || !from.is_server()) return;
-  if (m.rcounter != rcounter_ || acks_.contains(from.index)) return;
-  acks_.insert(from.index);
+  if (m.rcounter != rcounter_ || !acks_.insert(from.index)) return;
   if (m.wts() > best_ts_) {
     best_ts_ = m.wts();
     best_val_ = m.val;

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <optional>
-#include <unordered_set>
 
 #include "registers/abd.h"
 #include "registers/automaton.h"
@@ -51,7 +50,7 @@ class regular_reader final : public automaton, public reader_iface {
   std::uint64_t rcounter_{0};
   wts_t best_ts_{};
   value_t best_val_{};
-  std::unordered_set<std::uint32_t> acks_{};
+  server_set acks_{};
   std::optional<read_result> last_result_{};
   std::uint64_t completed_{0};
 };
@@ -84,7 +83,7 @@ class single_reader_fast_reader final : public automaton, public reader_iface {
   value_t last_val_{};
   wts_t best_ts_{};
   value_t best_val_{};
-  std::unordered_set<std::uint32_t> acks_{};
+  server_set acks_{};
   std::optional<read_result> last_result_{};
   std::uint64_t completed_{0};
 };

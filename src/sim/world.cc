@@ -73,21 +73,6 @@ obs::recorder& world::rec_for(const process_id& p) {
   return *it->second;
 }
 
-namespace {
-
-// Register automata predate trace ids and never stamp their messages;
-// the step's ambient trace context (set by the invocation / delivery
-// that triggered this send) fills the gap. Store messages arrive here
-// already stamped and keep their id.
-void stamp_if_untraced(message& m) {
-  if (m.trace != 0) return;
-  const auto ctx = obs::current_trace_ctx();
-  m.trace = ctx.trace;
-  m.span = ctx.span;
-}
-
-}  // namespace
-
 void world::send(const process_id& to, message m) {
   std::vector<message> one;
   one.push_back(std::move(m));

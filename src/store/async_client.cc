@@ -25,10 +25,11 @@ std::uint64_t now_ns() {
 // --------------------------------------------------------------- op_log --
 
 void op_log::open(const process_id& client_pid, const std::string& key,
-                  bool is_put, const value_t& v, std::uint64_t t0) {
+                  object_id obj, bool is_put, const value_t& v,
+                  std::uint64_t t0) {
   std::lock_guard<std::mutex> lk(mu_);
-  auto it = by_key_.find(key);
-  if (it == by_key_.end()) it = by_key_.emplace(key, &hist_.for_key(key)).first;
+  auto it = by_obj_.find(obj);
+  if (it == by_obj_.end()) it = by_obj_.emplace(obj, &hist_.for_key(key)).first;
   it->second->begin_op(client_pid, is_put, t0, is_put ? v : value_t{});
 }
 
@@ -37,8 +38,8 @@ void op_log::close(const process_id& client_pid,
                    std::uint64_t t1) {
   std::lock_guard<std::mutex> lk(mu_);
   for (const auto& r : results) {
-    const auto it = by_key_.find(r.key);
-    if (it == by_key_.end()) continue;
+    const auto it = by_obj_.find(r.obj);
+    if (it == by_obj_.end()) continue;
     checker::history& h = *it->second;
     const auto i = h.open_op(client_pid);
     if (!i) continue;
@@ -86,31 +87,33 @@ void async_session::count(submit_status st) {
   adm_[static_cast<std::size_t>(st)]->inc();
 }
 
-void async_session::stash(std::vector<store_result> done) {
+void async_session::stash(std::vector<store_result>& done) {
   if (done.empty()) return;
   harvested_ += done.size();
   results_.insert(results_.end(), std::make_move_iterator(done.begin()),
                   std::make_move_iterator(done.end()));
+  done.clear();
 }
 
-std::vector<store_result> async_session::complete(client& c,
-                                                  std::uint64_t t1) {
-  std::vector<store_result> done = c.take_completions();
-  if (done.empty()) return done;
-  log_.close(client_, done, t1);
-  std::erase_if(done, [&](const store_result& r) {
-    return begun_.erase(r.key) == 0;
+std::vector<store_result>& async_session::complete(client& c,
+                                                   std::uint64_t t1) {
+  c.take_completions(done_);
+  if (done_.empty()) return done_;
+  log_.close(client_, done_, t1);
+  std::erase_if(done_, [&](const store_result& r) {
+    return begun_.erase(r.obj) == 0;
   });
-  return done;
+  return done_;
 }
 
-void async_session::begin(client& c, store_op op, std::uint64_t t0) {
-  log_.open(client_, op.key, op.is_put, op.val, t0);
-  begun_.insert(op.key);
+void async_session::begin(client& c, admitted_op a, std::uint64_t t0) {
+  store_op& op = a.op;
+  log_.open(client_, op.key, a.obj, op.is_put, op.val, t0);
+  begun_.insert(a.obj);
   if (op.is_put) {
-    c.begin_put(op.key, std::move(op.val));
+    c.begin_put(std::move(op.key), a.obj, std::move(op.val));
   } else {
-    c.begin_get(op.key);
+    c.begin_get(std::move(op.key), a.obj);
   }
 }
 
@@ -202,8 +205,8 @@ class tcp_session final : public async_session {
   /// concurrent, which the checkers reject.
   void step(client& c, netout& net) {
     const std::uint64_t t = now_ns();
-    std::vector<store_result> done = complete(c, t);
-    std::vector<store_op> ops = std::exchange(queued_, {});
+    std::vector<store_result>& done = complete(c, t);
+    std::vector<admitted_op> ops = std::exchange(queued_, {});
     {
       std::lock_guard<std::mutex> lk(mu_);
       ops.insert(ops.end(), std::make_move_iterator(inbox_.begin()),
@@ -215,14 +218,14 @@ class tcp_session final : public async_session {
         cv_.notify_one();
       }
     }
-    for (auto& op : ops) {
+    for (auto& a : ops) {
       // The key's abandoned op is still pending: wait for it here rather
       // than trip begin_*'s precondition.
-      if (c.has_pending(op.key)) {
-        queued_.push_back(std::move(op));
+      if (c.has_pending(a.obj)) {
+        queued_.push_back(std::move(a));
         continue;
       }
-      begin(c, std::move(op), t + 1);
+      begin(c, std::move(a), t + 1);
     }
     c.flush(net);
   }
@@ -231,23 +234,27 @@ class tcp_session final : public async_session {
                            value_t v) override {
     harvest();
     if (in_flight() >= depth_) return submit_status::window_full;
-    if (keys_.contains(key)) return submit_status::key_busy;
-    return enqueue(key, is_put, std::move(v));
+    const object_id obj = key_object_id(key);
+    if (keys_.contains(obj)) return submit_status::key_busy;
+    return enqueue(key, obj, is_put, std::move(v));
   }
 
   bool blocking_submit(const std::string& key, bool is_put, value_t v,
                        std::chrono::milliseconds timeout) override {
+    const object_id obj = key_object_id(key);
     const auto admissible = [&] {
-      return in_flight() < depth_ && !keys_.contains(key);
+      return in_flight() < depth_ && !keys_.contains(obj);
     };
     return harvest_until(admissible, timeout) &&
-           enqueue(key, is_put, std::move(v)) == submit_status::submitted;
+           enqueue(key, obj, is_put, std::move(v)) ==
+               submit_status::submitted;
   }
 
-  submit_status enqueue(const std::string& key, bool is_put, value_t v) {
+  submit_status enqueue(const std::string& key, object_id obj, bool is_put,
+                        value_t v) {
     {
       std::lock_guard<std::mutex> lk(mu_);
-      inbox_.push_back(store_op{key, is_put, std::move(v)});
+      inbox_.push_back(admitted_op{store_op{key, is_put, std::move(v)}, obj});
     }
     if (!node_.schedule_step(actor_)) {
       // Node not running: withdraw the op. Only this thread appends, and
@@ -256,7 +263,7 @@ class tcp_session final : public async_session {
       if (!inbox_.empty()) inbox_.pop_back();
       return submit_status::failed;
     }
-    keys_.insert(key);
+    keys_.insert(obj);
     return submit_status::submitted;
   }
 
@@ -268,8 +275,8 @@ class tcp_session final : public async_session {
       std::lock_guard<std::mutex> lk(mu_);
       done.swap(outbox_);
     }
-    for (const auto& r : done) keys_.erase(r.key);
-    stash(std::move(done));
+    for (const auto& r : done) keys_.erase(r.obj);
+    stash(done);
   }
 
   /// Harvests until `ready()` holds, sleeping on the outbox in between.
@@ -289,19 +296,19 @@ class tcp_session final : public async_session {
 
   net::node& node_;
   std::size_t actor_;
-  /// Keys of admitted ops not yet harvested (session thread only).
-  std::unordered_set<std::string> keys_;
+  /// Objects of admitted ops not yet harvested (session thread only).
+  std::unordered_set<object_id> keys_;
   // The handoff with the reactor.
   std::mutex mu_;
   std::condition_variable cv_;  // signalled when the outbox grows
   /// Admitted ops the reactor has not taken yet. Guarded by mu_.
-  std::vector<store_op> inbox_;
+  std::vector<admitted_op> inbox_;
   /// Completions of this session's ops, not yet harvested. Guarded by mu_.
   std::vector<store_result> outbox_;
   /// Taken from the inbox but not begun: the key is still pending.
   /// Reactor side: touched only inside step(), under the step mutex, like
   /// the base's begun_.
-  std::vector<store_op> queued_;
+  std::vector<admitted_op> queued_;
 };
 
 }  // namespace
@@ -340,7 +347,7 @@ class sim_session final : public async_session {
     if (buf_.empty()) return;
     auto& c = automaton_ref();
     s_.world().invoke_step(client_, [&](netout& net) {
-      for (auto& op : buf_) begin(c, std::move(op), s_.world().now());
+      for (auto& a : buf_) begin(c, std::move(a), s_.world().now());
       c.flush(net);
     });
     buf_.clear();
@@ -364,18 +371,19 @@ class sim_session final : public async_session {
                                : s_.reader_client(client_.index);
   }
 
-  [[nodiscard]] bool key_buffered(const std::string& key) const {
+  [[nodiscard]] bool buffered(object_id obj) const {
     return std::any_of(buf_.begin(), buf_.end(),
-                       [&](const store_op& op) { return op.key == key; });
+                       [&](const admitted_op& a) { return a.obj == obj; });
   }
 
   submit_status try_submit(const std::string& key, bool is_put,
                            value_t v) override {
     if (in_flight() >= depth_) return submit_status::window_full;
-    if (key_buffered(key) || automaton_ref().has_pending(key)) {
+    const object_id obj = key_object_id(key);
+    if (buffered(obj) || automaton_ref().has_pending(obj)) {
       return submit_status::key_busy;
     }
-    buf_.push_back(store_op{key, is_put, std::move(v)});
+    buf_.push_back(admitted_op{store_op{key, is_put, std::move(v)}, obj});
     return submit_status::submitted;
   }
 
@@ -395,7 +403,7 @@ class sim_session final : public async_session {
 
   sim_store& s_;
   rng& r_;
-  std::vector<store_op> buf_;
+  std::vector<admitted_op> buf_;
 };
 
 }  // namespace

@@ -90,15 +90,15 @@ enum class submit_status : std::uint8_t {
 /// tcp_session::step). Thread-safe.
 class op_log {
  public:
-  /// Records an op of `client` on `key` invoked at t0, still open. A
-  /// client begins an op on a key only after its previous one there was
-  /// closed, so it has at most one open op per key.
-  void open(const process_id& client, const std::string& key, bool is_put,
-            const value_t& v, std::uint64_t t0);
+  /// Records an op of `client` on `key` (object id `obj`) invoked at t0,
+  /// still open. A client begins an op on a key only after its previous
+  /// one there was closed, so it has at most one open op per key.
+  void open(const process_id& client, const std::string& key, object_id obj,
+            bool is_put, const value_t& v, std::uint64_t t0);
 
-  /// Closes the open op of each result's (client, key) at t1. A session
-  /// that opened it, or the client's next one, closes it; results with
-  /// no open op are ignored.
+  /// Closes the open op of each result's (client, object) at t1. A
+  /// session that opened it, or the client's next one, closes it; results
+  /// with no open op are ignored.
   void close(const process_id& client,
              const std::vector<store_result>& results, std::uint64_t t1);
 
@@ -113,9 +113,10 @@ class op_log {
  private:
   mutable std::mutex mu_;
   store_histories hist_;
-  /// Each key's history in hist_ (map nodes never move): a hash lookup
-  /// on the reactor instead of a walk down the ordered map.
-  std::unordered_map<std::string, checker::history*> by_key_;
+  /// Each key's history in hist_ (map nodes never move), by object id:
+  /// an integer lookup on the reactor instead of a walk down the ordered
+  /// map.
+  std::unordered_map<object_id, checker::history*> by_obj_;
 };
 
 /// One client's pipelined session (see file comment for the surface and
@@ -181,9 +182,15 @@ class async_session {
       const std::string& key, bool is_put, value_t v,
       std::chrono::milliseconds timeout) = 0;
 
-  /// Appends harvested completions to the results stash and advances the
-  /// in-flight accounting.
-  void stash(std::vector<store_result> done);
+  /// An admitted op with its key's object id, computed once at admission.
+  struct admitted_op {
+    store_op op;
+    object_id obj{k_default_object};
+  };
+
+  /// Moves harvested completions out of `done` into the results stash and
+  /// advances the in-flight accounting.
+  void stash(std::vector<store_result>& done);
 
   // The step hook's two halves, shared by both transports; called only
   // where no step of the client can run concurrently (inside its steps,
@@ -191,11 +198,11 @@ class async_session {
   /// Takes c's completions and closes their op_log entries at the step's
   /// time t1. Drops the completions of ops this session did not begin
   /// (an earlier session abandoned them; nobody waits for them) and
-  /// returns the rest, for the caller to stash.
-  [[nodiscard]] std::vector<store_result> complete(client& c,
-                                                   std::uint64_t t1);
-  /// Opens op's op_log entry at t0 and begins it on c.
-  void begin(client& c, store_op op, std::uint64_t t0);
+  /// returns the rest, for the caller to stash, in a scratch vector that
+  /// the next call reuses.
+  std::vector<store_result>& complete(client& c, std::uint64_t t1);
+  /// Opens a's op_log entry at t0 and begins it on c.
+  void begin(client& c, admitted_op a, std::uint64_t t0);
 
   process_id client_;
   std::uint32_t depth_;
@@ -203,8 +210,10 @@ class async_session {
   std::uint64_t harvested_{0};
   std::vector<store_result> results_;
   op_log& log_;
-  /// Keys of this session's begun, not yet completed ops (step side).
-  std::unordered_set<std::string> begun_;
+  /// Objects of this session's begun, not yet completed ops (step side).
+  std::unordered_set<object_id> begun_;
+  /// complete()'s output (step side).
+  std::vector<store_result> done_;
 
  private:
   void count(submit_status st);

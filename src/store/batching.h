@@ -18,6 +18,8 @@
 // the same checkers as simulator runs.
 #pragma once
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -28,28 +30,40 @@ namespace fastreg::store {
 class batch_collector {
  public:
   void add(const process_id& to, message m) {
-    for (auto& [dest, msgs] : groups_) {
-      if (dest == to) {
-        msgs.push_back(std::move(m));
+    for (std::size_t i = 0; i < used_; ++i) {
+      if (groups_[i].first == to) {
+        groups_[i].second.push_back(std::move(m));
         return;
       }
     }
-    groups_.emplace_back(to, std::vector<message>{std::move(m)});
+    if (used_ == groups_.size()) groups_.emplace_back();
+    auto& [dest, msgs] = groups_[used_++];
+    dest = to;
+    msgs.push_back(std::move(m));
   }
 
   /// Emits one send_batch per destination, in first-touch order so
-  /// simulator schedules stay deterministic, then resets.
+  /// simulator schedules stay deterministic, then resets. Each batch
+  /// leaves in a vector of exactly its size; the per-destination scratch
+  /// vectors keep their capacity for the next step.
   void flush(netout& net) {
-    for (auto& [dest, msgs] : groups_) net.send_batch(dest, std::move(msgs));
-    groups_.clear();
+    for (std::size_t i = 0; i < used_; ++i) {
+      auto& [dest, msgs] = groups_[i];
+      std::vector<message> batch;
+      batch.reserve(msgs.size());
+      std::move(msgs.begin(), msgs.end(), std::back_inserter(batch));
+      msgs.clear();
+      net.send_batch(dest, std::move(batch));
+    }
+    used_ = 0;
   }
-
-  [[nodiscard]] bool empty() const { return groups_.empty(); }
 
  private:
   // Destinations per step are few (at most the fleet size): linear scan
-  // beats hashing and keeps flush order deterministic.
+  // beats hashing and keeps flush order deterministic. Entries from
+  // used_ on are idle scratch.
   std::vector<std::pair<process_id, std::vector<message>>> groups_;
+  std::size_t used_{0};
 };
 
 /// netout an inner per-object automaton sends through: stamps the object

@@ -18,108 +18,111 @@ client::client(std::shared_ptr<const shard_map> shards, process_id self,
   rec_ = &obs::recorder_for(self_);
 }
 
-automaton& client::inner_for(object_id obj) {
-  auto it = objects_.find(obj);
-  if (it == objects_.end()) {
-    const auto& proto = map_->protocol_for_object(obj);
-    const auto& base = map_->config().base;
-    auto a = self_.is_reader() ? proto.make_reader(base, self_.index, obj)
-                               : proto.make_writer(base, self_.index, obj);
-    if (self_.is_writer()) {
-      // A migrated object's fresh writer must resume above the handed-off
-      // timestamp (and advertise its value as the preceding write).
-      const auto fl = floors_.find(obj);
-      if (fl != floors_.end()) as_writer(a.get())->seed_writer(fl->second);
-    }
-    it = objects_
-             .emplace(obj, inner_automaton{std::move(a), map_->epoch()})
-             .first;
+void client::ensure_inner(object_id obj, object_state& st) {
+  if (st.a) return;
+  const auto& proto = map_->protocol_for_object(obj);
+  const auto& base = map_->config().base;
+  if (self_.is_reader()) {
+    st.a = proto.make_reader(base, self_.index, obj);
+    st.reader = as_reader(st.a.get());
+    FASTREG_ENSURES(st.reader != nullptr);
+  } else {
+    st.a = proto.make_writer(base, self_.index, obj);
+    st.writer = as_writer(st.a.get());
+    FASTREG_ENSURES(st.writer != nullptr);
+    // A migrated object's fresh writer must resume above the handed-off
+    // timestamp (and advertise its value as the preceding write).
+    if (st.floor) st.writer->seed_writer(*st.floor);
   }
-  return *it->second.a;
+  st.birth = map_->epoch();
 }
 
-void client::invoke_on(object_id obj, pending_op& op) {
-  auto& inner = inner_for(obj);
+void client::drop_inner(object_state& st) {
+  st.a.reset();
+  st.reader = nullptr;
+  st.writer = nullptr;
+}
+
+void client::invoke_on(object_id obj, object_state& st) {
+  ensure_inner(obj, st);
+  pending_op& op = *st.op;
   op.epoch = epoch();
   tagging_netout tagged(outbox_, obj, epoch(), op.attempt, false, op.trace,
                         op.span);
   if (op.is_put) {
-    auto* w = as_writer(&inner);
-    FASTREG_ENSURES(w != nullptr);
-    op.before = w->writes_completed();
-    w->invoke_write(tagged, op.val);
+    op.before = st.writer->writes_completed();
+    st.writer->invoke_write(tagged, op.val);
   } else {
-    auto* r = as_reader(&inner);
-    FASTREG_ENSURES(r != nullptr);
-    op.before = r->reads_completed();
-    r->invoke_read(tagged);
+    op.before = st.reader->reads_completed();
+    st.reader->invoke_read(tagged);
   }
 }
 
-void client::begin_get(const std::string& key) {
-  FASTREG_EXPECTS(self_.is_reader());
-  const object_id obj = key_object_id(key);
-  FASTREG_EXPECTS(!pending_.contains(obj));
-  auto& op = pending_[obj];
-  op.key = key;
-  op.is_put = false;
-  op.attempt = ++attempts_[obj];
+void client::begin(std::string key, object_id obj, bool is_put, value_t v) {
+  auto& st = objects_[obj];
+  FASTREG_EXPECTS(!st.op);
+  pending_op& op = st.op.emplace();
+  op.key = std::move(key);
+  op.is_put = is_put;
+  op.val = std::move(v);
+  op.attempt = ++st.attempts;
   op.trace = obs::next_trace_id();
-  invoke_on(obj, op);
+  ++pending_ops_;
+  invoke_on(obj, st);
 }
 
-void client::begin_put(const std::string& key, value_t v) {
+void client::begin_get(std::string key, object_id obj) {
+  FASTREG_EXPECTS(self_.is_reader());
+  begin(std::move(key), obj, /*is_put=*/false, value_t{});
+}
+
+void client::begin_put(std::string key, object_id obj, value_t v) {
   FASTREG_EXPECTS(self_.is_writer());
-  const object_id obj = key_object_id(key);
-  FASTREG_EXPECTS(!pending_.contains(obj));
-  auto& op = pending_[obj];
-  op.key = key;
-  op.is_put = true;
-  op.val = std::move(v);
-  op.attempt = ++attempts_[obj];
-  op.trace = obs::next_trace_id();
-  invoke_on(obj, op);
+  begin(std::move(key), obj, /*is_put=*/true, std::move(v));
 }
 
 void client::flush(netout& net) { outbox_.flush(net); }
 
-std::vector<store_result> client::take_completions() {
-  return std::exchange(completions_, {});
+void client::take_completions(std::vector<store_result>& out) {
+  out.clear();
+  out.swap(completions_);
 }
 
 // ------------------------------------------------------------- reconfig --
 
 std::size_t client::parked_count() const {
   std::size_t n = 0;
-  for (const auto& [obj, op] : pending_) n += op.parked ? 1 : 0;
+  for (const auto& [obj, st] : objects_) n += st.op && st.op->parked ? 1 : 0;
   return n;
 }
 
-void client::reissue(object_id obj, pending_op& op) {
+void client::reissue(object_id obj, object_state& st) {
   // The abandoned attempt's automaton state (including any acks it
   // gathered) is protocol state of a superseded generation; discard it
   // and start over against the current map.
+  pending_op& op = *st.op;
   const bool resuming = op.parked;
   if (resuming) resumes_total_->inc();
-  op.attempt = ++attempts_[obj];
+  op.attempt = ++st.attempts;
   op.parked = false;
   ++op.span;  // a new attempt is a new span of the same trace
   if (resuming && obs::recording_active()) {
     rec_->record(obs::rec_event::resume, op.trace, op.span, 0, self_, obj,
                  epoch(), k_initial_ts);
   }
-  objects_.erase(obj);
-  invoke_on(obj, op);
+  drop_inner(st);
+  invoke_on(obj, st);
 }
 
-void client::park(object_id obj, pending_op& op) {
+void client::park(object_id obj, object_state& st) {
+  pending_op& op = *st.op;
   parks_total_->inc();
   if (obs::recording_active()) {
     rec_->record(obs::rec_event::park, op.trace, op.span, 0, self_, obj,
                  epoch(), k_initial_ts);
   }
   op.parked = true;
-  objects_.erase(obj);
+  drop_inner(st);
 }
 
 void client::refresh_map() {
@@ -128,24 +131,25 @@ void client::refresh_map() {
   FASTREG_CHECK(latest != nullptr);
   if (latest->epoch() <= map_->epoch()) return;
   // Objects whose protocol changed get fresh automata (their server-side
-  // instances were replaced too); unchanged objects keep automaton and
-  // in-flight ops -- their instances carried over on every server.
-  std::unordered_set<object_id> dropped;
-  for (const auto& [obj, inner] : objects_) {
-    if (object_moves(*map_, *latest, obj)) dropped.insert(obj);
+  // instances were replaced too), and their in-flight ops re-issue under
+  // the new map; unchanged objects keep automaton and in-flight ops --
+  // their instances carried over on every server.
+  std::vector<std::pair<object_id, object_state*>> reissued;
+  for (auto& [obj, st] : objects_) {
+    if (!st.a || !object_moves(*map_, *latest, obj)) continue;
+    drop_inner(st);
+    if (st.op && !st.op->parked) reissued.emplace_back(obj, &st);
   }
-  for (const auto obj : dropped) objects_.erase(obj);
   map_ = std::move(latest);
-  for (auto& [obj, op] : pending_) {
-    if (op.parked || !dropped.contains(obj)) continue;
-    reissue(obj, op);
-  }
+  for (const auto& [obj, st] : reissued) reissue(obj, *st);
 }
 
 void client::resume_parked(object_id obj) {
   refresh_map();
-  const auto it = pending_.find(obj);
-  if (it == pending_.end() || !it->second.parked) return;
+  const auto it = objects_.find(obj);
+  if (it == objects_.end() || !it->second.op || !it->second.op->parked) {
+    return;
+  }
   // Only PARKED ops re-issue here. A non-parked in-flight op is either
   // answered normally or buffered at a server behind a lazy seed fetch
   // (store/server.h) and completes when the fetch replays it; re-issuing
@@ -160,7 +164,8 @@ void client::resume_parked(object_id obj) {
 }
 
 void client::seed_writer_floor(object_id obj, const register_snapshot& s) {
-  floors_[obj] = s;
+  auto& st = objects_[obj];
+  st.floor = s;
   // A put already in flight on this object may run on an automaton created
   // BEFORE the floor existed (invoked at the new epoch while the key was
   // draining). Its un-floored requests could slip past the fence once the
@@ -168,10 +173,7 @@ void client::seed_writer_floor(object_id obj, const register_snapshot& s) {
   // timestamp, and be lost. Park it: the automaton is discarded, and the
   // coordinator's resume_parked (which always follows a floor install)
   // re-issues the op through a freshly floored automaton.
-  const auto it = pending_.find(obj);
-  if (it != pending_.end() && !it->second.parked && it->second.is_put) {
-    park(obj, it->second);
-  }
+  if (st.op && !st.op->parked && st.op->is_put) park(obj, st);
 }
 
 void client::begin_state_read(object_id obj, epoch_t old_epoch) {
@@ -244,7 +246,7 @@ void client::handle_mig_ack(const process_id& from, const message& m) {
   if (m.rcounter != mig_->seq || m.obj != mig_->obj) return;
   const bool is_seed_ack = m.type == msg_type::seed_ack;
   if (is_seed_ack != mig_->is_seed) return;
-  if (!mig_->acked.insert(from.index).second) return;
+  if (!mig_->acked.insert(from.index)) return;
   const auto& base = map_->config().base;
   if (!is_seed_ack) {
     // In the arbitrary-failure model only a valid writer signature makes
@@ -279,16 +281,19 @@ void client::handle_mig_ack(const process_id& from, const message& m) {
   }
 }
 
-void client::handle_nack(const message& m) {
-  const auto it = pending_.find(m.obj);
-  if (it == pending_.end()) return;
-  auto& op = it->second;
-  if (op.parked || m.attempt != op.attempt) return;  // stale or already held
+client::object_state* client::handle_nack(const message& m) {
+  const auto it = objects_.find(m.obj);
+  if (it == objects_.end()) return nullptr;
+  object_state& st = it->second;
+  if (!st.op) return &st;
+  pending_op& op = *st.op;
+  // Stale, or already held.
+  if (op.parked || m.attempt != op.attempt) return &st;
   // The nack names the server's epoch; pull the map in case it is news.
   // refresh_map may itself re-issue this op (bumping attempt), in which
   // case the nack is spent.
   refresh_map();
-  if (m.attempt != op.attempt) return;
+  if (m.attempt != op.attempt) return &st;
   if (m.epoch >= epoch()) {
     if (op.epoch < epoch()) {
       // The attempt was issued under a superseded map but the object's
@@ -297,69 +302,66 @@ void client::handle_nack(const message& m) {
       // store/server.h). Re-issue under the current epoch: the fresh
       // attempt is served, or buffered behind the object's lazy seed
       // fetch, without depending on a resume that may already be past.
-      reissue(m.obj, op);
+      reissue(m.obj, st);
     } else {
       // Nacked at the attempt's own epoch: a later reconfiguration
       // fenced the object (or its fetch buffer overflowed); the
       // migration that fences it resumes us.
-      park(m.obj, op);
+      park(m.obj, st);
     }
   }
   // m.epoch < epoch(): stale nack from a server we have since overtaken;
   // the re-issued attempt will be answered on its own.
+  return &st;
 }
 
-void client::route(const process_id& from, const message& m) {
-  // Deliveries go to EXISTING automata only: begin_* creates them, and a
+client::object_state* client::route(const process_id& from,
+                                     const message& m) {
+  const auto it = objects_.find(m.obj);
+  if (it == objects_.end()) return nullptr;
+  object_state& st = it->second;
+  // Deliveries go to LIVE automata only: begin_* creates them, and a
   // message for a dropped (migrated/parked) automaton is by construction
   // aimed at an abandoned attempt.
-  const auto it = objects_.find(m.obj);
-  if (it == objects_.end()) return;
+  if (!st.a) return &st;
   // Replies stamped with an epoch older than this automaton's birth were
   // produced for the superseded generation (possibly a different
   // protocol); feeding them in would corrupt the fresh instance.
-  if (m.epoch < it->second.birth) return;
-  std::uint32_t attempt = 0;
-  const auto p = pending_.find(m.obj);
-  if (p != pending_.end()) attempt = p->second.attempt;
+  if (m.epoch < st.birth) return &st;
   // Invocations and reissues recreate inner automata with fresh
   // counters, so a straggler reply addressed to an abandoned attempt at
   // the SAME epoch could alias the live attempt's counters. The attempt
   // stamp -- per-object and monotonic across ops, so stragglers of
   // EARLIER ops cannot alias either -- disambiguates (mirroring the
   // check handle_nack performs).
-  if (m.attempt != attempt) return;
+  const std::uint32_t attempt = st.op ? st.op->attempt : 0;
+  if (m.attempt != attempt) return &st;
   // Follow-up rounds the reply triggers stay on the op's trace; the
   // pending record is authoritative, the reply's stamp the fallback.
-  std::uint64_t trace = m.trace;
-  std::uint16_t span = m.span;
-  if (p != pending_.end()) {
-    trace = p->second.trace;
-    span = p->second.span;
-  }
+  const std::uint64_t trace = st.op ? st.op->trace : m.trace;
+  const std::uint16_t span = st.op ? st.op->span : m.span;
   tagging_netout tagged(outbox_, m.obj, epoch(), attempt, false, trace, span);
-  it->second.a->on_message(tagged, from, m);
+  st.a->on_message(tagged, from, m);
+  return &st;
 }
 
-bool client::dispatch_one(const process_id& from, const message& m) {
+client::object_state* client::dispatch_one(const process_id& from,
+                                           const message& m) {
   if (m.type == msg_type::stats_ack) {
     if (from.is_server() && m.rcounter == stats_seq_) stats_ = m.val;
-    return false;  // scrape I/O never completes a front-end op
+    return nullptr;  // scrape I/O never completes a front-end op
   }
-  if (m.type == msg_type::epoch_nack) {
-    handle_nack(m);
-    return true;
-  }
+  if (m.type == msg_type::epoch_nack) return handle_nack(m);
   if (m.type == msg_type::state_ack || m.type == msg_type::seed_ack) {
     handle_mig_ack(from, m);
-    return false;  // migration I/O never completes a front-end op
+    return nullptr;  // migration I/O never completes a front-end op
   }
-  route(from, m);
+  object_state* st = route(from, m);
   // Server replies carry the server's epoch: learn newer maps lazily,
   // AFTER routing so the op the reply belongs to is not re-issued from
   // under it.
   if (m.epoch > epoch()) refresh_map();
-  return true;
+  return st;
 }
 
 void client::on_message(netout& net, const process_id& from,
@@ -369,49 +371,48 @@ void client::on_message(netout& net, const process_id& from,
 
 void client::on_batch(netout& net, const process_id& from,
                       std::span<const message> msgs) {
-  std::vector<object_id> touched;
-  touched.reserve(msgs.size());
+  touched_.clear();
   for (const auto& m : msgs) {
-    if (dispatch_one(from, m)) touched.push_back(m.obj);
+    if (object_state* st = dispatch_one(from, m)) {
+      touched_.emplace_back(m.obj, st);
+    }
   }
   // One flush for the whole batch: replies the k messages triggered
   // coalesce into (at most) one envelope per destination.
   flush(net);
-  for (std::size_t i = 0; i < touched.size(); ++i) {
+  for (std::size_t i = 0; i < touched_.size(); ++i) {
     // Poll each object once even if the batch carried several messages
     // for it.
     bool seen = false;
-    for (std::size_t j = 0; j < i; ++j) seen = seen || touched[j] == touched[i];
-    if (!seen) poll_object(touched[i]);
+    for (std::size_t j = 0; j < i && !seen; ++j) {
+      seen = touched_[j].second == touched_[i].second;
+    }
+    if (!seen) poll_object(touched_[i].first, *touched_[i].second);
   }
 }
 
-void client::poll_object(object_id obj) {
-  const auto it = pending_.find(obj);
-  if (it == pending_.end() || it->second.parked) return;
-  const auto& op = it->second;
-  const auto a = objects_.find(obj);
-  if (a == objects_.end()) return;
-  auto& inner = *a->second.a;
+void client::poll_object(object_id obj, object_state& st) {
+  if (!st.op || st.op->parked || !st.a) return;
+  pending_op& op = *st.op;
   store_result res;
-  res.key = op.key;
-  res.is_put = op.is_put;
   if (op.is_put) {
-    auto* w = as_writer(&inner);
-    if (w->writes_completed() <= op.before) return;
-    res.rounds = w->last_write_rounds();
+    if (st.writer->writes_completed() <= op.before) return;
+    res.rounds = st.writer->last_write_rounds();
   } else {
-    auto* r = as_reader(&inner);
-    if (r->reads_completed() <= op.before) return;
-    const auto& rr = r->last_read();
+    if (st.reader->reads_completed() <= op.before) return;
+    const auto& rr = st.reader->last_read();
     FASTREG_CHECK(rr.has_value());
     res.ts = rr->ts;
     res.wid = rr->wid;
     res.val = rr->val;
     res.rounds = rr->rounds;
   }
+  res.key = std::move(op.key);
+  res.obj = obj;
+  res.is_put = op.is_put;
   completions_.push_back(std::move(res));
-  pending_.erase(it);
+  st.op.reset();
+  --pending_ops_;
 }
 
 }  // namespace fastreg::store

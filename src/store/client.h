@@ -31,7 +31,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -52,6 +52,8 @@ struct store_op {
 /// Result of one completed store operation, as observed by the client.
 struct store_result {
   std::string key{};
+  /// key_object_id(key), as the op was begun with.
+  object_id obj{k_default_object};
   bool is_put{false};
   ts_t ts{k_initial_ts};
   std::int32_t wid{0};
@@ -70,22 +72,26 @@ class client final : public automaton {
   // step hook): begin one or more ops on DISTINCT keys, then flush()
   // exactly once.
 
-  /// Starts a read of `key` (reader-role clients only). Precondition: no
-  /// op pending on this key.
-  void begin_get(const std::string& key);
-  /// Starts a write of `key` (writer-role clients only). Precondition: no
-  /// op pending on this key.
-  void begin_put(const std::string& key, value_t v);
+  /// Starts a read of `key`, whose object id `obj` = key_object_id(key)
+  /// the caller computed once (reader-role clients only). Precondition:
+  /// no op pending on the object.
+  void begin_get(std::string key, object_id obj);
+  /// Starts a write of `key` (writer-role clients only); `obj` as for
+  /// begin_get. Precondition: no op pending on the object.
+  void begin_put(std::string key, object_id obj, value_t v);
   /// Sends everything the begun ops produced, coalesced per destination.
   void flush(netout& net);
 
-  /// Completed ops since the last call, in completion order.
-  [[nodiscard]] std::vector<store_result> take_completions();
-  /// True while an op on `key` is in flight (e.g. orphaned by a driver
-  /// timeout); begin_get/begin_put on such a key would violate their
+  /// Replaces `out` with the ops completed since the last call, in
+  /// completion order. The two vectors trade buffers, so a caller that
+  /// passes the same vector every step allocates none in steady state.
+  void take_completions(std::vector<store_result>& out);
+  /// True while an op on object `obj` is in flight (e.g. orphaned by a
+  /// driver timeout); begin_get/begin_put on it would violate their
   /// precondition.
-  [[nodiscard]] bool has_pending(const std::string& key) const {
-    return pending_.contains(key_object_id(key));
+  [[nodiscard]] bool has_pending(object_id obj) const {
+    const auto it = objects_.find(obj);
+    return it != objects_.end() && it->second.op.has_value();
   }
 
   // ---------------------------------------------------------- reconfig --
@@ -150,7 +156,7 @@ class client final : public automaton {
   [[nodiscard]] std::string take_stats();
 
   /// True while at least one invoked operation has not completed.
-  [[nodiscard]] bool op_in_progress() const { return !pending_.empty(); }
+  [[nodiscard]] bool op_in_progress() const { return pending_ops_ != 0; }
 
   // automaton
   void on_message(netout& net, const process_id& from,
@@ -158,9 +164,6 @@ class client final : public automaton {
   void on_batch(netout& net, const process_id& from,
                 std::span<const message> msgs) override;
   [[nodiscard]] process_id self() const override { return self_; }
-
-  /// Distinct objects this client has touched (diagnostic).
-  [[nodiscard]] std::size_t objects_hosted() const { return objects_.size(); }
 
  private:
   struct pending_op {
@@ -170,10 +173,10 @@ class client final : public automaton {
     /// Inner completion counter snapshot at (re-)invocation.
     std::uint64_t before{0};
     /// Current attempt id, from the per-object monotonic counter
-    /// (attempts_): advanced on every invocation AND re-issue, so
-    /// stragglers aimed at an abandoned attempt -- of this op or any
-    /// earlier op on the object -- are recognizably stale. Outbound
-    /// messages carry it and nacks echo it.
+    /// (object_state::attempts): advanced on every invocation AND
+    /// re-issue, so stragglers aimed at an abandoned attempt -- of this
+    /// op or any earlier op on the object -- are recognizably stale.
+    /// Outbound messages carry it and nacks echo it.
     std::uint32_t attempt{0};
     /// Epoch the current attempt was issued under. A nack reaching an
     /// attempt issued under an older epoch re-issues it; a nack at the
@@ -192,43 +195,60 @@ class client final : public automaton {
     bool is_seed{false};
     object_id obj{k_default_object};
     std::uint64_t seq{0};
-    std::unordered_set<std::uint32_t> acked{};
+    server_set acked{};
     register_snapshot best{};
     bool done{false};
   };
 
-  /// An inner automaton plus the epoch it was created under. Replies
-  /// stamped with an older epoch belong to a superseded generation's
-  /// automaton (a different protocol) and must not be fed to this one --
-  /// e.g. an abd read_ack carries no seen set and an empty prev tag, and
-  /// would drive a fast_swmr reader's predicate-fail path to bottom.
-  struct inner_automaton {
-    std::unique_ptr<automaton> a;
+  /// Everything the client keeps for one object, in one map entry, so a
+  /// reply costs one lookup. Entries are never erased, so on_batch may
+  /// hold a record's address for the rest of its step.
+  struct object_state {
+    /// The inner automaton; null until the first op, and again once a
+    /// park or a protocol change discarded it.
+    std::unique_ptr<automaton> a{};
+    /// Epoch `a` was created under. Replies stamped with an older epoch
+    /// belong to a superseded generation's automaton (a different
+    /// protocol) and must not be fed to this one -- e.g. an abd read_ack
+    /// carries no seen set and an empty prev tag, and would drive a
+    /// fast_swmr reader's predicate-fail path to bottom.
     epoch_t birth{k_initial_epoch};
+    /// a's client role, resolved once when `a` is created: the reader of
+    /// a reader-role client, the writer of a writer-role one.
+    reader_iface* reader{nullptr};
+    writer_iface* writer{nullptr};
+    /// Attempt counter, monotonic across the object's ops (pending_op).
+    std::uint32_t attempts{0};
+    /// The front-end op in flight on the object, parked ones included.
+    std::optional<pending_op> op{};
+    /// Migrated state: applied via writer_iface::seed_writer whenever
+    /// the object's writer automaton is (re)created.
+    std::optional<register_snapshot> floor{};
   };
 
-  automaton& inner_for(object_id obj);
-  void invoke_on(object_id obj, pending_op& op);
-  void reissue(object_id obj, pending_op& op);
-  void park(object_id obj, pending_op& op);
-  void handle_nack(const message& m);
+  void begin(std::string key, object_id obj, bool is_put, value_t v);
+  /// Creates st's inner automaton under the current map if it has none.
+  void ensure_inner(object_id obj, object_state& st);
+  static void drop_inner(object_state& st);
+  void invoke_on(object_id obj, object_state& st);
+  void reissue(object_id obj, object_state& st);
+  void park(object_id obj, object_state& st);
+  object_state* handle_nack(const message& m);
   void handle_mig_ack(const process_id& from, const message& m);
-  void route(const process_id& from, const message& m);
-  /// Shared nack/mig-ack/route dispatch; returns true when m.obj's
+  object_state* route(const process_id& from, const message& m);
+  /// Shared nack/mig-ack/route dispatch; returns m.obj's record when its
   /// front-end op should be polled for completion afterwards.
-  bool dispatch_one(const process_id& from, const message& m);
-  void poll_object(object_id obj);
+  object_state* dispatch_one(const process_id& from, const message& m);
+  void poll_object(object_id obj, object_state& st);
 
   std::shared_ptr<const shard_map> map_;
   map_source source_;
   process_id self_;
-  std::unordered_map<object_id, inner_automaton> objects_;
-  /// Migrated state per object: applied via writer_iface::seed_writer when
-  /// the object's writer automaton is (re)created.
-  std::unordered_map<object_id, register_snapshot> floors_;
-  std::unordered_map<object_id, pending_op> pending_;
-  /// Per-object attempt counter (monotonic across ops; see pending_op).
-  std::unordered_map<object_id, std::uint32_t> attempts_;
+  std::unordered_map<object_id, object_state> objects_;
+  /// Records whose op is engaged.
+  std::size_t pending_ops_{0};
+  /// on_batch's scratch: the records a step touched, in message order.
+  std::vector<std::pair<object_id, object_state*>> touched_;
   std::optional<mig_op> mig_;
   std::uint64_t mig_seq_{0};
   batch_collector outbox_;

@@ -274,9 +274,8 @@ void server::adopt_seed(object_id obj, const register_snapshot& snap) {
     note.val = snap.val;
     note.prev = snap.prev;
     note.sig = snap.sig;
-    for (const auto peer : subs->second) {
-      outbox_.add(server_id(peer), note);
-    }
+    subs->second.for_each(
+        [&](std::uint32_t peer) { outbox_.add(server_id(peer), note); });
     fetch_subs_.erase(subs);
   }
 }
@@ -411,7 +410,7 @@ void server::handle_fetch_ack(const process_id& from, const message& m) {
   }
   auto& st = it->second;
   if (st.dormant) return;
-  if (!st.answered.insert(from.index).second) return;
+  if (!st.answered.insert(from.index)) return;
   st.any_prev = st.any_prev || (m.rcounter & k_fetch_prev_hosted) != 0;
   // Decide once a safe majority of peers answered: of the S-1 peers, up
   // to t may be crashed, so S-1-t answers is the most we may wait for.

@@ -142,7 +142,7 @@ class server final : public automaton {
     /// self-healing, and a nack would mean nothing to a server).
     std::vector<std::pair<process_id, message>> gossip_waiting{};
     /// Peers that answered without a seed (k_fetch_seeded clear).
-    std::unordered_set<std::uint32_t> answered{};
+    server_set answered{};
     /// Some answering peer still hosts previous-generation state.
     bool any_prev{false};
     /// Enough peers answered and the handoff is in flight: stop
@@ -199,8 +199,7 @@ class server final : public automaton {
   /// Peers whose fetch_req for the object this server answered without a
   /// seed; they get an unsolicited seeded fetch_ack the moment one is
   /// adopted here. Cleared per generation.
-  std::unordered_map<object_id, std::unordered_set<std::uint32_t>>
-      fetch_subs_;
+  std::unordered_map<object_id, server_set> fetch_subs_;
   /// Objects the last install set aside by coordinator fiat (their
   /// protocol did not change); they fence and migrate like moved ones.
   std::unordered_set<object_id> force_moved_;

@@ -1,6 +1,7 @@
 #include "store/shard_map.h"
 
 #include "common/check.h"
+#include "common/server_set.h"
 #include "registers/registry.h"
 
 namespace fastreg::store {
@@ -19,6 +20,8 @@ shard_map::shard_map(store_config cfg, epoch_t epoch)
     : cfg_(std::move(cfg)), epoch_(epoch) {
   FASTREG_EXPECTS(cfg_.num_shards >= 1);
   FASTREG_EXPECTS(!cfg_.shard_protocols.empty());
+  // Store clients and servers track answering servers in server_sets.
+  FASTREG_EXPECTS(cfg_.base.S() <= server_set::max_servers);
   protos_.reserve(cfg_.num_shards);
   for (std::uint32_t s = 0; s < cfg_.num_shards; ++s) {
     const auto& name =

@@ -1,8 +1,11 @@
 // Unit tests: ids, seen sets, serialization, deterministic RNG.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "common/seen_set.h"
+#include "common/server_set.h"
 #include "common/serialization.h"
 #include "common/types.h"
 
@@ -73,6 +76,37 @@ TEST(SeenSet, IdempotentInsert) {
   s.insert(reader_id(5));
   s.insert(reader_id(5));
   EXPECT_EQ(s.size(), 1u);
+}
+
+TEST(ServerSet, InsertReportsFreshnessAndCounts) {
+  server_set s;
+  EXPECT_EQ(s.size(), 0u);
+  EXPECT_TRUE(s.insert(3));
+  EXPECT_FALSE(s.insert(3));  // a second ack from one server
+  EXPECT_TRUE(s.insert(0));
+  EXPECT_TRUE(s.insert(server_set::max_servers - 1));
+  EXPECT_EQ(s.size(), 3u);
+  EXPECT_TRUE(s.contains(0));
+  EXPECT_TRUE(s.contains(3));
+  EXPECT_TRUE(s.contains(63));
+  EXPECT_FALSE(s.contains(1));
+  EXPECT_FALSE(s.contains(64));  // out of range is never a member
+  s.clear();
+  EXPECT_EQ(s.size(), 0u);
+  EXPECT_FALSE(s.contains(3));
+}
+
+TEST(ServerSet, ForEachVisitsMembersInAscendingOrder) {
+  server_set s;
+  for (const std::uint32_t i : {63u, 5u, 0u, 17u}) s.insert(i);
+  std::vector<std::uint32_t> seen;
+  s.for_each([&](std::uint32_t i) { seen.push_back(i); });
+  EXPECT_EQ(seen, (std::vector<std::uint32_t>{0, 5, 17, 63}));
+}
+
+TEST(ServerSetDeathTest, IndexBeyondTheMaskIsRejected) {
+  server_set s;
+  EXPECT_DEATH(s.insert(server_set::max_servers), "precondition");
 }
 
 TEST(Serialization, RoundTripsIntegers) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "checker/atomicity.h"
+#include "common/server_set.h"
 #include "net/framing.h"
 #include "net/node.h"
 #include "net/socket.h"
@@ -508,6 +509,49 @@ TEST(Cluster, CorruptStreamResetsConnectionAndServerKeepsServing) {
   const auto res = r.read();
   ASSERT_TRUE(res.has_value());
   EXPECT_EQ(res->val, "after-garbage");
+  ts.stop();
+}
+
+TEST(Cluster, FrameFromAServerBeyondSIsSkippedAndTheServerKeepsServing) {
+  // maxmin servers key a read's gossip senders by server index. Frames
+  // naming a server this S = 3 deployment does not have -- inside the
+  // 64-server mask (3) and beyond it (64) -- are malformed: the server
+  // skips them, keeps the stream and keeps serving.
+  tcp_store ts(one_register(make_cfg(3, 1, 1), "maxmin"));
+  ts.start();
+  register_client w(ts.frontend(), writer_id(0));
+  register_client r(ts.frontend(), reader_id(0));
+  ASSERT_TRUE(w.write("before-forged-senders"));
+
+  const std::uint64_t malformed0 = malformed_frames();
+  unique_fd evil = connect_to(ts.cluster().book().server_ports[0]);
+  ASSERT_TRUE(evil.valid());
+  message gossip;
+  gossip.type = msg_type::gossip;
+  gossip.origin = reader_id(0);
+  gossip.rcounter = 1;
+  auto bytes = encode_hello(server_id(server_set::max_servers));
+  for (const std::uint32_t i : {3u, server_set::max_servers}) {
+    const auto f = one_message_frame(server_id(i), gossip);
+    bytes.insert(bytes.end(), f.begin(), f.end());
+  }
+  ASSERT_EQ(::send(evil.get(), bytes.data(), bytes.size(), 0),
+            static_cast<ssize_t>(bytes.size()));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (malformed_frames() - malformed0 < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(malformed_frames() - malformed0, 3u);
+  // The stream was kept: the server did not close it.
+  pollfd pfd{evil.get(), POLLIN, 0};
+  EXPECT_EQ(::poll(&pfd, 1, 100), 0);
+
+  ASSERT_TRUE(w.write("after-forged-senders"));
+  const auto res = r.read();
+  ASSERT_TRUE(res.has_value());
+  EXPECT_EQ(res->val, "after-forged-senders");
   ts.stop();
 }
 

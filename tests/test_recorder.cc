@@ -174,6 +174,28 @@ TEST(RecorderCatapult, ValidatorAcceptsRenderAndRejectsGarbage) {
       << "a non-metadata event needs ts";
 }
 
+TEST(RecorderCatapult, ValidatorWalksNestedArraysAndLiterals) {
+  // An "args" object holding every JSON kind the walker descends into:
+  // nested and empty arrays, true / false / null.
+  const std::string ok =
+      R"([{"ph":"i","name":"x","ts":1,"pid":1,"tid":1,)"
+      R"("args":{"ids":[1,[2,3],[]],"flags":[true,false,null],)"
+      R"("on":true,"v":null}}])";
+  EXPECT_EQ(obs::validate_catapult(ok), "");
+  EXPECT_NE(obs::validate_catapult(
+                R"([{"ph":"i","name":"x","ts":1,"pid":1,"tid":1,"on":tru}])"),
+            "")
+      << "a truncated literal";
+  EXPECT_NE(obs::validate_catapult(
+                R"([{"ph":"i","name":"x","ts":1,"pid":1,"tid":1,"a":[1,2}])"),
+            "")
+      << "an array closed by a brace";
+  EXPECT_NE(obs::validate_catapult(
+                R"([{"ph":"i","name":"x","ts":null,"pid":1,"tid":1}])"),
+            "")
+      << "a literal where ts must be a number";
+}
+
 // ------------------------------------------------------------ the wire --
 
 TEST(RecorderWire, TraceAndSpanSurviveMsgAndBatchFrames) {

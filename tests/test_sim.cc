@@ -20,6 +20,34 @@ world make_world(const char* proto = "abd", std::uint32_t S = 3,
   return w;
 }
 
+TEST(World, SixtyFourServersCompleteReadsAndWrites) {
+  // The largest deployment an ack set (server_set) can track.
+  auto w = make_world("abd", server_set::max_servers, 1, 1);
+  rng r(7);
+  w.invoke_write("x");
+  w.run_random(r);
+  w.invoke_read(0);
+  w.run_random(r);
+  ASSERT_TRUE(w.last_read(0).has_value());
+  EXPECT_EQ(w.last_read(0)->val, "x");
+}
+
+TEST(WorldDeathTest, SixtyFiveServersAreRejectedWhereAProtocolIsBuilt) {
+  const auto cfg = make_cfg(server_set::max_servers + 1, 1, 1);
+  for (const auto& name : protocol_names()) {
+    if (name == "fast_bft") continue;  // needs a signature scheme; below
+    const auto proto = make_protocol(name);
+    EXPECT_DEATH((void)proto->make_reader(cfg, 0), "precondition") << name;
+  }
+  EXPECT_DEATH((void)make_protocol("abd")->make_writer(cfg, 0),
+               "precondition");
+  EXPECT_DEATH((void)make_protocol("fast_bft")
+                   ->make_reader(make_cfg(server_set::max_servers + 1, 1, 1,
+                                          0, 1, "oracle"),
+                                 0),
+               "precondition");
+}
+
 TEST(World, InvokeWritePutsMessagesInTransit) {
   auto w = make_world();
   EXPECT_TRUE(w.in_transit().empty());
