@@ -98,21 +98,6 @@ constexpr syscall_column k_syscall_columns[] = {
     {"epoll_ctl", "fastreg_net_epoll_ctls_total", ""},
 };
 
-/// Sum of `col`'s rows in an interval scrape.
-double column_total(const std::vector<obs::sample>& rows,
-                    const syscall_column& col) {
-  double total = 0;
-  for (const auto& s : rows) {
-    const std::string_view name = s.name;
-    if (name.substr(0, name.find('{')) != col.series) continue;
-    if (*col.label != '\0' && name.find(col.label) == std::string_view::npos) {
-      continue;
-    }
-    total += s.value;
-  }
-  return total;
-}
-
 struct tcp_result {
   stats read_us;
   stats write_us;
@@ -151,7 +136,8 @@ tcp_result run_tcp(const std::string& proto, std::uint32_t S, std::uint32_t t,
     }
     const auto rows = scrape.take();
     for (const auto& col : k_syscall_columns) {
-      out.syscalls_per_op.push_back(column_total(rows, col) / (2.0 * ops));
+      out.syscalls_per_op.push_back(
+          obs::series_sum(rows, col.series, col.label) / (2.0 * ops));
     }
   }
   // Rounds per op from the store's history (the warmup pair included: an

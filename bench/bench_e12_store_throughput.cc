@@ -216,17 +216,6 @@ std::vector<wire_mode> wire_modes(bool smoke) {
           {"adaptive", adaptive, 8}};
 }
 
-/// Sum of every series of `name` (any labels) in an interval delta.
-double sum_counter(const std::vector<obs::sample>& rows,
-                   const char* name) {
-  double s = 0;
-  const std::string prefix = std::string(name) + "{";
-  for (const auto& r : rows) {
-    if (r.name == name || r.name.rfind(prefix, 0) == 0) s += r.value;
-  }
-  return s;
-}
-
 void run_wire_knob_part(bool smoke) {
   std::printf("E12c: transport knobs under 8 client threads (1 writer + 7 "
               "readers, abd shards, 64 keys, single-key ops). Rows vary "
@@ -314,9 +303,9 @@ void run_wire_knob_part(bool smoke) {
     const bool atomic = hist.verify().ok;
     const auto delta = scrape.take();
     const double frames =
-        sum_counter(delta, "fastreg_net_frames_out_total");
+        obs::series_sum(delta, "fastreg_net_frames_out_total");
     const double writevs =
-        sum_counter(delta, "fastreg_net_writev_calls_total");
+        obs::series_sum(delta, "fastreg_net_writev_calls_total");
     t.add_row({m.window, std::to_string(m.depth), fmt(ops_s, 0),
                fmt(get_us.p50()), fmt(get_us.p99()),
                fmt(base_ops > 0 ? ops_s / base_ops : 0, 2) + "x",
@@ -351,14 +340,8 @@ void raise_fd_limit(rlim_t want) {
 /// Live sum of every fastreg_net_reactor_connections series belonging to
 /// a server node (labels render as node="s1", node="s2", ...).
 double server_connections_now() {
-  double s = 0;
-  for (const auto& row : obs::snapshot()) {
-    if (row.name.rfind("fastreg_net_reactor_connections{", 0) == 0 &&
-        row.name.find("node=\"s") != std::string::npos) {
-      s += row.value;
-    }
-  }
-  return s;
+  return obs::series_sum(obs::snapshot(), "fastreg_net_reactor_connections",
+                         "node=\"s");
 }
 
 void run_fanin_part(bool smoke) {
@@ -545,16 +528,15 @@ double obs_check_pass(store::tcp_store& ts, std::uint32_t R,
   return get_us.p50();
 }
 
-/// CI gate: (a) the stats_req scrape over a raw socket yields a dump
-/// that parses under the exposition grammar, and (b) window-0
-/// closed-loop get p50 with the flight recorder ON stays within 5% of
-/// recording off in the SAME run. Rotating passes, best-of-5 per mode:
-/// the min is what
-/// the machine can do, so a spurious scheduler spike in one pass cannot
-/// fake (or mask) a regression. Writes the dump to `dump_path` (when
-/// given) for the external obs_check validator.
+/// CI gate: (a) the in-process registry dump parses under the exposition
+/// grammar and carries the store, admission and reactor series, and (b)
+/// window-0 closed-loop get p50 with the flight recorder ON stays within
+/// 5% of recording off in the SAME run. Rotating passes, best-of-5 per
+/// mode: the min is what the machine can do, so a spurious scheduler
+/// spike in one pass cannot fake (or mask) a regression. Writes the dump
+/// to `dump_path` (when given) for the external obs_check validator.
 int run_obs_check(const char* dump_path) {
-  std::printf("E12 --obs-check: recording overhead + scrape "
+  std::printf("E12 --obs-check: recording overhead + registry dump "
               "validation\n\n");
   const std::uint32_t R = 4;
   const std::uint32_t keys = 64;
@@ -608,15 +590,12 @@ int run_obs_check(const char* dump_path) {
   }
   obs::set_recording(false);
 
-  const std::string dump = ts.scrape(0);
+  const std::string dump = obs::render_text();
   ts.stop();
 
   bool ok = true;
-  if (dump.empty()) {
-    std::printf("FAIL: stats scrape returned nothing\n");
-    ok = false;
-  } else if (const auto err = obs::validate_dump(dump); !err.empty()) {
-    std::printf("FAIL: stats dump invalid: %s\n", err.c_str());
+  if (const auto err = obs::validate_dump(dump); !err.empty()) {
+    std::printf("FAIL: registry dump invalid: %s\n", err.c_str());
     ok = false;
   } else if (dump.find("fastreg_store_ops_total") == std::string::npos) {
     std::printf("FAIL: dump lacks fastreg_store_ops_total\n");
@@ -630,9 +609,9 @@ int run_obs_check(const char* dump_path) {
     std::printf("FAIL: dump lacks fastreg_net_reactor_connections\n");
     ok = false;
   } else {
-    std::printf("scrape: %zu bytes, dump valid\n", dump.size());
+    std::printf("registry dump: %zu bytes, valid\n", dump.size());
   }
-  if (dump_path != nullptr && !dump.empty()) {
+  if (dump_path != nullptr) {
     if (std::FILE* f = std::fopen(dump_path, "w")) {
       std::fwrite(dump.data(), 1, dump.size(), f);
       std::fclose(f);

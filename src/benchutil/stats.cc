@@ -44,40 +44,6 @@ double stats::percentile(double p) const {
   return samples_[lo] * (1 - frac) + samples_[hi] * frac;
 }
 
-void stream_hist::add(double sample) {
-  FASTREG_EXPECTS(sample >= 0 && std::isfinite(sample));
-  if (hist_.count() == 0) {
-    min_ = max_ = sample;
-  } else {
-    min_ = std::min(min_, sample);
-    max_ = std::max(max_, sample);
-  }
-  sum_ += sample;
-  hist_.observe(static_cast<std::uint64_t>(std::llround(sample * k_scale)));
-}
-
-double stream_hist::mean() const {
-  const auto n = hist_.count();
-  return n == 0 ? 0 : sum_ / static_cast<double>(n);
-}
-
-double stream_hist::percentile(double p) const {
-  FASTREG_EXPECTS(p >= 0 && p <= 100);
-  if (hist_.count() == 0) return 0;
-  const double est =
-      static_cast<double>(hist_.percentile(p)) / k_scale;
-  // The histogram clamps to ITS fixed-point min/max; re-clamp to the
-  // exact doubles so min()/percentile(0) agree to the last bit.
-  return std::clamp(est, min_, max_);
-}
-
-void stream_hist::reset() {
-  hist_.reset();
-  sum_ = 0;
-  min_ = 0;
-  max_ = 0;
-}
-
 std::string fmt(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, v);

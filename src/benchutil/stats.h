@@ -1,14 +1,9 @@
-// Latency sample accumulators with percentile queries: `stats` retains
-// every sample (exact percentiles via sort), `stream_hist` folds samples
-// into an obs::histogram in O(1) memory (bucketed percentiles, ~9%
-// worst-case relative error) for runs too long to keep every sample.
+// Latency sample accumulator with percentile queries: `stats` retains
+// every sample (exact percentiles via sort).
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
-
-#include "obs/metrics.h"
 
 namespace fastreg::benchutil {
 
@@ -32,35 +27,6 @@ class stats {
   void ensure_sorted() const;
   mutable std::vector<double> samples_;
   mutable bool sorted_{false};
-};
-
-/// Streaming counterpart of `stats`: same add/percentile surface, but
-/// samples land in a fixed-bucket log-scale obs::histogram instead of a
-/// vector. Doubles are scaled to fixed point (x1024) before bucketing,
-/// so sub-integer latencies (e.g. fractional microseconds) keep their
-/// resolution; count/mean/min/max stay exact, percentiles inherit the
-/// histogram's ~9% bucket quantization (clamped to observed [min, max]).
-class stream_hist {
- public:
-  static constexpr double k_scale = 1024.0;
-
-  void add(double sample);
-  [[nodiscard]] std::uint64_t count() const { return hist_.count(); }
-  [[nodiscard]] double mean() const;
-  [[nodiscard]] double min() const { return count() == 0 ? 0 : min_; }
-  [[nodiscard]] double max() const { return count() == 0 ? 0 : max_; }
-  /// Percentile; p outside [0, 100] aborts (contract check), no samples
-  /// returns 0.
-  [[nodiscard]] double percentile(double p) const;
-  [[nodiscard]] double p50() const { return percentile(50); }
-  [[nodiscard]] double p99() const { return percentile(99); }
-  void reset();
-
- private:
-  obs::histogram hist_;
-  double sum_{0};
-  double min_{0};
-  double max_{0};
 };
 
 /// "123.4" with the given precision; "-" when no samples.

@@ -63,6 +63,53 @@ struct process_id {
 
 [[nodiscard]] std::string to_string(const process_id& p);
 
+/// Wire message kinds (registers/message.h carries them). Named here, not
+/// next to the message struct, so every layer that renders a type code
+/// -- the flight recorder included -- shares one name table.
+enum class msg_type : std::uint8_t {
+  // One-phase write (all protocols) / phase-2 of the MWMR write.
+  write_req = 1,
+  write_ack = 2,
+  // Read round (all protocols).
+  read_req = 3,
+  read_ack = 4,
+  // Write-back phase: ABD read phase 2, MWMR read phase 2.
+  wb_req = 5,
+  wb_ack = 6,
+  // Timestamp query: MWMR write phase 1.
+  query_req = 7,
+  query_ack = 8,
+  // Server-to-server timestamp broadcast (max-min variant, Section 1).
+  gossip = 9,
+  // Reconfiguration control plane (src/reconfig). epoch_nack: a store
+  // server refuses a data message for a migrating object (stale epoch or
+  // the key is still draining); `epoch` carries the server's epoch.
+  epoch_nack = 10,
+  // Migration handoff, phase 1: read the old-generation register state of
+  // one object from every server; the ack carries (ts, wid, val, prev,
+  // sig) verbatim from the superseded instance.
+  state_req = 11,
+  state_ack = 12,
+  // Migration handoff, phase 2: install the drained state as the initial
+  // state of the object's new-generation instance and stop nacking it.
+  seed_req = 13,
+  seed_ack = 14,
+  // Server-to-server lazy seed fetch: a server that missed the quorum
+  // seed of a moved object asks its generation peers for the seeded
+  // snapshot on first post-drain access. The ack's `rcounter` carries the
+  // k_fetch_* flag bits; when k_fetch_seeded is set, (ts, wid, val, prev,
+  // sig) is the ORIGINAL seed snapshot of the object's generation.
+  fetch_req = 15,
+  fetch_ack = 16,
+};
+
+/// The highest msg_type code: 1..k_max_msg_type are the wire's kinds,
+/// anything else decodes as malformed.
+inline constexpr std::uint8_t k_max_msg_type =
+    static_cast<std::uint8_t>(msg_type::fetch_ack);
+
+[[nodiscard]] const char* to_string(msg_type t);
+
 /// Timestamps. The writer's first write carries ts = 1; ts = 0 denotes the
 /// initial state whose value is bottom (the paper's special value, written
 /// as \bot). MWMR timestamps carry a writer id for lexicographic tiebreak.

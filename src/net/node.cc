@@ -49,7 +49,7 @@ node_options node_options::from_env() {
       const unsigned long cap = std::strtoul(env + 9, &end, 10);
       if (end != env + 9 && *end == '\0' && cap > 0) {
         opt.adaptive = true;
-        opt.adaptive_cap_us = static_cast<std::uint32_t>(cap);
+        opt.batch_window_us = static_cast<std::uint32_t>(cap);
         ok = true;
       }
     } else {

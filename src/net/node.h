@@ -108,13 +108,11 @@ struct node_options {
   /// latency).
   std::uint32_t batch_window_us{0};
   /// Adaptive mode: each connection's effective window starts at 0 and
-  /// widens -- up to batch_window_us (or adaptive_cap_us when
-  /// batch_window_us is 0) -- while its flushes keep observing
+  /// widens -- up to window_cap_us() -- while its flushes keep observing
   /// multi-frame backlog; it collapses back toward 0 when that
   /// connection goes idle, so a lone request is not taxed the full
   /// window.
   bool adaptive{false};
-  std::uint32_t adaptive_cap_us{500};
   /// Bytes budget of the per-connection flush controller: under a batch
   /// window, a connection whose backlog reaches this many bytes is
   /// flushed immediately (the backlog already amortizes a writev; waiting
@@ -125,12 +123,18 @@ struct node_options {
   /// round-robin.
   std::uint32_t reactors{1};
 
+  /// Adaptive mode's cap when batch_window_us leaves it unset.
+  static constexpr std::uint32_t k_default_window_cap_us = 500;
+
+  /// The adaptive window's cap: batch_window_us, or
+  /// k_default_window_cap_us when that is 0.
   [[nodiscard]] std::uint32_t window_cap_us() const {
-    return batch_window_us != 0 ? batch_window_us : adaptive_cap_us;
+    return batch_window_us != 0 ? batch_window_us : k_default_window_cap_us;
   }
 
   /// Reads FASTREG_BATCH_WINDOW_US (an integer window in microseconds,
-  /// "0"/unset = immediate flush, or "adaptive" / "adaptive:<cap_us>"),
+  /// "0"/unset = immediate flush, or "adaptive" / "adaptive:<cap_us>",
+  /// which sets adaptive and batch_window_us = cap_us),
   /// FASTREG_REACTORS (a positive integer) and FASTREG_FLUSH_BYTES (a
   /// byte count; 0 disables the budget).
   [[nodiscard]] static node_options from_env();

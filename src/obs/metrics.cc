@@ -244,14 +244,7 @@ std::vector<sample> registry::snapshot() const {
 }
 
 std::string registry::render_text() const {
-  std::string out;
-  for (const auto& row : snapshot()) {
-    out += row.name;
-    out += ' ';
-    out += format_value(row.value);
-    out += '\n';
-  }
-  return out;
+  return render_samples(snapshot());
 }
 
 void registry::reset() {
@@ -284,30 +277,27 @@ std::vector<sample> diff_snapshot(const std::vector<sample>& cur,
   return out;
 }
 
+double series_sum(const std::vector<sample>& rows, std::string_view name,
+                  std::string_view label_substring) {
+  double total = 0;
+  for (const auto& row : rows) {
+    const std::string_view full = row.name;
+    const auto brace = full.find('{');
+    if (full.substr(0, brace) != name) continue;
+    if (!label_substring.empty() &&
+        (brace == std::string_view::npos ||
+         full.find(label_substring, brace) == std::string_view::npos)) {
+      continue;
+    }
+    total += row.value;
+  }
+  return total;
+}
+
 std::string render_samples(const std::vector<sample>& rows) {
   std::string out;
   for (const auto& row : rows) {
     out += row.name;
-    out += ' ';
-    out += format_value(row.value);
-    out += '\n';
-  }
-  return out;
-}
-
-std::string render_text_annotated(std::string_view node) {
-  const std::string inject = "node=\"" + std::string(node) + "\"";
-  std::string out;
-  for (const auto& row : snapshot()) {
-    const auto brace = row.name.find('{');
-    if (brace == std::string::npos) {
-      out += row.name + "{" + inject + "}";
-    } else if (row.name.find("node=\"", brace) == std::string::npos) {
-      out += row.name.substr(0, brace + 1) + inject + "," +
-             row.name.substr(brace + 1);
-    } else {
-      out += row.name;
-    }
     out += ' ';
     out += format_value(row.value);
     out += '\n';

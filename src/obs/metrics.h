@@ -11,15 +11,15 @@
 //    (reset() zeroes values but keeps registrations), so callers fetch
 //    once at construction time and cache the pointer.
 //  * One text exposition format everywhere: `name{labels} value`, one
-//    line per sample, rendered identically by the in-process snapshot,
-//    the benches and the stats_req/stats_ack admin frame — and parsed
-//    by the same validate_dump used in tests and tools/obs_check.
+//    line per sample, rendered by render_samples for the whole registry
+//    and for interval deltas alike — and parsed by the same validate_dump
+//    used in tests and tools/obs_check. Every deployment runs in one
+//    process, so reading the registry in-process is the only scrape.
 //
 // Histograms are fixed-bucket log-scale: 8 sub-buckets per power of two
 // (worst-case relative quantization error ~9%), exact count/sum/min/max
 // on the side. That makes percentile() a cumulative bucket walk — no
-// sample retention — which benchutil::stream_hist reuses to drop the
-// sort-the-whole-vector percentile path for million-sample runs.
+// sample retention.
 #pragma once
 
 #include <atomic>
@@ -79,8 +79,7 @@ class histogram {
   // 64 octaves x 8 sub-buckets, plus the dedicated zero bucket.
   static constexpr std::size_t k_buckets = 1 + (64u << k_sub_bits);
 
-  /// Index of the bucket `v` falls in (stable across processes; used by
-  /// benchutil::stream_hist too).
+  /// Index of the bucket `v` falls in (stable across processes).
   [[nodiscard]] static std::size_t bucket_index(std::uint64_t v);
   /// Representative value (geometric-ish midpoint) of bucket `idx`.
   [[nodiscard]] static std::uint64_t bucket_value(std::size_t idx);
@@ -155,7 +154,7 @@ class registry {
 
   /// All current samples, name-sorted (histograms expanded).
   [[nodiscard]] std::vector<sample> snapshot() const;
-  /// The text dump: one `name{labels} value` line per sample.
+  /// The text dump: render_samples(snapshot()).
   [[nodiscard]] std::string render_text() const;
   /// Zeroes every value; registrations (and handles) survive.
   void reset();
@@ -178,8 +177,15 @@ void reset_metrics();
 [[nodiscard]] std::vector<sample> diff_snapshot(
     const std::vector<sample>& cur, const std::vector<sample>& prev);
 
-/// The text rendering of an arbitrary sample list (same line format as
-/// render_text), for interval dumps.
+/// Sum of the rows of series `name` (the part before any `{`), optionally
+/// only those whose label set contains `label_substring` (for example
+/// `node="s` for every server node); 0 when no row matches.
+[[nodiscard]] double series_sum(const std::vector<sample>& rows,
+                                std::string_view name,
+                                std::string_view label_substring = {});
+
+/// The text rendering of a sample list: one `name{labels} value` line per
+/// row. render_text() is this over the whole registry.
 [[nodiscard]] std::string render_samples(const std::vector<sample>& rows);
 
 /// Phase-loop scrape helper: take() returns the delta since the last
@@ -199,13 +205,6 @@ class interval_scrape {
  private:
   std::vector<sample> prev_;
 };
-
-/// render_text with a node identity stamped onto every row that does
-/// not already carry one: rows whose label set lacks `node=` gain
-/// `node="<node>"`. The stats_ack scrape path uses it so rows from a
-/// merged in-process registry are attributable in multi-node-per-
-/// process runs (the same context LOG_* lines prefix from).
-[[nodiscard]] std::string render_text_annotated(std::string_view node);
 
 /// Validates a text dump against the exposition grammar (one
 /// `name{key="value",...} number` per non-empty line). Returns an empty

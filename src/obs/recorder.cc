@@ -103,18 +103,6 @@ const char* to_string(rec_event e) {
   return "?";
 }
 
-const char* rec_msg_type_name(std::uint8_t code) {
-  // Mirrors registers/message.cc's to_string by numeric code; the
-  // MsgTypeNameTableMatchesRegisters test keeps the two in lockstep.
-  static const char* const names[] = {
-      "-",         "WRITE",    "WRITEACK", "READ",     "READACK",
-      "WB",        "WBACK",    "QUERY",    "QUERYACK", "GOSSIP",
-      "EPOCHNACK", "STATE",    "STATEACK", "SEED",     "SEEDACK",
-      "FETCH",     "FETCHACK", "STATS",    "STATSACK"};
-  if (code >= sizeof(names) / sizeof(names[0])) return "-";
-  return names[code];
-}
-
 // ------------------------------------------------------------------- ring --
 
 // Seqlock slot: `stamp` holds the 1-based claim sequence (0 = never
@@ -240,7 +228,9 @@ std::string recorder::dump(const std::string& node,
                   static_cast<unsigned long long>(e.t),
                   static_cast<unsigned long long>(e.trace),
                   static_cast<unsigned>(e.span), to_string(e.ev),
-                  rec_msg_type_name(e.mtype),
+                  e.mtype >= 1 && e.mtype <= k_max_msg_type
+                      ? fastreg::to_string(static_cast<msg_type>(e.mtype))
+                      : "-",
                   fastreg::to_string(e.peer).c_str(),
                   static_cast<unsigned long long>(e.obj),
                   static_cast<unsigned long long>(e.epoch),

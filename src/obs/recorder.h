@@ -107,8 +107,8 @@ struct trace_ctx {
 
 /// Publishes a trace context for the current thread; restores the
 /// previous one on destruction. The simulator wraps invoke_write/
-/// invoke_read and do_step with it; net::node wraps its blocking-op
-/// lambdas and drain callback.
+/// invoke_read and do_step with it; net::node wraps each delivered
+/// batch's on_batch step in the head message's context.
 class scoped_trace_ctx {
  public:
   scoped_trace_ctx(std::uint64_t trace, std::uint16_t span);
@@ -139,13 +139,6 @@ enum class rec_event : std::uint8_t {
 
 [[nodiscard]] const char* to_string(rec_event e);
 
-/// Wire message-type names for dump rendering, by the numeric codes of
-/// registers/message.h (1..18). obs cannot link fastreg_registers (the
-/// dependency points the other way), so it keeps its own table; a unit
-/// test asserts parity with registers' to_string. Returns "-" for 0 or
-/// out-of-range codes.
-[[nodiscard]] const char* rec_msg_type_name(std::uint8_t code);
-
 /// One decoded ring entry, oldest-first in dump order.
 struct rec_entry {
   std::uint64_t t{0};        ///< trace_now() at capture
@@ -153,7 +146,7 @@ struct rec_entry {
   std::uint64_t trace{0};
   std::uint16_t span{0};
   rec_event ev{rec_event::send};
-  std::uint8_t mtype{0};     ///< msg_type numeric code; 0 = none
+  std::uint8_t mtype{0};     ///< msg_type numeric code; 0 = none (dumped as -)
   process_id peer{};         ///< the other endpoint (self is the node)
   object_id obj{k_default_object};
   epoch_t epoch{k_initial_epoch};

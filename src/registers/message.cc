@@ -14,48 +14,6 @@ std::string system_config::describe() const {
   return out;
 }
 
-const char* to_string(msg_type t) {
-  switch (t) {
-    case msg_type::write_req:
-      return "WRITE";
-    case msg_type::write_ack:
-      return "WRITEACK";
-    case msg_type::read_req:
-      return "READ";
-    case msg_type::read_ack:
-      return "READACK";
-    case msg_type::wb_req:
-      return "WB";
-    case msg_type::wb_ack:
-      return "WBACK";
-    case msg_type::query_req:
-      return "QUERY";
-    case msg_type::query_ack:
-      return "QUERYACK";
-    case msg_type::gossip:
-      return "GOSSIP";
-    case msg_type::epoch_nack:
-      return "EPOCHNACK";
-    case msg_type::state_req:
-      return "STATE";
-    case msg_type::state_ack:
-      return "STATEACK";
-    case msg_type::seed_req:
-      return "SEED";
-    case msg_type::seed_ack:
-      return "SEEDACK";
-    case msg_type::fetch_req:
-      return "FETCH";
-    case msg_type::fetch_ack:
-      return "FETCHACK";
-    case msg_type::stats_req:
-      return "STATS";
-    case msg_type::stats_ack:
-      return "STATSACK";
-  }
-  return "?";
-}
-
 std::vector<std::uint8_t> signed_payload(object_id obj, ts_t ts,
                                          std::int32_t wid, const value_t& val,
                                          const value_t& prev) {
@@ -113,10 +71,7 @@ void encode_message(byte_writer& w, const message& m) {
 std::optional<message> decode_message(byte_reader& r) {
   message m;
   const auto type = r.get_u8();
-  if (!type || *type < 1 ||
-      *type > static_cast<std::uint8_t>(msg_type::stats_ack)) {
-    return std::nullopt;
-  }
+  if (!type || *type < 1 || *type > k_max_msg_type) return std::nullopt;
   m.type = static_cast<msg_type>(*type);
   const auto obj = r.get_u64();
   const auto epoch = r.get_u64();

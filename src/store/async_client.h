@@ -40,7 +40,7 @@
 // op's late completion only closes its op_log entry.
 //
 // Admission outcomes are counted in the process registry
-// (fastreg_store_admission_total{result=...}) so a scrape shows how
+// (fastreg_store_admission_total{result=...}) so a snapshot shows how
 // often the window or a busy key pushed back.
 #pragma once
 

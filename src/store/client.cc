@@ -221,21 +221,6 @@ void client::begin_seed(object_id obj, const register_snapshot& s,
   }
 }
 
-void client::begin_stats(std::uint32_t server_index) {
-  message m;
-  m.type = msg_type::stats_req;
-  m.trace = obs::next_trace_id();
-  m.rcounter = ++stats_seq_;
-  stats_.reset();
-  outbox_.add(server_id(server_index), std::move(m));
-}
-
-std::string client::take_stats() {
-  std::string out = stats_.value_or(std::string{});
-  stats_.reset();
-  return out;
-}
-
 const register_snapshot& client::mig_snapshot() const {
   FASTREG_EXPECTS(mig_done() && !mig_->is_seed);
   return mig_->best;
@@ -347,10 +332,6 @@ client::object_state* client::route(const process_id& from,
 
 client::object_state* client::dispatch_one(const process_id& from,
                                            const message& m) {
-  if (m.type == msg_type::stats_ack) {
-    if (from.is_server() && m.rcounter == stats_seq_) stats_ = m.val;
-    return nullptr;  // scrape I/O never completes a front-end op
-  }
   if (m.type == msg_type::epoch_nack) return handle_nack(m);
   if (m.type == msg_type::state_ack || m.type == msg_type::seed_ack) {
     handle_mig_ack(from, m);

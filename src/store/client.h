@@ -144,17 +144,6 @@ class client final : public automaton {
   [[nodiscard]] bool mig_done() const { return mig_.has_value() && mig_->done; }
   [[nodiscard]] const register_snapshot& mig_snapshot() const;
 
-  // ------------------------------------------------------------- scrape --
-  // Live introspection (src/obs): ask a store server for its metrics
-  // dump over the data path. One scrape in flight at a time.
-
-  /// Sends a stats_req to server `index`. Follow with flush(); the reply
-  /// is stashed for take_stats().
-  void begin_stats(std::uint32_t server_index);
-  [[nodiscard]] bool stats_ready() const { return stats_.has_value(); }
-  /// The scraped `name{labels} value` text dump; empty if none arrived.
-  [[nodiscard]] std::string take_stats();
-
   /// True while at least one invoked operation has not completed.
   [[nodiscard]] bool op_in_progress() const { return pending_ops_ != 0; }
 
@@ -253,10 +242,6 @@ class client final : public automaton {
   std::uint64_t mig_seq_{0};
   batch_collector outbox_;
   std::vector<store_result> completions_;
-  /// Scrape state: stashed stats_ack dump and the sequence its reply
-  /// must echo (stale acks of an earlier scrape are dropped).
-  std::optional<std::string> stats_;
-  std::uint64_t stats_seq_{0};
   /// Registry handles (per-client label): every client with this id in
   /// the process shares the rows, so the registry counts the union while
   /// parked_count() stays exact.

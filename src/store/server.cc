@@ -436,23 +436,6 @@ void server::handle_fetch_ack(const process_id& from, const message& m) {
 }
 
 void server::handle_one(const process_id& from, const message& m) {
-  if (m.type == msg_type::stats_req) {
-    // Answered before any epoch fencing: scraping must keep working
-    // mid-migration (the dump is how a stuck migration is diagnosed).
-    message ack;
-    ack.type = msg_type::stats_ack;
-    ack.epoch = map_->epoch();
-    ack.trace = m.trace;
-    ack.span = m.span;
-    ack.rcounter = m.rcounter;
-    // Stamp this server's identity on every row that lacks one: a
-    // scrape of a merged in-process registry is otherwise ambiguous
-    // about which node answered. Same context the LOG_* prefix uses.
-    ack.val = obs::render_text_annotated(
-        log_node().empty() ? to_string(server_id(index_)) : log_node());
-    outbox_.add(from, std::move(ack));
-    return;
-  }
   if (m.type == msg_type::state_req) {
     handle_state_req(from, m);
     return;

@@ -38,18 +38,6 @@ server& sim_store::restart_server(std::uint32_t i) {
   return server_at(i);
 }
 
-std::string sim_store::scrape(std::uint32_t server_index, rng& r,
-                              std::uint64_t max_steps) {
-  const process_id p = reader_id(0);
-  auto& c = client_at(p);
-  world_.invoke_step(p, [&](netout& net) {
-    c.begin_stats(server_index);
-    c.flush(net);
-  });
-  world_.run_random_until(r, [&] { return c.stats_ready(); }, max_steps);
-  return c.take_stats();
-}
-
 bool sim_store::idle() {
   if (!world_.in_transit().empty()) return false;
   const auto& cfg = proto_.config().base;

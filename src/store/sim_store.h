@@ -12,8 +12,6 @@
 // (adversary surgery, crash injection) work on the underlying world.
 #pragma once
 
-#include <string>
-
 #include "sim/world.h"
 #include "store/async_client.h"
 #include "store/histories.h"
@@ -58,13 +56,6 @@ class sim_store {
 
   /// True when no client has an op in flight and no message is in transit.
   [[nodiscard]] bool idle();
-
-  /// Scrapes server `server_index`'s metrics over the simulated data
-  /// path (stats_req/stats_ack through reader 0), driving the world
-  /// until the ack lands. Returns the `name{labels} value` text dump;
-  /// empty if the ack never arrived within `max_steps`.
-  [[nodiscard]] std::string scrape(std::uint32_t server_index, rng& r,
-                                   std::uint64_t max_steps = 10'000);
 
   /// The op log every session over this store records into.
   [[nodiscard]] op_log& log() { return log_; }

@@ -25,7 +25,6 @@
 // history record without being reported to anyone.
 #pragma once
 
-#include <chrono>
 #include <memory>
 #include <string>
 
@@ -70,16 +69,6 @@ class tcp_store {
   /// invocation-time order (steady-clock nanoseconds, one machine, so
   /// cross-node ordering is meaningful). Thread-safe.
   [[nodiscard]] store_histories gather() const { return log_.gather(); }
-
-  /// Scrapes server `server_index`'s metrics over a dedicated raw socket
-  /// (hello + stats_req, framed exactly like any client): the admin path
-  /// an external collector would use. Safe alongside live traffic -- the
-  /// scraper introduces itself under a process id no real client holds,
-  /// so no reply route is hijacked. Returns the `name{labels} value`
-  /// text dump; empty on timeout or connection failure.
-  [[nodiscard]] std::string scrape(
-      std::uint32_t server_index,
-      std::chrono::milliseconds timeout = std::chrono::seconds(10));
 
  private:
   store_protocol proto_;

@@ -1,6 +1,8 @@
 // Unit tests: ids, seen sets, serialization, deterministic RNG.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -30,6 +32,23 @@ TEST(ProcessId, ToStringUsesPaperNames) {
   EXPECT_EQ(to_string(writer_id(0)), "w");
   EXPECT_EQ(to_string(reader_id(0)), "r1");
   EXPECT_EQ(to_string(server_id(4)), "s5");
+}
+
+TEST(MsgType, EveryWireKindHasOneDistinctName) {
+  // The one name table every layer renders through: each code the wire
+  // carries has its own name, and no code outside 1..k_max_msg_type
+  // (0, or the retired 17 and 18) borrows one.
+  std::set<std::string> names;
+  for (unsigned c = 1; c <= k_max_msg_type; ++c) {
+    const std::string name = to_string(static_cast<msg_type>(c));
+    EXPECT_NE(name, "?") << c;
+    EXPECT_FALSE(name.empty()) << c;
+    EXPECT_TRUE(names.insert(name).second) << name << " named twice";
+  }
+  EXPECT_EQ(names.size(), k_max_msg_type);
+  for (const unsigned c : {0u, k_max_msg_type + 1u, k_max_msg_type + 2u}) {
+    EXPECT_STREQ(to_string(static_cast<msg_type>(c)), "?") << c;
+  }
 }
 
 TEST(SeenSet, InsertAndContains) {

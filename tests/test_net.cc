@@ -379,6 +379,55 @@ TEST(Framing, RetiredMsgKindIsSkippedAndTheStreamContinues) {
   EXPECT_FALSE(fb.corrupt());
 }
 
+TEST(Framing, RetiredStatsMsgTypesAreMalformedAndTheStreamContinues) {
+  // Types 17 and 18 once carried a metrics scrape; the registry is read
+  // in-process now, so a batch carrying either is malformed.
+  message m;
+  m.type = msg_type::read_req;
+  // The first message's type byte follows the frame header (length,
+  // kind, sender, count).
+  const std::size_t at = 4 + 1 + process_id_wire_size() + 4;
+  std::vector<std::uint8_t> bytes;
+  for (const std::uint8_t retired : {17, 18}) {
+    auto bad = one_message_frame(reader_id(0), m);
+    ASSERT_EQ(bad[at], static_cast<std::uint8_t>(msg_type::read_req));
+    bad[at] = retired;
+    bytes.insert(bytes.end(), bad.begin(), bad.end());
+  }
+  const auto good = one_message_frame(reader_id(1), m);
+  bytes.insert(bytes.end(), good.begin(), good.end());
+  const std::uint64_t malformed0 = malformed_frames();
+  frame_buffer fb;
+  const auto got = drain_all(fb, bytes);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].from, reader_id(1));
+  ASSERT_EQ(got[0].batch.size(), 1u);
+  EXPECT_EQ(got[0].batch[0].type, msg_type::read_req);
+  EXPECT_EQ(malformed_frames() - malformed0, 2u);
+  EXPECT_FALSE(fb.corrupt());
+}
+
+TEST(Framing, OnlyTheWireKindsDecode) {
+  // decode_message accepts exactly the codes 1..k_max_msg_type; every
+  // other type byte, the retired 17 and 18 among them, is malformed.
+  message m;
+  m.type = msg_type::read_req;
+  m.val = "v";
+  byte_writer w;
+  encode_message(w, m);
+  auto bytes = w.take();
+  for (unsigned c = 0; c <= 255; ++c) {
+    bytes[0] = static_cast<std::uint8_t>(c);
+    byte_reader r(bytes);
+    const auto got = decode_message(r);
+    ASSERT_EQ(got.has_value(), c >= 1 && c <= k_max_msg_type) << c;
+    if (got) {
+      EXPECT_EQ(static_cast<unsigned>(got->type), c);
+      EXPECT_EQ(got->val, "v");
+    }
+  }
+}
+
 // ---------------------------------------------------------- delivery unit
 //
 // batching.h's parity claim: on both transports every send is one
@@ -555,6 +604,51 @@ TEST(Cluster, FrameFromAServerBeyondSIsSkippedAndTheServerKeepsServing) {
   ts.stop();
 }
 
+TEST(Cluster, RetiredStatsFramesAreSkippedAndTheServerKeepsServing) {
+  // A peer still sending the retired metrics-scrape types (17, 18) gets
+  // no answer: each frame is counted malformed and skipped, the stream is
+  // kept, and the deployment keeps serving.
+  tcp_store ts(one_register(make_cfg(3, 1, 1), "abd"));
+  ts.start();
+  register_client w(ts.frontend(), writer_id(0));
+  register_client r(ts.frontend(), reader_id(0));
+  ASSERT_TRUE(w.write("before-retired-frames"));
+
+  const std::uint64_t malformed0 = malformed_frames();
+  unique_fd old_peer = connect_to(ts.cluster().book().server_ports[0]);
+  ASSERT_TRUE(old_peer.valid());
+  message m;
+  m.type = msg_type::read_req;
+  // The message's type byte follows the frame header (length, kind,
+  // sender, count).
+  const std::size_t at = 4 + 1 + process_id_wire_size() + 4;
+  std::vector<std::uint8_t> bytes;
+  for (const std::uint8_t retired : {17, 18}) {
+    auto f = one_message_frame(reader_id(0), m);
+    ASSERT_EQ(f[at], static_cast<std::uint8_t>(msg_type::read_req));
+    f[at] = retired;
+    bytes.insert(bytes.end(), f.begin(), f.end());
+  }
+  ASSERT_EQ(::send(old_peer.get(), bytes.data(), bytes.size(), 0),
+            static_cast<ssize_t>(bytes.size()));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (malformed_frames() - malformed0 < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(malformed_frames() - malformed0, 2u);
+  // Nothing came back and the stream was kept open.
+  pollfd pfd{old_peer.get(), POLLIN, 0};
+  EXPECT_EQ(::poll(&pfd, 1, 100), 0);
+
+  ASSERT_TRUE(w.write("after-retired-frames"));
+  const auto res = r.read();
+  ASSERT_TRUE(res.has_value());
+  EXPECT_EQ(res->val, "after-retired-frames");
+  ts.stop();
+}
+
 TEST(Cluster, FastSwmrWriteReadOverTcp) {
   tcp_store ts(one_register(make_cfg(5, 1, 2), "fast_swmr"));
   ts.start();
@@ -670,26 +764,11 @@ TEST(Cluster, ServerStopModelsCrashToleratedByQuorum) {
   ts.stop();
 }
 
-/// Sum of every registry counter series whose name starts with `prefix`
-/// (labels vary per node/reactor; the total is what the test cares about).
-double counter_total(const std::string& prefix) {
-  double total = 0;
-  for (const auto& s : obs::snapshot()) {
-    if (s.name.rfind(prefix, 0) == 0) total += s.value;
-  }
-  return total;
-}
-
 /// Live sum of every fastreg_net_reactor_connections series of a server
 /// node (labels render as node="s1", node="s2", ...).
 double server_connections() {
-  double total = 0;
-  for (const auto& s : obs::snapshot()) {
-    if (s.name.rfind("fastreg_net_reactor_connections{node=\"s", 0) == 0) {
-      total += s.value;
-    }
-  }
-  return total;
+  return obs::series_sum(obs::snapshot(), "fastreg_net_reactor_connections",
+                         "node=\"s");
 }
 
 TEST(Cluster, SignalStormDuringWorkloadClosesZeroConnections) {
@@ -741,9 +820,9 @@ TEST(Cluster, SignalStormDuringWorkloadClosesZeroConnections) {
   ASSERT_EQ(pthread_sigmask(SIG_BLOCK, &storm_set, &old_set), 0);
 
   const double accepts_before =
-      counter_total("fastreg_net_reactor_accepts_total");
+      obs::series_sum(obs::snapshot(), "fastreg_net_reactor_accepts_total");
   const double resets_before =
-      counter_total("fastreg_net_conn_resets_total");
+      obs::series_sum(obs::snapshot(), "fastreg_net_conn_resets_total");
 
   // Full-rate storm (no sleep): the sockets are nonblocking, so a signal
   // only lands "inside" read/writev during the microseconds the syscall
@@ -765,53 +844,17 @@ TEST(Cluster, SignalStormDuringWorkloadClosesZeroConnections) {
   storming.store(false);
   storm.join();
 
-  EXPECT_EQ(counter_total("fastreg_net_reactor_accepts_total"),
+  const auto after = obs::snapshot();
+  EXPECT_EQ(obs::series_sum(after, "fastreg_net_reactor_accepts_total"),
             accepts_before)
       << "a connection was closed and re-accepted during the storm";
-  EXPECT_EQ(counter_total("fastreg_net_conn_resets_total"), resets_before);
+  EXPECT_EQ(obs::series_sum(after, "fastreg_net_conn_resets_total"),
+            resets_before);
 
   EXPECT_TRUE(ts.gather().verify().ok);
   ts.stop();
   ASSERT_EQ(pthread_sigmask(SIG_SETMASK, &old_set, nullptr), 0);
   ASSERT_EQ(::sigaction(SIGUSR1, &old_sa, nullptr), 0);
-}
-
-TEST(Cluster, ScrapeRetriesSyscallsASignalInterrupts) {
-  // tcp_store::scrape polls, sends and reads on a raw socket from the
-  // calling thread. A signal landing in one of those calls is EINTR, not
-  // a dead server: under a SIGUSR1 storm aimed at the scraping thread
-  // alone, every scrape must still return the dump.
-  struct sigaction sa{};
-  sa.sa_handler = [](int) {};
-  sigemptyset(&sa.sa_mask);
-  sa.sa_flags = 0;  // deliberately NOT SA_RESTART: syscalls must see EINTR
-  struct sigaction old_sa{};
-  ASSERT_EQ(::sigaction(SIGUSR1, &sa, &old_sa), 0);
-
-  tcp_store ts(one_register(make_cfg(3, 1, 1), "abd"));
-  ts.start();
-  const pthread_t scraper = ::pthread_self();
-  std::atomic<bool> storming{true};
-  // Two senders: one alone lands a signal inside a syscall too rarely to
-  // fail a scrape that gives up on EINTR in every run.
-  std::vector<std::thread> storms;
-  for (int s = 0; s < 2; ++s) {
-    storms.emplace_back([&] {
-      while (storming.load(std::memory_order_relaxed)) {
-        ::pthread_kill(scraper, SIGUSR1);
-        ::sched_yield();
-      }
-    });
-  }
-  int empty = 0;
-  for (std::uint32_t k = 0; k < 200; ++k) {
-    if (ts.scrape(k % 3).empty()) ++empty;
-  }
-  storming.store(false);
-  for (auto& t : storms) t.join();
-  ts.stop();
-  ASSERT_EQ(::sigaction(SIGUSR1, &old_sa, nullptr), 0);
-  EXPECT_EQ(empty, 0) << "of 200 scrapes under the storm";
 }
 
 struct ship_run {
@@ -828,7 +871,8 @@ ship_run run_maxmin_with_server_reactors(std::uint32_t server_reactors) {
   copt.server_reactors = server_reactors;
   tcp_store ts(one_register(make_cfg(5, 1, 3), "maxmin"),
                node_options::from_env(), copt);
-  const double ships0 = counter_total("fastreg_net_reactor_ships_total");
+  const double ships0 =
+      obs::series_sum(obs::snapshot(), "fastreg_net_reactor_ships_total");
   ts.start();
   std::vector<std::thread> threads;
   threads.emplace_back([&] {
@@ -846,7 +890,9 @@ ship_run run_maxmin_with_server_reactors(std::uint32_t server_reactors) {
   for (auto& th : threads) th.join();
   ts.stop();
   ship_run out;
-  out.ships = counter_total("fastreg_net_reactor_ships_total") - ships0;
+  out.ships =
+      obs::series_sum(obs::snapshot(), "fastreg_net_reactor_ships_total") -
+      ships0;
   out.check =
       checker::check_swmr_atomicity(ts.gather().all().at(k_register_key));
   return out;

@@ -1,6 +1,5 @@
-// Observability: registry concurrency, histogram accuracy, the
-// streaming bench accumulator, and the stats_req/stats_ack scrape on
-// both deployments. The concurrent cases double as the TSan surface for
+// Observability: registry concurrency, histogram accuracy, the text
+// dump and interval deltas. The concurrent cases double as the TSan surface for
 // the metrics hot path (run with -DFASTREG_SANITIZE=thread); the
 // recorder's reactor-thread surface is in test_recorder.cc.
 #include <gtest/gtest.h>
@@ -10,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "benchutil/stats.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "store/sim_store.h"
@@ -126,42 +124,6 @@ TEST(ObsHistogram, BucketIndexRoundTrips) {
   }
 }
 
-// ------------------------------------------------- streaming bench stats
-
-TEST(StreamHist, DifferentialAgainstExactStats) {
-  benchutil::stats exact;
-  benchutil::stream_hist stream;
-  rng r(23);
-  for (int i = 0; i < 50'000; ++i) {
-    // Latency-shaped: a lognormal-ish spread with sub-integer values.
-    const double v = std::pow(10.0, 1.0 + 3.0 * r.uniform01()) / 16.0;
-    exact.add(v);
-    stream.add(v);
-  }
-  EXPECT_EQ(stream.count(), exact.count());
-  EXPECT_NEAR(stream.mean(), exact.mean(), 1e-9 * exact.mean());
-  EXPECT_DOUBLE_EQ(stream.min(), exact.min());
-  EXPECT_DOUBLE_EQ(stream.max(), exact.max());
-  for (const double p : {1.0, 50.0, 90.0, 99.0}) {
-    EXPECT_NEAR(stream.percentile(p), exact.percentile(p),
-                0.10 * exact.percentile(p))
-        << "p" << p;
-  }
-}
-
-TEST(StreamHist, EmptyAndReset) {
-  benchutil::stream_hist s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.p50(), 0.0);
-  s.add(3.5);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.min(), 3.5);
-  EXPECT_DOUBLE_EQ(s.max(), 3.5);
-  s.reset();
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.max(), 0.0);
-}
-
 // ------------------------------------------------------------ text dump
 
 TEST(ObsDump, RenderValidatesAndGarbageDoesNot) {
@@ -181,9 +143,7 @@ TEST(ObsDump, RenderValidatesAndGarbageDoesNot) {
   EXPECT_EQ(obs::validate_dump("plain_name 3.25\n"), "");
 }
 
-// -------------------------------------------------------- scrape: sim
-
-TEST(ObsScrape, SimStatsRoundTrip) {
+TEST(ObsDump, SimServerCountsItsOpsUnderItsNodeLabel) {
   store::sim_store s(small_store_cfg({"fast_swmr", "abd"}));
   rng r(5);
   store::test::sim_clients clients(s, r);
@@ -191,44 +151,49 @@ TEST(ObsScrape, SimStatsRoundTrip) {
     clients.put(0, "k" + std::to_string(n % 3), "v" + std::to_string(n));
     s.run_random(r, 10'000);
   }
-  const auto dump = s.scrape(0, r);
-  ASSERT_FALSE(dump.empty());
+  const auto dump = obs::render_text();
   EXPECT_EQ(obs::validate_dump(dump), "") << dump.substr(0, 200);
-  // The scraped server counted its own ops under its node label.
+  // Server s1 counted its own ops under its node label.
   EXPECT_NE(dump.find("fastreg_store_ops_total{node=\"s1\"}"),
             std::string::npos);
 }
 
-// -------------------------------------------------------- scrape: TCP
-
-TEST(ObsScrape, TcpStatsRoundTripOverRawSocket) {
-  store::tcp_store ts(small_store_cfg({"fast_swmr", "abd"}));
+TEST(ObsDump, TcpServerCountsItsOpsUnderItsNodeLabel) {
+  // A TCP deployment runs in this process too: its servers' rows are read
+  // from the same registry, each under its own node label.
+  const auto s1_ops = [] {
+    return obs::series_sum(obs::snapshot(), "fastreg_store_ops_total",
+                           "node=\"s1\"");
+  };
+  const double before = s1_ops();
+  store::tcp_store ts(store::test::one_register(
+      small_store_cfg({"abd"}, 1, 1).base, "abd"));
   ts.start();
-  auto& fe = ts.frontend();
-  ASSERT_TRUE(store::test::put_one(fe, 0, "alpha", "a1"));
-  const auto a = store::test::get_one(fe, 0, "alpha");
-  ASSERT_TRUE(a.has_value());
-  const auto dump = ts.scrape(0);
-  ASSERT_FALSE(dump.empty());
-  EXPECT_EQ(obs::validate_dump(dump), "") << dump.substr(0, 200);
-  EXPECT_NE(dump.find("fastreg_store_ops_total"), std::string::npos);
-  EXPECT_NE(dump.find("fastreg_net_frames_in_total"), std::string::npos);
-  // Live traffic keeps flowing after a scrape.
-  ASSERT_TRUE(store::test::put_one(fe, 0, "alpha", "a2"));
-  const auto b = store::test::get_one(fe, 1, "alpha");
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(b->val, "a2");
-  EXPECT_TRUE(ts.gather().verify().ok);
+  store::test::register_client w(ts.frontend(), writer_id(0));
+  store::test::register_client r(ts.frontend(), reader_id(0));
+  for (int n = 1; n <= 3; ++n) {
+    ASSERT_TRUE(w.write("v" + std::to_string(n)));
+    ASSERT_TRUE(r.read().has_value());
+  }
   ts.stop();
+  EXPECT_GT(s1_ops(), before);
+  EXPECT_EQ(obs::validate_dump(obs::render_text()), "");
 }
 
-// A scrape against a dead port fails cleanly instead of hanging.
-TEST(ObsScrape, TcpScrapeTimesOutCleanly) {
-  store::tcp_store ts(small_store_cfg({"abd"}));
-  ts.start();
-  ts.stop();  // ports are now closed
-  const auto dump = ts.scrape(0, std::chrono::milliseconds(200));
-  EXPECT_TRUE(dump.empty());
+TEST(ObsDump, RenderTextIsRenderSamplesOfTheSnapshot) {
+  // One text renderer: the dump is render_samples over the registry's
+  // snapshot, whichever entry point asks for it.
+  obs::registry::instance().get_counter("test_render_one_total").inc(3);
+  obs::registry::instance()
+      .get_histogram("test_render_one_ns", "node=\"s2\"")
+      .observe(7);
+  const auto rows = obs::snapshot();
+  const auto text = obs::render_samples(rows);
+  EXPECT_EQ(obs::render_text(), text);
+  EXPECT_EQ(obs::registry::instance().render_text(), text);
+  EXPECT_EQ(obs::series_sum(rows, "test_render_one_total"), 3);
+  EXPECT_NE(text.find("test_render_one_ns_p50{node=\"s2\"}"),
+            std::string::npos);
 }
 
 // ------------------------------------------- interval (delta) scraping
@@ -304,29 +269,21 @@ TEST(ObsSnapshot, IntervalScrapeRollsItsBaselineForward) {
   EXPECT_EQ(obs::validate_dump(obs::render_samples(third)), "");
 }
 
-TEST(ObsDump, AnnotatedRowsAllCarryANodeLabel) {
-  (void)obs::registry::instance().get_counter("test_annot_plain_total");
-  (void)obs::registry::instance().get_counter("test_annot_owned_total",
-                                              "node=\"server:3\"");
-  const auto text = obs::render_text_annotated("reader:1");
-  EXPECT_EQ(obs::validate_dump(text), "");
-  std::size_t lines = 0;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    auto end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const auto line = text.substr(start, end - start);
-    start = end + 1;
-    if (line.empty()) continue;
-    ++lines;
-    // Every row names its node; rows that already had one keep it.
-    EXPECT_NE(line.find("node=\""), std::string::npos) << line;
-  }
-  EXPECT_GT(lines, 0u);
-  EXPECT_NE(text.find("test_annot_plain_total{node=\"reader:1\"}"),
-            std::string::npos);
-  EXPECT_NE(text.find("test_annot_owned_total{node=\"server:3\"}"),
-            std::string::npos);
+TEST(ObsSnapshot, SeriesSumMatchesTheNameAndALabelSubstring) {
+  const std::vector<obs::sample> rows = {
+      {"test_sum_total", 1},
+      {"test_sum_total{node=\"s1\"}", 2},
+      {"test_sum_total{node=\"s2\",reactor=\"0\"}", 4},
+      {"test_sum_total{node=\"r1\"}", 8},
+      {"test_sum_total_extra{node=\"s1\"}", 16},
+      {"test_sum{node=\"s1\"}", 32},
+  };
+  EXPECT_EQ(obs::series_sum(rows, "test_sum_total"), 15);
+  EXPECT_EQ(obs::series_sum(rows, "test_sum_total", "node=\"s"), 6);
+  EXPECT_EQ(obs::series_sum(rows, "test_sum_total", "reactor=\"0\""), 4);
+  EXPECT_EQ(obs::series_sum(rows, "test_sum"), 32);
+  EXPECT_EQ(obs::series_sum(rows, "test_sum_total", "node=\"s3\""), 0);
+  EXPECT_EQ(obs::series_sum(rows, "absent_total"), 0);
 }
 
 }  // namespace

@@ -850,8 +850,8 @@ TEST(Recovery, TcpStressCrashRestartScheduleWithDurableState) {
 
 /// Sum of the rows named `name` or `name{...}` (how benchmark/ reads a
 /// series); nullopt when no such row is registered.
-std::optional<double> series_sum(const std::vector<obs::sample>& rows,
-                                 const std::string& name) {
+std::optional<double> registered_series_sum(
+    const std::vector<obs::sample>& rows, const std::string& name) {
   std::optional<double> sum;
   for (const auto& r : rows) {
     if (r.name == name || r.name.rfind(name + "{", 0) == 0) {
@@ -893,14 +893,14 @@ TEST(RegistryContract, DurableTcpWorkloadMovesEveryRowTheBenchmarkReads) {
         "fastreg_net_frames_out_total", "fastreg_net_writev_calls_total",
         "fastreg_net_bytes_out_total", "fastreg_net_reactor_tasks_total",
         "fastreg_net_flush_ns_sum", "fastreg_net_flush_ns_count"}) {
-    const auto sum = series_sum(delta, name);
+    const auto sum = registered_series_sum(delta, name);
     ASSERT_TRUE(sum.has_value()) << name;
     EXPECT_GT(*sum, 0) << name;
   }
   for (std::uint32_t i = 0; i < cfg.base.S(); ++i) {
     const std::string lbl = "{" + node_label(i) + "}";
     const auto row = [&](const std::string& name) {
-      const auto v = series_sum(delta, name + lbl);
+      const auto v = registered_series_sum(delta, name + lbl);
       EXPECT_TRUE(v.has_value()) << name + lbl;
       return v.value_or(-1);
     };

@@ -49,21 +49,6 @@ struct recording_guard {
   ~recording_guard() { obs::set_recording(prev); }
 };
 
-// ------------------------------------------------------- msg-type table --
-
-TEST(RecMsgTypeNames, TableMatchesRegisters) {
-  // obs cannot link fastreg_registers, so recorder.cc keeps its own
-  // name table; this is the lockstep check its comment promises.
-  for (std::uint8_t code = 1; code <= 18; ++code) {
-    EXPECT_STREQ(obs::rec_msg_type_name(code),
-                 to_string(static_cast<msg_type>(code)))
-        << "code " << static_cast<int>(code);
-  }
-  EXPECT_STREQ(obs::rec_msg_type_name(0), "-");
-  EXPECT_STREQ(obs::rec_msg_type_name(19), "-");
-  EXPECT_STREQ(obs::rec_msg_type_name(255), "-");
-}
-
 // ------------------------------------------------------ ring semantics --
 
 TEST(RecorderRing, CapacityRoundsUpAndOverwritesOldest) {
@@ -134,21 +119,50 @@ TEST(RecorderRing, DumpGrammarValidatesAndTamperingDoesNot) {
            static_cast<std::uint8_t>(msg_type::read_req), server_id(0),
            42, 0, 7);
   r.record(obs::rec_event::park, 0x2a, 1, 0, reader_id(0), 42, 1, 0);
+  // Codes past the last wire kind are not message types either.
+  r.record(obs::rec_event::recv, 0x2a, 1,
+           static_cast<std::uint8_t>(k_max_msg_type + 1), server_id(1), 42,
+           1, 0);
+  r.record(obs::rec_event::recv, 0x2a, 1, 255, server_id(1), 42, 1, 0);
+  r.record(obs::rec_event::recv, 0x2a, 1, k_max_msg_type, server_id(1), 42,
+           1, 0);
   const auto dump = r.dump("r0");
   EXPECT_EQ(obs::validate_recorder_dump(dump), "");
   const auto parsed = obs::parse_recorder_dump(dump);
-  ASSERT_EQ(parsed.size(), 2u);
+  ASSERT_EQ(parsed.size(), 5u);
   EXPECT_EQ(parsed[0].node, "r0");
   EXPECT_EQ(parsed[0].trace, 0x2au);
   EXPECT_EQ(parsed[0].ev, "send");
   EXPECT_EQ(parsed[0].type, "READ");
   EXPECT_EQ(parsed[1].ev, "park");
+  // Code 0 (no message) and out-of-range codes render as "-".
+  EXPECT_EQ(parsed[1].type, "-");
+  EXPECT_EQ(parsed[2].type, "-");
+  EXPECT_EQ(parsed[3].type, "-");
+  EXPECT_EQ(parsed[4].type, "FETCHACK");
   // A corrupted event token must be rejected, not skipped.
   std::string mutated = dump;
   const auto pos = mutated.find("ev=send");
   ASSERT_NE(pos, std::string::npos);
   mutated.replace(pos, 7, "ev=zzzz");
   EXPECT_NE(obs::validate_recorder_dump(mutated), "");
+}
+
+TEST(RecorderRing, EveryWireKindRendersThroughTheOneNameTable) {
+  // The recorder keeps no name table of its own: a dump names each wire
+  // kind exactly as to_string(msg_type) does.
+  obs::recorder r(64);
+  for (unsigned c = 1; c <= k_max_msg_type; ++c) {
+    r.record(obs::rec_event::recv, 0x2a, 1, static_cast<std::uint8_t>(c),
+             server_id(0), 42, 1, static_cast<ts_t>(c));
+  }
+  const auto dump = r.dump("s1");
+  EXPECT_EQ(obs::validate_recorder_dump(dump), "");
+  const auto parsed = obs::parse_recorder_dump(dump);
+  ASSERT_EQ(parsed.size(), static_cast<std::size_t>(k_max_msg_type));
+  for (unsigned c = 1; c <= k_max_msg_type; ++c) {
+    EXPECT_EQ(parsed[c - 1].type, to_string(static_cast<msg_type>(c))) << c;
+  }
 }
 
 TEST(RecorderCatapult, ValidatorAcceptsRenderAndRejectsGarbage) {
@@ -539,8 +553,8 @@ TEST(RecorderConcurrency, ReactorHooksRaceFreeUnderConcurrentScrape) {
       }
     });
   }
-  // Snapshot, render, dump and scrape while the reactor threads record
-  // and count. A dump taken mid-traffic skips torn slots, so it still
+  // Snapshot, render and dump while the reactor threads record and
+  // count. A dump taken mid-traffic skips torn slots, so it still
   // parses.
   for (int i = 0; i < 10; ++i) {
     (void)obs::snapshot();
@@ -549,7 +563,7 @@ TEST(RecorderConcurrency, ReactorHooksRaceFreeUnderConcurrentScrape) {
       EXPECT_EQ(obs::validate_recorder_dump(dump), "") << node;
     }
   }
-  EXPECT_FALSE(ts.scrape(0).empty());
+  EXPECT_EQ(obs::validate_dump(obs::render_text()), "");
   writer.join();
   for (auto& th : readers) th.join();
   const auto dumps = obs::recorder_dump_all();

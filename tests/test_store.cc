@@ -434,21 +434,24 @@ TEST(StoreServer, FetchBufferOverflowNackIsCountedAndObservable) {
 
 TEST(StoreClient, OnMessageIsAOneMessageStep) {
   // The transports deliver every step through on_batch; a direct
-  // on_message call is the same step with one message in it.
+  // on_message call is the same step with one message in it. An epoch
+  // nack at the get's own epoch parks the get.
   const store_protocol proto(small_cfg({"abd"}));
   const auto a = proto.make_reader(proto.config().base, 0);
   auto& c = dynamic_cast<client&>(*a);
   capture_netout net;
-  c.begin_stats(2);
+  const object_id obj = key_object_id("alpha");
+  c.begin_get("alpha", obj);
   c.flush(net);
-  ASSERT_EQ(net.count(msg_type::stats_req), 1u);
-  message ack;
-  ack.type = msg_type::stats_ack;
-  ack.rcounter = net.sent.back().second.rcounter;
-  ack.val = "dump";
-  a->on_message(net, server_id(2), ack);
-  ASSERT_TRUE(c.stats_ready());
-  EXPECT_EQ(c.take_stats(), "dump");
+  ASSERT_EQ(net.count(msg_type::read_req), proto.config().base.S());
+  message nack;
+  nack.type = msg_type::epoch_nack;
+  nack.obj = obj;
+  nack.epoch = c.epoch();
+  nack.attempt = net.sent.back().second.attempt;
+  a->on_message(net, server_id(2), nack);
+  EXPECT_EQ(c.parked_count(), 1u);
+  EXPECT_TRUE(c.has_pending(obj));
 }
 
 // --------------------------------------------------- blocking helper

@@ -109,21 +109,10 @@ TEST(StoreFrontend, SameScriptOnSimAndTcpVerifierIdenticalShape) {
   }
 }
 
-/// Sum of a counter's delta across an interval scrape (`series` is the
-/// full name, labels included).
-double counter_delta(const std::vector<obs::sample>& rows,
-                     const std::string& series) {
-  double s = 0;
-  for (const auto& row : rows) {
-    if (row.name == series) s += row.value;
-  }
-  return s;
-}
-
 double admission_delta(const std::vector<obs::sample>& rows,
                        const char* result) {
-  return counter_delta(rows, "fastreg_store_admission_total{result=\"" +
-                                 std::string(result) + "\"}");
+  return obs::series_sum(rows, "fastreg_store_admission_total",
+                         "result=\"" + std::string(result) + "\"");
 }
 
 /// Pause-faults (or heals) every server of the deployment.
@@ -229,9 +218,9 @@ TEST(StoreFrontend, TcpQueuedAdmissionsLeaveAsOneBatchFramePerServer) {
   ASSERT_TRUE(se->drain(10s));
   EXPECT_EQ(se->take_results().size(), 8u);
 
-  const double frames = counter_delta(
-      scrape.take(),
-      "fastreg_net_frames_out_total{node=\"" + to_string(hub.self()) + "\"}");
+  const double frames = obs::series_sum(
+      scrape.take(), "fastreg_net_frames_out_total",
+      "node=\"" + to_string(hub.self()) + "\"");
   EXPECT_EQ(frames, 5.0) << "8 queued gets must leave as one batch frame "
                             "per server";
   const auto res = ts.gather().verify();

@@ -1,9 +1,9 @@
 // obs_check -- validates an observability text dump. Two grammars,
 // auto-detected by the first non-blank, non-comment line:
 //  * metrics exposition (`name{key="value",...} number`, one sample per
-//    line) -- CI runs it on the dump E12 --obs-check scrapes over the
-//    stats_req frame, so a format drift between the renderer and
-//    external scrapers fails the build instead of a dashboard;
+//    line) -- CI runs it on the registry dump (obs::render_text) that
+//    E12 --obs-check writes, so a format drift between the renderer and
+//    the grammar fails the build instead of a dashboard;
 //  * flight-recorder dumps (lines starting `rec `, the *.recorder files
 //    a checker failure emits; see src/obs/recorder.h).
 // Reads the file named on the command line, or stdin with no argument.
