@@ -65,7 +65,6 @@ class server_durability {
   /// Forces the log to disk (tests and orderly shutdown).
   void sync() { log_.sync(); }
 
-  [[nodiscard]] const options& opts() const { return opt_; }
   [[nodiscard]] const std::string& log_path() const { return log_.path(); }
   [[nodiscard]] const std::string& snap_path() const { return snap_path_; }
 

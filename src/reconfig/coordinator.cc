@@ -34,13 +34,13 @@ bool coordinator::start(std::shared_ptr<const store::shard_map> cur,
   // never received the seed for; those objects are handed off again (and
   // fenced again) even if their protocol does not change, so a seed-
   // missing replica cannot serve silently regressed state.
-  force_moved_.clear();
+  force_move_.clear();
   std::uint32_t reachable = 0;
   for (std::uint32_t i = 0; i < base.S(); ++i) {
     ctl_.with_server(i, [&](store::server& s) {
       ++reachable;
       for (const auto obj : s.unseeded_moved_objects()) {
-        force_moved_.insert(obj);
+        force_move_.insert(obj);
       }
     });
   }
@@ -65,7 +65,7 @@ bool coordinator::start(std::shared_ptr<const store::shard_map> cur,
   std::unordered_set<object_id> discovered;
   for (std::uint32_t i = 0; i < base.S(); ++i) {
     ctl_.with_server(i, [&](store::server& s) {
-      s.install_map(new_map_, force_moved_);
+      s.install_map(new_map_, force_move_);
       for (const auto obj : s.list_objects()) discovered.insert(obj);
     });
   }
@@ -92,7 +92,7 @@ bool coordinator::start(std::shared_ptr<const store::shard_map> cur,
   for (const auto obj : discovered) {
     if (covered.insert(obj).second) rest.push_back(obj);
   }
-  for (const auto obj : force_moved_) {
+  for (const auto obj : force_move_) {
     if (covered.insert(obj).second) rest.push_back(obj);
   }
   std::sort(rest.begin(), rest.end());
@@ -104,7 +104,7 @@ bool coordinator::start(std::shared_ptr<const store::shard_map> cur,
 
 bool coordinator::target_moves(object_id obj) const {
   return store::object_moves(*old_map_, *new_map_, obj) ||
-         force_moved_.contains(obj);
+         force_move_.contains(obj);
 }
 
 void coordinator::advance_target() {

@@ -153,7 +153,7 @@ class coordinator {
   std::unordered_set<object_id> handled_;
   /// Objects re-fenced by fiat because a server reported missing their
   /// previous generation's seed (their protocol may be unchanged).
-  std::unordered_set<object_id> force_moved_;
+  std::unordered_set<object_id> force_move_;
   std::shared_ptr<const store::shard_map> old_map_;
   std::shared_ptr<const store::shard_map> new_map_;
   std::size_t next_target_{0};

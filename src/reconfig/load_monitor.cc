@@ -108,24 +108,24 @@ void update_cool_streaks(const store::shard_map& cur,
 
 std::optional<reconfig_plan> load_monitor::sample(
     const store::shard_map& cur) {
-  totals_.assign(cur.num_shards(), 0);
+  std::vector<std::uint64_t> totals(cur.num_shards(), 0);
   const auto& base = cur.config().base;
   for (std::uint32_t i = 0; i < base.S(); ++i) {
     ctl_.with_server(i, [&](store::server& s) {
       const auto& counts = s.shard_ops();
       // A server mid-install may briefly disagree on the shard count;
       // only same-geometry counters are comparable.
-      if (counts.size() != totals_.size()) return;
+      if (counts.size() != totals.size()) return;
       for (std::size_t j = 0; j < counts.size(); ++j) {
-        totals_[j] += counts[j];
+        totals[j] += counts[j];
       }
       s.reset_shard_ops();
     });
   }
   const bool demotion =
       !opt_.demote_protocol.empty() && opt_.demote_after > 0;
-  if (demotion) update_cool_streaks(cur, totals_, opt_, streaks_);
-  return build_hot_shard_plan(cur, totals_, opt_,
+  if (demotion) update_cool_streaks(cur, totals, opt_, streaks_);
+  return build_hot_shard_plan(cur, totals, opt_,
                               demotion ? &streaks_ : nullptr);
 }
 

@@ -91,10 +91,6 @@ class load_monitor {
   [[nodiscard]] std::optional<reconfig_plan> sample(
       const store::shard_map& cur);
 
-  /// The last sample's summed per-shard counts (diagnostic).
-  [[nodiscard]] const std::vector<std::uint64_t>& last_totals() const {
-    return totals_;
-  }
   /// Consecutive-cool-window counters (diagnostic).
   [[nodiscard]] const std::vector<std::uint32_t>& cool_streaks() const {
     return streaks_;
@@ -103,7 +99,6 @@ class load_monitor {
  private:
   control_plane& ctl_;
   load_monitor_options opt_;
-  std::vector<std::uint64_t> totals_;
   std::vector<std::uint32_t> streaks_;
 };
 

@@ -67,14 +67,6 @@ struct system_config {
   return 2 * t < S;
 }
 
-/// Fast MWMR atomic register (Section 7, Proposition 11): never, once
-/// W >= 2, R >= 2, t >= 1.
-[[nodiscard]] constexpr bool fast_mwmr_feasible(std::uint32_t W,
-                                                std::uint32_t R,
-                                                std::uint32_t t) {
-  return !(W >= 2 && R >= 2 && t >= 1);
-}
-
 /// Non-fast baselines (ABD, max-min, MWMR two-phase): majority correct.
 [[nodiscard]] constexpr bool majority_feasible(std::uint32_t S,
                                                std::uint32_t t) {

@@ -218,7 +218,6 @@ class world final : public netout {
   void heal(const process_id& a, const process_id& b);
   [[nodiscard]] bool link_blocked(const process_id& a,
                                   const process_id& b) const;
-  [[nodiscard]] std::size_t blocked_links() const { return blocked_.size(); }
 
   // ------------------------------------------------------------ history --
   [[nodiscard]] const checker::history& hist() const { return history_; }

@@ -168,7 +168,6 @@ class async_session {
   [[nodiscard]] std::uint64_t in_flight() const {
     return submitted_ >= harvested_ ? submitted_ - harvested_ : 0;
   }
-  [[nodiscard]] const process_id& client_id() const { return client_; }
   [[nodiscard]] std::uint32_t depth() const { return depth_; }
 
  protected:

@@ -1,6 +1,7 @@
 #include "store/server.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/check.h"
 #include "common/log.h"
@@ -57,29 +58,21 @@ void server::recover_from_disk() {
     return;
   }
   for (const auto& [obj, snap] : rec.objects) {
-    auto& inner = inner_for(obj);
-    if (snap.ts != k_initial_ts) {
-      auto* s = as_seedable(&inner);
-      FASTREG_CHECK(s != nullptr);
-      s->seed_state(snap);
-    }
-    persisted_wts_[obj] = wts_t{snap.ts, snap.wid};
+    auto& r = objects_[obj];
+    auto& inst = live(obj, r);
+    if (snap.ts != k_initial_ts) inst.s->seed_state(snap);
+    r.persisted = snap.wts();
     ++recovered_objects_;
   }
 }
 
-void server::maybe_persist(object_id obj) {
+void server::maybe_persist(object_id obj, object_state& r) {
   if (!durable_) return;
-  const auto it = objects_.find(obj);
-  if (it == objects_.end()) return;
-  auto* s = as_seedable(it->second.get());
-  if (s == nullptr) return;
-  auto snap = s->peek_state();
-  const wts_t w{snap.ts, snap.wid};
-  wts_t& last = persisted_wts_[obj];  // default {k_initial_ts, 0}
-  if (!(last < w)) return;  // nothing new became durable at this replica
+  auto snap = r.cur.s->peek_state();
+  const wts_t w = snap.wts();
+  if (!(r.persisted < w)) return;  // nothing new became durable here
   durable_->append_op(map_->epoch(), obj, snap);
-  last = w;
+  r.persisted = w;
   maybe_snapshot();
 }
 
@@ -88,41 +81,45 @@ void server::maybe_snapshot() {
   // The count sits inside the snapshot's CRC'd payload, ahead of the
   // objects, so it is taken in a pass of its own; both passes walk
   // objects_ unmodified, hence in the same order.
-  std::uint32_t count = 0;
-  for (const auto& [obj, a] : objects_) {
-    if (as_seedable(a.get()) != nullptr) ++count;
-  }
+  const auto count = static_cast<std::uint32_t>(objects_hosted());
   durable_->write_snapshot(
       map_->epoch(), count, [this](persist::snapshot_writer& w) {
-        for (const auto& [obj, a] : objects_) {
-          if (auto* s = as_seedable(a.get())) w.add(obj, s->peek_state());
+        for (const auto& [obj, r] : objects_) {
+          if (r.cur.a) w.add(obj, r.cur.s->peek_state());
         }
       });
 }
 
-automaton& server::inner_for(object_id obj) {
-  auto it = objects_.find(obj);
-  if (it == objects_.end()) {
-    const auto& proto = map_->protocol_for_object(obj);
-    it = objects_
-             .emplace(obj,
-                      proto.make_server(map_->config().base, index_, obj))
-             .first;
+server::instance& server::live(object_id obj, object_state& r) {
+  if (!r.cur.a) {
+    r.cur.a = map_->protocol_for_object(obj).make_server(map_->config().base,
+                                                         index_, obj);
+    r.cur.s = as_seedable(r.cur.a.get());
+    FASTREG_CHECK(r.cur.s != nullptr);
   }
-  return *it->second;
+  return r.cur;
 }
 
-bool server::moved(object_id obj) const {
-  return prev_map_ != nullptr && (object_moves(*prev_map_, *map_, obj) ||
-                                  force_moved_.contains(obj));
+bool server::moved(object_id obj, const object_state& r) const {
+  return prev_map_ != nullptr &&
+         (object_moves(*prev_map_, *map_, obj) ||
+          (r.handoff && r.handoff->force_moved));
+}
+
+std::size_t server::seeded_count() const {
+  return std::ranges::count_if(objects_,
+                               [](const auto& e) { return e.second.seeded(); });
+}
+
+std::size_t server::objects_hosted() const {
+  return std::ranges::count_if(
+      objects_, [](const auto& e) { return e.second.cur.a != nullptr; });
 }
 
 std::vector<object_id> server::list_objects() const {
   std::vector<object_id> out;
-  out.reserve(objects_.size() + prev_objects_.size());
-  for (const auto& [obj, a] : objects_) out.push_back(obj);
-  for (const auto& [obj, a] : prev_objects_) {
-    if (!objects_.contains(obj)) out.push_back(obj);
+  for (const auto& [obj, r] : objects_) {
+    if (r.cur.a || (r.handoff && r.handoff->prev.a)) out.push_back(obj);
   }
   return out;
 }
@@ -135,10 +132,12 @@ std::vector<object_id> server::unseeded_moved_objects() const {
   // fetch still buffered -- the next install nacks their buffered
   // traffic, so the next migration must re-fence and resume them.
   std::vector<object_id> out;
-  for (const auto& [obj, a] : prev_objects_) {
-    if (!seed_snaps_.contains(obj)) out.push_back(obj);
+  for (const auto& [obj, r] : objects_) {
+    const auto* h = r.handoff.get();
+    if (h != nullptr && ((h->prev.a && !h->seed) || h->fetch)) {
+      out.push_back(obj);
+    }
   }
-  for (const auto& [obj, st] : fetches_) out.push_back(obj);
   return out;
 }
 
@@ -148,46 +147,39 @@ void server::install_map(std::shared_ptr<const shard_map> next,
                          const std::unordered_set<object_id>& force_move) {
   FASTREG_EXPECTS(next != nullptr);
   FASTREG_EXPECTS(next->epoch() == map_->epoch() + 1);
-  prev_objects_.clear();  // superseded generation retired
-  seed_snaps_.clear();
-  for (auto it = objects_.begin(); it != objects_.end();) {
-    if (object_moves(*map_, *next, it->first) ||
-        force_move.contains(it->first)) {
-      prev_objects_.emplace(it->first, std::move(it->second));
-      it = objects_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  force_moved_ = force_move;
   prev_map_ = std::move(map_);
   map_ = std::move(next);
+  std::vector<object_id> fenced;
+  for (auto it = objects_.begin(); it != objects_.end();) {
+    auto& [obj, r] = *it;
+    if (const auto* h = r.handoff.get(); h != nullptr && h->fetch) {
+      // A retired generation's fetch cannot resolve anymore; nack what
+      // it buffered (gossip is simply dropped: it means nothing across
+      // generations). The nacks carry the NEW epoch, so the clients
+      // refetch the map and re-issue or park; every fetch object was
+      // reported through unseeded_moved_objects(), so the new migration
+      // force-moves it, hands it off and resumes whoever parked.
+      for (const auto& [from, m] : h->fetch->waiting) send_nack(from, m);
+    }
+    r.handoff.reset();  // superseded generation retired
+    if (r.cur.a && (object_moves(*prev_map_, *map_, obj) ||
+                    force_move.contains(obj))) {
+      r.block().prev = std::exchange(r.cur, {});
+      r.persisted = {};
+      fenced.push_back(obj);
+    }
+    it = r.cur.a || r.handoff ? std::next(it) : objects_.erase(it);
+  }
+  for (const auto obj : force_move) objects_[obj].block().force_moved = true;
   if (durable_) {
     // The mark advances the recovered epoch on replay and voids the
     // fenced objects' recovered state: their new-generation seeds land
     // as post-mark seed records. Unmoved objects' records stay valid
     // across the boundary.
-    std::vector<object_id> fenced;
-    fenced.reserve(prev_objects_.size());
-    for (const auto& [obj, a] : prev_objects_) {
-      fenced.push_back(obj);
-      persisted_wts_.erase(obj);
-    }
     durable_->append_epoch_mark(map_->epoch(), fenced);
   }
   shard_ops_.assign(map_->num_shards(), 0);
   sm_.epoch->set(static_cast<std::int64_t>(map_->epoch()));
-  // Fetches of the retired generation cannot resolve anymore; nack what
-  // they buffered (gossip is simply dropped: it means nothing across
-  // generations). The nacks carry the NEW epoch, so the clients refetch
-  // the map and re-issue or park; every fetch object was reported
-  // through unseeded_moved_objects(), so the new migration force-moves
-  // it, hands it off and resumes whoever parked.
-  for (auto& [obj, st] : fetches_) {
-    for (const auto& [from, m] : st.waiting) send_nack(from, m);
-  }
-  fetches_.clear();
-  fetch_subs_.clear();
 }
 
 void server::send_nack(const process_id& to, const message& m) {
@@ -207,22 +199,15 @@ void server::send_nack(const process_id& to, const message& m) {
   outbox_.add(to, std::move(nack));
 }
 
-void server::handle_state_req(const process_id& from, const message& m) {
+void server::handle_state_req(const process_id& from, const message& m,
+                              const object_state& r) {
   register_snapshot snap;
-  const auto prev = prev_objects_.find(m.obj);
-  if (prev != prev_objects_.end()) {
-    auto* s = as_seedable(prev->second.get());
-    FASTREG_CHECK(s != nullptr);
-    snap = s->peek_state();
-  } else if (!moved(m.obj)) {
+  if (r.handoff && r.handoff->prev.a) {
+    snap = r.handoff->prev.s->peek_state();
+  } else if (!moved(m.obj, r) && r.cur.a) {
     // Defensive: a state read of an unmoved object answers the live
     // instance (the coordinator normally only reads moved keys).
-    const auto cur = objects_.find(m.obj);
-    if (cur != objects_.end()) {
-      auto* s = as_seedable(cur->second.get());
-      FASTREG_CHECK(s != nullptr);
-      snap = s->peek_state();
-    }
+    snap = r.cur.s->peek_state();
   }
   // Moved but never hosted: this server holds no old-generation state, so
   // the default snapshot (the initial timestamp) is the honest answer.
@@ -242,27 +227,24 @@ void server::handle_state_req(const process_id& from, const message& m) {
   outbox_.add(from, std::move(ack));
 }
 
-void server::adopt_seed(object_id obj, const register_snapshot& snap) {
-  if (seed_snaps_.contains(obj)) return;
+void server::adopt_seed(object_id obj, object_state& r,
+                        const register_snapshot& snap) {
+  if (r.seeded()) return;
   // Replace whatever stray instance exists (none should: data traffic
   // for a draining object is held back until a seed lands).
-  objects_.erase(obj);
-  auto& inner = inner_for(obj);
-  if (snap.ts != k_initial_ts) {
-    auto* s = as_seedable(&inner);
-    FASTREG_CHECK(s != nullptr);
-    s->seed_state(snap);
-  }
-  seed_snaps_.emplace(obj, snap);
+  r.cur = {};
+  auto& inst = live(obj, r);
+  if (snap.ts != k_initial_ts) inst.s->seed_state(snap);
+  auto& h = r.block();
+  h.seed = snap;
   if (durable_) {
     durable_->append_seed(map_->epoch(), obj, snap);
-    persisted_wts_[obj] = wts_t{snap.ts, snap.wid};
+    r.persisted = snap.wts();
     maybe_snapshot();
   }
   // Push the seed to every peer whose fetch_req this server answered
   // empty-handed; their buffered traffic is waiting on it.
-  const auto subs = fetch_subs_.find(obj);
-  if (subs != fetch_subs_.end()) {
+  if (h.subs.size() != 0) {
     message note;
     note.type = msg_type::fetch_ack;
     note.obj = obj;
@@ -274,22 +256,22 @@ void server::adopt_seed(object_id obj, const register_snapshot& snap) {
     note.val = snap.val;
     note.prev = snap.prev;
     note.sig = snap.sig;
-    subs->second.for_each(
+    h.subs.for_each(
         [&](std::uint32_t peer) { outbox_.add(server_id(peer), note); });
-    fetch_subs_.erase(subs);
+    h.subs.clear();
   }
 }
 
-void server::finish_fetch(object_id obj) {
-  const auto it = fetches_.find(obj);
-  if (it == fetches_.end()) return;
-  auto st = std::move(it->second);
-  fetches_.erase(it);
+void server::finish_fetch(object_state& r) {
+  if (!r.handoff || !r.handoff->fetch) return;
+  auto st = std::move(*r.handoff->fetch);
+  r.handoff->fetch.reset();
   for (auto& [from, m] : st.gossip_waiting) handle_one(from, m);
   for (auto& [from, m] : st.waiting) handle_one(from, m);
 }
 
-void server::handle_seed_req(const process_id& from, const message& m) {
+void server::handle_seed_req(const process_id& from, const message& m,
+                             object_state& r) {
   // Only seeds of the CURRENT generation install. With quorum
   // completion, a seed_req may outlive the migration it belongs to;
   // letting a delayed previous-generation seed land after the next
@@ -304,9 +286,9 @@ void server::handle_seed_req(const process_id& from, const message& m) {
                  static_cast<std::uint8_t>(m.type), from, m.obj,
                  map_->epoch(), m.ts);
   }
-  adopt_seed(m.obj, {m.ts, m.wid, m.val, m.prev, m.sig});
+  adopt_seed(m.obj, r, {m.ts, m.wid, m.val, m.prev, m.sig});
   // A lazy fetch racing the coordinator's own seed resolves here.
-  finish_fetch(m.obj);
+  finish_fetch(r);
   message ack;
   ack.type = msg_type::seed_ack;
   ack.obj = m.obj;
@@ -318,7 +300,8 @@ void server::handle_seed_req(const process_id& from, const message& m) {
   outbox_.add(from, std::move(ack));
 }
 
-void server::enqueue_fetch(const process_id& from, const message& m) {
+void server::enqueue_fetch(const process_id& from, const message& m,
+                           object_state& r) {
   // The message is about to wait behind the epoch fence: the forensic
   // marker for "this op stalled here until the seed landed".
   if (obs::recording_active()) {
@@ -326,14 +309,16 @@ void server::enqueue_fetch(const process_id& from, const message& m) {
                  static_cast<std::uint8_t>(m.type), from, m.obj,
                  map_->epoch(), m.ts);
   }
-  auto [it, inserted] = fetches_.try_emplace(m.obj);
+  auto& h = r.block();
+  const bool inserted = !h.fetch;
+  auto& st = inserted ? h.fetch.emplace() : *h.fetch;
   if (from.is_server()) {
     // Gossip rides its own (smaller) buffer so a chatty protocol cannot
     // starve client data of buffer space; overflow drops it.
-    if (it->second.gossip_waiting.size() < k_max_fetch_gossip) {
-      it->second.gossip_waiting.emplace_back(from, m);
+    if (st.gossip_waiting.size() < k_max_fetch_gossip) {
+      st.gossip_waiting.emplace_back(from, m);
     }
-  } else if (it->second.waiting.size() >= k_max_fetch_waiting) {
+  } else if (st.waiting.size() >= k_max_fetch_waiting) {
     // Overflow guard; in practice unreachable for client data (clients
     // keep at most one op in flight per object). The nacked client
     // parks, and nothing resumes it until the object's NEXT migration --
@@ -349,7 +334,7 @@ void server::enqueue_fetch(const process_id& from, const message& m) {
     send_nack(from, m);
     return;
   } else {
-    it->second.waiting.emplace_back(from, m);
+    st.waiting.emplace_back(from, m);
   }
   if (!inserted) return;  // fetch already in flight; just wait with it
   sm_.fetch_reqs->inc();
@@ -364,7 +349,8 @@ void server::enqueue_fetch(const process_id& from, const message& m) {
   }
 }
 
-void server::handle_fetch_req(const process_id& from, const message& m) {
+void server::handle_fetch_req(const process_id& from, const message& m,
+                              object_state& r) {
   if (!from.is_server()) return;
   message ack;
   ack.type = msg_type::fetch_ack;
@@ -374,10 +360,9 @@ void server::handle_fetch_req(const process_id& from, const message& m) {
   ack.trace = m.trace;
   ack.span = m.span;
   if (m.epoch == map_->epoch()) {
-    if (const auto snap_it = seed_snaps_.find(m.obj);
-        snap_it != seed_snaps_.end()) {
+    if (r.seeded()) {
       ack.rcounter |= k_fetch_seeded;
-      const auto& snap = snap_it->second;
+      const auto& snap = *r.handoff->seed;
       ack.ts = snap.ts;
       ack.wid = snap.wid;
       ack.val = snap.val;
@@ -387,10 +372,9 @@ void server::handle_fetch_req(const process_id& from, const message& m) {
       // Empty-handed: remember the requester and push the seed to it the
       // moment one is adopted here (adopt_seed), so a fetch that raced
       // the coordinator's seed wave still resolves.
-      fetch_subs_[m.obj].insert(from.index);
-      if (prev_objects_.contains(m.obj)) {
-        ack.rcounter |= k_fetch_prev_hosted;
-      }
+      auto& h = r.block();
+      h.subs.insert(from.index);
+      if (h.prev.a) ack.rcounter |= k_fetch_prev_hosted;
     }
   }
   // Epoch mismatch: answer with our epoch and no flags; the requester
@@ -399,16 +383,16 @@ void server::handle_fetch_req(const process_id& from, const message& m) {
   outbox_.add(from, std::move(ack));
 }
 
-void server::handle_fetch_ack(const process_id& from, const message& m) {
+void server::handle_fetch_ack(const process_id& from, const message& m,
+                              object_state& r) {
   if (!from.is_server() || m.epoch != map_->epoch()) return;
-  const auto it = fetches_.find(m.obj);
-  if (it == fetches_.end()) return;  // already resolved
+  if (!r.handoff || !r.handoff->fetch) return;  // already resolved
   if ((m.rcounter & k_fetch_seeded) != 0) {
-    adopt_seed(m.obj, {m.ts, m.wid, m.val, m.prev, m.sig});
-    finish_fetch(m.obj);
+    adopt_seed(m.obj, r, {m.ts, m.wid, m.val, m.prev, m.sig});
+    finish_fetch(r);
     return;
   }
-  auto& st = it->second;
+  auto& st = *r.handoff->fetch;
   if (st.dormant) return;
   if (!st.answered.insert(from.index)) return;
   st.any_prev = st.any_prev || (m.rcounter & k_fetch_prev_hosted) != 0;
@@ -416,7 +400,7 @@ void server::handle_fetch_ack(const process_id& from, const message& m) {
   // to t may be crashed, so S-1-t answers is the most we may wait for.
   const auto& base = map_->config().base;
   if (st.answered.size() < base.S() - 1 - base.t()) return;
-  if (st.any_prev || prev_objects_.contains(m.obj)) {
+  if (st.any_prev || r.handoff->prev.a) {
     // Old-generation state survives somewhere reachable, so the
     // coordinator's handoff for this object is still in flight (it
     // discovers the object from the same indexes). Hold the buffered
@@ -431,30 +415,27 @@ void server::handle_fetch_ack(const process_id& from, const message& m) {
   // value a completed old-epoch op established would live on a quorum,
   // which intersects self plus the answered set in at least one server.
   // The object was simply never written -- seed bottom and serve.
-  adopt_seed(m.obj, {});
-  finish_fetch(m.obj);
+  adopt_seed(m.obj, r, {});
+  finish_fetch(r);
 }
 
 void server::handle_one(const process_id& from, const message& m) {
-  if (m.type == msg_type::state_req) {
-    handle_state_req(from, m);
-    return;
-  }
-  if (m.type == msg_type::seed_req) {
-    handle_seed_req(from, m);
-    return;
-  }
-  if (m.type == msg_type::fetch_req) {
-    handle_fetch_req(from, m);
-    return;
-  }
-  if (m.type == msg_type::fetch_ack) {
-    handle_fetch_ack(from, m);
-    return;
-  }
   if (m.type == msg_type::epoch_nack || m.type == msg_type::state_ack ||
       m.type == msg_type::seed_ack) {
     return;  // not server-bound; a confused or malicious peer sent this
+  }
+  auto& r = objects_[m.obj];
+  switch (m.type) {
+    case msg_type::state_req:
+      return handle_state_req(from, m, r);
+    case msg_type::seed_req:
+      return handle_seed_req(from, m, r);
+    case msg_type::fetch_req:
+      return handle_fetch_req(from, m, r);
+    case msg_type::fetch_ack:
+      return handle_fetch_ack(from, m, r);
+    default:
+      break;
   }
   if (from.is_server()) {
     // Server-to-server traffic (max-min gossip) is routed by generation:
@@ -462,29 +443,28 @@ void server::handle_one(const process_id& from, const message& m) {
     // The attempt tag rides along even on the gossip path: a client-bound
     // reply a gossip message triggers (maxmin's maybe_reply) must carry
     // the attempt of the read it serves, or the client would drop it.
-    if (moved(m.obj)) {
+    if (moved(m.obj, r)) {
       if (m.epoch < map_->epoch()) {
-        const auto prev = prev_objects_.find(m.obj);
-        if (prev == prev_objects_.end()) return;
+        if (!r.handoff || !r.handoff->prev.a) return;
         tagging_netout tagged(outbox_, m.obj, m.epoch, m.attempt, false,
                               m.trace, m.span);
-        prev->second->on_message(tagged, from, m);
+        r.handoff->prev.a->on_message(tagged, from, m);
         return;
       }
-      if (!seed_snaps_.contains(m.obj)) {
+      if (!r.seeded()) {
         // Current-generation gossip is fenced exactly like client data:
         // feeding it to a fresh un-seeded instance would accumulate
         // state (and possibly be counted in peers' quorums) that
         // adopt_seed later destroys. Buffer it with the fetch and merge
         // it into the seeded instance on replay.
-        enqueue_fetch(from, m);
+        enqueue_fetch(from, m, r);
         return;
       }
     }
     tagging_netout tagged(outbox_, m.obj, map_->epoch(), m.attempt, false,
                           m.trace, m.span);
-    inner_for(m.obj).on_message(tagged, from, m);
-    maybe_persist(m.obj);
+    live(m.obj, r).a->on_message(tagged, from, m);
+    maybe_persist(m.obj, r);
     return;
   }
   // Client data message: apply the epoch fence, then count it against
@@ -492,7 +472,7 @@ void server::handle_one(const process_id& from, const message& m) {
   // is actually served keeps the signal honest: a buffered message is
   // counted once on replay, not once per fence crossing, and stale
   // nacked traffic is not load.
-  if (moved(m.obj)) {
+  if (moved(m.obj, r)) {
     // Requests routed under a superseded map are nacked (the client
     // refetches and retries). Current-epoch requests for an object whose
     // seed this server has not received are held back while a lazy fetch
@@ -502,8 +482,8 @@ void server::handle_one(const process_id& from, const message& m) {
       send_nack(from, m);
       return;
     }
-    if (!seed_snaps_.contains(m.obj)) {
-      enqueue_fetch(from, m);
+    if (!r.seeded()) {
+      enqueue_fetch(from, m, r);
       return;
     }
   }
@@ -516,8 +496,8 @@ void server::handle_one(const process_id& from, const message& m) {
   }
   tagging_netout tagged(outbox_, m.obj, map_->epoch(), m.attempt, false,
                         m.trace, m.span);
-  inner_for(m.obj).on_message(tagged, from, m);
-  maybe_persist(m.obj);
+  live(m.obj, r).a->on_message(tagged, from, m);
+  maybe_persist(m.obj, r);
 }
 
 void server::on_message(netout& net, const process_id& from,

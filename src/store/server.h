@@ -41,10 +41,16 @@
 //    becomes usable under a drained map without any operator listing it.
 // Only the crash model runs this path: plans that move state under b > 0
 // are rejected at validation (reconfig/plan.cc).
+//
+// State layout: one table with one record per object (object_state),
+// found with one lookup per served message. What a reshard adds for an
+// object lives in the record's out-of-line handoff block, which every
+// install_map clears.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -85,13 +91,11 @@ class server final : public automaton {
 
   [[nodiscard]] epoch_t epoch() const { return map_->epoch(); }
   /// Objects seeded since the last install (diagnostic).
-  [[nodiscard]] std::size_t seeded_count() const {
-    return seed_snaps_.size();
-  }
+  [[nodiscard]] std::size_t seeded_count() const;
 
   /// Distinct objects this server hosts in the current generation
   /// (diagnostic).
-  [[nodiscard]] std::size_t objects_hosted() const { return objects_.size(); }
+  [[nodiscard]] std::size_t objects_hosted() const;
 
   /// The server's object index: every object it hosts, current AND
   /// previous generation. The reconfiguration coordinator unions these
@@ -130,6 +134,13 @@ class server final : public automaton {
   }
 
  private:
+  /// One replica of one object: the automaton and its seedable face
+  /// (every hosted protocol's replica is seedable; checked at creation).
+  struct instance {
+    std::unique_ptr<automaton> a{};
+    seedable* s{nullptr};
+  };
+
   /// A lazy seed fetch in flight for one moved, un-seeded object.
   struct fetch_state {
     /// Client data messages held back until the fetch resolves; a full
@@ -151,27 +162,75 @@ class server final : public automaton {
     bool dormant{false};
   };
 
-  automaton& inner_for(object_id obj);
+  /// What the current generation's reshard added for one object.
+  struct handoff_block {
+    /// Superseded instance of a moved object, kept for migration state
+    /// reads (and for old-generation gossip stragglers) until the next
+    /// install.
+    instance prev{};
+    /// Set aside by coordinator fiat (its protocol did not change); it
+    /// fences and migrates like a moved object.
+    bool force_moved{false};
+    /// Original seed snapshot -- present once the object's drain is over
+    /// (seeded-ness IS presence), kept for the generation so this server
+    /// can answer peers' lazy fetches with exactly what the coordinator
+    /// installed (a live instance's CURRENT state may include
+    /// not-yet-established later writes, which must not be seeded).
+    std::optional<register_snapshot> seed{};
+    /// The lazy fetch in flight, if any.
+    std::optional<fetch_state> fetch{};
+    /// Peers whose fetch_req this server answered without a seed; they
+    /// get an unsolicited seeded fetch_ack the moment one is adopted.
+    server_set subs{};
+  };
+
+  /// Everything this server holds for one object. A record left with
+  /// neither a replica nor a block is dropped at the next install.
+  struct object_state {
+    /// Current-generation replica; null until traffic or a seed creates
+    /// it (and while a moved object waits for its seed).
+    instance cur{};
+    /// Last wts persisted; an op record is appended only when serving a
+    /// message advanced past it.
+    wts_t persisted{};
+    /// Null unless this generation's reshard touched the object.
+    std::unique_ptr<handoff_block> handoff{};
+
+    [[nodiscard]] handoff_block& block() {
+      if (!handoff) handoff = std::make_unique<handoff_block>();
+      return *handoff;
+    }
+    [[nodiscard]] bool seeded() const { return handoff && handoff->seed; }
+  };
+
+  /// The record's current replica, created on first use.
+  instance& live(object_id obj, object_state& r);
   /// True when `obj`'s state moved generations at the last install.
-  [[nodiscard]] bool moved(object_id obj) const;
+  [[nodiscard]] bool moved(object_id obj, const object_state& r) const;
   void handle_one(const process_id& from, const message& m);
-  void handle_state_req(const process_id& from, const message& m);
-  void handle_seed_req(const process_id& from, const message& m);
-  void handle_fetch_req(const process_id& from, const message& m);
-  void handle_fetch_ack(const process_id& from, const message& m);
+  void handle_state_req(const process_id& from, const message& m,
+                        const object_state& r);
+  void handle_seed_req(const process_id& from, const message& m,
+                       object_state& r);
+  void handle_fetch_req(const process_id& from, const message& m,
+                        object_state& r);
+  void handle_fetch_ack(const process_id& from, const message& m,
+                        object_state& r);
   /// Installs `snap` as obj's seeded new-generation state (idempotent)
   /// and pushes seeded fetch_acks to this object's fetch subscribers.
-  void adopt_seed(object_id obj, const register_snapshot& snap);
+  void adopt_seed(object_id obj, object_state& r,
+                  const register_snapshot& snap);
   /// Buffers a data message for a moved, un-seeded object and starts (or
   /// joins) the object's lazy seed fetch.
-  void enqueue_fetch(const process_id& from, const message& m);
+  void enqueue_fetch(const process_id& from, const message& m,
+                     object_state& r);
   /// Replays what a now-seeded fetch buffered.
-  void finish_fetch(object_id obj);
+  void finish_fetch(object_state& r);
   void send_nack(const process_id& to, const message& m);
   /// Appends an op record when serving a message advanced obj's durable
   /// timestamp (protocol-agnostic: compares peek_state() against the last
   /// persisted wts). No-op without durability.
-  void maybe_persist(object_id obj);
+  void maybe_persist(object_id obj, object_state& r);
   /// Writes a full-state snapshot (and truncates the log) when one is due.
   void maybe_snapshot();
   /// Construction-time recovery: installs the replayed state if its epoch
@@ -182,35 +241,12 @@ class server final : public automaton {
   /// Map of the previous epoch; null until the first install.
   std::shared_ptr<const shard_map> prev_map_;
   std::uint32_t index_;
-  std::unordered_map<object_id, std::unique_ptr<automaton>> objects_;
-  /// Superseded instances of moved objects, kept for migration state
-  /// reads (and for old-generation gossip stragglers) until the next
-  /// install.
-  std::unordered_map<object_id, std::unique_ptr<automaton>> prev_objects_;
-  /// Original seed snapshot per seeded object -- one entry per moved
-  /// object whose drain is over (seeded-ness IS membership here), kept
-  /// for the generation so this server can answer peers' lazy fetches
-  /// with exactly what the coordinator installed (a live instance's
-  /// CURRENT state may include not-yet-established later writes, which
-  /// must not be seeded).
-  std::unordered_map<object_id, register_snapshot> seed_snaps_;
-  /// Lazy fetches in flight, by object.
-  std::unordered_map<object_id, fetch_state> fetches_;
-  /// Peers whose fetch_req for the object this server answered without a
-  /// seed; they get an unsolicited seeded fetch_ack the moment one is
-  /// adopted here. Cleared per generation.
-  std::unordered_map<object_id, server_set> fetch_subs_;
-  /// Objects the last install set aside by coordinator fiat (their
-  /// protocol did not change); they fence and migrate like moved ones.
-  std::unordered_set<object_id> force_moved_;
+  std::unordered_map<object_id, object_state> objects_;
   /// Client data messages per shard of the current map (load signal).
   std::vector<std::uint64_t> shard_ops_;
   batch_collector outbox_;
   /// Durability engine; null when persistence is off.
   std::unique_ptr<persist::server_durability> durable_;
-  /// Last wts persisted per object; an op record is appended only when
-  /// serving a message advanced past it.
-  std::unordered_map<object_id, wts_t> persisted_wts_;
   std::size_t recovered_objects_{0};
 
   /// Registry handles (per-server label), resolved in the constructor.

@@ -377,6 +377,21 @@ TEST(Registry, AllNamesConstructible) {
     EXPECT_NE(as_writer(wr.get()), nullptr) << name;
     EXPECT_EQ(rd->self(), reader_id(0)) << name;
     EXPECT_EQ(wr->self(), writer_id(0)) << name;
+    // Every replica is seedable (the store's server relies on it), and a
+    // seed reads back through peek_state. Single-writer replicas keep no
+    // writer id, so they are seeded with wid 0.
+    auto* seed = as_seedable(srv.get());
+    ASSERT_NE(seed, nullptr) << name;
+    register_snapshot snap;
+    snap.ts = 5;
+    snap.wid = proto->multi_writer() ? 1 : 0;
+    snap.val = "seeded";
+    snap.prev = "seeded";
+    seed->seed_state(snap);
+    const auto got = seed->peek_state();
+    EXPECT_EQ(got.ts, snap.ts) << name;
+    EXPECT_EQ(got.wid, snap.wid) << name;
+    EXPECT_EQ(got.val, snap.val) << name;
   }
 }
 

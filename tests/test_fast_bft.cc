@@ -304,5 +304,35 @@ TEST(FastBft, RsaSchemeEndToEnd) {
   EXPECT_TRUE(checker::check_swmr_atomicity(w.hist()).ok);
 }
 
+class capture final : public netout {
+ public:
+  void send(const process_id& to, message m) override {
+    out.emplace_back(to, std::move(m));
+  }
+  std::vector<std::pair<process_id, message>> out;
+};
+
+TEST(FastBftWriter, SeedWriterLiftsTimestampAndPrev) {
+  // No valid plan moves state into fast_bft (plans that move state under
+  // b > 0 are rejected), so the migration hook is driven directly: a
+  // writer seeded at ts 5 with value "m" writes next at ts 6 with prev
+  // "m", and still signs what it sends.
+  const auto cfg = bft_cfg(10, 2, 1, 1);
+  fast_bft_writer wr(cfg, fnv1a64("migrated"));
+  register_snapshot snap;
+  snap.ts = 5;
+  snap.val = "m";
+  wr.seed_writer(snap);
+  capture net;
+  wr.invoke_write(net, "next");
+  ASSERT_EQ(net.out.size(), cfg.S());
+  for (const auto& [to, m] : net.out) {
+    EXPECT_EQ(m.ts, 6);
+    EXPECT_EQ(m.prev, "m");
+    EXPECT_EQ(m.val, "next");
+    EXPECT_TRUE(valid_signed_ts(cfg, m)) << to_string(to);
+  }
+}
+
 }  // namespace
 }  // namespace fastreg

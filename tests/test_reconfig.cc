@@ -537,6 +537,7 @@ INSTANTIATE_TEST_SUITE_P(
                       migration_pair{"maxmin", "fast_swmr"},
                       migration_pair{"fast_swmr", "mwmr"},
                       migration_pair{"mwmr", "abd"},
+                      migration_pair{"abd", "naive_fast_mwmr_lww"},
                       migration_pair{"abd", "abd"}),
     [](const auto& info) {
       return info.param.first + "_to_" + info.param.second;

@@ -260,10 +260,10 @@ TEST(StressSoak, MwmrTcpCrashThenRestartWithDurableState) {
 
 // -------------------------------------- reshard with a real handoff --
 
-TEST(StressSoak, SwmrSimReshardWithFullHandoffUnderLoad) {
-  // abd -> fast_swmr switches every object's protocol, so the reshard
-  // runs the full dual-quorum handoff (fence, drain, state read, writer
-  // floor, quorum seed, resume) under sustained load.
+/// abd -> fast_swmr switches every object's protocol, so the reshard runs
+/// the full dual-quorum handoff (fence, drain, state read, writer floor,
+/// quorum seed, resume) under sustained load.
+stress_options swmr_handoff_base(const char* label) {
   stress_options opt;
   opt.protocol = "abd";
   opt.S = 8;
@@ -273,12 +273,32 @@ TEST(StressSoak, SwmrSimReshardWithFullHandoffUnderLoad) {
   opt.num_shards = 2;
   opt.num_keys = 4;
   opt.seed = stress_seed_from_env();
-  opt.label = "soak_swmr_sim_handoff";
+  opt.label = label;
   opt.reshard = true;
   opt.reshard_num_shards = 3;
   opt.reshard_protocols = {"fast_swmr"};
   opt.puts_per_writer = stress_iters(400);
   opt.gets_per_reader = stress_iters(400);
+  return opt;
+}
+
+TEST(StressSoak, SwmrSimReshardWithFullHandoffUnderLoad) {
+  const auto rep = run_sim_stress(swmr_handoff_base("soak_swmr_sim_handoff"));
+  expect_ok(rep);
+  EXPECT_EQ(rep.final_epoch, 1u) << rep.describe();
+}
+
+TEST(StressSoak, SwmrSimReshardThenRestartWithDurableState) {
+  // The same handoff on a durable store, with one server killed and
+  // restarted mid-run: the reshard's epoch mark and seed records meet the
+  // op log's per-object persisted timestamps, and the restarted server
+  // must rejoin through replay (or, when it missed the install, through
+  // the lazy seed fetch) without serving regressed state.
+  soak_dir dir("sim_reshard_restart");
+  auto opt = swmr_handoff_base("soak_swmr_sim_reshard_restart");
+  opt.crash_servers = 1;
+  opt.restart_crashed = true;
+  opt.persist_dir = dir.path.string();
   const auto rep = run_sim_stress(opt);
   expect_ok(rep);
   EXPECT_EQ(rep.final_epoch, 1u) << rep.describe();
