@@ -5,11 +5,10 @@
 // across key counts x shard protocol mixes, plus the batching win
 // (envelopes per op vs messages per op -- the gap is traffic that shared
 // one transport unit). Part 2 (localhost TCP): the same shape on real
-// sockets, wall-clock microseconds; per-key atomicity is verified on
-// every history either part produces.
+// sockets, wall-clock microseconds.
 // Part 3 (E12c) isolates the transport knobs the zero-copy wire pipeline
 // added: the reactor batch window (FASTREG_BATCH_WINDOW_US) and the
-// pipelined client depth, on an 8-client-thread workload whose rows vary
+// pipelined client depth, on an 8-session workload whose rows vary
 // ONLY those two knobs. Part 4 (E12d) is the connection fan-in test for
 // the sharded reactor pool: 1000+ pipelined client sessions from ONE
 // process (a 4-reactor hub node) against the same server fleet run with
@@ -18,19 +17,22 @@
 // aggregate ops/s. `--smoke` runs a seconds-scale subset of E12c plus
 // E12d (the Release CI job uses it as a link/run sanity check and as
 // the 1k-connection gate).
+// TCP rows run on the one TCP load driver; latencies are the op log's.
+// Exits 1 (`E12 FAILED:` on stderr) when a row is not atomic or lost ops.
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <thread>
 #include <vector>
 
 #include "benchutil/stats.h"
 #include "benchutil/table.h"
+#include "benchutil/tcp_driver.h"
 #include "benchutil/workload.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
@@ -69,29 +71,28 @@ store::store_config make_store_cfg(const mix& m, std::uint32_t num_shards,
   return cfg;
 }
 
-/// One put by writer 0 through the store's blocking helper.
-bool put_one(store::tcp_store& ts, std::string key, value_t v) {
-  const store::store_op op{std::move(key), /*is_put=*/true, std::move(v)};
-  return store::submit_and_drain(ts.frontend(), writer_id(0), {&op, 1})
-      .has_value();
-}
-
-/// Seeds keys 0..n-1 and connects every client to every server.
+/// Seeds keys 0..n-1 in one pipelined batch and connects the first R
+/// readers to every server.
 void warm_up(store::tcp_store& ts, std::uint32_t n, std::uint32_t R) {
+  std::vector<store::store_op> seeds;
   for (std::uint32_t k = 0; k < n; ++k) {
-    (void)put_one(ts, "key" + std::to_string(k), "seed");
+    seeds.push_back(store::store_op{"key" + std::to_string(k), true, "seed"});
   }
+  (void)store::submit_and_drain(ts.frontend(), writer_id(0), seeds);
   const store::store_op get{"key0", /*is_put=*/false, {}};
   for (std::uint32_t i = 0; i < R; ++i) {
     (void)store::submit_and_drain(ts.frontend(), reader_id(i), {&get, 1});
   }
 }
 
+/// Rows that are not atomic or lost ops; main() exits 1 when any exist.
+int g_bad_rows = 0;
+
 void run_sim_part() {
   std::printf("E12a: store throughput on the timed simulator "
               "(delay U[50,150] ticks, R=3 readers, batch=8)\n\n");
   table t({"keys", "shards", "mix", "ops/ktick", "get_p50", "get_p99",
-           "env/op", "msg/op", "atomic"});
+           "env/op", "msg/op", "failed", "atomic"});
   for (const std::uint32_t keys : {8u, 64u, 512u}) {
     for (const std::uint32_t shards : {1u, 4u}) {
       for (const auto& m : mixes()) {
@@ -103,11 +104,14 @@ void run_sim_part() {
         opt.seed = 42 + keys + shards;
         const auto cfg = make_store_cfg(m, shards, /*R=*/3);
         const auto rep = run_store_measured(cfg, opt);
-        const bool atomic = rep.all_complete && rep.hist.verify().ok;
+        const std::uint64_t failed = ops_since(rep.hist, 0).incomplete;
+        const bool atomic = rep.hist.verify().ok;
+        g_bad_rows += !atomic || failed > 0;
         t.add_row({std::to_string(keys), std::to_string(shards), m.label,
                    fmt(rep.ops_per_ktick, 2), fmt(rep.get_latency.p50()),
                    fmt(rep.get_latency.p99()), fmt(rep.envelopes_per_op, 2),
-                   fmt(rep.msgs_per_op, 2), atomic ? "yes" : "NO"});
+                   fmt(rep.msgs_per_op, 2), std::to_string(failed),
+                   atomic ? "yes" : "NO"});
       }
     }
   }
@@ -118,78 +122,91 @@ void run_sim_part() {
               "independent objects).\n\n");
 }
 
+// ------------------------------------------------- TCP rows: one driver --
+
+/// `n` ops of `client` on keys drawn uniformly from rng(seed): a writer
+/// puts v1..vn, a reader gets.
+client_script uniform_script(const process_id& client, std::uint64_t seed,
+                             std::uint32_t keys, std::uint32_t n,
+                             std::uint32_t depth) {
+  rng r(seed);
+  return make_script(client, depth, n, [&](std::uint32_t k) {
+    return store::store_op{"key" + std::to_string(r.below(keys)),
+                           client.is_writer(),
+                           client.is_writer() ? "v" + std::to_string(k + 1)
+                                              : value_t{}};
+  });
+}
+
+/// One TCP row: the scripts through the one driver, then per-op latency
+/// from the op log (the warmup, invoked earlier, is left out). ops/s
+/// counts completed ops; the row counts toward g_bad_rows when it is not
+/// atomic or lost ops.
+struct tcp_row {
+  double ops_s{0};
+  stats get_us;
+  std::uint64_t failed{0};
+  bool atomic{false};
+};
+
+tcp_row drive(store::tcp_store& ts, std::vector<client_script> scripts,
+              std::uint32_t threads) {
+  tcp_driver drv(ts, std::move(scripts), threads);
+  tcp_row row;
+  row.failed = drv.join();
+  const double secs = static_cast<double>(steady_ns() - drv.start_ns()) / 1e9;
+  const auto hist = ts.gather();
+  const auto ops = ops_since(hist, drv.start_ns());
+  row.ops_s = static_cast<double>(ops.completed()) / secs;
+  row.get_us = latencies(ops.gets, 1000);
+  row.atomic = hist.verify().ok;
+  g_bad_rows += !row.atomic || row.failed > 0;
+  return row;
+}
+
 void run_tcp_part() {
-  std::printf("E12b: store throughput over real TCP sockets (localhost, "
-              "2 reader threads, 8-key get batches: 8 submits, one "
-              "drain)\n\n");
-  table t({"keys", "mix", "ops/s", "get_p50_us", "get_p99_us", "atomic"});
   const std::uint32_t R = 2;
-  const int rounds = 40;
+  const std::uint32_t rounds = 40;
+  std::printf("E12b: store throughput over real TCP sockets (localhost, "
+              "1 writer + 2 readers; each reader runs %u samples of 8 "
+              "distinct keys through a depth-8 session)\n\n",
+              rounds);
+  table t({"keys", "mix", "ops/s", "get_p50_us", "get_p99_us", "failed",
+           "atomic"});
   for (const std::uint32_t keys : {8u, 64u, 512u}) {
     for (const auto& m : mixes()) {
       store::tcp_store ts(make_store_cfg(m, /*num_shards=*/4, R));
       ts.start();
       warm_up(ts, std::min(keys, 8u), R);
 
-      std::vector<std::vector<double>> lat_us(R);
-      const auto t0 = std::chrono::steady_clock::now();
-      std::thread writer([&] {
-        rng r(7);
-        for (int n = 0; n < rounds; ++n) {
-          (void)put_one(ts, "key" + std::to_string(r.below(keys)),
-                        "v" + std::to_string(n + 1));
-        }
-      });
-      std::vector<std::thread> readers;
+      const std::uint32_t batch = std::min(8u, keys);
+      std::vector<client_script> scripts{
+          uniform_script(writer_id(0), 7, keys, rounds, 1)};
       for (std::uint32_t i = 0; i < R; ++i) {
-        readers.emplace_back([&, i] {
-          rng r(100 + i);
-          std::vector<std::uint32_t> idx(keys);
-          for (std::uint32_t k = 0; k < keys; ++k) idx[k] = k;
-          const std::uint32_t batch = std::min(8u, keys);
-          for (int n = 0; n < rounds; ++n) {
-            std::vector<store::store_op> gets;
-            for (auto& k : sample_distinct_keys(r, idx, batch)) {
-              gets.push_back(store::store_op{std::move(k), false, {}});
-            }
-            const auto s0 = std::chrono::steady_clock::now();
-            const auto res =
-                store::submit_and_drain(ts.frontend(), reader_id(i), gets);
-            const auto s1 = std::chrono::steady_clock::now();
-            if (!res) continue;
-            // The batch's gets are genuinely concurrent; each op carries
-            // the batch's wall time.
-            const double us =
-                std::chrono::duration<double, std::micro>(s1 - s0).count();
-            for (std::size_t k = 0; k < res->size(); ++k) {
-              lat_us[i].push_back(us);
-            }
-          }
-        });
+        rng r(100 + i);
+        std::vector<std::uint32_t> idx(keys);
+        std::iota(idx.begin(), idx.end(), 0u);
+        std::vector<std::string> sample;
+        scripts.push_back(make_script(
+            reader_id(i), batch, rounds * batch, [&](std::uint32_t k) {
+              if (k % batch == 0) sample = sample_distinct_keys(r, idx, batch);
+              return store::store_op{std::move(sample[k % batch]), false, {}};
+            }));
       }
-      writer.join();
-      for (auto& th : readers) th.join();
-      const auto t1 = std::chrono::steady_clock::now();
-
-      stats get_us;
-      for (const auto& per_reader : lat_us) {
-        for (const double v : per_reader) get_us.add(v);
-      }
-      const double secs = std::chrono::duration<double>(t1 - t0).count();
-      const double total_ops =
-          static_cast<double>(get_us.count()) + rounds;  // gets + puts
-      const bool atomic = ts.gather().verify().ok;
-      t.add_row({std::to_string(keys), m.label,
-                 fmt(secs > 0 ? total_ops / secs : 0, 0),
-                 fmt(get_us.p50()), fmt(get_us.p99()),
-                 atomic ? "yes" : "NO"});
+      const auto row = drive(ts, std::move(scripts), 1 + R);
+      t.add_row({std::to_string(keys), m.label, fmt(row.ops_s, 0),
+                 fmt(row.get_us.p50()), fmt(row.get_us.p99()),
+                 std::to_string(row.failed), row.atomic ? "yes" : "NO"});
       ts.stop();
     }
   }
   t.print();
   std::printf("\nexpected shape: abd ~= 2x fast_swmr get latency (two "
-              "round trips vs one); ops/s scales with the get "
-              "batch because k gets share one envelope per server.\n");
+              "round trips vs one); latency is each get's invoke-to-"
+              "response time from the op log, so it includes the wait "
+              "behind the other gets in the reader's window; ops/s "
+              "counts completed ops and rises with the window because up "
+              "to 8 in-flight gets share one batch frame per server.\n");
 }
 
 // ------------------------------------------- E12c: window x pipelining --
@@ -217,100 +234,51 @@ std::vector<wire_mode> wire_modes(bool smoke) {
 }
 
 void run_wire_knob_part(bool smoke) {
-  std::printf("E12c: transport knobs under 8 client threads (1 writer + 7 "
-              "readers, abd shards, 64 keys, single-key ops). Rows vary "
-              "ONLY the reactor batch window and the pipelined client "
-              "depth; the first row (window 0, depth 1: flush-per-step, "
-              "one op at a time per client) is the pre-pipeline "
-              "baseline. frames/writev is the measured coalescing factor, "
-              "from a reset-free obs::interval_scrape per row.\n\n");
+  std::printf("E12c: transport knobs under 8 client sessions, one driver "
+              "thread each (1 writer + 7 readers, abd shards, 64 keys, "
+              "single-key ops). Rows vary ONLY the reactor batch window "
+              "and the pipelined client depth; the first row (window 0, "
+              "depth 1: flush-per-step, one op at a time per client) is "
+              "the pre-pipeline baseline. frames/writev is the measured "
+              "coalescing factor, from a reset-free obs::interval_scrape "
+              "per row.\n\n");
   const std::uint32_t R = 7;
   const std::uint32_t keys = 64;
-  const int rounds = smoke ? 40 : 400;
+  const std::uint32_t rounds = smoke ? 40 : 400;
 
   table t({"batch_window", "pipeline_depth", "ops/s", "get_p50_us",
-           "get_p99_us", "vs_baseline", "frames/writev", "atomic"});
+           "get_p99_us", "vs_baseline", "frames/writev", "failed",
+           "atomic"});
   double base_ops = 0;
   // Registry counters are cumulative across rows (and earlier parts);
   // the interval scrape subtracts the previous snapshot so each row
   // reports only its own traffic, without resetting anything.
   obs::interval_scrape scrape;
   for (const auto& m : wire_modes(smoke)) {
-    store::store_config cfg;
-    cfg.base.servers = 7;
-    cfg.base.t_failures = 1;
-    cfg.base.readers = R;
-    cfg.base.writers = 1;
-    cfg.num_shards = 4;
-    cfg.shard_protocols = {"abd"};
-    store::tcp_store ts(cfg, m.nopt);
+    store::tcp_store ts(make_store_cfg({"abd", {"abd"}}, 4, R), m.nopt);
     ts.start();
     warm_up(ts, keys, R);
     (void)scrape.take();  // drop the warmup's counter deltas
 
-    const auto t0 = std::chrono::steady_clock::now();
-    // gather() timestamps share this clock; ops invoked before the
-    // measured run (the warmup) are filtered out below.
-    const std::uint64_t run_start_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            t0.time_since_epoch())
-            .count());
     // Depth 1 is the closed loop: each op waits for the previous one.
-    std::thread writer([&] {
-      rng r(7);
-      auto p = ts.open_session(writer_id(0), m.depth);
-      for (int n = 0; n < rounds; ++n) {
-        (void)p->put("key" + std::to_string(r.below(keys)),
-                     "v" + std::to_string(n + 1));
-      }
-      (void)p->drain();
-    });
-    std::vector<std::thread> readers;
+    std::vector<client_script> scripts{
+        uniform_script(writer_id(0), 7, keys, rounds, m.depth)};
     for (std::uint32_t i = 0; i < R; ++i) {
-      readers.emplace_back([&, i] {
-        rng r(100 + i);
-        auto p = ts.open_session(reader_id(i), m.depth);
-        for (int n = 0; n < rounds; ++n) {
-          (void)p->get("key" + std::to_string(r.below(keys)));
-        }
-        (void)p->drain();
-      });
+      scripts.push_back(
+          uniform_script(reader_id(i), 100 + i, keys, rounds, m.depth));
     }
-    writer.join();
-    for (auto& th : readers) th.join();
-    const auto t1 = std::chrono::steady_clock::now();
-
-    const auto hist = ts.gather();
-    // Per-op latency from the shared op log; warmup ops are excluded by
-    // invocation time.
-    stats get_us;
-    std::uint64_t completed = 0;
-    for (const auto& [key, h] : hist.all()) {
-      for (const auto& op : h.ops()) {
-        if (!op.response_time || op.invoke_time < run_start_ns) continue;
-        ++completed;
-        if (!op.is_write) {
-          get_us.add(static_cast<double>(*op.response_time -
-                                         op.invoke_time) /
-                     1000.0);
-        }
-      }
-    }
-    const double secs = std::chrono::duration<double>(t1 - t0).count();
-    const double ops_s =
-        secs > 0 ? static_cast<double>(completed) / secs : 0;
-    if (base_ops == 0) base_ops = ops_s;
-    const bool atomic = hist.verify().ok;
+    const auto row = drive(ts, std::move(scripts), 1 + R);
+    if (base_ops == 0) base_ops = row.ops_s;
     const auto delta = scrape.take();
     const double frames =
         obs::series_sum(delta, "fastreg_net_frames_out_total");
     const double writevs =
         obs::series_sum(delta, "fastreg_net_writev_calls_total");
-    t.add_row({m.window, std::to_string(m.depth), fmt(ops_s, 0),
-               fmt(get_us.p50()), fmt(get_us.p99()),
-               fmt(base_ops > 0 ? ops_s / base_ops : 0, 2) + "x",
+    t.add_row({m.window, std::to_string(m.depth), fmt(row.ops_s, 0),
+               fmt(row.get_us.p50()), fmt(row.get_us.p99()),
+               fmt(base_ops > 0 ? row.ops_s / base_ops : 0, 2) + "x",
                fmt(writevs > 0 ? frames / writevs : 0, 2),
-               atomic ? "yes" : "NO"});
+               std::to_string(row.failed), row.atomic ? "yes" : "NO"});
     ts.stop();
   }
   t.print();
@@ -355,12 +323,13 @@ void run_fanin_part(bool smoke) {
       "E12d: connection fan-in -- %u pipelined reader sessions (depth %u) "
       "from one process on a 4-reactor hub node, against S=3 abd servers "
       "run with 1 vs 4 reactors each (equal connection count, %u driver "
-      "threads, %u gets/session + %u concurrent blocking puts).\n\n",
+      "threads, %u gets/session + %u puts from one depth-1 writer "
+      "session).\n\n",
       sessions, depth, drivers, ops_per, writer_rounds);
   raise_fd_limit(4 * (sessions + 64));
 
   table t({"server_reactors", "sessions", "server_conns", "ops/s",
-           "get_p50_us", "vs_1reactor", "atomic"});
+           "get_p50_us", "vs_1reactor", "failed", "atomic"});
   double base_ops = 0;
   for (const std::uint32_t sreact : {1u, 4u}) {
     store::store_config cfg;
@@ -379,100 +348,28 @@ void run_fanin_part(bool smoke) {
     // Gauge baseline: an earlier row's teardown may leave its final
     // decrements unflushed, so each row reports its own delta.
     const double conns0 = server_connections_now();
-    for (std::uint32_t k = 0; k < keys; ++k) {
-      (void)put_one(ts, "key" + std::to_string(k), "seed");
-    }
+    warm_up(ts, keys, /*R=*/0);
 
-    struct fan_slot {
-      std::unique_ptr<store::async_session> ses;
-      std::uint32_t next{0};
-    };
-    std::vector<fan_slot> slots(sessions);
-    for (std::uint32_t i = 0; i < sessions; ++i) {
-      slots[i].ses = ts.open_session(reader_id(i), depth);
-    }
-
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::uint64_t run_start_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            t0.time_since_epoch())
-            .count());
-    const auto deadline = t0 + std::chrono::seconds(120);
-    std::atomic<std::uint64_t> failures{0};
-    std::thread writer([&] {
-      rng r(7);
-      for (std::uint32_t n = 0; n < writer_rounds; ++n) {
-        if (!put_one(ts, "key" + std::to_string(r.below(keys)),
-                     "v" + std::to_string(n + 1))) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-    // Driver pool: thread d multiplexes sessions d, d+drivers, ...
     // Connection setup rides inside the measured window on purpose: the
     // row is "what can this process sustain from a cold fan-in".
-    std::vector<std::thread> pool;
-    for (std::uint32_t d = 0; d < drivers; ++d) {
-      pool.emplace_back([&, d] {
-        while (true) {
-          bool done = true;
-          bool progress = false;
-          for (std::size_t i = d; i < slots.size(); i += drivers) {
-            auto& sl = slots[i];
-            sl.ses->pump();
-            (void)sl.ses->take_results();
-            while (sl.next < ops_per) {
-              const auto st = sl.ses->try_get(
-                  "key" + std::to_string((i + sl.next) % keys));
-              if (st != store::submit_status::submitted) break;
-              ++sl.next;
-              progress = true;
-            }
-            if (sl.next < ops_per || sl.ses->in_flight() != 0) done = false;
-          }
-          if (done) return;
-          if (std::chrono::steady_clock::now() > deadline) return;
-          if (!progress) std::this_thread::sleep_for(
-              std::chrono::microseconds(200));
-        }
-      });
+    std::vector<client_script> scripts{
+        uniform_script(writer_id(0), 7, keys, writer_rounds, 1)};
+    for (std::uint32_t i = 0; i < sessions; ++i) {
+      scripts.push_back(
+          make_script(reader_id(i), depth, ops_per, [&](std::uint32_t n) {
+            return store::store_op{"key" + std::to_string((i + n) % keys),
+                                   false, {}};
+          }));
     }
-    writer.join();
-    for (auto& th : pool) th.join();
-    // All sessions still hold their connections here: the gauge is the
-    // live per-server-reactor connection count summed over the fleet.
+    const auto row = drive(ts, std::move(scripts), drivers);
+    // A client's connections belong to its actor on the hub node, not
+    // to the session, so they are all still live here.
     const double conns = server_connections_now() - conns0;
-    for (auto& sl : slots) {
-      if (!sl.ses->drain(std::chrono::seconds(10))) {
-        failures.fetch_add(sl.ses->in_flight(), std::memory_order_relaxed);
-      }
-      failures.fetch_add(ops_per - sl.next, std::memory_order_relaxed);
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-
-    const auto hist = ts.gather();
-    stats get_us;
-    std::uint64_t completed = 0;
-    for (const auto& [key, h] : hist.all()) {
-      for (const auto& op : h.ops()) {
-        if (!op.response_time || op.invoke_time < run_start_ns) continue;
-        ++completed;
-        if (!op.is_write) {
-          get_us.add(
-              static_cast<double>(*op.response_time - op.invoke_time) /
-              1000.0);
-        }
-      }
-    }
-    const double secs = std::chrono::duration<double>(t1 - t0).count();
-    const double ops_s =
-        secs > 0 ? static_cast<double>(completed) / secs : 0;
-    if (base_ops == 0) base_ops = ops_s;
-    const bool atomic = hist.verify().ok && failures.load() == 0;
+    if (base_ops == 0) base_ops = row.ops_s;
     t.add_row({std::to_string(sreact), std::to_string(sessions),
-               fmt(conns, 0), fmt(ops_s, 0), fmt(get_us.p50()),
-               fmt(base_ops > 0 ? ops_s / base_ops : 0, 2) + "x",
-               atomic ? "yes" : "NO"});
+               fmt(conns, 0), fmt(row.ops_s, 0), fmt(row.get_us.p50()),
+               fmt(base_ops > 0 ? row.ops_s / base_ops : 0, 2) + "x",
+               std::to_string(row.failed), row.atomic ? "yes" : "NO"});
     ts.stop();
   }
   t.print();
@@ -541,14 +438,8 @@ int run_obs_check(const char* dump_path) {
   const std::uint32_t R = 4;
   const std::uint32_t keys = 64;
   const int rounds = 150;
-  store::store_config cfg;
-  cfg.base.servers = 7;
-  cfg.base.t_failures = 1;
-  cfg.base.readers = R;
-  cfg.base.writers = 1;
-  cfg.num_shards = 4;
-  cfg.shard_protocols = {"abd"};
-  store::tcp_store ts(cfg);  // window 0: the latency-first default
+  // Window 0: the latency-first default.
+  store::tcp_store ts(make_store_cfg({"abd", {"abd"}}, 4, R));
   ts.start();
   warm_up(ts, keys, R);
   {
@@ -644,11 +535,15 @@ int main(int argc, char** argv) {
     // 1k-connection fan-in gate against the 4-reactor servers.
     run_wire_knob_part(/*smoke=*/true);
     run_fanin_part(/*smoke=*/true);
-    return 0;
+  } else {
+    run_sim_part();
+    run_tcp_part();
+    run_wire_knob_part(/*smoke=*/false);
+    run_fanin_part(/*smoke=*/false);
   }
-  run_sim_part();
-  run_tcp_part();
-  run_wire_knob_part(/*smoke=*/false);
-  run_fanin_part(/*smoke=*/false);
-  return 0;
+  if (g_bad_rows > 0) {
+    std::fprintf(stderr, "E12 FAILED: %d rows not atomic or with failed ops\n",
+                 g_bad_rows);
+  }
+  return g_bad_rows > 0 ? 1 : 0;
 }

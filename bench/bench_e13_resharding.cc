@@ -17,8 +17,8 @@
 // full-fleet seed deadlocked here. The before/during/after percentiles
 // put numbers behind that liveness claim.
 //
-// Part 3 (localhost TCP): same reshard on real sockets with concurrently
-// operating client threads, wall-clock microseconds.
+// Part 3 (localhost TCP): same reshard on real sockets, through the one
+// TCP load driver; latencies are the op log's, in microseconds.
 //
 // Part 4 (timed simulator, durable): a server with per-server durability
 // (src/persist) is killed mid-load, the fleet reshards WITHOUT it, and it
@@ -28,10 +28,10 @@
 // per fsync policy puts a number on that worst-case recovery (replay +
 // discard) next to E9's happy-path replay.
 //
-// Every history is checked per key; the "violations" column must be 0.
+// Every history is checked per key. The binary exits 1 (with `E13 FAILED:`
+// lines on stderr) unless every "violations" and "failed" cell is 0.
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -41,6 +41,7 @@
 
 #include "benchutil/stats.h"
 #include "benchutil/table.h"
+#include "benchutil/tcp_driver.h"
 #include "benchutil/workload.h"
 #include "common/rng.h"
 #include "persist/durable.h"
@@ -94,31 +95,47 @@ class sim_sessions {
   std::vector<std::unique_ptr<store::async_session>> readers_;
 };
 
-struct phase_window {
-  stats get_lat;
-  stats put_lat;
-  std::uint64_t ops{0};
-  double span{0};  // ticks or seconds
+/// Rows with a violation or a failed op; main() exits 1 when any exist.
+int g_bad_rows = 0;
 
-  [[nodiscard]] double rate(double scale) const {
-    return span > 0 ? static_cast<double>(ops) * scale / span : 0;
+/// Adds a part's before/during/after rows. bounds = {run start, reshard
+/// start, reshard done, run end} in the op log's clock (ticks or ns). An
+/// op is "before" when it responded by the reshard's start, "after" when
+/// it was invoked once the reshard was done, else "during". Latencies are
+/// divided by `lat_unit`; rates are ops per `rate_unit` of the clock.
+checker::check_result add_phases(table& t, const char* part,
+                                 const store::store_histories& hist,
+                                 const std::uint64_t (&bounds)[4],
+                                 double lat_unit, double rate_unit,
+                                 std::uint64_t failed) {
+  struct phase {
+    stats get_lat, put_lat;
+    std::uint64_t ops{0};
+  } w[3];
+  const auto ops = ops_since(hist, bounds[0]);
+  for (const bool is_put : {false, true}) {
+    for (const auto& op : is_put ? ops.puts : ops.gets) {
+      auto& ph = w[op.response <= bounds[1]  ? 0
+                   : op.invoke >= bounds[2] ? 2
+                                             : 1];
+      ++ph.ops;
+      (is_put ? ph.put_lat : ph.get_lat)
+          .add(static_cast<double>(op.latency()) / lat_unit);
+    }
   }
-};
-
-void add_op(phase_window& w, bool is_put, double lat) {
-  ++w.ops;
-  (is_put ? w.put_lat : w.get_lat).add(lat);
-}
-
-void print_phases(table& t, const char* transport, phase_window (&w)[3],
-                  double rate_scale, std::size_t violations) {
+  const auto res = hist.verify();
+  g_bad_rows += !res.ok || failed > 0;
   static const char* names[3] = {"before", "during", "after"};
   for (int p = 0; p < 3; ++p) {
-    t.add_row({transport, names[p], std::to_string(w[p].ops),
-               fmt(w[p].rate(rate_scale), 1), fmt(w[p].get_lat.p50()),
-               fmt(w[p].get_lat.p99()), fmt(w[p].put_lat.p50()),
-               fmt(w[p].put_lat.p99()), std::to_string(violations)});
+    const auto ops_per_unit = static_cast<double>(w[p].ops) * rate_unit;
+    const auto span = static_cast<double>(bounds[p + 1] - bounds[p]);
+    t.add_row({part, names[p], std::to_string(w[p].ops),
+               fmt(span > 0 ? ops_per_unit / span : 0, 1),
+               fmt(w[p].get_lat.p50()), fmt(w[p].get_lat.p99()),
+               fmt(w[p].put_lat.p50()), fmt(w[p].put_lat.p99()),
+               std::to_string(failed), res.ok ? "0" : "1"});
   }
+  return res;
 }
 
 // ------------------------------------------------------------ simulator --
@@ -194,30 +211,11 @@ void run_sim_part(table& t, bool crash_one) {
   }
   FASTREG_CHECK(started && coord.done());
 
-  // Classify each completed op against the reconfiguration window.
-  phase_window w[3];
-  bool all_complete = true;
-  for (const auto& [key, h] : s.histories().all()) {
-    for (const auto& op : h.ops()) {
-      if (!op.response_time) {
-        all_complete = false;
-        continue;
-      }
-      const int p = *op.response_time <= t_start ? 0
-                    : op.invoke_time >= t_done   ? 2
-                                                 : 1;
-      add_op(w[p], op.is_write,
-             static_cast<double>(*op.response_time - op.invoke_time));
-    }
-  }
-  w[0].span = static_cast<double>(t_start);
-  w[1].span = static_cast<double>(t_done - t_start);
-  w[2].span = static_cast<double>(s.world().now() - t_done);
-
-  const auto res = s.histories().verify();
-  const std::size_t violations = (res.ok && all_complete) ? 0 : 1;
   const char* label = crash_one ? "sim-crash" : "sim";
-  print_phases(t, label, w, 1000.0, violations);
+  const auto& hist = s.histories();
+  const auto res =
+      add_phases(t, label, hist, {0, t_start, t_done, s.world().now()}, 1,
+                 1000, ops_since(hist, 0).incomplete);
   std::printf("%s reshard: epoch %llu, %zu/%zu keys migrated (%zu "
               "discovered), reconfig window %llu ticks%s%s\n",
               label,
@@ -234,6 +232,7 @@ void run_sim_part(table& t, bool crash_one) {
 
 void run_tcp_part(table& t) {
   const std::uint32_t num_keys = 16;
+  const std::uint32_t ops_per_client = 900;
   const auto keys = make_keys(num_keys);
   store::store_config cfg;
   cfg.base.servers = 5;
@@ -249,93 +248,47 @@ void run_tcp_part(table& t) {
     (void)store::submit_and_drain(ts.frontend(), writer_id(0), {&seed, 1});
   }
 
-  struct sample {
-    double done_s;  // completion time, seconds since bench start
-    double lat_us;
-    bool is_put;
-  };
-  std::vector<std::vector<sample>> per_thread(1 + cfg.base.R());
-  const auto bench_t0 = std::chrono::steady_clock::now();
-  auto since_start = [&](std::chrono::steady_clock::time_point tp) {
-    return std::chrono::duration<double>(tp - bench_t0).count();
-  };
-
-  std::atomic<bool> stop{false};
+  // Depth-1 sessions: one op at a time per client, each on its own
+  // driver thread.
   const zipf_sampler zipf(num_keys, 1.1);
-  std::thread writer([&] {
-    rng r(7);
-    // Depth-1 sessions: one op at a time per client, timed end to end.
-    auto se = ts.open_session(writer_id(0), /*depth=*/1);
-    for (std::uint64_t n = 1; !stop.load(); ++n) {
-      const auto& key = keys[zipf.sample(r)];
-      const auto s0 = std::chrono::steady_clock::now();
-      const bool ok = se->put(key, "w" + std::to_string(n)) && se->drain();
-      const auto s1 = std::chrono::steady_clock::now();
-      (void)se->take_results();
-      if (!ok) continue;
-      per_thread[0].push_back(
-          {since_start(s1),
-           std::chrono::duration<double, std::micro>(s1 - s0).count(),
-           true});
-    }
-  });
-  std::vector<std::thread> readers;
+  rng wr(7);
+  std::vector<client_script> scripts{make_script(
+      writer_id(0), 1, ops_per_client, [&](std::uint32_t n) {
+        return store::store_op{keys[zipf.sample(wr)], /*is_put=*/true,
+                               "w" + std::to_string(n + 1)};
+      })};
   for (std::uint32_t i = 0; i < cfg.base.R(); ++i) {
-    readers.emplace_back([&, i] {
-      rng r(100 + i);
-      auto se = ts.open_session(reader_id(i), /*depth=*/1);
-      while (!stop.load()) {
-        const auto& key = keys[zipf.sample(r)];
-        const auto s0 = std::chrono::steady_clock::now();
-        const bool ok = se->get(key) && se->drain();
-        const auto s1 = std::chrono::steady_clock::now();
-        (void)se->take_results();
-        if (!ok) continue;
-        per_thread[1 + i].push_back(
-            {since_start(s1),
-             std::chrono::duration<double, std::micro>(s1 - s0).count(),
-             false});
-      }
-    });
+    rng r(100 + i);
+    scripts.push_back(
+        make_script(reader_id(i), 1, ops_per_client, [&](std::uint32_t) {
+          return store::store_op{keys[zipf.sample(r)], false, {}};
+        }));
   }
+  tcp_driver drv(ts, std::move(scripts), 1 + cfg.base.R());
 
-  // Let the "before" window accumulate, then reshard live.
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  // Let the "before" window take half the ops, then reshard live.
+  drv.wait_submitted(ops_per_client * (1 + cfg.base.R()) / 2);
   reconfig::tcp_control ctl(ts);
   reconfig::coordinator coord(ctl, keys);
-  const double t_start = since_start(std::chrono::steady_clock::now());
+  const std::uint64_t t_start = steady_ns();
   FASTREG_CHECK(
       coord.start(ts.proto().shards(), {6, {"fast_swmr", "abd"}}));
   while (!coord.done()) {
     coord.step();
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
-  const double t_done = since_start(std::chrono::steady_clock::now());
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  stop.store(true);
-  writer.join();
-  for (auto& th : readers) th.join();
-  const double t_end = since_start(std::chrono::steady_clock::now());
+  const std::uint64_t t_done = steady_ns();
+  const std::uint64_t failed = drv.join();
+  const std::uint64_t t_end = steady_ns();
 
-  phase_window w[3];
-  for (const auto& samples : per_thread) {
-    for (const auto& sm : samples) {
-      const int p = sm.done_s <= t_start ? 0 : sm.done_s >= t_done ? 2 : 1;
-      add_op(w[p], sm.is_put, sm.lat_us);
-    }
-  }
-  w[0].span = t_start;
-  w[1].span = t_done - t_start;
-  w[2].span = t_end - t_done;
-
-  const auto res = ts.gather().verify();
-  const std::size_t violations = res.ok ? 0 : 1;
-  print_phases(t, "tcp", w, 1.0, violations);
+  const auto res = add_phases(t, "tcp", ts.gather(),
+                              {drv.start_ns(), t_start, t_done, t_end}, 1000,
+                              1e9, failed);
   std::printf("tcp reshard: epoch %llu, %zu/%zu keys migrated, reconfig "
               "window %.1f ms%s\n",
               static_cast<unsigned long long>(coord.stats().new_epoch),
               coord.stats().keys_moved, coord.stats().keys_considered,
-              (t_done - t_start) * 1e3,
+              static_cast<double>(t_done - t_start) / 1e6,
               res.ok ? "" : " -- ATOMICITY VIOLATION (see below)");
   if (!res.ok) std::printf("  %s\n", res.error.c_str());
   ts.stop();
@@ -422,11 +375,13 @@ void run_rejoin_part(table& t, persist::fsync_policy policy) {
           std::chrono::steady_clock::now() - rec_t0)
           .count();
   const auto res = s.histories().verify();
+  const std::uint64_t failed = ops_since(s.histories(), 0).incomplete;
+  g_bad_rows += !res.ok || failed > 0;
   t.add_row({persist::to_string(policy), std::to_string(log_b),
              fmt(recover_us, 1), std::to_string(ns.recovered_objects()),
              std::to_string(
                  static_cast<unsigned long long>(s.shards()->epoch())),
-             res.ok ? "0" : "1"});
+             std::to_string(failed), res.ok ? "0" : "1"});
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
 }
@@ -437,11 +392,12 @@ int main() {
   std::printf("E13: live resharding -- 4 shards of abd -> 6 shards of "
               "fast_swmr+abd under a Zipf(1.1) hot-key closed loop.\n"
               "sim latencies in ticks (rate ops/ktick); tcp latencies in "
-              "microseconds (rate ops/s).\n"
+              "microseconds, invoke to response from the op log (rate "
+              "ops/s).\n"
               "sim-crash kills one of the 7 servers as the reshard starts "
               "(dead for the rest of the run).\n\n");
   table t({"part", "phase", "ops", "rate", "get_p50", "get_p99", "put_p50",
-           "put_p99", "violations"});
+           "put_p99", "failed", "violations"});
   run_sim_part(t, /*crash_one=*/false);
   run_sim_part(t, /*crash_one=*/true);
   run_tcp_part(t);
@@ -454,13 +410,16 @@ int main() {
       "matches sim's shape -- quorum seeding keeps the migration and "
       "every held op live with a server down (the old full-fleet seed "
       "deadlocked here) -- at a slightly higher tail (quorums of 6 wait "
-      "for the slowest of 6); violations stays 0 -- per-key atomicity "
-      "holds across the epoch boundary, crash or no crash.\n");
+      "for the slowest of 6); the tcp rows run one fixed script (900 "
+      "ops per client, the reshard starting at half of them); failed "
+      "and violations stay 0 -- "
+      "every op completes and per-key atomicity holds across the epoch "
+      "boundary, crash or no crash.\n");
 
   std::printf("\nE13 part 4: durable server rejoins AFTER a reshard moved "
               "the epoch on (2 -> 3 abd shards while it was down)\n\n");
   table rj({"fsync", "stale_log_bytes", "recover_us", "recovered_objs",
-            "epoch", "violations"});
+            "epoch", "failed", "violations"});
   for (const auto policy :
        {persist::fsync_policy::never, persist::fsync_policy::interval,
         persist::fsync_policy::every_op}) {
@@ -470,8 +429,12 @@ int main() {
   std::printf(
       "\nexpected: recovered_objs = 0 everywhere -- the on-disk state "
       "carries the pre-reshard epoch, so the fence discards it and wipes "
-      "the backing; the server re-bootstraps via lazy seed fetch and "
-      "violations stays 0. recover_us is the replay-then-discard bill, "
-      "flat across fsync policies (recovery only reads).\n");
-  return 0;
+      "the backing; the server re-bootstraps via lazy seed fetch, and "
+      "failed and violations stay 0. recover_us is the replay-then-"
+      "discard bill, flat across fsync policies (recovery only reads).\n");
+  if (g_bad_rows > 0) {
+    std::fprintf(stderr, "E13 FAILED: %d parts with violations or failed ops\n",
+                 g_bad_rows);
+  }
+  return g_bad_rows > 0 ? 1 : 0;
 }

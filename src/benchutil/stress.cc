@@ -1,6 +1,5 @@
 #include "benchutil/stress.h"
 
-#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -11,6 +10,7 @@
 #include <random>
 #include <thread>
 
+#include "benchutil/tcp_driver.h"
 #include "common/check.h"
 #include "common/log.h"
 #include "common/rng.h"
@@ -368,166 +368,73 @@ stress_report run_tcp_stress(const stress_options& opt) {
   ts.start();
   const auto keys = make_keys(opt.num_keys);
 
-  // Pre-generate every client's op sequence from the SAME per-role rng
-  // streams the thread-per-client harness used, so a seed replays the
-  // identical key/value sequences whatever the driver-thread count is.
-  struct script {
-    std::unique_ptr<store::async_session> ses;
-    std::vector<store::store_op> ops;
-    std::size_t next{0};
-  };
-  std::vector<script> scripts;
-  scripts.reserve(opt.W + opt.R);
+  // Per-role rng streams: a seed replays the same ops at any thread count.
+  std::vector<client_script> scripts;
   for (std::uint32_t j = 0; j < opt.W; ++j) {
     rng tr(opt.seed ^ (0x9e3779b97f4a7c15ull * (j + 1)));
-    script sc;
-    sc.ses = ts.open_session(writer_id(j), opt.pipeline_depth);
-    sc.ops.reserve(opt.puts_per_writer);
-    for (std::uint32_t n = 1; n <= opt.puts_per_writer; ++n) {
-      sc.ops.push_back(store::store_op{
-          keys[tr.below(keys.size())], /*is_put=*/true,
-          "w" + std::to_string(j) + ":" + std::to_string(n)});
-    }
-    scripts.push_back(std::move(sc));
+    scripts.push_back(make_script(
+        writer_id(j), opt.pipeline_depth, opt.puts_per_writer,
+        [&](std::uint32_t n) {
+          return store::store_op{
+              keys[tr.below(keys.size())], /*is_put=*/true,
+              "w" + std::to_string(j) + ":" + std::to_string(n + 1)};
+        }));
   }
   for (std::uint32_t i = 0; i < opt.R; ++i) {
     rng tr(opt.seed ^ (0xbf58476d1ce4e5b9ull * (i + 1)));
-    script sc;
-    sc.ses = ts.open_session(reader_id(i), opt.pipeline_depth);
-    sc.ops.reserve(opt.gets_per_reader);
-    for (std::uint32_t n = 0; n < opt.gets_per_reader; ++n) {
-      sc.ops.push_back(store::store_op{keys[tr.below(keys.size())],
-                                       /*is_put=*/false, {}});
-    }
-    scripts.push_back(std::move(sc));
+    scripts.push_back(make_script(
+        reader_id(i), opt.pipeline_depth, opt.gets_per_reader,
+        [&](std::uint32_t) {
+          return store::store_op{keys[tr.below(keys.size())],
+                                 /*is_put=*/false, {}};
+        }));
   }
 
-  std::atomic<std::uint64_t> attempts{0};
-  std::atomic<std::uint64_t> failures{0};
-  const std::uint64_t total =
-      static_cast<std::uint64_t>(opt.W) * opt.puts_per_writer +
-      static_cast<std::uint64_t>(opt.R) * opt.gets_per_reader;
-  const bool midway_actions = opt.crash_servers > 0 ||
-                              opt.partition_servers > 0 || opt.reshard;
-  const std::uint64_t trigger = total / 3;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  const std::uint64_t trigger =
+      (static_cast<std::uint64_t>(opt.W) * opt.puts_per_writer +
+       static_cast<std::uint64_t>(opt.R) * opt.gets_per_reader) /
+      3;
+  tcp_driver drv(ts, std::move(scripts), opt.driver_threads);
 
-  // Driver pool: each thread owns a disjoint slice of the sessions and
-  // event-loops them -- admit ops while the window accepts, pump
-  // completions, drain at the end. Each session stays single-threaded
-  // (the front-end's contract); only the slicing is parallel.
-  const std::uint32_t drivers = std::max<std::uint32_t>(
-      1, std::min<std::uint32_t>(opt.driver_threads,
-                                 static_cast<std::uint32_t>(scripts.size())));
-  std::vector<std::thread> threads;
-  threads.reserve(drivers);
-  for (std::uint32_t d = 0; d < drivers; ++d) {
-    threads.emplace_back([&, d] {
-      for (;;) {
-        bool all_done = true;
-        bool progress = false;
-        for (std::size_t s = d; s < scripts.size(); s += drivers) {
-          auto& sc = scripts[s];
-          sc.ses->pump();
-          (void)sc.ses->take_results();
-          while (sc.next < sc.ops.size()) {
-            const auto& op = sc.ops[sc.next];
-            const auto st = op.is_put ? sc.ses->try_put(op.key, op.val)
-                                      : sc.ses->try_get(op.key);
-            if (st != store::submit_status::submitted) break;
-            ++sc.next;
-            attempts.fetch_add(1, std::memory_order_relaxed);
-            progress = true;
-          }
-          if (sc.next < sc.ops.size() || sc.ses->in_flight() > 0) {
-            all_done = false;
-          }
-        }
-        if (all_done) break;
-        if (std::chrono::steady_clock::now() > deadline) {
-          // Abandon what never got submitted; drain below settles the
-          // rest and counts what never completed.
-          for (std::size_t s = d; s < scripts.size(); s += drivers) {
-            auto& sc = scripts[s];
-            failures.fetch_add(sc.ops.size() - sc.next,
-                               std::memory_order_relaxed);
-            sc.next = sc.ops.size();
-          }
-          break;
-        }
-        if (!progress) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
-      }
-      for (std::size_t s = d; s < scripts.size(); s += drivers) {
-        auto& sc = scripts[s];
-        if (!sc.ses->drain(std::chrono::seconds(10))) {
-          failures.fetch_add(sc.ses->in_flight(),
-                             std::memory_order_relaxed);
-        }
-        (void)sc.ses->take_results();
-      }
-    });
+  drv.wait_submitted(trigger);
+  // Partition first (it takes the LOW end of the index range; crashes
+  // take the high end, so combined runs exercise disjoint sets).
+  for (std::uint32_t i = 0; i < opt.partition_servers; ++i) {
+    ts.cluster().server(i).set_fault_all(net::conn_fault::pause);
   }
-
-  if (midway_actions) {
-    while (attempts.load(std::memory_order_relaxed) < trigger &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    // Partition first (it takes the LOW end of the index range; crashes
-    // take the high end, so combined runs exercise disjoint sets).
-    for (std::uint32_t i = 0; i < opt.partition_servers; ++i) {
-      ts.cluster().server(i).set_fault_all(net::conn_fault::pause);
-    }
-    for (std::uint32_t i = 0; i < opt.crash_servers; ++i) {
-      ts.cluster().server(opt.S - 1 - i).stop();
-    }
-    if (opt.reshard) {
-      reconfig::tcp_control ctl(ts);
-      reconfig::coordinator coord(ctl);
-      if (!coord.start(ts.proto().shards(), make_reshard_plan(opt))) {
-        rep.check = {false, "reshard failed to start: " + coord.error()};
-      } else {
-        while (!coord.done() &&
-               std::chrono::steady_clock::now() < deadline) {
-          coord.step();
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        if (!coord.done()) {
-          rep.check = {false, "reshard did not complete within deadline"};
-        }
-      }
-    }
-    if (opt.partition_servers > 0) {
-      // Heal two thirds of the way in: queued bytes flush on both sides
-      // and the stalled ops complete against the full quorum again.
-      while (attempts.load(std::memory_order_relaxed) < 2 * trigger &&
-             std::chrono::steady_clock::now() < deadline) {
+  for (std::uint32_t i = 0; i < opt.crash_servers; ++i) {
+    ts.cluster().server(opt.S - 1 - i).stop();
+  }
+  if (opt.reshard) {
+    reconfig::tcp_control ctl(ts);
+    reconfig::coordinator coord(ctl);
+    if (!coord.start(ts.proto().shards(), make_reshard_plan(opt))) {
+      rep.check = {false, "reshard failed to start: " + coord.error()};
+    } else {
+      const auto give_up = std::chrono::steady_clock::now() + k_drive_deadline;
+      while (!coord.done() && std::chrono::steady_clock::now() < give_up) {
+        coord.step();
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
-      for (std::uint32_t i = 0; i < opt.partition_servers; ++i) {
-        ts.cluster().server(i).set_fault_all(net::conn_fault::none);
-      }
-    }
-    if (opt.crash_servers > 0 && opt.restart_crashed) {
-      // Restart two thirds of the way in, on the original ports, with
-      // snapshot + op-log replay when persist_dir is set; clients
-      // reconnect lazily and the final third of the workload verifies
-      // the rejoined servers' state through the checker.
-      while (attempts.load(std::memory_order_relaxed) < 2 * trigger &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      for (std::uint32_t i = 0; i < opt.crash_servers; ++i) {
-        ts.restart_server(opt.S - 1 - i);
+      if (!coord.done()) {
+        rep.check = {false, "reshard did not complete within deadline"};
       }
     }
   }
+  // Heal and restart two thirds of the way in: queued bytes flush and the
+  // stalled ops complete against the full quorum; restarted servers come
+  // back on their ports (replaying snapshot + op log when persist_dir is
+  // set), and the last third checks their state through the checker.
+  drv.wait_submitted(2 * trigger);
+  for (std::uint32_t i = 0; i < opt.partition_servers; ++i) {
+    ts.cluster().server(i).set_fault_all(net::conn_fault::none);
+  }
+  for (std::uint32_t i = 0; opt.restart_crashed && i < opt.crash_servers;
+       ++i) {
+    ts.restart_server(opt.S - 1 - i);
+  }
 
-  for (auto& th : threads) th.join();
-  rep.op_failures = failures.load();
+  rep.op_failures = drv.join();
   rep.final_epoch = ts.proto().maps()->epoch();
   const auto hist = ts.gather();
   fill_counts(rep, hist);

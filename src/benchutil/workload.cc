@@ -241,25 +241,12 @@ store_report run_store_measured(const store::store_config& cfg,
 
   store_report rep;
   rep.hist = s.histories();
-  std::uint64_t completed = 0;
-  for (const auto& [key, h] : rep.hist.all()) {
-    for (const auto& op : h.ops()) {
-      if (!op.response_time) {
-        rep.all_complete = false;
-        continue;
-      }
-      ++completed;
-      const double lat =
-          static_cast<double>(*op.response_time - op.invoke_time);
-      if (op.is_write) {
-        rep.put_latency.add(lat);
-      } else {
-        rep.get_latency.add(lat);
-      }
-    }
-  }
-  if (completed > 0) {
-    const auto n = static_cast<double>(completed);
+  const auto ops = ops_since(rep.hist, 0);
+  rep.all_complete = ops.incomplete == 0;
+  rep.get_latency = latencies(ops.gets);
+  rep.put_latency = latencies(ops.puts);
+  if (ops.completed() > 0) {
+    const auto n = static_cast<double>(ops.completed());
     rep.msgs_per_op = static_cast<double>(s.world().messages_sent()) / n;
     rep.envelopes_per_op =
         static_cast<double>(s.world().envelopes_sent()) / n;
@@ -268,6 +255,28 @@ store_report run_store_measured(const store::store_config& cfg,
     }
   }
   return rep;
+}
+
+op_times ops_since(const store::store_histories& hist, std::uint64_t t0) {
+  op_times out;
+  for (const auto& [key, h] : hist.all()) {
+    for (const auto& op : h.ops()) {
+      if (op.invoke_time < t0) continue;
+      if (!op.response_time) {
+        ++out.incomplete;
+        continue;
+      }
+      (op.is_write ? out.puts : out.gets)
+          .push_back(timed_op{op.invoke_time, *op.response_time});
+    }
+  }
+  return out;
+}
+
+stats latencies(const std::vector<timed_op>& ops, double unit) {
+  stats s;
+  for (const auto& op : ops) s.add(static_cast<double>(op.latency()) / unit);
+  return s;
 }
 
 }  // namespace fastreg::benchutil

@@ -124,4 +124,34 @@ struct store_report {
 [[nodiscard]] std::vector<std::string> sample_distinct_keys_zipf(
     rng& r, const zipf_sampler& zipf, std::uint32_t k);
 
+// ----------------------------------------------------- op-log latency --
+
+/// One completed op from the op log, in the log's clock: simulator ticks,
+/// or steady-clock nanoseconds on TCP.
+struct timed_op {
+  std::uint64_t invoke{0};
+  std::uint64_t response{0};
+  [[nodiscard]] std::uint64_t latency() const { return response - invoke; }
+};
+
+struct op_times {
+  std::vector<timed_op> gets;
+  std::vector<timed_op> puts;
+  /// Ops invoked at or after t0 that never completed.
+  std::uint64_t incomplete{0};
+  [[nodiscard]] std::size_t completed() const {
+    return gets.size() + puts.size();
+  }
+};
+
+/// The completed ops of `hist` invoked at or after `t0`, gets apart from
+/// puts, and the count of those that never completed.
+[[nodiscard]] op_times ops_since(const store::store_histories& hist,
+                                 std::uint64_t t0);
+
+/// Each op's latency divided by `unit` (1000 turns TCP nanoseconds into
+/// microseconds).
+[[nodiscard]] stats latencies(const std::vector<timed_op>& ops,
+                              double unit = 1);
+
 }  // namespace fastreg::benchutil

@@ -1,8 +1,10 @@
-// history bookkeeping, the stats/table helpers, the stress harness's
-// environment knobs, and the measured-workload driver that powers every
-// experiment binary.
+// Tests of the bench utilities: history bookkeeping, the stats/table
+// helpers, the stress harness's environment knobs, the measured-workload
+// driver that powers every experiment binary, and the one TCP load
+// driver with its op-log latency reader.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <tuple>
@@ -10,10 +12,12 @@
 #include "benchutil/stats.h"
 #include "benchutil/stress.h"
 #include "benchutil/table.h"
+#include "benchutil/tcp_driver.h"
 #include "benchutil/workload.h"
 #include "checker/atomicity.h"
 #include "checker/history.h"
 #include "registers/registry.h"
+#include "store/tcp_store.h"
 #include "sim_test_util.h"
 
 namespace fastreg {
@@ -385,6 +389,96 @@ TEST(StoreWorkload, ZipfClosedLoopCompletesAndLinearizes) {
   }
   EXPECT_EQ(total, 2u * 32u + 16u);
   EXPECT_GT(hottest, total / 8);
+}
+
+
+// ------------------------------------------------------------ TCP driver
+
+/// A one-shard abd store with one writer and three readers.
+store::store_config drive_cfg() {
+  store::store_config cfg;
+  cfg.base.servers = 5;
+  cfg.base.t_failures = 1;
+  cfg.base.readers = 3;
+  cfg.base.writers = 1;
+  cfg.shard_protocols = {"abd"};
+  return cfg;
+}
+
+/// Four scripts of `n` ops over keys k0..k3 at depths 2, 1, 3 and 4: on
+/// three driver threads, thread 0 polls the writer and reader 2, while
+/// readers 0 and 1 each own a thread.
+std::vector<benchutil::client_script> drive_scripts(std::uint32_t n) {
+  std::vector<benchutil::client_script> scripts;
+  benchutil::client_script w{writer_id(0), 2, {}};
+  for (std::uint32_t k = 0; k < n; ++k) {
+    w.ops.push_back(store::store_op{"k" + std::to_string(k % 4), true,
+                                    "v" + std::to_string(k + 1)});
+  }
+  scripts.push_back(std::move(w));
+  const std::uint32_t depths[3] = {1, 3, 4};
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    benchutil::client_script r{reader_id(i), depths[i], {}};
+    for (std::uint32_t k = 0; k < n; ++k) {
+      r.ops.push_back(
+          store::store_op{"k" + std::to_string((k + i) % 4), false, {}});
+    }
+    scripts.push_back(std::move(r));
+  }
+  return scripts;
+}
+
+TEST(Drive, FewerThreadsThanScriptsCompleteEveryOpAndVerify) {
+  store::tcp_store ts(drive_cfg());
+  ts.start();
+  const std::uint32_t n = 40;
+  benchutil::tcp_driver drv(ts, drive_scripts(n), /*threads=*/3);
+  EXPECT_EQ(drv.join(), 0u);
+  EXPECT_EQ(drv.submitted(), 4u * n);
+  const auto hist = ts.gather();
+  const auto ops = benchutil::ops_since(hist, drv.start_ns());
+  EXPECT_EQ(ops.puts.size(), n);
+  EXPECT_EQ(ops.gets.size(), 3u * n);
+  EXPECT_TRUE(hist.all_complete());
+  const auto res = hist.verify();
+  EXPECT_TRUE(res.ok) << res.error;
+  ts.stop();
+}
+
+TEST(Drive, StoppedDeploymentFailsEveryOpWithoutWaitingOutTheDeadline) {
+  store::tcp_store ts(drive_cfg());
+  ts.start();
+  ts.stop();
+  const std::uint32_t n = 25;
+  const auto t0 = std::chrono::steady_clock::now();
+  benchutil::tcp_driver drv(ts, drive_scripts(n), /*threads=*/3);
+  EXPECT_EQ(drv.join(), 4u * n);
+  EXPECT_EQ(drv.submitted(), 0u);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
+  EXPECT_EQ(ts.gather().total_ops(), 0u);
+}
+
+TEST(Drive, OpsSinceDropsEarlierOpsAndSplitsGetsFromPuts) {
+  store::store_histories hist;
+  auto& a = hist.for_key("a");
+  a.complete_write(a.begin_op(writer_id(0), true, 5, "x"), 8, 1);  // early
+  a.complete_write(a.begin_op(writer_id(0), true, 10, "y"), 30'000, 2);
+  auto& b = hist.for_key("b");
+  b.complete_read(b.begin_op(reader_id(0), false, 3), 9, 0, 0, "", 1);
+  b.complete_read(b.begin_op(reader_id(0), false, 12), 2'012, 0, 0, "", 1);
+  (void)b.begin_op(reader_id(1), false, 15);  // never completes
+  const auto ops = benchutil::ops_since(hist, 10);
+  ASSERT_EQ(ops.puts.size(), 1u);
+  ASSERT_EQ(ops.gets.size(), 1u);
+  EXPECT_EQ(ops.completed(), 2u);
+  EXPECT_EQ(ops.incomplete, 1u);
+  EXPECT_EQ(ops.puts[0].invoke, 10u);
+  EXPECT_EQ(ops.puts[0].latency(), 29'990u);
+  EXPECT_EQ(ops.gets[0].latency(), 2'000u);
+  EXPECT_DOUBLE_EQ(benchutil::latencies(ops.gets, 1000).p50(), 2.0);
+  EXPECT_DOUBLE_EQ(benchutil::latencies(ops.puts).p50(), 29'990.0);
+  EXPECT_EQ(benchutil::ops_since(hist, 0).completed(), 4u);
+  EXPECT_EQ(benchutil::ops_since(hist, 16).incomplete, 0u);
 }
 
 }  // namespace

@@ -1,0 +1,211 @@
+#!/usr/bin/env python3
+"""A/B-benchmarks the working tree against a parent commit.
+
+usage (from the repository root):
+  python3 tools/bench_ab.py PARENT --pr N [--pairs 3] [--workload W]...
+                            [--seed 1] [--seconds 10] [--profile]
+
+PARENT's committed files are exported (git archive) to
+.bench_build/ab/<sha>/, so each side runs its own benchmark/run.py, which
+builds its own Release tree. Each pair runs both sides back to back on
+one workload; half of the pairs run the parent first and half the change
+first, so drift on a shared box does not always favour one side. After
+the pairs, each side gets one --trace 1 run for its per-layer metrics.
+
+The report goes to BENCH_<N>.json at the repository root:
+  * both shas (the change's with a flag when the tree has uncommitted
+    edits), nproc and the date;
+  * for each workload and side: every run's end-to-end metrics, their
+    median and IQR, the change/parent median ratio and how many pairs the
+    change won;
+  * each side's traced per-layer metrics and sim digest.
+
+--profile also builds each side's benchmark with -pg in its own
+directory (.bench_build/ab/gprof-<side>/), runs sim_abd once, and stores
+the top 15 rows of `gprof -b -p` for each side.
+
+Timings on one box on one day compare only inside one file, as ratios.
+"""
+import argparse
+import datetime
+import io
+import json
+import os
+import pathlib
+import re
+import statistics
+import subprocess
+import sys
+import tarfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+AB = ROOT / ".bench_build" / "ab"
+PROFILE_WORKLOAD = "sim_abd"
+PROFILE_ROWS = 15
+
+
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def export_parent(sha):
+    """The parent's committed tree under .bench_build/ab/<sha>/."""
+    dest = AB / sha
+    if not (dest / "benchmark" / "run.py").exists():
+        dest.mkdir(parents=True, exist_ok=True)
+        data = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
+                              capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+            tar.extractall(dest)
+    return dest
+
+
+def run_side(root, workload, seed, seconds, trace):
+    """One benchmark/run.py run; returns its JSON line and the digest."""
+    cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
+        sys.exit(f"{root}: run.py {workload} printed no JSON line")
+    report = json.loads(lines[-1])
+    digest = None
+    for line in lines:
+        m = re.match(r"digest (\S+) ", line)
+        if m:
+            digest = m.group(1)
+    return report, digest
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(spec, runs):
+    """Median, IQR, ratio and pairs won per end-to-end metric."""
+    out = {}
+    for m in spec["end_to_end"]:
+        name = m["name"]
+        side = {s: [r["metrics"][name]["value"] for r in runs[s]]
+                for s in ("parent", "change")}
+        entry = {"unit": m["unit"], "better": m["better"]}
+        for s, vals in side.items():
+            q1, q2, q3 = quartiles(vals)
+            entry[s] = {"median": q2, "iqr": q3 - q1}
+        p, c = entry["parent"]["median"], entry["change"]["median"]
+        entry["ratio"] = c / p if p else None
+        higher = m["better"] == "higher"
+        entry["change_won"] = sum(
+            (cv > pv) if higher else (cv < pv)
+            for pv, cv in zip(side["parent"], side["change"]))
+        out[name] = entry
+    return out
+
+
+def gprof_rows(root, side, seed, seconds):
+    """Top rows of a flat gprof profile of a -pg build of `root`."""
+    build = AB / f"gprof-{side}"
+    log = sys.stderr
+    subprocess.run(["cmake", "-S", str(root / "benchmark"), "-B", str(build),
+                    "-DCMAKE_BUILD_TYPE=Release", "-DCMAKE_CXX_FLAGS=-pg",
+                    "-DCMAKE_EXE_LINKER_FLAGS=-pg"],
+                   stdout=log, stderr=log, check=True)
+    subprocess.run(["cmake", "--build", str(build), "--target",
+                    "fastreg_benchmark", "-j4"],
+                   stdout=log, stderr=log, check=True)
+    binary = build / "fastreg_benchmark"
+    (build / "gmon.out").unlink(missing_ok=True)
+    subprocess.run([str(binary), "--workload", PROFILE_WORKLOAD, "--seed",
+                    str(seed), "--seconds", str(seconds), "--json",
+                    str(build / "profile-run.json")],
+                   cwd=build, stdout=subprocess.DEVNULL, check=True)
+    flat = subprocess.run(["gprof", "-b", "-p", str(binary),
+                           str(build / "gmon.out")],
+                          capture_output=True, text=True, check=True).stdout
+    rows = [line for line in flat.splitlines()
+            if re.match(r"\s*\d+\.\d+\s", line)]
+    return rows[:PROFILE_ROWS]
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent")
+    ap.add_argument("--pr", required=True, type=int)
+    ap.add_argument("--pairs", type=int, default=3)
+    ap.add_argument("--workload", action="append")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seconds", type=float, default=10)
+    ap.add_argument("--profile", action="store_true")
+    args = ap.parse_args()
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
+    workloads = args.workload or names
+    for w in workloads:
+        if w not in names:
+            sys.exit(f"unknown workload {w!r}; one of {names}")
+
+    parent_sha = git("rev-parse", args.parent + "^{commit}")
+    roots = {"parent": export_parent(parent_sha), "change": ROOT}
+    report = {
+        "parent": {"sha": parent_sha},
+        "change": {"sha": git("rev-parse", "HEAD"),
+                   "uncommitted_edits": bool(git("status", "--porcelain",
+                                                 "--untracked-files=no"))},
+        "nproc": os.cpu_count(),
+        "date": datetime.datetime.now(datetime.timezone.utc).isoformat(
+            timespec="seconds"),
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "pairs": args.pairs,
+        "workloads": {},
+    }
+    for w in workloads:
+        runs = {"parent": [], "change": []}
+        digests = {"parent": [], "change": []}
+        order = []
+        for i in range(args.pairs):
+            sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            order.append(sides[0] + " first")
+            for s in sides:
+                rep, digest = run_side(roots[s], w, args.seed, args.seconds, 0)
+                runs[s].append(rep)
+                if digest and digest not in digests[s]:
+                    digests[s].append(digest)
+                print(f"{w} pair {i + 1} {s}: " + ", ".join(
+                    f"{k}={v['value']:.4g}" for k, v in rep["metrics"].items()),
+                    file=sys.stderr)
+        trace = {s: run_side(roots[s], w, args.seed, args.seconds, 1)[0]
+                 for s in ("parent", "change")}
+        report["workloads"][w] = {
+            "order": order,
+            "runs": runs,
+            "summary": summarize(spec, runs),
+            "trace": {s: trace[s]["metrics"] for s in trace},
+            "digest": digests,
+        }
+    if args.profile:
+        report["profile"] = {
+            "workload": PROFILE_WORKLOAD,
+            "rows": {s: gprof_rows(roots[s], s, args.seed, args.seconds)
+                     for s in ("parent", "change")},
+        }
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"wrote {out.relative_to(ROOT)}")
+    for w, body in report["workloads"].items():
+        for name, e in body["summary"].items():
+            ratio = "-" if e["ratio"] is None else f"{e['ratio']:.3f}"
+            print(f"{w:18} {name:12} ratio {ratio}  change won "
+                  f"{e['change_won']}/{args.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
