@@ -6,14 +6,21 @@
 
 namespace fastreg::checker {
 
+namespace {
+using client_op = std::pair<process_id, std::size_t>;
+}  // namespace
+
 std::size_t history::begin_op(const process_id& client, bool is_write,
                               std::uint64_t invoke_time,
                               value_t written_value) {
   // Well-formedness: a client has at most one outstanding op.
-  if (auto it = last_op_.find(client); it != last_op_.end()) {
-    FASTREG_EXPECTS(ops_[it->second].response_time.has_value());
+  const auto last = std::ranges::find(last_op_, client, &client_op::first);
+  if (last != last_op_.end()) {
+    FASTREG_EXPECTS(ops_[last->second].response_time.has_value());
+    last->second = ops_.size();
+  } else {
+    last_op_.emplace_back(client, ops_.size());
   }
-  last_op_[client] = ops_.size();
   op_record rec;
   rec.client = client;
   rec.is_write = is_write;
@@ -48,11 +55,11 @@ void history::complete_write(std::size_t index, std::uint64_t response_time,
 }
 
 std::optional<std::size_t> history::open_op(const process_id& client) const {
-  const auto it = last_op_.find(client);
-  if (it == last_op_.end() || ops_[it->second].response_time) {
+  const auto last = std::ranges::find(last_op_, client, &client_op::first);
+  if (last == last_op_.end() || ops_[last->second].response_time) {
     return std::nullopt;
   }
-  return it->second;
+  return last->second;
 }
 
 void history::sort_by_invoke_time() {
@@ -61,8 +68,14 @@ void history::sort_by_invoke_time() {
   };
   if (std::is_sorted(ops_.begin(), ops_.end(), by_invoke)) return;
   std::stable_sort(ops_.begin(), ops_.end(), by_invoke);
-  last_op_.clear();
-  for (std::size_t i = 0; i < ops_.size(); ++i) last_op_[ops_[i].client] = i;
+  for (auto& [c, last] : last_op_) {
+    for (std::size_t i = ops_.size(); i-- > 0;) {
+      if (ops_[i].client == c) {
+        last = i;
+        break;
+      }
+    }
+  }
 }
 
 std::vector<op_record> history::writes_by(const process_id& client) const {

@@ -8,7 +8,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -64,8 +64,9 @@ class history {
 
  private:
   std::vector<op_record> ops_;
-  // Index of each client's most recent op, for O(1) well-formedness checks.
-  std::unordered_map<process_id, std::size_t> last_op_;
+  /// Index of each client's most recent op, for the well-formedness
+  /// check. A scan: a per-key history has only a handful of clients.
+  std::vector<std::pair<process_id, std::size_t>> last_op_;
 };
 
 }  // namespace fastreg::checker

@@ -28,9 +28,9 @@ void op_log::open(const process_id& client_pid, const std::string& key,
                   object_id obj, bool is_put, const value_t& v,
                   std::uint64_t t0) {
   std::lock_guard<std::mutex> lk(mu_);
-  auto it = by_obj_.find(obj);
-  if (it == by_obj_.end()) it = by_obj_.emplace(obj, &hist_.for_key(key)).first;
-  it->second->begin_op(client_pid, is_put, t0, is_put ? v : value_t{});
+  const auto [h, fresh] = by_obj_.try_emplace(obj);
+  if (fresh) *h = &hist_.for_key(key);
+  (*h)->begin_op(client_pid, is_put, t0, is_put ? v : value_t{});
 }
 
 void op_log::close(const process_id& client_pid,
@@ -38,9 +38,9 @@ void op_log::close(const process_id& client_pid,
                    std::uint64_t t1) {
   std::lock_guard<std::mutex> lk(mu_);
   for (const auto& r : results) {
-    const auto it = by_obj_.find(r.obj);
-    if (it == by_obj_.end()) continue;
-    checker::history& h = *it->second;
+    const auto found = by_obj_.find(r.obj);
+    if (found == nullptr) continue;
+    checker::history& h = **found;
     const auto i = h.open_op(client_pid);
     if (!i) continue;
     if (r.is_put) {
@@ -101,7 +101,7 @@ std::vector<store_result>& async_session::complete(client& c,
   if (done_.empty()) return done_;
   log_.close(client_, done_, t1);
   std::erase_if(done_, [&](const store_result& r) {
-    return begun_.erase(r.obj) == 0;
+    return !begun_.erase(r.obj);
   });
   return done_;
 }
@@ -109,7 +109,7 @@ std::vector<store_result>& async_session::complete(client& c,
 void async_session::begin(client& c, admitted_op a, std::uint64_t t0) {
   store_op& op = a.op;
   log_.open(client_, op.key, a.obj, op.is_put, op.val, t0);
-  begun_.insert(a.obj);
+  begun_.try_emplace(a.obj);
   if (op.is_put) {
     c.begin_put(std::move(op.key), a.obj, std::move(op.val));
   } else {
@@ -263,7 +263,7 @@ class tcp_session final : public async_session {
       if (!inbox_.empty()) inbox_.pop_back();
       return submit_status::failed;
     }
-    keys_.insert(obj);
+    keys_.try_emplace(obj);
     return submit_status::submitted;
   }
 
@@ -297,7 +297,7 @@ class tcp_session final : public async_session {
   net::node& node_;
   std::size_t actor_;
   /// Objects of admitted ops not yet harvested (session thread only).
-  std::unordered_set<object_id> keys_;
+  object_table<std::monostate> keys_;
   // The handoff with the reactor.
   std::mutex mu_;
   std::condition_variable cv_;  // signalled when the outbox grows

@@ -51,11 +51,11 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
+#include <variant>
 #include <vector>
 
+#include "common/object_table.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "store/client.h"
@@ -116,7 +116,7 @@ class op_log {
   /// Each key's history in hist_ (map nodes never move), by object id:
   /// an integer lookup on the reactor instead of a walk down the ordered
   /// map.
-  std::unordered_map<object_id, checker::history*> by_obj_;
+  object_table<checker::history*> by_obj_;
 };
 
 /// One client's pipelined session (see file comment for the surface and
@@ -210,7 +210,7 @@ class async_session {
   std::vector<store_result> results_;
   op_log& log_;
   /// Objects of this session's begun, not yet completed ops (step side).
-  std::unordered_set<object_id> begun_;
+  object_table<std::monostate> begun_;
   /// complete()'s output (step side).
   std::vector<store_result> done_;
 

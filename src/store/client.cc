@@ -92,7 +92,9 @@ void client::take_completions(std::vector<store_result>& out) {
 
 std::size_t client::parked_count() const {
   std::size_t n = 0;
-  for (const auto& [obj, st] : objects_) n += st.op && st.op->parked ? 1 : 0;
+  objects_.for_each([&](object_id, const object_state& st) {
+    n += st.op && st.op->parked ? 1 : 0;
+  });
   return n;
 }
 
@@ -134,22 +136,21 @@ void client::refresh_map() {
   // instances were replaced too), and their in-flight ops re-issue under
   // the new map; unchanged objects keep automaton and in-flight ops --
   // their instances carried over on every server.
+  // reissue inserts no record, so the collected addresses stay valid.
   std::vector<std::pair<object_id, object_state*>> reissued;
-  for (auto& [obj, st] : objects_) {
-    if (!st.a || !object_moves(*map_, *latest, obj)) continue;
+  objects_.for_each([&](object_id obj, object_state& st) {
+    if (!st.a || !object_moves(*map_, *latest, obj)) return;
     drop_inner(st);
     if (st.op && !st.op->parked) reissued.emplace_back(obj, &st);
-  }
+  });
   map_ = std::move(latest);
   for (const auto& [obj, st] : reissued) reissue(obj, *st);
 }
 
 void client::resume_parked(object_id obj) {
   refresh_map();
-  const auto it = objects_.find(obj);
-  if (it == objects_.end() || !it->second.op || !it->second.op->parked) {
-    return;
-  }
+  object_state* st = objects_.find(obj);
+  if (st == nullptr || !st->op || !st->op->parked) return;
   // Only PARKED ops re-issue here. A non-parked in-flight op is either
   // answered normally or buffered at a server behind a lazy seed fetch
   // (store/server.h) and completes when the fetch replays it; re-issuing
@@ -160,12 +161,12 @@ void client::resume_parked(object_id obj) {
   // in-flight op either: handle_nack re-issues any attempt issued under
   // an older epoch and only parks current-epoch attempts, which only a
   // later reconfiguration nacks (and then resumes).
-  reissue(it->first, it->second);
+  reissue(obj, *st);
 }
 
 void client::seed_writer_floor(object_id obj, const register_snapshot& s) {
   auto& st = objects_[obj];
-  st.floor = s;
+  st.floor = std::make_unique<register_snapshot>(s);
   // A put already in flight on this object may run on an automaton created
   // BEFORE the floor existed (invoked at the new epoch while the key was
   // draining). Its un-floored requests could slip past the fence once the
@@ -267,9 +268,9 @@ void client::handle_mig_ack(const process_id& from, const message& m) {
 }
 
 client::object_state* client::handle_nack(const message& m) {
-  const auto it = objects_.find(m.obj);
-  if (it == objects_.end()) return nullptr;
-  object_state& st = it->second;
+  object_state* found = objects_.find(m.obj);
+  if (found == nullptr) return nullptr;
+  object_state& st = *found;
   if (!st.op) return &st;
   pending_op& op = *st.op;
   // Stale, or already held.
@@ -302,9 +303,9 @@ client::object_state* client::handle_nack(const message& m) {
 
 client::object_state* client::route(const process_id& from,
                                      const message& m) {
-  const auto it = objects_.find(m.obj);
-  if (it == objects_.end()) return nullptr;
-  object_state& st = it->second;
+  object_state* found = objects_.find(m.obj);
+  if (found == nullptr) return nullptr;
+  object_state& st = *found;
   // Deliveries go to LIVE automata only: begin_* creates them, and a
   // message for a dropped (migrated/parked) automaton is by construction
   // aimed at an abandoned attempt.

@@ -30,10 +30,10 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/object_table.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "store/batching.h"
@@ -90,8 +90,8 @@ class client final : public automaton {
   /// driver timeout); begin_get/begin_put on it would violate their
   /// precondition.
   [[nodiscard]] bool has_pending(object_id obj) const {
-    const auto it = objects_.find(obj);
-    return it != objects_.end() && it->second.op.has_value();
+    const auto* st = objects_.find(obj);
+    return st != nullptr && st->op.has_value();
   }
 
   // ---------------------------------------------------------- reconfig --
@@ -155,28 +155,30 @@ class client final : public automaton {
   [[nodiscard]] process_id self() const override { return self_; }
 
  private:
+  /// Fields run from widest to narrowest, so the record packs into 96 B
+  /// (it sits inline in every object's table slot).
   struct pending_op {
     std::string key{};
-    bool is_put{false};
     value_t val{};  // written value, kept so the op can be re-issued
     /// Inner completion counter snapshot at (re-)invocation.
     std::uint64_t before{0};
+    /// Epoch the current attempt was issued under. A nack reaching an
+    /// attempt issued under an older epoch re-issues it; a nack at the
+    /// attempt's own epoch parks it (handle_nack).
+    epoch_t epoch{k_initial_epoch};
+    /// Flight-recorder identity: assigned at begin_get/begin_put and
+    /// kept across re-issues; span counts the re-issues.
+    std::uint64_t trace{0};
     /// Current attempt id, from the per-object monotonic counter
     /// (object_state::attempts): advanced on every invocation AND
     /// re-issue, so stragglers aimed at an abandoned attempt -- of this
     /// op or any earlier op on the object -- are recognizably stale.
     /// Outbound messages carry it and nacks echo it.
     std::uint32_t attempt{0};
-    /// Epoch the current attempt was issued under. A nack reaching an
-    /// attempt issued under an older epoch re-issues it; a nack at the
-    /// attempt's own epoch parks it (handle_nack).
-    epoch_t epoch{k_initial_epoch};
+    std::uint16_t span{0};
+    bool is_put{false};
     /// Parked: automaton discarded, waiting for resume_parked.
     bool parked{false};
-    /// Flight-recorder identity: assigned at begin_get/begin_put and
-    /// kept across re-issues; span counts the re-issues.
-    std::uint64_t trace{0};
-    std::uint16_t span{0};
   };
 
   /// One in-flight migration handoff op (coordinator-driven).
@@ -189,9 +191,12 @@ class client final : public automaton {
     bool done{false};
   };
 
-  /// Everything the client keeps for one object, in one map entry, so a
-  /// reply costs one lookup. Entries are never erased, so on_batch may
-  /// hold a record's address for the rest of its step.
+  /// Everything the client keeps for one object, in one table slot, so a
+  /// reply costs one lookup. Records are never erased, but an insert may
+  /// move every record (common/object_table.h), and only begin and
+  /// seed_writer_floor insert. on_batch's touched_ holds record
+  /// addresses for the rest of its step; that is valid only because no
+  /// insert happens during a step.
   struct object_state {
     /// The inner automaton; null until the first op, and again once a
     /// park or a protocol change discarded it.
@@ -211,8 +216,10 @@ class client final : public automaton {
     /// The front-end op in flight on the object, parked ones included.
     std::optional<pending_op> op{};
     /// Migrated state: applied via writer_iface::seed_writer whenever
-    /// the object's writer automaton is (re)created.
-    std::optional<register_snapshot> floor{};
+    /// the object's writer automaton is (re)created. Out of line, like
+    /// the server's handoff block: only a reshard sets it, and the
+    /// table's slots stay small.
+    std::unique_ptr<register_snapshot> floor{};
   };
 
   void begin(std::string key, object_id obj, bool is_put, value_t v);
@@ -233,7 +240,7 @@ class client final : public automaton {
   std::shared_ptr<const shard_map> map_;
   map_source source_;
   process_id self_;
-  std::unordered_map<object_id, object_state> objects_;
+  object_table<object_state> objects_;
   /// Records whose op is engaged.
   std::size_t pending_ops_{0};
   /// on_batch's scratch: the records a step touched, in message order.

@@ -1,8 +1,5 @@
 #include "store/server.h"
 
-#include <algorithm>
-#include <iterator>
-
 #include "common/check.h"
 #include "common/log.h"
 #include "obs/metrics.h"
@@ -84,9 +81,9 @@ void server::maybe_snapshot() {
   const auto count = static_cast<std::uint32_t>(objects_hosted());
   durable_->write_snapshot(
       map_->epoch(), count, [this](persist::snapshot_writer& w) {
-        for (const auto& [obj, r] : objects_) {
+        objects_.for_each([&](object_id obj, const object_state& r) {
           if (r.cur.a) w.add(obj, r.cur.s->peek_state());
-        }
+        });
       });
 }
 
@@ -107,20 +104,24 @@ bool server::moved(object_id obj, const object_state& r) const {
 }
 
 std::size_t server::seeded_count() const {
-  return std::ranges::count_if(objects_,
-                               [](const auto& e) { return e.second.seeded(); });
+  std::size_t n = 0;
+  objects_.for_each(
+      [&](object_id, const object_state& r) { n += r.seeded() ? 1 : 0; });
+  return n;
 }
 
 std::size_t server::objects_hosted() const {
-  return std::ranges::count_if(
-      objects_, [](const auto& e) { return e.second.cur.a != nullptr; });
+  std::size_t n = 0;
+  objects_.for_each(
+      [&](object_id, const object_state& r) { n += r.cur.a ? 1 : 0; });
+  return n;
 }
 
 std::vector<object_id> server::list_objects() const {
   std::vector<object_id> out;
-  for (const auto& [obj, r] : objects_) {
+  objects_.for_each([&](object_id obj, const object_state& r) {
     if (r.cur.a || (r.handoff && r.handoff->prev.a)) out.push_back(obj);
-  }
+  });
   return out;
 }
 
@@ -132,12 +133,12 @@ std::vector<object_id> server::unseeded_moved_objects() const {
   // fetch still buffered -- the next install nacks their buffered
   // traffic, so the next migration must re-fence and resume them.
   std::vector<object_id> out;
-  for (const auto& [obj, r] : objects_) {
+  objects_.for_each([&](object_id obj, const object_state& r) {
     const auto* h = r.handoff.get();
     if (h != nullptr && ((h->prev.a && !h->seed) || h->fetch)) {
       out.push_back(obj);
     }
-  }
+  });
   return out;
 }
 
@@ -150,8 +151,10 @@ void server::install_map(std::shared_ptr<const shard_map> next,
   prev_map_ = std::move(map_);
   map_ = std::move(next);
   std::vector<object_id> fenced;
-  for (auto it = objects_.begin(); it != objects_.end();) {
-    auto& [obj, r] = *it;
+  // Records left with neither a replica nor a block are erased after the
+  // pass: the table forbids erasing during for_each.
+  std::vector<object_id> dead;
+  objects_.for_each([&](object_id obj, object_state& r) {
     if (const auto* h = r.handoff.get(); h != nullptr && h->fetch) {
       // A retired generation's fetch cannot resolve anymore; nack what
       // it buffered (gossip is simply dropped: it means nothing across
@@ -168,8 +171,9 @@ void server::install_map(std::shared_ptr<const shard_map> next,
       r.persisted = {};
       fenced.push_back(obj);
     }
-    it = r.cur.a || r.handoff ? std::next(it) : objects_.erase(it);
-  }
+    if (!r.cur.a && !r.handoff) dead.push_back(obj);
+  });
+  for (const auto obj : dead) objects_.erase(obj);
   for (const auto obj : force_move) objects_[obj].block().force_moved = true;
   if (durable_) {
     // The mark advances the recovered epoch on replay and voids the

@@ -45,17 +45,23 @@
 // State layout: one table with one record per object (object_state),
 // found with one lookup per served message. What a reshard adds for an
 // object lives in the record's out-of-line handoff block, which every
-// install_map clears.
+// install_map clears. The table (common/object_table.h) keeps records
+// inline, so an insert or erase may move every one of them. handle_one
+// holds its record across the automaton step, adopt_seed and the fetch
+// replay; that is valid only because none of them inserts or erases a
+// record (the replay's own lookups find the same, present object), and
+// any new code on that path must keep it so. install_map erases dead
+// records after its pass, never during it.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "common/object_table.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "persist/durable.h"
@@ -241,7 +247,7 @@ class server final : public automaton {
   /// Map of the previous epoch; null until the first install.
   std::shared_ptr<const shard_map> prev_map_;
   std::uint32_t index_;
-  std::unordered_map<object_id, object_state> objects_;
+  object_table<object_state> objects_;
   /// Client data messages per shard of the current map (load signal).
   std::vector<std::uint64_t> shard_ops_;
   batch_collector outbox_;

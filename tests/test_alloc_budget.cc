@@ -43,9 +43,10 @@ constexpr std::uint32_t k_depth = 8;
 constexpr std::uint32_t k_readers = 2;
 constexpr std::uint64_t k_gets_per_put = 4;
 
-/// Allocations per op the steady-state path may make. A change that
-/// adds one per message (an ack-set node, a broadcast copy) exceeds it.
-constexpr double k_allocs_per_op_budget = 19.0;
+/// Allocations per op the steady-state path may make: about 1.2x the
+/// 14.49 measured when it was pinned. A change that adds one per message
+/// (an ack-set node, a broadcast copy) exceeds it.
+constexpr double k_allocs_per_op_budget = 17.4;
 
 std::string key_name(std::uint32_t k) { return "key" + std::to_string(k); }
 

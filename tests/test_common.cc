@@ -1,10 +1,14 @@
-// Unit tests: ids, seen sets, serialization, deterministic RNG.
+// Unit tests: ids, seen sets, the object table, serialization,
+// deterministic RNG.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "common/object_table.h"
 #include "common/rng.h"
 #include "common/seen_set.h"
 #include "common/server_set.h"
@@ -172,6 +176,131 @@ TEST(Serialization, StringLengthBeyondBufferRejected) {
   EXPECT_EQ(r.get_string(), std::nullopt);
 }
 
+
+// ----------------------------------------------------------- object table
+
+TEST(ObjectTable, MatchesUnorderedMapOnRandomSteps) {
+  // A small key range (key 0 included) keeps probe runs long and forces
+  // many erases inside clusters.
+  rng r(42);
+  object_table<std::uint64_t> t;
+  std::unordered_map<object_id, std::uint64_t> ref;
+  for (int step = 0; step < 100'000; ++step) {
+    const object_id key = r.below(48);
+    switch (r.below(3)) {
+      case 0: {
+        const auto [v, fresh] = t.try_emplace(key);
+        const auto [it, ref_fresh] = ref.try_emplace(key, 0);
+        ASSERT_EQ(fresh, ref_fresh) << "step " << step;
+        *v = it->second = r.next();
+        break;
+      }
+      case 1: {
+        const std::uint64_t* v = t.find(key);
+        const auto it = ref.find(key);
+        ASSERT_EQ(v != nullptr, it != ref.end()) << "step " << step;
+        if (v != nullptr) ASSERT_EQ(*v, it->second) << "step " << step;
+        break;
+      }
+      default:
+        ASSERT_EQ(t.erase(key), ref.erase(key) == 1) << "step " << step;
+        break;
+    }
+    ASSERT_EQ(t.size(), ref.size()) << "step " << step;
+  }
+  for (const auto& [key, v] : ref) {
+    ASSERT_TRUE(t.contains(key)) << key;
+    EXPECT_EQ(*t.find(key), v);
+  }
+}
+
+TEST(ObjectTable, EraseInsideAClusterThatWrapsPastTheLastSlot) {
+  // An 8-slot table homes a key at the top 3 bits of key * 2^64/phi.
+  // Three keys homed at the last slot fill slots 7, 0 and 1, and a key
+  // homed at slot 0 lands in slot 2. Erasing the first key must shift
+  // the other three back across the wrap.
+  const auto home8 = [](object_id k) {
+    return (k * 0x9E3779B97F4A7C15ull) >> 61;
+  };
+  std::vector<object_id> last;
+  object_id first = 0;
+  for (object_id k = 1; last.size() < 3 || first == 0; ++k) {
+    if (home8(k) == 7 && last.size() < 3) last.push_back(k);
+    if (home8(k) == 0 && first == 0) first = k;
+  }
+  object_table<int> t;
+  t[last[0]] = 10;
+  t[last[1]] = 11;
+  t[last[2]] = 12;
+  t[first] = 20;
+  std::vector<object_id> order;
+  t.for_each([&](object_id k, int) { order.push_back(k); });
+  ASSERT_EQ(order,
+            (std::vector<object_id>{last[1], last[2], first, last[0]}));
+
+  EXPECT_TRUE(t.erase(last[0]));
+  EXPECT_FALSE(t.contains(last[0]));
+  EXPECT_EQ(t.size(), 3u);
+  ASSERT_NE(t.find(last[1]), nullptr);
+  EXPECT_EQ(*t.find(last[1]), 11);
+  ASSERT_NE(t.find(last[2]), nullptr);
+  EXPECT_EQ(*t.find(last[2]), 12);
+  ASSERT_NE(t.find(first), nullptr);
+  EXPECT_EQ(*t.find(first), 20);
+  order.clear();
+  t.for_each([&](object_id k, int) { order.push_back(k); });
+  EXPECT_EQ(order, (std::vector<object_id>{last[2], first, last[1]}));
+  EXPECT_FALSE(t.erase(last[0]));
+}
+
+TEST(ObjectTable, GrowthKeepsEveryEntry) {
+  object_table<std::string> t;
+  for (object_id k = 0; k < 10'000; ++k) {
+    t[k * 7919] = "v" + std::to_string(k);
+    ASSERT_EQ(t.size(), k + 1);
+  }
+  for (object_id k = 0; k < 10'000; ++k) {
+    const std::string* v = t.find(k * 7919);
+    ASSERT_NE(v, nullptr) << k;
+    EXPECT_EQ(*v, "v" + std::to_string(k));
+  }
+  EXPECT_FALSE(t.contains(1));
+}
+
+TEST(ObjectTable, ForEachVisitsEachLiveKeyOnce) {
+  rng r(7);
+  object_table<object_id> t;
+  std::set<object_id> live;
+  for (int i = 0; i < 2000; ++i) {
+    const object_id key = r.next();
+    t[key] = key;
+    live.insert(key);
+  }
+  for (object_id key = 0; key < 50; ++key) {
+    t[key] = key;
+    live.insert(key);
+  }
+  // Erase every third live key.
+  std::vector<object_id> doomed;
+  std::size_t i = 0;
+  for (const auto key : live) {
+    if (i++ % 3 == 0) doomed.push_back(key);
+  }
+  for (const auto key : doomed) {
+    ASSERT_TRUE(t.erase(key));
+    live.erase(key);
+  }
+  std::map<object_id, int> visits;
+  t.for_each([&](object_id key, const object_id& v) {
+    EXPECT_EQ(key, v);
+    ++visits[key];
+  });
+  ASSERT_EQ(visits.size(), live.size());
+  for (const auto& [key, n] : visits) {
+    EXPECT_EQ(n, 1) << key;
+    EXPECT_TRUE(live.contains(key)) << key;
+  }
+}
 TEST(Rng, DeterministicForSameSeed) {
   rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());

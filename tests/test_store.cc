@@ -3,7 +3,10 @@
 // the blocking helper on both transports, and the TCP deployment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <tuple>
 #include <thread>
 
 #include "benchutil/workload.h"
@@ -430,6 +433,93 @@ TEST(StoreServer, FetchBufferOverflowNackIsCountedAndObservable) {
   other.epoch = 1;
   s.on_message(net, reader_id(0), other);
   EXPECT_EQ(overflow_nacks(), 1u);
+}
+
+TEST(StoreServer, InstallMapNacksEachBufferedFetchOnce) {
+  // install_map retires every lazy fetch of the superseded generation:
+  // each buffered client message is nacked exactly once, and records left
+  // with neither a replica nor a handoff block are dropped. Enough objects
+  // that the table's probe runs cluster, so the dead records' erases shift
+  // live ones.
+  const auto cfg0 = small_cfg({"abd"}, /*num_shards=*/1, /*R=*/4, /*S=*/5);
+  auto cfg1 = cfg0;
+  cfg1.shard_protocols = {"fast_swmr"};  // every object moves at epoch 1
+  server s(std::make_shared<const shard_map>(cfg0), /*index=*/0);
+  capture_netout net;
+  std::uint32_t attempt = 0;
+  const auto send = [&](msg_type type, object_id obj, epoch_t epoch,
+                        const process_id& from) {
+    message m;
+    m.type = type;
+    m.obj = obj;
+    m.epoch = epoch;
+    m.attempt = ++attempt;
+    s.on_message(net, from, m);
+    return m.attempt;
+  };
+  const auto id = [](const char* prefix, int i) {
+    return key_object_id(prefix + std::to_string(i));
+  };
+
+  // Epoch 0 hosts h0..h39; epoch 1 fences them all.
+  for (int i = 0; i < 40; ++i) {
+    send(msg_type::read_req, id("h", i), 0, reader_id(0));
+  }
+  ASSERT_EQ(s.objects_hosted(), 40u);
+  s.install_map(std::make_shared<const shard_map>(cfg1, /*epoch=*/1));
+  ASSERT_EQ(s.objects_hosted(), 0u);
+
+  // Seeds land for h0..h9 and for the fresh s0..s9.
+  std::vector<object_id> seeded;
+  for (int i = 0; i < 10; ++i) {
+    seeded.push_back(id("h", i));
+    seeded.push_back(id("s", i));
+  }
+  for (const auto obj : seeded) {
+    send(msg_type::seed_req, obj, 1, reader_id(0));
+  }
+  ASSERT_EQ(s.seeded_count(), seeded.size());
+
+  // Current-epoch reads of un-seeded objects -- the fenced h10..h39 and
+  // the never-hosted f0..f119 -- wait behind lazy fetches, one to three
+  // readers per object.
+  std::map<std::tuple<process_id, object_id, std::uint32_t>, int> waiting;
+  const auto buffer = [&](object_id obj, int readers) {
+    for (int r = 0; r < readers; ++r) {
+      const auto a = send(msg_type::read_req, obj, 1, reader_id(r));
+      waiting[{reader_id(r), obj, a}] = 0;
+    }
+  };
+  for (int i = 10; i < 40; ++i) buffer(id("h", i), 1 + i % 3);
+  for (int i = 0; i < 120; ++i) buffer(id("f", i), 1 + i % 3);
+  ASSERT_EQ(net.count(msg_type::epoch_nack), 0u);
+
+  // Epoch 2 keeps fast_swmr, so nothing moves; only the fetches retire.
+  net.sent.clear();
+  s.install_map(std::make_shared<const shard_map>(cfg1, /*epoch=*/2));
+  // The nacks leave with the server's next step.
+  message poke;
+  poke.type = msg_type::epoch_nack;
+  s.on_message(net, reader_id(0), poke);
+  for (const auto& [to, m] : net.sent) {
+    ASSERT_EQ(m.type, msg_type::epoch_nack);
+    EXPECT_EQ(m.epoch, 2u);
+    const auto it = waiting.find({to, m.obj, m.attempt});
+    ASSERT_NE(it, waiting.end()) << to_string(to) << " " << m.obj;
+    ++it->second;
+  }
+  for (const auto& [msg, nacks] : waiting) {
+    EXPECT_EQ(nacks, 1) << std::get<1>(msg) << " attempt "
+                        << std::get<2>(msg);
+  }
+
+  // Only the seeded replicas survive the install.
+  auto listed = s.list_objects();
+  std::sort(listed.begin(), listed.end());
+  std::sort(seeded.begin(), seeded.end());
+  EXPECT_EQ(listed, seeded);
+  EXPECT_EQ(s.objects_hosted(), seeded.size());
+  EXPECT_TRUE(s.unseeded_moved_objects().empty());
 }
 
 TEST(StoreClient, OnMessageIsAOneMessageStep) {

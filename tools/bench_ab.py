@@ -16,13 +16,23 @@ The report goes to BENCH_<N>.json at the repository root:
   * both shas (the change's with a flag when the tree has uncommitted
     edits), nproc and the date;
   * for each workload and side: every run's end-to-end metrics, their
-    median and IQR, the change/parent median ratio and how many pairs the
-    change won;
-  * each side's traced per-layer metrics and sim digest.
+    median and IQR, the change/parent median ratio, how many pairs the
+    change won, and whether the gain rule holds: the change won at least
+    9 of every 10 pairs and its median beats the parent's by more than
+    the parent's IQR;
+  * each side's traced per-layer metrics and sim digest;
+  * for each workload that prints a digest (the simulator), a sim_exact
+    block: both sides' digests and traced sim.msgs_per_op and
+    sim.envelopes_per_op, with the verdict "match" or "DIFFER". A change
+    that claims only CPU must show "match".
 
---profile also builds each side's benchmark with -pg in its own
-directory (.bench_build/ab/gprof-<side>/), runs sim_abd once, and stores
-the top 15 rows of `gprof -b -p` for each side.
+--profile also builds each side's benchmark with -pg in that side's tree
+(.bench_build/gprof/), runs sim_abd once, and stores the top 15 rows of
+`gprof -b -p` for each side. It runs before the pairs, so a failed
+profile build stops the tool before the long part. The percentages include
+the atomicity check that runs after the timed window, and the two sides
+run different numbers of ops, so compare rows across sides by their self
+seconds, not by their percentages.
 
 Timings on one box on one day compare only inside one file, as ratios.
 """
@@ -104,13 +114,27 @@ def summarize(spec, runs):
         entry["change_won"] = sum(
             (cv > pv) if higher else (cv < pv)
             for pv, cv in zip(side["parent"], side["change"]))
+        gap = (c - p) if higher else (p - c)
+        entry["gain_rule"] = (10 * entry["change_won"] >= 9 * len(vals) and
+                              gap > entry["parent"]["iqr"])
         out[name] = entry
     return out
 
 
-def gprof_rows(root, side, seed, seconds):
+def sim_exact(digests, trace):
+    """Both sides' digests and traced sim counts, and whether they agree."""
+    block = {"digest": digests}
+    for name in ("sim.msgs_per_op", "sim.envelopes_per_op"):
+        block[name] = {s: trace[s]["metrics"].get(name, {}).get("value")
+                       for s in ("parent", "change")}
+    same = all(v["parent"] == v["change"] for v in block.values())
+    block["verdict"] = "match" if same else "DIFFER"
+    return block
+
+
+def gprof_rows(root, seed, seconds):
     """Top rows of a flat gprof profile of a -pg build of `root`."""
-    build = AB / f"gprof-{side}"
+    build = root / ".bench_build" / "gprof"
     log = sys.stderr
     subprocess.run(["cmake", "-S", str(root / "benchmark"), "-B", str(build),
                     "-DCMAKE_BUILD_TYPE=Release", "-DCMAKE_CXX_FLAGS=-pg",
@@ -166,6 +190,12 @@ def main():
         "pairs": args.pairs,
         "workloads": {},
     }
+    if args.profile:
+        report["profile"] = {
+            "workload": PROFILE_WORKLOAD,
+            "rows": {s: gprof_rows(roots[s], args.seed, args.seconds)
+                     for s in ("parent", "change")},
+        }
     for w in workloads:
         runs = {"parent": [], "change": []}
         digests = {"parent": [], "change": []}
@@ -181,8 +211,12 @@ def main():
                 print(f"{w} pair {i + 1} {s}: " + ", ".join(
                     f"{k}={v['value']:.4g}" for k, v in rep["metrics"].items()),
                     file=sys.stderr)
-        trace = {s: run_side(roots[s], w, args.seed, args.seconds, 1)[0]
-                 for s in ("parent", "change")}
+        trace = {}
+        for s in ("parent", "change"):
+            trace[s], digest = run_side(roots[s], w, args.seed,
+                                        args.seconds, 1)
+            if digest and digest not in digests[s]:
+                digests[s].append(digest)
         report["workloads"][w] = {
             "order": order,
             "runs": runs,
@@ -190,20 +224,19 @@ def main():
             "trace": {s: trace[s]["metrics"] for s in trace},
             "digest": digests,
         }
-    if args.profile:
-        report["profile"] = {
-            "workload": PROFILE_WORKLOAD,
-            "rows": {s: gprof_rows(roots[s], s, args.seed, args.seconds)
-                     for s in ("parent", "change")},
-        }
+        if digests["parent"] or digests["change"]:
+            report["workloads"][w]["sim_exact"] = sim_exact(digests, trace)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out.relative_to(ROOT)}")
     for w, body in report["workloads"].items():
         for name, e in body["summary"].items():
             ratio = "-" if e["ratio"] is None else f"{e['ratio']:.3f}"
+            rule = "holds" if e["gain_rule"] else "fails"
             print(f"{w:18} {name:12} ratio {ratio}  change won "
-                  f"{e['change_won']}/{args.pairs}")
+                  f"{e['change_won']}/{args.pairs}  gain rule {rule}")
+        if "sim_exact" in body:
+            print(f"{w:18} sim_exact {body['sim_exact']['verdict']}")
     return 0
 
 
