@@ -1,9 +1,10 @@
 #include "checker/atomicity.h"
 
 #include <algorithm>
-#include <map>
 #include <optional>
 #include <set>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
@@ -13,16 +14,21 @@ namespace {
 
 check_result fail(std::string msg) { return {false, std::move(msg)}; }
 
-/// Write index k for every value; val_0 (bottom) is the empty string at
-/// ts 0. Returns nullopt and sets `err` when values are not unique.
-std::optional<std::map<value_t, std::size_t>> build_value_index(
-    const std::vector<op_record>& writes, std::string& err) {
-  std::map<value_t, std::size_t> index;
+/// Write index k for every value, keyed by a view into the history's own
+/// records; val_0 (bottom) is the empty string at ts 0. Returns nullopt
+/// and sets `err` when values are not unique. `writes` are indices into
+/// `ops`, in invocation order.
+std::optional<std::unordered_map<std::string_view, std::size_t>>
+build_value_index(const std::vector<op_record>& ops,
+                  const std::vector<std::size_t>& writes, std::string& err) {
+  std::unordered_map<std::string_view, std::size_t> index;
+  index.reserve(writes.size() + 1);
   index[k_bottom_value] = 0;
   for (std::size_t k = 0; k < writes.size(); ++k) {
-    const auto [it, inserted] = index.emplace(writes[k].val, k + 1);
+    const value_t& val = ops[writes[k]].val;
+    const auto [it, inserted] = index.emplace(val, k + 1);
     if (!inserted) {
-      err = "written values are not unique: \"" + writes[k].val + "\"";
+      err = "written values are not unique: \"" + val + "\"";
       return std::nullopt;
     }
   }
@@ -33,71 +39,80 @@ std::optional<std::map<value_t, std::size_t>> build_value_index(
 
 namespace detail {
 
-/// Shared core of the atomic and regular SWMR checks.
+/// Shared core of the atomic and regular SWMR checks. It reads the
+/// records in place, through indices into h.ops(), and copies none.
 check_result check_swmr(const history& h, bool require_condition4) {
+  const std::vector<op_record>& ops = h.ops();
   // Collect the single writer's writes in invocation order. The paper's
   // single-writer model has sequential writes; verify that.
-  std::vector<op_record> writes = h.all_writes();
-  for (const auto& w : writes) {
-    if (w.client != writer_id(0)) {
+  std::vector<std::size_t> writes;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (!ops[i].is_write) continue;
+    if (ops[i].client != writer_id(0)) {
       return fail("SWMR checker: writes from more than one writer");
     }
+    writes.push_back(i);
   }
-  std::sort(writes.begin(), writes.end(),
-            [](const op_record& a, const op_record& b) {
-              return a.invoke_time < b.invoke_time;
-            });
+  std::sort(writes.begin(), writes.end(), [&](std::size_t a, std::size_t b) {
+    return ops[a].invoke_time < ops[b].invoke_time;
+  });
   for (std::size_t i = 0; i + 1 < writes.size(); ++i) {
-    if (!writes[i].response_time) {
+    const op_record& w = ops[writes[i]];
+    if (!w.response_time) {
       return fail("SWMR checker: incomplete write is not the last write");
     }
-    if (*writes[i].response_time > writes[i + 1].invoke_time) {
+    if (*w.response_time > ops[writes[i + 1]].invoke_time) {
       return fail("SWMR checker: overlapping writes in a single-writer run");
     }
   }
 
   std::string err;
-  const auto value_index = build_value_index(writes, err);
+  const auto value_index = build_value_index(ops, writes, err);
   if (!value_index) return fail(err);
-
-  const std::vector<op_record> reads = h.completed_reads();
 
   // Condition (1): every read returns a written value.
   // Also annotate each read with the write index l it returned.
   struct annotated_read {
-    const op_record* op;
+    std::size_t op;  // index into ops
     std::size_t l;
   };
   std::vector<annotated_read> ann;
-  ann.reserve(reads.size());
-  for (const auto& rd : reads) {
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const op_record& rd = ops[i];
+    if (rd.is_write || !rd.response_time) continue;
     const auto it = value_index->find(rd.val);
     if (it == value_index->end()) {
       return fail("condition 1 violated: read by " + to_string(rd.client) +
                   " returned unwritten value \"" + rd.val + "\"");
     }
-    ann.push_back({&rd, it->second});
+    ann.push_back({i, it->second});
   }
 
-  for (const auto& [rd, l] : ann) {
+  // The writes are sequential and each responds no earlier than it was
+  // invoked, so the response times of the completed ones (all but
+  // perhaps the last) rise with k.
+  std::vector<std::uint64_t> done_at;
+  done_at.reserve(writes.size());
+  for (const std::size_t w : writes) {
+    if (ops[w].response_time) done_at.push_back(*ops[w].response_time);
+  }
+
+  for (const auto& [i, l] : ann) {
+    const op_record& rd = ops[i];
     // Condition (2): reads see at least the last write completed before
-    // their invocation.
-    std::size_t k_min = 0;
-    for (std::size_t k = 0; k < writes.size(); ++k) {
-      if (writes[k].response_time &&
-          *writes[k].response_time < rd->invoke_time) {
-        k_min = k + 1;
-      }
-    }
+    // their invocation. write_k_min is that write: one binary search.
+    const std::size_t k_min = static_cast<std::size_t>(
+        std::lower_bound(done_at.begin(), done_at.end(), rd.invoke_time) -
+        done_at.begin());
     if (l < k_min) {
-      return fail("condition 2 violated: read by " + to_string(rd->client) +
-                  " returned val_" + std::to_string(l) + " (\"" + rd->val +
+      return fail("condition 2 violated: read by " + to_string(rd.client) +
+                  " returned val_" + std::to_string(l) + " (\"" + rd.val +
                   "\") after write_" + std::to_string(k_min) + " completed");
     }
     // Condition (3): no reading from the future.
     if (l >= 1) {
-      const auto& wr = writes[l - 1];
-      if (wr.invoke_time >= *rd->response_time) {
+      const op_record& wr = ops[writes[l - 1]];
+      if (wr.invoke_time >= *rd.response_time) {
         return fail("condition 3 violated: read returned val_" +
                     std::to_string(l) + " before write_" + std::to_string(l) +
                     " was invoked");
@@ -111,31 +126,31 @@ check_result check_swmr(const history& h, bool require_condition4) {
     // current read's invocation.
     std::vector<annotated_read> by_invoke = ann;
     std::sort(by_invoke.begin(), by_invoke.end(),
-              [](const annotated_read& a, const annotated_read& b) {
-                return a.op->invoke_time < b.op->invoke_time;
+              [&](const annotated_read& a, const annotated_read& b) {
+                return ops[a.op].invoke_time < ops[b.op].invoke_time;
               });
-    std::vector<annotated_read> by_response = ann;
+    std::vector<annotated_read> by_response = std::move(ann);
     std::sort(by_response.begin(), by_response.end(),
-              [](const annotated_read& a, const annotated_read& b) {
-                return *a.op->response_time < *b.op->response_time;
+              [&](const annotated_read& a, const annotated_read& b) {
+                return *ops[a.op].response_time < *ops[b.op].response_time;
               });
     std::size_t max_l = 0;
     const op_record* max_op = nullptr;
     std::size_t next_resp = 0;
     for (const auto& rd : by_invoke) {
+      const std::uint64_t invoked = ops[rd.op].invoke_time;
       while (next_resp < by_response.size() &&
-             *by_response[next_resp].op->response_time <
-                 rd.op->invoke_time) {
+             *ops[by_response[next_resp].op].response_time < invoked) {
         if (by_response[next_resp].l > max_l) {
           max_l = by_response[next_resp].l;
-          max_op = by_response[next_resp].op;
+          max_op = &ops[by_response[next_resp].op];
         }
         ++next_resp;
       }
       if (rd.l < max_l) {
         return fail(
             "condition 4 violated (new/old inversion): read by " +
-            to_string(rd.op->client) + " returned val_" +
+            to_string(ops[rd.op].client) + " returned val_" +
             std::to_string(rd.l) + " after a read by " +
             to_string(max_op->client) + " returned val_" +
             std::to_string(max_l));

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <span>
 
 #include "common/check.h"
@@ -969,16 +970,19 @@ void node::apply_fault(reactor& r, int fd, connection& c, conn_fault f) {
 void node::actor_port::send(const process_id& to, message m) {
   std::vector<message> one;
   one.push_back(std::move(m));
-  n->send_from(*a, to, std::move(one));
+  n->send_from(*a, to, one);
 }
 
 void node::actor_port::send_batch(const process_id& to,
-                                  std::vector<message> msgs) {
-  n->send_from(*a, to, std::move(msgs));
+                                  std::vector<message>& msgs) {
+  n->send_from(*a, to, msgs);
+  // Encoded, shipped or dropped: the caller gets its buffer back empty,
+  // with its capacity.
+  msgs.clear();
 }
 
 void node::send_from(actor_state& a, const process_id& to,
-                     std::vector<message> msgs) {
+                     std::vector<message>& msgs) {
   FASTREG_EXPECTS(!msgs.empty());
   for (auto& m : msgs) stamp_if_untraced(m);
   if (obs::recording_active()) {
@@ -988,11 +992,11 @@ void node::send_from(actor_state& a, const process_id& to,
                     m.ts);
     }
   }
-  route_from(a, to, std::move(msgs));
+  route_from(a, to, msgs);
 }
 
 void node::route_from(actor_state& a, const process_id& to,
-                      std::vector<message> msgs) {
+                      std::vector<message>& msgs) {
   reactor* cur = current_reactor();
   if (cur == nullptr) {
     // Only run_on_reactor's inline fallback steps an actor off its
@@ -1005,7 +1009,7 @@ void node::route_from(actor_state& a, const process_id& to,
         it != a.out_to_server.end()) {
       const conn_ref ref = it->second;
       if (ref.reactor != cur->index) {
-        ship_to(ref, a, static_cast<int>(to.index), std::move(msgs));
+        ship_to(ref, a, static_cast<int>(to.index), msgs);
         return;
       }
       if (auto cit = cur->conns.find(ref.fd);
@@ -1039,7 +1043,7 @@ void node::route_from(actor_state& a, const process_id& to,
     return;
   }
   if (ref.reactor != cur->index) {
-    ship_to(ref, a, /*server_index=*/-1, std::move(msgs));
+    ship_to(ref, a, /*server_index=*/-1, msgs);
     return;
   }
   if (auto cit = cur->conns.find(ref.fd);
@@ -1052,7 +1056,7 @@ void node::route_from(actor_state& a, const process_id& to,
 }
 
 void node::ship_to(const conn_ref& ref, actor_state& a, int server_index,
-                   std::vector<message> msgs) {
+                   std::vector<message>& msgs) {
   // The connection lives on another reactor (or this thread is no
   // reactor at all): the frames must be encoded into its chain by the
   // owning thread. Ship them over; the serial check drops the frames
@@ -1062,7 +1066,10 @@ void node::ship_to(const conn_ref& ref, actor_state& a, int server_index,
     std::lock_guard<std::mutex> lk(mu_);
     if (r.exited) return;
   }
-  auto moved = std::make_shared<std::vector<message>>(std::move(msgs));
+  // The messages move out; the caller's buffer keeps its capacity.
+  auto moved = std::make_shared<std::vector<message>>(
+      std::make_move_iterator(msgs.begin()),
+      std::make_move_iterator(msgs.end()));
   post_to(r, [this, &a, ref, server_index, moved] {
     reactor& owner = *reactors_[ref.reactor];
     auto it = owner.conns.find(ref.fd);

@@ -268,7 +268,8 @@ class node final {
     node* n{nullptr};
     actor_state* a{nullptr};
     void send(const process_id& to, message m) override;
-    void send_batch(const process_id& to, std::vector<message> msgs) override;
+    void send_batch(const process_id& to,
+                    std::vector<message>& msgs) override;
   };
 
   struct actor_state {
@@ -329,9 +330,9 @@ class node final {
   // Send path. All called with a.step_mu held (sends only originate
   // inside automaton steps / invocations, which hold it).
   void send_from(actor_state& a, const process_id& to,
-                 std::vector<message> msgs);
+                 std::vector<message>& msgs);
   void route_from(actor_state& a, const process_id& to,
-                  std::vector<message> msgs);
+                  std::vector<message>& msgs);
   /// Encodes `msgs` into the connection's chain on its owning reactor
   /// (inline when that is the current context) as count-prefixed batch
   /// frames -- one, unless the messages exceed the chunk limit -- and
@@ -341,11 +342,12 @@ class node final {
   /// Opens an outbound connection to server `index` on reactor `r` for
   /// actor `a` (hello first) and registers it in a.out_to_server.
   conn_ref open_to_server(reactor& r, actor_state& a, std::uint32_t index);
-  /// Posts `msgs` to the reactor owning `ref` for encoding there. Drops
-  /// (and, for server routes, lazily invalidates a.out_to_server) when
-  /// the serial shows the connection is gone.
+  /// Moves the messages in `msgs` to the reactor owning `ref` for
+  /// encoding there.
+  /// Drops (and, for server routes, lazily invalidates a.out_to_server)
+  /// when the serial shows the connection is gone.
   void ship_to(const conn_ref& ref, actor_state& a, int server_index,
-               std::vector<message> msgs);
+               std::vector<message>& msgs);
   /// Runs `fn` on every reactor and returns once all acknowledged (or
   /// exited). No-op before start().
   void run_on_all_reactors(const std::function<void(reactor&)>& fn);

@@ -39,11 +39,16 @@ class netout {
   virtual void send(const process_id& to, message m) = 0;
 
   /// Sends several messages to one destination as a single transport unit
-  /// (one envelope on the simulator, one frame on TCP). The default keeps
+  /// (one envelope on the simulator, one frame on TCP). `msgs` is a buffer
+  /// the caller keeps and reuses: the call takes its messages and leaves
+  /// it empty, never freed, so the next batch fills it without a heap
+  /// allocation. (The simulator hands back a spare vector in its place;
+  /// TCP encodes the messages and clears it.) The default keeps
   /// transports that do not batch correct: it degrades to per-message
   /// sends. Only the store's multiplexing automata call this.
-  virtual void send_batch(const process_id& to, std::vector<message> msgs) {
+  virtual void send_batch(const process_id& to, std::vector<message>& msgs) {
     for (auto& m : msgs) send(to, std::move(m));
+    msgs.clear();
   }
 };
 

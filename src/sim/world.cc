@@ -73,16 +73,33 @@ obs::recorder& world::rec_for(const process_id& p) {
   return *it->second;
 }
 
-void world::send(const process_id& to, message m) {
-  std::vector<message> one;
-  one.push_back(std::move(m));
-  send_batch(to, std::move(one));
+std::vector<message> world::take_spare() {
+  if (spares_.empty()) return {};
+  std::vector<message> v = std::move(spares_.back());
+  spares_.pop_back();
+  return v;
 }
 
-void world::send_batch(const process_id& to, std::vector<message> msgs) {
+void world::recycle(std::vector<message>& msgs) {
+  if (spares_.size() >= k_max_spares ||
+      msgs.capacity() > k_max_spare_capacity) {
+    return;
+  }
+  msgs.clear();
+  spares_.push_back(std::move(msgs));
+}
+
+void world::send(const process_id& to, message m) {
+  stamp_if_untraced(m);
+  auto& e = outbox_.emplace_back(to, take_spare());
+  e.msgs.push_back(std::move(m));
+}
+
+void world::send_batch(const process_id& to, std::vector<message>& msgs) {
   FASTREG_EXPECTS(!msgs.empty());
   for (auto& m : msgs) stamp_if_untraced(m);
-  outbox_.push_back({to, std::move(msgs)});
+  auto& e = outbox_.emplace_back(to, take_spare());
+  e.msgs.swap(msgs);
 }
 
 void world::flush_sends(const process_id& from) {
@@ -246,9 +263,10 @@ bool world::deliver(std::uint64_t envelope_id) {
   envelope env = std::move(*it);
   mset_.erase(it);
   ++now_;
-  if (crashed_.contains(env.to)) return false;  // consumed, never processed
-  do_step(env.to, env);
-  return true;
+  const bool live = !crashed_.contains(env.to);
+  if (live) do_step(env.to, env);  // a crashed process consumes it unseen
+  recycle(env.msgs);
+  return live;
 }
 
 std::vector<std::uint64_t> world::find_envelopes(
@@ -306,8 +324,8 @@ std::uint64_t world::run_random_until(rng& r,
     mset_.erase(mset_.begin() + static_cast<std::ptrdiff_t>(pick));
     ++now_;
     ++steps;
-    if (crashed_.contains(env.to)) continue;
-    do_step(env.to, env);
+    if (!crashed_.contains(env.to)) do_step(env.to, env);
+    recycle(env.msgs);
   }
   return steps;
 }
@@ -342,8 +360,8 @@ std::uint64_t world::run_timed_until(rng& r, delay_model& delays,
     mset_.erase(it);
     now_ = std::max(now_ + 1, env.due_at);
     ++steps;
-    if (crashed_.contains(env.to)) continue;
-    do_step(env.to, env);
+    if (!crashed_.contains(env.to)) do_step(env.to, env);
+    recycle(env.msgs);
   }
   return steps;
 }

@@ -224,7 +224,17 @@ class world final : public netout {
 
   // netout (valid only inside a step; automata receive *this).
   void send(const process_id& to, message m) override;
-  void send_batch(const process_id& to, std::vector<message> msgs) override;
+  /// Swaps `msgs` into the envelope and hands the caller a spare from the
+  /// free list (empty; with capacity once vectors circulate).
+  void send_batch(const process_id& to, std::vector<message>& msgs) override;
+
+  /// Bounds of the free list of message vectors: delivered envelopes
+  /// return their cleared vector to it unless it already holds
+  /// k_max_spares or the vector's capacity exceeds k_max_spare_capacity
+  /// (a preload or reshard batch is freed, not kept).
+  static constexpr std::size_t k_max_spares = 256;
+  static constexpr std::size_t k_max_spare_capacity = 64;
+  [[nodiscard]] std::size_t spares() const { return spares_.size(); }
 
  private:
   struct client_state {
@@ -234,6 +244,10 @@ class world final : public netout {
   };
 
   void do_step(const process_id& to, const envelope& env);
+  /// An empty message vector: a spare when one is free.
+  [[nodiscard]] std::vector<message> take_spare();
+  /// Returns a delivered (or consumed) envelope's vector to the free list.
+  void recycle(std::vector<message>& msgs);
   /// Ends p's step: runs its hook, then flushes its sends into mset.
   void end_step(const process_id& p);
   void poll_completion(const process_id& p);
@@ -269,6 +283,8 @@ class world final : public netout {
     std::vector<message> msgs{};
   };
   std::vector<outbox_entry> outbox_;
+  /// Cleared message vectors for the next sends (see k_max_spares).
+  std::vector<std::vector<message>> spares_;
   std::unordered_map<process_id, obs::recorder*> rec_cache_;
 };
 

@@ -18,18 +18,17 @@
 // the same checkers as simulator runs.
 #pragma once
 
-#include <algorithm>
-#include <iterator>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "registers/automaton.h"
 
 namespace fastreg::store {
 
 class batch_collector {
  public:
-  void add(const process_id& to, message m) {
+  void add(const process_id& to, message&& m) {
     for (std::size_t i = 0; i < used_; ++i) {
       if (groups_[i].first == to) {
         groups_[i].second.push_back(std::move(m));
@@ -44,18 +43,22 @@ class batch_collector {
 
   /// Emits one send_batch per destination, in first-touch order so
   /// simulator schedules stay deterministic, then resets. Each batch
-  /// leaves in a vector of exactly its size; the per-destination scratch
-  /// vectors keep their capacity for the next step.
+  /// leaves in its per-destination scratch vector itself, which the send
+  /// empties (netout::send_batch) and the next step refills.
   void flush(netout& net) {
     for (std::size_t i = 0; i < used_; ++i) {
       auto& [dest, msgs] = groups_[i];
-      std::vector<message> batch;
-      batch.reserve(msgs.size());
-      std::move(msgs.begin(), msgs.end(), std::back_inserter(batch));
-      msgs.clear();
-      net.send_batch(dest, std::move(batch));
+      net.send_batch(dest, msgs);
+      FASTREG_ENSURES(msgs.empty());
     }
     used_ = 0;
+  }
+
+  /// Messages parked in the scratch vectors: 0 after every flush.
+  [[nodiscard]] std::size_t parked() const {
+    std::size_t n = 0;
+    for (const auto& [dest, msgs] : groups_) n += msgs.size();
+    return n;
   }
 
  private:

@@ -191,7 +191,7 @@ void client::begin_state_read(object_id obj, epoch_t old_epoch) {
   m.trace = obs::next_trace_id();
   m.rcounter = mig_->seq;
   for (std::uint32_t i = 0; i < map_->config().base.S(); ++i) {
-    outbox_.add(server_id(i), m);
+    outbox_.add(server_id(i), message(m));
   }
 }
 
@@ -218,7 +218,7 @@ void client::begin_seed(object_id obj, const register_snapshot& s,
   m.prev = s.prev;
   m.sig = s.sig;
   for (std::uint32_t i = 0; i < map_->config().base.S(); ++i) {
-    outbox_.add(server_id(i), m);
+    outbox_.add(server_id(i), message(m));
   }
 }
 

@@ -260,8 +260,9 @@ void server::adopt_seed(object_id obj, object_state& r,
     note.val = snap.val;
     note.prev = snap.prev;
     note.sig = snap.sig;
-    h.subs.for_each(
-        [&](std::uint32_t peer) { outbox_.add(server_id(peer), note); });
+    h.subs.for_each([&](std::uint32_t peer) {
+      outbox_.add(server_id(peer), message(note));
+    });
     h.subs.clear();
   }
 }
@@ -349,7 +350,7 @@ void server::enqueue_fetch(const process_id& from, const message& m,
   req.mig = true;
   for (std::uint32_t j = 0; j < map_->config().base.S(); ++j) {
     if (j == index_) continue;
-    outbox_.add(server_id(j), req);
+    outbox_.add(server_id(j), message(req));
   }
 }
 

@@ -2,9 +2,14 @@
 // against the exponential Wing&Gong oracle: thousands of randomized small
 // multi-writer histories (where the oracle is still feasible) on which the
 // two verdicts must agree exactly, plus hand-built non-linearizable
-// mutants both must reject with a useful error message.
+// mutants both must reject with a useful error message. The SWMR
+// checkers are tested the same way against their quadratic first
+// version, kept here as the oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -128,6 +133,219 @@ TEST(CheckerDifferential, DuplicateValuesRejectedByBothAsInput) {
     EXPECT_FALSE(oracle.ok);
     EXPECT_NE(fast.error.find("unique"), std::string::npos) << fast.error;
     EXPECT_NE(oracle.error.find("unique"), std::string::npos);
+  }
+}
+
+// ------------------------------------------- SWMR checker vs. oracle --
+
+/// check_swmr as first written: record copies and, for condition (2), a
+/// scan of every write for every read. The oracle for the binary-search
+/// version in src/checker/atomicity.cc, which must give the same verdict
+/// and the same message.
+check_result oracle_check_swmr(const history& h, bool require_condition4) {
+  const auto fail = [](std::string msg) {
+    return check_result{false, std::move(msg)};
+  };
+  std::vector<op_record> writes = h.all_writes();
+  for (const auto& w : writes) {
+    if (w.client != writer_id(0)) {
+      return fail("SWMR checker: writes from more than one writer");
+    }
+  }
+  std::sort(writes.begin(), writes.end(),
+            [](const op_record& a, const op_record& b) {
+              return a.invoke_time < b.invoke_time;
+            });
+  for (std::size_t i = 0; i + 1 < writes.size(); ++i) {
+    if (!writes[i].response_time) {
+      return fail("SWMR checker: incomplete write is not the last write");
+    }
+    if (*writes[i].response_time > writes[i + 1].invoke_time) {
+      return fail("SWMR checker: overlapping writes in a single-writer run");
+    }
+  }
+  std::map<value_t, std::size_t> value_index;
+  value_index[k_bottom_value] = 0;
+  for (std::size_t k = 0; k < writes.size(); ++k) {
+    if (!value_index.emplace(writes[k].val, k + 1).second) {
+      return fail("written values are not unique: \"" + writes[k].val +
+                  "\"");
+    }
+  }
+  const std::vector<op_record> reads = h.completed_reads();
+  struct annotated_read {
+    const op_record* op;
+    std::size_t l;
+  };
+  std::vector<annotated_read> ann;
+  for (const auto& rd : reads) {
+    const auto it = value_index.find(rd.val);
+    if (it == value_index.end()) {
+      return fail("condition 1 violated: read by " + to_string(rd.client) +
+                  " returned unwritten value \"" + rd.val + "\"");
+    }
+    ann.push_back({&rd, it->second});
+  }
+  for (const auto& [rd, l] : ann) {
+    std::size_t k_min = 0;
+    for (std::size_t k = 0; k < writes.size(); ++k) {
+      if (writes[k].response_time &&
+          *writes[k].response_time < rd->invoke_time) {
+        k_min = k + 1;
+      }
+    }
+    if (l < k_min) {
+      return fail("condition 2 violated: read by " + to_string(rd->client) +
+                  " returned val_" + std::to_string(l) + " (\"" + rd->val +
+                  "\") after write_" + std::to_string(k_min) + " completed");
+    }
+    if (l >= 1 && writes[l - 1].invoke_time >= *rd->response_time) {
+      return fail("condition 3 violated: read returned val_" +
+                  std::to_string(l) + " before write_" + std::to_string(l) +
+                  " was invoked");
+    }
+  }
+  if (require_condition4) {
+    std::vector<annotated_read> by_invoke = ann;
+    std::sort(by_invoke.begin(), by_invoke.end(),
+              [](const annotated_read& a, const annotated_read& b) {
+                return a.op->invoke_time < b.op->invoke_time;
+              });
+    std::vector<annotated_read> by_response = ann;
+    std::sort(by_response.begin(), by_response.end(),
+              [](const annotated_read& a, const annotated_read& b) {
+                return *a.op->response_time < *b.op->response_time;
+              });
+    std::size_t max_l = 0;
+    const op_record* max_op = nullptr;
+    std::size_t next_resp = 0;
+    for (const auto& rd : by_invoke) {
+      while (next_resp < by_response.size() &&
+             *by_response[next_resp].op->response_time <
+                 rd.op->invoke_time) {
+        if (by_response[next_resp].l > max_l) {
+          max_l = by_response[next_resp].l;
+          max_op = by_response[next_resp].op;
+        }
+        ++next_resp;
+      }
+      if (rd.l < max_l) {
+        return fail("condition 4 violated (new/old inversion): read by " +
+                    to_string(rd.op->client) + " returned val_" +
+                    std::to_string(rd.l) + " after a read by " +
+                    to_string(max_op->client) + " returned val_" +
+                    std::to_string(max_l));
+      }
+    }
+  }
+  return {};
+}
+
+/// A random single-writer history: writer 0's sequential writes of unique
+/// values, then three readers' sequential reads over the same time span.
+/// Most reads return a value conditions (2) and (3) allow; the rest
+/// return an older one, a future one, bottom or a never-written value, so
+/// every condition is broken somewhere. A few histories break the
+/// checker's input rules instead: a second writer, overlapping writes or
+/// a repeated value. A client's last op may stay incomplete, and half of
+/// the histories are sorted by invocation time.
+history random_swmr_history(rng& r) {
+  struct plan_op {
+    process_id client;
+    std::uint64_t inv, resp;
+    bool complete;
+    value_t val;
+  };
+  std::vector<plan_op> writes;
+  std::uint64_t t = 0;
+  const std::uint64_t n_writes = r.below(9);
+  for (std::uint64_t k = 0; k < n_writes; ++k) {
+    plan_op w{writer_id(0), t + r.below(4), 0, true,
+              "v" + std::to_string(k + 1)};
+    if (k > 0 && writes.back().resp > writes.back().inv &&
+        r.chance(1, 30)) {
+      w.inv = writes.back().resp - 1;  // overlaps the last write
+    }
+    w.resp = w.inv + r.below(6);
+    if (k + 1 == n_writes && r.chance(1, 5)) w.complete = false;
+    if (k > 0 && r.chance(1, 40)) w.val = writes[r.below(k)].val;
+    t = w.resp + r.below(2);
+    writes.push_back(std::move(w));
+  }
+  if (r.chance(1, 40)) {
+    writes.push_back({writer_id(1), r.below(t + 1), t + 2, true, "w1"});
+  }
+
+  history h;
+  for (const auto& w : writes) {
+    const auto i = h.begin_op(w.client, true, w.inv, w.val);
+    if (w.complete) h.complete_write(i, w.resp, 1);
+  }
+  const auto val_of = [&](std::size_t l) {
+    return l == 0 ? k_bottom_value : writes[l - 1].val;
+  };
+  for (std::uint32_t reader = 0; reader < 3; ++reader) {
+    std::uint64_t rt = r.below(4);
+    const std::uint64_t n_reads = r.below(5);
+    for (std::uint64_t j = 0; j < n_reads; ++j) {
+      const std::uint64_t inv = rt + r.below(6);
+      const std::uint64_t resp = inv + r.below(8);
+      rt = resp + 1;
+      const auto i = h.begin_op(reader_id(reader), false, inv);
+      if (j + 1 == n_reads && r.chance(1, 6)) break;  // left incomplete
+      // Writes (of writer 0, in order) completed before the read began,
+      // and invoked before it returned: conditions (2) and (3) allow
+      // exactly the values val_k_min .. val_k_max.
+      std::size_t k_min = 0, k_max = 0;
+      for (std::size_t k = 0; k < writes.size(); ++k) {
+        if (writes[k].complete && writes[k].resp < inv) k_min = k + 1;
+        if (writes[k].inv < resp) k_max = k + 1;
+      }
+      k_min = std::min(k_min, k_max);
+      value_t v;
+      const auto dice = r.below(20);
+      if (dice == 0) {
+        v = "phantom";
+      } else if (dice <= 2) {
+        v = val_of(r.below(writes.size() + 1));  // anything written
+      } else {
+        v = val_of(k_min + r.below(k_max - k_min + 1));
+      }
+      h.complete_read(i, resp, 0, 0, v, 1);
+    }
+  }
+  if (r.chance(1, 2)) h.sort_by_invoke_time();
+  return h;
+}
+
+TEST(CheckerDifferential, SwmrCheckersAgreeWithQuadraticOracle) {
+  std::map<std::string, std::uint64_t> verdicts;
+  for (std::uint64_t trial = 0; trial < 20000; ++trial) {
+    rng r(0x5a4e0000 + trial);
+    const history h = random_swmr_history(r);
+    for (const bool atomic : {true, false}) {
+      const auto got =
+          atomic ? check_swmr_atomicity(h) : check_swmr_regular(h);
+      const auto want = oracle_check_swmr(h, atomic);
+      ASSERT_EQ(got.ok, want.ok)
+          << "trial " << trial << (atomic ? " atomic" : " regular")
+          << ":\nchecker: " << (got.ok ? "ok" : got.error)
+          << "\noracle: " << (want.ok ? "ok" : want.error) << "\n"
+          << h.dump();
+      ASSERT_EQ(got.error, want.error) << "trial " << trial << "\n"
+                                       << h.dump();
+      if (atomic) {
+        ++verdicts[got.ok ? "ok" : got.error.substr(0, got.error.find(':'))];
+      }
+    }
+  }
+  // The generator must produce valid histories and break every condition
+  // and input rule.
+  for (const char* v :
+       {"ok", "condition 1 violated", "condition 2 violated",
+        "condition 3 violated", "condition 4 violated (new/old inversion)",
+        "SWMR checker", "written values are not unique"}) {
+    EXPECT_GE(verdicts[v], 50u) << v;
   }
 }
 

@@ -466,7 +466,7 @@ void send_one_then_three(netout& net, const process_id& to) {
     three[i].type = msg_type::read_req;
     three[i].rcounter = 2 + i;
   }
-  net.send_batch(to, std::move(three));
+  net.send_batch(to, three);
 }
 
 void expect_one_step_per_send(const std::vector<std::vector<message>>& steps,
@@ -526,6 +526,67 @@ TEST(DeliveryUnit, TcpNodesDeliverEachSendAsOneStep) {
   client.stop();
   server.stop();
   expect_one_step_per_send(steps, direct_messages);
+}
+
+TEST(DeliveryUnit, TcpSendBatchEmptiesTheCallersBufferAndKeepsIt) {
+  // netout::send_batch's contract: the caller's vector is a buffer it
+  // reuses. The TCP port encodes the messages in place and hands the
+  // buffer back empty, its capacity (and storage) intact, and each send
+  // is still one on_batch step at the receiver.
+  const auto cfg = make_cfg(3, 1, 1);
+  auto book = std::make_shared<address_book>();
+  node server(cfg, book);
+  server.add_actor(std::make_unique<step_recorder>(server_id(0)));
+  server.bind_listener(0);
+  book->server_ports = {server.listen_port()};
+  node client(cfg, book);
+  client.add_actor(std::make_unique<step_recorder>(reader_id(0)));
+  server.start();
+  client.start();
+  constexpr std::size_t k_sends = 3;
+  std::vector<std::size_t> sizes_after;
+  std::vector<bool> same_storage;
+  client.run_on_reactor(0, [&](automaton&, netout& net) {
+    std::vector<message> buf;
+    buf.reserve(8);
+    const message* storage = buf.data();
+    for (std::size_t s = 0; s < k_sends; ++s) {
+      for (std::size_t i = 0; i <= s; ++i) {
+        message m;
+        m.type = msg_type::read_req;
+        m.rcounter = 10 * s + i;
+        buf.push_back(m);
+      }
+      net.send_batch(server_id(0), buf);
+      sizes_after.push_back(buf.size());
+      same_storage.push_back(buf.data() == storage && buf.capacity() >= 8);
+    }
+  });
+  EXPECT_EQ(sizes_after, std::vector<std::size_t>(k_sends, 0));
+  EXPECT_EQ(same_storage, std::vector<bool>(k_sends, true));
+  std::vector<std::vector<message>> steps;
+  std::size_t direct_messages = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (steps.size() < k_sends &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    server.run_on_reactor(0, [&](automaton& a, netout&) {
+      const auto& rec = static_cast<const step_recorder&>(a);
+      steps = rec.steps;
+      direct_messages = rec.direct_messages;
+    });
+  }
+  client.stop();
+  server.stop();
+  EXPECT_EQ(direct_messages, 0u);
+  ASSERT_EQ(steps.size(), k_sends);
+  for (std::size_t s = 0; s < k_sends; ++s) {
+    ASSERT_EQ(steps[s].size(), s + 1);
+    for (std::size_t i = 0; i <= s; ++i) {
+      EXPECT_EQ(steps[s][i].rcounter, 10 * s + i);
+    }
+  }
 }
 
 // ------------------------------------------------------------- end-to-end

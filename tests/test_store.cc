@@ -13,6 +13,7 @@
 #include "crypto/sig.h"
 #include "obs/metrics.h"
 #include "registers/registry.h"
+#include "store/batching.h"
 #include "store/shard_map.h"
 #include "store/sim_store.h"
 #include "store/store.h"
@@ -375,7 +376,60 @@ struct capture_netout final : netout {
   }
 };
 
+/// netout recording each send as one batch of rcounters; its send_batch
+/// keeps netout's contract and empties the caller's vector.
+struct batch_netout final : netout {
+  std::vector<std::pair<process_id, std::vector<std::uint64_t>>> batches;
+  void send(const process_id& to, message m) override {
+    batches.emplace_back(to, std::vector<std::uint64_t>{m.rcounter});
+  }
+  void send_batch(const process_id& to, std::vector<message>& msgs) override {
+    auto& [dest, b] = batches.emplace_back(to, std::vector<std::uint64_t>{});
+    for (const auto& m : msgs) b.push_back(m.rcounter);
+    msgs.clear();
+  }
+};
+
+message numbered(std::uint64_t n) {
+  message m;
+  m.type = msg_type::read_req;
+  m.rcounter = n;
+  return m;
+}
+
 }  // namespace
+
+TEST(BatchCollector, FlushSendsOneBatchPerDestinationAndEmptiesEveryScratch) {
+  batch_collector out;
+  batch_netout net;
+  out.add(server_id(2), numbered(1));
+  out.add(server_id(0), numbered(2));
+  out.add(server_id(2), numbered(3));
+  out.add(server_id(1), numbered(4));
+  EXPECT_EQ(out.parked(), 4u);
+  out.flush(net);
+  EXPECT_EQ(out.parked(), 0u);
+  using batches =
+      std::vector<std::pair<process_id, std::vector<std::uint64_t>>>;
+  // First-touch order, one batch per destination.
+  EXPECT_EQ(net.batches, (batches{{server_id(2), {1, 3}},
+                                  {server_id(0), {2}},
+                                  {server_id(1), {4}}}));
+  // A step touching fewer destinations leaves the idle scratch empty too.
+  net.batches.clear();
+  out.add(server_id(1), numbered(5));
+  out.flush(net);
+  EXPECT_EQ(out.parked(), 0u);
+  EXPECT_EQ(net.batches, (batches{{server_id(1), {5}}}));
+  // netout's default send_batch (per-message sends) empties it as well.
+  capture_netout plain;
+  out.add(server_id(0), numbered(6));
+  out.add(server_id(0), numbered(7));
+  out.flush(plain);
+  EXPECT_EQ(out.parked(), 0u);
+  ASSERT_EQ(plain.sent.size(), 2u);
+  EXPECT_EQ(plain.sent[1].second.rcounter, 7u);
+}
 
 TEST(StoreServer, FetchBufferOverflowNackIsCountedAndObservable) {
   // A moved, un-seeded object buffers current-epoch client data behind a
