@@ -117,12 +117,6 @@ void verify_into(stress_report& rep, const stress_options& opt,
   rep.recorder_paths = write_recorder_dumps(opt, rep.seed, failing_key);
 }
 
-void fill_counts(stress_report& rep, const store::store_histories& hist) {
-  rep.total_ops = hist.total_ops();
-  rep.max_key_ops = hist.max_key_ops();
-  rep.all_complete = hist.all_complete();
-}
-
 }  // namespace
 
 std::string stress_report::describe() const {
@@ -137,7 +131,7 @@ std::string stress_report::describe() const {
          "tools/trace_merge): " +
          recorder_paths.front() + " ...";
   }
-  if (!all_complete) s += "; some operations never completed";
+  if (!hist.all_complete()) s += "; some operations never completed";
   if (op_failures > 0) {
     s += "; " + std::to_string(op_failures) + " client ops failed";
   }
@@ -300,7 +294,7 @@ stress_report run_sim_stress(const stress_options& opt) {
       coord.emplace(*ctl);
       if (!coord->start(s.shards(), make_reshard_plan(opt))) {
         rep.check = {false, "reshard failed to start: " + coord->error()};
-        fill_counts(rep, s.histories());
+        rep.hist = s.histories();
         return rep;
       }
     }
@@ -339,8 +333,8 @@ stress_report run_sim_stress(const stress_options& opt) {
   }
 
   rep.final_epoch = s.proto().maps()->epoch();
-  fill_counts(rep, s.histories());
-  verify_into(rep, opt, s.histories());
+  rep.hist = s.histories();
+  verify_into(rep, opt, rep.hist);
   return rep;
 }
 
@@ -436,9 +430,8 @@ stress_report run_tcp_stress(const stress_options& opt) {
 
   rep.op_failures = drv.join();
   rep.final_epoch = ts.proto().maps()->epoch();
-  const auto hist = ts.gather();
-  fill_counts(rep, hist);
-  if (rep.check.ok) verify_into(rep, opt, hist);
+  rep.hist = ts.gather();
+  if (rep.check.ok) verify_into(rep, opt, rep.hist);
   ts.stop();
   return rep;
 }

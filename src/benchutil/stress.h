@@ -84,12 +84,12 @@ struct stress_options {
 
 struct stress_report {
   std::uint64_t seed{0};
-  bool all_complete{false};
   /// Client-visible op failures (TCP timeouts); always 0 on the sim.
   std::uint64_t op_failures{0};
-  std::size_t total_ops{0};
-  std::size_t max_key_ops{0};
   epoch_t final_epoch{0};
+  /// The run's per-key histories: a copy of the sim store's, or the TCP
+  /// deployment's gathered copy. Op counts and completeness are read here.
+  store::store_histories hist{};
   /// Per-key verification under the protocol's contract checker.
   checker::check_result check{};
   /// Set when !check.ok: file holding the failing key's full history.
@@ -101,7 +101,7 @@ struct stress_report {
   std::vector<std::string> recorder_paths{};
 
   [[nodiscard]] bool ok() const {
-    return check.ok && all_complete && op_failures == 0;
+    return check.ok && hist.all_complete() && op_failures == 0;
   }
   /// One-line reproduction recipe for failure messages.
   [[nodiscard]] std::string describe() const;

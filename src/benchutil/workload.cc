@@ -242,7 +242,6 @@ store_report run_store_measured(const store::store_config& cfg,
   store_report rep;
   rep.hist = s.histories();
   const auto ops = ops_since(rep.hist, 0);
-  rep.all_complete = ops.incomplete == 0;
   rep.get_latency = latencies(ops.gets);
   rep.put_latency = latencies(ops.puts);
   if (ops.completed() > 0) {

@@ -104,7 +104,7 @@ struct store_report {
   double ops_per_ktick{0};
   double msgs_per_op{0};
   double envelopes_per_op{0};
-  bool all_complete{true};
+  /// Every per-key history; completeness is hist.all_complete().
   store::store_histories hist;
 };
 

@@ -4,8 +4,11 @@
 // driver with its op-log latency reader.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <tuple>
 
@@ -378,7 +381,7 @@ TEST(StoreWorkload, ZipfClosedLoopCompletesAndLinearizes) {
   opt.dist = benchutil::key_dist::zipf;
   opt.zipf_s = 1.1;
   const auto rep = benchutil::run_store_measured(cfg, opt);
-  EXPECT_TRUE(rep.all_complete);
+  EXPECT_TRUE(rep.hist.all_complete());
   EXPECT_TRUE(rep.hist.verify().ok);
   // The skew concentrates traffic: the hottest key sees far more ops
   // than the coldest (uniform would spread 80 ops over 16 keys evenly).
@@ -389,6 +392,94 @@ TEST(StoreWorkload, ZipfClosedLoopCompletesAndLinearizes) {
   }
   EXPECT_EQ(total, 2u * 32u + 16u);
   EXPECT_GT(hottest, total / 8);
+}
+
+// ------------------------------------------------------ seeded sim runs
+
+/// FNV-1a over every key name and its history dump (client, ts, value,
+/// invoke and response times, rounds): equal digests, equal runs.
+std::uint64_t history_digest(const store::store_histories& hist) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](const std::string& s) {
+    for (const unsigned char c : s) {
+      h ^= c;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const auto& [key, kh] : hist.all()) {
+    mix(key);
+    mix(kh.dump());
+  }
+  return h;
+}
+
+// The constants were measured before the seeded simulator loops moved
+// onto one driver (benchutil/sim_driver.h); they pin that every seeded
+// history, E12a row and stress run stayed byte-identical. Two processes
+// give the same digests.
+TEST(SimDriver, SeededHistoriesAreUnchanged) {
+  // E12a's row at 64 keys over 4 fast_swmr+abd shards, then the same load
+  // with Zipf keys.
+  store::store_config cfg;
+  cfg.base.servers = 7;
+  cfg.base.t_failures = 1;
+  cfg.base.readers = 3;
+  cfg.base.writers = 1;
+  cfg.num_shards = 4;
+  cfg.shard_protocols = {"fast_swmr", "abd"};
+  benchutil::store_workload_options wopt;
+  wopt.num_keys = 64;
+  wopt.gets_per_reader = 240;
+  wopt.puts_per_writer = 80;
+  wopt.batch = 8;
+  wopt.seed = 42 + 64 + 4;
+  EXPECT_EQ(history_digest(benchutil::run_store_measured(cfg, wopt).hist),
+            0x5b7477836f568d84ull);
+  wopt.dist = benchutil::key_dist::zipf;
+  EXPECT_EQ(history_digest(benchutil::run_store_measured(cfg, wopt).hist),
+            0x30a0e0a72ac81832ull);
+
+  const auto stress = [](benchutil::stress_options opt) {
+    const auto rep = benchutil::run_sim_stress(opt);
+    EXPECT_TRUE(rep.ok()) << opt.label << ": " << rep.describe();
+    return history_digest(rep.hist);
+  };
+  benchutil::stress_options base;
+  base.num_shards = 2;
+  base.num_keys = 3;
+  base.puts_per_writer = 60;
+  base.gets_per_reader = 60;
+  base.seed = 11;
+
+  // Timed schedule: a server crashes at a third and restarts from its
+  // snapshot + op log at two thirds.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("fastreg_pin_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  auto crash = base;
+  crash.label = "pin_crash";
+  crash.timed = true;
+  crash.crash_servers = 1;
+  crash.restart_crashed = true;
+  crash.persist_dir = dir.string();
+  EXPECT_EQ(stress(crash), 0x700133e5d4ddfdecull);
+  std::filesystem::remove_all(dir);
+
+  // Random schedule: a minority partition, healed at two thirds.
+  auto part = base;
+  part.label = "pin_partition";
+  part.partition_servers = 1;
+  EXPECT_EQ(stress(part), 0x915f91444872dc81ull);
+
+  // A live reshard from abd to fast_swmr+abd at a third.
+  auto reshard = base;
+  reshard.label = "pin_reshard";
+  reshard.protocol = "abd";
+  reshard.W = 1;
+  reshard.reshard = true;
+  reshard.reshard_num_shards = 3;
+  reshard.reshard_protocols = {"fast_swmr", "abd"};
+  EXPECT_EQ(stress(reshard), 0xce322d9507c31350ull);
 }
 
 

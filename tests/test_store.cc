@@ -351,7 +351,7 @@ TEST(StoreWorkload, ClosedLoopCompletesAndLinearizes) {
   opt.puts_per_writer = 12;
   opt.batch = 4;
   const auto rep = benchutil::run_store_measured(cfg, opt);
-  EXPECT_TRUE(rep.all_complete);
+  EXPECT_TRUE(rep.hist.all_complete());
   EXPECT_EQ(rep.hist.total_ops(), 3u * 24u + 12u);
   EXPECT_TRUE(rep.hist.verify().ok);
   EXPECT_GT(rep.ops_per_ktick, 0.0);

@@ -111,7 +111,7 @@ TEST(StressSoak, MwmrSimFiveThousandOpsOneKeyWithCrash) {
   opt.crash_servers = 1;
   const auto rep = run_sim_stress(opt);
   expect_ok(rep);
-  EXPECT_GE(rep.max_key_ops, 5000u) << rep.describe();
+  EXPECT_GE(rep.hist.max_key_ops(), 5000u) << rep.describe();
 }
 
 TEST(StressSoak, MwmrSimPartitionMinorityThenHeal) {
@@ -126,7 +126,7 @@ TEST(StressSoak, MwmrSimPartitionMinorityThenHeal) {
   opt.partition_servers = 1;
   const auto rep = run_sim_stress(opt);
   expect_ok(rep);
-  EXPECT_GE(rep.max_key_ops, 5000u) << rep.describe();
+  EXPECT_GE(rep.hist.max_key_ops(), 5000u) << rep.describe();
 }
 
 TEST(StressSoak, MwmrSimTimedPartitionAndCrashDisjointServers) {
@@ -153,7 +153,7 @@ TEST(StressSoak, MwmrSimTimedDelaysFiveThousandOps) {
   opt.gets_per_reader = stress_iters(1300);
   const auto rep = run_sim_stress(opt);
   expect_ok(rep);
-  EXPECT_GE(rep.max_key_ops, 5000u) << rep.describe();
+  EXPECT_GE(rep.hist.max_key_ops(), 5000u) << rep.describe();
 }
 
 TEST(StressSoak, MwmrSimLiveReshardMidRun) {
@@ -178,7 +178,7 @@ TEST(StressSoak, MwmrTcpFiveThousandOpsOneKey) {
   opt.gets_per_reader = stress_iters(1300);
   const auto rep = run_tcp_stress(opt);
   expect_ok(rep);
-  EXPECT_GE(rep.max_key_ops, 5000u) << rep.describe();
+  EXPECT_GE(rep.hist.max_key_ops(), 5000u) << rep.describe();
 }
 
 TEST(StressSoak, MwmrTcpPartitionPauseSoakThenHeal) {
@@ -240,7 +240,7 @@ TEST(StressSoak, MwmrSimCrashThenRestartWithDurableState) {
   opt.persist_dir = dir.path.string();
   const auto rep = run_sim_stress(opt);
   expect_ok(rep);
-  EXPECT_GE(rep.max_key_ops, 5000u) << rep.describe();
+  EXPECT_GE(rep.hist.max_key_ops(), 5000u) << rep.describe();
 }
 
 TEST(StressSoak, MwmrTcpCrashThenRestartWithDurableState) {
