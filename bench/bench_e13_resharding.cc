@@ -28,6 +28,10 @@
 // per fsync policy puts a number on that worst-case recovery (replay +
 // discard) next to E9's happy-path replay.
 //
+// The simulator parts run on the one simulator load driver
+// (benchutil/sim_driver.h), the coordinator's steps as its per-round
+// control.
+//
 // Every history is checked per key. The binary exits 1 (with `E13 FAILED:`
 // lines on stderr) unless every "violations" and "failed" cell is 0.
 #include <unistd.h>
@@ -35,10 +39,10 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <memory>
 #include <thread>
 #include <vector>
 
+#include "benchutil/sim_driver.h"
 #include "benchutil/stats.h"
 #include "benchutil/table.h"
 #include "benchutil/tcp_driver.h"
@@ -64,36 +68,28 @@ std::vector<std::string> make_keys(std::uint32_t n) {
   return keys;
 }
 
-/// A depth-1 session for the writer and every reader of a sim_store, open
-/// for the whole run: each op is issued in its own invocation step and
-/// completes through the session's world step hook.
-class sim_sessions {
- public:
-  sim_sessions(store::sim_store& s, rng& r)
-      : fe_(s, r), writer_(fe_.open_session(writer_id(0), 1)) {
-    for (std::uint32_t i = 0; i < s.config().base.R(); ++i) {
-      readers_.push_back(fe_.open_session(reader_id(i), 1));
-    }
+/// A depth-1 writer putting v1, v2, ... and `readers` readers getting,
+/// `quota` ops each, on keys `r` draws from `zipf` as the ops are issued.
+std::vector<sim_client> zipf_clients(const std::vector<std::string>& keys,
+                                     const zipf_sampler& zipf, rng& r,
+                                     std::uint32_t readers,
+                                     std::uint32_t quota) {
+  std::vector<sim_client> clients{
+      {writer_id(0), 1, quota,
+       [&keys, &zipf, &r, seq = 0u](std::uint32_t) mutable {
+         return std::vector<store::store_op>{{keys[zipf.sample(r)],
+                                              /*is_put=*/true,
+                                              "v" + std::to_string(++seq)}};
+       }}};
+  for (std::uint32_t i = 0; i < readers; ++i) {
+    clients.push_back({reader_id(i), 1, quota,
+                       [&keys, &zipf, &r](std::uint32_t) {
+                         return std::vector<store::store_op>{
+                             {keys[zipf.sample(r)], false, {}}};
+                       }});
   }
-
-  void put(const std::string& key, value_t v) {
-    issue(*writer_, writer_->try_put(key, std::move(v)));
-  }
-  void get(std::uint32_t reader, const std::string& key) {
-    issue(*readers_[reader], readers_[reader]->try_get(key));
-  }
-
- private:
-  static void issue(store::async_session& se, store::submit_status st) {
-    FASTREG_CHECK(st == store::submit_status::submitted);
-    se.pump();
-    (void)se.take_results();
-  }
-
-  store::sim_frontend fe_;
-  std::unique_ptr<store::async_session> writer_;
-  std::vector<std::unique_ptr<store::async_session>> readers_;
-};
+  return clients;
+}
 
 /// Rows with a violation or a failed op; main() exits 1 when any exist.
 int g_bad_rows = 0;
@@ -155,60 +151,29 @@ void run_sim_part(table& t, bool crash_one) {
   rng r(1234);
   sim::uniform_delay delays(50, 150);
   const zipf_sampler zipf(num_keys, 1.1);
-  sim_sessions ses(s, r);
-
   reconfig::sim_control ctl(s);
   reconfig::coordinator coord(ctl, keys);
   const reconfig::reconfig_plan plan{6, {"fast_swmr", "abd"}};
-
-  std::uint32_t puts_left = 400;
-  std::vector<std::uint32_t> gets_left(cfg.base.R(), 400);
-  std::uint64_t put_seq = 0;
   bool started = false;
   std::uint64_t t_start = 0, t_done = 0;
-  std::uint64_t guard = 0;
-
-  auto quota_spent = [&] {
-    std::uint32_t left = puts_left;
-    for (const auto g : gets_left) left += g;
-    return 400u * 4u - left;
-  };
-
-  for (;;) {
-    FASTREG_CHECK(++guard < 100'000'000);
-    if (!started && quota_spent() >= 500) {
-      started = true;
-      t_start = s.world().now();
-      // The crash variant kills a server AS the reshard begins; it stays
-      // dead through the drains and the rest of the run, so every
-      // handoff and every post-crash op runs on quorums of 6.
-      if (crash_one) s.world().crash(server_id(cfg.base.S() - 1));
-      FASTREG_CHECK(coord.start(s.shards(), plan));
-    }
-    if (started && !coord.done()) {
-      coord.step();
-      if (coord.done()) t_done = s.world().now();
-    }
-    bool invoked = false;
-    if (puts_left > 0 && !s.writer_client(0).op_in_progress()) {
-      --puts_left;
-      const auto& key = keys[zipf.sample(r)];
-      ses.put(key, "v" + std::to_string(++put_seq));
-      invoked = true;
-    }
-    for (std::uint32_t i = 0; i < cfg.base.R(); ++i) {
-      if (gets_left[i] == 0 || s.reader_client(i).op_in_progress()) continue;
-      --gets_left[i];
-      ses.get(i, keys[zipf.sample(r)]);
-      invoked = true;
-    }
-    if (s.world().in_transit().empty()) {
-      if (invoked) continue;
-      if (started && !coord.done()) continue;  // control actions pending
-      break;
-    }
-    s.run_timed(r, delays, /*max_steps=*/1);
-  }
+  drive_sim(s, r, zipf_clients(keys, zipf, r, cfg.base.R(), 400), &delays,
+            [&](std::uint64_t invoked) {
+              if (!started && invoked >= 500) {
+                started = true;
+                t_start = s.world().now();
+                // The crash variant kills a server AS the reshard begins;
+                // it stays dead through the drains and the rest of the
+                // run, so every handoff and every post-crash op runs on
+                // quorums of 6.
+                if (crash_one) s.world().crash(server_id(cfg.base.S() - 1));
+                FASTREG_CHECK(coord.start(s.shards(), plan));
+              }
+              if (started && !coord.done()) {
+                coord.step();
+                if (coord.done()) t_done = s.world().now();
+              }
+              return started && !coord.done();
+            });
   FASTREG_CHECK(started && coord.done());
 
   const char* label = crash_one ? "sim-crash" : "sim";
@@ -315,51 +280,27 @@ void run_rejoin_part(table& t, persist::fsync_policy policy) {
   store::sim_store s(cfg);
   rng r(99);
   const zipf_sampler zipf(num_keys, 1.1);
-  sim_sessions ses(s, r);
-
   const std::uint32_t crash_index = cfg.base.S() - 1;
-  std::uint32_t puts_left = 300;
-  std::vector<std::uint32_t> gets_left(cfg.base.R(), 300);
-  std::uint64_t put_seq = 0, guard = 0, invoked = 0;
+  reconfig::sim_control ctl(s);
+  reconfig::coordinator coord(ctl, keys);
   bool crashed = false, resharded = false;
-  std::optional<reconfig::sim_control> ctl;
-  std::optional<reconfig::coordinator> coord;
-  for (;;) {
-    FASTREG_CHECK(++guard < 100'000'000);
-    if (!crashed && invoked >= 200) {
-      crashed = true;
-      s.world().crash(server_id(crash_index));
-    }
-    // Reshard while the server is down: its durable epoch goes stale.
-    if (crashed && !resharded && invoked >= 400) {
-      resharded = true;
-      ctl.emplace(s);
-      coord.emplace(*ctl, keys);
-      FASTREG_CHECK(coord->start(s.shards(), {3, {"abd"}}));
-    }
-    const bool coord_active = coord.has_value() && !coord->done();
-    if (coord_active) coord->step();
-    bool invoked_now = false;
-    if (puts_left > 0 && !s.writer_client(0).op_in_progress()) {
-      --puts_left;
-      ++invoked;
-      invoked_now = true;
-      ses.put(keys[zipf.sample(r)], "v" + std::to_string(++put_seq));
-    }
-    for (std::uint32_t i = 0; i < cfg.base.R(); ++i) {
-      if (gets_left[i] == 0 || s.reader_client(i).op_in_progress()) continue;
-      --gets_left[i];
-      ++invoked;
-      invoked_now = true;
-      ses.get(i, keys[zipf.sample(r)]);
-    }
-    if (s.world().in_transit().empty()) {
-      if (invoked_now || coord_active) continue;
-      break;
-    }
-    s.run_random(r, /*max_steps=*/1);
-  }
-  FASTREG_CHECK(coord.has_value() && coord->done());
+  drive_sim(s, r, zipf_clients(keys, zipf, r, cfg.base.R(), 300),
+            /*delays=*/nullptr, [&](std::uint64_t invoked) {
+              if (!crashed && invoked >= 200) {
+                crashed = true;
+                s.world().crash(server_id(crash_index));
+              }
+              // Reshard while the server is down: its durable epoch goes
+              // stale.
+              if (crashed && !resharded && invoked >= 400) {
+                resharded = true;
+                FASTREG_CHECK(coord.start(s.shards(), {3, {"abd"}}));
+              }
+              const bool active = resharded && !coord.done();
+              if (active) coord.step();
+              return active;
+            });
+  FASTREG_CHECK(resharded && coord.done());
 
   const auto log_b = [&] {
     std::error_code ec;

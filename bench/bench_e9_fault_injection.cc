@@ -9,8 +9,12 @@
 // restarted, and the row reports what the policy cost during the load
 // (wall-clock, snapshot count and median snapshot time) and what recovery
 // cost at restart (replay wall-clock, log/snapshot bytes replayed). The
-// I/O is real even on the
-// simulator -- the op log and snapshots are ordinary files.
+// load runs on the simulator load driver (benchutil/sim_driver.h); the
+// I/O is real even on the simulator -- the op log and snapshots are
+// ordinary files.
+//
+// The binary exits 1 (with an `E9 FAILED:` line on stderr) when a row
+// has a NO cell.
 #include <unistd.h>
 
 #include <chrono>
@@ -19,6 +23,7 @@
 #include <memory>
 #include <vector>
 
+#include "benchutil/sim_driver.h"
 #include "benchutil/table.h"
 #include "benchutil/workload.h"
 #include "checker/atomicity.h"
@@ -39,7 +44,8 @@ std::uint64_t file_bytes(const std::string& path) {
   return ec ? 0 : static_cast<std::uint64_t>(n);
 }
 
-void recovery_row(table& t, persist::fsync_policy policy) {
+/// Adds one row; false when the history is not atomic.
+bool recovery_row(table& t, persist::fsync_policy policy) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("fastreg_e9_recovery_" + std::to_string(::getpid()) +
                     "_" + std::string(persist::to_string(policy)));
@@ -60,18 +66,18 @@ void recovery_row(table& t, persist::fsync_policy policy) {
   rng r(42);
   const zipf_sampler zipf(32, 0.99);
   const auto key = [&] { return "k" + std::to_string(zipf.sample(r)); };
-  // One session per client for the whole load, one op in flight each.
-  store::sim_frontend fe(s, r);
-  auto writer = fe.open_session(writer_id(0), 1);
-  std::vector<std::unique_ptr<store::async_session>> readers;
+  // Depth-1 clients: one op in flight each.
+  std::vector<sim_client> clients{
+      {writer_id(0), 1, 1000, [&, seq = 0u](std::uint32_t) mutable {
+         return std::vector<store::store_op>{
+             {key(), /*is_put=*/true, "v" + std::to_string(++seq)}};
+       }}};
   for (std::uint32_t i = 0; i < cfg.base.R(); ++i) {
-    readers.push_back(fe.open_session(reader_id(i), 1));
+    clients.push_back({reader_id(i), 1, 500, [&](std::uint32_t) {
+                         return std::vector<store::store_op>{
+                             {key(), false, {}}};
+                       }});
   }
-  const auto issue = [](store::async_session& se, store::submit_status st) {
-    FASTREG_CHECK(st == store::submit_status::submitted);
-    se.pump();
-    (void)se.take_results();
-  };
 
   const std::uint32_t crash_index = cfg.base.S() - 1;
   auto& reg = obs::registry::instance();
@@ -79,30 +85,8 @@ void recovery_row(table& t, persist::fsync_policy policy) {
       "fastreg_persist_log_records_total",
       "node=\"" + to_string(server_id(crash_index)) + "\"");
   const std::uint64_t records_before = crash_records.value();
-  std::uint32_t puts_left = 1000;
-  std::vector<std::uint32_t> gets_left(cfg.base.R(), 500);
-  std::uint64_t put_seq = 0, guard = 0;
   const auto load_t0 = std::chrono::steady_clock::now();
-  for (;;) {
-    FASTREG_CHECK(++guard < 100'000'000);
-    bool invoked = false;
-    if (puts_left > 0 && !s.writer_client(0).op_in_progress()) {
-      --puts_left;
-      invoked = true;
-      issue(*writer, writer->try_put(key(), "v" + std::to_string(++put_seq)));
-    }
-    for (std::uint32_t i = 0; i < cfg.base.R(); ++i) {
-      if (gets_left[i] == 0 || s.reader_client(i).op_in_progress()) continue;
-      --gets_left[i];
-      invoked = true;
-      issue(*readers[i], readers[i]->try_get(key()));
-    }
-    if (s.world().in_transit().empty()) {
-      if (invoked) continue;
-      break;
-    }
-    s.run_random(r, 1);
-  }
+  drive_sim(s, r, std::move(clients), /*delays=*/nullptr);
   const double load_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - load_t0)
@@ -144,6 +128,7 @@ void recovery_row(table& t, persist::fsync_policy policy) {
              res.ok ? "yes" : "NO"});
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
+  return res.ok;
 }
 
 }  // namespace
@@ -152,6 +137,8 @@ int main() {
   std::printf("E9: wait-freedom and latency under server crashes\n\n");
   table t({"proto", "S", "t", "crashed", "when", "read_p50", "write_p50",
            "all_complete", "atomic", "fast"});
+  // Rows with a NO cell; the binary exits 1 when any exist.
+  int bad_rows = 0;
   struct c3 {
     const char* proto;
     std::uint32_t S, t, R;
@@ -172,14 +159,15 @@ int main() {
         opt.crash_midway = midway;
         const auto rep = run_measured(*make_protocol(c.proto), cfg, opt);
         const int rd_limit = std::string(c.proto) == "abd" ? 2 : 1;
-        t.add_row(
-            {c.proto, std::to_string(c.S), std::to_string(c.t),
-             std::to_string(crashes), midway ? "mid-run(torn)" : "up-front",
-             fmt(rep.read_latency.p50()), fmt(rep.write_latency.p50()),
-             rep.all_complete ? "yes" : "NO",
-             checker::check_swmr_atomicity(rep.hist).ok ? "yes" : "NO",
-             checker::check_fastness(rep.hist, rd_limit, 1).ok ? "yes"
-                                                               : "NO"});
+        const bool atomic = checker::check_swmr_atomicity(rep.hist).ok;
+        const bool fast = checker::check_fastness(rep.hist, rd_limit, 1).ok;
+        bad_rows += !rep.all_complete || !atomic || !fast;
+        t.add_row({c.proto, std::to_string(c.S), std::to_string(c.t),
+                   std::to_string(crashes),
+                   midway ? "mid-run(torn)" : "up-front",
+                   fmt(rep.read_latency.p50()), fmt(rep.write_latency.p50()),
+                   rep.all_complete ? "yes" : "NO", atomic ? "yes" : "NO",
+                   fast ? "yes" : "NO"});
       }
     }
   }
@@ -197,7 +185,7 @@ int main() {
   for (const auto policy :
        {persist::fsync_policy::never, persist::fsync_policy::interval,
         persist::fsync_policy::every_op}) {
-    recovery_row(rec, policy);
+    bad_rows += !recovery_row(rec, policy);
   }
   rec.print();
   std::printf(
@@ -210,5 +198,9 @@ int main() {
       "never, the tmp file and its directory otherwise. "
       "recovered_objs > 0 and atomic = yes: the rejoined server serves "
       "its replayed state and the full history still linearizes.\n");
-  return 0;
+  if (bad_rows > 0) {
+    std::fprintf(stderr, "E9 FAILED: %d rows not complete, atomic or fast\n",
+                 bad_rows);
+  }
+  return bad_rows > 0 ? 1 : 0;
 }

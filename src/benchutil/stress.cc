@@ -5,11 +5,11 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <random>
 #include <thread>
 
+#include "benchutil/sim_driver.h"
 #include "benchutil/tcp_driver.h"
 #include "common/check.h"
 #include "common/log.h"
@@ -213,31 +213,29 @@ stress_report run_sim_stress(const stress_options& opt) {
   rng r(opt.seed);
   sim::uniform_delay delays(opt.delay_lo, opt.delay_hi);
   const auto keys = make_keys(opt.num_keys);
-  // One depth-1 session per client for the whole run; each op is issued
-  // in its own invocation step.
-  store::sim_frontend fe(s, r);
-  std::vector<std::unique_ptr<store::async_session>> wses, rses;
+  // Depth-1 clients: each op is issued in its own invocation step.
+  std::vector<sim_client> clients;
   for (std::uint32_t j = 0; j < opt.W; ++j) {
-    wses.push_back(fe.open_session(writer_id(j), 1));
+    clients.push_back(
+        {writer_id(j), 1, opt.puts_per_writer,
+         [&, j, seq = 0u](std::uint32_t) mutable {
+           return std::vector<store::store_op>{
+               {keys[r.below(keys.size())], /*is_put=*/true,
+                "w" + std::to_string(j) + ":" + std::to_string(++seq)}};
+         }});
   }
   for (std::uint32_t i = 0; i < opt.R; ++i) {
-    rses.push_back(fe.open_session(reader_id(i), 1));
+    clients.push_back({reader_id(i), 1, opt.gets_per_reader,
+                       [&](std::uint32_t) {
+                         return std::vector<store::store_op>{
+                             {keys[r.below(keys.size())], false, {}}};
+                       }});
   }
-  const auto issue = [](store::async_session& se, store::submit_status st) {
-    FASTREG_CHECK(st == store::submit_status::submitted);
-    se.pump();
-    (void)se.take_results();
-  };
-
-  std::vector<std::uint32_t> puts_left(opt.W, opt.puts_per_writer);
-  std::vector<std::uint32_t> gets_left(opt.R, opt.gets_per_reader);
-  std::vector<std::uint64_t> put_seq(opt.W, 0);
   const std::uint64_t total =
       static_cast<std::uint64_t>(opt.W) * opt.puts_per_writer +
       static_cast<std::uint64_t>(opt.R) * opt.gets_per_reader;
   const std::uint64_t trigger = total / 3;
 
-  std::uint64_t invoked = 0, guard = 0;
   bool crashed = false, restarted = false;
   bool partitioned = false, healed = false;
   std::optional<reconfig::sim_control> ctl;
@@ -259,8 +257,7 @@ stress_report run_sim_stress(const stress_options& opt) {
     for (std::uint32_t k = 0; k < opt.S; ++k) flip(server_id(k));
   };
 
-  for (;;) {
-    FASTREG_CHECK(++guard < 200'000'000);
+  const auto control = [&](std::uint64_t invoked) {
     if (!crashed && opt.crash_servers > 0 && invoked >= trigger) {
       crashed = true;
       for (std::uint32_t i = 0; i < opt.crash_servers; ++i) {
@@ -289,52 +286,24 @@ stress_report run_sim_stress(const stress_options& opt) {
         isolate(server_id(i), /*block=*/false);
       }
     }
-    if (opt.reshard && !coord && invoked >= trigger) {
+    if (opt.reshard && !ctl && invoked >= trigger) {
       ctl.emplace(s);
       coord.emplace(*ctl);
       if (!coord->start(s.shards(), make_reshard_plan(opt))) {
+        // The load runs on without it, as on TCP; the report fails.
         rep.check = {false, "reshard failed to start: " + coord->error()};
-        rep.hist = s.histories();
-        return rep;
+        coord.reset();
       }
     }
     const bool coord_active = coord.has_value() && !coord->done();
     if (coord_active) coord->step();
-
-    bool invoked_now = false;
-    for (std::uint32_t j = 0; j < opt.W; ++j) {
-      if (puts_left[j] == 0 || s.writer_client(j).op_in_progress()) continue;
-      --puts_left[j];
-      ++invoked;
-      invoked_now = true;
-      auto& se = *wses[j];
-      issue(se, se.try_put(keys[r.below(keys.size())],
-                           "w" + std::to_string(j) + ":" +
-                               std::to_string(++put_seq[j])));
-    }
-    for (std::uint32_t i = 0; i < opt.R; ++i) {
-      if (gets_left[i] == 0 || s.reader_client(i).op_in_progress()) continue;
-      --gets_left[i];
-      ++invoked;
-      invoked_now = true;
-      auto& se = *rses[i];
-      issue(se, se.try_get(keys[r.below(keys.size())]));
-    }
-
-    if (s.world().in_transit().empty()) {
-      if (invoked_now || coord_active) continue;
-      break;  // drained: quotas spent (or nothing can ever move again)
-    }
-    if (opt.timed) {
-      s.run_timed(r, delays, /*max_steps=*/1);
-    } else {
-      s.run_random(r, /*max_steps=*/1);
-    }
-  }
+    return coord_active;
+  };
+  drive_sim(s, r, std::move(clients), opt.timed ? &delays : nullptr, control);
 
   rep.final_epoch = s.proto().maps()->epoch();
   rep.hist = s.histories();
-  verify_into(rep, opt, rep.hist);
+  if (rep.check.ok) verify_into(rep, opt, rep.hist);
   return rep;
 }
 

@@ -6,7 +6,10 @@
 // client sessions on a hub node, a stopped server, a pause-fault
 // partition soak with a later heal, a live reshard) -- and
 // verifies every per-key history with the checker the protocol's contract
-// calls for. The polynomial MWMR checker makes per-key histories of 10^4+
+// calls for. Each transport's load runs on its one load driver:
+// benchutil/sim_driver.h on the simulator (the fault triggers and the
+// reshard coordinator are its per-round control), benchutil/tcp_driver.h
+// on TCP. The polynomial MWMR checker makes per-key histories of 10^4+
 // operations verifiable, which is the scale where fast-path violations
 // that small histories never hit actually show up.
 //

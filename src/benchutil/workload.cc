@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "benchutil/sim_driver.h"
 #include "common/check.h"
 #include "sim/world.h"
-#include "store/async_client.h"
 #include "store/sim_store.h"
 
 namespace fastreg::benchutil {
@@ -173,22 +173,6 @@ store_report run_store_measured(const store::store_config& cfg,
   sim::uniform_delay delays(opt.delay_lo, opt.delay_hi);
   const std::uint32_t batch = std::min(std::max(opt.batch, 1u), opt.num_keys);
 
-  const auto& base = cfg.base;
-  // One pipelined session per client through the unified front-end,
-  // window = batch: a full batch is admitted back-to-back and pump()
-  // issues it in ONE invocation step (batched envelopes), the same wire
-  // shape the old invoke_*_batch drivers produced.
-  store::sim_frontend fe(s, r);
-  std::vector<std::unique_ptr<store::async_session>> wses, rses;
-  for (std::uint32_t j = 0; j < base.W(); ++j) {
-    wses.push_back(fe.open_session(writer_id(j), batch));
-  }
-  for (std::uint32_t i = 0; i < base.R(); ++i) {
-    rses.push_back(fe.open_session(reader_id(i), batch));
-  }
-  std::vector<std::uint32_t> gets_left(base.R(), opt.gets_per_reader);
-  std::vector<std::uint32_t> puts_left(base.W(), opt.puts_per_writer);
-  std::vector<std::uint64_t> put_seq(base.W(), 0);
   std::vector<std::uint32_t> idx(opt.num_keys);
   for (std::uint32_t i = 0; i < opt.num_keys; ++i) idx[i] = i;
   const zipf_sampler zipf(opt.num_keys,
@@ -198,46 +182,30 @@ store_report run_store_measured(const store::store_config& cfg,
                ? sample_distinct_keys_zipf(r, zipf, k)
                : sample_distinct_keys(r, idx, k);
   };
-  std::uint64_t guard = 0;
-
-  for (;;) {
-    FASTREG_CHECK(++guard < 100'000'000);
-    bool invoked = false;
-    for (std::uint32_t j = 0; j < base.W(); ++j) {
-      auto& ses = *wses[j];
-      ses.pump();  // harvest, so in_flight() reflects completions
-      (void)ses.take_results();
-      if (puts_left[j] == 0 || ses.in_flight() != 0) continue;
-      const auto k = std::min(batch, puts_left[j]);
-      for (auto& key : pick_keys(k)) {
-        const auto st = ses.try_put(
-            key, "w" + std::to_string(j) + ":" + std::to_string(++put_seq[j]));
-        FASTREG_CHECK(st == store::submit_status::submitted);
-      }
-      ses.pump();  // one invoke step for the whole batch
-      puts_left[j] -= k;
-      invoked = true;
-    }
-    for (std::uint32_t i = 0; i < base.R(); ++i) {
-      auto& ses = *rses[i];
-      ses.pump();
-      (void)ses.take_results();
-      if (gets_left[i] == 0 || ses.in_flight() != 0) continue;
-      const auto k = std::min(batch, gets_left[i]);
-      for (auto& key : pick_keys(k)) {
-        const auto st = ses.try_get(key);
-        FASTREG_CHECK(st == store::submit_status::submitted);
-      }
-      ses.pump();
-      gets_left[i] -= k;
-      invoked = true;
-    }
-    if (s.world().in_transit().empty()) {
-      if (invoked) continue;
-      break;  // drained and every quota exhausted
-    }
-    s.run_timed(r, delays, /*max_steps=*/1);
+  // Every client keeps a batch in flight: a full batch leaves in ONE
+  // invocation step (batched envelopes).
+  const auto gets = [&](std::uint32_t k) {
+    std::vector<store::store_op> ops;
+    for (auto& key : pick_keys(k)) ops.push_back({std::move(key), false, {}});
+    return ops;
+  };
+  std::vector<sim_client> clients;
+  for (std::uint32_t j = 0; j < cfg.base.W(); ++j) {
+    clients.push_back({writer_id(j), batch, opt.puts_per_writer,
+                       [&, j, seq = 0u](std::uint32_t k) mutable {
+                         auto ops = gets(k);
+                         for (auto& op : ops) {
+                           op.is_put = true;
+                           op.val = "w" + std::to_string(j) + ":" +
+                                    std::to_string(++seq);
+                         }
+                         return ops;
+                       }});
   }
+  for (std::uint32_t i = 0; i < cfg.base.R(); ++i) {
+    clients.push_back({reader_id(i), batch, opt.gets_per_reader, gets});
+  }
+  drive_sim(s, r, std::move(clients), &delays);
 
   store_report rep;
   rep.hist = s.histories();

@@ -4,6 +4,10 @@
 // uniform link-delay model; with delay U[lo, hi], a request/reply
 // round-trip costs roughly lo+lo .. hi+hi ticks, so shapes (1 RTT vs 2
 // RTT) are directly visible.
+//
+// run_measured drives raw registers with its own loop; the multi-key
+// store workload (run_store_measured) runs on the one simulator load
+// driver, benchutil/sim_driver.h.
 #pragma once
 
 #include <cstdint>

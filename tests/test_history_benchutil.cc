@@ -12,6 +12,7 @@
 #include <string>
 #include <tuple>
 
+#include "benchutil/sim_driver.h"
 #include "benchutil/stats.h"
 #include "benchutil/stress.h"
 #include "benchutil/table.h"
@@ -480,6 +481,78 @@ TEST(SimDriver, SeededHistoriesAreUnchanged) {
   reshard.reshard_num_shards = 3;
   reshard.reshard_protocols = {"fast_swmr", "abd"};
   EXPECT_EQ(stress(reshard), 0xce322d9507c31350ull);
+}
+
+TEST(SimDriver, ControlKeepsADrainedRunAlive) {
+  // One abd shard on S = 5 servers.
+  store::store_config cfg;
+  cfg.base.servers = 5;
+  cfg.base.t_failures = 1;
+  cfg.base.readers = 1;
+  cfg.base.writers = 1;
+  cfg.shard_protocols = {"abd"};
+
+  // Nothing in transit and no quota: a control that has work for five
+  // rounds keeps the loop for five rounds and ends it in the sixth.
+  {
+    store::sim_store s(cfg);
+    rng r(1);
+    int rounds = 0;
+    benchutil::drive_sim(
+        s, r, {{reader_id(0), 1, 0, {}}}, /*delays=*/nullptr,
+        [&](std::uint64_t invoked) {
+          EXPECT_EQ(invoked, 0u);
+          return ++rounds <= 5;
+        });
+    EXPECT_EQ(rounds, 6);
+  }
+
+  // A depth-4 reader with a quota of 6 issues 4 ops, then 2, each batch
+  // in one invocation step. The reader is cut off from every server as a
+  // batch is drawn, so its envelopes stay in transit, the schedule takes
+  // no step, and the next round's control sees only that step's sends.
+  store::sim_store s(cfg);
+  rng r(1);
+  auto& w = s.world();
+  const auto cut = [&](bool block) {
+    for (std::uint32_t k = 0; k < cfg.base.S(); ++k) {
+      if (block) {
+        w.partition(reader_id(0), server_id(k));
+      } else {
+        w.heal(reader_id(0), server_id(k));
+      }
+    }
+  };
+  std::vector<std::uint32_t> batches;
+  std::vector<std::uint64_t> envelopes;
+  std::uint64_t sent_before = 0;
+  const auto next = [&](std::uint32_t k) {
+    batches.push_back(k);
+    cut(true);
+    sent_before = w.envelopes_sent();
+    std::vector<store::store_op> ops;
+    for (std::uint32_t i = 0; i < k; ++i) {
+      ops.push_back({"k" + std::to_string(i), /*is_put=*/false, {}});
+    }
+    return ops;
+  };
+  benchutil::drive_sim(s, r, {{reader_id(0), 4, 6, next}}, nullptr,
+                       [&](std::uint64_t) {
+                         if (batches.size() > envelopes.size()) {
+                           envelopes.push_back(w.envelopes_sent() -
+                                               sent_before);
+                           cut(false);
+                         }
+                         return false;
+                       });
+  EXPECT_EQ(batches, (std::vector<std::uint32_t>{4, 2}));
+  ASSERT_EQ(envelopes.size(), 2u);
+  for (const auto n : envelopes) {
+    EXPECT_GT(n, 0u);
+    EXPECT_LE(n, cfg.base.S()) << "one envelope per server per batch";
+  }
+  EXPECT_EQ(s.histories().total_ops(), 6u);
+  EXPECT_TRUE(s.histories().all_complete());
 }
 
 

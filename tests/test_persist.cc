@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "benchutil/sim_driver.h"
 #include "benchutil/stress.h"
 #include "benchutil/workload.h"
 #include "common/check.h"
@@ -670,52 +671,43 @@ std::size_t run_sim_kill_restart(
   const std::uint32_t W = cfg.base.W();
   store::sim_store s(cfg);
   rng r(seed);
-  store::test::sim_clients clients(s, r);
   const benchutil::zipf_sampler zipf(/*n=*/20, /*s=*/0.99);
   const auto key = [&] { return "k" + std::to_string(zipf.sample(r)); };
 
   const std::uint32_t per_client = 160;
-  std::vector<std::uint32_t> puts_left(W, per_client);
-  std::vector<std::uint32_t> gets_left(2, per_client);
-  std::vector<std::uint64_t> put_seq(W, 0);
+  std::vector<benchutil::sim_client> clients;
+  for (std::uint32_t j = 0; j < W; ++j) {
+    clients.push_back(
+        {writer_id(j), 1, per_client,
+         [&, j, seq = 0u](std::uint32_t) mutable {
+           return std::vector<store::store_op>{
+               {key(), /*is_put=*/true,
+                "w" + std::to_string(j) + ":" + std::to_string(++seq)}};
+         }});
+  }
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    clients.push_back({reader_id(i), 1, per_client, [&](std::uint32_t) {
+                         return std::vector<store::store_op>{
+                             {key(), false, {}}};
+                       }});
+  }
   const std::uint64_t total = (W + 2ull) * per_client;
-  std::uint64_t invoked = 0, guard = 0;
   bool crashed = false;
   std::size_t recovered = 0;
-  for (;;) {
-    FASTREG_CHECK(++guard < 50'000'000);
-    if (!crashed && invoked >= total / 3) {
-      crashed = true;
-      s.world().crash(server_id(4));
-    }
-    if (crashed && recovered == 0 && invoked >= 2 * total / 3) {
-      auto& ns = s.restart_server(4);
-      recovered = ns.recovered_objects();
-      if (on_restart) on_restart(ns);
-    }
-    bool invoked_now = false;
-    for (std::uint32_t j = 0; j < W; ++j) {
-      if (puts_left[j] == 0 || s.writer_client(j).op_in_progress()) continue;
-      --puts_left[j];
-      ++invoked;
-      invoked_now = true;
-      clients.put(j, key(),
-                  "w" + std::to_string(j) + ":" +
-                      std::to_string(++put_seq[j]));
-    }
-    for (std::uint32_t i = 0; i < 2; ++i) {
-      if (gets_left[i] == 0 || s.reader_client(i).op_in_progress()) continue;
-      --gets_left[i];
-      ++invoked;
-      invoked_now = true;
-      clients.get(i, key());
-    }
-    if (s.world().in_transit().empty()) {
-      if (invoked_now) continue;
-      break;
-    }
-    s.run_random(r, 1);
-  }
+  benchutil::drive_sim(
+      s, r, std::move(clients), /*delays=*/nullptr,
+      [&](std::uint64_t invoked) {
+        if (!crashed && invoked >= total / 3) {
+          crashed = true;
+          s.world().crash(server_id(4));
+        }
+        if (crashed && recovered == 0 && invoked >= 2 * total / 3) {
+          auto& ns = s.restart_server(4);
+          recovered = ns.recovered_objects();
+          if (on_restart) on_restart(ns);
+        }
+        return false;
+      });
   EXPECT_TRUE(s.histories().all_complete());
   std::string failing;
   const auto res = s.histories().verify(

@@ -170,6 +170,23 @@ TEST(StressSoak, MwmrSimLiveReshardMidRun) {
   EXPECT_EQ(rep.final_epoch, 1u) << rep.describe();
 }
 
+TEST(StressSoak, MwmrSimReshardThatFailsToStartFailsTheReport) {
+  // A single-writer protocol cannot take two writers: the plan is refused,
+  // the load runs to the end on the old map, and the report says why.
+  auto opt = mwmr_base("soak_mwmr_sim_bad_reshard");
+  opt.reshard = true;
+  opt.reshard_protocols = {"fast_swmr"};
+  opt.puts_per_writer = 30;
+  opt.gets_per_reader = 30;
+  const auto rep = run_sim_stress(opt);
+  EXPECT_FALSE(rep.ok());
+  EXPECT_EQ(rep.check.error.rfind("reshard failed to start: protocol", 0), 0u)
+      << rep.check.error;
+  EXPECT_EQ(rep.final_epoch, 0u);
+  EXPECT_TRUE(rep.hist.all_complete());
+  EXPECT_EQ(rep.hist.total_ops(), 4u * 30u);
+}
+
 TEST(StressSoak, MwmrTcpFiveThousandOpsOneKey) {
   // The same soak scale over real sockets: 2 writer threads and 2 reader
   // threads hammering one key.
