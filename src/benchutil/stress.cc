@@ -1,5 +1,6 @@
 #include "benchutil/stress.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -7,6 +8,7 @@
 #include <fstream>
 #include <optional>
 #include <random>
+#include <sstream>
 #include <thread>
 
 #include "benchutil/sim_driver.h"
@@ -16,6 +18,7 @@
 #include "common/rng.h"
 #include "crypto/sig.h"
 #include "obs/recorder.h"
+#include "obs/timeline.h"
 #include "persist/options.h"
 #include "reconfig/control.h"
 #include "reconfig/coordinator.h"
@@ -64,13 +67,22 @@ reconfig::reconfig_plan make_reshard_plan(const stress_options& opt) {
   return plan;
 }
 
+/// " 0x1f 0x2a": trace ids the way obs::render_narrative names them.
+std::string trace_list(const std::vector<std::uint64_t>& traces) {
+  std::ostringstream out;
+  for (const auto t : traces) out << " 0x" << std::hex << t;
+  return out.str();
+}
+
 /// Dumps the failing key's full history next to the test (the ctest
-/// working directory) and returns the path for the failure message.
+/// working directory), then the narratives in `events` (empty unless
+/// recording) of the ops the error names, and returns the path.
 std::string write_failure_dump(const stress_options& opt,
                                std::uint64_t seed,
                                const checker::history& h,
                                const std::string& failing_key,
-                               const std::string& error) {
+                               const checker::check_result& check,
+                               std::vector<obs::timeline_event> events) {
   const std::string path =
       opt.label + "_seed_" + std::to_string(seed) + ".history";
   std::ofstream out(path);
@@ -78,17 +90,24 @@ std::string write_failure_dump(const stress_options& opt,
       << "# label: " << opt.label << "  protocol: " << opt.protocol << "\n"
       << "# replay: FASTREG_STRESS_SEED=" << seed << "\n"
       << "# failing key: " << failing_key << "\n"
-      << "# error: " << error << "\n\n"
+      << "# error: " << check.error << "\n"
+      << "# traces:" << trace_list(check.traces) << "\n\n"
       << h.dump();
+  std::erase_if(events, [&](const obs::timeline_event& e) {
+    return std::ranges::find(check.traces, e.trace) == check.traces.end();
+  });
+  if (!events.empty()) out << "\n" << obs::render_narrative(events);
   return path;
 }
 
 /// Forensics: on a checker failure with the flight recorder on, dump
 /// every node's ring next to the history dump, pre-filtered to the
-/// violating key's object, and return the paths.
-std::vector<std::string> write_recorder_dumps(const stress_options& opt,
-                                              std::uint64_t seed,
-                                              const std::string& failing_key) {
+/// violating key's object, add each dump's events to `per_node`, and
+/// return the paths.
+std::vector<std::string> write_recorder_dumps(
+    const stress_options& opt, std::uint64_t seed,
+    const std::string& failing_key,
+    std::vector<std::vector<obs::timeline_event>>& per_node) {
   std::vector<std::string> paths;
   if (!obs::recording_active()) return paths;
   const object_id obj = store::key_object_id(failing_key);
@@ -98,6 +117,7 @@ std::vector<std::string> write_recorder_dumps(const stress_options& opt,
     std::ofstream out(path);
     out << dump;
     paths.push_back(std::move(path));
+    per_node.push_back(obs::parse_recorder_dump(dump));
   }
   return paths;
 }
@@ -109,12 +129,15 @@ void verify_into(stress_report& rep, const stress_options& opt,
   std::string failing_key;
   rep.check = hist.verify(stress_verify_mode(opt), &failing_key);
   if (rep.check.ok) return;
+  std::vector<std::vector<obs::timeline_event>> per_node;
+  rep.recorder_paths =
+      write_recorder_dumps(opt, rep.seed, failing_key, per_node);
   const auto it = hist.all().find(failing_key);
   if (it != hist.all().end()) {
-    rep.dump_path = write_failure_dump(opt, rep.seed, it->second,
-                                       failing_key, rep.check.error);
+    rep.dump_path =
+        write_failure_dump(opt, rep.seed, it->second, failing_key, rep.check,
+                           obs::merge_events(std::move(per_node)));
   }
-  rep.recorder_paths = write_recorder_dumps(opt, rep.seed, failing_key);
 }
 
 }  // namespace
@@ -124,6 +147,7 @@ std::string stress_report::describe() const {
                   " (replay with FASTREG_STRESS_SEED=" +
                   std::to_string(seed) + ")";
   if (!check.ok) s += "; " + check.error;
+  if (!check.traces.empty()) s += "; op traces" + trace_list(check.traces);
   if (!dump_path.empty()) s += "; failing history dumped to " + dump_path;
   if (!recorder_paths.empty()) {
     s += "; flight-recorder dumps (" +

@@ -95,7 +95,9 @@ struct stress_report {
   store::store_histories hist{};
   /// Per-key verification under the protocol's contract checker.
   checker::check_result check{};
-  /// Set when !check.ok: file holding the failing key's full history.
+  /// Set when !check.ok: file holding the failing key's full history,
+  /// headed by check.traces and, when recording, ending with their
+  /// narratives.
   std::string dump_path{};
   /// Set when !check.ok and the flight recorder was on (FASTREG_OBS=
   /// record): one per-node recorder dump next to dump_path, pre-filtered

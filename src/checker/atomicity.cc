@@ -7,12 +7,25 @@
 #include <unordered_map>
 #include <vector>
 
+#include "checker/fail.h"
 #include "common/check.h"
 
 namespace fastreg::checker {
-namespace {
 
-check_result fail(std::string msg) { return {false, std::move(msg)}; }
+check_result detail::fail(std::string error,
+                          std::initializer_list<const op_record*> ops) {
+  check_result res{false, std::move(error)};
+  for (const op_record* op : ops) {
+    if (op != nullptr && op->trace != 0 &&
+        std::ranges::find(res.traces, op->trace) == res.traces.end()) {
+      res.traces.push_back(op->trace);
+    }
+  }
+  return res;
+}
+
+namespace {
+using detail::fail;
 
 /// Write index k for every value, keyed by a view into the history's own
 /// records; val_0 (bottom) is the empty string at ts 0. Returns nullopt
@@ -49,7 +62,7 @@ check_result check_swmr(const history& h, bool require_condition4) {
   for (std::size_t i = 0; i < ops.size(); ++i) {
     if (!ops[i].is_write) continue;
     if (ops[i].client != writer_id(0)) {
-      return fail("SWMR checker: writes from more than one writer");
+      return fail("SWMR checker: writes from more than one writer", {&ops[i]});
     }
     writes.push_back(i);
   }
@@ -59,10 +72,11 @@ check_result check_swmr(const history& h, bool require_condition4) {
   for (std::size_t i = 0; i + 1 < writes.size(); ++i) {
     const op_record& w = ops[writes[i]];
     if (!w.response_time) {
-      return fail("SWMR checker: incomplete write is not the last write");
+      return fail("SWMR checker: incomplete write is not the last write", {&w});
     }
     if (*w.response_time > ops[writes[i + 1]].invoke_time) {
-      return fail("SWMR checker: overlapping writes in a single-writer run");
+      return fail("SWMR checker: overlapping writes in a single-writer run",
+                  {&w, &ops[writes[i + 1]]});
     }
   }
 
@@ -83,7 +97,7 @@ check_result check_swmr(const history& h, bool require_condition4) {
     const auto it = value_index->find(rd.val);
     if (it == value_index->end()) {
       return fail("condition 1 violated: read by " + to_string(rd.client) +
-                  " returned unwritten value \"" + rd.val + "\"");
+                  " returned unwritten value \"" + rd.val + "\"", {&rd});
     }
     ann.push_back({i, it->second});
   }
@@ -107,7 +121,8 @@ check_result check_swmr(const history& h, bool require_condition4) {
     if (l < k_min) {
       return fail("condition 2 violated: read by " + to_string(rd.client) +
                   " returned val_" + std::to_string(l) + " (\"" + rd.val +
-                  "\") after write_" + std::to_string(k_min) + " completed");
+                  "\") after write_" + std::to_string(k_min) + " completed",
+                  {&rd, &ops[writes[k_min - 1]]});
     }
     // Condition (3): no reading from the future.
     if (l >= 1) {
@@ -115,7 +130,7 @@ check_result check_swmr(const history& h, bool require_condition4) {
       if (wr.invoke_time >= *rd.response_time) {
         return fail("condition 3 violated: read returned val_" +
                     std::to_string(l) + " before write_" + std::to_string(l) +
-                    " was invoked");
+                    " was invoked", {&rd, &wr});
       }
     }
   }
@@ -153,7 +168,7 @@ check_result check_swmr(const history& h, bool require_condition4) {
             to_string(ops[rd.op].client) + " returned val_" +
             std::to_string(rd.l) + " after a read by " +
             to_string(max_op->client) + " returned val_" +
-            std::to_string(max_l));
+            std::to_string(max_l), {&ops[rd.op], max_op});
       }
     }
   }
@@ -179,7 +194,7 @@ check_result check_fastness(const history& h, int max_read_rounds,
       return fail(std::string(op.is_write ? "write" : "read") + " by " +
                   to_string(op.client) + " took " +
                   std::to_string(op.rounds) + " round-trips (limit " +
-                  std::to_string(limit) + ")");
+                  std::to_string(limit) + ")", {&op});
     }
   }
   return {};

@@ -45,7 +45,9 @@
 //    measured rather than assumed).
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "checker/history.h"
 
@@ -54,6 +56,8 @@ namespace fastreg::checker {
 struct check_result {
   bool ok{true};
   std::string error{};
+  /// The nonzero trace ids of the ops `error` names, in order, each once.
+  std::vector<std::uint64_t> traces{};
 
   explicit operator bool() const { return ok; }
 };

@@ -1,6 +1,7 @@
 #include "checker/history.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 
@@ -12,7 +13,7 @@ using client_op = std::pair<process_id, std::size_t>;
 
 std::size_t history::begin_op(const process_id& client, bool is_write,
                               std::uint64_t invoke_time,
-                              value_t written_value) {
+                              value_t written_value, std::uint64_t trace) {
   // Well-formedness: a client has at most one outstanding op.
   const auto last = std::ranges::find(last_op_, client, &client_op::first);
   if (last != last_op_.end()) {
@@ -26,6 +27,7 @@ std::size_t history::begin_op(const process_id& client, bool is_write,
   rec.is_write = is_write;
   rec.invoke_time = invoke_time;
   rec.val = std::move(written_value);
+  rec.trace = trace;
   ops_.push_back(std::move(rec));
   return ops_.size() - 1;
 }
@@ -41,7 +43,8 @@ void history::complete_read(std::size_t index, std::uint64_t response_time,
   op.ts = ts;
   op.wid = wid;
   op.val = std::move(returned);
-  op.rounds = rounds;
+  FASTREG_EXPECTS(std::in_range<std::int16_t>(rounds));
+  op.rounds = static_cast<std::int16_t>(rounds);
 }
 
 void history::complete_write(std::size_t index, std::uint64_t response_time,
@@ -51,7 +54,8 @@ void history::complete_write(std::size_t index, std::uint64_t response_time,
   FASTREG_EXPECTS(op.is_write && !op.response_time.has_value());
   FASTREG_EXPECTS(response_time >= op.invoke_time);
   op.response_time = response_time;
-  op.rounds = rounds;
+  FASTREG_EXPECTS(std::in_range<std::int16_t>(rounds));
+  op.rounds = static_cast<std::int16_t>(rounds);
 }
 
 std::optional<std::size_t> history::open_op(const process_id& client) const {

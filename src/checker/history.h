@@ -18,6 +18,9 @@ namespace fastreg::checker {
 struct op_record {
   process_id client{};
   bool is_write{false};
+  /// Round-trips the operation used (reads and writes; 1 == fast).
+  std::int16_t rounds{0};
+  std::int32_t wid{0};
   std::uint64_t invoke_time{0};
   /// nullopt while the op is outstanding (incomplete ops stay that way).
   std::optional<std::uint64_t> response_time{};
@@ -26,16 +29,20 @@ struct op_record {
   value_t val{};
   /// Timestamp attached by the protocol (reads only; diagnostic).
   ts_t ts{0};
-  std::int32_t wid{0};
-  /// Round-trips the operation used (reads and writes; 1 == fast).
-  int rounds{0};
+  /// The trace id the invoking client minted (its recorder events carry
+  /// it); 0 when the op was not traced.
+  std::uint64_t trace{0};
 };
+// Long runs keep millions of records: a wider one shows in peak RSS.
+static_assert(sizeof(op_record) == 88);
 
 class history {
  public:
-  /// Starts an operation; returns its index for complete_op.
+  /// Starts an operation traced as `trace`; returns its index for
+  /// complete_op.
   std::size_t begin_op(const process_id& client, bool is_write,
-                       std::uint64_t invoke_time, value_t written_value = {});
+                       std::uint64_t invoke_time, value_t written_value = {},
+                       std::uint64_t trace = 0);
 
   void complete_read(std::size_t index, std::uint64_t response_time, ts_t ts,
                      std::int32_t wid, value_t returned, int rounds);

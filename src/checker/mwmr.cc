@@ -48,11 +48,12 @@
 #include <vector>
 
 #include "checker/atomicity.h"
+#include "checker/fail.h"
 
 namespace fastreg::checker {
 namespace {
 
-check_result fail(std::string msg) { return {false, std::move(msg)}; }
+using detail::fail;
 
 /// Time extended with -infinity (the virtual initial write's response)
 /// and +infinity (an incomplete op's response). Lexicographic compare.
@@ -117,14 +118,14 @@ check_result check_mwmr_linearizable(const history& h) {
     if (op.val == k_bottom_value) {
       return fail("MWMR checker: a write of the bottom (empty) value is "
                   "indistinguishable from the initial state; written "
-                  "values must be non-empty");
+                  "values must be non-empty", {&op});
     }
     const auto [it, inserted] = write_of.emplace(op.val, &op);
     if (!inserted) {
       return fail("MWMR checker requires unique written values: \"" +
                   op.val + "\" written by both " +
                   to_string(it->second->client) + " and " +
-                  to_string(op.client));
+                  to_string(op.client), {it->second, &op});
     }
   }
 
@@ -166,7 +167,7 @@ check_result check_mwmr_linearizable(const history& h) {
       const auto it = write_of.find(op.val);
       if (it == write_of.end()) {
         return fail("read by " + to_string(op.client) +
-                    " returned unwritten value \"" + op.val + "\"");
+                    " returned unwritten value \"" + op.val + "\"", {&op});
       }
       w = it->second;
       // Validity: the dictating write must not begin after the read
@@ -174,7 +175,7 @@ check_result check_mwmr_linearizable(const history& h) {
       if (*op.response_time < w->invoke_time) {
         return fail("read by " + to_string(op.client) + " returned \"" +
                     op.val + "\" before its write (by " +
-                    to_string(w->client) + ") was invoked");
+                    to_string(w->client) + ") was invoked", {&op, w});
       }
     }
     slot_for(op.val, w).add(&op);
@@ -238,7 +239,7 @@ check_result check_mwmr_linearizable(const history& h) {
         "\" must each precede the other (" + op_desc(u.a_op) +
         " responded before " + op_desc(v.b_op) + " was invoked, and " +
         op_desc(v.a_op) + " responded before " + op_desc(u.b_op) +
-        " was invoked)");
+        " was invoked)", {u.a_op, v.b_op, v.a_op, u.b_op});
   }
   return {};
 }

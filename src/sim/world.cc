@@ -145,14 +145,15 @@ void world::invoke_write(std::uint32_t writer_index, value_t v) {
   auto& st = clients_[wid];
   st.pending = true;
   st.completed_before = w->writes_completed();
-  st.op_index = history_.begin_op(wid, /*is_write=*/true, now_, v);
+  // One fresh trace id names the op in the history and covers every
+  // message it causes (the automata themselves are trace-oblivious).
+  const std::uint64_t trace = obs::next_trace_id();
+  st.op_index = history_.begin_op(wid, /*is_write=*/true, now_, v, trace);
   // The flight recorder stamps this step with the simulated clock, so
   // its events agree with the history this run records; log lines carry
-  // the stepped automaton's id. A fresh trace id covers every message
-  // this register op causes (the automata themselves are
-  // trace-oblivious).
+  // the stepped automaton's id.
   obs::scoped_trace_time trace_time(now_);
-  obs::scoped_trace_ctx trace_ctx(obs::next_trace_id(), 0);
+  obs::scoped_trace_ctx trace_ctx(trace, 0);
   scoped_log_node log_node(to_string(wid));
   w->invoke_write(*this, std::move(v));
   end_step(wid);
@@ -167,9 +168,10 @@ void world::invoke_read(std::uint32_t reader_index) {
   auto& st = clients_[rid];
   st.pending = true;
   st.completed_before = r->reads_completed();
-  st.op_index = history_.begin_op(rid, /*is_write=*/false, now_);
+  const std::uint64_t trace = obs::next_trace_id();
+  st.op_index = history_.begin_op(rid, /*is_write=*/false, now_, {}, trace);
   obs::scoped_trace_time trace_time(now_);
-  obs::scoped_trace_ctx trace_ctx(obs::next_trace_id(), 0);
+  obs::scoped_trace_ctx trace_ctx(trace, 0);
   scoped_log_node log_node(to_string(rid));
   r->invoke_read(*this);
   end_step(rid);

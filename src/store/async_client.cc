@@ -25,12 +25,12 @@ std::uint64_t now_ns() {
 // --------------------------------------------------------------- op_log --
 
 void op_log::open(const process_id& client_pid, const std::string& key,
-                  object_id obj, bool is_put, const value_t& v,
-                  std::uint64_t t0) {
+                  object_id obj, bool is_put, value_t v, std::uint64_t t0,
+                  std::uint64_t trace) {
   std::lock_guard<std::mutex> lk(mu_);
   const auto [h, fresh] = by_obj_.try_emplace(obj);
   if (fresh) *h = &hist_.for_key(key);
-  (*h)->begin_op(client_pid, is_put, t0, is_put ? v : value_t{});
+  (*h)->begin_op(client_pid, is_put, t0, std::move(v), trace);
 }
 
 void op_log::close(const process_id& client_pid,
@@ -108,13 +108,12 @@ std::vector<store_result>& async_session::complete(client& c,
 
 void async_session::begin(client& c, admitted_op a, std::uint64_t t0) {
   store_op& op = a.op;
-  log_.open(client_, op.key, a.obj, op.is_put, op.val, t0);
   begun_.try_emplace(a.obj);
-  if (op.is_put) {
-    c.begin_put(std::move(op.key), a.obj, std::move(op.val));
-  } else {
-    c.begin_get(std::move(op.key), a.obj);
-  }
+  // Nothing completes before the step's flush, so the log entry may
+  // follow the begin. The client copies a put's value; the log keeps it.
+  const std::uint64_t trace = op.is_put ? c.begin_put(op.key, a.obj, op.val)
+                                        : c.begin_get(op.key, a.obj);
+  log_.open(client_, op.key, a.obj, op.is_put, std::move(op.val), t0, trace);
 }
 
 bool async_session::get(const std::string& key,

@@ -90,11 +90,12 @@ enum class submit_status : std::uint8_t {
 /// tcp_session::step). Thread-safe.
 class op_log {
  public:
-  /// Records an op of `client` on `key` (object id `obj`) invoked at t0,
-  /// still open. A client begins an op on a key only after its previous
-  /// one there was closed, so it has at most one open op per key.
+  /// Records an op of `client` on `key` (object id `obj`) invoked at t0
+  /// and traced as `trace`, still open. A client begins an op on a key
+  /// only after its previous one there was closed, so it has at most one
+  /// open op per key.
   void open(const process_id& client, const std::string& key, object_id obj,
-            bool is_put, const value_t& v, std::uint64_t t0);
+            bool is_put, value_t v, std::uint64_t t0, std::uint64_t trace);
 
   /// Closes the open op of each result's (client, object) at t1. A
   /// session that opened it, or the client's next one, closes it; results
@@ -200,7 +201,8 @@ class async_session {
   /// returns the rest, for the caller to stash, in a scratch vector that
   /// the next call reuses.
   std::vector<store_result>& complete(client& c, std::uint64_t t1);
-  /// Opens a's op_log entry at t0 and begins it on c.
+  /// Begins a on c and opens its op_log entry at t0 under the trace id
+  /// c minted.
   void begin(client& c, admitted_op a, std::uint64_t t0);
 
   process_id client_;

@@ -58,7 +58,8 @@ void client::invoke_on(object_id obj, object_state& st) {
   }
 }
 
-void client::begin(std::string key, object_id obj, bool is_put, value_t v) {
+std::uint64_t client::begin(std::string key, object_id obj, bool is_put,
+                            value_t v) {
   auto& st = objects_[obj];
   FASTREG_EXPECTS(!st.op);
   pending_op& op = st.op.emplace();
@@ -69,16 +70,17 @@ void client::begin(std::string key, object_id obj, bool is_put, value_t v) {
   op.trace = obs::next_trace_id();
   ++pending_ops_;
   invoke_on(obj, st);
+  return op.trace;
 }
 
-void client::begin_get(std::string key, object_id obj) {
+std::uint64_t client::begin_get(std::string key, object_id obj) {
   FASTREG_EXPECTS(self_.is_reader());
-  begin(std::move(key), obj, /*is_put=*/false, value_t{});
+  return begin(std::move(key), obj, /*is_put=*/false, value_t{});
 }
 
-void client::begin_put(std::string key, object_id obj, value_t v) {
+std::uint64_t client::begin_put(std::string key, object_id obj, value_t v) {
   FASTREG_EXPECTS(self_.is_writer());
-  begin(std::move(key), obj, /*is_put=*/true, std::move(v));
+  return begin(std::move(key), obj, /*is_put=*/true, std::move(v));
 }
 
 void client::flush(netout& net) { outbox_.flush(net); }

@@ -73,12 +73,12 @@ class client final : public automaton {
   // exactly once.
 
   /// Starts a read of `key`, whose object id `obj` = key_object_id(key)
-  /// the caller computed once (reader-role clients only). Precondition:
-  /// no op pending on the object.
-  void begin_get(std::string key, object_id obj);
-  /// Starts a write of `key` (writer-role clients only); `obj` as for
-  /// begin_get. Precondition: no op pending on the object.
-  void begin_put(std::string key, object_id obj, value_t v);
+  /// the caller computed once (reader-role clients only), and returns
+  /// the op's trace id. Precondition: no op pending on the object.
+  std::uint64_t begin_get(std::string key, object_id obj);
+  /// Starts a write of `key` (writer-role clients only); `obj` and the
+  /// result as for begin_get. Precondition: no op pending on the object.
+  std::uint64_t begin_put(std::string key, object_id obj, value_t v);
   /// Sends everything the begun ops produced, coalesced per destination.
   void flush(netout& net);
 
@@ -222,7 +222,7 @@ class client final : public automaton {
     std::unique_ptr<register_snapshot> floor{};
   };
 
-  void begin(std::string key, object_id obj, bool is_put, value_t v);
+  std::uint64_t begin(std::string key, object_id obj, bool is_put, value_t v);
   /// Creates st's inner automaton under the current map if it has none.
   void ensure_inner(object_id obj, object_state& st);
   static void drop_inner(object_state& st);

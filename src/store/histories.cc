@@ -45,7 +45,8 @@ checker::check_result store_histories::verify(
     }
     if (!res.ok) {
       if (failing_key != nullptr) *failing_key = key;
-      return {false, "key \"" + key + "\": " + res.error};
+      res.error = "key \"" + key + "\": " + res.error;
+      return res;
     }
   }
   return {};

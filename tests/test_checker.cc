@@ -2,32 +2,41 @@
 // legal ones and ones violating each Section 3.1 condition individually.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "checker/atomicity.h"
 #include "checker/history.h"
 
 namespace fastreg::checker {
 namespace {
 
-/// Builder for compact history literals.
+/// Builder for compact history literals. With a nonzero trace_base, op
+/// i is traced as trace_base + i.
 struct hb {
   history h;
-  std::size_t write(std::uint64_t inv, std::uint64_t resp, value_t v) {
-    const auto i = h.begin_op(writer_id(0), true, inv, v);
-    h.complete_write(i, resp, 1);
+  std::uint64_t trace_base{0};
+  [[nodiscard]] std::uint64_t trace() const {
+    return trace_base == 0 ? 0 : trace_base + h.ops().size();
+  }
+  std::size_t write(std::uint64_t inv, std::uint64_t resp, value_t v,
+                    int rounds = 1) {
+    const auto i = h.begin_op(writer_id(0), true, inv, v, trace());
+    h.complete_write(i, resp, rounds);
     return i;
   }
   std::size_t write_mw(std::uint32_t wi, std::uint64_t inv,
                        std::uint64_t resp, value_t v) {
-    const auto i = h.begin_op(writer_id(wi), true, inv, v);
+    const auto i = h.begin_op(writer_id(wi), true, inv, v, trace());
     h.complete_write(i, resp, 1);
     return i;
   }
   std::size_t incomplete_write(std::uint64_t inv, value_t v) {
-    return h.begin_op(writer_id(0), true, inv, v);
+    return h.begin_op(writer_id(0), true, inv, v, trace());
   }
   std::size_t read(std::uint32_t ri, std::uint64_t inv, std::uint64_t resp,
                    value_t v, ts_t ts = 0, int rounds = 1) {
-    const auto i = h.begin_op(reader_id(ri), false, inv);
+    const auto i = h.begin_op(reader_id(ri), false, inv, {}, trace());
     h.complete_read(i, resp, ts, 0, v, rounds);
     return i;
   }
@@ -353,6 +362,168 @@ TEST(MwmrPoly, ScalesFarBeyondTheOracleCap) {
   // One stale read at the end flips the verdict.
   b.read(1, t + 10, t + 11, "v0");
   EXPECT_FALSE(check_mwmr_linearizable(b.h).ok);
+}
+
+// ------------------------------------------------ the ops a failure names
+
+/// One failure kind: a history, the checker that rejects it, its exact
+/// error, and the ops (by index) that error names, in naming order.
+struct failure_case {
+  const char* name;
+  void (*build)(hb&);
+  check_result (*check)(const history&);
+  const char* error;
+  std::vector<std::size_t> named;
+};
+
+std::vector<failure_case> failure_cases() {
+  const auto atomic = [](const history& h) { return check_swmr_atomicity(h); };
+  const auto mwmr = [](const history& h) {
+    return check_mwmr_linearizable(h);
+  };
+  return {
+      {"condition 1",
+       [](hb& b) {
+         b.write(1, 2, "a");
+         b.read(0, 3, 4, "phantom");
+       },
+       atomic,
+       "condition 1 violated: read by r1 returned unwritten value "
+       "\"phantom\"",
+       {1}},
+      {"condition 2",
+       [](hb& b) {
+         b.write(1, 2, "a");
+         b.write(3, 4, "b");
+         b.read(0, 5, 6, "a");
+       },
+       atomic,
+       "condition 2 violated: read by r1 returned val_1 (\"a\") after "
+       "write_2 completed",
+       {2, 1}},
+      {"condition 3",
+       [](hb& b) {
+         b.read(0, 1, 2, "a");
+         b.write(3, 4, "a");
+       },
+       atomic,
+       "condition 3 violated: read returned val_1 before write_1 was invoked",
+       {0, 1}},
+      {"condition 4",
+       [](hb& b) {
+         b.incomplete_write(1, "a");
+         b.read(0, 2, 3, "a");
+         b.read(1, 4, 5, k_bottom_value);
+       },
+       atomic,
+       "condition 4 violated (new/old inversion): read by r2 returned val_0 "
+       "after a read by r1 returned val_1",
+       {2, 1}},
+      {"two writers",
+       [](hb& b) {
+         b.write_mw(0, 1, 2, "a");
+         b.write_mw(1, 3, 4, "b");
+       },
+       atomic, "SWMR checker: writes from more than one writer", {1}},
+      {"overlapping writes",
+       [](hb& b) {
+         b.write(1, 5, "a");
+         b.write(3, 6, "b");
+       },
+       atomic, "SWMR checker: overlapping writes in a single-writer run",
+       {0, 1}},
+      {"repeated SWMR value (names no op)",
+       [](hb& b) {
+         b.write(1, 2, "same");
+         b.write(3, 4, "same");
+       },
+       atomic, "written values are not unique: \"same\"", {}},
+      {"slow write",
+       [](hb& b) {
+         b.write(1, 2, "a");
+         b.write(3, 4, "b", /*rounds=*/2);
+       },
+       [](const history& h) { return check_fastness(h, 1, 1); },
+       "write by w took 2 round-trips (limit 1)", {1}},
+      {"MWMR bottom write",
+       [](hb& b) { b.write_mw(0, 1, 2, k_bottom_value); }, mwmr,
+       "MWMR checker: a write of the bottom (empty) value is "
+       "indistinguishable from the initial state; written values must be "
+       "non-empty",
+       {0}},
+      {"MWMR repeated value",
+       [](hb& b) {
+         b.write_mw(0, 1, 10, "dup");
+         b.write_mw(1, 2, 11, "dup");
+       },
+       mwmr,
+       "MWMR checker requires unique written values: \"dup\" written by "
+       "both w and w2",
+       {0, 1}},
+      {"MWMR unwritten value",
+       [](hb& b) { b.read(0, 1, 2, "x"); }, mwmr,
+       "read by r1 returned unwritten value \"x\"", {0}},
+      {"MWMR read from the future",
+       [](hb& b) {
+         b.read(0, 1, 2, "x");
+         b.write_mw(0, 3, 4, "x");
+       },
+       mwmr, "read by r1 returned \"x\" before its write (by w) was invoked",
+       {0, 1}},
+      {"MWMR 2-cycle",
+       [](hb& b) {
+         b.write_mw(0, 1, 4, "one");
+         b.write_mw(1, 2, 5, "two");
+         b.read(0, 6, 7, "one");
+         b.read(1, 8, 9, "two");
+       },
+       mwmr,
+       "not linearizable: values \"two\" and \"one\" must each precede the "
+       "other (write of \"two\" by w2 responded before read of \"one\" by r1 "
+       "was invoked, and write of \"one\" by w responded before read of "
+       "\"two\" by r2 was invoked)",
+       {1, 2, 0, 3}},
+      {"MWMR 2-cycle through the initial state",
+       [](hb& b) {
+         b.incomplete_write(1, "maybe");
+         b.read(0, 2, 3, "maybe");
+         b.read(1, 4, 5, k_bottom_value);
+       },
+       mwmr,
+       "not linearizable: values \"maybe\" and \"\" must each precede the "
+       "other (read of \"maybe\" by r1 responded before read of \"\" by r2 "
+       "was invoked, and the initial state responded before read of "
+       "\"maybe\" by r1 was invoked)",
+       {1, 2}},
+      {"oracle (names no op)",
+       [](hb& b) {
+         b.write_mw(0, 1, 2, "old");
+         b.write_mw(1, 3, 4, "new");
+         b.read(0, 5, 6, "old");
+       },
+       [](const history& h) { return check_linearizable(h); },
+       "history is not linearizable", {}},
+  };
+}
+
+TEST(CheckerTraces, EachFailureNamesExactlyTheTracesOfItsOps) {
+  for (const auto& c : failure_cases()) {
+    hb untraced;
+    c.build(untraced);
+    const auto plain = c.check(untraced.h);
+    EXPECT_FALSE(plain.ok) << c.name;
+    EXPECT_EQ(plain.error, c.error) << c.name;
+    EXPECT_TRUE(plain.traces.empty()) << c.name;
+
+    hb traced;
+    traced.trace_base = 0x100;
+    c.build(traced);
+    const auto res = c.check(traced.h);
+    EXPECT_EQ(res.error, plain.error) << c.name;
+    std::vector<std::uint64_t> want;
+    for (const auto i : c.named) want.push_back(traced.trace_base + i);
+    EXPECT_EQ(res.traces, want) << c.name << ": " << res.error;
+  }
 }
 
 }  // namespace

@@ -428,6 +428,121 @@ TEST(Framing, OnlyTheWireKindsDecode) {
   }
 }
 
+// ----------------------------------------------------- corruption sweep
+
+/// Two messages that between them set every wire field.
+std::vector<message> golden_batch() {
+  std::vector<message> msgs(2);
+  msgs[0].type = msg_type::read_req;
+  msgs[0].obj = 0x0102030405060708ull;
+  msgs[0].epoch = 3;
+  msgs[0].attempt = 2;
+  msgs[0].mig = true;
+  msgs[0].trace = 0x2a;
+  msgs[0].span = 1;
+  msgs[0].rcounter = 9;
+  msgs[1].type = msg_type::read_ack;
+  msgs[1].ts = 5;
+  msgs[1].wid = 1;
+  msgs[1].val = "xy";
+  msgs[1].prev = "p";
+  msgs[1].seen.insert(reader_id(0));
+  msgs[1].seen.insert(writer_id(0));
+  msgs[1].sig = {0xde, 0xad};
+  msgs[1].origin = reader_id(1);
+  return msgs;
+}
+
+/// The wire format is frozen: encode_batch_frame(server_id(1),
+/// golden_batch()).
+constexpr const char* k_golden_batch_hex =
+    "ad00000002020100000002000000030807060504030201030000000000000002"
+    "000000012a000000000000000100000000000000000000000000000000000000"
+    "0000000000000000000000000900000000000000000000000200000000040000"
+    "0000000000000000000000000000000000000000000000000000000000000005"
+    "0000000000000001000000020000007879010000007003000000000000000000"
+    "00000000000002000000dead0101000000";
+
+std::string to_hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char k_digits[] = "0123456789abcdef";
+  std::string out;
+  for (const auto b : bytes) {
+    out += k_digits[b >> 4];
+    out += k_digits[b & 0xf];
+  }
+  return out;
+}
+
+/// What one decoding path made of a byte string.
+struct decoded {
+  std::vector<frame> frames;
+  bool corrupt{false};
+};
+
+void expect_same(const decoded& a, const decoded& b, const std::string& what) {
+  EXPECT_EQ(a.corrupt, b.corrupt) << what;
+  ASSERT_EQ(a.frames.size(), b.frames.size()) << what;
+  for (std::size_t i = 0; i < a.frames.size(); ++i) {
+    EXPECT_EQ(a.frames[i].kind, b.frames[i].kind) << what;
+    EXPECT_EQ(a.frames[i].from, b.frames[i].from) << what;
+    EXPECT_EQ(a.frames[i].batch, b.frames[i].batch) << what;
+  }
+}
+
+/// Runs `chunks` through feed()+next() on one buffer and through drain()
+/// on another, one chunk per call, and checks the two agree.
+decoded decode_both_ways(
+    const std::vector<std::vector<std::uint8_t>>& chunks,
+    const std::string& what) {
+  decoded fed;
+  decoded drained;
+  frame_buffer a;
+  frame_buffer b;
+  for (const auto& c : chunks) {
+    a.feed(c.data(), c.size());
+    while (auto f = a.next()) fed.frames.push_back(std::move(*f));
+    b.drain(c.data(), c.size(),
+            [&](frame&& f) { drained.frames.push_back(std::move(f)); });
+  }
+  fed.corrupt = a.corrupt();
+  drained.corrupt = b.corrupt();
+  expect_same(fed, drained, what);
+  return fed;
+}
+
+TEST(Framing, EveryTruncationAndBitFlipOfAGoldenBatchDecodesAlike) {
+  const auto golden = encode_batch_frame(server_id(1), golden_batch());
+  ASSERT_EQ(to_hex(golden), k_golden_batch_hex);
+  const decoded want = decode_both_ways({golden}, "intact");
+  ASSERT_EQ(want.frames.size(), 1u);
+  EXPECT_EQ(want.frames[0].from, server_id(1));
+  EXPECT_EQ(want.frames[0].batch, golden_batch());
+  EXPECT_FALSE(want.corrupt);
+
+  // A cut frame only waits: nothing comes out, nothing latches, and the
+  // rest of its bytes complete it.
+  for (std::size_t len = 0; len < golden.size(); ++len) {
+    const std::vector<std::uint8_t> head(golden.begin(), golden.begin() + len);
+    const std::vector<std::uint8_t> tail(golden.begin() + len, golden.end());
+    const std::string what = "cut at " + std::to_string(len);
+    const auto cut = decode_both_ways({head}, what);
+    EXPECT_TRUE(cut.frames.empty()) << what;
+    EXPECT_FALSE(cut.corrupt) << what;
+    expect_same(decode_both_ways({head, tail}, what), want, what);
+  }
+  // A flipped bit may change what decodes, skip the frame or latch
+  // corrupt(), but both paths must agree on which.
+  for (std::size_t at = 0; at < golden.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      auto bytes = golden;
+      bytes[at] ^= static_cast<std::uint8_t>(1u << bit);
+      (void)decode_both_ways(
+          {bytes}, "bit " + std::to_string(bit) + " of byte " +
+                       std::to_string(at));
+    }
+  }
+}
+
 // ---------------------------------------------------------- delivery unit
 //
 // batching.h's parity claim: on both transports every send is one

@@ -3,8 +3,9 @@
 // log and snapshot formats, streamed snapshots larger than the writer's
 // buffer, a failed snapshot keeping the log, a failed append closing the
 // log, torn-tail truncation at the last valid CRC frame, corrupt-record
-// and corrupt-snapshot rejection with useful diagnostics, the
-// fsync-policy matrix, epoch fencing of stale recovered state, and the
+// and corrupt-snapshot rejection with useful diagnostics, every
+// truncation and bit flip of the golden files, the fsync-policy matrix,
+// epoch fencing of stale recovered state, and the
 // end-to-end acceptance schedule -- a server killed in the middle of a
 // Zipf-keyed load restarts, replays snapshot + log tail, rejoins, and
 // every per-key history still verifies, on both transports. Last, the registry rows benchmark/
@@ -19,6 +20,7 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
@@ -28,6 +30,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -393,6 +396,34 @@ register_snapshot golden_b() {
   return s;
 }
 
+/// The golden snapshot and log files; the sweeps below decode them as
+/// golden_snapshot() and golden_log_records().
+constexpr const char* k_golden_snap_hex =
+    "4652534e0100000052000000350eb87f03000000000000000200000007000000"
+    "0000000009000000000000000100000001000000780000000000000000080706"
+    "050403020104000000000000000000000002000000797a010000007002000000"
+    "dead";
+constexpr const char* k_golden_log_hex =
+    "2a00000068cb31e10102000000000000000b0000000000000009000000000000"
+    "0001000000010000007800000000000000002e0000001ee6f875020200000000"
+    "0000000c0000000000000004000000000000000000000002000000797a010000"
+    "007002000000dead1d0000000453f362030300000000000000020000000b0000"
+    "00000000006300000000000000";
+
+snapshot_data golden_snapshot() {
+  return {3, {{7, golden_a()}, {0x0102030405060708ull, golden_b()}}};
+}
+
+std::vector<log_record> golden_log_records() {
+  log_record seed = op_rec(2, 12, golden_b());
+  seed.k = log_record::kind::seed;
+  log_record mark;
+  mark.k = log_record::kind::epoch_mark;
+  mark.epoch = 3;
+  mark.fenced = {11, 99};
+  return {op_rec(2, 11, golden_a()), seed, mark};
+}
+
 TEST(Wal, SnapshotBytesMatchTheGoldenEncoding) {
   temp_dir td("golden_snap");
   options o;
@@ -400,11 +431,7 @@ TEST(Wal, SnapshotBytesMatchTheGoldenEncoding) {
   o.fsync = fsync_policy::never;
   server_durability d(o, 0);
   write_snap(d, 3, {{7, golden_a()}, {0x0102030405060708ull, golden_b()}});
-  EXPECT_EQ(file_hex(d.snap_path()),
-            "4652534e0100000052000000350eb87f03000000000000000200000007000000"
-            "0000000009000000000000000100000001000000780000000000000000080706"
-            "050403020104000000000000000000000002000000797a010000007002000000"
-            "dead");
+  EXPECT_EQ(file_hex(d.snap_path()), k_golden_snap_hex);
 }
 
 TEST(Wal, LogRecordBytesMatchTheGoldenEncoding) {
@@ -416,12 +443,7 @@ TEST(Wal, LogRecordBytesMatchTheGoldenEncoding) {
   d.append_op(2, 11, golden_a());
   d.append_seed(2, 12, golden_b());
   d.append_epoch_mark(3, {11, 99});
-  EXPECT_EQ(file_hex(d.log_path()),
-            "2a00000068cb31e10102000000000000000b0000000000000009000000000000"
-            "0001000000010000007800000000000000002e0000001ee6f875020200000000"
-            "0000000c0000000000000004000000000000000000000002000000797a010000"
-            "007002000000dead1d0000000453f362030300000000000000020000000b0000"
-            "00000000006300000000000000");
+  EXPECT_EQ(file_hex(d.log_path()), k_golden_log_hex);
 }
 
 TEST(Wal, SnapshotLargerThanTheWriterBufferStreamsTheSameBytes) {
@@ -587,6 +609,173 @@ TEST(Durability, EpochMarkDropsFencedObjectsAndAdvancesEpoch) {
   ASSERT_EQ(rec.objects.size(), 2u);
   EXPECT_EQ(rec.objects.at(1).val, "reseeded");
   EXPECT_EQ(rec.objects.at(2).val, "carried");
+}
+
+// --------------------------------------------------- corruption sweeps --
+//
+// Every truncation and every single-bit flip of the golden log and
+// snapshot. Recovery may lose a damaged snapshot wholesale or a damaged
+// log's tail, and nothing else.
+
+std::vector<std::uint8_t> from_hex(std::string_view hex) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<std::uint8_t>(
+        std::stoul(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+void write_bytes(const std::string& path,
+                 const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Calls fn(variant, at) for `golden` itself, each proper prefix of it
+/// and each single-bit flip of it; `at` is the first damaged offset
+/// (golden.size() when intact).
+void for_each_damage(
+    const std::vector<std::uint8_t>& golden,
+    const std::function<void(const std::vector<std::uint8_t>&, std::size_t)>&
+        fn) {
+  for (std::size_t len = 0; len <= golden.size(); ++len) {
+    fn({golden.begin(), golden.begin() + static_cast<std::ptrdiff_t>(len)},
+       len);
+  }
+  for (std::size_t at = 0; at < golden.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      auto bytes = golden;
+      bytes[at] ^= static_cast<std::uint8_t>(1u << bit);
+      fn(bytes, at);
+    }
+  }
+}
+
+/// How many of the log's frames end at or before offset `at`.
+std::size_t frames_before(const std::vector<std::uint8_t>& log,
+                          std::size_t at) {
+  std::size_t n = 0;
+  for (std::size_t pos = 0; pos + 4 <= log.size();) {
+    const std::uint32_t len = log[pos] | log[pos + 1] << 8 |
+                              log[pos + 2] << 16 |
+                              static_cast<std::uint32_t>(log[pos + 3]) << 24;
+    pos += 8 + len;
+    if (pos > at) break;
+    ++n;
+  }
+  return n;
+}
+
+/// What replay must recover from `snap` (null: none) then `log`.
+recovered_state replayed(const snapshot_data* snap,
+                         std::span<const log_record> log) {
+  recovered_state st;
+  if (snap != nullptr) {
+    st.found = true;
+    st.epoch = snap->epoch;
+    for (const auto& [obj, s] : snap->objects) st.objects[obj] = s;
+  }
+  for (const auto& r : log) {
+    st.found = true;
+    st.epoch = std::max(st.epoch, r.epoch);
+    if (r.k == log_record::kind::epoch_mark) {
+      for (const auto obj : r.fenced) st.objects.erase(obj);
+    } else {
+      st.objects[r.obj] = r.snap;
+    }
+  }
+  return st;
+}
+
+TEST(Wal, EveryTruncationAndBitFlipOfTheGoldenLogLoadsAPrefix) {
+  const auto golden = from_hex(k_golden_log_hex);
+  const auto records = golden_log_records();
+  ASSERT_EQ(frames_before(golden, golden.size()), records.size());
+  const log_record extra = op_rec(4, 13, snap(1, 0, "after"));
+  temp_dir td("sweep_log");
+  const std::string path = td.path() + "/log";
+  for_each_damage(golden, [&](const auto& bytes, std::size_t at) {
+    const std::string what = "damage at " + std::to_string(at) + " of " +
+                             std::to_string(bytes.size()) + " bytes";
+    write_bytes(path, bytes);
+    std::vector<log_record> want(
+        records.begin(),
+        records.begin() +
+            static_cast<std::ptrdiff_t>(frames_before(golden, at)));
+    const auto got = wal::load(path, /*repair=*/true);
+    ASSERT_EQ(got.records, want) << what;
+    EXPECT_EQ(file_size(path), got.valid_bytes) << what;
+    EXPECT_EQ(got.truncated(), got.valid_bytes < bytes.size()) << what;
+    // The repaired log takes the next append as if never damaged.
+    {
+      wal w(path, fsync_policy::never, 0, node_label(0));
+      w.append(extra);
+    }
+    want.push_back(extra);
+    const auto again = wal::load(path, /*repair=*/false);
+    EXPECT_EQ(again.records, want) << what;
+    EXPECT_EQ(again.warning, "") << what;
+  });
+}
+
+TEST(Wal, EveryTruncationAndBitFlipOfTheGoldenSnapshotIsRejected) {
+  const auto golden = from_hex(k_golden_snap_hex);
+  const auto want = golden_snapshot();
+  temp_dir td("sweep_snap");
+  const std::string path = td.path() + "/snap";
+  for_each_damage(golden, [&](const auto& bytes, std::size_t at) {
+    const std::string what = "damage at " + std::to_string(at) + " of " +
+                             std::to_string(bytes.size()) + " bytes";
+    write_bytes(path, bytes);
+    std::string err;
+    const auto got = load_snapshot_file(path, &err);
+    if (at == golden.size()) {
+      ASSERT_TRUE(got.has_value()) << err;
+      EXPECT_EQ(got->epoch, want.epoch);
+      EXPECT_EQ(got->objects, want.objects);
+    } else {
+      EXPECT_FALSE(got.has_value()) << what;
+      EXPECT_NE(err, "") << what;
+    }
+  });
+}
+
+TEST(Durability, RecoveryFromADamagedGoldenLogOrSnapshotStaysOnTheSequence) {
+  const auto log = from_hex(k_golden_log_hex);
+  const auto snapshot = from_hex(k_golden_snap_hex);
+  const auto records = golden_log_records();
+  const auto snap_state = golden_snapshot();
+  temp_dir td("sweep_recovery");
+  options o;
+  o.dir = td.path();
+  o.fsync = fsync_policy::never;
+  const auto expect_recovers = [&](const std::vector<std::uint8_t>& snap_bytes,
+                                   const std::vector<std::uint8_t>& log_bytes,
+                                   const recovered_state& want,
+                                   const std::string& what) {
+    write_bytes(server_durability::snap_path_for(o.dir, 0), snap_bytes);
+    write_bytes(server_durability::log_path_for(o.dir, 0), log_bytes);
+    const server_durability d(o, 0);
+    EXPECT_EQ(d.recovered().found, want.found) << what;
+    EXPECT_EQ(d.recovered().epoch, want.epoch) << what;
+    EXPECT_EQ(d.recovered().objects, want.objects) << what;
+  };
+  // The applied sequence is the snapshot's state, then each log record.
+  for_each_damage(log, [&](const auto& bytes, std::size_t at) {
+    expect_recovers(
+        snapshot, bytes,
+        replayed(&snap_state,
+                 std::span(records).first(frames_before(log, at))),
+        "log damaged at " + std::to_string(at));
+  });
+  for_each_damage(snapshot, [&](const auto& bytes, std::size_t at) {
+    expect_recovers(
+        bytes, log,
+        replayed(at == snapshot.size() ? &snap_state : nullptr, records),
+        "snapshot damaged at " + std::to_string(at));
+  });
 }
 
 // ----------------------------------------------------- epoch fencing --

@@ -269,73 +269,42 @@ TEST(RecorderGate, HooksCaptureNothingWhenOff) {
 
 // -------------------------------------------------- rounds on the wire --
 
-/// Rounds per op, reads and writes apart.
-struct round_tally {
-  std::uint64_t read_rounds{0};
-  std::uint64_t write_rounds{0};
-  std::size_t reads{0};
-  std::size_t writes{0};
-
-  void add(bool is_write, std::uint64_t rounds) {
-    (is_write ? write_rounds : read_rounds) += rounds;
-    ++(is_write ? writes : reads);
-  }
-  [[nodiscard]] double read_mean() const {
-    return reads == 0 ? 0 : static_cast<double>(read_rounds) /
-                                static_cast<double>(reads);
-  }
-  [[nodiscard]] double write_mean() const {
-    return writes == 0 ? 0 : static_cast<double>(write_rounds) /
-                                 static_cast<double>(writes);
-  }
-};
-
-/// What the automata reported: the rounds of every completed op.
-round_tally rounds_in_history(const checker::history& h) {
-  round_tally out;
-  for (const auto& op : h.ops()) {
-    if (op.response_time) {
-      out.add(op.is_write, static_cast<std::uint64_t>(op.rounds));
-    }
-  }
-  return out;
-}
-
-/// What the clients put on the wire: every round broadcasts one request
-/// type under the op's trace id, so an op's rounds are the distinct
-/// types its client sent. A writer node's traces are writes, a reader
-/// node's reads.
-round_tally rounds_on_wire(const system_config& cfg) {
-  round_tally out;
-  const auto count = [&](const process_id& client) {
-    std::map<std::uint64_t, std::set<std::uint8_t>> types_by_trace;
+/// Joins every completed op of `h` to its client's sends by trace id.
+/// Every round broadcasts one request type under the op's trace, so an
+/// op's rounds must be the distinct types its client sent under it: an
+/// automaton that misreports its rounds in its completions fails here.
+/// The mean rounds per reads and per writes must also be theory's.
+void expect_rounds(const std::string& what, const checker::history& h,
+                   const system_config& cfg, double rd, double wr) {
+  std::map<std::pair<process_id, std::uint64_t>, std::set<std::uint8_t>>
+      sent;
+  const auto collect = [&](const process_id& client) {
     for (const auto& e : obs::recorder_for(client).entries()) {
       if (e.ev == obs::rec_event::send && e.trace != 0) {
-        types_by_trace[e.trace].insert(e.mtype);
+        sent[{client, e.trace}].insert(e.mtype);
       }
     }
-    for (const auto& per_trace : types_by_trace) {
-      out.add(client.is_writer(), per_trace.second.size());
-    }
   };
-  for (std::uint32_t j = 0; j < cfg.W(); ++j) count(writer_id(j));
-  for (std::uint32_t i = 0; i < cfg.R(); ++i) count(reader_id(i));
-  return out;
-}
-
-/// The wire count matches theory, and the history reports the same op
-/// counts and mean rounds as the wire: an automaton that misreports its
-/// rounds in its completions fails here.
-void expect_rounds(const std::string& what, const round_tally& wire,
-                   const round_tally& hist, double rd, double wr) {
-  EXPECT_GT(wire.reads, 0u) << what;
-  EXPECT_GT(wire.writes, 0u) << what;
-  EXPECT_EQ(wire.reads, hist.reads) << what;
-  EXPECT_EQ(wire.writes, hist.writes) << what;
-  EXPECT_DOUBLE_EQ(wire.read_mean(), rd) << what;
-  EXPECT_DOUBLE_EQ(wire.write_mean(), wr) << what;
-  EXPECT_DOUBLE_EQ(hist.read_mean(), wire.read_mean()) << what;
-  EXPECT_DOUBLE_EQ(hist.write_mean(), wire.write_mean()) << what;
+  for (std::uint32_t j = 0; j < cfg.W(); ++j) collect(writer_id(j));
+  for (std::uint32_t i = 0; i < cfg.R(); ++i) collect(reader_id(i));
+  double rounds[2] = {0, 0};  // reads, writes
+  std::size_t ops[2] = {0, 0};
+  for (const auto& op : h.ops()) {
+    if (!op.response_time) continue;
+    const auto it = sent.find({op.client, op.trace});
+    ASSERT_NE(it, sent.end()) << what << ": no sends under trace "
+                              << op.trace << " by " << to_string(op.client);
+    EXPECT_EQ(static_cast<std::size_t>(op.rounds), it->second.size())
+        << what << ": trace " << op.trace;
+    rounds[op.is_write] += op.rounds;
+    ++ops[op.is_write];
+  }
+  // Every traced send belongs to some op in the history.
+  EXPECT_EQ(sent.size(), ops[0] + ops[1]) << what;
+  ASSERT_GT(ops[0], 0u) << what;
+  ASSERT_GT(ops[1], 0u) << what;
+  EXPECT_DOUBLE_EQ(rounds[0] / static_cast<double>(ops[0]), rd) << what;
+  EXPECT_DOUBLE_EQ(rounds[1] / static_cast<double>(ops[1]), wr) << what;
 }
 
 /// Theory's read/write rounds per protocol, checked on both transports.
@@ -362,8 +331,7 @@ TEST(RecorderRounds, WireRequestsMatchHistoryRoundsOnSim) {
     obs::recorder_reset_all();
     const auto rep = benchutil::run_measured(*make_protocol(proto), cfg, opt);
     ASSERT_TRUE(rep.all_complete) << proto;
-    expect_rounds(proto, rounds_on_wire(cfg), rounds_in_history(rep.hist),
-                  rd, wr);
+    expect_rounds(proto, rep.hist, cfg, rd, wr);
   }
 }
 
@@ -395,8 +363,7 @@ TEST(RecorderRounds, WireRequestsMatchHistoryRoundsOverTcp) {
     const auto hists = ts.gather();
     ts.stop();
     const auto& hist = hists.all().at(store::test::k_register_key);
-    expect_rounds(std::string(proto) + " over tcp", rounds_on_wire(cfg),
-                  rounds_in_history(hist), rd, wr);
+    expect_rounds(std::string(proto) + " over tcp", hist, cfg, rd, wr);
   }
 }
 
@@ -634,6 +601,37 @@ TEST(RecorderForensics, BrokenMwmrFailureLeavesMergeableDumps) {
     // The narrative and the catapult export both accept the merge.
     EXPECT_FALSE(obs::render_narrative(merged).empty());
     EXPECT_EQ(obs::validate_catapult(obs::render_catapult(merged)), "");
+    // The error names its ops by the trace ids their clients minted:
+    // each op's rounds are in the dumps, and the history dump lists the
+    // id and carries its narrative.
+    ASSERT_FALSE(rep.check.traces.empty()) << rep.check.error;
+    std::ifstream in(rep.dump_path);
+    std::stringstream dumped;
+    dumped << in.rdbuf();
+    const std::string history = dumped.str();
+    const auto at = history.find("\n# traces:");
+    ASSERT_NE(at, std::string::npos) << history;
+    const std::string header =
+        history.substr(at + 1, history.find('\n', at + 1) - at - 1) + " ";
+    for (const auto trace : rep.check.traces) {
+      const auto seen = [&](const char* ev) {
+        return std::ranges::any_of(merged, [&](const obs::timeline_event& e) {
+          return e.trace == trace && e.ev == ev;
+        });
+      };
+      EXPECT_TRUE(seen("send")) << trace;
+      EXPECT_TRUE(seen("recv")) << trace;
+      EXPECT_TRUE(seen("serve")) << trace;
+      std::ostringstream hex;
+      hex << "0x" << std::hex << trace;
+      EXPECT_NE(rep.describe().find(hex.str()), std::string::npos)
+          << rep.describe();
+      EXPECT_NE(header.find(" " + hex.str() + " "), std::string::npos)
+          << header;
+      EXPECT_NE(history.find("\ntrace " + hex.str() + " obj="),
+                std::string::npos)
+          << history;
+    }
   }
   EXPECT_TRUE(caught)
       << "the non-linearizable strawman survived 20 seeds of stress";
