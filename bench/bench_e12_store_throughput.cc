@@ -7,7 +7,7 @@
 // one transport unit). Part 2 (localhost TCP): the same shape on real
 // sockets, wall-clock microseconds.
 // Part 3 (E12c) isolates the transport knobs the zero-copy wire pipeline
-// added: the reactor batch window (FASTREG_BATCH_WINDOW_US) and the
+// added: the reactor batch window (node_options.batch_window_us) and the
 // pipelined client depth, on an 8-session workload whose rows vary
 // ONLY those two knobs. Part 4 (E12d) is the connection fan-in test for
 // the sharded reactor pool: 1000+ pipelined client sessions from ONE
@@ -34,6 +34,7 @@
 #include "benchutil/table.h"
 #include "benchutil/tcp_driver.h"
 #include "benchutil/workload.h"
+#include "common/clock.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
@@ -154,7 +155,7 @@ tcp_row drive(store::tcp_store& ts, std::vector<client_script> scripts,
   tcp_driver drv(ts, std::move(scripts), threads);
   tcp_row row;
   row.failed = drv.join();
-  const double secs = static_cast<double>(steady_ns() - drv.start_ns()) / 1e9;
+  const double secs = static_cast<double>(steady_now_ns() - drv.start_ns()) / 1e9;
   const auto hist = ts.gather();
   const auto ops = ops_since(hist, drv.start_ns());
   row.ops_s = static_cast<double>(ops.completed()) / secs;

@@ -47,6 +47,7 @@
 #include "benchutil/table.h"
 #include "benchutil/tcp_driver.h"
 #include "benchutil/workload.h"
+#include "common/clock.h"
 #include "common/rng.h"
 #include "persist/durable.h"
 #include "reconfig/control.h"
@@ -235,16 +236,16 @@ void run_tcp_part(table& t) {
   drv.wait_submitted(ops_per_client * (1 + cfg.base.R()) / 2);
   reconfig::tcp_control ctl(ts);
   reconfig::coordinator coord(ctl, keys);
-  const std::uint64_t t_start = steady_ns();
+  const std::uint64_t t_start = steady_now_ns();
   FASTREG_CHECK(
       coord.start(ts.proto().shards(), {6, {"fast_swmr", "abd"}}));
   while (!coord.done()) {
     coord.step();
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
-  const std::uint64_t t_done = steady_ns();
+  const std::uint64_t t_done = steady_now_ns();
   const std::uint64_t failed = drv.join();
-  const std::uint64_t t_end = steady_ns();
+  const std::uint64_t t_end = steady_now_ns();
 
   const auto res = add_phases(t, "tcp", ts.gather(),
                               {drv.start_ns(), t_start, t_done, t_end}, 1000,

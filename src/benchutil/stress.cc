@@ -350,8 +350,7 @@ stress_report run_tcp_stress(const stress_options& opt) {
   net::cluster_options copt;
   copt.client_hub = true;
   copt.hub_reactors = 2;
-  store::tcp_store ts(make_store_cfg(opt), net::node_options::from_env(),
-                      copt);
+  store::tcp_store ts(make_store_cfg(opt), net::node_options{}, copt);
   ts.start();
   const auto keys = make_keys(opt.num_keys);
 

@@ -3,15 +3,9 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/clock.h"
 
 namespace fastreg::benchutil {
-
-std::uint64_t steady_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 tcp_driver::tcp_driver(store::tcp_store& ts,
                        std::vector<client_script> scripts,
@@ -25,7 +19,7 @@ tcp_driver::tcp_driver(store::tcp_store& ts,
   const auto n = static_cast<std::uint32_t>(
       std::min<std::size_t>(threads, slots_.size()));
   running_ = n;
-  start_ns_ = steady_ns();
+  start_ns_ = steady_now_ns();
   for (std::uint32_t d = 0; d < n; ++d) {
     threads_.emplace_back([this, d, n] {
       std::vector<slot*> mine;

@@ -79,7 +79,4 @@ class tcp_driver {
   std::vector<std::thread> threads_;
 };
 
-/// steady_clock::now() in nanoseconds: the op log's clock on TCP.
-[[nodiscard]] std::uint64_t steady_ns();
-
 }  // namespace fastreg::benchutil

@@ -40,11 +40,10 @@ class cluster {
  public:
   /// Builds all nodes. Servers bind ephemeral ports immediately; the
   /// resulting address book is shared with every node. `nopt` (the
-  /// outbound flush policy) applies to every node; the default comes
-  /// from FASTREG_BATCH_WINDOW_US / FASTREG_FLUSH_BYTES (immediate flush
-  /// when unset). `copt` picks the client topology and reactor counts.
+  /// outbound flush policy) applies to every node; the default flushes
+  /// immediately. `copt` picks the client topology and reactor counts.
   cluster(system_config cfg, const protocol& proto,
-          node_options nopt = node_options::from_env(),
+          node_options nopt = node_options{},
           cluster_options copt = {});
   ~cluster();
 

@@ -9,13 +9,12 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <span>
 
 #include "common/check.h"
+#include "common/clock.h"
 #include "common/log.h"
 
 namespace fastreg::net {
@@ -26,75 +25,6 @@ namespace {
 /// mistake each other's reactors for their own.
 thread_local void* tls_reactor = nullptr;
 }  // namespace
-
-std::uint64_t node::now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-node_options node_options::from_env() {
-  node_options opt;
-  // Strict parsing throughout: a malformed value must not silently
-  // configure something other than what was asked for (a bench run under
-  // a typo'd knob would measure the wrong transport).
-  if (const char* env = std::getenv("FASTREG_BATCH_WINDOW_US");
-      env != nullptr && *env != '\0') {
-    bool ok = false;
-    if (std::strcmp(env, "adaptive") == 0) {
-      opt.adaptive = true;
-      ok = true;
-    } else if (std::strncmp(env, "adaptive:", 9) == 0) {
-      char* end = nullptr;
-      const unsigned long cap = std::strtoul(env + 9, &end, 10);
-      if (end != env + 9 && *end == '\0' && cap > 0) {
-        opt.adaptive = true;
-        opt.batch_window_us = static_cast<std::uint32_t>(cap);
-        ok = true;
-      }
-    } else {
-      char* end = nullptr;
-      const unsigned long us = std::strtoul(env, &end, 10);
-      if (end != env && *end == '\0') {
-        opt.batch_window_us = static_cast<std::uint32_t>(us);
-        ok = true;
-      }
-    }
-    if (!ok) {
-      LOG_WARN("ignoring malformed FASTREG_BATCH_WINDOW_US=\"%s\" (expected "
-               "an integer, \"adaptive\", or \"adaptive:<cap_us>\"); using "
-               "immediate flush",
-               env);
-      opt = node_options{};
-    }
-  }
-  if (const char* env = std::getenv("FASTREG_REACTORS");
-      env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const unsigned long n = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && n > 0) {
-      opt.reactors = static_cast<std::uint32_t>(n);
-    } else {
-      LOG_WARN("ignoring malformed FASTREG_REACTORS=\"%s\" (expected a "
-               "positive integer); using 1 reactor",
-               env);
-    }
-  }
-  if (const char* env = std::getenv("FASTREG_FLUSH_BYTES");
-      env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const unsigned long b = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0') {
-      opt.flush_bytes = static_cast<std::uint32_t>(b);
-    } else {
-      LOG_WARN("ignoring malformed FASTREG_FLUSH_BYTES=\"%s\" (expected a "
-               "byte count, 0 = no budget); keeping the default",
-               env);
-    }
-  }
-  return opt;
-}
 
 // ------------------------------------------------------------ construction --
 
@@ -628,7 +558,7 @@ void node::flush(reactor& r, int fd, connection& c) {
   // c.dirty is left alone: it means "fd is listed in dirty_fds", and a
   // direct flush (immediate mode, or handle_writable) does not unlist.
   // A listed-but-already-flushed connection is a cheap no-op later.
-  const std::uint64_t flush_start = c.out.empty() ? 0 : now_ns();
+  const std::uint64_t flush_start = c.out.empty() ? 0 : steady_now_ns();
   while (!c.out.empty()) {
     struct iovec iov[16];
     const std::size_t cnt = c.out.fill_iovec(iov, 16);
@@ -655,7 +585,7 @@ void node::flush(reactor& r, int fd, connection& c) {
     close_conn(r, fd);
     return;
   }
-  if (flush_start != 0) wm_.flush_ns->observe(now_ns() - flush_start);
+  if (flush_start != 0) wm_.flush_ns->observe(steady_now_ns() - flush_start);
   update_epoll(r, fd, c);
 }
 
@@ -711,7 +641,7 @@ void node::close_conn(reactor& r, int fd) {
 
 void node::finish_window(connection& c) {
   if (c.window_open_ns != 0 && c.frames_since_flush > 0) {
-    wm_.window_wait_ns->observe(now_ns() - c.window_open_ns);
+    wm_.window_wait_ns->observe(steady_now_ns() - c.window_open_ns);
   }
   c.window_open_ns = 0;
   c.frames_since_flush = 0;
@@ -719,7 +649,7 @@ void node::finish_window(connection& c) {
 
 void node::arm_window_at(reactor& r, std::uint64_t deadline_ns) {
   if (r.window_armed && r.armed_deadline_ns <= deadline_ns) return;
-  const std::uint64_t now = now_ns();
+  const std::uint64_t now = steady_now_ns();
   const std::uint64_t delta = deadline_ns > now ? deadline_ns - now : 1;
   itimerspec spec{};
   spec.it_value.tv_sec = static_cast<time_t>(delta / 1'000'000'000ull);
@@ -756,7 +686,7 @@ void node::after_queue(reactor& r, int fd, connection& c) {
     }
     return;
   }
-  if (c.window_open_ns == 0) c.window_open_ns = now_ns();
+  if (c.window_open_ns == 0) c.window_open_ns = steady_now_ns();
   if (!c.dirty) {
     c.dirty = true;
     r.dirty_fds.push_back(fd);
@@ -780,7 +710,7 @@ void node::after_queue(reactor& r, int fd, connection& c) {
 
 void node::flush_expired(reactor& r) {
   r.window_armed = false;
-  const std::uint64_t now = now_ns();
+  const std::uint64_t now = steady_now_ns();
   std::vector<int> fds;
   fds.swap(r.dirty_fds);
   std::uint64_t next_deadline = 0;

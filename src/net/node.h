@@ -131,13 +131,6 @@ struct node_options {
   [[nodiscard]] std::uint32_t window_cap_us() const {
     return batch_window_us != 0 ? batch_window_us : k_default_window_cap_us;
   }
-
-  /// Reads FASTREG_BATCH_WINDOW_US (an integer window in microseconds,
-  /// "0"/unset = immediate flush, or "adaptive" / "adaptive:<cap_us>",
-  /// which sets adaptive and batch_window_us = cap_us),
-  /// FASTREG_REACTORS (a positive integer) and FASTREG_FLUSH_BYTES (a
-  /// byte count; 0 disables the budget).
-  [[nodiscard]] static node_options from_env();
 };
 
 class node final {
@@ -236,7 +229,7 @@ class node final {
     /// Per-connection flush-controller state (see node_options).
     std::uint32_t cur_window_us{0};
     std::uint64_t frames_since_flush{0};
-    /// now_ns() when this connection's current batch window opened
+    /// steady_now_ns() when this connection's current batch window opened
     /// (first frame queued since its last flush); 0 = no window open.
     std::uint64_t window_open_ns{0};
   };
@@ -429,8 +422,6 @@ class node final {
   std::condition_variable cv_;
   bool started_{false};
   bool stop_requested_{false};
-
-  static std::uint64_t now_ns();
 };
 
 }  // namespace fastreg::net

@@ -2,21 +2,21 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <mutex>
 
+#include "common/clock.h"
 #include "common/log.h"
 
 namespace fastreg::obs {
 
 namespace detail {
-// Strict parsing, as for node_options::from_env: a value that asks for
-// something other than recording must say so instead of silently
-// recording nothing. The warning bypasses the log level (off by default).
+// Strict parsing: a value that asks for something other than recording
+// must say so instead of silently recording nothing. The warning bypasses
+// the log level (off by default).
 std::atomic<bool> recording_on{[] {
   const char* v = std::getenv("FASTREG_OBS");
   if (v == nullptr || *v == '\0') return false;
@@ -53,11 +53,7 @@ scoped_trace_time::~scoped_trace_time() {
 }
 
 std::uint64_t trace_now() {
-  if (t_time_set) return t_time;
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+  return t_time_set ? t_time : steady_now_ns();
 }
 
 bool trace_time_overridden() { return t_time_set; }

@@ -27,8 +27,8 @@
 // stores trace_now() plus a one-bit domain tag from
 // trace_time_overridden(). The simulator overrides trace_now() with its
 // tick counter around every automaton step (scoped_trace_time);
-// otherwise it reads the steady clock in nanoseconds -- the same clock
-// net::node stamps its histories with -- so recorder events always
+// otherwise it reads steady_now_ns() (common/clock.h) -- the one read
+// the TCP op log stamps its histories with -- so recorder events always
 // agree with the linearizability history the same run produced.
 // dom=sim timestamps are simulator ticks -- globally ordered across all
 // simulated nodes by the scheduler. dom=ns timestamps are steady-clock

@@ -1,20 +1,13 @@
 #include "persist/durable.h"
 
-#include <chrono>
 #include <filesystem>
 
+#include "common/clock.h"
 #include "common/log.h"
 
 namespace fastreg::persist {
 
 namespace {
-
-std::uint64_t steady_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 const std::string& ensure_dir(const std::string& dir) {
   std::error_code ec;

@@ -6,13 +6,13 @@
 
 #include <array>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 
 #include "common/check.h"
+#include "common/clock.h"
 #include "common/log.h"
 #include "common/serialization.h"
 
@@ -62,13 +62,6 @@ std::uint32_t load_le32(const std::uint8_t* p) {
 
 void store_le32(std::uint8_t* p, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint64_t steady_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 /// Writes all of `data`, retrying EINTR and short writes. Returns false

@@ -63,19 +63,22 @@ void quorum_server::seed_state(const register_snapshot& s) {
 
 // ------------------------------------------------------------ abd_writer --
 
-abd_writer::abd_writer(system_config cfg) : cfg_(std::move(cfg)) {
+abd_writer::abd_writer(system_config cfg, std::uint32_t index,
+                       std::int32_t wid)
+    : cfg_(std::move(cfg)), index_(index), wid_(wid) {
   FASTREG_EXPECTS(cfg_.S() <= server_set::max_servers);
 }
 
 void abd_writer::invoke_write(netout& net, value_t v) {
   FASTREG_EXPECTS(!pending_);
   pending_ = true;
-  ts_ += 1;  // single writer: the local counter is the latest timestamp
+  ts_ += 1;  // the latest timestamp only while there is a single writer
   rcounter_ += 1;
   acks_.clear();
   message m;
   m.type = msg_type::write_req;
   m.ts = ts_;
+  m.wid = wid_;
   m.val = std::move(v);
   m.rcounter = rcounter_;
   send_to_servers(net, cfg_.S(), std::move(m));
@@ -152,27 +155,6 @@ void abd_reader::on_message(netout& net, const process_id& from,
       last_result_ = read_result{best_ts_.num, best_ts_.wid, best_val_, 2};
     }
   }
-}
-
-// -------------------------------------------------------------- protocol --
-
-std::unique_ptr<automaton> abd_protocol::make_writer(const system_config& cfg,
-                                                     std::uint32_t index,
-                                                     object_id) const {
-  FASTREG_EXPECTS(index == 0);
-  return std::make_unique<abd_writer>(cfg);
-}
-
-std::unique_ptr<automaton> abd_protocol::make_reader(const system_config& cfg,
-                                                     std::uint32_t index,
-                                                     object_id) const {
-  return std::make_unique<abd_reader>(cfg, index);
-}
-
-std::unique_ptr<automaton> abd_protocol::make_server(const system_config& cfg,
-                                                     std::uint32_t index,
-                                                     object_id) const {
-  return std::make_unique<quorum_server>(cfg, index);
 }
 
 }  // namespace fastreg

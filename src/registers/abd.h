@@ -9,9 +9,12 @@
 //
 // Requires a correct majority (t < S/2) so any two (S-t)-quorums intersect.
 //
-// This header also defines `quorum_server`, the plain highest-timestamp-
-// wins replica shared by the ABD, regular, single-reader and MWMR
-// protocols (none of which need seen sets).
+// Most rows of the protocol table (registers/registry.cc) are built from
+// the three automata here: `quorum_server`, the plain highest-timestamp-
+// wins replica of every row that needs no seen sets; `abd_writer`, the
+// one-round writer of the single-writer baselines and, one per writer,
+// of the naive MWMR strawmen; and `abd_reader`, whose (num, wid) maximum
+// also orders concurrent writers, so mwmr reads with it too.
 #pragma once
 
 #include <optional>
@@ -47,14 +50,21 @@ class quorum_server final : public automaton, public seedable {
   value_t val_{};
 };
 
-/// The single writer: local timestamp, one write round.
+/// One write round stamped (local counter, wid). Sound with one writer;
+/// with several (the naive strawmen) a local counter with no query round
+/// is exactly what makes the protocol unsound.
 class abd_writer final : public automaton, public writer_iface {
  public:
-  explicit abd_writer(system_config cfg);
+  /// Writer `index`, whose writes carry `wid` (0 for single-writer
+  /// protocols; index + 1 for the multi-writer strawmen).
+  explicit abd_writer(system_config cfg, std::uint32_t index = 0,
+                      std::int32_t wid = 0);
 
   void on_message(netout& net, const process_id& from,
                   const message& m) override;
-  [[nodiscard]] process_id self() const override { return writer_id(0); }
+  [[nodiscard]] process_id self() const override {
+    return writer_id(index_);
+  }
 
   void invoke_write(netout& net, value_t v) override;
   [[nodiscard]] bool write_in_progress() const override { return pending_; }
@@ -66,6 +76,8 @@ class abd_writer final : public automaton, public writer_iface {
 
  private:
   system_config cfg_;
+  std::uint32_t index_;
+  std::int32_t wid_;
   ts_t ts_{0};
   bool pending_{false};
   server_set acks_{};
@@ -73,7 +85,8 @@ class abd_writer final : public automaton, public writer_iface {
   std::uint64_t rcounter_{0};
 };
 
-/// Two-round reader: query phase then write-back phase.
+/// Two-round reader: query phase then write-back phase. The maximum is
+/// taken over (num, wid), so concurrent writers are totally ordered.
 class abd_reader final : public automaton, public reader_iface {
  public:
   abd_reader(system_config cfg, std::uint32_t index);
@@ -107,25 +120,6 @@ class abd_reader final : public automaton, public reader_iface {
   server_set acks_{};
   std::optional<read_result> last_result_{};
   std::uint64_t completed_{0};
-};
-
-class abd_protocol final : public protocol {
- public:
-  [[nodiscard]] std::string name() const override { return "abd"; }
-  [[nodiscard]] bool feasible(const system_config& cfg) const override {
-    return majority_feasible(cfg.S(), cfg.t());
-  }
-  [[nodiscard]] int read_rounds() const override { return 2; }
-  [[nodiscard]] int write_rounds() const override { return 1; }
-  [[nodiscard]] std::unique_ptr<automaton> make_writer(
-      const system_config& cfg, std::uint32_t index,
-      object_id obj = k_default_object) const override;
-  [[nodiscard]] std::unique_ptr<automaton> make_reader(
-      const system_config& cfg, std::uint32_t index,
-      object_id obj = k_default_object) const override;
-  [[nodiscard]] std::unique_ptr<automaton> make_server(
-      const system_config& cfg, std::uint32_t index,
-      object_id obj = k_default_object) const override;
 };
 
 }  // namespace fastreg

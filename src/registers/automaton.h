@@ -177,7 +177,9 @@ class writer_iface {
 };
 
 /// A full protocol instantiation: factory for the three automaton roles.
-/// Implementations are registered in registers/registry.h by name.
+/// One implementation serves every row of the protocol table
+/// (registers/registry.h looks rows up by name); the store's
+/// store_protocol is the other.
 class protocol {
  public:
   virtual ~protocol() = default;

@@ -208,22 +208,4 @@ void fast_bft_server::seed_state(const register_snapshot& s) {
   seen_ = seen_universe();
 }
 
-// -------------------------------------------------------------- protocol --
-
-std::unique_ptr<automaton> fast_bft_protocol::make_writer(
-    const system_config& cfg, std::uint32_t index, object_id obj) const {
-  FASTREG_EXPECTS(index == 0);
-  return std::make_unique<fast_bft_writer>(cfg, obj);
-}
-
-std::unique_ptr<automaton> fast_bft_protocol::make_reader(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  return std::make_unique<fast_bft_reader>(cfg, index);
-}
-
-std::unique_ptr<automaton> fast_bft_protocol::make_server(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  return std::make_unique<fast_bft_server>(cfg, index);
-}
-
 }  // namespace fastreg

@@ -170,22 +170,4 @@ void fast_swmr_server::seed_state(const register_snapshot& s) {
   seen_ = seen_universe();
 }
 
-// -------------------------------------------------------------- protocol --
-
-std::unique_ptr<automaton> fast_swmr_protocol::make_writer(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  FASTREG_EXPECTS(index == 0);  // single writer
-  return std::make_unique<fast_swmr_writer>(cfg);
-}
-
-std::unique_ptr<automaton> fast_swmr_protocol::make_reader(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  return std::make_unique<fast_swmr_reader>(cfg, index);
-}
-
-std::unique_ptr<automaton> fast_swmr_protocol::make_server(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  return std::make_unique<fast_swmr_server>(cfg, index);
-}
-
 }  // namespace fastreg

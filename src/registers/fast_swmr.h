@@ -123,23 +123,4 @@ class fast_swmr_server final : public automaton, public seedable {
   std::vector<std::uint64_t> counters_;  // per client_slot, Figure 2 line 25
 };
 
-class fast_swmr_protocol final : public protocol {
- public:
-  [[nodiscard]] std::string name() const override { return "fast_swmr"; }
-  [[nodiscard]] bool feasible(const system_config& cfg) const override {
-    return fast_swmr_feasible(cfg.S(), cfg.t(), cfg.R());
-  }
-  [[nodiscard]] int read_rounds() const override { return 1; }
-  [[nodiscard]] int write_rounds() const override { return 1; }
-  [[nodiscard]] std::unique_ptr<automaton> make_writer(
-      const system_config& cfg, std::uint32_t index,
-      object_id obj = k_default_object) const override;
-  [[nodiscard]] std::unique_ptr<automaton> make_reader(
-      const system_config& cfg, std::uint32_t index,
-      object_id obj = k_default_object) const override;
-  [[nodiscard]] std::unique_ptr<automaton> make_server(
-      const system_config& cfg, std::uint32_t index,
-      object_id obj = k_default_object) const override;
-};
-
 }  // namespace fastreg

@@ -124,22 +124,4 @@ void maxmin_reader::on_message(netout&, const process_id& from,
   }
 }
 
-// -------------------------------------------------------------- protocol --
-
-std::unique_ptr<automaton> maxmin_protocol::make_writer(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  FASTREG_EXPECTS(index == 0);
-  return std::make_unique<abd_writer>(cfg);
-}
-
-std::unique_ptr<automaton> maxmin_protocol::make_reader(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  return std::make_unique<maxmin_reader>(cfg, index);
-}
-
-std::unique_ptr<automaton> maxmin_protocol::make_server(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  return std::make_unique<maxmin_server>(cfg, index);
-}
-
 }  // namespace fastreg

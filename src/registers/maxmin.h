@@ -19,7 +19,6 @@
 #include <optional>
 #include <tuple>
 
-#include "registers/abd.h"
 #include "registers/automaton.h"
 
 namespace fastreg {
@@ -105,28 +104,6 @@ class maxmin_reader final : public automaton, public reader_iface {
   server_set acks_{};
   std::optional<read_result> last_result_{};
   std::uint64_t completed_{0};
-};
-
-class maxmin_protocol final : public protocol {
- public:
-  [[nodiscard]] std::string name() const override { return "maxmin"; }
-  [[nodiscard]] bool feasible(const system_config& cfg) const override {
-    return majority_feasible(cfg.S(), cfg.t());
-  }
-  /// Client-visible round-trips: the reader sends once and waits. The
-  /// hidden server-to-server round makes the true cost 3 one-way delays;
-  /// benches report delays separately.
-  [[nodiscard]] int read_rounds() const override { return 1; }
-  [[nodiscard]] int write_rounds() const override { return 1; }
-  [[nodiscard]] std::unique_ptr<automaton> make_writer(
-      const system_config& cfg, std::uint32_t index,
-      object_id obj = k_default_object) const override;
-  [[nodiscard]] std::unique_ptr<automaton> make_reader(
-      const system_config& cfg, std::uint32_t index,
-      object_id obj = k_default_object) const override;
-  [[nodiscard]] std::unique_ptr<automaton> make_server(
-      const system_config& cfg, std::uint32_t index,
-      object_id obj = k_default_object) const override;
 };
 
 }  // namespace fastreg

@@ -1,7 +1,8 @@
 #include "registers/mwmr.h"
 
+#include <algorithm>
+
 #include "common/check.h"
-#include "registers/regular.h"
 
 namespace fastreg {
 
@@ -56,109 +57,6 @@ void mwmr_writer::on_message(netout& net, const process_id& from,
   }
 }
 
-// ----------------------------------------------------------- mwmr_reader --
-
-mwmr_reader::mwmr_reader(system_config cfg, std::uint32_t index)
-    : cfg_(std::move(cfg)), index_(index) {
-  FASTREG_EXPECTS(cfg_.S() <= server_set::max_servers);
-}
-
-void mwmr_reader::invoke_read(netout& net) {
-  FASTREG_EXPECTS(phase_ == phase::idle);
-  phase_ = phase::query;
-  rcounter_ += 1;
-  best_ts_ = {};
-  best_val_.clear();
-  acks_.clear();
-  message m;
-  m.type = msg_type::read_req;
-  m.rcounter = rcounter_;
-  send_to_servers(net, cfg_.S(), std::move(m));
-}
-
-void mwmr_reader::on_message(netout& net, const process_id& from,
-                             const message& m) {
-  if (!from.is_server() || m.rcounter != rcounter_) return;
-  if (phase_ == phase::query && m.type == msg_type::read_ack) {
-    if (!acks_.insert(from.index)) return;
-    if (m.wts() > best_ts_) {
-      best_ts_ = m.wts();
-      best_val_ = m.val;
-    }
-    if (acks_.size() >= cfg_.quorum()) {
-      phase_ = phase::write_back;
-      rcounter_ += 1;
-      acks_.clear();
-      message wb;
-      wb.type = msg_type::wb_req;
-      wb.ts = best_ts_.num;
-      wb.wid = best_ts_.wid;
-      wb.val = best_val_;
-      wb.rcounter = rcounter_;
-      send_to_servers(net, cfg_.S(), std::move(wb));
-    }
-    return;
-  }
-  if (phase_ == phase::write_back && m.type == msg_type::wb_ack) {
-    if (!acks_.insert(from.index)) return;
-    if (acks_.size() >= cfg_.quorum()) {
-      phase_ = phase::idle;
-      completed_ += 1;
-      last_result_ = read_result{best_ts_.num, best_ts_.wid, best_val_, 2};
-    }
-  }
-}
-
-// ----------------------------------------------------- naive_mwmr_writer --
-
-naive_mwmr_writer::naive_mwmr_writer(system_config cfg, std::uint32_t index)
-    : cfg_(std::move(cfg)), index_(index) {
-  FASTREG_EXPECTS(cfg_.S() <= server_set::max_servers);
-}
-
-void naive_mwmr_writer::invoke_write(netout& net, value_t v) {
-  FASTREG_EXPECTS(!pending_);
-  pending_ = true;
-  ts_ += 1;  // local counter only: this is what makes the protocol unsound
-  rcounter_ += 1;
-  acks_.clear();
-  message m;
-  m.type = msg_type::write_req;
-  m.ts = ts_;
-  m.wid = static_cast<std::int32_t>(index_) + 1;
-  m.val = std::move(v);
-  m.rcounter = rcounter_;
-  send_to_servers(net, cfg_.S(), std::move(m));
-}
-
-void naive_mwmr_writer::on_message(netout&, const process_id& from,
-                                   const message& m) {
-  if (!pending_ || m.type != msg_type::write_ack || !from.is_server()) return;
-  if (m.rcounter != rcounter_) return;
-  acks_.insert(from.index);
-  if (acks_.size() >= cfg_.quorum()) {
-    pending_ = false;
-    completed_ += 1;
-  }
-}
-
-// ------------------------------------------------------------- protocols --
-
-std::unique_ptr<automaton> mwmr_protocol::make_writer(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  return std::make_unique<mwmr_writer>(cfg, index);
-}
-
-std::unique_ptr<automaton> mwmr_protocol::make_reader(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  return std::make_unique<mwmr_reader>(cfg, index);
-}
-
-std::unique_ptr<automaton> mwmr_protocol::make_server(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  return std::make_unique<quorum_server>(cfg, index);
-}
-
 // ------------------------------------------------------------ lww_server --
 
 lww_server::lww_server(system_config cfg, std::uint32_t index)
@@ -192,37 +90,6 @@ void lww_server::on_message(netout& net, const process_id& from,
       return;
   }
   net.send(from, std::move(reply));
-}
-
-std::unique_ptr<automaton> naive_fast_mwmr_lww_protocol::make_writer(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  return std::make_unique<naive_mwmr_writer>(cfg, index);
-}
-
-std::unique_ptr<automaton> naive_fast_mwmr_lww_protocol::make_reader(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  return std::make_unique<regular_reader>(cfg, index);
-}
-
-std::unique_ptr<automaton> naive_fast_mwmr_lww_protocol::make_server(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  return std::make_unique<lww_server>(cfg, index);
-}
-
-std::unique_ptr<automaton> naive_fast_mwmr_protocol::make_writer(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  return std::make_unique<naive_mwmr_writer>(cfg, index);
-}
-
-std::unique_ptr<automaton> naive_fast_mwmr_protocol::make_reader(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  // One-round max reader: same as the regular reader.
-  return std::make_unique<regular_reader>(cfg, index);
-}
-
-std::unique_ptr<automaton> naive_fast_mwmr_protocol::make_server(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  return std::make_unique<quorum_server>(cfg, index);
 }
 
 }  // namespace fastreg

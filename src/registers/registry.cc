@@ -1,5 +1,6 @@
 #include "registers/registry.h"
 
+#include "common/check.h"
 #include "registers/abd.h"
 #include "registers/fast_bft.h"
 #include "registers/fast_swmr.h"
@@ -8,30 +9,162 @@
 #include "registers/regular.h"
 
 namespace fastreg {
+namespace {
+
+using maker = std::unique_ptr<automaton> (*)(const system_config& cfg,
+                                             std::uint32_t index,
+                                             object_id obj);
+
+/// One construction of the paper: its round counts, the predicate that
+/// says where it is fast, and the automata it is built from.
+struct protocol_row {
+  const char* name;
+  bool multi_writer;
+  int read_rounds;
+  int write_rounds;
+  bool (*feasible)(const system_config& cfg);
+  maker writer;
+  maker reader;
+  maker server;
+};
+
+/// Maker for the automata constructed from (cfg, index): every reader and
+/// server, and the multi-writer mwmr_writer.
+template <class T>
+std::unique_ptr<automaton> indexed(const system_config& cfg,
+                                   std::uint32_t index, object_id) {
+  return std::make_unique<T>(cfg, index);
+}
+
+/// Maker for a single writer constructed from cfg alone (writer 0; the
+/// abd_writer of the single-writer rows stamps wid 0).
+template <class T>
+std::unique_ptr<automaton> sole(const system_config& cfg, std::uint32_t,
+                                object_id) {
+  return std::make_unique<T>(cfg);
+}
+
+/// The strawmen's writer: abd's one round, one per writer, each stamping
+/// wid index + 1 (wid 0 means "no writer" in a defaulted wts_t).
+std::unique_ptr<automaton> strawman_writer(const system_config& cfg,
+                                           std::uint32_t index, object_id) {
+  return std::make_unique<abd_writer>(cfg, index,
+                                      static_cast<std::int32_t>(index) + 1);
+}
+
+bool majority(const system_config& cfg) {
+  return majority_feasible(cfg.S(), cfg.t());
+}
+
+constexpr protocol_row k_protocols[] = {
+    // Figure 2: the fast SWMR register, crash model.
+    {"fast_swmr", false, 1, 1,
+     [](const system_config& cfg) {
+       return fast_swmr_feasible(cfg.S(), cfg.t(), cfg.R());
+     },
+     sole<fast_swmr_writer>, indexed<fast_swmr_reader>,
+     indexed<fast_swmr_server>},
+    // Figure 5: the fast SWMR register, arbitrary failures. The writer
+    // signs the object id into every value.
+    {"fast_bft", false, 1, 1,
+     [](const system_config& cfg) {
+       return fast_bft_feasible(cfg.S(), cfg.t(), cfg.b(), cfg.R());
+     },
+     [](const system_config& cfg, std::uint32_t,
+        object_id obj) -> std::unique_ptr<automaton> {
+       return std::make_unique<fast_bft_writer>(cfg, obj);
+     },
+     indexed<fast_bft_reader>, indexed<fast_bft_server>},
+    // Attiya, Bar-Noy and Dolev: two-round reads, the baseline.
+    {"abd", false, 2, 1, majority, sole<abd_writer>, indexed<abd_reader>,
+     indexed<quorum_server>},
+    // Section 1's relay read. Client-visible round-trips: the reader sends
+    // once and waits; the hidden server-to-server round makes the true
+    // cost 3 one-way delays, which benches report separately.
+    {"maxmin", false, 1, 1, majority, sole<abd_writer>,
+     indexed<maxmin_reader>, indexed<maxmin_server>},
+    // Section 8: a fast regular (not atomic) register, any R.
+    {"regular", false, 1, 1,
+     [](const system_config& cfg) {
+       return fast_regular_feasible(cfg.S(), cfg.t());
+     },
+     sole<abd_writer>, indexed<regular_reader>, indexed<quorum_server>},
+    // Section 1: fast and atomic with a single reader.
+    {"single_reader", false, 1, 1,
+     [](const system_config& cfg) {
+       return cfg.R() == 1 && fast_single_reader_feasible(cfg.S(), cfg.t());
+     },
+     sole<abd_writer>, indexed<single_reader_fast_reader>,
+     indexed<quorum_server>},
+    // Section 7's two-round MWMR baseline.
+    {"mwmr", true, 2, 2, majority, indexed<mwmr_writer>, indexed<abd_reader>,
+     indexed<quorum_server>},
+    // Strawman "fast" MWMR candidate for the Proposition 11 construction:
+    // one-round writes from local counters with writer-id tiebreak, and
+    // readers that return the quorum maximum in one round. It claims
+    // feasibility whenever a majority is correct; it is wait-free and fast
+    // -- and not atomic, as the adversary shows.
+    {"naive_fast_mwmr", true, 1, 1, majority, strawman_writer,
+     indexed<regular_reader>, indexed<quorum_server>},
+    // The same strawman on last-write-wins servers. It passes property P1
+    // on the sequential endpoint runs, so the Proposition 11 construction
+    // has to find the flip point i1 and derive the P2 violation from the
+    // two extended runs run'/run'' -- the full argument of Section 7.
+    {"naive_fast_mwmr_lww", true, 1, 1, majority, strawman_writer,
+     indexed<regular_reader>, indexed<lww_server>},
+};
+
+/// Every row through one implementation.
+class table_protocol final : public protocol {
+ public:
+  explicit table_protocol(const protocol_row& row) : row_(row) {}
+
+  [[nodiscard]] std::string name() const override { return row_.name; }
+  [[nodiscard]] bool feasible(const system_config& cfg) const override {
+    return row_.feasible(cfg);
+  }
+  [[nodiscard]] bool multi_writer() const override {
+    return row_.multi_writer;
+  }
+  [[nodiscard]] int read_rounds() const override { return row_.read_rounds; }
+  [[nodiscard]] int write_rounds() const override {
+    return row_.write_rounds;
+  }
+
+  [[nodiscard]] std::unique_ptr<automaton> make_writer(
+      const system_config& cfg, std::uint32_t index,
+      object_id obj = k_default_object) const override {
+    FASTREG_EXPECTS(row_.multi_writer || index == 0);  // single writer
+    return row_.writer(cfg, index, obj);
+  }
+  [[nodiscard]] std::unique_ptr<automaton> make_reader(
+      const system_config& cfg, std::uint32_t index,
+      object_id obj = k_default_object) const override {
+    return row_.reader(cfg, index, obj);
+  }
+  [[nodiscard]] std::unique_ptr<automaton> make_server(
+      const system_config& cfg, std::uint32_t index,
+      object_id obj = k_default_object) const override {
+    return row_.server(cfg, index, obj);
+  }
+
+ private:
+  const protocol_row& row_;
+};
+
+}  // namespace
 
 std::unique_ptr<protocol> make_protocol(const std::string& name) {
-  if (name == "fast_swmr") return std::make_unique<fast_swmr_protocol>();
-  if (name == "fast_bft") return std::make_unique<fast_bft_protocol>();
-  if (name == "abd") return std::make_unique<abd_protocol>();
-  if (name == "maxmin") return std::make_unique<maxmin_protocol>();
-  if (name == "regular") return std::make_unique<regular_protocol>();
-  if (name == "single_reader") {
-    return std::make_unique<single_reader_protocol>();
-  }
-  if (name == "mwmr") return std::make_unique<mwmr_protocol>();
-  if (name == "naive_fast_mwmr") {
-    return std::make_unique<naive_fast_mwmr_protocol>();
-  }
-  if (name == "naive_fast_mwmr_lww") {
-    return std::make_unique<naive_fast_mwmr_lww_protocol>();
+  for (const auto& row : k_protocols) {
+    if (name == row.name) return std::make_unique<table_protocol>(row);
   }
   return nullptr;
 }
 
 std::vector<std::string> protocol_names() {
-  return {"fast_swmr", "fast_bft",      "abd",  "maxmin",
-          "regular",   "single_reader", "mwmr", "naive_fast_mwmr",
-          "naive_fast_mwmr_lww"};
+  std::vector<std::string> names;
+  for (const auto& row : k_protocols) names.emplace_back(row.name);
+  return names;
 }
 
 }  // namespace fastreg

@@ -1,5 +1,7 @@
 // Name-based protocol lookup used by benches, examples and parameterized
-// tests.
+// tests. Every construction the repo implements is one row of the table in
+// registry.cc: its name, round counts, feasibility predicate and the
+// automata it is built from.
 #pragma once
 
 #include <memory>
@@ -11,11 +13,9 @@
 namespace fastreg {
 
 /// Returns the protocol registered under `name`, or nullptr.
-/// Known names: "fast_swmr", "fast_bft", "abd", "maxmin", "regular",
-/// "single_reader", "mwmr", "naive_fast_mwmr", "naive_fast_mwmr_lww".
 [[nodiscard]] std::unique_ptr<protocol> make_protocol(const std::string& name);
 
-/// All registered protocol names, in a stable order.
+/// All registered protocol names, in table order.
 [[nodiscard]] std::vector<std::string> protocol_names();
 
 }  // namespace fastreg

@@ -82,38 +82,4 @@ void single_reader_fast_reader::on_message(netout&, const process_id& from,
   }
 }
 
-// ------------------------------------------------------------- protocols --
-
-std::unique_ptr<automaton> regular_protocol::make_writer(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  FASTREG_EXPECTS(index == 0);
-  return std::make_unique<abd_writer>(cfg);
-}
-
-std::unique_ptr<automaton> regular_protocol::make_reader(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  return std::make_unique<regular_reader>(cfg, index);
-}
-
-std::unique_ptr<automaton> regular_protocol::make_server(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  return std::make_unique<quorum_server>(cfg, index);
-}
-
-std::unique_ptr<automaton> single_reader_protocol::make_writer(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  FASTREG_EXPECTS(index == 0);
-  return std::make_unique<abd_writer>(cfg);
-}
-
-std::unique_ptr<automaton> single_reader_protocol::make_reader(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  return std::make_unique<single_reader_fast_reader>(cfg, index);
-}
-
-std::unique_ptr<automaton> single_reader_protocol::make_server(
-    const system_config& cfg, std::uint32_t index, object_id) const {
-  return std::make_unique<quorum_server>(cfg, index);
-}
-
 }  // namespace fastreg

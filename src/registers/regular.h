@@ -19,7 +19,6 @@
 
 #include <optional>
 
-#include "registers/abd.h"
 #include "registers/automaton.h"
 
 namespace fastreg {
@@ -86,44 +85,6 @@ class single_reader_fast_reader final : public automaton, public reader_iface {
   server_set acks_{};
   std::optional<read_result> last_result_{};
   std::uint64_t completed_{0};
-};
-
-class regular_protocol final : public protocol {
- public:
-  [[nodiscard]] std::string name() const override { return "regular"; }
-  [[nodiscard]] bool feasible(const system_config& cfg) const override {
-    return fast_regular_feasible(cfg.S(), cfg.t());
-  }
-  [[nodiscard]] int read_rounds() const override { return 1; }
-  [[nodiscard]] int write_rounds() const override { return 1; }
-  [[nodiscard]] std::unique_ptr<automaton> make_writer(
-      const system_config& cfg, std::uint32_t index,
-      object_id obj = k_default_object) const override;
-  [[nodiscard]] std::unique_ptr<automaton> make_reader(
-      const system_config& cfg, std::uint32_t index,
-      object_id obj = k_default_object) const override;
-  [[nodiscard]] std::unique_ptr<automaton> make_server(
-      const system_config& cfg, std::uint32_t index,
-      object_id obj = k_default_object) const override;
-};
-
-class single_reader_protocol final : public protocol {
- public:
-  [[nodiscard]] std::string name() const override { return "single_reader"; }
-  [[nodiscard]] bool feasible(const system_config& cfg) const override {
-    return cfg.R() == 1 && fast_single_reader_feasible(cfg.S(), cfg.t());
-  }
-  [[nodiscard]] int read_rounds() const override { return 1; }
-  [[nodiscard]] int write_rounds() const override { return 1; }
-  [[nodiscard]] std::unique_ptr<automaton> make_writer(
-      const system_config& cfg, std::uint32_t index,
-      object_id obj = k_default_object) const override;
-  [[nodiscard]] std::unique_ptr<automaton> make_reader(
-      const system_config& cfg, std::uint32_t index,
-      object_id obj = k_default_object) const override;
-  [[nodiscard]] std::unique_ptr<automaton> make_server(
-      const system_config& cfg, std::uint32_t index,
-      object_id obj = k_default_object) const override;
 };
 
 }  // namespace fastreg

@@ -6,21 +6,12 @@
 #include <iterator>
 
 #include "common/check.h"
+#include "common/clock.h"
 #include "net/cluster.h"
 #include "net/node.h"
 #include "store/sim_store.h"
 
 namespace fastreg::store {
-namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 // --------------------------------------------------------------- op_log --
 
@@ -203,7 +194,7 @@ class tcp_session final : public async_session {
   /// than that t1; stamping off the reactor could make the two look
   /// concurrent, which the checkers reject.
   void step(client& c, netout& net) {
-    const std::uint64_t t = now_ns();
+    const std::uint64_t t = steady_now_ns();
     std::vector<store_result>& done = complete(c, t);
     std::vector<admitted_op> ops = std::exchange(queued_, {});
     {

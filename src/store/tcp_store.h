@@ -38,7 +38,7 @@ namespace fastreg::store {
 class tcp_store {
  public:
   explicit tcp_store(store_config cfg,
-                     net::node_options nopt = net::node_options::from_env(),
+                     net::node_options nopt = net::node_options{},
                      net::cluster_options copt = {});
 
   void start() { cluster_.start(); }

@@ -178,6 +178,23 @@ TEST(AbdWriter, LocalTimestampIncrementsPerWrite) {
   EXPECT_EQ(net.out[0].second.ts, 2);
 }
 
+TEST(AbdWriter, StampsItsRowsWriterId) {
+  // Single-writer rows keep abd's wid 0 on the wire; each naive strawman
+  // writer stamps index + 1 and identifies as its own writer.
+  const auto cfg = make_cfg(3, 1, 1, 0, 2);
+  for (const char* name : {"abd", "naive_fast_mwmr", "naive_fast_mwmr_lww"}) {
+    const auto proto = make_protocol(name);
+    const std::uint32_t index = proto->multi_writer() ? 1 : 0;
+    auto w = proto->make_writer(cfg, index);
+    EXPECT_EQ(w->self(), writer_id(index)) << name;
+    capture net;
+    as_writer(w.get())->invoke_write(net, "v");
+    ASSERT_EQ(net.out.size(), 3u) << name;
+    EXPECT_EQ(net.out[0].second.ts, 1) << name;
+    EXPECT_EQ(net.out[0].second.wid, proto->multi_writer() ? 2 : 0) << name;
+  }
+}
+
 // ---------------------------------------------------------------- regular
 
 TEST(RegularReader, OneRoundMaxSelection) {
@@ -433,6 +450,18 @@ TEST(Registry, FeasibilityDelegation) {
   EXPECT_FALSE(make_protocol("fast_swmr")->feasible(make_cfg(8, 2, 2)));
   EXPECT_TRUE(make_protocol("single_reader")->feasible(make_cfg(5, 2, 1)));
   EXPECT_FALSE(make_protocol("single_reader")->feasible(make_cfg(5, 2, 2)));
+}
+
+TEST(RegistryDeathTest, SingleWriterRowsRejectASecondWriter) {
+  const auto cfg = make_cfg(8, 1, 2, 0, 2, "oracle");
+  int single_writer = 0;
+  for (const auto& name : protocol_names()) {
+    const auto proto = make_protocol(name);
+    if (proto->multi_writer()) continue;
+    ++single_writer;
+    EXPECT_DEATH((void)proto->make_writer(cfg, 1), "precondition") << name;
+  }
+  EXPECT_GT(single_writer, 0);
 }
 
 // ------------------------------------------------ LWW strawman end-to-end

@@ -40,7 +40,7 @@ TEST(FastBft, FeasibilityPredicateMatchesPaper) {
 TEST(FastBft, SignedWritesRoundTrip) {
   const auto cfg = bft_cfg(10, 2, 1, 1);
   sim::world w(cfg);
-  w.install(fast_bft_protocol{});
+  w.install(*make_protocol("fast_bft"));
   rng r(1);
   w.invoke_write("signed-hello");
   w.run_random(r);
@@ -180,9 +180,9 @@ TEST_P(BftAttackTest, AtomicityAndLivenessUnderMaxByzantine) {
   // S=19 > 12 + 6 = 18.
   const auto cfg = bft_cfg(19, 3, 2, 2);
   ASSERT_TRUE(fast_bft_feasible(cfg.S(), cfg.t(), cfg.b(), cfg.R()));
-  const fast_bft_protocol proto;
+  const auto proto = make_protocol("fast_bft");
   sim::world w(cfg);
-  w.install(proto);
+  w.install(*proto);
   rng r(seed);
 
   // Corrupt exactly b servers with the chosen behaviour, before any
@@ -202,11 +202,11 @@ TEST_P(BftAttackTest, AtomicityAndLivenessUnderMaxByzantine) {
         break;
       case 3:
         evil = std::make_unique<seen_liar_server>(
-            proto.make_server(cfg, victim.index), cfg.R());
+            proto->make_server(cfg, victim.index), cfg.R());
         break;
       default:
         evil = std::make_unique<equivocating_server>(
-            proto.make_server(cfg, victim.index), victim.index);
+            proto->make_server(cfg, victim.index), victim.index);
         break;
     }
     w.replace_automaton(victim, std::move(evil));
@@ -238,7 +238,7 @@ class BftCleanStress
 TEST_P(BftCleanStress, NoFaultsRandomSchedule) {
   const auto cfg = bft_cfg(13, 2, 1, 1);  // 13 > 8 + 4 = 12
   sim::world w(cfg);
-  w.install(fast_bft_protocol{});
+  w.install(*make_protocol("fast_bft"));
   rng r(GetParam());
   run_random_workload(w, r, 8, 8);
   const auto res = checker::check_swmr_atomicity(w.hist());
@@ -254,7 +254,7 @@ TEST(FastBft, CrashPlusByzantineMix) {
   const auto cfg = bft_cfg(16, 3, 1, 1);  // 16 > 9 + 2*1... (1+2)*3+(2)*1=11
   ASSERT_TRUE(fast_bft_feasible(16, 3, 1, 1));
   sim::world w(cfg);
-  w.install(fast_bft_protocol{});
+  w.install(*make_protocol("fast_bft"));
   rng r(77);
   w.crash(server_id(1));
   w.crash(server_id(2));
@@ -270,7 +270,7 @@ TEST(FastBft, CrashPlusByzantineMix) {
 TEST(FastBft, DiscardsProvablyMaliciousAcks) {
   const auto cfg = bft_cfg(10, 2, 1, 1);
   sim::world w(cfg);
-  w.install(fast_bft_protocol{});
+  w.install(*make_protocol("fast_bft"));
   w.replace_automaton(server_id(0), std::make_unique<forging_server>(0));
   rng r(3);
   w.invoke_write("x");
@@ -294,7 +294,7 @@ TEST(FastBft, RsaSchemeEndToEnd) {
   // Same protocol over real RSA signatures (slower; one pass).
   auto cfg = make_cfg(10, 2, 1, 1, 1, "rsa");
   sim::world w(cfg);
-  w.install(fast_bft_protocol{});
+  w.install(*make_protocol("fast_bft"));
   rng r(4);
   w.invoke_write("rsa-payload");
   w.run_random(r);

@@ -4,6 +4,7 @@
 
 #include "checker/atomicity.h"
 #include "registers/fast_swmr.h"
+#include "registers/registry.h"
 #include "sim/world.h"
 #include "sim_test_util.h"
 
@@ -172,7 +173,7 @@ TEST(FastSwmr, SequentialWriteThenReadReturnsValue) {
   const auto cfg = make_cfg(8, 1, 2);  // S/t - 2 = 6 > R = 2: feasible
   ASSERT_TRUE(fast_swmr_feasible(cfg.S(), cfg.t(), cfg.R()));
   sim::world w(cfg);
-  w.install(fast_swmr_protocol{});
+  w.install(*make_protocol("fast_swmr"));
   rng r(1);
 
   w.invoke_write("hello");
@@ -191,7 +192,7 @@ TEST(FastSwmr, SequentialWriteThenReadReturnsValue) {
 TEST(FastSwmr, ReadBeforeAnyWriteReturnsBottom) {
   const auto cfg = make_cfg(8, 1, 2);
   sim::world w(cfg);
-  w.install(fast_swmr_protocol{});
+  w.install(*make_protocol("fast_swmr"));
   rng r(2);
   w.invoke_read(1);
   w.run_random(r);
@@ -204,7 +205,7 @@ TEST(FastSwmr, ReadBeforeAnyWriteReturnsBottom) {
 TEST(FastSwmr, TwoReadersAlternatingStaysAtomic) {
   const auto cfg = make_cfg(9, 1, 2);
   sim::world w(cfg);
-  w.install(fast_swmr_protocol{});
+  w.install(*make_protocol("fast_swmr"));
   rng r(3);
   for (int round = 1; round <= 5; ++round) {
     w.invoke_write("v" + std::to_string(round));
@@ -224,7 +225,7 @@ TEST(FastSwmr, IncompleteWriteSeenBySomeReader) {
   // it (concurrent), but atomicity of the overall history must hold.
   const auto cfg = make_cfg(8, 1, 2);
   sim::world w(cfg);
-  w.install(fast_swmr_protocol{});
+  w.install(*make_protocol("fast_swmr"));
   rng r(4);
 
   w.invoke_write("incomplete");
@@ -245,7 +246,7 @@ TEST(FastSwmr, WaitFreeUnderMaxCrashes) {
   // t servers crash outright; every op must still complete.
   const auto cfg = make_cfg(12, 2, 2);
   sim::world w(cfg);
-  w.install(fast_swmr_protocol{});
+  w.install(*make_protocol("fast_swmr"));
   rng r(5);
   w.crash(server_id(0));
   w.crash(server_id(7));
@@ -263,7 +264,7 @@ TEST(FastSwmr, WaitFreeUnderMaxCrashes) {
 TEST(FastSwmr, WriterCrashMidBroadcastReadersStillAgree) {
   const auto cfg = make_cfg(8, 1, 2);
   sim::world w(cfg);
-  w.install(fast_swmr_protocol{});
+  w.install(*make_protocol("fast_swmr"));
   rng r(6);
   // First a complete write.
   w.invoke_write("stable");
@@ -286,7 +287,7 @@ TEST(FastSwmr, WriterCrashMidBroadcastReadersStillAgree) {
 TEST(FastSwmr, PredicateWitnessVisibleAfterCompleteWrite) {
   const auto cfg = make_cfg(8, 1, 1);
   sim::world w(cfg);
-  w.install(fast_swmr_protocol{});
+  w.install(*make_protocol("fast_swmr"));
   rng r(7);
   w.invoke_write("x");
   w.run_random(r);

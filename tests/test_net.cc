@@ -1045,8 +1045,8 @@ struct ship_run {
 ship_run run_maxmin_with_server_reactors(std::uint32_t server_reactors) {
   cluster_options copt;
   copt.server_reactors = server_reactors;
-  tcp_store ts(one_register(make_cfg(5, 1, 3), "maxmin"),
-               node_options::from_env(), copt);
+  tcp_store ts(one_register(make_cfg(5, 1, 3), "maxmin"), node_options{},
+               copt);
   const double ships0 =
       obs::series_sum(obs::snapshot(), "fastreg_net_reactor_ships_total");
   ts.start();

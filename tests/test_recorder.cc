@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -632,6 +633,10 @@ TEST(RecorderForensics, BrokenMwmrFailureLeavesMergeableDumps) {
                 std::string::npos)
           << history;
     }
+    // The failure was deliberate: leave no dumps behind for CI's failure
+    // upload to mistake for a real one.
+    std::filesystem::remove(rep.dump_path);
+    for (const auto& path : rep.recorder_paths) std::filesystem::remove(path);
   }
   EXPECT_TRUE(caught)
       << "the non-linearizable strawman survived 20 seeds of stress";

@@ -354,6 +354,11 @@ TEST(StressSoak, HarnessCatchesABrokenMwmrProtocol) {
     std::string first_line;
     std::getline(dump, first_line);
     EXPECT_NE(first_line.find("stress failure"), std::string::npos);
+    // The failure was deliberate: leave no dumps behind for CI's failure
+    // upload to mistake for a real one.
+    dump.close();
+    std::filesystem::remove(rep.dump_path);
+    for (const auto& path : rep.recorder_paths) std::filesystem::remove(path);
   }
   EXPECT_TRUE(caught)
       << "the non-linearizable strawman survived 20 seeds of stress";

@@ -321,41 +321,13 @@ TEST(BatchWindow, AdaptiveWindowClusterStaysCorrect) {
 TEST(BatchWindow, AdaptiveCapIsTheWindowOrTheDefault) {
   // Under adaptive, batch_window_us is the cap; a zero window caps at the
   // default rather than pinning the window at 0.
+  EXPECT_EQ(node_options{}.batch_window_us, 0u);
   node_options opt;
   opt.adaptive = true;
   EXPECT_EQ(opt.window_cap_us(), node_options::k_default_window_cap_us);
   EXPECT_EQ(node_options::k_default_window_cap_us, 500u);
   opt.batch_window_us = 900;
   EXPECT_EQ(opt.window_cap_us(), 900u);
-  // "adaptive:<cap>" stores the cap in batch_window_us.
-  setenv("FASTREG_BATCH_WINDOW_US", "adaptive:700", 1);
-  const auto env = node_options::from_env();
-  unsetenv("FASTREG_BATCH_WINDOW_US");
-  EXPECT_TRUE(env.adaptive);
-  EXPECT_EQ(env.batch_window_us, 700u);
-  EXPECT_EQ(env.window_cap_us(), 700u);
-}
-
-TEST(BatchWindow, EnvParsing) {
-  EXPECT_EQ(node_options{}.batch_window_us, 0u);
-  setenv("FASTREG_BATCH_WINDOW_US", "250", 1);
-  EXPECT_EQ(node_options::from_env().batch_window_us, 250u);
-  EXPECT_FALSE(node_options::from_env().adaptive);
-  setenv("FASTREG_BATCH_WINDOW_US", "adaptive", 1);
-  EXPECT_TRUE(node_options::from_env().adaptive);
-  EXPECT_EQ(node_options::from_env().window_cap_us(), 500u);
-  setenv("FASTREG_BATCH_WINDOW_US", "adaptive:900", 1);
-  EXPECT_TRUE(node_options::from_env().adaptive);
-  EXPECT_EQ(node_options::from_env().window_cap_us(), 900u);
-  // Malformed values must fall back to the default, not half-apply.
-  for (const char* bad : {"adaptive900", "adaptive:9oo", "200us", "x"}) {
-    setenv("FASTREG_BATCH_WINDOW_US", bad, 1);
-    const auto opt = node_options::from_env();
-    EXPECT_FALSE(opt.adaptive) << bad;
-    EXPECT_EQ(opt.batch_window_us, 0u) << bad;
-  }
-  unsetenv("FASTREG_BATCH_WINDOW_US");
-  EXPECT_EQ(node_options::from_env().batch_window_us, 0u);
 }
 
 }  // namespace

@@ -21,6 +21,8 @@ The report goes to BENCH_<N>.json at the repository root:
     9 of every 10 pairs and its median beats the parent's by more than
     the parent's IQR;
   * each side's traced per-layer metrics and sim digest;
+  * each side's line count per src/ subdirectory (src_lines), so a
+    simplicity claim is data in the same file;
   * for each workload that prints a digest (the simulator), a sim_exact
     block: both sides' digests and traced sim.msgs_per_op and
     sim.envelopes_per_op, with the verdict "match" or "DIFFER". A change
@@ -88,6 +90,16 @@ def run_side(root, workload, seed, seconds, trace):
         if m:
             digest = m.group(1)
     return report, digest
+
+
+def src_lines(root):
+    """Line count of every file under each src/ subdirectory of `root`."""
+    counts = {}
+    for d in sorted(p for p in (root / "src").iterdir() if p.is_dir()):
+        counts[d.name] = sum(f.read_bytes().count(b"\n")
+                             for f in d.rglob("*") if f.is_file())
+    counts["total"] = sum(counts.values())
+    return counts
 
 
 def quartiles(values):
@@ -178,10 +190,12 @@ def main():
     parent_sha = git("rev-parse", args.parent + "^{commit}")
     roots = {"parent": export_parent(parent_sha), "change": ROOT}
     report = {
-        "parent": {"sha": parent_sha},
+        "parent": {"sha": parent_sha,
+                   "src_lines": src_lines(roots["parent"])},
         "change": {"sha": git("rev-parse", "HEAD"),
                    "uncommitted_edits": bool(git("status", "--porcelain",
-                                                 "--untracked-files=no"))},
+                                                 "--untracked-files=no")),
+                   "src_lines": src_lines(roots["change"])},
         "nproc": os.cpu_count(),
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"),
@@ -229,6 +243,12 @@ def main():
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out.relative_to(ROOT)}")
+    lines = {s: report[s]["src_lines"] for s in ("parent", "change")}
+    for d in sorted(set(lines["parent"]) | set(lines["change"]),
+                    key=lambda d: (d == "total", d)):
+        p, c = lines["parent"].get(d, 0), lines["change"].get(d, 0)
+        if p != c:
+            print(f"src/{d:16} lines {p} -> {c} ({c - p:+d})")
     for w, body in report["workloads"].items():
         for name, e in body["summary"].items():
             ratio = "-" if e["ratio"] is None else f"{e['ratio']:.3f}"
