@@ -59,6 +59,9 @@ void server_durability::replay() {
   if (auto snap = load_snapshot_file(snap_path_, &snap_err)) {
     rec_.epoch = snap->epoch;
     rec_.found = true;
+    std::error_code ec;
+    const auto size = std::filesystem::file_size(snap_path_, ec);
+    snap_bytes_ = ec ? 0 : size;
     for (auto& [obj, s] : snap->objects) {
       rec_.objects[obj] = std::move(s);
     }
@@ -70,6 +73,7 @@ void server_durability::replay() {
   }
   auto loaded = wal::load(log_.path(), /*repair=*/true);
   if (loaded.truncated()) pm_.torn_tail_truncations->inc();
+  log_.restore_bytes(loaded.valid_bytes);
   for (auto& rec : loaded.records) {
     rec_.found = true;
     if (rec.epoch > rec_.epoch) rec_.epoch = rec.epoch;
@@ -105,6 +109,7 @@ void server_durability::discard_recovered() {
            index_, static_cast<unsigned long long>(rec_.epoch),
            rec_.objects.size());
   rec_ = {};
+  snap_bytes_ = 0;
   log_.reset();
   std::error_code ec;
   std::filesystem::remove(snap_path_, ec);
@@ -139,8 +144,9 @@ void server_durability::write_snapshot(
   snapshot_writer w(snap_path_, opt_.fsync, epoch, count);
   fill(w);
   std::string err;
-  // A failed snapshot is retried only after another snapshot_every
-  // records accumulate, not on every subsequent append.
+  // A failed snapshot keeps the log and the last committed snapshot's
+  // size, so the log still outweighs that snapshot: the retry waits for
+  // another snapshot_every records, not for every subsequent append.
   since_snapshot_ = 0;
   if (!w.commit(&err)) {
     LOG_ERROR("persist: server %u snapshot failed: %s -- keeping the log "
@@ -150,6 +156,7 @@ void server_durability::write_snapshot(
   }
   pm_.snapshots->inc();
   pm_.snapshot_ns->observe(steady_now_ns() - t0);
+  snap_bytes_ = w.bytes();
   // The snapshot covers everything the log held, and commit() made its
   // rename durable first (directory fsync). A crash between the rename
   // and this truncate replays snapshot + full log, which is correct

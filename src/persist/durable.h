@@ -51,10 +51,14 @@ class server_durability {
   void append_epoch_mark(epoch_t epoch,
                          const std::vector<object_id>& fenced);
 
-  /// True once snapshot_every records accumulated since the last
-  /// snapshot; the server answers with write_snapshot.
+  /// True once, since the last snapshot, at least snapshot_every records
+  /// and at least as many log bytes as the last committed snapshot file
+  /// accumulated; the server answers with write_snapshot. Snapshots then
+  /// write about as many bytes as the log does, and replay reads at most
+  /// about twice the state: a snapshot plus a log no larger than it.
   [[nodiscard]] bool snapshot_due() const {
-    return since_snapshot_ >= opt_.snapshot_every;
+    return since_snapshot_ >= opt_.snapshot_every &&
+           log_.bytes() >= snap_bytes_;
   }
   /// Streams a full-state snapshot of exactly `count` objects: `fill`
   /// add()s each of them to the writer. A committed snapshot truncates
@@ -84,6 +88,8 @@ class server_durability {
   recovered_state rec_;
   /// Appends requested since the last snapshot attempt, written or not.
   std::uint64_t since_snapshot_{0};
+  /// Size of the last committed snapshot file; 0 when there is none.
+  std::uint64_t snap_bytes_{0};
 
   /// The log's own rows (records, bytes, fsyncs) are counted by log_.
   struct persist_metrics {

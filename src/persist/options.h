@@ -33,8 +33,13 @@ struct options {
   fsync_policy fsync{fsync_policy::interval};
   /// Minimum milliseconds between fsyncs under fsync_policy::interval.
   std::uint64_t fsync_interval_ms{25};
-  /// Appended log records between snapshots; each snapshot rewrites the
-  /// per-object state and truncates the log, bounding replay time.
+  /// The record floor between snapshots. A snapshot is due once at least
+  /// this many records, and at least as many log bytes as the last
+  /// snapshot file holds, were appended since it. Each snapshot rewrites
+  /// the per-object state and truncates the log, so snapshots write
+  /// about as many bytes as the log, and replay reads a snapshot plus a
+  /// log of at most max(snapshot_every records, that snapshot) and one
+  /// record.
   std::uint64_t snapshot_every{512};
 
   [[nodiscard]] bool enabled() const { return !dir.empty(); }

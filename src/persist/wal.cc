@@ -321,6 +321,7 @@ void wal::write_frame() {
   }
   records_.inc();
   bytes_.inc(frame_.size());
+  file_bytes_ += frame_.size();
   dirty_bytes_ += frame_.size();
   maybe_sync();
 }
@@ -366,7 +367,9 @@ void wal::reset() {
   if (::ftruncate(fd_, 0) != 0) {
     LOG_ERROR("persist: truncate of %s after snapshot failed: %s",
               path_.c_str(), std::strerror(errno));
+    return;
   }
+  file_bytes_ = 0;
   dirty_bytes_ = 0;
 }
 

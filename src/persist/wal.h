@@ -113,7 +113,14 @@ class wal {
   /// Forces an fsync now (policy-independent; used by tests).
   void sync();
   /// Empties the log (the snapshot that was just written supersedes it).
+  /// A failed truncate keeps bytes(): the records are still on disk.
   void reset();
+  /// Bytes of records in the file since the last reset(): the valid
+  /// prefix it held when opened (restore_bytes) plus every appended frame.
+  [[nodiscard]] std::uint64_t bytes() const { return file_bytes_; }
+  /// Counts the valid prefix a replay of the file found (wal_load_result's
+  /// valid_bytes) as bytes().
+  void restore_bytes(std::uint64_t valid_bytes) { file_bytes_ = valid_bytes; }
 
   [[nodiscard]] const std::string& path() const { return path_; }
 
@@ -141,6 +148,8 @@ class wal {
   std::uint64_t last_sync_ns_{0};
   /// Un-synced bytes since the last fsync (skip no-op fsyncs).
   std::uint64_t dirty_bytes_{0};
+  /// See bytes().
+  std::uint64_t file_bytes_{0};
   /// The frame being appended, reused across appends.
   std::vector<std::uint8_t> frame_;
 };
@@ -171,6 +180,9 @@ class snapshot_writer {
   /// when any step failed; `path` is then untouched unless only the
   /// final directory fsync failed.
   bool commit(std::string* err);
+  /// Bytes written so far, header included: after a successful commit(),
+  /// the size of the snapshot file.
+  [[nodiscard]] std::uint64_t bytes() const { return written_; }
 
  private:
   void flush();

@@ -1,16 +1,17 @@
 // Durability and crash-recovery suite (src/persist + the store's rejoin
-// path): the CRC, WAL framing round-trips, golden bytes for the frozen
-// log and snapshot formats, streamed snapshots larger than the writer's
-// buffer, a failed snapshot keeping the log, a failed append closing the
-// log, torn-tail truncation at the last valid CRC frame, corrupt-record
-// and corrupt-snapshot rejection with useful diagnostics, every
-// truncation and bit flip of the golden files, the fsync-policy matrix,
-// epoch fencing of stale recovered state, and the
-// end-to-end acceptance schedule -- a server killed in the middle of a
-// Zipf-keyed load restarts, replays snapshot + log tail, rejoins, and
-// every per-key history still verifies, on both transports. Last, the registry rows benchmark/
-// reads: a durable TCP workload must move each of them, and the log's
-// rows must match what the log files hold.
+// path): the CRC, WAL framing round-trips, golden bytes for the frozen log
+// and snapshot formats, streamed snapshots larger than the writer's
+// buffer, a failed snapshot keeping the log, the snapshot trigger sized by
+// the last snapshot and the replay bound it keeps, a failed append closing
+// the log, torn-tail truncation at the last valid CRC frame,
+// corrupt-record and corrupt-snapshot rejection with useful diagnostics,
+// every truncation and bit flip of the golden files, the fsync-policy
+// matrix, epoch fencing of stale recovered state, and the end-to-end
+// acceptance schedule -- a server killed in the middle of a Zipf-keyed
+// load restarts, replays snapshot + log tail, rejoins, and every per-key
+// history still verifies, on both transports. Last, the registry rows
+// benchmark/ reads: a durable TCP workload must move each of them, and the
+// log's rows must match what the log files hold.
 //
 // "Crash" here is in-process (world::crash / node::stop), so the log
 // bytes survive in the page cache regardless of fsync policy -- which is
@@ -26,6 +27,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -332,6 +334,32 @@ TEST(Wal, WriteFailureClosesTheLogAndKeepsTheFramesBeforeIt) {
   EXPECT_EQ(file_size(path), 3 * frame);
 }
 
+TEST(Wal, ResetZeroesTheByteCountOnlyWhenTheTruncateSucceeds) {
+  temp_dir td("reset_bytes");
+  const std::string lbl = node_label(0);
+  const auto rec = op_rec(0, 5, snap(1, 0, "v"));
+  {
+    const std::string path = td.path() + "/server_0.log";
+    wal w(path, fsync_policy::never, 0, lbl);
+    w.append(rec);
+    w.append(rec);
+    EXPECT_EQ(w.bytes(), file_size(path));
+    w.reset();
+    EXPECT_EQ(w.bytes(), 0u);
+    EXPECT_EQ(file_size(path), 0u);
+  }
+  // A character device takes the appends but cannot be truncated: the
+  // count must keep the bytes a failed truncate left behind.
+  const std::string dev = td.path() + "/device.log";
+  std::filesystem::create_symlink("/dev/null", dev);
+  wal w(dev, fsync_policy::never, 0, lbl);
+  w.append(rec);
+  const std::uint64_t bytes = w.bytes();
+  ASSERT_GT(bytes, 0u);
+  w.reset();
+  EXPECT_EQ(w.bytes(), bytes);
+}
+
 TEST(Wal, CorruptRecordRejectedWithOffsetAndCrcDiagnostic) {
   temp_dir td("corrupt");
   const std::string path = td.path() + "/server_0.log";
@@ -565,6 +593,153 @@ TEST(Durability, FailedSnapshotKeepsTheLogAndRecoversEveryRecord) {
     EXPECT_TRUE(std::filesystem::exists(snap_path));
     EXPECT_FALSE(std::filesystem::exists(snap_path + ".tmp"));
   }
+}
+
+char kib_fill(object_id obj) { return static_cast<char>('a' + obj % 26); }
+
+/// `n` objects holding 1 KiB values (the benchmark's durable value size).
+object_list kib_state(object_id n) {
+  object_list out;
+  for (object_id obj = 1; obj <= n; ++obj) {
+    out.emplace_back(obj, snap(1, 0, std::string(1024, kib_fill(obj))));
+  }
+  return out;
+}
+
+TEST(Durability, SnapshotWaitsUntilTheLogOutgrowsTheLastSnapshot) {
+  temp_dir td("snap_due");
+  options o;
+  o.dir = td.path();
+  o.fsync = fsync_policy::never;
+  o.snapshot_every = 4;
+  const std::string log = server_durability::log_path_for(td.path(), 0);
+  const std::string snap_path =
+      server_durability::snap_path_for(td.path(), 0);
+  const object_list state = kib_state(16);
+  server_durability d(o, 0);
+  // No snapshot yet: the record floor alone decides.
+  for (std::uint64_t i = 1; i <= 4; ++i) {
+    d.append_op(0, 1, state[0].second);
+    EXPECT_EQ(d.snapshot_due(), i == 4) << "append " << i;
+  }
+  write_snap(d, 0, state);
+  ASSERT_EQ(file_size(log), 0u);
+  const std::uint64_t snap_bytes = file_size(snap_path);
+  std::uint64_t first_due = 0;
+  for (std::uint64_t i = 1; i <= 40; ++i) {
+    const auto& [obj, s] = state[i % state.size()];
+    d.append_op(0, obj, s);
+    EXPECT_EQ(d.snapshot_due(), i >= 4 && file_size(log) >= snap_bytes)
+        << "append " << i;
+    if (first_due == 0 && d.snapshot_due()) first_due = i;
+  }
+  // 16 objects of 1 KiB outweigh 4 records of 1 KiB.
+  EXPECT_GT(first_due, 4u);
+}
+
+TEST(Durability, ReopenRestoresBothByteCountsAndDiscardZeroesThem) {
+  temp_dir td("snap_reopen");
+  options o;
+  o.dir = td.path();
+  o.fsync = fsync_policy::never;
+  o.snapshot_every = 4;
+  const std::string log = server_durability::log_path_for(td.path(), 0);
+  const std::string snap_path =
+      server_durability::snap_path_for(td.path(), 0);
+  const object_list state = kib_state(16);
+  const object_id obj = state.front().first;
+  const register_snapshot& s = state.front().second;
+  // Appends until a snapshot is due; returns how many it took.
+  const auto appends_until_due = [&](server_durability& d) {
+    std::uint64_t n = 0;
+    for (; n < 100 && !d.snapshot_due(); ++n) d.append_op(0, obj, s);
+    return n;
+  };
+  std::uint64_t rec_bytes = 0;
+  std::uint64_t snap_bytes = 0;
+  {
+    server_durability d(o, 0);
+    d.append_op(0, obj, s);
+    rec_bytes = file_size(log);
+    EXPECT_EQ(appends_until_due(d), 3u);
+    write_snap(d, 0, state);
+    snap_bytes = file_size(snap_path);
+    // Past the record floor, short of the snapshot's size.
+    for (int i = 0; i < 12; ++i) d.append_op(0, obj, s);
+    ASSERT_LT(file_size(log), snap_bytes);
+    ASSERT_FALSE(d.snapshot_due());
+  }
+  // Records still needed for the log to reach the snapshot's size.
+  const auto to_reach = [&](std::uint64_t log_bytes) {
+    return (snap_bytes - log_bytes + rec_bytes - 1) / rec_bytes;
+  };
+  ASSERT_GT(to_reach(0), o.snapshot_every);
+  {
+    // The log's 12 records count toward the snapshot's size.
+    server_durability d(o, 0);
+    EXPECT_EQ(appends_until_due(d),
+              std::max(o.snapshot_every, to_reach(12 * rec_bytes)));
+    write_snap(d, 0, state);
+    ASSERT_EQ(file_size(log), 0u);
+  }
+  {
+    // So does the snapshot file's size: the record floor is not enough.
+    server_durability d(o, 0);
+    EXPECT_EQ(appends_until_due(d), to_reach(0));
+  }
+  {
+    server_durability d(o, 0);
+    ASSERT_TRUE(d.recovered().found);
+    d.discard_recovered();
+    EXPECT_EQ(appends_until_due(d), o.snapshot_every);
+    write_snap(d, 0, state);
+  }
+  {
+    // A snapshot that fails validation does not count.
+    corrupt_byte(snap_path, file_size(snap_path) - 1);
+    server_durability d(o, 0);
+    EXPECT_EQ(appends_until_due(d), o.snapshot_every);
+  }
+}
+
+TEST(Durability, LogStaysWithinTheReplayBound) {
+  temp_dir td("replay_bound");
+  options o;
+  o.dir = td.path();
+  o.fsync = fsync_policy::never;
+  o.snapshot_every = 8;
+  const std::string log = server_durability::log_path_for(td.path(), 0);
+  const std::string snap_path =
+      server_durability::snap_path_for(td.path(), 0);
+  server_durability d(o, 0);
+  std::map<object_id, register_snapshot> state;
+  std::uint64_t rec_bytes = 0;
+  std::uint64_t snap_bytes = 0;
+  std::uint64_t floor_snapshots = 0;
+  std::uint64_t size_snapshots = 0;
+  for (std::uint64_t i = 0; i < 3000; ++i) {
+    // The object set grows, so the snapshot's size overtakes the floor.
+    const object_id n = std::min<std::uint64_t>(96, 1 + i / 16);
+    const object_id obj = 1 + (i * 7) % n;
+    state[obj] = snap(static_cast<ts_t>(i + 1), 0,
+                      std::string(1024, kib_fill(obj)));
+    d.append_op(0, obj, state[obj]);
+    if (rec_bytes == 0) rec_bytes = file_size(log);
+    ASSERT_LE(file_size(log),
+              std::max(o.snapshot_every * rec_bytes, snap_bytes) + rec_bytes)
+        << "append " << i;
+    if (d.snapshot_due()) {
+      if (snap_bytes < o.snapshot_every * rec_bytes) {
+        ++floor_snapshots;
+      } else {
+        ++size_snapshots;
+      }
+      write_snap(d, 0, object_list(state.begin(), state.end()));
+      snap_bytes = file_size(snap_path);
+    }
+  }
+  EXPECT_GT(floor_snapshots, 0u);
+  EXPECT_GT(size_snapshots, 0u);
 }
 
 TEST(Durability, ClosedLogCountsNoRecordsBytesOrFsyncs) {

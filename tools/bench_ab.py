@@ -2,17 +2,20 @@
 """A/B-benchmarks the working tree against a parent commit.
 
 usage (from the repository root):
-  python3 tools/bench_ab.py PARENT --pr N [--pairs 3] [--workload W]...
-                            [--seed 1] [--seconds 10] [--profile]
+  python3 tools/bench_ab.py PARENT [--pr N] [--pairs 3] [--trace-pairs 1]
+                            [--workload W]... [--seed 1] [--seconds 10]
+                            [--profile]
 
 PARENT's committed files are exported (git archive) to
 .bench_build/ab/<sha>/, so each side runs its own benchmark/run.py, which
 builds its own Release tree. Each pair runs both sides back to back on
 one workload; half of the pairs run the parent first and half the change
 first, so drift on a shared box does not always favour one side. After
-the pairs, each side gets one --trace 1 run for its per-layer metrics.
+the pairs come --trace-pairs traced pairs (--trace 1), alternating the
+same way, for the per-layer metrics.
 
-The report goes to BENCH_<N>.json at the repository root:
+The report goes to BENCH_<N>.json at the repository root (without --pr,
+to .bench_build/ab/report.json):
   * both shas (the change's with a flag when the tree has uncommitted
     edits), nproc and the date;
   * for each workload and side: every run's end-to-end metrics, their
@@ -20,13 +23,25 @@ The report goes to BENCH_<N>.json at the repository root:
     change won, and whether the gain rule holds: the change won at least
     9 of every 10 pairs and its median beats the parent's by more than
     the parent's IQR;
-  * each side's traced per-layer metrics and sim digest;
+  * every traced run's per-layer metrics, plus persist.replay_ms and
+    persist.rejoin_ms from the run's full report; for each metric, both
+    sides' median and IQR, the ratio and the traced pairs the change won
+    (trace_summary), and each side's medians (trace);
+  * each side's sim digests;
   * each side's line count per src/ subdirectory (src_lines), so a
     simplicity claim is data in the same file;
   * for each workload that prints a digest (the simulator), a sim_exact
     block: both sides' digests and traced sim.msgs_per_op and
     sim.envelopes_per_op, with the verdict "match" or "DIFFER". A change
-    that claims only CPU must show "match".
+    that claims only CPU must show "match";
+  * for abd_read_d1 and abd_write_durable, a tcp_exact block: both
+    sides' traced medians of the structural TCP counts, which must agree
+    within 1% for the verdict "match" (abd_read_d1's frames and bytes
+    out per op, abd_write_durable's records and log bytes per put), and
+    persist.snapshots_per_kput, printed but not gated.
+
+The exit status is 1 when a sim_exact or tcp_exact verdict is "DIFFER",
+else 0: timings never gate.
 
 --profile also builds each side's benchmark with -pg in that side's tree
 (.bench_build/gprof/), runs sim_abd once, and stores the top 15 rows of
@@ -54,6 +69,22 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 AB = ROOT / ".bench_build" / "ab"
 PROFILE_WORKLOAD = "sim_abd"
 PROFILE_ROWS = 15
+# Metrics a traced run's full report carries outside BENCHMARK.json's
+# per_layer list: a durable change states its replay cost.
+REPORT_EXTRAS = [
+    {"name": "persist.replay_ms", "unit": "ms", "better": "lower"},
+    {"name": "persist.rejoin_ms", "unit": "ms", "better": "lower"},
+]
+# Structural TCP counts per workload: gated ones must agree within
+# TCP_TOLERANCE; shown ones are printed with both values.
+TCP_EXACT = {
+    "abd_read_d1": {"gated": ["net.frames_out_per_op",
+                              "net.bytes_out_per_op"], "shown": []},
+    "abd_write_durable": {"gated": ["persist.records_per_put",
+                                    "persist.log_bytes_per_put"],
+                          "shown": ["persist.snapshots_per_kput"]},
+}
+TCP_TOLERANCE = 0.01
 
 
 def git(*args):
@@ -74,7 +105,10 @@ def export_parent(sha):
 
 
 def run_side(root, workload, seed, seconds, trace):
-    """One benchmark/run.py run; returns its JSON line and the digest."""
+    """One benchmark/run.py run; returns its JSON line and the digest.
+
+    A traced run's metrics also get REPORT_EXTRAS from the report file
+    run.py leaves under the side's .bench_build/runs/."""
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
@@ -89,6 +123,11 @@ def run_side(root, workload, seed, seconds, trace):
         m = re.match(r"digest (\S+) ", line)
         if m:
             digest = m.group(1)
+    if trace:
+        full = json.loads((root / ".bench_build" / "runs" /
+                           f"{workload}-{seed}-1.json").read_text())
+        for m in REPORT_EXTRAS:
+            report["metrics"][m["name"]] = full["metrics"][m["name"]]
     return report, digest
 
 
@@ -109,10 +148,11 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def summarize(spec, runs):
-    """Median, IQR, ratio and pairs won per end-to-end metric."""
+def summarize(metrics, runs):
+    """Median, IQR, ratio, pairs won and the gain rule for each of
+    `metrics` (BENCHMARK.json entries)."""
     out = {}
-    for m in spec["end_to_end"]:
+    for m in metrics:
         name = m["name"]
         side = {s: [r["metrics"][name]["value"] for r in runs[s]]
                 for s in ("parent", "change")}
@@ -133,13 +173,61 @@ def summarize(spec, runs):
     return out
 
 
+def alternate(roots, workload, args, pairs, trace, digests):
+    """`pairs` runs per side, alternating which side goes first; adds each
+    side's new digests to `digests`. Returns the runs and the order."""
+    runs = {"parent": [], "change": []}
+    order = []
+    label = "traced pair" if trace else "pair"
+    for i in range(pairs):
+        sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        order.append(sides[0] + " first")
+        for s in sides:
+            rep, digest = run_side(roots[s], workload, args.seed,
+                                   args.seconds, trace)
+            runs[s].append(rep)
+            if digest and digest not in digests[s]:
+                digests[s].append(digest)
+            print(f"{workload} {label} {i + 1} {s}: " + ", ".join(
+                f"{k}={v['value']:.4g}" for k, v in rep["metrics"].items()),
+                file=sys.stderr)
+    return runs, order
+
+
+def fmt(value):
+    return "-" if value is None else f"{value:.6g}"
+
+
+def medians(summary, units):
+    """Each metric's median per side, shaped like a run's metrics."""
+    return {s: {name: {"value": e[s]["median"], "unit": units[name]}
+                for name, e in summary.items()}
+            for s in ("parent", "change")}
+
+
 def sim_exact(digests, trace):
     """Both sides' digests and traced sim counts, and whether they agree."""
     block = {"digest": digests}
     for name in ("sim.msgs_per_op", "sim.envelopes_per_op"):
-        block[name] = {s: trace[s]["metrics"].get(name, {}).get("value")
+        block[name] = {s: trace[s].get(name, {}).get("value")
                        for s in ("parent", "change")}
     same = all(v["parent"] == v["change"] for v in block.values())
+    block["verdict"] = "match" if same else "DIFFER"
+    return block
+
+
+def tcp_exact(workload, trace):
+    """Both sides' traced structural TCP counts, and whether the gated
+    ones agree within TCP_TOLERANCE."""
+    names = TCP_EXACT[workload]
+    block = {}
+    same = True
+    for name in names["gated"] + names["shown"]:
+        p, c = (trace[s][name]["value"] for s in ("parent", "change"))
+        gated = name in names["gated"]
+        block[name] = {"parent": p, "change": c, "gated": gated}
+        if gated:
+            same = same and abs(c - p) <= TCP_TOLERANCE * abs(p)
     block["verdict"] = "match" if same else "DIFFER"
     return block
 
@@ -172,8 +260,9 @@ def gprof_rows(root, seed, seconds):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent")
-    ap.add_argument("--pr", required=True, type=int)
+    ap.add_argument("--pr", type=int)
     ap.add_argument("--pairs", type=int, default=3)
+    ap.add_argument("--trace-pairs", type=int, default=1)
     ap.add_argument("--workload", action="append")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=10)
@@ -202,6 +291,7 @@ def main():
         "seed": args.seed,
         "seconds": args.seconds,
         "pairs": args.pairs,
+        "trace_pairs": args.trace_pairs,
         "workloads": {},
     }
     if args.profile:
@@ -210,37 +300,33 @@ def main():
             "rows": {s: gprof_rows(roots[s], args.seed, args.seconds)
                      for s in ("parent", "change")},
         }
+    traced_metrics = spec["per_layer"] + REPORT_EXTRAS
+    units = {m["name"]: m["unit"] for m in traced_metrics}
     for w in workloads:
-        runs = {"parent": [], "change": []}
         digests = {"parent": [], "change": []}
-        order = []
-        for i in range(args.pairs):
-            sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            order.append(sides[0] + " first")
-            for s in sides:
-                rep, digest = run_side(roots[s], w, args.seed, args.seconds, 0)
-                runs[s].append(rep)
-                if digest and digest not in digests[s]:
-                    digests[s].append(digest)
-                print(f"{w} pair {i + 1} {s}: " + ", ".join(
-                    f"{k}={v['value']:.4g}" for k, v in rep["metrics"].items()),
-                    file=sys.stderr)
-        trace = {}
-        for s in ("parent", "change"):
-            trace[s], digest = run_side(roots[s], w, args.seed,
-                                        args.seconds, 1)
-            if digest and digest not in digests[s]:
-                digests[s].append(digest)
-        report["workloads"][w] = {
+        runs, order = alternate(roots, w, args, args.pairs, 0, digests)
+        trace_runs, trace_order = alternate(roots, w, args, args.trace_pairs,
+                                            1, digests)
+        trace_summary = summarize(traced_metrics, trace_runs)
+        trace = medians(trace_summary, units)
+        body = report["workloads"][w] = {
             "order": order,
             "runs": runs,
-            "summary": summarize(spec, runs),
-            "trace": {s: trace[s]["metrics"] for s in trace},
+            "summary": summarize(spec["end_to_end"], runs),
+            "trace_order": trace_order,
+            "trace_runs": {s: [r["metrics"] for r in trace_runs[s]]
+                           for s in trace_runs},
+            "trace_summary": trace_summary,
+            "trace": trace,
             "digest": digests,
         }
         if digests["parent"] or digests["change"]:
-            report["workloads"][w]["sim_exact"] = sim_exact(digests, trace)
-    out = ROOT / f"BENCH_{args.pr}.json"
+            body["sim_exact"] = sim_exact(digests, trace)
+        if w in TCP_EXACT:
+            body["tcp_exact"] = tcp_exact(w, trace)
+    out = (ROOT / f"BENCH_{args.pr}.json" if args.pr is not None
+           else AB / "report.json")
+    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out.relative_to(ROOT)}")
     lines = {s: report[s]["src_lines"] for s in ("parent", "change")}
@@ -249,14 +335,37 @@ def main():
         p, c = lines["parent"].get(d, 0), lines["change"].get(d, 0)
         if p != c:
             print(f"src/{d:16} lines {p} -> {c} ({c - p:+d})")
+    differ = []
     for w, body in report["workloads"].items():
         for name, e in body["summary"].items():
             ratio = "-" if e["ratio"] is None else f"{e['ratio']:.3f}"
             rule = "holds" if e["gain_rule"] else "fails"
             print(f"{w:18} {name:12} ratio {ratio}  change won "
                   f"{e['change_won']}/{args.pairs}  gain rule {rule}")
-        if "sim_exact" in body:
-            print(f"{w:18} sim_exact {body['sim_exact']['verdict']}")
+        if args.trace_pairs > 1:
+            # Only the per-layer metrics whose median moved by more than
+            # the parent's IQR.
+            for name, e in body["trace_summary"].items():
+                p, c = e["parent"]["median"], e["change"]["median"]
+                if abs(c - p) <= e["parent"]["iqr"]:
+                    continue
+                print(f"{w:18} {name:30} {p:.4g} -> {c:.4g}  change won "
+                      f"{e['change_won']}/{args.trace_pairs} traced")
+        for verdict in ("sim_exact", "tcp_exact"):
+            if verdict not in body:
+                continue
+            block = body[verdict]
+            counts = ", ".join(
+                f"{name} {fmt(v['parent'])} -> {fmt(v['change'])}"
+                + ("" if v.get("gated", True) else " (not gated)")
+                for name, v in block.items()
+                if name not in ("digest", "verdict"))
+            print(f"{w:18} {verdict} {block['verdict']}  {counts}")
+            if block["verdict"] != "match":
+                differ.append(f"{w} {verdict}")
+    if differ:
+        print("exact counts differ: " + ", ".join(differ), file=sys.stderr)
+        return 1
     return 0
 
 
