@@ -1,6 +1,8 @@
 // E11 -- the E1/E8 shape on a real network stack: localhost TCP with one
-// reactor thread per process. Wall-clock microseconds; absolute numbers
-// are machine-dependent, the ratios are the reproduction target:
+// reactor thread per server and one per client (each client an actor on
+// a reactor of its own in the cluster's client node). Wall-clock
+// microseconds; absolute numbers are machine-dependent, the ratios are
+// the reproduction target:
 // abd read ~= 2x fast read; maxmin in between; write ~= fast read.
 //
 // Each protocol runs as a one-shard store (store::tcp_store with

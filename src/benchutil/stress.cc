@@ -344,9 +344,9 @@ stress_report run_tcp_stress(const stress_options& opt) {
   rep.seed = opt.seed;
   if (obs::recording_active()) obs::recorder_reset_all();
 
-  // Hub topology: every client is an actor on one node, so all the
-  // pipelined sessions below share a small reactor pool instead of one
-  // OS thread per client.
+  // Every client is an actor of the cluster's client node; two shared
+  // reactors carry all the pipelined sessions below instead of one
+  // reactor thread per client.
   net::cluster_options copt;
   copt.client_hub = true;
   copt.hub_reactors = 2;

@@ -3,7 +3,7 @@
 // simulator (adversarial message reordering or timed uniform delays,
 // mid-run server crashes, link-level minority partitions with a later
 // heal, a live reshard) and the real-socket TCP cluster (pipelined
-// client sessions on a hub node, a stopped server, a pause-fault
+// client sessions sharing two client reactors, a stopped server, a pause-fault
 // partition soak with a later heal, a live reshard) -- and
 // verifies every per-key history with the checker the protocol's contract
 // calls for. Each transport's load runs on its one load driver:
@@ -122,7 +122,8 @@ struct stress_report {
 [[nodiscard]] stress_report run_sim_stress(const stress_options& opt);
 
 /// Runs the workload on the localhost TCP cluster: every client is an
-/// actor on one hub node, each drives a pipelined session
+/// actor of the client node (two reactors for all of them), each drives
+/// a pipelined session
 /// (pipeline_depth ops in flight) through the unified async front-end,
 /// and min(W+R, driver_threads) driver threads multiplex the sessions.
 [[nodiscard]] stress_report run_tcp_stress(const stress_options& opt);

@@ -7,7 +7,7 @@
 namespace fastreg::net {
 namespace {
 
-/// A node hosting one automaton (a server, or a per-node client).
+/// A node hosting one automaton (a server).
 std::unique_ptr<node> single_actor_node(
     const system_config& cfg, std::unique_ptr<automaton> a,
     std::shared_ptr<const address_book> book, node_options opt) {
@@ -26,7 +26,7 @@ cluster::cluster(system_config cfg, const protocol& proto, node_options nopt,
       nopt_(nopt),
       book_(std::make_shared<address_book>()) {
   // Servers first: bind ephemeral listeners so the address book is
-  // complete before any client node exists.
+  // complete before the client node exists.
   node_options sopt = nopt;
   sopt.reactors = std::max<std::uint32_t>(1, copt_.server_reactors);
   for (std::uint32_t i = 0; i < cfg_.S(); ++i) {
@@ -35,27 +35,19 @@ cluster::cluster(system_config cfg, const protocol& proto, node_options nopt,
     book_->server_ports.push_back(n->listen_port());
     servers_.push_back(std::move(n));
   }
-  if (copt_.client_hub) {
-    // One hub node hosts every client automaton: writer j is actor j,
-    // reader i is actor W+i (client_actor encodes the same mapping).
-    node_options hopt = nopt;
-    hopt.reactors = std::max<std::uint32_t>(1, copt_.hub_reactors);
-    hub_ = std::make_unique<node>(cfg_, book_, hopt);
-    for (std::uint32_t j = 0; j < cfg_.W(); ++j) {
-      hub_->add_actor(proto.make_writer(cfg_, j));
-    }
-    for (std::uint32_t i = 0; i < cfg_.R(); ++i) {
-      hub_->add_actor(proto.make_reader(cfg_, i));
-    }
-    return;
+  // Every client is an actor of one node: writer j is actor j, reader i
+  // is actor W+i (client_actor encodes the same mapping). Actor i's home
+  // is reactor i % reactors, so one reactor per client gives each client
+  // a thread of its own.
+  node_options client_opt = nopt;
+  client_opt.reactors = std::max<std::uint32_t>(
+      1, copt_.client_hub ? copt_.hub_reactors : cfg_.W() + cfg_.R());
+  clients_ = std::make_unique<node>(cfg_, book_, client_opt);
+  for (std::uint32_t j = 0; j < cfg_.W(); ++j) {
+    clients_->add_actor(proto.make_writer(cfg_, j));
   }
   for (std::uint32_t i = 0; i < cfg_.R(); ++i) {
-    readers_.push_back(
-        single_actor_node(cfg_, proto.make_reader(cfg_, i), book_, nopt));
-  }
-  for (std::uint32_t i = 0; i < cfg_.W(); ++i) {
-    writers_.push_back(
-        single_actor_node(cfg_, proto.make_writer(cfg_, i), book_, nopt));
+    clients_->add_actor(proto.make_reader(cfg_, i));
   }
 }
 
@@ -65,24 +57,14 @@ void cluster::start() {
   FASTREG_EXPECTS(!started_);
   started_ = true;
   for (auto& n : servers_) n->start();
-  if (hub_) {
-    hub_->start();
-    return;
-  }
-  for (auto& n : readers_) n->start();
-  for (auto& n : writers_) n->start();
+  clients_->start();
 }
 
 void cluster::stop() {
   if (!started_) return;
   started_ = false;
   // Clients first so no new requests hit stopping servers.
-  if (hub_) {
-    hub_->stop();
-  } else {
-    for (auto& n : writers_) n->stop();
-    for (auto& n : readers_) n->stop();
-  }
+  clients_->stop();
   for (auto& n : servers_) n->stop();
 }
 
@@ -105,14 +87,11 @@ void cluster::restart_server(std::uint32_t i) {
 }
 
 node& cluster::client_node(const process_id& pid) {
-  if (copt_.client_hub) return *hub_;
-  if (pid.is_writer()) return *writers_[pid.index];
-  FASTREG_EXPECTS(pid.is_reader());
-  return *readers_[pid.index];
+  FASTREG_EXPECTS(!pid.is_server());
+  return *clients_;
 }
 
 std::size_t cluster::client_actor(const process_id& pid) const {
-  if (!copt_.client_hub) return 0;
   if (pid.is_writer()) return pid.index;
   FASTREG_EXPECTS(pid.is_reader());
   return cfg_.W() + pid.index;

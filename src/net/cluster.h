@@ -1,26 +1,23 @@
 // An in-process TCP deployment of a full protocol instance: S server
-// nodes plus the client side, over real localhost sockets. Its one user
+// nodes plus one client node, over real localhost sockets. Its one user
 // is store::tcp_store, which deploys the store protocol on it; every TCP
 // example, bench (E11 included, through a one-shard store) and test
 // reaches the sockets that way.
 //
-// Client topology is selectable (cluster_options):
-//  * per-node (default): every reader and writer is its own node with its
-//    own reactor thread -- one OS thread per client, the historical
-//    layout, right for latency measurements of a handful of clients.
-//  * hub: ALL readers and writers are actors multiplexed on ONE hub node
-//    whose reactor pool (hub_reactors) carries every client connection --
-//    the fan-in layout the pipelined store front-end uses to drive
-//    thousands of clients from a few threads.
-// Clients are addressed by process_id through client_node() /
-// client_actor(), which work unchanged under either topology.
+// Every reader and writer is an actor of the one client node, addressed
+// by process_id through client_node() / client_actor(). The client
+// node's reactor count is cluster_options' only client knob: one reactor
+// per client by default (client i on reactor i, so each client keeps a
+// thread of its own -- right for latency measurements of a handful of
+// clients), or hub_reactors of them under client_hub (the fan-in layout
+// the pipelined store front-end uses to drive thousands of clients from
+// a few threads).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "common/check.h"
 #include "net/node.h"
 #include "registers/automaton.h"
 
@@ -29,10 +26,10 @@ namespace fastreg::net {
 struct cluster_options {
   /// Reactor threads per server node.
   std::uint32_t server_reactors{1};
-  /// Host every reader/writer as an actor on one hub node instead of a
-  /// node (and thread) per client.
+  /// Run the client node on hub_reactors reactor threads instead of one
+  /// per client.
   bool client_hub{false};
-  /// Reactor threads on the hub node (client_hub only).
+  /// Reactor threads on the client node (client_hub only).
   std::uint32_t hub_reactors{1};
 };
 
@@ -41,7 +38,7 @@ class cluster {
   /// Builds all nodes. Servers bind ephemeral ports immediately; the
   /// resulting address book is shared with every node. `nopt` (the
   /// outbound flush policy) applies to every node; the default flushes
-  /// immediately. `copt` picks the client topology and reactor counts.
+  /// immediately. `copt` picks the reactor counts.
   cluster(system_config cfg, const protocol& proto,
           node_options nopt = node_options{},
           cluster_options copt = {});
@@ -64,18 +61,11 @@ class cluster {
 
   [[nodiscard]] node& server(std::uint32_t i) { return *servers_[i]; }
 
-  /// The node hosting client `pid` and the actor index of `pid` on it:
-  /// {that client's own node, 0} per-node, {the hub, its slot} under a
-  /// hub. Together they address any client under either topology via
-  /// node's actor-indexed API.
+  /// The client node (the same for every client) and the actor index of
+  /// `pid` on it: writer j is actor j, reader i is actor W+i. Together
+  /// they address any client via node's actor-indexed API.
   [[nodiscard]] node& client_node(const process_id& pid);
   [[nodiscard]] std::size_t client_actor(const process_id& pid) const;
-  [[nodiscard]] bool client_hub() const { return copt_.client_hub; }
-  /// The hub node (hub topology only).
-  [[nodiscard]] node& hub() {
-    FASTREG_EXPECTS(copt_.client_hub);
-    return *hub_;
-  }
 
   [[nodiscard]] const address_book& book() const { return *book_; }
   [[nodiscard]] const system_config& config() const { return cfg_; }
@@ -90,9 +80,7 @@ class cluster {
   node_options nopt_;
   std::shared_ptr<address_book> book_;
   std::vector<std::unique_ptr<node>> servers_;
-  std::vector<std::unique_ptr<node>> readers_;
-  std::vector<std::unique_ptr<node>> writers_;
-  std::unique_ptr<node> hub_;
+  std::unique_ptr<node> clients_;
   bool started_{false};
 };
 

@@ -413,7 +413,7 @@ void node::adopt_inbound(reactor& r, unique_fd fd) {
   connection c;
   c.fd = std::move(fd);
   // Inbound traffic steps the node's primary automaton (servers host
-  // exactly one); per-actor hubs never listen.
+  // exactly one); the client node never listens.
   c.owner = actors_.empty() ? nullptr : actors_[0].get();
   c.serial = next_conn_serial_.fetch_add(1, std::memory_order_relaxed);
   c.fault = default_fault_.load(std::memory_order_relaxed);
@@ -499,17 +499,8 @@ void node::handle_readable(reactor& r, int fd) {
         // Every other frame parse_one lets through is a non-empty batch:
         // one send, delivered as one step.
         if (obs::recording_active()) {
-          for (const auto& m : f.batch) {
-            owner->rec->record(obs::rec_event::recv, m.trace, m.span,
-                               static_cast<std::uint8_t>(m.type), f.from,
-                               m.obj, m.epoch, m.ts);
-          }
+          record_batch(*owner->rec, obs::rec_event::recv, f.from, f.batch);
         }
-        // Ambient trace ctx for replies of trace-oblivious automata; a
-        // batch carries the head's (store automata stamp replies
-        // themselves, matching the simulator's convention).
-        obs::scoped_trace_ctx trace_ctx(f.batch.front().trace,
-                                        f.batch.front().span);
         owner->automaton_->on_batch(owner->port, f.from, f.batch);
       });
     }
@@ -914,13 +905,8 @@ void node::actor_port::send_batch(const process_id& to,
 void node::send_from(actor_state& a, const process_id& to,
                      std::vector<message>& msgs) {
   FASTREG_EXPECTS(!msgs.empty());
-  for (auto& m : msgs) stamp_if_untraced(m);
   if (obs::recording_active()) {
-    for (const auto& m : msgs) {
-      a.rec->record(obs::rec_event::send, m.trace, m.span,
-                    static_cast<std::uint8_t>(m.type), to, m.obj, m.epoch,
-                    m.ts);
-    }
+    record_batch(*a.rec, obs::rec_event::send, to, msgs);
   }
   route_from(a, to, msgs);
 }
@@ -1041,9 +1027,9 @@ node::conn_ref node::open_to_server(reactor& r, actor_state& a,
   rm_[r.index].connections->add(1);
   rm_[r.index].epoll_ctls->inc();
   ::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_ADD, raw, &ev);
-  // Introduce the ACTOR (not the node: a hub hosts many) so the server
-  // can route replies back. The hello must precede any frame on this
-  // connection, so it bypasses the batch window ordering-wise (it is
+  // Introduce the ACTOR (not the node: a client node hosts many) so the
+  // server can route replies back. The hello must precede any frame on
+  // this connection, so it bypasses the batch window ordering-wise (it is
   // appended first) but still leaves in the same writev as the frames
   // that triggered the connect.
   auto& cref = r.conns.find(raw)->second;

@@ -20,16 +20,16 @@
 // structure either way.
 //
 // Actors: a node hosts one or more automata, installed with add_actor
-// before start() and addressed by actor index. A server or per-node
-// client has exactly one (actor 0); a hub hosts MANY client automata
-// multiplexed over the reactor pool -- the fan-in configuration the
-// store's async front-end uses to drive thousands of pipelined client
-// connections from a handful of threads. Each actor is pinned to a home
-// reactor (index % reactors); its invocations run there and its outbound
-// connections are created there, so a client actor's whole data path is
-// single-threaded. Server automata may be stepped from any reactor
-// (deliveries arrive on whichever reactor owns the inbound connection);
-// a per-actor step mutex serializes those steps.
+// before start() and addressed by actor index. A server has exactly one
+// (actor 0); a cluster's client node hosts every client automaton
+// multiplexed over its reactor pool -- one reactor per client, or a
+// handful carrying thousands of pipelined client connections. Each actor
+// is pinned to a home reactor (index % reactors); its invocations run
+// there and its outbound connections are created there, so a client
+// actor's whole data path is single-threaded. Server automata may be
+// stepped from any reactor (deliveries arrive on whichever reactor owns
+// the inbound connection); a per-actor step mutex serializes those
+// steps.
 //
 // Waiting for an operation: the node knows nothing of operations. Every
 // TCP client is a store client, and the store's sessions install a step

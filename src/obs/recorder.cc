@@ -62,20 +62,11 @@ bool trace_time_overridden() { return t_time_set; }
 
 namespace {
 std::atomic<std::uint64_t> g_next_trace{1};
-thread_local trace_ctx t_ctx{};
 }  // namespace
 
 std::uint64_t next_trace_id() {
   return g_next_trace.fetch_add(1, std::memory_order_relaxed);
 }
-
-trace_ctx current_trace_ctx() { return t_ctx; }
-
-scoped_trace_ctx::scoped_trace_ctx(std::uint64_t trace, std::uint16_t span)
-    : prev_(t_ctx) {
-  t_ctx = {trace, span};
-}
-scoped_trace_ctx::~scoped_trace_ctx() { t_ctx = prev_; }
 
 // ----------------------------------------------------------------- events --
 

@@ -95,31 +95,6 @@ class scoped_trace_time {
 /// (0 means untraced on the wire).
 [[nodiscard]] std::uint64_t next_trace_id();
 
-/// Thread-local trace context for paths that do not carry an explicit
-/// per-op record (the raw single-register deployments): the transports
-/// stamp outgoing messages whose trace is still 0 from it. The store
-/// path stamps explicitly via tagging_netout and always wins.
-struct trace_ctx {
-  std::uint64_t trace{0};
-  std::uint16_t span{0};
-};
-[[nodiscard]] trace_ctx current_trace_ctx();
-
-/// Publishes a trace context for the current thread; restores the
-/// previous one on destruction. The simulator wraps invoke_write/
-/// invoke_read and do_step with it; net::node wraps each delivered
-/// batch's on_batch step in the head message's context.
-class scoped_trace_ctx {
- public:
-  scoped_trace_ctx(std::uint64_t trace, std::uint16_t span);
-  ~scoped_trace_ctx();
-  scoped_trace_ctx(const scoped_trace_ctx&) = delete;
-  scoped_trace_ctx& operator=(const scoped_trace_ctx&) = delete;
-
- private:
-  trace_ctx prev_;
-};
-
 // ----------------------------------------------------------------- events --
 
 /// What happened. send/recv fire in the transports (sim envelope flush

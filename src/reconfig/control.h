@@ -116,8 +116,8 @@ class tcp_control final : public control_plane {
   }
 
  private:
-  /// Runs `fn` as a step of client `pid`, addressed through client_node /
-  /// client_actor so per-node and hub client topologies both work.
+  /// Runs `fn` as a step of client `pid` (its actor on the cluster's
+  /// client node).
   void on_client(const process_id& pid,
                  const std::function<void(store::client&, netout&)>& fn) {
     auto& c = s_.cluster();

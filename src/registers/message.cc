@@ -26,11 +26,12 @@ std::vector<std::uint8_t> signed_payload(object_id obj, ts_t ts,
   return w.take();
 }
 
-void stamp_if_untraced(message& m) {
-  if (m.trace != 0) return;
-  const auto ctx = obs::current_trace_ctx();
-  m.trace = ctx.trace;
-  m.span = ctx.span;
+void record_batch(obs::recorder& rec, obs::rec_event ev,
+                  const process_id& peer, std::span<const message> msgs) {
+  for (const auto& m : msgs) {
+    rec.record(ev, m.trace, m.span, static_cast<std::uint8_t>(m.type), peer,
+               m.obj, m.epoch, m.ts);
+  }
 }
 
 std::vector<std::uint8_t> signed_payload(const message& m) {

@@ -18,6 +18,11 @@
 
 namespace fastreg {
 
+namespace obs {
+class recorder;
+enum class rec_event : std::uint8_t;
+}  // namespace obs
+
 /// fetch_ack flag bits (carried in message::rcounter): the answering peer
 /// holds the object's seeded new-generation snapshot / still holds its
 /// previous-generation instance.
@@ -84,12 +89,12 @@ struct message {
   friend bool operator==(const message&, const message&) = default;
 };
 
-/// Stamps the calling step's ambient trace context (obs/recorder.h) on
-/// a message that carries no trace id yet. Register automata never stamp
-/// their messages; both transports call this on every send so those
-/// messages inherit the id of the delivery or invocation that caused
-/// them. Store messages arrive already stamped and keep their id.
-void stamp_if_untraced(message& m);
+/// Records one flight-recorder event per message of a batch that this
+/// node sent to `peer` (ev = send) or received from it (ev = recv): the
+/// one mapping from a wire message to a recorder event, shared by both
+/// transports. The caller checks obs::recording_active() first.
+void record_batch(obs::recorder& rec, obs::rec_event ev,
+                  const process_id& peer, std::span<const message> msgs);
 
 /// Canonical byte payload the writer signs: (obj, ts, wid, val, prev).
 /// Shared by signers (writer) and verifiers (servers, readers). Binding

@@ -89,15 +89,21 @@ void world::recycle(std::vector<message>& msgs) {
   spares_.push_back(std::move(msgs));
 }
 
+void world::stamp(message& m) const {
+  if (m.trace != 0) return;
+  m.trace = step_trace_;
+  m.span = step_span_;
+}
+
 void world::send(const process_id& to, message m) {
-  stamp_if_untraced(m);
+  stamp(m);
   auto& e = outbox_.emplace_back(to, take_spare());
   e.msgs.push_back(std::move(m));
 }
 
 void world::send_batch(const process_id& to, std::vector<message>& msgs) {
   FASTREG_EXPECTS(!msgs.empty());
-  for (auto& m : msgs) stamp_if_untraced(m);
+  for (auto& m : msgs) stamp(m);
   auto& e = outbox_.emplace_back(to, take_spare());
   e.msgs.swap(msgs);
 }
@@ -122,12 +128,7 @@ void world::flush_sends(const process_id& from) {
     sent_count_ += env.msgs.size();
     ++envelopes_sent_;
     if (rec) {
-      auto& r = rec_for(from);
-      for (const auto& m : env.msgs) {
-        r.record(obs::rec_event::send, m.trace, m.span,
-                 static_cast<std::uint8_t>(m.type), env.to, m.obj, m.epoch,
-                 m.ts);
-      }
+      record_batch(rec_for(from), obs::rec_event::send, env.to, env.msgs);
     }
     mset_.push_back(std::move(env));
   }
@@ -147,13 +148,14 @@ void world::invoke_write(std::uint32_t writer_index, value_t v) {
   st.completed_before = w->writes_completed();
   // One fresh trace id names the op in the history and covers every
   // message it causes (the automata themselves are trace-oblivious).
-  const std::uint64_t trace = obs::next_trace_id();
-  st.op_index = history_.begin_op(wid, /*is_write=*/true, now_, v, trace);
+  step_trace_ = obs::next_trace_id();
+  step_span_ = 0;
+  st.op_index =
+      history_.begin_op(wid, /*is_write=*/true, now_, v, step_trace_);
   // The flight recorder stamps this step with the simulated clock, so
   // its events agree with the history this run records; log lines carry
   // the stepped automaton's id.
   obs::scoped_trace_time trace_time(now_);
-  obs::scoped_trace_ctx trace_ctx(trace, 0);
   scoped_log_node log_node(to_string(wid));
   w->invoke_write(*this, std::move(v));
   end_step(wid);
@@ -168,10 +170,11 @@ void world::invoke_read(std::uint32_t reader_index) {
   auto& st = clients_[rid];
   st.pending = true;
   st.completed_before = r->reads_completed();
-  const std::uint64_t trace = obs::next_trace_id();
-  st.op_index = history_.begin_op(rid, /*is_write=*/false, now_, {}, trace);
+  step_trace_ = obs::next_trace_id();
+  step_span_ = 0;
+  st.op_index =
+      history_.begin_op(rid, /*is_write=*/false, now_, {}, step_trace_);
   obs::scoped_trace_time trace_time(now_);
-  obs::scoped_trace_ctx trace_ctx(trace, 0);
   scoped_log_node log_node(to_string(rid));
   r->invoke_read(*this);
   end_step(rid);
@@ -181,6 +184,8 @@ void world::invoke_step(const process_id& p,
                         const std::function<void(netout&)>& fn) {
   FASTREG_EXPECTS(!crashed_.contains(p));
   ++now_;
+  step_trace_ = 0;
+  step_span_ = 0;
   obs::scoped_trace_time trace_time(now_);
   scoped_log_node log_node(to_string(p));
   fn(*this);
@@ -238,18 +243,14 @@ void world::poll_completion(const process_id& p) {
 void world::do_step(const process_id& to, const envelope& env) {
   auto& a = *procs_[index_of(to)];
   obs::scoped_trace_time trace_time(now_);
-  // Replies a trace-oblivious automaton sends during this step inherit
-  // the delivered message's identity (batches only carry one ambient
-  // ctx -- the head's -- but store automata stamp replies themselves).
-  obs::scoped_trace_ctx trace_ctx(env.msg().trace, env.msg().span);
+  // Replies a register automaton sends during this step inherit the
+  // delivered message's identity (register protocols never batch, so the
+  // head is the message; store automata stamp replies themselves).
+  step_trace_ = env.msg().trace;
+  step_span_ = env.msg().span;
   scoped_log_node log_node(to_string(to));
   if (obs::recording_active()) {
-    auto& r = rec_for(to);
-    for (const auto& m : env.msgs) {
-      r.record(obs::rec_event::recv, m.trace, m.span,
-               static_cast<std::uint8_t>(m.type), env.from, m.obj, m.epoch,
-               m.ts);
-    }
+    record_batch(rec_for(to), obs::rec_event::recv, env.from, env.msgs);
   }
   a.on_batch(*this, env.from, env.msgs);
   end_step(to);

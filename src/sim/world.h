@@ -252,6 +252,8 @@ class world final : public netout {
   void end_step(const process_id& p);
   void poll_completion(const process_id& p);
   void flush_sends(const process_id& from);
+  /// Gives a message that carries no trace id yet the current step's op.
+  void stamp(message& m) const;
   [[nodiscard]] std::size_t index_of(const process_id& p) const;
   /// Cached obs::recorder_for lookup (the recorders are process-global
   /// and outlive every world; the cache only avoids the registry lock).
@@ -283,6 +285,12 @@ class world final : public netout {
     std::vector<message> msgs{};
   };
   std::vector<outbox_entry> outbox_;
+  /// The op the current step serves. Register automata never stamp
+  /// their messages, so their sends inherit it: invoke_read/invoke_write
+  /// set the op they begin, do_step the delivered batch's head, and
+  /// invoke_step clears it (store automata stamp their own sends).
+  std::uint64_t step_trace_{0};
+  std::uint16_t step_span_{0};
   /// Cleared message vectors for the next sends (see k_max_spares).
   std::vector<std::vector<message>> spares_;
   std::unordered_map<process_id, obs::recorder*> rec_cache_;

@@ -161,7 +161,7 @@ std::optional<std::vector<store_result>> submit_and_drain(
 
 namespace {
 
-/// One client's session on a net::node (per-node or hub topology).
+/// One client's session on its actor of the cluster's client node.
 /// Admission checks the session's own window and keys, appends the op to
 /// the inbox and schedules a step of the client actor; step(), installed
 /// as the actor's step hook, does the rest on the reactor.

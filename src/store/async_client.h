@@ -31,8 +31,8 @@
 //
 // Threading: one session per client index at a time (submit_and_drain
 // opens one too), driven from one thread. Different sessions may live on
-// different threads; on TCP they may share a hub node whose reactor pool
-// multiplexes all their connections.
+// different threads; on TCP every client is an actor of the cluster's one
+// client node, whose reactor pool multiplexes all their connections.
 //
 // Giving up: an op still in flight when its session closes (a drain
 // timed out) is abandoned, not cancelled. The client's next session
@@ -246,9 +246,8 @@ class store_frontend {
   op_log& log_;
 };
 
-/// TCP backend: sessions submit through the client's node (per-node or
-/// hub topology -- cluster::client_node/client_actor hide the
-/// difference) and log into the deployment's shared op_log.
+/// TCP backend: sessions submit through the cluster's client node (at
+/// cluster::client_actor) and log into the deployment's shared op_log.
 class tcp_frontend final : public store_frontend {
  public:
   tcp_frontend(net::cluster& cluster, op_log& log)

@@ -231,9 +231,10 @@ void server::handle_state_req(const process_id& from, const message& m,
   outbox_.add(from, std::move(ack));
 }
 
-void server::adopt_seed(object_id obj, object_state& r,
+void server::adopt_seed(const message& cause, object_state& r,
                         const register_snapshot& snap) {
   if (r.seeded()) return;
+  const object_id obj = cause.obj;
   // Replace whatever stray instance exists (none should: data traffic
   // for a draining object is held back until a seed lands).
   r.cur = {};
@@ -254,6 +255,8 @@ void server::adopt_seed(object_id obj, object_state& r,
     note.obj = obj;
     note.epoch = map_->epoch();
     note.mig = true;
+    note.trace = cause.trace;
+    note.span = cause.span;
     note.rcounter = k_fetch_seeded;
     note.ts = snap.ts;
     note.wid = snap.wid;
@@ -291,7 +294,7 @@ void server::handle_seed_req(const process_id& from, const message& m,
                  static_cast<std::uint8_t>(m.type), from, m.obj,
                  map_->epoch(), m.ts);
   }
-  adopt_seed(m.obj, r, {m.ts, m.wid, m.val, m.prev, m.sig});
+  adopt_seed(m, r, {m.ts, m.wid, m.val, m.prev, m.sig});
   // A lazy fetch racing the coordinator's own seed resolves here.
   finish_fetch(r);
   message ack;
@@ -348,6 +351,8 @@ void server::enqueue_fetch(const process_id& from, const message& m,
   req.obj = m.obj;
   req.epoch = map_->epoch();
   req.mig = true;
+  req.trace = m.trace;
+  req.span = m.span;
   for (std::uint32_t j = 0; j < map_->config().base.S(); ++j) {
     if (j == index_) continue;
     outbox_.add(server_id(j), message(req));
@@ -393,7 +398,7 @@ void server::handle_fetch_ack(const process_id& from, const message& m,
   if (!from.is_server() || m.epoch != map_->epoch()) return;
   if (!r.handoff || !r.handoff->fetch) return;  // already resolved
   if ((m.rcounter & k_fetch_seeded) != 0) {
-    adopt_seed(m.obj, r, {m.ts, m.wid, m.val, m.prev, m.sig});
+    adopt_seed(m, r, {m.ts, m.wid, m.val, m.prev, m.sig});
     finish_fetch(r);
     return;
   }
@@ -420,7 +425,7 @@ void server::handle_fetch_ack(const process_id& from, const message& m,
   // value a completed old-epoch op established would live on a quorum,
   // which intersects self plus the answered set in at least one server.
   // The object was simply never written -- seed bottom and serve.
-  adopt_seed(m.obj, r, {});
+  adopt_seed(m, r, {});
   finish_fetch(r);
 }
 

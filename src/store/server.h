@@ -222,12 +222,15 @@ class server final : public automaton {
                         object_state& r);
   void handle_fetch_ack(const process_id& from, const message& m,
                         object_state& r);
-  /// Installs `snap` as obj's seeded new-generation state (idempotent)
-  /// and pushes seeded fetch_acks to this object's fetch subscribers.
-  void adopt_seed(object_id obj, object_state& r,
+  /// Installs `snap` as the seeded new-generation state of `cause`'s
+  /// object (idempotent) and pushes seeded fetch_acks, under `cause`'s
+  /// trace and span, to the object's fetch subscribers. `cause` is the
+  /// seed_req or fetch_ack that seeded it.
+  void adopt_seed(const message& cause, object_state& r,
                   const register_snapshot& snap);
   /// Buffers a data message for a moved, un-seeded object and starts (or
-  /// joins) the object's lazy seed fetch.
+  /// joins) the object's lazy seed fetch, whose fetch_reqs carry the
+  /// message's trace and span.
   void enqueue_fetch(const process_id& from, const message& m,
                      object_state& r);
   /// Replays what a now-seeded fetch buffered.

@@ -2,11 +2,10 @@
 // client/server automata, the pipelined front-end over it, and per-key
 // history gathering.
 //
-// Client topology follows the cluster's (net::cluster_options): per-node
-// (one node and reactor thread per client, the default) or hub (every
-// client an actor on one node whose reactor pool carries all their
-// connections). Sessions address clients through
-// cluster::client_node/client_actor, so they work unchanged under both.
+// Every client is an actor of the cluster's one client node, on a
+// reactor of its own by default or on net::cluster_options::hub_reactors
+// shared ones; sessions address clients through
+// cluster::client_node/client_actor.
 //
 // Every operation goes through the front-end (store/async_client.h):
 // open_session() gives a client a sliding window of up to `depth` ops in

@@ -1089,6 +1089,53 @@ TEST(Cluster, MultiReactorServersShipGossipAcrossReactors) {
   EXPECT_TRUE(single.check.ok) << single.check.error;
 }
 
+/// How many of the client node's reactors ran a task while every client
+/// of a W = 2, R = 3 register did one op.
+std::size_t client_reactors_used(const cluster_options& copt) {
+  tcp_store ts(one_register(make_cfg(5, 1, 3, 0, 2), "mwmr"), node_options{},
+               copt);
+  const std::vector<process_id> clients = {writer_id(0), writer_id(1),
+                                           reader_id(0), reader_id(1),
+                                           reader_id(2)};
+  node& n = ts.cluster().client_node(clients[0]);
+  for (const auto& pid : clients) {
+    EXPECT_EQ(&ts.cluster().client_node(pid), &n) << to_string(pid);
+  }
+  // Rows outlive their nodes and a label names the node's first actor,
+  // so an earlier cluster's client node may have left rows under the
+  // same label: count only the rows this run moves.
+  const std::string label = "node=\"" + to_string(n.self()) + "\"";
+  const auto before = obs::snapshot();
+  ts.start();
+  for (const auto& pid : clients) {
+    register_client c(ts.frontend(), pid);
+    if (pid.is_writer()) {
+      EXPECT_TRUE(c.write("v" + to_string(pid)));
+    } else {
+      EXPECT_TRUE(c.read().has_value());
+    }
+  }
+  ts.stop();
+  std::size_t used = 0;
+  for (const auto& row : obs::diff_snapshot(obs::snapshot(), before)) {
+    if (row.name.starts_with("fastreg_net_reactor_tasks_total{") &&
+        row.name.find(label) != std::string::npos && row.value > 0) {
+      ++used;
+    }
+  }
+  return used;
+}
+
+TEST(Cluster, EveryClientIsAnActorOfTheOneClientNode) {
+  // By default the client node runs one reactor per client (client i on
+  // reactor i); under client_hub it runs hub_reactors of them.
+  EXPECT_EQ(client_reactors_used({}), 5u);
+  cluster_options hub;
+  hub.client_hub = true;
+  hub.hub_reactors = 2;
+  EXPECT_EQ(client_reactors_used(hub), 2u);
+}
+
 TEST(Cluster, MwmrTwoWritersOverTcp) {
   tcp_store ts(one_register(make_cfg(5, 2, 2, 0, 2), "mwmr"));
   ts.start();

@@ -26,8 +26,11 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/timeline.h"
+#include "reconfig/control.h"
+#include "reconfig/coordinator.h"
 #include "registers/message.h"
 #include "registers/registry.h"
+#include "store/sim_store.h"
 #include "store/tcp_store.h"
 #include "store_test_util.h"
 
@@ -415,6 +418,17 @@ std::size_t check_park_resume(
   return parks;
 }
 
+/// Every wire message names the op that caused it: client data, the
+/// coordinator's control plane, gossip and the servers' handoff traffic.
+void expect_every_send_traced(const std::vector<obs::timeline_event>& merged) {
+  for (const auto& e : merged) {
+    if (e.ev == "send") {
+      EXPECT_NE(e.trace, 0u) << "untraced " << e.type << " from " << e.node
+                             << " to " << e.peer;
+    }
+  }
+}
+
 TEST(RecorderReshard, SimParkSeedResumeKeepTraceInCausalOrder) {
   recording_guard guard(true);
   // abd -> fast_swmr moves every object through the full dual-quorum
@@ -443,6 +457,7 @@ TEST(RecorderReshard, SimParkSeedResumeKeepTraceInCausalOrder) {
     EXPECT_EQ(obs::validate_timeline(merged), "");
     // Sim events only: the run never touched a reactor thread.
     for (const auto& e : merged) EXPECT_TRUE(e.sim_domain) << e.node;
+    expect_every_send_traced(merged);
     parks = check_park_resume(merged, /*expect_seed=*/true);
   }
   EXPECT_GT(parks, 0u)
@@ -476,8 +491,7 @@ TEST(RecorderReshard, TcpReshardCarriesTraceIdsEndToEnd) {
   for (const auto& e : merged) {
     EXPECT_FALSE(e.sim_domain) << e.node;
     // Every client-issued data frame a server receives must carry the
-    // op's trace -- across the reshard too. (Control-plane frames from
-    // the coordinator and gossip may legitimately be untraced.)
+    // op's trace -- across the reshard too.
     if (e.ev == "recv" && (e.type == "READ" || e.type == "WRITE" ||
                            e.type == "QUERY" || e.type == "WB")) {
       ++data_recvs;
@@ -485,10 +499,73 @@ TEST(RecorderReshard, TcpReshardCarriesTraceIdsEndToEnd) {
     }
   }
   EXPECT_GT(data_recvs, 0u);
+  expect_every_send_traced(merged);
   // Parks are timing-dependent over real sockets; when one happened,
   // hold it to the same trace/span contract as the sim (seed-install
   // ordering included -- dumps are taken after the run quiesces).
   check_park_resume(merged, /*expect_seed=*/true);
+}
+
+TEST(RecorderReshard, SimLazyFetchCarriesTheFencedOpsTrace) {
+  // The schedule of SimReconfig.LazySeedFetchHealsServerThatMissedTheSeed:
+  // server 0 misses every seed_req, so the first read after the reshard
+  // fences at server 0 and starts a lazy fetch. Each fetch_req must
+  // carry the trace of an op server 0 fenced on that object.
+  recording_guard guard(true);
+  obs::recorder_reset_all();
+  store::store_config cfg;
+  cfg.base.servers = 7;
+  cfg.base.t_failures = 1;
+  cfg.base.readers = 2;
+  cfg.num_shards = 1;
+  cfg.shard_protocols = {"abd"};
+  store::sim_store s(cfg);
+  rng r(96);
+  store::test::sim_clients clients(s, r);
+  const auto run_until_idle = [&] {
+    for (std::uint64_t steps = 0; !s.idle(); ++steps) {
+      ASSERT_LT(steps, 1'000'000u);
+      s.run_random(r, 1);
+    }
+  };
+  clients.put(0, "k", "v1");
+  run_until_idle();
+
+  reconfig::sim_control ctl(s);
+  reconfig::coordinator coord(ctl, {"k"});
+  ASSERT_TRUE(
+      coord.start(s.shards(), reconfig::reconfig_plan{1, {"fast_swmr"}}))
+      << coord.error();
+  for (std::uint64_t steps = 0; !coord.done(); ++steps) {
+    ASSERT_LT(steps, 1'000'000u);
+    coord.step();
+    s.world().drop_matching([](const sim::envelope& e) {
+      return e.msg().type == msg_type::seed_req && e.to == server_id(0);
+    });
+    if (!s.world().in_transit().empty()) s.run_random(r, 1);
+  }
+  ASSERT_EQ(s.server_at(0).seeded_count(), 0u);
+  clients.get(0, "k");
+  run_until_idle();
+  ASSERT_EQ(s.server_at(0).seeded_count(), 1u);  // healed via the fetch
+
+  const auto merged = merged_timeline();
+  EXPECT_EQ(obs::validate_timeline(merged), "");
+  expect_every_send_traced(merged);
+  std::set<std::tuple<std::string, std::uint64_t, std::uint64_t>> fenced;
+  for (const auto& e : merged) {
+    if (e.ev == "fence") fenced.emplace(e.node, e.obj, e.trace);
+  }
+  const std::string fetch = to_string(msg_type::fetch_req);
+  std::size_t fetches = 0;
+  for (const auto& e : merged) {
+    if (e.ev != "send" || e.type != fetch) continue;
+    ++fetches;
+    EXPECT_TRUE(fenced.contains({e.node, e.obj, e.trace}))
+        << e.node << " sent " << fetch << " under trace 0x" << std::hex
+        << e.trace << ", which it never fenced on object " << e.obj;
+  }
+  EXPECT_GT(fetches, 0u);
 }
 
 // ----------------------------------------- reactor-thread hooks (TSan) --

@@ -489,6 +489,65 @@ TEST(StoreServer, FetchBufferOverflowNackIsCountedAndObservable) {
   EXPECT_EQ(overflow_nacks(), 1u);
 }
 
+TEST(StoreServer, HandoffMessagesCarryTheTraceOfTheirCause) {
+  // A server's own handoff messages join the op that caused them: the
+  // lazy fetch's fetch_reqs carry the fenced message's trace and span,
+  // and the seeded fetch_ack pushed to a subscriber carries the trace and
+  // span of the seed_req that seeded the object.
+  const auto cfg0 = small_cfg({"abd"}, /*num_shards=*/1, /*R=*/2, /*S=*/5);
+  auto cfg1 = cfg0;
+  cfg1.shard_protocols = {"fast_swmr"};  // name change: every object moves
+  server s(std::make_shared<const shard_map>(cfg0), /*index=*/0);
+  s.install_map(std::make_shared<const shard_map>(cfg1, /*epoch=*/1));
+  const auto traced = [](msg_type type, object_id obj, std::uint64_t trace,
+                         std::uint16_t span) {
+    message m;
+    m.type = type;
+    m.obj = obj;
+    m.epoch = 1;
+    m.trace = trace;
+    m.span = span;
+    return m;
+  };
+
+  // One delivered batch fences two unseeded objects: each object's fetch
+  // names its own op, not the batch's head.
+  const object_id a = key_object_id("a");
+  const object_id b = key_object_id("b");
+  capture_netout net;
+  const std::vector<message> batch = {
+      traced(msg_type::read_req, a, 0xa1, 3),
+      traced(msg_type::read_req, b, 0xb2, 5)};
+  s.on_batch(net, reader_id(0), batch);
+  for (const auto& req : batch) {
+    std::size_t fetches = 0;
+    for (const auto& [to, m] : net.sent) {
+      if (m.type != msg_type::fetch_req || m.obj != req.obj) continue;
+      ++fetches;
+      EXPECT_EQ(m.trace, req.trace) << to_string(to);
+      EXPECT_EQ(m.span, req.span) << to_string(to);
+    }
+    EXPECT_EQ(fetches, 4u) << req.obj;  // one per peer
+  }
+
+  // A peer's fetch finds this server empty-handed and subscribes; the
+  // seed_req then seeds the object and pushes it to the peer.
+  const object_id c = key_object_id("c");
+  s.on_message(net, server_id(1), traced(msg_type::fetch_req, c, 0xd4, 1));
+  net.sent.clear();
+  s.on_message(net, reader_id(0), traced(msg_type::seed_req, c, 0xc3, 7));
+  std::size_t pushes = 0;
+  for (const auto& [to, m] : net.sent) {
+    if (m.type != msg_type::fetch_ack) continue;
+    ++pushes;
+    EXPECT_EQ(to, server_id(1));
+    EXPECT_EQ(m.rcounter & k_fetch_seeded, k_fetch_seeded);
+    EXPECT_EQ(m.trace, 0xc3u);
+    EXPECT_EQ(m.span, 7u);
+  }
+  EXPECT_EQ(pushes, 1u);
+}
+
 TEST(StoreServer, InstallMapNacksEachBufferedFetchOnce) {
   // install_map retires every lazy fetch of the superseded generation:
   // each buffered client message is nacked exactly once, and records left

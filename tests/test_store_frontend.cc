@@ -196,7 +196,7 @@ TEST(StoreFrontend, TcpQueuedAdmissionsLeaveAsOneBatchFramePerServer) {
   // Connects the reader to every server.
   ASSERT_TRUE(test::get_one(fe, 0, "k0").has_value());
 
-  net::node& hub = ts.cluster().hub();
+  net::node& hub = ts.cluster().client_node(reader_id(0));
   const std::size_t actor = ts.cluster().client_actor(reader_id(0));
   auto se = ts.open_session(reader_id(0), /*depth=*/8);
   std::promise<void> held;
