@@ -17,8 +17,8 @@
 // A second table prices each row's ops in reactor syscalls: the
 // net::node registry rows (epoll_wait returns, socket reads, sendmsg
 // calls, eventfd wakes from the reactor's own thread or another one,
-// timerfd arms, epoll_ctl calls) summed over every node of the
-// deployment during the timed ops, divided by the op count.
+// epoll_ctl calls) summed over every node of the deployment during the
+// timed ops, divided by the op count.
 //
 // `--trace-out FILE` skips the latency table and instead runs a short
 // flight-recorded pass per protocol, merges every node's recorder ring
@@ -96,7 +96,6 @@ constexpr syscall_column k_syscall_columns[] = {
     {"epoll_wait", "fastreg_net_epoll_waits_total", ""},
     {"wake_own", "fastreg_net_eventfd_wakes_total", "from=\"own\""},
     {"wake_other", "fastreg_net_eventfd_wakes_total", "from=\"other\""},
-    {"timerfd_arm", "fastreg_net_timerfd_arms_total", ""},
     {"epoll_ctl", "fastreg_net_epoll_ctls_total", ""},
 };
 
@@ -111,11 +110,8 @@ struct tcp_result {
 };
 
 tcp_result run_tcp(const std::string& proto, std::uint32_t S, std::uint32_t t,
-                   const std::string& sigs, int ops,
-                   std::uint32_t window_us) {
-  net::node_options nopt;
-  nopt.batch_window_us = window_us;
-  store::tcp_store ts(one_register(proto, S, t, sigs), nopt);
+                   const std::string& sigs, int ops) {
+  store::tcp_store ts(one_register(proto, S, t, sigs));
   ts.start();
   tcp_result out;
   {
@@ -156,14 +152,14 @@ tcp_result run_tcp(const std::string& proto, std::uint32_t S, std::uint32_t t,
   return out;
 }
 
-/// --trace-out: a few flight-recorded round trips per protocol at
-/// window 0, merged across every node's ring into catapult JSON.
+/// --trace-out: a few flight-recorded round trips per protocol, merged
+/// across every node's ring into catapult JSON.
 int run_trace_out(const char* out_path) {
   std::printf("E11 --trace-out: recording 10 round trips per protocol\n");
   obs::set_recording(true);
   obs::recorder_reset_all();
   for (const char* proto : {"fast_swmr", "abd", "maxmin"}) {
-    store::tcp_store ts(one_register(proto, 5, 1, ""), {});
+    store::tcp_store ts(one_register(proto, 5, 1, ""));
     ts.start();
     {
       register_clients c(ts);
@@ -210,7 +206,7 @@ int main(int argc, char** argv) {
   }
   std::printf("E11: latency over real TCP sockets (localhost, "
               "microseconds)\n\n");
-  table t({"proto", "S", "sigs", "window_us", "read_p50_us", "read_p99_us",
+  table t({"proto", "S", "sigs", "read_p50_us", "read_p99_us",
            "write_p50_us", "read/write", "rd_rounds", "wr_rounds",
            "atomic"});
   const int ops = 300;
@@ -218,27 +214,19 @@ int main(int argc, char** argv) {
     const char* proto;
     std::uint32_t S, t;
     const char* sigs;
-    std::uint32_t window_us;
   };
-  // window_us = 0 is the latency-first default (flush within the step);
-  // the windowed rows price the Nagle-style coalescing in p50 terms for
-  // single blocking ops -- the worst case for a window, since nothing
-  // else shares the flush.
-  std::vector<std::string> sys_cols = {"proto", "window_us"};
+  std::vector<std::string> sys_cols = {"proto", "sigs"};
   for (const auto& col : k_syscall_columns) sys_cols.push_back(col.title);
   table sys(sys_cols);
   std::vector<std::string> failures;
   for (const auto c :
-       {row{"fast_swmr", 5, 1, "", 0}, row{"abd", 5, 1, "", 0},
-        row{"maxmin", 5, 1, "", 0}, row{"fast_bft", 7, 1, "oracle", 0},
-        row{"fast_bft", 7, 1, "rsa", 0}, row{"fast_swmr", 5, 1, "", 200},
-        row{"abd", 5, 1, "", 200}}) {
+       {row{"fast_swmr", 5, 1, ""}, row{"abd", 5, 1, ""},
+        row{"maxmin", 5, 1, ""}, row{"fast_bft", 7, 1, "oracle"},
+        row{"fast_bft", 7, 1, "rsa"}}) {
     const auto res = run_tcp(c.proto, c.S, c.t, c.sigs,
-                             std::string(c.sigs) == "rsa" ? 60 : ops,
-                             c.window_us);
+                             std::string(c.sigs) == "rsa" ? 60 : ops);
     const std::string sigs = std::string(c.sigs).empty() ? "-" : c.sigs;
-    const std::string name = std::string(c.proto) + " sigs=" + sigs +
-                             " window_us=" + std::to_string(c.window_us);
+    const std::string name = std::string(c.proto) + " sigs=" + sigs;
     if (!res.atomic) failures.push_back(name + ": history not atomic");
     const auto theory = make_protocol(c.proto);
     if (res.read_rounds.mean() != theory->read_rounds() ||
@@ -251,13 +239,11 @@ int main(int argc, char** argv) {
     }
     const double ratio =
         res.write_us.p50() > 0 ? res.read_us.p50() / res.write_us.p50() : 0;
-    t.add_row({c.proto, std::to_string(c.S), sigs,
-               std::to_string(c.window_us),
-               fmt(res.read_us.p50()), fmt(res.read_us.p99()),
-               fmt(res.write_us.p50()), fmt(ratio, 2),
+    t.add_row({c.proto, std::to_string(c.S), sigs, fmt(res.read_us.p50()),
+               fmt(res.read_us.p99()), fmt(res.write_us.p50()), fmt(ratio, 2),
                fmt(res.read_rounds.mean()), fmt(res.write_rounds.mean()),
                res.atomic ? "yes" : "NO"});
-    std::vector<std::string> sys_row = {c.proto, std::to_string(c.window_us)};
+    std::vector<std::string> sys_row = {c.proto, sigs};
     for (const double v : res.syscalls_per_op) sys_row.push_back(fmt(v, 2));
     sys.add_row(sys_row);
   }
@@ -266,10 +252,9 @@ int main(int argc, char** argv) {
               "RTT); abd ~= 2.0; maxmin between; RSA signing adds a "
               "visible constant to fast_bft writes and reads. rd/wr_rounds "
               "come from the op histories: fast_swmr and maxmin reads "
-              "1.0, abd reads 2.0, all writes 1.0. The "
-              "window_us=200 rows show the batching window's latency tax "
-              "on isolated ops -- roughly the window per round trip; "
-              "throughput workloads buy it back (E12c).\n");
+              "1.0, abd reads 2.0, all writes 1.0. Every connection "
+              "flushes in the step that queued its frames, so a round "
+              "costs one sendmsg per frame.\n");
   std::printf("\nreactor syscalls per op (one write or one read; every "
               "node of the deployment, timed ops only):\n\n");
   sys.print();

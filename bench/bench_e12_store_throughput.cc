@@ -6,17 +6,17 @@
 // (envelopes per op vs messages per op -- the gap is traffic that shared
 // one transport unit). Part 2 (localhost TCP): the same shape on real
 // sockets, wall-clock microseconds.
-// Part 3 (E12c) isolates the transport knobs the zero-copy wire pipeline
-// added: the reactor batch window (node_options.batch_window_us) and the
-// pipelined client depth, on an 8-session workload whose rows vary
-// ONLY those two knobs. Part 4 (E12d) is the connection fan-in test for
+// Part 3 (E12c) isolates the pipelined client depth on an 8-session
+// workload whose rows vary ONLY that depth (1 and 8); every connection
+// flushes in the step that queued its frames, so its frames/writev
+// column reads ~1.00. Part 4 (E12d) is the connection fan-in test for
 // the sharded reactor pool: 1000+ pipelined client sessions from ONE
 // process (a 4-reactor hub node) against the same server fleet run with
 // 1 reactor vs 4 reactors per node, equal connection count -- the
 // multi-reactor row must at least match the single-reactor row's
-// aggregate ops/s. `--smoke` runs a seconds-scale subset of E12c plus
-// E12d (the Release CI job uses it as a link/run sanity check and as
-// the 1k-connection gate).
+// aggregate ops/s. `--smoke` runs a seconds-scale E12c (both depths,
+// fewer rounds) plus E12d (the Release CI job uses it as a link/run
+// sanity check and as the 1k-connection gate).
 // TCP rows run on the one TCP load driver; latencies are the op log's.
 // Exits 1 (`E12 FAILED:` on stderr) when a row is not atomic or lost ops.
 #include <sys/resource.h>
@@ -210,44 +210,21 @@ void run_tcp_part() {
               "to 8 in-flight gets share one batch frame per server.\n");
 }
 
-// ------------------------------------------- E12c: window x pipelining --
-
-struct wire_mode {
-  const char* window;
-  net::node_options nopt;
-  std::uint32_t depth;
-};
-
-std::vector<wire_mode> wire_modes(bool smoke) {
-  net::node_options none;
-  net::node_options w200;
-  w200.batch_window_us = 200;
-  net::node_options adaptive;
-  adaptive.adaptive = true;
-  if (smoke) {
-    return {{"0", none, 1}, {"200us", w200, 8}};
-  }
-  return {{"0", none, 1},
-          {"200us", w200, 1},
-          {"0", none, 8},
-          {"200us", w200, 8},
-          {"adaptive", adaptive, 8}};
-}
+// ------------------------------------------------ E12c: pipeline depth --
 
 void run_wire_knob_part(bool smoke) {
-  std::printf("E12c: transport knobs under 8 client sessions, one driver "
+  std::printf("E12c: pipeline depth under 8 client sessions, one driver "
               "thread each (1 writer + 7 readers, abd shards, 64 keys, "
-              "single-key ops). Rows vary ONLY the reactor batch window "
-              "and the pipelined client depth; the first row (window 0, "
-              "depth 1: flush-per-step, one op at a time per client) is "
-              "the pre-pipeline baseline. frames/writev is the measured "
+              "single-key ops). Rows vary ONLY the pipelined client "
+              "depth; the first row (depth 1: one op at a time per "
+              "client) is the baseline. frames/writev is the measured "
               "coalescing factor, from a reset-free obs::interval_scrape "
               "per row.\n\n");
   const std::uint32_t R = 7;
   const std::uint32_t keys = 64;
   const std::uint32_t rounds = smoke ? 40 : 400;
 
-  table t({"batch_window", "pipeline_depth", "ops/s", "get_p50_us",
+  table t({"pipeline_depth", "ops/s", "get_p50_us",
            "get_p99_us", "vs_baseline", "frames/writev", "failed",
            "atomic"});
   double base_ops = 0;
@@ -255,18 +232,18 @@ void run_wire_knob_part(bool smoke) {
   // the interval scrape subtracts the previous snapshot so each row
   // reports only its own traffic, without resetting anything.
   obs::interval_scrape scrape;
-  for (const auto& m : wire_modes(smoke)) {
-    store::tcp_store ts(make_store_cfg({"abd", {"abd"}}, 4, R), m.nopt);
+  for (const std::uint32_t depth : {1u, 8u}) {
+    store::tcp_store ts(make_store_cfg({"abd", {"abd"}}, 4, R));
     ts.start();
     warm_up(ts, keys, R);
     (void)scrape.take();  // drop the warmup's counter deltas
 
     // Depth 1 is the closed loop: each op waits for the previous one.
     std::vector<client_script> scripts{
-        uniform_script(writer_id(0), 7, keys, rounds, m.depth)};
+        uniform_script(writer_id(0), 7, keys, rounds, depth)};
     for (std::uint32_t i = 0; i < R; ++i) {
       scripts.push_back(
-          uniform_script(reader_id(i), 100 + i, keys, rounds, m.depth));
+          uniform_script(reader_id(i), 100 + i, keys, rounds, depth));
     }
     const auto row = drive(ts, std::move(scripts), 1 + R);
     if (base_ops == 0) base_ops = row.ops_s;
@@ -275,7 +252,7 @@ void run_wire_knob_part(bool smoke) {
         obs::series_sum(delta, "fastreg_net_frames_out_total");
     const double writevs =
         obs::series_sum(delta, "fastreg_net_writev_calls_total");
-    t.add_row({m.window, std::to_string(m.depth), fmt(row.ops_s, 0),
+    t.add_row({std::to_string(depth), fmt(row.ops_s, 0),
                fmt(row.get_us.p50()), fmt(row.get_us.p99()),
                fmt(base_ops > 0 ? row.ops_s / base_ops : 0, 2) + "x",
                fmt(writevs > 0 ? frames / writevs : 0, 2),
@@ -283,12 +260,12 @@ void run_wire_knob_part(bool smoke) {
     ts.stop();
   }
   t.print();
-  std::printf("\nexpected shape: window + pipelining >= 1.5x the baseline "
-              "row's ops/s (requests from many in-flight ops coalesce "
-              "into one writev per window instead of one write per "
-              "frame); window alone at depth 1 mostly adds latency, "
-              "depth alone helps, together they compound; the adaptive "
-              "window tracks the fixed one under sustained load.\n");
+  std::printf("\nexpected shape: depth 8 beats the baseline row's ops/s "
+              "(a session begins every op of a step inside one batch "
+              "frame per server, so up to 8 in-flight ops share a round's "
+              "frames); frames/writev ~= 1.00 at both depths, because "
+              "every connection flushes in the step that queued its "
+              "frames.\n");
 }
 
 // --------------------------------------------- E12d: connection fan-in --
@@ -428,7 +405,7 @@ double obs_check_pass(store::tcp_store& ts, std::uint32_t R,
 
 /// CI gate: (a) the in-process registry dump parses under the exposition
 /// grammar and carries the store, admission and reactor series, and (b)
-/// window-0 closed-loop get p50 with the flight recorder ON stays within
+/// closed-loop get p50 with the flight recorder ON stays within
 /// 5% of recording off in the SAME run. Rotating passes, best-of-5 per
 /// mode: the min is what the machine can do, so a spurious scheduler
 /// spike in one pass cannot fake (or mask) a regression. Writes the dump
@@ -439,7 +416,6 @@ int run_obs_check(const char* dump_path) {
   const std::uint32_t R = 4;
   const std::uint32_t keys = 64;
   const int rounds = 150;
-  // Window 0: the latency-first default.
   store::tcp_store ts(make_store_cfg({"abd", {"abd"}}, 4, R));
   ts.start();
   warm_up(ts, keys, R);

@@ -1,5 +1,5 @@
 // The one wall clock: every steady-clock timestamp the project takes --
-// TCP op-log histories, recorder ns events, transport batch windows,
+// TCP op-log histories, recorder ns events, transport flush timings,
 // persist fsync pacing and timings -- is this read, so timestamps from
 // different layers of one process compare directly.
 #pragma once

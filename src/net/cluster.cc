@@ -10,27 +10,26 @@ namespace {
 /// A node hosting one automaton (a server).
 std::unique_ptr<node> single_actor_node(
     const system_config& cfg, std::unique_ptr<automaton> a,
-    std::shared_ptr<const address_book> book, node_options opt) {
-  auto n = std::make_unique<node>(cfg, std::move(book), opt);
+    std::shared_ptr<const address_book> book, std::uint32_t reactors) {
+  auto n = std::make_unique<node>(
+      cfg, std::move(book), node_options{std::max<std::uint32_t>(1, reactors)});
   n->add_actor(std::move(a));
   return n;
 }
 
 }  // namespace
 
-cluster::cluster(system_config cfg, const protocol& proto, node_options nopt,
+cluster::cluster(system_config cfg, const protocol& proto,
                  cluster_options copt)
     : cfg_(std::move(cfg)),
       copt_(copt),
       proto_(&proto),
-      nopt_(nopt),
       book_(std::make_shared<address_book>()) {
   // Servers first: bind ephemeral listeners so the address book is
   // complete before the client node exists.
-  node_options sopt = nopt;
-  sopt.reactors = std::max<std::uint32_t>(1, copt_.server_reactors);
   for (std::uint32_t i = 0; i < cfg_.S(); ++i) {
-    auto n = single_actor_node(cfg_, proto.make_server(cfg_, i), book_, sopt);
+    auto n = single_actor_node(cfg_, proto.make_server(cfg_, i), book_,
+                               copt_.server_reactors);
     n->bind_listener(0);
     book_->server_ports.push_back(n->listen_port());
     servers_.push_back(std::move(n));
@@ -39,10 +38,10 @@ cluster::cluster(system_config cfg, const protocol& proto, node_options nopt,
   // is actor W+i (client_actor encodes the same mapping). Actor i's home
   // is reactor i % reactors, so one reactor per client gives each client
   // a thread of its own.
-  node_options client_opt = nopt;
-  client_opt.reactors = std::max<std::uint32_t>(
+  const std::uint32_t client_reactors = std::max<std::uint32_t>(
       1, copt_.client_hub ? copt_.hub_reactors : cfg_.W() + cfg_.R());
-  clients_ = std::make_unique<node>(cfg_, book_, client_opt);
+  clients_ =
+      std::make_unique<node>(cfg_, book_, node_options{client_reactors});
   for (std::uint32_t j = 0; j < cfg_.W(); ++j) {
     clients_->add_actor(proto.make_writer(cfg_, j));
   }
@@ -78,9 +77,8 @@ void cluster::restart_server(std::uint32_t i) {
   // rebind below cannot race the old socket's teardown.
   servers_[i]->stop();
   servers_[i].reset();
-  node_options sopt = nopt_;
-  sopt.reactors = std::max<std::uint32_t>(1, copt_.server_reactors);
-  auto n = single_actor_node(cfg_, proto_->make_server(cfg_, i), book_, sopt);
+  auto n = single_actor_node(cfg_, proto_->make_server(cfg_, i), book_,
+                             copt_.server_reactors);
   n->bind_listener(port);
   servers_[i] = std::move(n);
   if (started_) servers_[i]->start();

@@ -36,11 +36,9 @@ struct cluster_options {
 class cluster {
  public:
   /// Builds all nodes. Servers bind ephemeral ports immediately; the
-  /// resulting address book is shared with every node. `nopt` (the
-  /// outbound flush policy) applies to every node; the default flushes
-  /// immediately. `copt` picks the reactor counts.
+  /// resulting address book is shared with every node. `copt` picks the
+  /// reactor counts.
   cluster(system_config cfg, const protocol& proto,
-          node_options nopt = node_options{},
           cluster_options copt = {});
   ~cluster();
 
@@ -75,9 +73,8 @@ class cluster {
   cluster_options copt_;
   /// For restart_server: the deployment's protocol (owned by the caller,
   /// outlives the cluster -- same lifetime contract as the constructor
-  /// reference) and the node options every server was built with.
+  /// reference).
   const protocol* proto_;
-  node_options nopt_;
   std::shared_ptr<address_book> book_;
   std::vector<std::unique_ptr<node>> servers_;
   std::unique_ptr<node> clients_;

@@ -3,11 +3,9 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/timerfd.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <iterator>
@@ -51,13 +49,6 @@ void node::init_reactors() {
     ev.data.fd = r->event_fd.get();
     FASTREG_CHECK(::epoll_ctl(r->epoll_fd.get(), EPOLL_CTL_ADD,
                               r->event_fd.get(), &ev) == 0);
-    r->timer_fd.reset(::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK));
-    FASTREG_CHECK(r->timer_fd.valid());
-    ev = epoll_event{};
-    ev.events = EPOLLIN;
-    ev.data.fd = r->timer_fd.get();
-    FASTREG_CHECK(::epoll_ctl(r->epoll_fd.get(), EPOLL_CTL_ADD,
-                              r->timer_fd.get(), &ev) == 0);
     reactors_.push_back(std::move(r));
   }
 }
@@ -79,22 +70,11 @@ void node::bind_node_metrics() {
   wm_.writev_calls = &reg.get_counter("fastreg_net_writev_calls_total", lbl);
   wm_.short_writes =
       &reg.get_counter("fastreg_net_short_write_resumptions_total", lbl);
-  wm_.flushes_immediate = &reg.get_counter(
-      "fastreg_net_flushes_total", lbl + ",reason=\"immediate\"");
-  wm_.flushes_window = &reg.get_counter("fastreg_net_flushes_total",
-                                        lbl + ",reason=\"window_expired\"");
-  wm_.flushes_step = &reg.get_counter("fastreg_net_flushes_total",
-                                      lbl + ",reason=\"step_end\"");
-  wm_.flushes_bytes = &reg.get_counter("fastreg_net_flushes_total",
-                                       lbl + ",reason=\"bytes\"");
-  wm_.window_widen =
-      &reg.get_counter("fastreg_net_window_widen_total", lbl);
   wm_.conn_resets = &reg.get_counter("fastreg_net_conn_resets_total", lbl);
   wm_.malformed_frames =
       &reg.get_counter("fastreg_net_malformed_frames_total");
   wm_.backlog_bytes = &reg.get_gauge("fastreg_net_backlog_bytes", lbl);
   wm_.flush_ns = &reg.get_histogram("fastreg_net_flush_ns", lbl);
-  wm_.window_wait_ns = &reg.get_histogram("fastreg_net_window_wait_ns", lbl);
   rm_.resize(opt_.reactors);
   for (std::uint32_t i = 0; i < opt_.reactors; ++i) {
     const std::string rl = lbl + ",reactor=\"" + std::to_string(i) + "\"";
@@ -111,7 +91,6 @@ void node::bind_node_metrics() {
                                         rl + ",from=\"own\"");
     rm_[i].wakes_other = &reg.get_counter("fastreg_net_eventfd_wakes_total",
                                           rl + ",from=\"other\"");
-    rm_[i].timer_arms = &reg.get_counter("fastreg_net_timerfd_arms_total", rl);
     rm_[i].epoll_ctls = &reg.get_counter("fastreg_net_epoll_ctls_total", rl);
   }
   preheat_framing_metrics();
@@ -343,7 +322,6 @@ void node::reactor_main(reactor& r) {
       std::lock_guard<std::mutex> lk(mu_);
       if (stop_requested_) break;
     }
-    bool window_expired = false;
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       if (fd == r.event_fd.get()) {
@@ -354,15 +332,6 @@ void node::reactor_main(reactor& r) {
         while (::read(r.event_fd.get(), &buf, sizeof buf) > 0 ||
                errno == EINTR) {
         }
-        continue;
-      }
-      if (fd == r.timer_fd.get()) {
-        std::uint64_t expirations;
-        while (::read(r.timer_fd.get(), &expirations, sizeof expirations) >
-                   0 ||
-               errno == EINTR) {
-        }
-        window_expired = true;
         continue;
       }
       if (r.index == 0 && listen_fd_.valid() && fd == listen_fd_.get()) {
@@ -390,8 +359,6 @@ void node::reactor_main(reactor& r) {
       if ((events[i].events & EPOLLIN) != 0) handle_readable(r, fd);
       if ((events[i].events & EPOLLOUT) != 0) handle_writable(r, fd);
     }
-    if (window_expired) flush_expired(r);
-    flush_step_end(r);
   }
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -417,7 +384,6 @@ void node::adopt_inbound(reactor& r, unique_fd fd) {
   c.owner = actors_.empty() ? nullptr : actors_[0].get();
   c.serial = next_conn_serial_.fetch_add(1, std::memory_order_relaxed);
   c.fault = default_fault_.load(std::memory_order_relaxed);
-  c.cur_window_us = opt_.adaptive ? 0 : opt_.batch_window_us;
   c.epoll_mask = c.fault == conn_fault::pause ? 0u : EPOLLIN;
   epoll_event ev{};
   ev.events = c.epoll_mask;
@@ -546,9 +512,6 @@ void node::flush(reactor& r, int fd, connection& c) {
     update_epoll(r, fd, c);
     return;
   }
-  // c.dirty is left alone: it means "fd is listed in dirty_fds", and a
-  // direct flush (immediate mode, or handle_writable) does not unlist.
-  // A listed-but-already-flushed connection is a cheap no-op later.
   const std::uint64_t flush_start = c.out.empty() ? 0 : steady_now_ns();
   while (!c.out.empty()) {
     struct iovec iov[16];
@@ -620,175 +583,11 @@ void node::close_conn(reactor& r, int fd) {
   // by the owning actor's step mutex, which this reactor may not take
   // mid-step. Stale refs are detected by serial mismatch at the next
   // send and lazily invalidated there.
-  std::erase(r.dirty_fds, fd);
   rm_[r.index].epoll_ctls->inc();
   ::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_DEL, fd, nullptr);
   wm_.backlog_bytes->add(-static_cast<std::int64_t>(it->second.out.bytes()));
   rm_[r.index].connections->add(-1);
   r.conns.erase(it);  // unique_fd closes
-}
-
-// --------------------------------------------------------- flush controller --
-
-void node::finish_window(connection& c) {
-  if (c.window_open_ns != 0 && c.frames_since_flush > 0) {
-    wm_.window_wait_ns->observe(steady_now_ns() - c.window_open_ns);
-  }
-  c.window_open_ns = 0;
-  c.frames_since_flush = 0;
-}
-
-void node::arm_window_at(reactor& r, std::uint64_t deadline_ns) {
-  if (r.window_armed && r.armed_deadline_ns <= deadline_ns) return;
-  const std::uint64_t now = steady_now_ns();
-  const std::uint64_t delta = deadline_ns > now ? deadline_ns - now : 1;
-  itimerspec spec{};
-  spec.it_value.tv_sec = static_cast<time_t>(delta / 1'000'000'000ull);
-  spec.it_value.tv_nsec = static_cast<long>(delta % 1'000'000'000ull);
-  if (spec.it_value.tv_sec == 0 && spec.it_value.tv_nsec == 0) {
-    spec.it_value.tv_nsec = 1;  // fire immediately rather than disarm
-  }
-  rm_[r.index].timer_arms->inc();
-  ::timerfd_settime(r.timer_fd.get(), 0, &spec, nullptr);
-  r.window_armed = true;
-  r.armed_deadline_ns = deadline_ns;
-}
-
-void node::after_queue(reactor& r, int fd, connection& c) {
-  ++c.frames_since_flush;
-  if (c.fault == conn_fault::pause) {
-    // Bytes hold until the fault heals; track the connection so the heal
-    // path finds and flushes it.
-    if (!c.dirty) {
-      c.dirty = true;
-      r.dirty_fds.push_back(fd);
-    }
-    return;
-  }
-  const bool windowed = opt_.adaptive || c.cur_window_us > 0;
-  if (!windowed) {
-    // Immediate mode (window 0): the pre-window behavior, one flush per
-    // queueing step.
-    wm_.flushes_immediate->inc();
-    if (!c.connecting) {
-      flush(r, fd, c);
-    } else {
-      update_epoll(r, fd, c);
-    }
-    return;
-  }
-  if (c.window_open_ns == 0) c.window_open_ns = steady_now_ns();
-  if (!c.dirty) {
-    c.dirty = true;
-    r.dirty_fds.push_back(fd);
-  }
-  if (opt_.flush_bytes > 0 && c.out.bytes() >= opt_.flush_bytes &&
-      !c.connecting) {
-    // Bytes budget: the backlog already amortizes a writev; waiting out
-    // the window would only add latency.
-    wm_.flushes_bytes->inc();
-    finish_window(c);
-    flush(r, fd, c);
-    return;
-  }
-  if (c.cur_window_us > 0) {
-    arm_window_at(r, c.window_open_ns +
-                         static_cast<std::uint64_t>(c.cur_window_us) * 1000);
-  }
-  // Adaptive at window 0: flushed at the end of this reactor step (see
-  // flush_step_end), so a lone frame still leaves with step latency.
-}
-
-void node::flush_expired(reactor& r) {
-  r.window_armed = false;
-  const std::uint64_t now = steady_now_ns();
-  std::vector<int> fds;
-  fds.swap(r.dirty_fds);
-  std::uint64_t next_deadline = 0;
-  for (const int fd : fds) {
-    auto it = r.conns.find(fd);
-    if (it == r.conns.end()) continue;
-    auto& c = it->second;
-    if (c.fault == conn_fault::pause) {
-      r.dirty_fds.push_back(fd);  // stays parked until healed
-      continue;
-    }
-    if (c.window_open_ns == 0) {
-      // Already flushed (bytes budget or writability); just unlist.
-      c.dirty = false;
-      continue;
-    }
-    const std::uint64_t deadline =
-        c.window_open_ns + static_cast<std::uint64_t>(c.cur_window_us) * 1000;
-    if (deadline > now) {
-      // Still inside its window: keep listed, re-arm for it below.
-      r.dirty_fds.push_back(fd);
-      if (next_deadline == 0 || deadline < next_deadline) {
-        next_deadline = deadline;
-      }
-      continue;
-    }
-    // Adaptive policy, per connection: widen while the window keeps
-    // catching multi-frame backlog, shrink toward immediate when it
-    // stops.
-    if (opt_.adaptive) {
-      if (c.frames_since_flush >= 8) {
-        c.cur_window_us =
-            c.cur_window_us == 0
-                ? 50
-                : std::min(opt_.window_cap_us(), c.cur_window_us * 2);
-        wm_.window_widen->inc();
-      } else if (c.frames_since_flush <= 1) {
-        c.cur_window_us = c.cur_window_us >= 100 ? c.cur_window_us / 2 : 0;
-      }
-    }
-    wm_.flushes_window->inc();
-    finish_window(c);
-    c.dirty = false;
-    if (c.connecting) {
-      update_epoll(r, fd, c);  // bytes leave in handle_writable
-    } else {
-      flush(r, fd, c);  // may close (erase) the connection: c is dead after
-    }
-  }
-  if (next_deadline != 0) arm_window_at(r, next_deadline);
-}
-
-void node::flush_step_end(reactor& r) {
-  // Only adaptive window-0 connections flush at step end; fixed-window
-  // connections wait for the timer.
-  if (!opt_.adaptive || r.dirty_fds.empty()) return;
-  std::vector<int> fds;
-  fds.swap(r.dirty_fds);
-  for (const int fd : fds) {
-    auto it = r.conns.find(fd);
-    if (it == r.conns.end()) continue;
-    auto& c = it->second;
-    if (c.fault == conn_fault::pause || c.cur_window_us > 0) {
-      r.dirty_fds.push_back(fd);
-      continue;
-    }
-    if (c.window_open_ns == 0) {
-      c.dirty = false;
-      continue;
-    }
-    if (c.frames_since_flush >= 8) {
-      // This step queued a burst: re-open the window instead of flushing.
-      c.cur_window_us = 50;
-      wm_.window_widen->inc();
-      arm_window_at(r, c.window_open_ns + 50'000);
-      r.dirty_fds.push_back(fd);
-      continue;
-    }
-    wm_.flushes_step->inc();
-    finish_window(c);
-    c.dirty = false;
-    if (c.connecting) {
-      update_epoll(r, fd, c);
-    } else {
-      flush(r, fd, c);
-    }
-  }
 }
 
 // ------------------------------------------------------------------- faults --
@@ -865,9 +664,6 @@ void node::apply_fault(reactor& r, int fd, connection& c, conn_fault f) {
       return;
     }
     // Healing a pause: resume epoll interest and release the held bytes.
-    c.dirty = false;
-    std::erase(r.dirty_fds, fd);
-    finish_window(c);
     update_epoll(r, fd, c);
     if (!c.connecting && c.out.bytes() > 0) flush(r, fd, c);
     return;
@@ -879,9 +675,6 @@ void node::apply_fault(reactor& r, int fd, connection& c, conn_fault f) {
       wm_.backlog_bytes->add(-static_cast<std::int64_t>(b));
       c.out.consume(b);
     }
-    c.dirty = false;
-    std::erase(r.dirty_fds, fd);
-    finish_window(c);
   }
   update_epoll(r, fd, c);  // pause: interest mask 0; blackhole keeps EPOLLIN
 }
@@ -1018,7 +811,6 @@ node::conn_ref node::open_to_server(reactor& r, actor_state& a,
   c.owner = &a;
   c.serial = next_conn_serial_.fetch_add(1, std::memory_order_relaxed);
   c.fault = default_fault_.load(std::memory_order_relaxed);
-  c.cur_window_us = opt_.adaptive ? 0 : opt_.batch_window_us;
   c.epoll_mask = c.fault == conn_fault::pause ? 0u : (EPOLLIN | EPOLLOUT);
   epoll_event ev{};
   ev.events = c.epoll_mask;
@@ -1029,9 +821,8 @@ node::conn_ref node::open_to_server(reactor& r, actor_state& a,
   ::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_ADD, raw, &ev);
   // Introduce the ACTOR (not the node: a client node hosts many) so the
   // server can route replies back. The hello must precede any frame on
-  // this connection, so it bypasses the batch window ordering-wise (it is
-  // appended first) but still leaves in the same writev as the frames
-  // that triggered the connect.
+  // this connection: it is appended first and leaves in the same writev
+  // as the frames that triggered the connect.
   auto& cref = r.conns.find(raw)->second;
   append_hello_frame(cref.out.tail_for(64), a.self);
   wm_.frames_out->inc();
@@ -1070,7 +861,13 @@ void node::queue_frames(reactor& r, int fd, connection& c,
   }
   append_chunk(begin, msgs.size());
   wm_.backlog_bytes->add(static_cast<std::int64_t>(c.out.bytes() - before));
-  after_queue(r, fd, c);
+  // A paused connection holds its bytes until apply_fault's heal flushes
+  // them (flush returns early); a connecting one sends once writable.
+  if (c.connecting) {
+    update_epoll(r, fd, c);
+  } else {
+    flush(r, fd, c);
+  }
 }
 
 }  // namespace fastreg::net

@@ -12,12 +12,11 @@
 // Reactor sharding: node_options::reactors picks the number of event-loop
 // threads. Reactor 0 owns the listener and dispatches accepted
 // connections round-robin across the pool; each connection's frame
-// buffer, zero-copy buffer chain and batch-window state are owned by
-// exactly one reactor and never touched from another thread. A send whose
-// destination connection lives on a different reactor ships the messages
-// to the owning reactor's task queue (serial-checked against fd reuse)
-// and is encoded there, so receivers observe the same frame/step
-// structure either way.
+// buffer and zero-copy buffer chain are owned by exactly one reactor and
+// never touched from another thread. A send whose destination connection
+// lives on a different reactor ships the messages to the owning
+// reactor's task queue (serial-checked against fd reuse) and is encoded
+// there, so receivers observe the same frame/step structure either way.
 //
 // Actors: a node hosts one or more automata, installed with add_actor
 // before start() and addressed by actor index. A server has exactly one
@@ -41,15 +40,13 @@
 // Outbound path (zero-copy): every send -- a one-message send() or a
 // send_batch() -- is one message list, encoded as one count-prefixed
 // batch frame straight into the destination connection's buffer_chain
-// (exact-size reservation, no intermediate byte vector); a flush hands
-// the whole chain to one writev. The receiver delivers each frame as one
-// on_batch step, exactly as the simulator delivers one envelope. The
-// flush controller is per-CONNECTION: each connection has its own batch
-// window (node_options::batch_window_us / adaptive) plus a bytes budget
-// (node_options::flush_bytes) that flushes early when the backlog is
-// already worth a writev. Coalescing is strictly at the BYTE level --
-// frames are never merged, so the step structure is the same whatever
-// the window is.
+// (exact-size reservation, no intermediate byte vector). The one flush
+// policy: a connected connection hands its whole chain to one writev in
+// the step that queued the frames; a connecting one sends when it turns
+// writable. The receiver delivers each frame as one on_batch step,
+// exactly as the simulator delivers one envelope. A store session begins
+// every op of a step inside one frame per server, so a round costs one
+// frame and one writev per server.
 //
 // Fault hooks: every connection can be paused (no reads, no writes --
 // bytes queue up; healing flushes them), blackholed (reads and writes
@@ -96,41 +93,20 @@ enum class conn_fault : std::uint8_t {
   blackhole = 2,
 };
 
-/// Reactor-pool and outbound flush policy of a node. Frames always encode
-/// straight into the destination connection's buffer chain; the policy
-/// decides when the chain is handed to writev.
+/// Reactor pool of a node.
 struct node_options {
-  /// Flush window in microseconds, per connection. 0 = flush within the
-  /// reactor step that queued the bytes (lowest latency; the pre-window
-  /// behavior). > 0 = a connection's queued frames wait up to this long
-  /// on the reactor's timerfd, so one writev coalesces frames across
-  /// automaton steps (Nagle-style: higher throughput for bounded added
-  /// latency).
-  std::uint32_t batch_window_us{0};
-  /// Adaptive mode: each connection's effective window starts at 0 and
-  /// widens -- up to window_cap_us() -- while its flushes keep observing
-  /// multi-frame backlog; it collapses back toward 0 when that
-  /// connection goes idle, so a lone request is not taxed the full
-  /// window.
-  bool adaptive{false};
-  /// Bytes budget of the per-connection flush controller: under a batch
-  /// window, a connection whose backlog reaches this many bytes is
-  /// flushed immediately (the backlog already amortizes a writev; waiting
-  /// longer only adds latency). 0 disables the budget.
-  std::uint32_t flush_bytes{64 * 1024};
   /// Number of reactor (event-loop) threads. Connections are owned by
   /// exactly one reactor; reactor 0 accepts and deals new connections
   /// round-robin.
   std::uint32_t reactors{1};
 
-  /// Adaptive mode's cap when batch_window_us leaves it unset.
-  static constexpr std::uint32_t k_default_window_cap_us = 500;
-
-  /// The adaptive window's cap: batch_window_us, or
-  /// k_default_window_cap_us when that is 0.
-  [[nodiscard]] std::uint32_t window_cap_us() const {
-    return batch_window_us != 0 ? batch_window_us : k_default_window_cap_us;
-  }
+  // There is no batch window: every connection flushes in the step that
+  // queued its frames. These constants keep the names the benchmark's
+  // pinned-config line prints (benchmark/src/report.cc), at the values
+  // of that one policy.
+  static constexpr std::uint32_t batch_window_us = 0;
+  static constexpr bool adaptive = false;
+  static constexpr std::uint32_t flush_bytes = 0;
 };
 
 class node final {
@@ -223,15 +199,7 @@ class node final {
     bool connecting{false};
     /// Interest mask last given to epoll (update_epoll skips no-ops).
     std::uint32_t epoll_mask{0};
-    /// Queued bytes awaiting a deferred (windowed) flush.
-    bool dirty{false};
     conn_fault fault{conn_fault::none};
-    /// Per-connection flush-controller state (see node_options).
-    std::uint32_t cur_window_us{0};
-    std::uint64_t frames_since_flush{0};
-    /// steady_now_ns() when this connection's current batch window opened
-    /// (first frame queued since its last flush); 0 = no window open.
-    std::uint64_t window_open_ns{0};
   };
 
   struct reactor {
@@ -239,12 +207,8 @@ class node final {
     node* owner{nullptr};
     unique_fd epoll_fd;
     unique_fd event_fd;
-    unique_fd timer_fd;
     std::thread thread;
     std::unordered_map<int, connection> conns;
-    std::vector<int> dirty_fds;
-    bool window_armed{false};
-    std::uint64_t armed_deadline_ns{0};
     /// Connection currently being drained by handle_readable; close_conn
     /// on it is deferred until the drain returns.
     int drain_guard_fd{-1};
@@ -303,20 +267,6 @@ class node final {
   void handle_writable(reactor& r, int fd);
   void flush(reactor& r, int fd, connection& c);
   void close_conn(reactor& r, int fd);
-  /// Post-encode hook: immediate-mode flush, or dirty-marking + window
-  /// arming / bytes-budget flush under a batch window.
-  void after_queue(reactor& r, int fd, connection& c);
-  /// Window-expiry path: flushes connections whose window deadline
-  /// passed, applies the per-connection adaptive policy, re-arms for the
-  /// earliest remaining deadline.
-  void flush_expired(reactor& r);
-  /// Step-end path: adaptive-mode connections currently at window 0
-  /// flush at the end of the reactor step that queued their bytes.
-  void flush_step_end(reactor& r);
-  /// Closes a connection's window accounting (observe wait, reset
-  /// counters) just before its flush.
-  void finish_window(connection& c);
-  void arm_window_at(reactor& r, std::uint64_t deadline_ns);
   void update_epoll(reactor& r, int fd, connection& c);
   void apply_fault(reactor& r, int fd, connection& c, conn_fault f);
 
@@ -329,7 +279,7 @@ class node final {
   /// Encodes `msgs` into the connection's chain on its owning reactor
   /// (inline when that is the current context) as count-prefixed batch
   /// frames -- one, unless the messages exceed the chunk limit -- and
-  /// runs the flush controller.
+  /// flushes them (a connecting connection flushes once writable).
   void queue_frames(reactor& r, int fd, connection& c, const process_id& from,
                     std::vector<message>& msgs);
   /// Opens an outbound connection to server `index` on reactor `r` for
@@ -378,17 +328,11 @@ class node final {
     obs::counter* bytes_in{nullptr};
     obs::counter* writev_calls{nullptr};
     obs::counter* short_writes{nullptr};
-    obs::counter* flushes_immediate{nullptr};
-    obs::counter* flushes_window{nullptr};
-    obs::counter* flushes_step{nullptr};
-    obs::counter* flushes_bytes{nullptr};
-    obs::counter* window_widen{nullptr};
     obs::counter* conn_resets{nullptr};
     /// framing's process-global malformed-frame counter.
     obs::counter* malformed_frames{nullptr};
     obs::gauge* backlog_bytes{nullptr};
     obs::histogram* flush_ns{nullptr};
-    obs::histogram* window_wait_ns{nullptr};
   };
   wire_metrics wm_;
   /// Per-reactor handles (label reactor="i"), pre-created before any
@@ -408,7 +352,6 @@ class node final {
     /// from its own thread) or another thread woke it.
     obs::counter* wakes_own{nullptr};
     obs::counter* wakes_other{nullptr};
-    obs::counter* timer_arms{nullptr};
     /// epoll_ctl calls after construction (connection add, mask change,
     /// removal).
     obs::counter* epoll_ctls{nullptr};

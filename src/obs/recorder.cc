@@ -30,7 +30,6 @@ std::atomic<bool> recording_on{[] {
 }()};
 }  // namespace detail
 
-bool recording_enabled() { return recording_active(); }
 void set_recording(bool on) {
   detail::recording_on.store(on, std::memory_order_relaxed);
 }

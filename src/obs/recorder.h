@@ -61,7 +61,6 @@ extern std::atomic<bool> recording_on;
 [[nodiscard]] inline bool recording_active() {
   return detail::recording_on.load(std::memory_order_relaxed);
 }
-[[nodiscard]] bool recording_enabled();
 void set_recording(bool on);
 
 // ------------------------------------------------------------------ clock --

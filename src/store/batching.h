@@ -9,13 +9,11 @@
 // Envelope-semantics parity (sim == TCP): every send -- a send_batch or a
 // one-message send -- is ALWAYS one delivery unit: a sim envelope
 // delivered as one on_batch step, and one TCP batch frame delivered as
-// one on_batch step (tests/test_net.cc, DeliveryUnit.*). The TCP reactor's
-// time-window flush (net::node_options) coalesces strictly at the byte
-// level, packing several such frames into one writev; it never merges or
-// splits the frames themselves, so the receiving automaton's step
-// structure is identical on both transports whatever the window is. That
-// is what lets histories produced under any batch window be verified by
-// the same checkers as simulator runs.
+// one on_batch step (tests/test_net.cc, DeliveryUnit.*). The TCP reactor
+// flushes each connection in the step that queued its frames and never
+// merges or splits the frames themselves, so the receiving automaton's
+// step structure is identical on both transports. That is what lets TCP
+// histories be verified by the same checkers as simulator runs.
 #pragma once
 
 #include <utility>

@@ -10,9 +10,10 @@
 // Every operation goes through the front-end (store/async_client.h):
 // open_session() gives a client a sliding window of up to `depth` ops in
 // flight, and submit_and_drain() is the blocking one-shot over it (a
-// depth-1 session is the one-blocking-op-at-a-time loop). Combined with
-// the per-connection batch window (net::node_options) pipelining keeps
-// the wire busy across round trips instead of idling between them.
+// depth-1 session is the one-blocking-op-at-a-time loop). A session
+// begins every op of a step inside one batch frame per server, and the
+// reactor flushes that frame in the same step, so pipelining keeps the
+// wire busy across round trips instead of idling between them.
 //
 // Threading contract: one live session per client index at a time,
 // driven from one thread; different client indices may be driven from
@@ -36,6 +37,8 @@ namespace fastreg::store {
 
 class tcp_store {
  public:
+  /// `nopt` is unused: the cluster sets every node's reactor count from
+  /// `copt`. The argument stays for the callers that pass it.
   explicit tcp_store(store_config cfg,
                      net::node_options nopt = net::node_options{},
                      net::cluster_options copt = {});

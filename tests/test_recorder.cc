@@ -47,7 +47,7 @@ using net::frame_buffer;
 /// leave it flipped for the rest of the binary.
 struct recording_guard {
   bool prev;
-  explicit recording_guard(bool on) : prev(obs::recording_enabled()) {
+  explicit recording_guard(bool on) : prev(obs::recording_active()) {
     obs::set_recording(on);
   }
   ~recording_guard() { obs::set_recording(prev); }

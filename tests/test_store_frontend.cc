@@ -181,7 +181,8 @@ TEST(StoreFrontend, TcpAdmissionStatusesAndCounters) {
 TEST(StoreFrontend, TcpQueuedAdmissionsLeaveAsOneBatchFramePerServer) {
   // Admission never waits for the reactor. Ops admitted while the hub's
   // reactor is held up queue in the session; the next step begins them
-  // all and sends ONE batch frame per server, not one frame per op.
+  // all and sends ONE batch frame per server, not one frame per op, and
+  // the reactor flushes each frame with its own writev in that step.
   // fast_swmr reads take one round, so those are the hub's only frames.
   auto cfg = frontend_cfg(5, 1, 1);
   cfg.shard_protocols = {"fast_swmr"};
@@ -218,11 +219,14 @@ TEST(StoreFrontend, TcpQueuedAdmissionsLeaveAsOneBatchFramePerServer) {
   ASSERT_TRUE(se->drain(10s));
   EXPECT_EQ(se->take_results().size(), 8u);
 
-  const double frames = obs::series_sum(
-      scrape.take(), "fastreg_net_frames_out_total",
-      "node=\"" + to_string(hub.self()) + "\"");
-  EXPECT_EQ(frames, 5.0) << "8 queued gets must leave as one batch frame "
-                            "per server";
+  const auto rows = scrape.take();
+  const std::string hub_label = "node=\"" + to_string(hub.self()) + "\"";
+  EXPECT_EQ(obs::series_sum(rows, "fastreg_net_frames_out_total", hub_label),
+            5.0)
+      << "8 queued gets must leave as one batch frame per server";
+  EXPECT_EQ(obs::series_sum(rows, "fastreg_net_writev_calls_total", hub_label),
+            5.0)
+      << "each frame must leave in one writev, in the step that queued it";
   const auto res = ts.gather().verify();
   EXPECT_TRUE(res.ok) << res.error;
   ts.stop();

@@ -6,8 +6,8 @@
 //    ones that end mid-block;
 //  * frame_buffer::drain parses in place, reassembles frames straddling
 //    receive-buffer boundaries, and still latches corrupt();
-//  * a TCP deployment (a one-shard store) stays correct under fixed and
-//    adaptive batch windows;
+//  * node_options keeps the one flush policy's constants (flush in the
+//    step that queued the frames);
 //  * the pipelined store client keeps N ops in flight and the resulting
 //    histories verify.
 #include <gtest/gtest.h>
@@ -22,9 +22,9 @@
 
 #include "net/buffer_chain.h"
 #include "net/framing.h"
+#include "net/node.h"
 #include "obs/metrics.h"
 #include "store/tcp_store.h"
-#include "store_test_util.h"
 
 // ------------------------------------------------- allocation counting --
 // Global operator new override: every heap allocation in the process is
@@ -285,50 +285,14 @@ TEST(DrainParser, OversizedLengthPrefixLatchesViaDrain) {
   EXPECT_TRUE(fb.corrupt());
 }
 
-// --------------------------------------- batch windows on a real cluster --
+// ------------------------------------------------------ one flush policy --
 
-void run_cluster_ops(node_options nopt) {
-  system_config cfg;
-  cfg.servers = 5;
-  cfg.t_failures = 1;
-  cfg.readers = 1;
-  store::tcp_store ts(store::test::one_register(cfg, "abd"), nopt);
-  ts.start();
-  store::test::register_client w(ts.frontend(), writer_id(0));
-  store::test::register_client r(ts.frontend(), reader_id(0));
-  for (int k = 0; k < 20; ++k) {
-    ASSERT_TRUE(w.write("v" + std::to_string(k + 1)));
-    const auto rd = r.read();
-    ASSERT_TRUE(rd.has_value());
-    EXPECT_EQ(rd->val, "v" + std::to_string(k + 1));
-  }
-  EXPECT_TRUE(ts.gather().verify().ok);
-  ts.stop();
-}
-
-TEST(BatchWindow, FixedWindowClusterStaysCorrect) {
-  node_options nopt;
-  nopt.batch_window_us = 300;
-  run_cluster_ops(nopt);
-}
-
-TEST(BatchWindow, AdaptiveWindowClusterStaysCorrect) {
-  node_options nopt;
-  nopt.adaptive = true;
-  run_cluster_ops(nopt);
-}
-
-TEST(BatchWindow, AdaptiveCapIsTheWindowOrTheDefault) {
-  // Under adaptive, batch_window_us is the cap; a zero window caps at the
-  // default rather than pinning the window at 0.
-  EXPECT_EQ(node_options{}.batch_window_us, 0u);
-  node_options opt;
-  opt.adaptive = true;
-  EXPECT_EQ(opt.window_cap_us(), node_options::k_default_window_cap_us);
-  EXPECT_EQ(node_options::k_default_window_cap_us, 500u);
-  opt.batch_window_us = 900;
-  EXPECT_EQ(opt.window_cap_us(), 900u);
-}
+// Every connection flushes in the step that queued its frames; there is
+// no window to configure. The benchmark's pinned-config line prints these
+// three constants, so they must keep the values of that one policy.
+static_assert(node_options::batch_window_us == 0);
+static_assert(!node_options::adaptive);
+static_assert(node_options::flush_bytes == 0);
 
 }  // namespace
 }  // namespace fastreg::net
@@ -350,9 +314,7 @@ store_config pipeline_cfg() {
 }
 
 TEST(Pipeline, KeepsNOpsInFlightAndHistoriesVerify) {
-  net::node_options nopt;
-  nopt.batch_window_us = 200;  // the throughput pairing: window + depth
-  tcp_store ts(pipeline_cfg(), nopt);
+  tcp_store ts(pipeline_cfg());
   ts.start();
 
   const int keys = 16;

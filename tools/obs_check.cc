@@ -1,11 +1,9 @@
-// obs_check -- validates an observability text dump. Two grammars,
-// auto-detected by the first non-blank, non-comment line:
-//  * metrics exposition (`name{key="value",...} number`, one sample per
-//    line) -- CI runs it on the registry dump (obs::render_text) that
-//    E12 --obs-check writes, so a format drift between the renderer and
-//    the grammar fails the build instead of a dashboard;
-//  * flight-recorder dumps (lines starting `rec `, the *.recorder files
-//    a checker failure emits; see src/obs/recorder.h).
+// obs_check -- validates a metrics exposition dump (`name{key="value",...}
+// number`, one sample per line). CI runs it on the registry dump
+// (obs::render_text) that E12 --obs-check writes, so a format drift
+// between the renderer and the grammar fails the build instead of a
+// dashboard. Flight-recorder dumps have their own validator:
+// `trace_merge --validate`.
 // Reads the file named on the command line, or stdin with no argument.
 // Exit 0 on a valid dump, 1 with a diagnostic on the first offending
 // line.
@@ -13,7 +11,6 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "obs/timeline.h"
 
 int main(int argc, char** argv) {
   std::string text;
@@ -40,22 +37,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "obs_check: empty dump\n");
     return 1;
   }
-  // Flavor detection: the first line that is not blank or a '#' comment
-  // starts with `rec ` in a recorder dump and never does in a metrics
-  // exposition (metric names cannot contain a space).
-  bool recorder_dump = false;
-  for (std::size_t pos = 0; pos < text.size();) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    const std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty() || line[0] == '#') continue;
-    recorder_dump = line.rfind("rec ", 0) == 0;
-    break;
-  }
-  const auto err = recorder_dump
-                       ? fastreg::obs::validate_recorder_dump(text)
-                       : fastreg::obs::validate_dump(text);
+  const auto err = fastreg::obs::validate_dump(text);
   if (!err.empty()) {
     std::fprintf(stderr, "obs_check: %s\n", err.c_str());
     return 1;
