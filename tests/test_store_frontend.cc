@@ -4,7 +4,11 @@
 // shape-identical histories on both. Also covered: the non-blocking
 // admission statuses (window_full / key_busy / failed) and their
 // registry counters on both transports, TCP admission coalescing into
-// one batch frame per server, a session op queued behind a key a
+// one batch frame per server, the one flush policy's wire shape (a
+// connecting connection's hello and first frame share a writev, a
+// paused one holds its frames until the heal flushes them, a blackholed
+// server drops its replies while the quorum serves), a session op queued
+// behind a key a
 // timed-out submit_and_drain abandoned, backpressure against a paused
 // (slow) server fleet, connection churn while a pipeline is in flight,
 // and a multi-reactor hub+server run whose data races -- if any -- are
@@ -228,6 +232,149 @@ TEST(StoreFrontend, TcpQueuedAdmissionsLeaveAsOneBatchFramePerServer) {
             5.0)
       << "each frame must leave in one writev, in the step that queued it";
   const auto res = ts.gather().verify();
+  EXPECT_TRUE(res.ok) << res.error;
+  ts.stop();
+}
+
+/// Waits (up to 5s) until `n` has no queued outbound bytes, so every
+/// writev its last steps owed has happened.
+bool backlog_drains(const net::node& n) {
+  const std::string label = "node=\"" + to_string(n.self()) + "\"";
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (obs::series_sum(obs::snapshot(), "fastreg_net_backlog_bytes",
+                        label) == 0.0) {
+      return true;
+    }
+    std::this_thread::sleep_for(1ms);
+  }
+  return false;
+}
+
+TEST(StoreFrontend, TcpFramesQueuedWhileConnectingLeaveWithTheHello) {
+  // The reader's first get opens its connections: each one's hello and
+  // batch frame queue while it connects and leave together, in the one
+  // writev of the step that finds the connection writable.
+  auto cfg = frontend_cfg(5, 1, 1);
+  cfg.shard_protocols = {"fast_swmr"};
+  tcp_store ts(cfg);
+  ts.start();
+  auto& fe = ts.frontend();
+  ASSERT_TRUE(test::put_one(fe, 0, "k0", "seed"));
+  net::node& hub = ts.cluster().client_node(reader_id(0));
+  ASSERT_TRUE(backlog_drains(hub));
+
+  obs::interval_scrape scrape;
+  const auto got = test::get_one(fe, 0, "k0");
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->val, "seed");
+  ASSERT_TRUE(backlog_drains(hub));
+
+  const auto rows = scrape.take();
+  const std::string hub_label = "node=\"" + to_string(hub.self()) + "\"";
+  EXPECT_EQ(obs::series_sum(rows, "fastreg_net_frames_out_total", hub_label),
+            10.0)
+      << "one hello and one batch frame per server";
+  EXPECT_EQ(obs::series_sum(rows, "fastreg_net_writev_calls_total", hub_label),
+            5.0)
+      << "a connection's hello and first frame must leave in one writev";
+  const auto res = ts.gather().verify();
+  EXPECT_TRUE(res.ok) << res.error;
+  ts.stop();
+}
+
+TEST(StoreFrontend, TcpPausedHubHoldsFramesUntilHealFlushesThem) {
+  // A paused connection queues its frames but writes nothing; healing
+  // the pause flushes each held connection with one writev.
+  auto cfg = frontend_cfg(5, 1, 1);
+  cfg.shard_protocols = {"fast_swmr"};
+  tcp_store ts(cfg);
+  ts.start();
+  auto& fe = ts.frontend();
+  ASSERT_TRUE(test::put_one(fe, 0, "k0", "seed"));
+  // Connects the reader to every server.
+  ASSERT_TRUE(test::get_one(fe, 0, "k0").has_value());
+  net::node& hub = ts.cluster().client_node(reader_id(0));
+  ASSERT_TRUE(backlog_drains(hub));
+  const std::string hub_label = "node=\"" + to_string(hub.self()) + "\"";
+
+  obs::interval_scrape scrape;
+  hub.set_fault_all(net::conn_fault::pause);
+  auto se = ts.open_session(reader_id(0), /*depth=*/1);
+  EXPECT_EQ(se->try_get("k0"), submit_status::submitted);
+  EXPECT_FALSE(se->drain(100ms));
+  const auto held = scrape.take();
+  EXPECT_EQ(obs::series_sum(held, "fastreg_net_frames_out_total", hub_label),
+            5.0);
+  EXPECT_EQ(obs::series_sum(held, "fastreg_net_writev_calls_total", hub_label),
+            0.0)
+      << "a paused connection must hold its bytes";
+  EXPECT_GT(obs::series_sum(held, "fastreg_net_backlog_bytes", hub_label),
+            0.0);
+
+  hub.set_fault_all(net::conn_fault::none);
+  ASSERT_TRUE(se->drain(10s));
+  ASSERT_EQ(se->take_results().size(), 1u);
+  ASSERT_TRUE(backlog_drains(hub));
+  const auto healed = scrape.take();
+  EXPECT_EQ(
+      obs::series_sum(healed, "fastreg_net_frames_out_total", hub_label), 0.0);
+  EXPECT_EQ(
+      obs::series_sum(healed, "fastreg_net_writev_calls_total", hub_label),
+      5.0)
+      << "the heal must flush each held connection with one writev";
+  const auto res = ts.gather().verify();
+  EXPECT_TRUE(res.ok) << res.error;
+  ts.stop();
+}
+
+TEST(StoreFrontend, TcpBlackholedServerDropsFramesWhileQuorumServes) {
+  // A blackholed server reads and discards its requests and sends no
+  // reply: no frame queued, no writev. The other S - t servers complete
+  // the reads. Healing resets its connections and it serves again.
+  auto cfg = frontend_cfg(5, 1, 1);
+  cfg.shard_protocols = {"fast_swmr"};
+  tcp_store ts(cfg);
+  ts.start();
+  auto& fe = ts.frontend();
+  ASSERT_TRUE(test::put_one(fe, 0, "k0", "seed"));
+  ASSERT_TRUE(test::get_one(fe, 0, "k0").has_value());
+  net::node& dark = ts.cluster().server(4);
+  ASSERT_TRUE(backlog_drains(dark));
+  const std::string dark_label = "node=\"" + to_string(dark.self()) + "\"";
+
+  dark.set_fault_all(net::conn_fault::blackhole);
+  obs::interval_scrape scrape;
+  for (int k = 0; k < 8; ++k) {
+    const auto got = test::get_one(fe, 0, "k0");
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->val, "seed");
+  }
+  const auto dropped = scrape.take();
+  for (const char* series :
+       {"fastreg_net_frames_in_total", "fastreg_net_frames_out_total",
+        "fastreg_net_writev_calls_total", "fastreg_net_backlog_bytes"}) {
+    EXPECT_EQ(obs::series_sum(dropped, series, dark_label), 0.0) << series;
+  }
+
+  dark.set_fault_all(net::conn_fault::none);
+  EXPECT_GE(obs::series_sum(scrape.take(), "fastreg_net_conn_resets_total",
+                            dark_label),
+            1.0)
+      << "healing a blackhole must reset its connections";
+  // The client finds its old connection reset and reconnects on a later
+  // send; within a few reads server 4 answers again.
+  double replies = 0;
+  for (int k = 0; k < 50 && replies == 0; ++k) {
+    ASSERT_TRUE(test::get_one(fe, 0, "k0").has_value());
+    ASSERT_TRUE(backlog_drains(dark));
+    replies += obs::series_sum(scrape.take(), "fastreg_net_frames_out_total",
+                               dark_label);
+  }
+  EXPECT_GT(replies, 0.0) << "a healed server must serve again";
+  const auto hist = ts.gather();
+  EXPECT_TRUE(hist.all_complete());
+  const auto res = hist.verify();
   EXPECT_TRUE(res.ok) << res.error;
   ts.stop();
 }
