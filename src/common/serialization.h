@@ -1,8 +1,10 @@
 // Minimal, dependency-free binary codec used for wire messages (net
-// transport) and for signature payloads (crypto). Fixed little-endian
-// integer encodings; length-prefixed strings and byte blobs.
+// transport), the op log and snapshots (persist) and signature payloads
+// (crypto). Fixed little-endian integer encodings, each copied as one
+// word; length-prefixed strings and byte blobs.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -13,6 +15,11 @@
 #include "common/check.h"
 
 namespace fastreg {
+
+// Fixed-width fields are copied to and from the buffer as whole words, so
+// the in-memory byte order IS the wire order.
+static_assert(std::endian::native == std::endian::little,
+              "the codec copies little-endian fields by word");
 
 /// Appends encoded fields to a byte buffer -- either one it owns (default
 /// constructor) or one the CALLER owns (external-buffer constructor).
@@ -58,11 +65,12 @@ class byte_writer {
   [[nodiscard]] std::size_t written() const { return buf_->size() - base_; }
 
  private:
+  /// One capacity check and one copy per field.
   template <typename T>
   void put_fixed(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    std::uint8_t bytes[sizeof(T)] = {};
+    std::memcpy(bytes, &v, sizeof(T));
+    buf_->insert(buf_->end(), bytes, bytes + sizeof(T));
   }
 
   std::vector<std::uint8_t> owned_;
@@ -83,9 +91,10 @@ class byte_writer {
   return 4 + b.size();
 }
 
-/// Reads encoded fields from a borrowed byte span. All getters return
-/// nullopt on truncation instead of throwing, so malformed network input
-/// (including bytes crafted by Byzantine peers) is rejected gracefully.
+/// Reads encoded fields from a borrowed byte span. All getters report
+/// truncation (nullopt, or false for the in-place ones) instead of
+/// throwing, so malformed network input (including bytes crafted by
+/// Byzantine peers) is rejected gracefully.
 class byte_reader {
  public:
   explicit byte_reader(std::span<const std::uint8_t> data) : data_(data) {}
@@ -110,35 +119,43 @@ class byte_reader {
     if (!v) return std::nullopt;
     return static_cast<std::int32_t>(*v);
   }
-  [[nodiscard]] std::optional<std::string> get_string() {
-    auto n = get_u32();
-    if (!n || pos_ + *n > data_.size()) return std::nullopt;
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_), *n);
-    pos_ += *n;
-    return s;
+  /// Length-prefixed fields, assigned into `out` so that a reused
+  /// destination keeps its capacity. False on truncation (`out` is then
+  /// unspecified).
+  [[nodiscard]] bool get_string(std::string& out) {
+    const auto p = get_blob();
+    if (!p) return false;
+    out.assign(reinterpret_cast<const char*>(p->data()), p->size());
+    return true;
   }
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> get_bytes() {
-    auto n = get_u32();
-    if (!n || pos_ + *n > data_.size()) return std::nullopt;
-    std::vector<std::uint8_t> b(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                data_.begin() + static_cast<std::ptrdiff_t>(pos_ + *n));
-    pos_ += *n;
-    return b;
+  [[nodiscard]] bool get_bytes(std::vector<std::uint8_t>& out) {
+    const auto p = get_blob();
+    if (!p) return false;
+    out.assign(p->begin(), p->end());
+    return true;
   }
 
   [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
+  /// One bounds check and one copy per field.
   template <typename T>
   [[nodiscard]] std::optional<T> get_fixed() {
     if (pos_ + sizeof(T) > data_.size()) return std::nullopt;
-    T v{0};
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(data_[pos_ + i]) << (8 * i);
-    }
+    T v{};
+    std::memcpy(&v, data_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);
     return v;
+  }
+
+  /// A length-prefixed field's bytes, borrowed from the input.
+  [[nodiscard]] std::optional<std::span<const std::uint8_t>> get_blob() {
+    const auto n = get_u32();
+    if (!n || pos_ + *n > data_.size()) return std::nullopt;
+    const auto p = data_.subspan(pos_, *n);
+    pos_ += *n;
+    return p;
   }
 
   std::span<const std::uint8_t> data_;

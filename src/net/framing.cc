@@ -146,15 +146,13 @@ frame_buffer::parse_result frame_buffer::parse_one(const std::uint8_t* data,
       malformed_frames_counter().inc();
       return parse_result::skip;
     }
-    out.batch.reserve(*count);
-    for (std::uint32_t i = 0; i < *count; ++i) {
-      auto m = decode_message(r);
-      if (!m) {
+    out.batch.resize(*count);
+    for (auto& m : out.batch) {
+      if (!decode_message(r, m)) {
         malformed_frames_counter().inc();
         out.batch.clear();
         return parse_result::skip;
       }
-      out.batch.push_back(std::move(*m));
     }
     if (r.remaining() != 0) {  // trailing bytes after the last message
       malformed_frames_counter().inc();
@@ -167,19 +165,33 @@ frame_buffer::parse_result frame_buffer::parse_one(const std::uint8_t* data,
   return parse_result::skip;
 }
 
-std::optional<frame> frame_buffer::next() {
+bool frame_buffer::parse_buffered() {
   for (;;) {
-    if (corrupt_) return std::nullopt;
-    frame f;
+    if (corrupt_) return false;
     std::size_t used = 0;
     const auto r =
-        parse_one(buf_.data() + consumed_, buf_.size() - consumed_, used, f);
+        parse_one(buf_.data() + consumed_, buf_.size() - consumed_, used, cur_);
     if (r == parse_result::need_more || r == parse_result::corrupt) {
-      return std::nullopt;
+      return false;
     }
     consumed_ += used;
-    if (r == parse_result::ok) return f;
+    if (r == parse_result::ok) return true;
     // skip: keep scanning from the next frame boundary.
+  }
+}
+
+std::optional<frame> frame_buffer::next() {
+  if (!parse_buffered()) return std::nullopt;
+  std::optional<frame> f(std::move(cur_));
+  release_batch();
+  return f;
+}
+
+void frame_buffer::release_batch() {
+  if (cur_.batch.capacity() > max_kept_batch) {
+    cur_.batch = std::vector<message>{};
+  } else {
+    cur_.batch.clear();
   }
 }
 

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <vector>
@@ -75,24 +74,37 @@ std::size_t append_batch_frame(std::vector<std::uint8_t>& out,
 ///    MUST be reset -- net::node closes it (the peer reconnects with
 ///    fresh framing state and retransmits per protocol retry rules);
 ///    intact frames popped before the corruption are unaffected.
+///
+/// Allocation-free in steady state: every frame decodes in place into
+/// one frame the buffer keeps (decode_message overwrites each message),
+/// and its batch is cleared right after delivery, so the vector keeps
+/// its capacity for the next frame. A batch that grew past
+/// max_kept_batch gives its memory back instead, so one huge frame does
+/// not pin it on a connection.
 class frame_buffer {
  public:
   void feed(const std::uint8_t* data, std::size_t n);
+  /// The next complete fed frame, handed over with its batch (the kept
+  /// batch starts over empty); nullopt when none is complete. For tests
+  /// and one-shot decoding: the transport's path is drain().
   [[nodiscard]] std::optional<frame> next();
 
   /// Zero-copy inbound path: parses every complete frame DIRECTLY from
   /// the caller's read buffer (no copy into the internal buffer) and
   /// invokes `cb(frame&&)` for each; only a trailing partial frame is
   /// buffered for the next read. While a previous read left a partial
-  /// frame pending, falls back to the buffered feed()+next() path (the
-  /// straddling frame is reassembled there). Identical frame sequence
-  /// and corrupt() semantics to feed()+next().
+  /// frame pending, it is reassembled in the internal buffer first.
+  /// Identical frame sequence and corrupt() semantics to feed()+next().
+  ///
+  /// The frame is LENT: its batch is cleared when `cb` returns, so a
+  /// span of it must not outlive the callback. A callback that moves the
+  /// batch out owns it, and the next frame allocates a new one.
   template <class F>
   void drain(const std::uint8_t* data, std::size_t n, F&& cb) {
     if (corrupt_) return;
     if (buf_.size() != consumed_) {  // partial frame pending: buffered path
       feed(data, n);
-      while (auto f = next()) cb(std::move(*f));
+      while (parse_buffered()) deliver(cb);
       return;
     }
     if (consumed_ > 0) {  // internal buffer fully drained: discard it
@@ -101,13 +113,12 @@ class frame_buffer {
     }
     std::size_t pos = 0;
     while (pos < n) {
-      frame f;
       std::size_t used = 0;
-      const auto r = parse_one(data + pos, n - pos, used, f);
+      const auto r = parse_one(data + pos, n - pos, used, cur_);
       if (r == parse_result::need_more) break;
       if (r == parse_result::corrupt) return;  // latched by parse_one
       pos += used;
-      if (r == parse_result::ok) cb(std::move(f));
+      if (r == parse_result::ok) deliver(cb);
       // parse_result::skip: malformed payload counted, frame skipped.
     }
     if (pos < n) buf_.insert(buf_.end(), data + pos, data + n);
@@ -120,18 +131,37 @@ class frame_buffer {
   /// stream corrupt.
   static constexpr std::uint32_t max_frame_bytes = 16 * 1024 * 1024;
 
+  /// Largest batch capacity (in messages) kept for the next frame.
+  static constexpr std::size_t max_kept_batch = 64;
+
  private:
   enum class parse_result : std::uint8_t { ok, need_more, skip, corrupt };
 
-  /// Attempts to parse one frame from `data`; on ok/skip sets `used` to
-  /// the frame's full extent. On corrupt, latches corrupt_ and discards
-  /// the internal buffer (the stream has no trustworthy boundary left).
+  /// Attempts to parse one frame from `data` into `out` (whose batch is
+  /// empty); on ok/skip sets `used` to the frame's full extent, and on
+  /// anything but ok leaves the batch empty. On corrupt, latches corrupt_
+  /// and discards the internal buffer (the stream has no trustworthy
+  /// boundary left).
   parse_result parse_one(const std::uint8_t* data, std::size_t avail,
                          std::size_t& used, frame& out);
+
+  /// Parses the next complete frame of the internal buffer into cur_,
+  /// skipping malformed ones. False when none is complete.
+  bool parse_buffered();
+
+  /// Lends cur_ to `cb`, then empties its batch for the next frame.
+  template <class F>
+  void deliver(F& cb) {
+    cb(std::move(cur_));
+    release_batch();
+  }
+  void release_batch();
 
   std::vector<std::uint8_t> buf_;
   std::size_t consumed_{0};
   bool corrupt_{false};
+  /// The frame every parse decodes into (see the class comment).
+  frame cur_;
 };
 
 }  // namespace fastreg::net

@@ -309,15 +309,17 @@ void node::reactor_main(reactor& r) {
       n = 0;
     }
     // Drain posted tasks first (includes invocations and shipped sends).
-    std::deque<std::function<void()>> tasks;
+    // The two vectors trade places, so both keep their capacity.
     {
       std::lock_guard<std::mutex> lk(r.q_mu);
-      tasks.swap(r.tasks);
+      r.running.swap(r.tasks);
     }
-    if (!tasks.empty()) {
-      rm_[r.index].tasks_run->inc(static_cast<std::uint64_t>(tasks.size()));
+    if (!r.running.empty()) {
+      rm_[r.index].tasks_run->inc(
+          static_cast<std::uint64_t>(r.running.size()));
     }
-    for (auto& t : tasks) t();
+    for (auto& t : r.running) t();
+    r.running.clear();
     {
       std::lock_guard<std::mutex> lk(mu_);
       if (stop_requested_) break;
@@ -326,10 +328,12 @@ void node::reactor_main(reactor& r) {
       const int fd = events[i].data.fd;
       if (fd == r.event_fd.get()) {
         std::uint64_t buf;
-        // Retry EINTR so the counter actually drains (a level-triggered
-        // eventfd would re-fire anyway, but burning an extra epoll pass
-        // per signal is pointless).
-        while (::read(r.event_fd.get(), &buf, sizeof buf) > 0 ||
+        // One read returns and zeroes the whole (non-semaphore) counter;
+        // a second would only fail with EAGAIN. Retry EINTR so the
+        // counter actually drains (a level-triggered eventfd would re-fire
+        // anyway, but burning an extra epoll pass per signal is
+        // pointless).
+        while (::read(r.event_fd.get(), &buf, sizeof buf) < 0 &&
                errno == EINTR) {
         }
         continue;
@@ -446,7 +450,7 @@ void node::handle_readable(reactor& r, int fd) {
     r.drain_guard_fd = fd;
     {
       std::lock_guard<std::mutex> step(owner->step_mu);
-      c.in.drain(buf, static_cast<std::size_t>(n), [&](frame&& f) {
+      c.in.drain(buf, static_cast<std::size_t>(n), [&](const frame& f) {
         wm_.frames_in->inc();
         // A server index at or beyond S names no process of this
         // deployment, and automata count acks by server index in a
@@ -463,7 +467,9 @@ void node::handle_readable(reactor& r, int fd) {
           return;
         }
         // Every other frame parse_one lets through is a non-empty batch:
-        // one send, delivered as one step.
+        // one send, delivered as one step. The batch is the connection's
+        // reused one, cleared when this returns: the step must not keep
+        // a span of it.
         if (obs::recording_active()) {
           record_batch(*owner->rec, obs::rec_event::recv, f.from, f.batch);
         }

@@ -37,6 +37,11 @@
 // completed. The node's own waits (run_on_reactor, fault application)
 // wait for a posted step or a reactor ack, never for an op.
 //
+// Inbound path (allocation-free): each connection's frame_buffer parses
+// frames in place from the reactor's read buffer and decodes each into
+// the batch it keeps, which the automaton's on_batch step borrows; the
+// batch is cleared (its capacity kept) right after the step.
+//
 // Outbound path (zero-copy): every send -- a one-message send() or a
 // send_batch() -- is one message list, encoded as one count-prefixed
 // batch frame straight into the destination connection's buffer_chain
@@ -58,7 +63,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -213,8 +217,12 @@ class node final {
     /// on it is deferred until the drain returns.
     int drain_guard_fd{-1};
     bool drain_close_pending{false};
+    /// Posted tasks, guarded by q_mu. Each epoll pass swaps them into
+    /// `running` (reactor thread only) and runs them there; the two
+    /// vectors keep their capacity, so posting allocates no queue node.
     std::mutex q_mu;
-    std::deque<std::function<void()>> tasks;
+    std::vector<std::function<void()>> tasks;
+    std::vector<std::function<void()>> running;
     /// Guarded by the node's mu_ (paired with cv_).
     bool exited{false};
   };

@@ -158,17 +158,11 @@ bool decode_snapshot_fields(byte_reader& r, object_id& obj,
   const auto o = r.get_u64();
   const auto ts = r.get_i64();
   const auto wid = r.get_i32();
-  auto val = r.get_string();
-  auto prev = r.get_string();
-  auto sig = r.get_bytes();
-  if (!o || !ts || !wid || !val || !prev || !sig) return false;
+  if (!o || !ts || !wid) return false;
   obj = *o;
   s.ts = *ts;
   s.wid = *wid;
-  s.val = std::move(*val);
-  s.prev = std::move(*prev);
-  s.sig = std::move(*sig);
-  return true;
+  return r.get_string(s.val) && r.get_string(s.prev) && r.get_bytes(s.sig);
 }
 
 std::optional<log_record> decode_record(std::span<const std::uint8_t> payload) {

@@ -69,11 +69,9 @@ void encode_message(byte_writer& w, const message& m) {
   encode_process_id(w, m.origin);
 }
 
-std::optional<message> decode_message(byte_reader& r) {
-  message m;
+bool decode_message(byte_reader& r, message& m) {
   const auto type = r.get_u8();
-  if (!type || *type < 1 || *type > k_max_msg_type) return std::nullopt;
-  m.type = static_cast<msg_type>(*type);
+  if (!type || *type < 1 || *type > k_max_msg_type) return false;
   const auto obj = r.get_u64();
   const auto epoch = r.get_u64();
   const auto attempt = r.get_u32();
@@ -82,19 +80,19 @@ std::optional<message> decode_message(byte_reader& r) {
   const auto span = r.get_u32();
   const auto ts = r.get_i64();
   const auto wid = r.get_i32();
-  auto val = r.get_string();
-  auto prev = r.get_string();
-  const auto seen_bits = r.get_u64();
-  const auto rcounter = r.get_u64();
-  auto sig = r.get_bytes();
-  const auto origin = decode_process_id(r);
-  if (!obj || !epoch || !attempt || !mig || !trace || !span || !ts || !wid ||
-      !val || !prev || !seen_bits || !rcounter || !sig || !origin) {
-    return std::nullopt;
+  if (!obj || !epoch || !attempt || !mig || !trace || !span || !ts || !wid) {
+    return false;
   }
   // The span travels as a u32 but is a u16 in memory: a wider value is
   // malformed, not something to truncate.
-  if (*span > 0xFFFFu) return std::nullopt;
+  if (*span > 0xFFFFu) return false;
+  if (!r.get_string(m.val) || !r.get_string(m.prev)) return false;
+  const auto seen_bits = r.get_u64();
+  const auto rcounter = r.get_u64();
+  if (!seen_bits || !rcounter || !r.get_bytes(m.sig)) return false;
+  const auto origin = decode_process_id(r);
+  if (!origin) return false;
+  m.type = static_cast<msg_type>(*type);
   m.obj = *obj;
   m.epoch = *epoch;
   m.attempt = *attempt;
@@ -103,13 +101,10 @@ std::optional<message> decode_message(byte_reader& r) {
   m.span = static_cast<std::uint16_t>(*span);
   m.ts = *ts;
   m.wid = *wid;
-  m.val = std::move(*val);
-  m.prev = std::move(*prev);
   m.seen = seen_set{*seen_bits};
   m.rcounter = *rcounter;
-  m.sig = std::move(*sig);
   m.origin = *origin;
-  return m;
+  return true;
 }
 
 }  // namespace fastreg

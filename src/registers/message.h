@@ -108,7 +108,11 @@ void record_batch(obs::recorder& rec, obs::rec_event ev,
 
 /// Wire codec (used by the TCP transport; the simulator passes structs).
 void encode_message(byte_writer& w, const message& m);
-[[nodiscard]] std::optional<message> decode_message(byte_reader& r);
+/// Decodes one message into `m`, overwriting every field; a reused `m`
+/// keeps its strings' and signature's capacity. False on malformed input
+/// (truncation, an unknown type, a span wider than u16, a bad origin
+/// role), with `m` then unspecified.
+[[nodiscard]] bool decode_message(byte_reader& r, message& m);
 
 void encode_process_id(byte_writer& w, const process_id& p);
 [[nodiscard]] std::optional<process_id> decode_process_id(byte_reader& r);

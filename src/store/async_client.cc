@@ -196,11 +196,12 @@ class tcp_session final : public async_session {
   void step(client& c, netout& net) {
     const std::uint64_t t = steady_now_ns();
     std::vector<store_result>& done = complete(c, t);
-    std::vector<admitted_op> ops = std::exchange(queued_, {});
+    // ops_ is empty between steps: the swap leaves queued_ empty too.
+    ops_.swap(queued_);
     {
       std::lock_guard<std::mutex> lk(mu_);
-      ops.insert(ops.end(), std::make_move_iterator(inbox_.begin()),
-                 std::make_move_iterator(inbox_.end()));
+      ops_.insert(ops_.end(), std::make_move_iterator(inbox_.begin()),
+                  std::make_move_iterator(inbox_.end()));
       inbox_.clear();
       if (!done.empty()) {
         outbox_.insert(outbox_.end(), std::make_move_iterator(done.begin()),
@@ -208,7 +209,7 @@ class tcp_session final : public async_session {
         cv_.notify_one();
       }
     }
-    for (auto& a : ops) {
+    for (auto& a : ops_) {
       // The key's abandoned op is still pending: wait for it here rather
       // than trip begin_*'s precondition.
       if (c.has_pending(a.obj)) {
@@ -217,6 +218,7 @@ class tcp_session final : public async_session {
       }
       begin(c, std::move(a), t + 1);
     }
+    ops_.clear();
     c.flush(net);
   }
 
@@ -260,13 +262,12 @@ class tcp_session final : public async_session {
   /// Moves the outbox into the results stash, freeing window slots and
   /// keys.
   void harvest() {
-    std::vector<store_result> done;
     {
       std::lock_guard<std::mutex> lk(mu_);
-      done.swap(outbox_);
+      harvested_buf_.swap(outbox_);
     }
-    for (const auto& r : done) keys_.erase(r.obj);
-    stash(done);
+    for (const auto& r : harvested_buf_) keys_.erase(r.obj);
+    stash(harvested_buf_);
   }
 
   /// Harvests until `ready()` holds, sleeping on the outbox in between.
@@ -288,6 +289,9 @@ class tcp_session final : public async_session {
   std::size_t actor_;
   /// Objects of admitted ops not yet harvested (session thread only).
   object_table<std::monostate> keys_;
+  /// harvest()'s side of the outbox swap, empty between calls (session
+  /// thread only); it and the outbox trade places and keep capacity.
+  std::vector<store_result> harvested_buf_;
   // The handoff with the reactor.
   std::mutex mu_;
   std::condition_variable cv_;  // signalled when the outbox grows
@@ -299,6 +303,9 @@ class tcp_session final : public async_session {
   /// Reactor side: touched only inside step(), under the step mutex, like
   /// the base's begun_.
   std::vector<admitted_op> queued_;
+  /// step()'s working list, empty between steps (reactor side, like
+  /// queued_); it and queued_ trade places and keep capacity.
+  std::vector<admitted_op> ops_;
 };
 
 }  // namespace

@@ -32,7 +32,9 @@
 // Threading: one session per client index at a time (submit_and_drain
 // opens one too), driven from one thread. Different sessions may live on
 // different threads; on TCP every client is an actor of the cluster's one
-// client node, whose reactor pool multiplexes all their connections.
+// client node, whose reactor pool multiplexes all their connections. A
+// TCP session's step (reactor side) and harvest (session side) work in
+// buffers the session keeps, so neither allocates a list per call.
 //
 // Giving up: an op still in flight when its session closes (a drain
 // timed out) is abandoned, not cancelled. The client's next session

@@ -21,7 +21,6 @@ constexpr std::size_t k_max_fetch_gossip = 16;
 
 server::server(std::shared_ptr<const shard_map> shards, std::uint32_t index)
     : map_(std::move(shards)), index_(index) {
-  shard_ops_.assign(map_->num_shards(), 0);
   auto& reg = obs::registry::instance();
   const std::string lbl = "node=\"" + to_string(server_id(index_)) + "\"";
   sm_.ops = &reg.get_counter("fastreg_store_ops_total", lbl);
@@ -142,8 +141,6 @@ std::vector<object_id> server::unseeded_moved_objects() const {
   return out;
 }
 
-void server::reset_shard_ops() { shard_ops_.assign(map_->num_shards(), 0); }
-
 void server::install_map(std::shared_ptr<const shard_map> next,
                          const std::unordered_set<object_id>& force_move) {
   FASTREG_EXPECTS(next != nullptr);
@@ -182,7 +179,6 @@ void server::install_map(std::shared_ptr<const shard_map> next,
     // across the boundary.
     durable_->append_epoch_mark(map_->epoch(), fenced);
   }
-  shard_ops_.assign(map_->num_shards(), 0);
   sm_.epoch->set(static_cast<std::int64_t>(map_->epoch()));
 }
 
@@ -497,7 +493,6 @@ void server::handle_one(const process_id& from, const message& m) {
       return;
     }
   }
-  ++shard_ops_[map_->shard_of_object(m.obj)];
   sm_.ops->inc();
   if (obs::recording_active()) {
     rec_->record(obs::rec_event::serve, m.trace, m.span,

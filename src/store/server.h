@@ -117,13 +117,6 @@ class server final : public automaton {
   /// so it can force-move them; see install_map.
   [[nodiscard]] std::vector<object_id> unseeded_moved_objects() const;
 
-  /// Client data messages per current-map shard since the last
-  /// install_map or reset (the reconfig::load_monitor's sampling source).
-  [[nodiscard]] const std::vector<std::uint64_t>& shard_ops() const {
-    return shard_ops_;
-  }
-  void reset_shard_ops();
-
   // ------------------------------------------------------------- persist --
   /// The durability engine when map_->config().persist is enabled, null
   /// otherwise. Construction replayed snapshot + log tail and, when the
@@ -251,8 +244,6 @@ class server final : public automaton {
   std::shared_ptr<const shard_map> prev_map_;
   std::uint32_t index_;
   object_table<object_state> objects_;
-  /// Client data messages per shard of the current map (load signal).
-  std::vector<std::uint64_t> shard_ops_;
   batch_collector outbox_;
   /// Durability engine; null when persistence is off.
   std::unique_ptr<persist::server_durability> durable_;

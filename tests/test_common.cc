@@ -155,9 +155,15 @@ TEST(Serialization, RoundTripsStringsAndBytes) {
   const std::vector<std::uint8_t> blob = {1, 2, 3};
   w.put_bytes(std::span<const std::uint8_t>(blob));
   byte_reader r(std::span<const std::uint8_t>(w.bytes()));
-  EXPECT_EQ(r.get_string(), "hello");
-  EXPECT_EQ(r.get_string(), "");
-  EXPECT_EQ(r.get_bytes(), blob);
+  std::string s = "stale contents";
+  std::vector<std::uint8_t> b = {9};
+  ASSERT_TRUE(r.get_string(s));
+  EXPECT_EQ(s, "hello");
+  ASSERT_TRUE(r.get_string(s));
+  EXPECT_EQ(s, "");
+  ASSERT_TRUE(r.get_bytes(b));
+  EXPECT_EQ(b, blob);
+  EXPECT_TRUE(r.exhausted());
 }
 
 TEST(Serialization, TruncationYieldsNulloptNotCrash) {
@@ -173,7 +179,8 @@ TEST(Serialization, StringLengthBeyondBufferRejected) {
   byte_writer w;
   w.put_u32(1000);  // claims 1000 bytes, provides none
   byte_reader r(std::span<const std::uint8_t>(w.bytes()));
-  EXPECT_EQ(r.get_string(), std::nullopt);
+  std::string s;
+  EXPECT_FALSE(r.get_string(s));
 }
 
 

@@ -5,7 +5,8 @@
 //  * buffer_chain resumes correctly after writev short writes, including
 //    ones that end mid-block;
 //  * frame_buffer::drain parses in place, reassembles frames straddling
-//    receive-buffer boundaries, and still latches corrupt();
+//    receive-buffer boundaries, and still latches corrupt(); in steady
+//    state it decodes every frame into the one batch it keeps;
 //  * node_options keeps the one flush policy's constants (flush in the
 //    step that queued the frames);
 //  * the pipelined store client keeps N ops in flight and the resulting
@@ -14,6 +15,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <numeric>
 #include <span>
@@ -33,11 +35,24 @@
 // is an allocation on the encode path.
 
 namespace {
+/// Largest request glibc's per-thread cache (tcache) serves: 1032 bytes.
+constexpr std::size_t k_tcache_max_bytes = 1032;
+
 std::atomic<std::uint64_t> g_alloc_count{0};
+/// Allocations above k_tcache_max_bytes.
+std::atomic<std::uint64_t> g_large_alloc_count{0};
+/// Allocations of a whole number of messages: message vectors.
+std::atomic<std::uint64_t> g_message_sized_count{0};
 }  // namespace
 
 void* operator new(std::size_t n) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (n > k_tcache_max_bytes) {
+    g_large_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (n != 0 && n % sizeof(fastreg::message) == 0) {
+    g_message_sized_count.fetch_add(1, std::memory_order_relaxed);
+  }
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc{};
 }
@@ -283,6 +298,125 @@ TEST(DrainParser, OversizedLengthPrefixLatchesViaDrain) {
   fb.drain(bogus.data(), bogus.size(), [&](frame&&) { ++emitted; });
   EXPECT_EQ(emitted, 0u);
   EXPECT_TRUE(fb.corrupt());
+}
+
+/// Batch frames of 1 to 16 messages of `type` from reader_id(0), each
+/// carrying `val` in val and prev.
+std::vector<std::uint8_t> frames_of_1_to_16(msg_type type,
+                                            const std::string& val) {
+  std::vector<std::uint8_t> stream;
+  for (std::size_t n = 1; n <= 16; ++n) {
+    std::vector<message> batch(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      batch[i].type = type;
+      batch[i].obj = 1000 + i;
+      batch[i].ts = static_cast<ts_t>(n);
+      batch[i].val = val;
+      batch[i].prev = val;
+      batch[i].origin = reader_id(0);
+    }
+    append_batch_frame(stream, reader_id(0), batch);
+  }
+  return stream;
+}
+
+/// What a warmed frame_buffer allocates draining `stream` 100 times, as
+/// one read and in 97-byte reads (frames straddle reads, so the buffered
+/// path decodes too).
+struct drain_allocs {
+  std::uint64_t all{0};
+  std::uint64_t large{0};
+  std::uint64_t message_sized{0};
+};
+
+drain_allocs warmed_drain_allocs(const std::vector<std::uint8_t>& stream) {
+  frame_buffer fb;
+  std::size_t msgs = 0;
+  const auto count = [&](const frame& f) { msgs += f.batch.size(); };
+  const auto pass = [&] {
+    fb.drain(stream.data(), stream.size(), count);
+    for (std::size_t pos = 0; pos < stream.size(); pos += 97) {
+      fb.drain(stream.data() + pos, std::min<std::size_t>(97, stream.size() - pos),
+               count);
+    }
+  };
+  pass();  // warm-up: the kept batch and the partial-frame buffer grow
+  const std::uint64_t all0 = g_alloc_count.load();
+  const std::uint64_t large0 = g_large_alloc_count.load();
+  const std::uint64_t sized0 = g_message_sized_count.load();
+  for (int i = 0; i < 100; ++i) pass();
+  drain_allocs d{g_alloc_count.load() - all0,
+                 g_large_alloc_count.load() - large0,
+                 g_message_sized_count.load() - sized0};
+  EXPECT_EQ(msgs, 101u * 2 * (16 * 17 / 2));  // every message delivered
+  EXPECT_FALSE(fb.corrupt());
+  return d;
+}
+
+TEST(DrainParser, SteadyStateDecodeReusesItsBatch) {
+  // Read requests carry no value: decoding them allocates nothing at all.
+  const drain_allocs reqs =
+      warmed_drain_allocs(frames_of_1_to_16(msg_type::read_req, ""));
+  EXPECT_EQ(reqs.all, 0u);
+
+  // Acks with 16-byte values: each value outgrows the small-string buffer
+  // and allocates, but no batch vector does, and nothing leaves malloc's
+  // per-thread cache.
+  const drain_allocs acks = warmed_drain_allocs(
+      frames_of_1_to_16(msg_type::read_ack, std::string(16, 'v')));
+  EXPECT_EQ(acks.message_sized, 0u);
+  EXPECT_EQ(acks.large, 0u);
+
+  // Stale contents: a good 8-message frame, then a frame of count 3 whose
+  // third message is truncated (skipped), then a good 2-message frame.
+  // The callback sees exactly the last frame's 2 messages, none of the
+  // earlier frames' leftovers.
+  std::vector<message> eight(8);
+  for (std::size_t i = 0; i < eight.size(); ++i) {
+    eight[i] = make_msg(8 + i);
+    eight[i].rcounter = 100 + i;
+  }
+  std::vector<message> three = {make_msg(3), make_msg(4), make_msg(5)};
+  auto bad = encode_batch_frame(server_id(0), three);
+  bad.pop_back();  // the third message's origin loses a byte
+  const auto len = static_cast<std::uint32_t>(bad.size() - 4);
+  std::memcpy(bad.data(), &len, 4);
+  const std::vector<message> two = {make_msg(1), make_msg(2)};
+  const std::uint64_t malformed0 = malformed_frames();
+  frame_buffer fb;
+  std::vector<std::vector<message>> seen;
+  const auto keep = [&](const frame& f) { seen.push_back(f.batch); };
+  for (const auto& bytes :
+       {encode_batch_frame(server_id(0), eight), bad,
+        encode_batch_frame(server_id(0), two)}) {
+    fb.drain(bytes.data(), bytes.size(), keep);
+  }
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0], eight);
+  EXPECT_EQ(seen[1], two);
+  EXPECT_EQ(malformed_frames() - malformed0, 1u);
+  EXPECT_FALSE(fb.corrupt());
+}
+
+TEST(DrainParser, OversizedBatchIsNotKept) {
+  // A batch past max_kept_batch gives its memory back after delivery, so
+  // the next frame of that size allocates its batch again; one at the cap
+  // is kept.
+  for (const std::size_t n :
+       {frame_buffer::max_kept_batch, frame_buffer::max_kept_batch + 1}) {
+    const std::vector<message> batch(n);
+    const auto bytes = encode_batch_frame(server_id(0), batch);
+    frame_buffer fb;
+    std::size_t got = 0;
+    const auto count = [&](const frame& f) { got += f.batch.size(); };
+    fb.drain(bytes.data(), bytes.size(), count);
+    const std::uint64_t before = g_message_sized_count.load();
+    fb.drain(bytes.data(), bytes.size(), count);
+    EXPECT_EQ(g_message_sized_count.load() - before,
+              n > frame_buffer::max_kept_batch ? 1u : 0u)
+        << n;
+    EXPECT_EQ(got, 2 * n);
+  }
 }
 
 // ------------------------------------------------------ one flush policy --

@@ -4,7 +4,7 @@
 usage (from the repository root):
   python3 tools/bench_ab.py PARENT [--pr N] [--pairs 3] [--trace-pairs 1]
                             [--workload W]... [--seed 1] [--seconds 10]
-                            [--profile]
+                            [--profile [--profile-workload W]]
 
 PARENT's committed files are exported (git archive) to
 .bench_build/ab/<sha>/, so each side runs its own benchmark/run.py, which
@@ -44,12 +44,16 @@ The exit status is 1 when a sim_exact or tcp_exact verdict is "DIFFER",
 else 0: timings never gate.
 
 --profile also builds each side's benchmark with -pg in that side's tree
-(.bench_build/gprof/), runs sim_abd once, and stores the top 15 rows of
-`gprof -b -p` for each side. It runs before the pairs, so a failed
-profile build stops the tool before the long part. The percentages include
-the atomicity check that runs after the timed window, and the two sides
-run different numbers of ops, so compare rows across sides by their self
-seconds, not by their percentages.
+(.bench_build/gprof/), runs --profile-workload (default sim_abd) once, and
+stores the top 15 rows of `gprof -b -p` for each side. The -pg build is
+linked with -static, so libc is profiled too: malloc, free, memmove and
+the syscall wrappers show up as rows of their own (a dynamically linked
+build folds their time into nothing). A TCP workload's samples come from
+every thread of the process. The profile runs before the pairs, so a
+failed profile build stops the tool before the long part. The percentages
+include the atomicity check that runs after the timed window, and the two
+sides run different numbers of ops, so compare rows across sides by their
+self seconds, not by their percentages.
 
 Timings on one box on one day compare only inside one file, as ratios.
 """
@@ -67,7 +71,6 @@ import tarfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 AB = ROOT / ".bench_build" / "ab"
-PROFILE_WORKLOAD = "sim_abd"
 PROFILE_ROWS = 15
 # Metrics a traced run's full report carries outside BENCHMARK.json's
 # per_layer list: a durable change states its replay cost.
@@ -232,20 +235,20 @@ def tcp_exact(workload, trace):
     return block
 
 
-def gprof_rows(root, seed, seconds):
-    """Top rows of a flat gprof profile of a -pg build of `root`."""
+def gprof_rows(root, workload, seed, seconds):
+    """Top rows of a flat gprof profile of a static -pg build of `root`."""
     build = root / ".bench_build" / "gprof"
     log = sys.stderr
     subprocess.run(["cmake", "-S", str(root / "benchmark"), "-B", str(build),
                     "-DCMAKE_BUILD_TYPE=Release", "-DCMAKE_CXX_FLAGS=-pg",
-                    "-DCMAKE_EXE_LINKER_FLAGS=-pg"],
+                    "-DCMAKE_EXE_LINKER_FLAGS=-pg -static"],
                    stdout=log, stderr=log, check=True)
     subprocess.run(["cmake", "--build", str(build), "--target",
                     "fastreg_benchmark", "-j4"],
                    stdout=log, stderr=log, check=True)
     binary = build / "fastreg_benchmark"
     (build / "gmon.out").unlink(missing_ok=True)
-    subprocess.run([str(binary), "--workload", PROFILE_WORKLOAD, "--seed",
+    subprocess.run([str(binary), "--workload", workload, "--seed",
                     str(seed), "--seconds", str(seconds), "--json",
                     str(build / "profile-run.json")],
                    cwd=build, stdout=subprocess.DEVNULL, check=True)
@@ -267,12 +270,13 @@ def main():
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=10)
     ap.add_argument("--profile", action="store_true")
+    ap.add_argument("--profile-workload", default="sim_abd", metavar="W")
     args = ap.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
     workloads = args.workload or names
-    for w in workloads:
+    for w in workloads + [args.profile_workload]:
         if w not in names:
             sys.exit(f"unknown workload {w!r}; one of {names}")
 
@@ -296,8 +300,9 @@ def main():
     }
     if args.profile:
         report["profile"] = {
-            "workload": PROFILE_WORKLOAD,
-            "rows": {s: gprof_rows(roots[s], args.seed, args.seconds)
+            "workload": args.profile_workload,
+            "rows": {s: gprof_rows(roots[s], args.profile_workload,
+                                   args.seed, args.seconds)
                      for s in ("parent", "change")},
         }
     traced_metrics = spec["per_layer"] + REPORT_EXTRAS
