@@ -225,6 +225,8 @@ class tcp_fast_read_run {
     sessions_.clear();
     ts_.stop();
   }
+  tcp_fast_read_run(const tcp_fast_read_run&) = delete;
+  tcp_fast_read_run& operator=(const tcp_fast_read_run&) = delete;
 
   /// Every session runs `ops_each` ops from its own thread, the writer
   /// puts and the readers gets; returns the ops completed.
@@ -250,7 +252,9 @@ class tcp_fast_read_run {
     return total;
   }
 
-  [[nodiscard]] bool histories_atomic() const { return ts_.gather().verify().ok; }
+  [[nodiscard]] bool histories_atomic() const {
+    return ts_.gather().verify().ok;
+  }
 
  private:
   static store_config config() {

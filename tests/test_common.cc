@@ -175,6 +175,52 @@ TEST(Serialization, TruncationYieldsNulloptNotCrash) {
   EXPECT_EQ(r.get_u64(), std::nullopt);
 }
 
+TEST(Serialization, FixedFieldsAreLittleEndianOnTheWire) {
+  byte_writer w;
+  w.put_u32(0x01020304u);
+  w.put_u64(0x0102030405060708ull);
+  w.put_i32(-2);
+  const std::vector<std::uint8_t> want = {4, 3, 2, 1, 8,    7,    6,    5,
+                                          4, 3, 2, 1, 0xfe, 0xff, 0xff, 0xff};
+  EXPECT_EQ(w.bytes(), want);
+  // The reader takes them back from any alignment.
+  std::vector<std::uint8_t> shifted = {0};
+  shifted.insert(shifted.end(), want.begin(), want.end());
+  byte_reader r(std::span<const std::uint8_t>(shifted).subspan(1));
+  EXPECT_EQ(r.get_u32(), 0x01020304u);
+  EXPECT_EQ(r.get_u64(), 0x0102030405060708ull);
+  EXPECT_EQ(r.get_i32(), -2);
+  EXPECT_TRUE(r.exhausted());
+}
+
+TEST(Serialization, InPlaceGettersKeepTheDestinationsCapacity) {
+  byte_writer w;
+  w.put_string("short");
+  const std::vector<std::uint8_t> blob = {7};
+  w.put_bytes(std::span<const std::uint8_t>(blob));
+  byte_reader r(std::span<const std::uint8_t>(w.bytes()));
+  std::string s(100, 'x');
+  std::vector<std::uint8_t> b(100, 1);
+  const std::size_t s_cap = s.capacity();
+  const std::size_t b_cap = b.capacity();
+  ASSERT_TRUE(r.get_string(s));
+  ASSERT_TRUE(r.get_bytes(b));
+  EXPECT_EQ(s, "short");
+  EXPECT_EQ(b, blob);
+  EXPECT_EQ(s.capacity(), s_cap);
+  EXPECT_EQ(b.capacity(), b_cap);
+}
+
+TEST(Serialization, BytesLengthBeyondBufferRejected) {
+  byte_writer w;
+  w.put_u32(3);  // claims 3 bytes, provides 2
+  w.put_u8(1);
+  w.put_u8(2);
+  byte_reader r(std::span<const std::uint8_t>(w.bytes()));
+  std::vector<std::uint8_t> b;
+  EXPECT_FALSE(r.get_bytes(b));
+}
+
 TEST(Serialization, StringLengthBeyondBufferRejected) {
   byte_writer w;
   w.put_u32(1000);  // claims 1000 bytes, provides none

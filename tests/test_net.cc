@@ -544,6 +544,56 @@ TEST(Framing, EveryTruncationAndBitFlipOfAGoldenBatchDecodesAlike) {
   }
 }
 
+TEST(Framing, DecodeOverwritesEveryFieldOfAReusedMessage) {
+  // golden_batch's two messages set every wire field between them:
+  // decoding each into a message that holds the other leaves nothing of
+  // the old contents behind.
+  const auto msgs = golden_batch();
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    byte_writer w;
+    encode_message(w, msgs[i]);
+    byte_reader r(w.bytes());
+    message m = msgs[1 - i];
+    ASSERT_TRUE(decode_message(r, m)) << i;
+    EXPECT_TRUE(r.exhausted()) << i;
+    EXPECT_EQ(m, msgs[i]) << i;
+  }
+}
+
+TEST(Framing, EveryTruncatedMessageIsRejected) {
+  // Every field is required: no strict prefix of an encoded message
+  // decodes, whichever field it cuts.
+  for (const auto& want : golden_batch()) {
+    byte_writer w;
+    encode_message(w, want);
+    const auto& bytes = w.bytes();
+    for (std::size_t n = 0; n < bytes.size(); ++n) {
+      byte_reader r(std::span<const std::uint8_t>(bytes.data(), n));
+      message m;
+      EXPECT_FALSE(decode_message(r, m)) << "prefix of " << n << " bytes";
+    }
+  }
+}
+
+TEST(Framing, NextHandsOverItsBatch) {
+  // next() gives the caller the frame, batch included: a frame popped
+  // earlier keeps its messages while later frames decode.
+  const auto msgs = golden_batch();
+  const std::vector<message> one = {msgs[1]};
+  auto bytes = encode_batch_frame(server_id(1), msgs);
+  const auto second = encode_batch_frame(server_id(2), one);
+  bytes.insert(bytes.end(), second.begin(), second.end());
+  frame_buffer fb;
+  fb.feed(bytes.data(), bytes.size());
+  const auto f1 = fb.next();
+  const auto f2 = fb.next();
+  ASSERT_TRUE(f1.has_value());
+  ASSERT_TRUE(f2.has_value());
+  EXPECT_EQ(f1->batch, msgs);
+  EXPECT_EQ(f2->from, server_id(2));
+  EXPECT_EQ(f2->batch, one);
+}
+
 // ---------------------------------------------------------- delivery unit
 //
 // batching.h's parity claim: on both transports every send is one

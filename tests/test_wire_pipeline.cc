@@ -20,6 +20,7 @@
 #include <numeric>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/buffer_chain.h"
@@ -300,6 +301,29 @@ TEST(DrainParser, OversizedLengthPrefixLatchesViaDrain) {
   EXPECT_TRUE(fb.corrupt());
 }
 
+TEST(DrainParser, HelloAfterABatchCarriesNoMessages) {
+  // The kept batch is emptied after every frame, so a hello that follows
+  // a batch frame is delivered with no messages, on both the in-place
+  // and the buffered path.
+  std::vector<std::uint8_t> stream;
+  append_batch_frame(stream, server_id(1),
+                     std::vector<message>{make_msg(), make_msg()});
+  append_hello_frame(stream, server_id(2));
+  for (const std::size_t chunk : {std::size_t{1}, stream.size()}) {
+    frame_buffer fb;
+    std::vector<std::pair<frame_kind, std::size_t>> got;
+    for (std::size_t pos = 0; pos < stream.size(); pos += chunk) {
+      fb.drain(stream.data() + pos, std::min(chunk, stream.size() - pos),
+               [&](const frame& f) {
+                 got.emplace_back(f.kind, f.batch.size());
+               });
+    }
+    ASSERT_EQ(got.size(), 2u) << "chunk=" << chunk;
+    EXPECT_EQ(got[0], std::make_pair(frame_kind::batch, std::size_t{2}));
+    EXPECT_EQ(got[1], std::make_pair(frame_kind::hello, std::size_t{0}));
+  }
+}
+
 /// Batch frames of 1 to 16 messages of `type` from reader_id(0), each
 /// carrying `val` in val and prev.
 std::vector<std::uint8_t> frames_of_1_to_16(msg_type type,
@@ -320,15 +344,17 @@ std::vector<std::uint8_t> frames_of_1_to_16(msg_type type,
   return stream;
 }
 
-/// What a warmed frame_buffer allocates draining `stream` 100 times, as
-/// one read and in 97-byte reads (frames straddle reads, so the buffered
-/// path decodes too).
+/// Allocations counted over a window: all, above k_tcache_max_bytes,
+/// and message-sized.
 struct drain_allocs {
   std::uint64_t all{0};
   std::uint64_t large{0};
   std::uint64_t message_sized{0};
 };
 
+/// What a warmed frame_buffer allocates draining `stream` 100 times, as
+/// one read and in 97-byte reads (frames straddle reads, so the buffered
+/// path decodes too).
 drain_allocs warmed_drain_allocs(const std::vector<std::uint8_t>& stream) {
   frame_buffer fb;
   std::size_t msgs = 0;
@@ -336,8 +362,8 @@ drain_allocs warmed_drain_allocs(const std::vector<std::uint8_t>& stream) {
   const auto pass = [&] {
     fb.drain(stream.data(), stream.size(), count);
     for (std::size_t pos = 0; pos < stream.size(); pos += 97) {
-      fb.drain(stream.data() + pos, std::min<std::size_t>(97, stream.size() - pos),
-               count);
+      const std::size_t n = std::min<std::size_t>(97, stream.size() - pos);
+      fb.drain(stream.data() + pos, n, count);
     }
   };
   pass();  // warm-up: the kept batch and the partial-frame buffer grow
@@ -376,7 +402,7 @@ TEST(DrainParser, SteadyStateDecodeReusesItsBatch) {
     eight[i] = make_msg(8 + i);
     eight[i].rcounter = 100 + i;
   }
-  std::vector<message> three = {make_msg(3), make_msg(4), make_msg(5)};
+  const std::vector<message> three = {make_msg(3), make_msg(4), make_msg(5)};
   auto bad = encode_batch_frame(server_id(0), three);
   bad.pop_back();  // the third message's origin loses a byte
   const auto len = static_cast<std::uint32_t>(bad.size() - 4);
