@@ -8,7 +8,7 @@
 #include "benchutil/table.h"
 #include "checker/atomicity.h"
 #include "crypto/sig.h"
-#include "registers/fast_bft.h"
+#include "registers/fast_swmr.h"
 #include "registers/registry.h"
 #include "sim/world.h"
 
@@ -89,7 +89,7 @@ int main() {
     }
     std::uint64_t discarded = 0;
     for (std::uint32_t i = 0; i < cfg.R(); ++i) {
-      discarded += dynamic_cast<fast_bft_reader*>(w.get(reader_id(i)))
+      discarded += dynamic_cast<fast_swmr_reader*>(w.get(reader_id(i)))
                        ->discarded_acks();
     }
     t.add_row({kind, std::to_string(w.hist().ops().size()),

@@ -5,8 +5,12 @@
 //   (b) the real cost of the signature substrate (oracle vs RSA-512),
 //       measured in wall-clock microseconds per signed write / verified
 //       read payload.
+// Exits 1 (with "E3 FAILED:" lines on stderr) when an E3.a row is not
+// atomic or a feasible row's reads do not average one round.
 #include <chrono>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "benchutil/table.h"
 #include "benchutil/workload.h"
@@ -20,7 +24,8 @@ using namespace fastreg::benchutil;
 
 namespace {
 
-void simulated_latency() {
+/// Appends one line per E3.a row that breaks the figure's claim.
+void simulated_latency(std::vector<std::string>& failures) {
   std::printf("== E3.a: simulated latency as the malicious budget grows ==\n");
   table t({"proto", "S", "t", "b", "R", "feasible", "read_p50", "rd_rounds",
            "msgs/op", "atomic"});
@@ -46,11 +51,20 @@ void simulated_latency() {
     opt.num_writes = 20;
     opt.reads_per_reader = 20;
     const auto rep = run_measured(*proto, cfg, opt);
+    const bool atomic = checker::check_swmr_atomicity(rep.hist).ok;
+    const std::string row = "S=" + std::to_string(c.S) +
+                            " t=" + std::to_string(c.t) +
+                            " b=" + std::to_string(c.b) +
+                            " R=" + std::to_string(c.R);
+    if (!atomic) failures.push_back(row + ": not atomic");
+    if (rep.read_rounds.mean() != 1.0) {
+      failures.push_back(row + ": mean read rounds " +
+                         fmt(rep.read_rounds.mean(), 2) + ", not 1");
+    }
     t.add_row({"fast_bft", std::to_string(c.S), std::to_string(c.t),
                std::to_string(c.b), std::to_string(c.R), "yes",
                fmt(rep.read_latency.p50()), fmt(rep.read_rounds.mean()),
-               fmt(rep.msgs_per_op),
-               checker::check_swmr_atomicity(rep.hist).ok ? "yes" : "NO"});
+               fmt(rep.msgs_per_op), atomic ? "yes" : "NO"});
   }
   t.print();
   std::printf("expected shape: read latency stays ~1 RTT regardless of b; "
@@ -101,7 +115,11 @@ void signature_cost() {
 
 int main() {
   std::printf("E3: fast BFT atomic register (Figure 5)\n\n");
-  simulated_latency();
+  std::vector<std::string> failures;
+  simulated_latency(failures);
   signature_cost();
-  return 0;
+  for (const auto& f : failures) {
+    std::fprintf(stderr, "E3 FAILED: %s\n", f.c_str());
+  }
+  return failures.empty() ? 0 : 1;
 }

@@ -11,7 +11,7 @@
 #include "adversary/byzantine.h"
 #include "checker/atomicity.h"
 #include "crypto/sig.h"
-#include "registers/fast_bft.h"
+#include "registers/fast_swmr.h"
 #include "registers/registry.h"
 #include "sim/world.h"
 
@@ -52,7 +52,7 @@ void drill(const char* attack_name,
   }
   std::uint64_t discarded = 0;
   for (std::uint32_t i = 0; i < cfg.R(); ++i) {
-    discarded += dynamic_cast<fast_bft_reader*>(w.get(reader_id(i)))
+    discarded += dynamic_cast<fast_swmr_reader*>(w.get(reader_id(i)))
                      ->discarded_acks();
   }
   const bool atomic = checker::check_swmr_atomicity(w.hist()).ok;

@@ -1,60 +1,28 @@
 #include "registers/predicate.h"
 
-#include <algorithm>
+#include <array>
 #include <bit>
+
+#include "common/check.h"
+#include "common/server_set.h"
 
 namespace fastreg {
 namespace {
 
-/// Dynamic bitset over message indices (S can exceed 64 in sweeps).
-class bitvec {
- public:
-  bitvec(std::size_t n, bool ones) : n_(n), words_((n + 63) / 64, 0) {
-    if (ones) {
-      for (auto& w : words_) w = ~std::uint64_t{0};
-      trim();
-    }
-  }
-
-  void set(std::size_t i) { words_[i / 64] |= std::uint64_t{1} << (i % 64); }
-
-  [[nodiscard]] bitvec and_with(const bitvec& o) const {
-    bitvec out(n_, false);
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-      out.words_[i] = words_[i] & o.words_[i];
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::size_t count() const {
-    std::size_t c = 0;
-    for (std::uint64_t w : words_) c += static_cast<std::size_t>(std::popcount(w));
-    return c;
-  }
-
- private:
-  void trim() {
-    const std::size_t extra = words_.size() * 64 - n_;
-    if (extra != 0 && !words_.empty()) {
-      words_.back() &= ~std::uint64_t{0} >> extra;
-    }
-  }
-
-  std::size_t n_;
-  std::vector<std::uint64_t> words_;
-};
-
 /// Depth-first search over a-element client subsets, intersecting message
-/// membership masks and pruning when the count drops below `need`.
-bool dfs_subsets(const std::vector<bitvec>& member_masks, std::size_t start,
-                 std::uint32_t remaining, const bitvec& current,
-                 std::size_t need) {
-  if (remaining == 0) return current.count() >= need;
+/// membership masks (bit i = message i) and pruning when the count drops
+/// below `need`.
+bool dfs_subsets(std::span<const std::uint64_t> member_masks,
+                 std::size_t start, std::uint32_t remaining,
+                 std::uint64_t current, std::size_t need) {
+  if (remaining == 0) {
+    return static_cast<std::size_t>(std::popcount(current)) >= need;
+  }
   // Not enough candidates left to reach the required subset size.
   if (member_masks.size() - start < remaining) return false;
   for (std::size_t i = start; i < member_masks.size(); ++i) {
-    const bitvec next = current.and_with(member_masks[i]);
-    if (next.count() < need) continue;
+    const std::uint64_t next = current & member_masks[i];
+    if (static_cast<std::size_t>(std::popcount(next)) < need) continue;
     if (dfs_subsets(member_masks, i + 1, remaining - 1, next, need)) {
       return true;
     }
@@ -65,6 +33,8 @@ bool dfs_subsets(const std::vector<bitvec>& member_masks, std::size_t start,
 /// Does the predicate hold for this specific value of a?
 bool exists_for_a(std::span<const seen_set> maxts_seen, std::uint32_t S,
                   std::uint32_t t, std::uint32_t b, std::uint32_t a) {
+  // One membership bit per message: every reader caps S at max_servers.
+  FASTREG_EXPECTS(maxts_seen.size() <= server_set::max_servers);
   const std::int64_t need_signed = static_cast<std::int64_t>(S) -
                                    static_cast<std::int64_t>(a) * t -
                                    (static_cast<std::int64_t>(a) - 1) * b;
@@ -82,26 +52,27 @@ bool exists_for_a(std::span<const seen_set> maxts_seen, std::uint32_t S,
   if (universe.size() < a) return false;
 
   // For each candidate client, the set of messages whose seen contains it.
-  std::vector<bitvec> member_masks;
+  std::array<std::uint64_t, seen_set::max_clients> member_masks{};
+  std::size_t candidates = 0;
   for (std::uint32_t slot = 0; slot < seen_set::max_clients; ++slot) {
     const std::uint64_t bit = std::uint64_t{1} << slot;
     if ((universe.bits() & bit) == 0) continue;
-    bitvec mask(maxts_seen.size(), false);
-    std::size_t members = 0;
+    std::uint64_t mask = 0;
     for (std::size_t i = 0; i < maxts_seen.size(); ++i) {
-      if ((maxts_seen[i].bits() & bit) != 0) {
-        mask.set(i);
-        ++members;
-      }
+      if ((maxts_seen[i].bits() & bit) != 0) mask |= std::uint64_t{1} << i;
     }
     // A client appearing in fewer than `need` messages can never be part
     // of a qualifying intersection.
-    if (members >= need) member_masks.push_back(std::move(mask));
+    if (static_cast<std::size_t>(std::popcount(mask)) >= need) {
+      member_masks[candidates++] = mask;
+    }
   }
-  if (member_masks.size() < a) return false;
+  if (candidates < a) return false;
 
-  const bitvec all(maxts_seen.size(), true);
-  return dfs_subsets(member_masks, 0, a, all, need);
+  // 1 <= need <= size <= 64 here, so the shift is in range.
+  const std::uint64_t all = ~std::uint64_t{0} >> (64 - maxts_seen.size());
+  return dfs_subsets(std::span(member_masks.data(), candidates), 0, a, all,
+                     need);
 }
 
 }  // namespace

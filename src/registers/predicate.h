@@ -25,7 +25,8 @@
 namespace fastreg {
 
 /// Evaluates the predicate over the seen sets of the messages that carry
-/// maxTS. `maxts_seen` holds one seen_set per message in maxTSmsg.
+/// maxTS. `maxts_seen` holds one seen_set per message in maxTSmsg, at most
+/// server_set::max_servers of them (one per server).
 ///
 /// Semantics follow the pseudocode exactly, including the degenerate case:
 /// when S - a*t - (a-1)*b <= 0 the empty MS qualifies (the intersection

@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "registers/abd.h"
-#include "registers/fast_bft.h"
 #include "registers/fast_swmr.h"
 #include "registers/maxmin.h"
 #include "registers/mwmr.h"
@@ -28,12 +27,12 @@ struct protocol_row {
   maker server;
 };
 
-/// Maker for the automata constructed from (cfg, index): every reader and
-/// server, and the multi-writer mwmr_writer.
-template <class T>
+/// Maker for the automata constructed from (cfg, index, args...): every
+/// reader and server, and the multi-writer mwmr_writer.
+template <class T, auto... Args>
 std::unique_ptr<automaton> indexed(const system_config& cfg,
                                    std::uint32_t index, object_id) {
-  return std::make_unique<T>(cfg, index);
+  return std::make_unique<T>(cfg, index, Args...);
 }
 
 /// Maker for a single writer constructed from cfg alone (writer 0; the
@@ -42,6 +41,13 @@ template <class T>
 std::unique_ptr<automaton> sole(const system_config& cfg, std::uint32_t,
                                 object_id) {
   return std::make_unique<T>(cfg);
+}
+
+/// fast_swmr's writer; signed, it binds the object id into every value.
+template <bool Signed>
+std::unique_ptr<automaton> swmr_writer(const system_config& cfg,
+                                       std::uint32_t, object_id obj) {
+  return std::make_unique<fast_swmr_writer>(cfg, Signed, obj);
 }
 
 /// The strawmen's writer: abd's one round, one per writer, each stamping
@@ -62,19 +68,16 @@ constexpr protocol_row k_protocols[] = {
      [](const system_config& cfg) {
        return fast_swmr_feasible(cfg.S(), cfg.t(), cfg.R());
      },
-     sole<fast_swmr_writer>, indexed<fast_swmr_reader>,
-     indexed<fast_swmr_server>},
-    // Figure 5: the fast SWMR register, arbitrary failures. The writer
-    // signs the object id into every value.
+     swmr_writer<false>, indexed<fast_swmr_reader, false>,
+     indexed<fast_swmr_server, false>},
+    // Figure 5: the same automata over signed timestamps, arbitrary
+    // failures (Section 6.1).
     {"fast_bft", false, 1, 1,
      [](const system_config& cfg) {
        return fast_bft_feasible(cfg.S(), cfg.t(), cfg.b(), cfg.R());
      },
-     [](const system_config& cfg, std::uint32_t,
-        object_id obj) -> std::unique_ptr<automaton> {
-       return std::make_unique<fast_bft_writer>(cfg, obj);
-     },
-     indexed<fast_bft_reader>, indexed<fast_bft_server>},
+     swmr_writer<true>, indexed<fast_swmr_reader, true>,
+     indexed<fast_swmr_server, true>},
     // Attiya, Bar-Noy and Dolev: two-round reads, the baseline.
     {"abd", false, 2, 1, majority, sole<abd_writer>, indexed<abd_reader>,
      indexed<quorum_server>},

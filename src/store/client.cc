@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "common/check.h"
-#include "crypto/sig.h"
+#include "registers/fast_swmr.h"
 
 namespace fastreg::store {
 
@@ -240,22 +240,7 @@ void client::handle_mig_ack(const process_id& from, const message& m) {
     // In the arbitrary-failure model only a valid writer signature makes
     // a state answer trustworthy (a Byzantine server could otherwise
     // fabricate an arbitrarily high timestamp).
-    bool trusted = true;
-    if (base.b() > 0) {
-      FASTREG_CHECK(base.sigs != nullptr);
-      if (m.ts == k_initial_ts) {
-        trusted = m.sig.empty() && m.val.empty() && m.prev.empty();
-      } else {
-        const auto payload = signed_payload(m);
-        trusted = m.ts > 0 &&
-                  base.sigs->verify(
-                      writer_id(0),
-                      std::span<const std::uint8_t>(payload.data(),
-                                                    payload.size()),
-                      std::span<const std::uint8_t>(m.sig.data(),
-                                                    m.sig.size()));
-      }
-    }
+    const bool trusted = base.b() == 0 || valid_signed_ts(base, m);
     if (trusted && wts_t{m.ts, m.wid} > mig_->best.wts()) {
       mig_->best = {m.ts, m.wid, m.val, m.prev, m.sig};
     }

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "adversary/byzantine.h"
-#include "registers/fast_bft.h"
 #include "registers/fast_swmr.h"
 #include "sim_test_util.h"
 

@@ -5,8 +5,9 @@
 #include <tuple>
 
 #include "adversary/byzantine.h"
+#include "benchutil/workload.h"
 #include "checker/atomicity.h"
-#include "registers/fast_bft.h"
+#include "registers/fast_swmr.h"
 #include "registers/registry.h"
 #include "sim/world.h"
 #include "sim_test_util.h"
@@ -35,6 +36,37 @@ TEST(FastBft, FeasibilityPredicateMatchesPaper) {
   EXPECT_FALSE(fast_bft_feasible(4, 1, 1, 1));
   EXPECT_FALSE(fast_bft_feasible(10, 0, 0, 1));  // t >= 1 required
   EXPECT_FALSE(fast_bft_feasible(10, 1, 2, 1));  // b <= t required
+}
+
+/// Figure 5 at b = 0 is Figure 2 plus signatures: on the same (S, t, R),
+/// seed and timed schedule the signed row runs the unsigned row's
+/// history op for op, with the same message count.
+TEST(FastBft, ZeroMaliciousRunsTheCrashRowsHistory) {
+  benchutil::workload_options opt;
+  opt.num_writes = 12;
+  opt.reads_per_reader = 12;
+  opt.seed = 7;
+  opt.concurrent = true;
+  const auto bft = benchutil::run_measured(*make_protocol("fast_bft"),
+                                           bft_cfg(8, 1, 0, 3), opt);
+  const auto swmr = benchutil::run_measured(*make_protocol("fast_swmr"),
+                                            make_cfg(8, 1, 3), opt);
+  ASSERT_TRUE(bft.all_complete);
+  ASSERT_TRUE(swmr.all_complete);
+  const auto& a = bft.hist.ops();
+  const auto& b = swmr.hist.ops();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].client, b[i].client) << "op " << i;
+    EXPECT_EQ(a[i].is_write, b[i].is_write) << "op " << i;
+    EXPECT_EQ(a[i].val, b[i].val) << "op " << i;
+    EXPECT_EQ(a[i].ts, b[i].ts) << "op " << i;
+    EXPECT_EQ(a[i].rounds, b[i].rounds) << "op " << i;
+    EXPECT_EQ(a[i].invoke_time, b[i].invoke_time) << "op " << i;
+    EXPECT_EQ(a[i].response_time, b[i].response_time) << "op " << i;
+  }
+  EXPECT_EQ(bft.msgs_per_op, swmr.msgs_per_op);
+  EXPECT_TRUE(checker::check_swmr_atomicity(bft.hist).ok);
 }
 
 TEST(FastBft, SignedWritesRoundTrip) {
@@ -105,7 +137,7 @@ TEST(FastBft, CrossObjectReplayAdversaryIsRejected) {
   const object_id obj_b = fnv1a64("B");
 
   // Writer of A produces a genuine signed write at ts=1.
-  fast_bft_writer writer_a(cfg, obj_a);
+  fast_swmr_writer writer_a(cfg, /*signed_ts=*/true, obj_a);
   class cap final : public netout {
    public:
     void send(const process_id& to, message m) override {
@@ -119,7 +151,7 @@ TEST(FastBft, CrossObjectReplayAdversaryIsRejected) {
 
   // Replay A's signed write into B's stream at a server: dropped, no
   // reply, state untouched (receivevalid on the bound object id).
-  fast_bft_server server_b(cfg, 0);
+  fast_swmr_server server_b(cfg, 0, /*signed_ts=*/true);
   class count_net final : public netout {
    public:
     void send(const process_id&, message) override { ++count; }
@@ -133,7 +165,7 @@ TEST(FastBft, CrossObjectReplayAdversaryIsRejected) {
 
   // Replay it as a READACK to B's reader mid-read: discarded as provably
   // malicious, not counted toward the quorum.
-  fast_bft_reader reader_b(cfg, 0);
+  fast_swmr_reader reader_b(cfg, 0, /*signed_ts=*/true);
   reader_b.invoke_read(silent);
   message ack = net.last;
   ack.obj = obj_b;
@@ -147,7 +179,7 @@ TEST(FastBft, CrossObjectReplayAdversaryIsRejected) {
 
 TEST(FastBft, ServerIgnoresForgedWriteback) {
   const auto cfg = bft_cfg(10, 2, 1, 1);
-  fast_bft_server srv(cfg, 0);
+  fast_swmr_server srv(cfg, 0, /*signed_ts=*/true);
   // A "reader" writes back ts=9 with a junk signature: must be dropped.
   class cap final : public netout {
    public:
@@ -283,7 +315,7 @@ TEST(FastBft, DiscardsProvablyMaliciousAcks) {
   w.deliver_matching([](const sim::envelope& e) {
     return e.to == reader_id(0) && e.from == server_id(0);
   });
-  auto* rd = dynamic_cast<fast_bft_reader*>(w.get(reader_id(0)));
+  auto* rd = dynamic_cast<fast_swmr_reader*>(w.get(reader_id(0)));
   ASSERT_NE(rd, nullptr);
   EXPECT_GE(rd->discarded_acks(), 1u);
   w.run_random(r);
@@ -318,7 +350,7 @@ TEST(FastBftWriter, SeedWriterLiftsTimestampAndPrev) {
   // writer seeded at ts 5 with value "m" writes next at ts 6 with prev
   // "m", and still signs what it sends.
   const auto cfg = bft_cfg(10, 2, 1, 1);
-  fast_bft_writer wr(cfg, fnv1a64("migrated"));
+  fast_swmr_writer wr(cfg, /*signed_ts=*/true, fnv1a64("migrated"));
   register_snapshot snap;
   snap.ts = 5;
   snap.val = "m";

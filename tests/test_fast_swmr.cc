@@ -33,8 +33,8 @@ TEST(FastSwmrServer, AdoptsHigherTimestampAndResetsSeen) {
   w1.ts = 1;
   w1.val = "a";
   srv.on_message(net, writer_id(0), w1);
-  EXPECT_EQ(srv.stored().ts, 1);
-  EXPECT_EQ(srv.stored().val, "a");
+  EXPECT_EQ(srv.stored().tv.ts, 1);
+  EXPECT_EQ(srv.stored().tv.val, "a");
   EXPECT_TRUE(srv.seen().contains(writer_id(0)));
   EXPECT_EQ(srv.seen().size(), 1u);
 
@@ -55,7 +55,7 @@ TEST(FastSwmrServer, AdoptsHigherTimestampAndResetsSeen) {
   w2.val = "b";
   w2.prev = "a";
   srv.on_message(net, writer_id(0), w2);
-  EXPECT_EQ(srv.stored().ts, 2);
+  EXPECT_EQ(srv.stored().tv.ts, 2);
   EXPECT_EQ(srv.seen().size(), 1u);
   EXPECT_TRUE(srv.seen().contains(writer_id(0)));
 }
@@ -73,7 +73,7 @@ TEST(FastSwmrServer, NeverLowersTimestamp) {
   rd.ts = 3;  // stale write-back
   rd.rcounter = 1;
   srv.on_message(net, reader_id(0), rd);
-  EXPECT_EQ(srv.stored().ts, 5);  // Lemma 1
+  EXPECT_EQ(srv.stored().tv.ts, 5);  // Lemma 1
   // But the reply carries the stored (higher) timestamp.
   ASSERT_EQ(net.out.size(), 2u);
   EXPECT_EQ(net.out[1].second.ts, 5);

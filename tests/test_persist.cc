@@ -45,7 +45,7 @@
 #include "obs/metrics.h"
 #include "persist/durable.h"
 #include "persist/wal.h"
-#include "registers/fast_bft.h"
+#include "registers/fast_swmr.h"
 #include "store/server.h"
 #include "store/sim_store.h"
 #include "store/tcp_store.h"

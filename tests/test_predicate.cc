@@ -123,11 +123,23 @@ TEST(Predicate, WitnessZeroWhenFails) {
             0u);
 }
 
-/// Message-count masks exceed one machine word (S > 64).
-TEST(Predicate, WorksBeyond64Messages) {
-  const std::uint32_t S = 100, t = 10, R = 2;
-  std::vector<seen_set> seen(90, mk({reader_id(0)}));  // S - t = 90
+/// 64 messages fill the one-word membership mask: every bit counts.
+TEST(Predicate, WorksAt64Messages) {
+  const std::uint32_t S = 66, t = 2, R = 2;
+  std::vector<seen_set> seen(64, mk({reader_id(0)}));  // S - t = 64
   EXPECT_TRUE(fast_read_predicate(std::span<const seen_set>(seen), S, t, 0, R));
+  seen.pop_back();
+  EXPECT_FALSE(
+      fast_read_predicate(std::span<const seen_set>(seen), S, t, 0, R));
+}
+
+/// One seen set per server, and a deployment has at most 64 servers.
+TEST(Predicate, RejectsMoreThan64Messages) {
+  const std::uint32_t S = 66, t = 1, R = 2;
+  std::vector<seen_set> seen(65, mk({reader_id(0)}));
+  EXPECT_DEATH((void)fast_read_predicate(std::span<const seen_set>(seen), S,
+                                         t, 0, R),
+               "precondition");
 }
 
 /// Overload taking messages extracts seen sets correctly.
