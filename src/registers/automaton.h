@@ -169,8 +169,8 @@ class writer_iface {
   /// replicas already store `migrated` (installed by a migration handoff):
   /// the next write must carry a timestamp above migrated.ts, and fast
   /// protocols must advertise migrated.val as the preceding write's value.
-  /// No-op for writers that discover the current timestamp by querying
-  /// (the MWMR family). Must not be called while a write is in progress.
+  /// A writer that discovers the current timestamp by querying may
+  /// ignore it. Must not be called while a write is in progress.
   virtual void seed_writer(const register_snapshot& migrated) {
     (void)migrated;
   }

@@ -30,7 +30,9 @@ void maxmin_server::on_message(netout& net, const process_id& from,
     }
     case msg_type::read_req: {
       if (!from.is_reader()) return;
-      auto& g = gathers_[{from.index, m.rcounter, m.attempt}];
+      const auto it =
+          gathers_.try_emplace({from.index, m.rcounter, m.attempt}).first;
+      gather& g = it->second;
       g.got_read_req = true;
       // Broadcast our current timestamp to the other servers, tagged with
       // the read instance it serves. Our own contribution is folded in
@@ -47,18 +49,21 @@ void maxmin_server::on_message(netout& net, const process_id& from,
         g.max_ts = ts_;
         g.max_val = val_;
       }
-      maybe_reply(net, from, m.rcounter, g);
+      advance(net, from, m.rcounter, it);
       return;
     }
     case msg_type::gossip: {
       if (!from.is_server()) return;
-      auto& g = gathers_[{m.origin.index, m.rcounter, m.attempt}];
+      const auto it =
+          gathers_.try_emplace({m.origin.index, m.rcounter, m.attempt})
+              .first;
+      gather& g = it->second;
       if (!g.senders.insert(from.index)) return;
       if (m.wts() > g.max_ts) {
         g.max_ts = m.wts();
         g.max_val = m.val;
       }
-      maybe_reply(net, m.origin, m.rcounter, g);
+      advance(net, m.origin, m.rcounter, it);
       return;
     }
     default:
@@ -66,62 +71,28 @@ void maxmin_server::on_message(netout& net, const process_id& from,
   }
 }
 
-void maxmin_server::maybe_reply(netout& net, const process_id& reader,
-                                std::uint64_t rc, gather& g) {
-  if (g.replied || !g.got_read_req) return;
-  if (g.senders.size() < gossip_quorum()) return;
-  // Adopt the gathered maximum (the "max" half of max-min), then answer.
-  if (g.max_ts > ts_) {
-    ts_ = g.max_ts;
-    val_ = g.max_val;
+void maxmin_server::advance(netout& net, const process_id& reader,
+                            std::uint64_t rc, gather_map::iterator it) {
+  gather& g = it->second;
+  if (!g.replied && g.got_read_req && g.senders.size() >= gossip_quorum()) {
+    // Adopt the gathered maximum (the "max" half of max-min), then answer.
+    if (g.max_ts > ts_) {
+      ts_ = g.max_ts;
+      val_ = g.max_val;
+    }
+    g.replied = true;
+    message reply;
+    reply.type = msg_type::read_ack;
+    reply.ts = ts_.num;
+    reply.wid = ts_.wid;
+    reply.val = val_;
+    reply.rcounter = rc;
+    net.send(reader, std::move(reply));
   }
-  g.replied = true;
-  message reply;
-  reply.type = msg_type::read_ack;
-  reply.ts = ts_.num;
-  reply.wid = ts_.wid;
-  reply.val = val_;
-  reply.rcounter = rc;
-  net.send(reader, std::move(reply));
-}
-
-// --------------------------------------------------------- maxmin_reader --
-
-maxmin_reader::maxmin_reader(system_config cfg, std::uint32_t index)
-    : cfg_(std::move(cfg)), index_(index) {
-  FASTREG_EXPECTS(cfg_.S() <= server_set::max_servers);
-}
-
-void maxmin_reader::invoke_read(netout& net) {
-  FASTREG_EXPECTS(!pending_);
-  pending_ = true;
-  rcounter_ += 1;
-  have_min_ = false;
-  min_ts_ = {};
-  min_val_.clear();
-  acks_.clear();
-  message m;
-  m.type = msg_type::read_req;
-  m.rcounter = rcounter_;
-  send_to_servers(net, cfg_.S(), std::move(m));
-}
-
-void maxmin_reader::on_message(netout&, const process_id& from,
-                               const message& m) {
-  if (!pending_ || m.type != msg_type::read_ack || !from.is_server()) return;
-  if (m.rcounter != rcounter_ || !acks_.insert(from.index)) return;
-  // The "min" half of max-min: return the smallest adopted maximum, which
-  // is guaranteed to be stored at a majority of servers.
-  if (!have_min_ || m.wts() < min_ts_) {
-    have_min_ = true;
-    min_ts_ = m.wts();
-    min_val_ = m.val;
-  }
-  if (acks_.size() >= cfg_.quorum()) {
-    pending_ = false;
-    completed_ += 1;
-    last_result_ = read_result{min_ts_.num, min_ts_.wid, min_val_, 1};
-  }
+  // Each server gossips once per read request and links do not
+  // duplicate, so nothing more arrives for a gather that has replied and
+  // heard from all S servers.
+  if (g.replied && g.senders.size() == cfg_.S()) gathers_.erase(it);
 }
 
 }  // namespace fastreg

@@ -12,11 +12,12 @@
 // the fast-implementation definition (Section 3.2) forbids -- that is
 // exactly why the paper's Figure 2 algorithm is interesting.
 //
-// Writes are plain one-round ABD writes. Requires t < S/2.
+// Writes are plain one-round ABD writes; the reader is abd_reader with
+// read_rule::min (registers/abd.h). Requires t < S/2.
 #pragma once
 
+#include <cstddef>
 #include <map>
-#include <optional>
 #include <tuple>
 
 #include "registers/automaton.h"
@@ -42,6 +43,11 @@ class maxmin_server final : public automaton, public seedable {
   }
 
   [[nodiscard]] wts_t stored_ts() const { return ts_; }
+  /// Read instances this server still tracks. A gather is erased once it
+  /// has replied and heard from all S servers, so with every server up
+  /// the count returns to 0 when the reads end. A crashed server never
+  /// gossips, so then every read leaves its gather behind.
+  [[nodiscard]] std::size_t open_gathers() const { return gathers_.size(); }
 
  private:
   struct gather {
@@ -52,8 +58,13 @@ class maxmin_server final : public automaton, public seedable {
     bool replied{false};
   };
 
-  void maybe_reply(netout& net, const process_id& reader, std::uint64_t rc,
-                   gather& g);
+  using gather_map =
+      std::map<std::tuple<std::uint32_t, std::uint64_t, std::uint32_t>, gather>;
+
+  /// Replies once the gather has a quorum, and erases it once nothing
+  /// more can arrive for it.
+  void advance(netout& net, const process_id& reader, std::uint64_t rc,
+               gather_map::iterator it);
   /// Majority threshold for the server-to-server gather.
   [[nodiscard]] std::uint32_t gossip_quorum() const {
     return cfg_.S() / 2 + 1;
@@ -69,41 +80,8 @@ class maxmin_server final : public automaton, public seedable {
   // carries the same rcounter -- the reply a gather produces is tagged
   // with its attempt, and a reply tagged with a stale attempt would be
   // dropped by the store client, starving the live read of this server's
-  // answer (maybe_reply answers each gather exactly once).
-  std::map<std::tuple<std::uint32_t, std::uint64_t, std::uint32_t>, gather>
-      gathers_{};
-};
-
-class maxmin_reader final : public automaton, public reader_iface {
- public:
-  maxmin_reader(system_config cfg, std::uint32_t index);
-
-  void on_message(netout& net, const process_id& from,
-                  const message& m) override;
-  [[nodiscard]] process_id self() const override {
-    return reader_id(index_);
-  }
-
-  void invoke_read(netout& net) override;
-  [[nodiscard]] bool read_in_progress() const override { return pending_; }
-  [[nodiscard]] const std::optional<read_result>& last_read() const override {
-    return last_result_;
-  }
-  [[nodiscard]] std::uint64_t reads_completed() const override {
-    return completed_;
-  }
-
- private:
-  system_config cfg_;
-  std::uint32_t index_;
-  bool pending_{false};
-  std::uint64_t rcounter_{0};
-  bool have_min_{false};
-  wts_t min_ts_{};
-  value_t min_val_{};
-  server_set acks_{};
-  std::optional<read_result> last_result_{};
-  std::uint64_t completed_{0};
+  // answer (advance answers each gather exactly once).
+  gather_map gathers_{};
 };
 
 }  // namespace fastreg

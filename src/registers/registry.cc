@@ -4,8 +4,6 @@
 #include "registers/abd.h"
 #include "registers/fast_swmr.h"
 #include "registers/maxmin.h"
-#include "registers/mwmr.h"
-#include "registers/regular.h"
 
 namespace fastreg {
 namespace {
@@ -28,7 +26,7 @@ struct protocol_row {
 };
 
 /// Maker for the automata constructed from (cfg, index, args...): every
-/// reader and server, and the multi-writer mwmr_writer.
+/// reader and server.
 template <class T, auto... Args>
 std::unique_ptr<automaton> indexed(const system_config& cfg,
                                    std::uint32_t index, object_id) {
@@ -50,12 +48,14 @@ std::unique_ptr<automaton> swmr_writer(const system_config& cfg,
   return std::make_unique<fast_swmr_writer>(cfg, Signed, obj);
 }
 
-/// The strawmen's writer: abd's one round, one per writer, each stamping
-/// wid index + 1 (wid 0 means "no writer" in a defaulted wts_t).
-std::unique_ptr<automaton> strawman_writer(const system_config& cfg,
-                                           std::uint32_t index, object_id) {
-  return std::make_unique<abd_writer>(cfg, index,
-                                      static_cast<std::int32_t>(index) + 1);
+/// The multi-writer rows' writer, one per writer, each stamping wid
+/// index + 1 (wid 0 means "no writer" in a defaulted wts_t). With Query it
+/// runs mwmr's query round first; without, it is the strawmen's one round.
+template <bool Query>
+std::unique_ptr<automaton> multi_writer(const system_config& cfg,
+                                        std::uint32_t index, object_id) {
+  return std::make_unique<abd_writer>(
+      cfg, index, static_cast<std::int32_t>(index) + 1, Query);
 }
 
 bool majority(const system_config& cfg) {
@@ -85,36 +85,37 @@ constexpr protocol_row k_protocols[] = {
     // once and waits; the hidden server-to-server round makes the true
     // cost 3 one-way delays, which benches report separately.
     {"maxmin", false, 1, 1, majority, sole<abd_writer>,
-     indexed<maxmin_reader>, indexed<maxmin_server>},
+     indexed<abd_reader, read_rule::min>, indexed<maxmin_server>},
     // Section 8: a fast regular (not atomic) register, any R.
     {"regular", false, 1, 1,
      [](const system_config& cfg) {
        return fast_regular_feasible(cfg.S(), cfg.t());
      },
-     sole<abd_writer>, indexed<regular_reader>, indexed<quorum_server>},
+     sole<abd_writer>, indexed<abd_reader, read_rule::max>,
+     indexed<quorum_server>},
     // Section 1: fast and atomic with a single reader.
     {"single_reader", false, 1, 1,
      [](const system_config& cfg) {
        return cfg.R() == 1 && fast_single_reader_feasible(cfg.S(), cfg.t());
      },
-     sole<abd_writer>, indexed<single_reader_fast_reader>,
+     sole<abd_writer>, indexed<abd_reader, read_rule::monotone_max>,
      indexed<quorum_server>},
     // Section 7's two-round MWMR baseline.
-    {"mwmr", true, 2, 2, majority, indexed<mwmr_writer>, indexed<abd_reader>,
+    {"mwmr", true, 2, 2, majority, multi_writer<true>, indexed<abd_reader>,
      indexed<quorum_server>},
     // Strawman "fast" MWMR candidate for the Proposition 11 construction:
     // one-round writes from local counters with writer-id tiebreak, and
     // readers that return the quorum maximum in one round. It claims
     // feasibility whenever a majority is correct; it is wait-free and fast
     // -- and not atomic, as the adversary shows.
-    {"naive_fast_mwmr", true, 1, 1, majority, strawman_writer,
-     indexed<regular_reader>, indexed<quorum_server>},
+    {"naive_fast_mwmr", true, 1, 1, majority, multi_writer<false>,
+     indexed<abd_reader, read_rule::max>, indexed<quorum_server>},
     // The same strawman on last-write-wins servers. It passes property P1
     // on the sequential endpoint runs, so the Proposition 11 construction
     // has to find the flip point i1 and derive the P2 violation from the
     // two extended runs run'/run'' -- the full argument of Section 7.
-    {"naive_fast_mwmr_lww", true, 1, 1, majority, strawman_writer,
-     indexed<regular_reader>, indexed<lww_server>},
+    {"naive_fast_mwmr_lww", true, 1, 1, majority, multi_writer<false>,
+     indexed<abd_reader, read_rule::max>, indexed<quorum_server, true>},
 };
 
 /// Every row through one implementation.

@@ -1,6 +1,6 @@
-// Unit tests for the baseline protocols: quorum_server transitions, ABD
-// phases, the regular/single-reader fast readers, the max-min gossip
-// machinery, MWMR timestamps, and the protocol registry.
+// Unit tests for the baseline protocols: quorum_server transitions and its
+// lww tie rule, ABD phases and read rules, the max-min gossip machinery,
+// MWMR timestamps, and the protocol registry.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -9,9 +9,7 @@
 #include "checker/atomicity.h"
 #include "registers/abd.h"
 #include "registers/maxmin.h"
-#include "registers/mwmr.h"
 #include "registers/registry.h"
-#include "registers/regular.h"
 #include "sim/world.h"
 #include "sim_test_util.h"
 
@@ -199,7 +197,7 @@ TEST(AbdWriter, StampsItsRowsWriterId) {
 
 TEST(RegularReader, OneRoundMaxSelection) {
   const auto cfg = make_cfg(3, 1, 1);
-  regular_reader rd(cfg, 0);
+  abd_reader rd(cfg, 0, read_rule::max);
   capture net;
   rd.invoke_read(net);
   message ack;
@@ -218,7 +216,7 @@ TEST(RegularReader, OneRoundMaxSelection) {
 
 TEST(SingleReaderFast, NeverGoesBackwards) {
   const auto cfg = make_cfg(3, 1, 1);
-  single_reader_fast_reader rd(cfg, 0);
+  abd_reader rd(cfg, 0, read_rule::monotone_max);
   capture net;
   // First read sees ts=5.
   rd.invoke_read(net);
@@ -310,9 +308,31 @@ TEST(MaxminServer, GossipBeforeReadRequestStillCounts) {
   EXPECT_TRUE(replied);
 }
 
+TEST(MaxminServer, ErasesEveryGatherOnceAllServersGossiped) {
+  // Each read leaves no per-read state behind once every server's gossip
+  // for it has arrived.
+  const auto cfg = make_cfg(5, 2, 2);
+  sim::world w(cfg);
+  w.install(*make_protocol("maxmin"));
+  rng r(3);
+  for (int k = 0; k < 20; ++k) {
+    w.invoke_write("v" + std::to_string(k));
+    w.invoke_read(0);
+    w.invoke_read(1);
+    w.run_random(r);
+    ASSERT_FALSE(w.reader(0)->read_in_progress());
+    ASSERT_FALSE(w.reader(1)->read_in_progress());
+  }
+  for (std::uint32_t i = 0; i < cfg.S(); ++i) {
+    const auto* srv = dynamic_cast<maxmin_server*>(w.get(server_id(i)));
+    ASSERT_NE(srv, nullptr);
+    EXPECT_EQ(srv->open_gathers(), 0u) << "server " << i;
+  }
+}
+
 TEST(MaxminReader, ReturnsMinimumOfAdoptedMaxima) {
   const auto cfg = make_cfg(3, 1, 1);
-  maxmin_reader rd(cfg, 0);
+  abd_reader rd(cfg, 0, read_rule::min);
   capture net;
   rd.invoke_read(net);
   message ack;
@@ -332,7 +352,7 @@ TEST(MaxminReader, ReturnsMinimumOfAdoptedMaxima) {
 
 TEST(MwmrWriter, QueriesThenWritesMaxPlusOne) {
   const auto cfg = make_cfg(3, 1, 2, 0, 2);
-  mwmr_writer w(cfg, 1);
+  abd_writer w(cfg, 1, /*wid=*/2, /*query=*/true);
   capture net;
   w.invoke_write(net, "x");
   ASSERT_EQ(net.out.size(), 3u);
@@ -352,30 +372,57 @@ TEST(MwmrWriter, QueriesThenWritesMaxPlusOne) {
   message wa;
   wa.type = msg_type::write_ack;
   wa.rcounter = 2;
+  wa.ts = 9;  // not this write's timestamp: does not count
+  w.on_message(net, server_id(1), wa);
+  wa.ts = 10;  // quorum_server echoes the request's timestamp
   w.on_message(net, server_id(0), wa);
+  EXPECT_TRUE(w.write_in_progress());
   w.on_message(net, server_id(2), wa);
   EXPECT_FALSE(w.write_in_progress());
   EXPECT_EQ(w.last_write_rounds(), 2);
 }
 
 TEST(LwwServer, LastWriteWinsOnEqualNumbers) {
-  lww_server srv(make_cfg(3, 1, 1), 0);
-  capture net;
-  message w1;
-  w1.type = msg_type::write_req;
-  w1.ts = 1;
-  w1.wid = 2;
-  w1.val = "second-writer";
-  srv.on_message(net, writer_id(1), w1);
-  message w2 = w1;
-  w2.wid = 1;
-  w2.val = "first-writer";
-  srv.on_message(net, writer_id(0), w2);
+  // Writes (1, wid 2) then (1, wid 1), then a read: returns the stored
+  // value.
+  const auto stored_after_tie = [](bool lww) {
+    quorum_server srv(make_cfg(3, 1, 1), 0, lww);
+    capture net;
+    message w1;
+    w1.type = msg_type::write_req;
+    w1.ts = 1;
+    w1.wid = 2;
+    w1.val = "second-writer";
+    srv.on_message(net, writer_id(1), w1);
+    message w2 = w1;
+    w2.wid = 1;
+    w2.val = "first-writer";
+    srv.on_message(net, writer_id(0), w2);
+    message rd;
+    rd.type = msg_type::read_req;
+    srv.on_message(net, reader_id(0), rd);
+    return net.out.back().second.val;
+  };
   // Equal ts number: the LATER arrival wins, regardless of wid.
-  message rd;
-  rd.type = msg_type::read_req;
-  srv.on_message(net, reader_id(0), rd);
-  EXPECT_EQ(net.out.back().second.val, "first-writer");
+  EXPECT_EQ(stored_after_tie(true), "first-writer");
+  // Without lww the same inputs keep the higher (num, wid).
+  EXPECT_EQ(stored_after_tie(false), "second-writer");
+
+  // With lww a lower number never wins, whatever its wid.
+  quorum_server srv(make_cfg(3, 1, 1), 0, /*lww=*/true);
+  capture net;
+  message w;
+  w.type = msg_type::write_req;
+  w.ts = 2;
+  w.wid = 1;
+  w.val = "newer";
+  srv.on_message(net, writer_id(0), w);
+  w.ts = 1;
+  w.wid = 2;
+  w.val = "older";
+  srv.on_message(net, writer_id(1), w);
+  EXPECT_EQ(srv.stored_ts(), (wts_t{2, 1}));
+  EXPECT_EQ(srv.stored_val(), "newer");
 }
 
 // --------------------------------------------------------------- registry

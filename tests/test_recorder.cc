@@ -22,6 +22,7 @@
 
 #include "benchutil/stress.h"
 #include "benchutil/workload.h"
+#include "crypto/sig.h"
 #include "net/framing.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
@@ -311,31 +312,42 @@ void expect_rounds(const std::string& what, const checker::history& h,
   EXPECT_DOUBLE_EQ(rounds[1] / static_cast<double>(ops[1]), wr) << what;
 }
 
-/// Theory's read/write rounds per protocol, checked on both transports.
+/// Theory's read/write rounds for the rows also checked over TCP.
 const std::vector<std::tuple<const char*, double, double>> k_round_cases = {
     {"fast_swmr", 1.0, 1.0}, {"abd", 2.0, 1.0}, {"mwmr", 2.0, 2.0}};
 
-/// S = 7, t = 1, two readers; mwmr also gets two writers.
-system_config round_case_cfg(const std::string& proto) {
+/// S = 7, t = 1, in the row's feasible region: two readers (one for
+/// single_reader), two writers for the multi-writer rows, and signatures
+/// for fast_bft.
+system_config round_case_cfg(const std::string& name) {
+  const auto proto = make_protocol(name);
   system_config cfg;
   cfg.servers = 7;
   cfg.t_failures = 1;
-  cfg.readers = 2;
-  if (proto == "mwmr") cfg.writers = 2;
+  cfg.readers = name == "single_reader" ? 1 : 2;
+  if (proto->multi_writer()) cfg.writers = 2;
+  if (name == "fast_bft") {
+    cfg.sigs = crypto::make_signature_scheme("oracle", /*seed=*/1234);
+  }
   return cfg;
 }
 
 TEST(RecorderRounds, WireRequestsMatchHistoryRoundsOnSim) {
+  // Every row's declared rounds, against its history and its wire: a row
+  // wired to the wrong read rule or writer flag fails here.
   recording_guard guard(true);
-  for (const auto& [proto, rd, wr] : k_round_cases) {
-    const system_config cfg = round_case_cfg(proto);
+  for (const auto& name : protocol_names()) {
+    const auto proto = make_protocol(name);
+    const system_config cfg = round_case_cfg(name);
+    ASSERT_TRUE(proto->feasible(cfg)) << name;
     benchutil::workload_options opt;
     opt.num_writes = 10;
     opt.reads_per_reader = 10;
     obs::recorder_reset_all();
-    const auto rep = benchutil::run_measured(*make_protocol(proto), cfg, opt);
-    ASSERT_TRUE(rep.all_complete) << proto;
-    expect_rounds(proto, rep.hist, cfg, rd, wr);
+    const auto rep = benchutil::run_measured(*proto, cfg, opt);
+    ASSERT_TRUE(rep.all_complete) << name;
+    expect_rounds(name, rep.hist, cfg, proto->read_rounds(),
+                  proto->write_rounds());
   }
 }
 
