@@ -50,7 +50,6 @@
 #include "common/clock.h"
 #include "common/rng.h"
 #include "persist/durable.h"
-#include "reconfig/control.h"
 #include "reconfig/coordinator.h"
 #include "store/sim_store.h"
 #include "store/tcp_store.h"
@@ -152,8 +151,7 @@ void run_sim_part(table& t, bool crash_one) {
   rng r(1234);
   sim::uniform_delay delays(50, 150);
   const zipf_sampler zipf(num_keys, 1.1);
-  reconfig::sim_control ctl(s);
-  reconfig::coordinator coord(ctl, keys);
+  reconfig::coordinator coord(s, keys);
   const reconfig::reconfig_plan plan{6, {"fast_swmr", "abd"}};
   bool started = false;
   std::uint64_t t_start = 0, t_done = 0;
@@ -167,7 +165,7 @@ void run_sim_part(table& t, bool crash_one) {
                 // run, so every handoff and every post-crash op runs on
                 // quorums of 6.
                 if (crash_one) s.world().crash(server_id(cfg.base.S() - 1));
-                FASTREG_CHECK(coord.start(s.shards(), plan));
+                FASTREG_CHECK(coord.start(plan));
               }
               if (started && !coord.done()) {
                 coord.step();
@@ -234,11 +232,9 @@ void run_tcp_part(table& t) {
 
   // Let the "before" window take half the ops, then reshard live.
   drv.wait_submitted(ops_per_client * (1 + cfg.base.R()) / 2);
-  reconfig::tcp_control ctl(ts);
-  reconfig::coordinator coord(ctl, keys);
+  reconfig::coordinator coord(ts, keys);
   const std::uint64_t t_start = steady_now_ns();
-  FASTREG_CHECK(
-      coord.start(ts.proto().shards(), {6, {"fast_swmr", "abd"}}));
+  FASTREG_CHECK(coord.start({6, {"fast_swmr", "abd"}}));
   while (!coord.done()) {
     coord.step();
     std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -282,8 +278,7 @@ void run_rejoin_part(table& t, persist::fsync_policy policy) {
   rng r(99);
   const zipf_sampler zipf(num_keys, 1.1);
   const std::uint32_t crash_index = cfg.base.S() - 1;
-  reconfig::sim_control ctl(s);
-  reconfig::coordinator coord(ctl, keys);
+  reconfig::coordinator coord(s, keys);
   bool crashed = false, resharded = false;
   drive_sim(s, r, zipf_clients(keys, zipf, r, cfg.base.R(), 300),
             /*delays=*/nullptr, [&](std::uint64_t invoked) {
@@ -295,7 +290,7 @@ void run_rejoin_part(table& t, persist::fsync_policy policy) {
               // stale.
               if (crashed && !resharded && invoked >= 400) {
                 resharded = true;
-                FASTREG_CHECK(coord.start(s.shards(), {3, {"abd"}}));
+                FASTREG_CHECK(coord.start({3, {"abd"}}));
               }
               const bool active = resharded && !coord.done();
               if (active) coord.step();

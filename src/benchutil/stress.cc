@@ -20,7 +20,6 @@
 #include "obs/recorder.h"
 #include "obs/timeline.h"
 #include "persist/options.h"
-#include "reconfig/control.h"
 #include "reconfig/coordinator.h"
 #include "reconfig/plan.h"
 #include "store/sim_store.h"
@@ -261,8 +260,7 @@ stress_report run_sim_stress(const stress_options& opt) {
   const std::uint64_t trigger = total / 3;
 
   bool crashed = false, restarted = false;
-  bool partitioned = false, healed = false;
-  std::optional<reconfig::sim_control> ctl;
+  bool partitioned = false, healed = false, resharded = false;
   std::optional<reconfig::coordinator> coord;
 
   // Every process a partitioned server would talk to: clients and the
@@ -310,10 +308,10 @@ stress_report run_sim_stress(const stress_options& opt) {
         isolate(server_id(i), /*block=*/false);
       }
     }
-    if (opt.reshard && !ctl && invoked >= trigger) {
-      ctl.emplace(s);
-      coord.emplace(*ctl);
-      if (!coord->start(s.shards(), make_reshard_plan(opt))) {
+    if (opt.reshard && !resharded && invoked >= trigger) {
+      resharded = true;
+      coord.emplace(s);
+      if (!coord->start(make_reshard_plan(opt))) {
         // The load runs on without it, as on TCP; the report fails.
         rep.check = {false, "reshard failed to start: " + coord->error()};
         coord.reset();
@@ -392,9 +390,8 @@ stress_report run_tcp_stress(const stress_options& opt) {
     ts.cluster().server(opt.S - 1 - i).stop();
   }
   if (opt.reshard) {
-    reconfig::tcp_control ctl(ts);
-    reconfig::coordinator coord(ctl);
-    if (!coord.start(ts.proto().shards(), make_reshard_plan(opt))) {
+    reconfig::coordinator coord(ts);
+    if (!coord.start(make_reshard_plan(opt))) {
       rep.check = {false, "reshard failed to start: " + coord.error()};
     } else {
       const auto give_up = std::chrono::steady_clock::now() + k_drive_deadline;

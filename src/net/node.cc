@@ -66,10 +66,7 @@ void node::bind_node_metrics() {
   wm_.frames_out = &reg.get_counter("fastreg_net_frames_out_total", lbl);
   wm_.bytes_out = &reg.get_counter("fastreg_net_bytes_out_total", lbl);
   wm_.frames_in = &reg.get_counter("fastreg_net_frames_in_total", lbl);
-  wm_.bytes_in = &reg.get_counter("fastreg_net_bytes_in_total", lbl);
   wm_.writev_calls = &reg.get_counter("fastreg_net_writev_calls_total", lbl);
-  wm_.short_writes =
-      &reg.get_counter("fastreg_net_short_write_resumptions_total", lbl);
   wm_.conn_resets = &reg.get_counter("fastreg_net_conn_resets_total", lbl);
   wm_.malformed_frames =
       &reg.get_counter("fastreg_net_malformed_frames_total");
@@ -226,32 +223,18 @@ bool node::schedule_step(std::size_t actor) {
   return true;
 }
 
-void node::run_on_reactor(std::size_t actor, const step_fn& fn) {
-  // Reactor not running (never started, already stopped, or it exited
-  // before draining the task): the caller has exclusive access, run
-  // inline instead of waiting forever on a task nothing will drain.
-  if (try_run_on_reactor(actor, fn)) return;
-  actor_state& a = actor_at(actor);
-  std::lock_guard<std::mutex> step(a.step_mu);
-  fn(*a.automaton_, a.port);
-}
-
-bool node::try_run_on_reactor(std::size_t actor, const step_fn& fn) {
+bool node::run_on_reactor(std::size_t actor, const step_fn& fn) {
   actor_state& a = actor_at(actor);
   reactor& home = home_of(a);
-  {
-    // Only a definitely-not-running reactor short-circuits. A merely
-    // stop-REQUESTED reactor may still be draining: returning false here
-    // would let run_on_reactor's inline fallback race the live reactor
-    // thread; posting is safe either way (the task runs on the reactor,
-    // or the exit path discards it and the wait below observes that).
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!started_ || home.exited) return false;
-  }
   auto done = std::make_shared<bool>(false);
-  // fn is copied into the task: if the reactor exits without draining
-  // it, the closure outlives this call (reactor_main clears the queue on
-  // exit, but the post below can land just after that).
+  // The check and the post share mu_ with the reactor's exit, so the task
+  // either lands before the exit discards the queue or is never posted.
+  // Only a reactor that exited (or never started) refuses: a
+  // stop-REQUESTED one may still be draining its queue.
+  std::unique_lock<std::mutex> lk(mu_);
+  if (!started_ || home.exited) return false;
+  // fn is copied into the task: a task the exit discards is destroyed
+  // unrun, possibly after this call returned.
   post_to(home, [this, &a, fn, done] {
     {
       std::lock_guard<std::mutex> step(a.step_mu);
@@ -264,10 +247,7 @@ bool node::try_run_on_reactor(std::size_t actor, const step_fn& fn) {
     }
     cv_.notify_all();
   });
-  std::unique_lock<std::mutex> lk(mu_);
   cv_.wait(lk, [&] { return *done || home.exited; });
-  // A task the reactor exited without draining never ran and never will;
-  // report the node unreachable rather than running fn here.
   return *done;
 }
 
@@ -440,7 +420,6 @@ void node::handle_readable(reactor& r, int fd) {
       close_conn(r, fd);
       break;
     }
-    wm_.bytes_in->inc(static_cast<std::uint64_t>(n));
     // Frames parse IN PLACE from the read buffer (only a trailing
     // partial frame is copied aside); the automaton steps run inside the
     // drain callback, so a burst of frames in one read is one pass over
@@ -523,8 +502,6 @@ void node::flush(reactor& r, int fd, connection& c) {
     struct iovec iov[16];
     const std::size_t cnt = c.out.fill_iovec(iov, 16);
     if (cnt == 0) break;  // only a not-yet-filled tail block: nothing queued
-    std::size_t queued = 0;
-    for (std::size_t i = 0; i < cnt; ++i) queued += iov[i].iov_len;
     // writev + MSG_NOSIGNAL: a reset peer gives EPIPE, not SIGPIPE.
     msghdr msg{};
     msg.msg_iov = iov;
@@ -536,7 +513,6 @@ void node::flush(reactor& r, int fd, connection& c) {
       // mid-block) at the chain's front and the next flush resumes there.
       wm_.bytes_out->inc(static_cast<std::uint64_t>(n));
       wm_.backlog_bytes->add(-static_cast<std::int64_t>(n));
-      if (static_cast<std::size_t>(n) < queued) wm_.short_writes->inc();
       c.out.consume(static_cast<std::size_t>(n));
       continue;
     }
@@ -712,13 +688,10 @@ void node::send_from(actor_state& a, const process_id& to,
 
 void node::route_from(actor_state& a, const process_id& to,
                       std::vector<message>& msgs) {
+  // Every step runs on one of this node's reactors: run_on_reactor never
+  // runs one on its caller's thread.
   reactor* cur = current_reactor();
-  if (cur == nullptr) {
-    // Only run_on_reactor's inline fallback steps an actor off its
-    // reactors, and only while the node is not running: nothing can carry
-    // the frames, so drop them like any send into a dead node.
-    return;
-  }
+  FASTREG_CHECK(cur != nullptr);
   if (to.is_server()) {
     if (auto it = a.out_to_server.find(to.index);
         it != a.out_to_server.end()) {
@@ -772,10 +745,9 @@ void node::route_from(actor_state& a, const process_id& to,
 
 void node::ship_to(const conn_ref& ref, actor_state& a, int server_index,
                    std::vector<message>& msgs) {
-  // The connection lives on another reactor (or this thread is no
-  // reactor at all): the frames must be encoded into its chain by the
-  // owning thread. Ship them over; the serial check drops the frames
-  // rather than landing them on a recycled fd.
+  // The connection lives on another reactor: the frames must be encoded
+  // into its chain by the owning thread. Ship them over; the serial
+  // check drops the frames rather than landing them on a recycled fd.
   reactor& r = *reactors_[ref.reactor];
   {
     std::lock_guard<std::mutex> lk(mu_);

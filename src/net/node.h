@@ -150,21 +150,15 @@ class node final {
   [[nodiscard]] bool schedule_step(std::size_t actor);
 
   /// Runs `fn` as a step of the actor on its home reactor and waits for
-  /// it to finish (not for any op it starts). The only safe way for
+  /// it to finish (not for any op it starts). The only way for
   /// non-reactor code to inspect automaton state that late messages may
-  /// still mutate, or to start or re-issue protocol traffic (the
-  /// reconfiguration control plane: migration handoff ops, resuming
-  /// parked ops). When the reactor is not running, the caller has
-  /// exclusive access and `fn` runs inline; its sends are dropped.
-  void run_on_reactor(std::size_t actor, const step_fn& fn);
-
-  /// Like run_on_reactor, but NEVER runs `fn` inline when the reactor is
-  /// not running: returns false instead (also when the reactor exits
-  /// before draining the task). For callers that treat a stopped node as
-  /// crashed (the reconfiguration control plane) -- the inline fallback
-  /// would mutate a "crashed" automaton behind the deployment's back and
-  /// is racy against a concurrent stop().
-  [[nodiscard]] bool try_run_on_reactor(std::size_t actor, const step_fn& fn);
+  /// still mutate, or to start or re-issue protocol traffic (the reshard
+  /// coordinator's handoff ops and resumes of parked ops). Never runs
+  /// `fn` on the caller's thread: returns false, without running it,
+  /// when the node was never started or is stopped (also when the
+  /// reactor exits before draining the task). A stopped node models a
+  /// crashed process.
+  [[nodiscard]] bool run_on_reactor(std::size_t actor, const step_fn& fn);
 
   /// Applies `f` to every current connection on every reactor (and to
   /// connections accepted/opened later, until cleared with
@@ -278,8 +272,9 @@ class node final {
   void update_epoll(reactor& r, int fd, connection& c);
   void apply_fault(reactor& r, int fd, connection& c, conn_fault f);
 
-  // Send path. All called with a.step_mu held (sends only originate
-  // inside automaton steps / invocations, which hold it).
+  // Send path. All called on one of this node's reactors with a.step_mu
+  // held (sends only originate inside automaton steps, which run there
+  // and hold it).
   void send_from(actor_state& a, const process_id& to,
                  std::vector<message>& msgs);
   void route_from(actor_state& a, const process_id& to,
@@ -293,10 +288,10 @@ class node final {
   /// Opens an outbound connection to server `index` on reactor `r` for
   /// actor `a` (hello first) and registers it in a.out_to_server.
   conn_ref open_to_server(reactor& r, actor_state& a, std::uint32_t index);
-  /// Moves the messages in `msgs` to the reactor owning `ref` for
-  /// encoding there.
-  /// Drops (and, for server routes, lazily invalidates a.out_to_server)
-  /// when the serial shows the connection is gone.
+  /// Moves the messages in `msgs` to the reactor owning `ref`, when that
+  /// is not the current one, for encoding there. Drops (and, for server
+  /// routes, lazily invalidates a.out_to_server) when the serial shows
+  /// the connection is gone.
   void ship_to(const conn_ref& ref, actor_state& a, int server_index,
                std::vector<message>& msgs);
   /// Runs `fn` on every reactor and returns once all acknowledged (or
@@ -333,9 +328,7 @@ class node final {
     obs::counter* frames_out{nullptr};
     obs::counter* bytes_out{nullptr};
     obs::counter* frames_in{nullptr};
-    obs::counter* bytes_in{nullptr};
     obs::counter* writev_calls{nullptr};
-    obs::counter* short_writes{nullptr};
     obs::counter* conn_resets{nullptr};
     /// framing's process-global malformed-frame counter.
     obs::counter* malformed_frames{nullptr};

@@ -44,8 +44,6 @@ server_durability::server_durability(options opt, std::uint32_t server_index)
   auto& reg = obs::registry::instance();
   const std::string lbl = node_label(index_);
   pm_.snapshots = &reg.get_counter("fastreg_persist_snapshots_total", lbl);
-  pm_.replayed_records =
-      &reg.get_counter("fastreg_persist_replayed_records_total", lbl);
   pm_.torn_tail_truncations =
       &reg.get_counter("fastreg_persist_torn_tail_truncations_total", lbl);
   pm_.replay_ns = &reg.get_histogram("fastreg_persist_replay_ns", lbl);
@@ -90,7 +88,6 @@ void server_durability::replay() {
         break;
     }
   }
-  pm_.replayed_records->inc(loaded.records.size());
   pm_.replay_ns->observe(steady_now_ns() - t0);
   if (rec_.found) {
     LOG_INFO("persist: server %u recovered %zu objects at epoch %llu "

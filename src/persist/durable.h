@@ -94,7 +94,6 @@ class server_durability {
   /// The log's own rows (records, bytes, fsyncs) are counted by log_.
   struct persist_metrics {
     obs::counter* snapshots{nullptr};
-    obs::counter* replayed_records{nullptr};
     obs::counter* torn_tail_truncations{nullptr};
     obs::histogram* replay_ns{nullptr};
     obs::histogram* snapshot_ns{nullptr};

@@ -3,24 +3,22 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "obs/recorder.h"
 
 namespace fastreg::reconfig {
 
-coordinator::coordinator(control_plane& ctl, std::vector<std::string> keys)
-    : ctl_(ctl), keys_(std::move(keys)) {
-  auto& reg = obs::registry::instance();
-  epoch_gauge_ = &reg.get_gauge("fastreg_reconfig_epoch");
-  read_phase_ns_ =
-      &reg.get_histogram("fastreg_reconfig_phase_ns", "phase=\"state_read\"");
-  seed_phase_ns_ =
-      &reg.get_histogram("fastreg_reconfig_phase_ns", "phase=\"seed\"");
-}
+namespace {
 
-bool coordinator::start(std::shared_ptr<const store::shard_map> cur,
-                        const reconfig_plan& plan) {
+/// The migrator: the reader whose handoff ops read and seed the state.
+const process_id k_migrator = reader_id(0);
+
+}  // namespace
+
+coordinator::coordinator(store::deployment& dep, std::vector<std::string> keys)
+    : dep_(dep), keys_(std::move(keys)) {}
+
+bool coordinator::start(const reconfig_plan& plan) {
   FASTREG_EXPECTS(phase_ == phase::idle);
-  FASTREG_EXPECTS(cur != nullptr);
+  auto cur = dep_.proto().shards();
   error_ = validate_plan(*cur, plan);
   if (!error_.empty()) return false;
   old_map_ = std::move(cur);
@@ -37,12 +35,13 @@ bool coordinator::start(std::shared_ptr<const store::shard_map> cur,
   force_move_.clear();
   std::uint32_t reachable = 0;
   for (std::uint32_t i = 0; i < base.S(); ++i) {
-    ctl_.with_server(i, [&](store::server& s) {
-      ++reachable;
-      for (const auto obj : s.unseeded_moved_objects()) {
+    const bool visited = dep_.visit(server_id(i), [&](automaton& a) {
+      for (const auto obj :
+           dynamic_cast<store::server&>(a).unseeded_moved_objects()) {
         force_move_.insert(obj);
       }
     });
+    if (visited) ++reachable;
   }
   if (reachable < base.quorum()) {
     error_ = "only " + std::to_string(reachable) + " of " +
@@ -64,13 +63,14 @@ bool coordinator::start(std::shared_ptr<const store::shard_map> cur,
   // message can reach a server still at the old epoch.
   std::unordered_set<object_id> discovered;
   for (std::uint32_t i = 0; i < base.S(); ++i) {
-    ctl_.with_server(i, [&](store::server& s) {
+    // A server refused here is skipped, as in the pre-flight.
+    (void)dep_.visit(server_id(i), [&](automaton& a) {
+      auto& s = dynamic_cast<store::server&>(a);
       s.install_map(new_map_, force_move_);
       for (const auto obj : s.list_objects()) discovered.insert(obj);
     });
   }
-  ctl_.publish(new_map_);
-  epoch_gauge_->set(static_cast<std::int64_t>(new_map_->epoch()));
+  dep_.proto().maps()->install(new_map_);
   stats_.keys_discovered = discovered.size();
 
   // Handoff candidates: explicit keys first (their order and duplicates
@@ -125,15 +125,38 @@ void coordinator::advance_target() {
     ++stats_.keys_moved;
     cur_obj_ = obj;
     const epoch_t old_epoch = old_map_->epoch();
-    ctl_.with_migrator([&](store::client& c, netout& net) {
-      c.begin_state_read(obj, old_epoch);
-      c.flush(net);
-    });
+    step_client(k_migrator,
+                [&](store::client& c) { c.begin_state_read(obj, old_epoch); });
     phase_ = phase::reading;
-    phase_start_ = obs::trace_now();
     return;
   }
   phase_ = phase::done;
+}
+
+void coordinator::step_client(const process_id& p,
+                              const std::function<void(store::client&)>& fn) {
+  FASTREG_CHECK(dep_.step(p, [&](automaton& a, netout& net) {
+    auto& c = dynamic_cast<store::client&>(a);
+    fn(c);
+    c.flush(net);
+  }));
+}
+
+void coordinator::step_clients(
+    const std::function<void(store::client&)>& fn) {
+  const auto& base = old_map_->config().base;
+  for (std::uint32_t j = 0; j < base.W(); ++j) step_client(writer_id(j), fn);
+  for (std::uint32_t i = 0; i < base.R(); ++i) step_client(reader_id(i), fn);
+}
+
+bool coordinator::migrator_done(register_snapshot* snap) {
+  bool done = false;
+  FASTREG_CHECK(dep_.visit(k_migrator, [&](automaton& a) {
+    const auto& c = dynamic_cast<const store::client&>(a);
+    done = c.mig_done();
+    if (done && snap != nullptr) *snap = c.mig_snapshot();
+  }));
+  return done;
 }
 
 void coordinator::step() {
@@ -142,33 +165,25 @@ void coordinator::step() {
     case phase::done:
       return;
     case phase::reading: {
-      if (!ctl_.migrator_done()) return;
-      read_phase_ns_->observe(obs::trace_now() - phase_start_);
-      const auto snap = ctl_.migrator_snapshot();
+      register_snapshot snap;
+      if (!migrator_done(&snap)) return;
       // Writer floors must be in place BEFORE any server stops nacking
       // the object: otherwise a retried put could race the drain with a
       // timestamp below the seeded state and stall.
-      ctl_.for_each_client([&](store::client& c, netout& net) {
+      step_clients([&](store::client& c) {
         if (c.self().is_writer()) c.seed_writer_floor(cur_obj_, snap);
-        c.flush(net);
       });
-      ctl_.with_migrator([&](store::client& c, netout& net) {
+      step_client(k_migrator, [&](store::client& c) {
         c.begin_seed(cur_obj_, snap, new_map_->epoch());
-        c.flush(net);
       });
       phase_ = phase::seeding;
-      phase_start_ = obs::trace_now();
       return;
     }
     case phase::seeding: {
-      if (!ctl_.migrator_done()) return;
-      seed_phase_ns_->observe(obs::trace_now() - phase_start_);
+      if (!migrator_done()) return;
       // Quorum seeded: wake whatever the fence parked. Servers outside
       // the seeded quorum lazily fetch the snapshot on first access.
-      ctl_.for_each_client([&](store::client& c, netout& net) {
-        c.resume_parked(cur_obj_);
-        c.flush(net);
-      });
+      step_clients([&](store::client& c) { c.resume_parked(cur_obj_); });
       advance_target();
       return;
     }

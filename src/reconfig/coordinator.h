@@ -10,7 +10,7 @@
 //     does not change, so no replica silently serves regressed state.
 //  2. INSTALL + DISCOVERY: install the new map on every reachable server
 //     (each starts tagging replies with the new epoch and fencing moved
-//     objects) and, in the same control action, read the server's object
+//     objects) and, in the same visit, read the server's object
 //     index. The migration set is the union of the indexes -- every
 //     completed write created instances on a quorum of servers, so a
 //     quorum of indexes covers every key the store actually hosts; the
@@ -45,11 +45,18 @@
 // FULL fleet and migrated only the keys it was given; see CHANGES.md.)
 //
 // The coordinator is an incremental state machine: start() performs the
-// synchronous control-plane installs, then step() advances the handoff
-// pipeline; call it interleaved with whatever is driving the transport
-// (simulator steps, or a polling loop next to live TCP traffic). This
-// keeps client operations flowing DURING the migration, which is the
-// point of the exercise.
+// synchronous installs, then step() advances the handoff pipeline; call
+// it interleaved with whatever is driving the transport (simulator
+// steps, or a polling loop next to live TCP traffic). This keeps client
+// operations flowing DURING the migration, which is the point of the
+// exercise.
+//
+// The coordinator reaches processes only through its store::deployment:
+// it visits servers (installs, discovery) and the migrator, reader 0
+// (is its handoff op done?), and runs steps of clients (handoff ops,
+// writer floors, resumes). A server the deployment refuses (crashed or
+// stopped) is skipped -- the quorum handoff tolerates t of them. A
+// refused client is a contract violation: clients outlive the reshard.
 #pragma once
 
 #include <cstdint>
@@ -59,43 +66,10 @@
 #include <unordered_set>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "reconfig/plan.h"
-#include "store/client.h"
-#include "store/server.h"
-#include "store/shard_map.h"
+#include "store/store.h"
 
 namespace fastreg::reconfig {
-
-/// Transport adapter: how the coordinator reaches servers, clients and
-/// the map registry of one concrete deployment (simulator or TCP).
-/// All calls are synchronous control-plane actions.
-class control_plane {
- public:
-  virtual ~control_plane() = default;
-
-  /// Runs `fn` against server `index`'s automaton; returns false without
-  /// running it when the server is crashed or stopped. Control actions
-  /// skip unreachable servers -- the quorum-based handoff tolerates up to
-  /// t of them.
-  virtual bool with_server(std::uint32_t index,
-                           const std::function<void(store::server&)>& fn) = 0;
-  /// Publishes `next` to the deployment's versioned_map.
-  virtual void publish(std::shared_ptr<const store::shard_map> next) = 0;
-  /// Runs `fn` as a step of the migrator client (by convention reader 0)
-  /// with a netout, flushing its sends into the transport.
-  virtual void with_migrator(
-      const std::function<void(store::client&, netout&)>& fn) = 0;
-  /// True when the migrator's in-flight handoff op completed. Thread-safe
-  /// against live traffic (TCP marshals through the reactor).
-  virtual bool migrator_done() = 0;
-  /// The completed state read's snapshot (call only when migrator_done()).
-  virtual register_snapshot migrator_snapshot() = 0;
-  /// Runs `fn` against every client automaton (writers and readers) as a
-  /// step with a netout.
-  virtual void for_each_client(
-      const std::function<void(store::client&, netout&)>& fn) = 0;
-};
 
 struct reconfig_stats {
   epoch_t new_epoch{0};
@@ -116,17 +90,16 @@ class coordinator {
   /// per reshard (start() on a finished coordinator trips its
   /// phase-is-idle contract check rather than reusing stale handoff
   /// state). A start() that returned false may be retried.
-  explicit coordinator(control_plane& ctl,
+  explicit coordinator(store::deployment& dep,
                        std::vector<std::string> keys = {});
 
-  /// Validates the plan against `cur` (the currently installed map),
-  /// installs the new map on every reachable server (at least a quorum
-  /// must be reachable), discovers the hosted object set and publishes
-  /// the map. Returns false (with error()) on an invalid plan or an
-  /// unreachable fleet. On success the migration pipeline is armed;
-  /// drive it with step().
-  bool start(std::shared_ptr<const store::shard_map> cur,
-             const reconfig_plan& plan);
+  /// Validates the plan against the deployment's installed map, installs
+  /// the new map on every reachable server (at least a quorum must be
+  /// reachable), discovers the hosted object set and publishes the map.
+  /// Returns false (with error()) on an invalid plan or an unreachable
+  /// fleet. On success the migration pipeline is armed; drive it with
+  /// step().
+  bool start(const reconfig_plan& plan);
 
   /// Advances the migration by at most one control action. Call
   /// repeatedly, interleaved with transport progress, until done().
@@ -143,8 +116,16 @@ class coordinator {
   [[nodiscard]] bool target_moves(object_id obj) const;
   /// Skips objects that do not move; arms the next handoff or finishes.
   void advance_target();
+  /// Runs `fn` as a step of client `p`, then flushes the client's sends.
+  void step_client(const process_id& p,
+                   const std::function<void(store::client&)>& fn);
+  /// step_client on every writer, then every reader.
+  void step_clients(const std::function<void(store::client&)>& fn);
+  /// True when the migrator's handoff op completed; a completed state
+  /// read's snapshot is copied into `snap` when given.
+  bool migrator_done(register_snapshot* snap = nullptr);
 
-  control_plane& ctl_;
+  store::deployment& dep_;
   std::vector<std::string> keys_;
   /// Handoff candidates: the explicit keys' objects first, then every
   /// discovered object not already covered (sorted for determinism).
@@ -161,14 +142,6 @@ class coordinator {
   phase phase_{phase::idle};
   std::string error_{};
   reconfig_stats stats_{};
-  /// Telemetry: the installed epoch and per-object handoff phase
-  /// durations (trace clock: sim ticks under the simulator, wall ns on
-  /// TCP). Handles resolved once; a fresh coordinator per reshard just
-  /// re-resolves the same registry rows.
-  obs::gauge* epoch_gauge_{nullptr};
-  obs::histogram* read_phase_ns_{nullptr};
-  obs::histogram* seed_phase_ns_{nullptr};
-  std::uint64_t phase_start_{0};
 };
 
 }  // namespace fastreg::reconfig

@@ -11,10 +11,6 @@ client::client(std::shared_ptr<const shard_map> shards, process_id self,
                map_source source)
     : map_(std::move(shards)), source_(std::move(source)), self_(self) {
   FASTREG_EXPECTS(self_.is_reader() || self_.is_writer());
-  auto& reg = obs::registry::instance();
-  const std::string lbl = "node=\"" + to_string(self_) + "\"";
-  parks_total_ = &reg.get_counter("fastreg_store_parks_total", lbl);
-  resumes_total_ = &reg.get_counter("fastreg_store_resumes_total", lbl);
   rec_ = &obs::recorder_for(self_);
 }
 
@@ -106,7 +102,6 @@ void client::reissue(object_id obj, object_state& st) {
   // and start over against the current map.
   pending_op& op = *st.op;
   const bool resuming = op.parked;
-  if (resuming) resumes_total_->inc();
   op.attempt = ++st.attempts;
   op.parked = false;
   ++op.span;  // a new attempt is a new span of the same trace
@@ -120,7 +115,6 @@ void client::reissue(object_id obj, object_state& st) {
 
 void client::park(object_id obj, object_state& st) {
   pending_op& op = *st.op;
-  parks_total_->inc();
   if (obs::recording_active()) {
     rec_->record(obs::rec_event::park, op.trace, op.span, 0, self_, obj,
                  epoch(), k_initial_ts);

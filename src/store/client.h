@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "common/object_table.h"
-#include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "store/batching.h"
 #include "store/shard_map.h"
@@ -95,8 +94,8 @@ class client final : public automaton {
   }
 
   // ---------------------------------------------------------- reconfig --
-  // Control-plane surface; call on the automaton's thread (between steps
-  // on the simulator, via node::run_on_reactor on TCP).
+  // Reconfiguration surface; call between the automaton's steps (a
+  // store::deployment visit or step).
 
   [[nodiscard]] epoch_t epoch() const { return map_->epoch(); }
   /// Ops parked behind a draining key, awaiting resume_parked.
@@ -249,13 +248,8 @@ class client final : public automaton {
   std::uint64_t mig_seq_{0};
   batch_collector outbox_;
   std::vector<store_result> completions_;
-  /// Registry handles (per-client label): every client with this id in
-  /// the process shares the rows, so the registry counts the union while
-  /// parked_count() stays exact.
-  obs::counter* parks_total_{nullptr};
-  obs::counter* resumes_total_{nullptr};
-  /// Flight recorder for this node (stable global; cached like the
-  /// counters so the hot path never takes the registry lock).
+  /// Flight recorder for this node (stable global; cached so the hot
+  /// path never takes the registry lock).
   obs::recorder* rec_{nullptr};
 };
 

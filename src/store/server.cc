@@ -24,14 +24,10 @@ server::server(std::shared_ptr<const shard_map> shards, std::uint32_t index)
   auto& reg = obs::registry::instance();
   const std::string lbl = "node=\"" + to_string(server_id(index_)) + "\"";
   sm_.ops = &reg.get_counter("fastreg_store_ops_total", lbl);
-  sm_.nacks = &reg.get_counter("fastreg_store_epoch_nacks_total", lbl);
-  sm_.fetch_reqs = &reg.get_counter("fastreg_store_fetches_started_total", lbl);
   sm_.fetch_overflow =
       &reg.get_counter("fastreg_store_fetch_overflow_nacks_total", lbl);
-  sm_.epoch = &reg.get_gauge("fastreg_store_epoch", lbl);
   sm_.serve_ns = &reg.get_histogram("fastreg_store_serve_ns", lbl);
   rec_ = &obs::recorder_for(server_id(index_));
-  sm_.epoch->set(static_cast<std::int64_t>(map_->epoch()));
   if (map_->config().persist.enabled()) {
     durable_ = std::make_unique<persist::server_durability>(
         map_->config().persist, index_);
@@ -179,11 +175,9 @@ void server::install_map(std::shared_ptr<const shard_map> next,
     // across the boundary.
     durable_->append_epoch_mark(map_->epoch(), fenced);
   }
-  sm_.epoch->set(static_cast<std::int64_t>(map_->epoch()));
 }
 
 void server::send_nack(const process_id& to, const message& m) {
-  sm_.nacks->inc();
   if (obs::recording_active()) {
     rec_->record(obs::rec_event::nack, m.trace, m.span,
                  static_cast<std::uint8_t>(m.type), to, m.obj,
@@ -341,7 +335,6 @@ void server::enqueue_fetch(const process_id& from, const message& m,
     st.waiting.emplace_back(from, m);
   }
   if (!inserted) return;  // fetch already in flight; just wait with it
-  sm_.fetch_reqs->inc();
   message req;
   req.type = msg_type::fetch_req;
   req.obj = m.obj;

@@ -81,8 +81,8 @@ class server final : public automaton {
   [[nodiscard]] process_id self() const override { return server_id(index_); }
 
   // ---------------------------------------------------------- reconfig --
-  // Control plane; call on the automaton's thread (between steps on the
-  // simulator, via node::run_on_reactor on TCP).
+  // Reconfiguration surface; call between the automaton's steps (a
+  // store::deployment visit or step).
 
   /// Moves to the next epoch's map (epoch must advance by exactly one).
   /// Must not be called while a previous reconfiguration is still
@@ -258,10 +258,7 @@ class server final : public automaton {
   /// migration, so a nonzero row is an alarm (also logged at warn level).
   struct srv_metrics {
     obs::counter* ops{nullptr};
-    obs::counter* nacks{nullptr};
-    obs::counter* fetch_reqs{nullptr};
     obs::counter* fetch_overflow{nullptr};
-    obs::gauge* epoch{nullptr};
     obs::histogram* serve_ns{nullptr};
   };
   srv_metrics sm_;

@@ -38,6 +38,19 @@ server& sim_store::restart_server(std::uint32_t i) {
   return server_at(i);
 }
 
+bool sim_store::visit(const process_id& p, const visit_fn& fn) {
+  if (world_.crashed(p)) return false;
+  fn(*world_.get(p));
+  return true;
+}
+
+bool sim_store::step(const process_id& p, const step_fn& fn) {
+  if (world_.crashed(p)) return false;
+  automaton& a = *world_.get(p);
+  world_.invoke_step(p, [&](netout& net) { fn(a, net); });
+  return true;
+}
+
 bool sim_store::idle() {
   if (!world_.in_transit().empty()) return false;
   const auto& cfg = proto_.config().base;

@@ -10,6 +10,9 @@
 //
 // Scheduling is the world's (random or timed); the usual drivers
 // (adversary surgery, crash injection) work on the underlying world.
+//
+// As a deployment, a visit is a direct call between world steps and a
+// step is world::invoke_step, both refused for a crashed process.
 #pragma once
 
 #include "sim/world.h"
@@ -19,7 +22,7 @@
 
 namespace fastreg::store {
 
-class sim_store {
+class sim_store final : public deployment {
  public:
   explicit sim_store(store_config cfg);
 
@@ -32,7 +35,9 @@ class sim_store {
   [[nodiscard]] std::shared_ptr<const shard_map> shards() const {
     return proto_.shards();
   }
-  [[nodiscard]] store_protocol& proto() { return proto_; }
+  [[nodiscard]] store_protocol& proto() override { return proto_; }
+  [[nodiscard]] bool visit(const process_id& p, const visit_fn& fn) override;
+  [[nodiscard]] bool step(const process_id& p, const step_fn& fn) override;
 
   [[nodiscard]] client& reader_client(std::uint32_t i);
   [[nodiscard]] client& writer_client(std::uint32_t i);

@@ -7,8 +7,16 @@
 // pull-side (map_source) so they can refetch the routing table when a
 // server reply reveals a newer epoch; the reconfiguration coordinator
 // installs new epochs into it (after installing them on every server).
+//
+// store::deployment is how code outside the data path -- the reshard
+// coordinator -- acts on the processes of one concrete deployment
+// (sim_store, tcp_store). The paper's model acts on a process only by a
+// step <p, M>; a deployment offers that step, plus a visit between steps
+// for actions that send nothing, and refuses both for a crashed or
+// stopped process.
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "reconfig/versioned_map.h"
@@ -62,6 +70,26 @@ class store_protocol final : public protocol {
  private:
   std::shared_ptr<const shard_map> initial_;
   std::shared_ptr<reconfig::versioned_map> maps_;
+};
+
+class deployment {
+ public:
+  using visit_fn = std::function<void(automaton&)>;
+  using step_fn = std::function<void(automaton&, netout&)>;
+
+  [[nodiscard]] virtual store_protocol& proto() = 0;
+  /// Runs `fn` on p's automaton between its steps. False, without running
+  /// `fn`, when p is crashed or stopped.
+  [[nodiscard]] virtual bool visit(const process_id& p,
+                                   const visit_fn& fn) = 0;
+  /// Runs `fn` as a step of p: its sends go out on the transport and the
+  /// step hook of any session open on p runs after it. False, without
+  /// running `fn`, when p is crashed or stopped.
+  [[nodiscard]] virtual bool step(const process_id& p, const step_fn& fn) = 0;
+
+ protected:
+  /// Deployments are owned as themselves, never through this interface.
+  ~deployment() = default;
 };
 
 }  // namespace fastreg::store

@@ -23,6 +23,10 @@
 // it in flight, abandoned. The client's next session queues an op on the
 // same key behind it, and the late completion closes the abandoned op's
 // history record without being reported to anyone.
+//
+// As a deployment, both a visit and a step run on the process's reactor
+// (net::node::run_on_reactor), so they serialize with live traffic and
+// may come from any thread; a stopped node refuses them.
 #pragma once
 
 #include <memory>
@@ -35,7 +39,7 @@
 
 namespace fastreg::store {
 
-class tcp_store {
+class tcp_store final : public deployment {
  public:
   /// `nopt` is unused: the cluster sets every node's reactor count from
   /// `copt`. The argument stays for the callers that pass it.
@@ -56,7 +60,9 @@ class tcp_store {
     return proto_.config();
   }
   [[nodiscard]] net::cluster& cluster() { return cluster_; }
-  [[nodiscard]] store_protocol& proto() { return proto_; }
+  [[nodiscard]] store_protocol& proto() override { return proto_; }
+  [[nodiscard]] bool visit(const process_id& p, const visit_fn& fn) override;
+  [[nodiscard]] bool step(const process_id& p, const step_fn& fn) override;
 
   /// The pipelined front-end over this deployment; every session from it
   /// logs into the deployment's op log, so gather() sees all of them.

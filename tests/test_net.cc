@@ -42,6 +42,14 @@ std::uint64_t malformed_frames() {
       .value();
 }
 
+/// fastreg_net_corrupt_streams_total: connections this process reset
+/// because their byte stream could not be framed.
+std::uint64_t corrupt_streams() {
+  return obs::registry::instance()
+      .get_counter("fastreg_net_corrupt_streams_total")
+      .value();
+}
+
 /// The frame one send of `m` puts on the wire: a batch frame of count 1.
 std::vector<std::uint8_t> one_message_frame(const process_id& from,
                                             const message& m) {
@@ -673,9 +681,9 @@ TEST(DeliveryUnit, TcpNodesDeliverEachSendAsOneStep) {
   client.add_actor(std::make_unique<step_recorder>(reader_id(0)));
   server.start();
   client.start();
-  client.run_on_reactor(0, [](automaton&, netout& net) {
+  ASSERT_TRUE(client.run_on_reactor(0, [](automaton&, netout& net) {
     send_one_then_three(net, server_id(0));
-  });
+  }));
   // Read the server automaton's steps on its own reactor.
   std::vector<std::vector<message>> steps;
   std::size_t direct_messages = 0;
@@ -683,11 +691,11 @@ TEST(DeliveryUnit, TcpNodesDeliverEachSendAsOneStep) {
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (steps.size() < 2 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    server.run_on_reactor(0, [&](automaton& a, netout&) {
+    ASSERT_TRUE(server.run_on_reactor(0, [&](automaton& a, netout&) {
       const auto& rec = static_cast<const step_recorder&>(a);
       steps = rec.steps;
       direct_messages = rec.direct_messages;
-    });
+    }));
   }
   client.stop();
   server.stop();
@@ -712,7 +720,7 @@ TEST(DeliveryUnit, TcpSendBatchEmptiesTheCallersBufferAndKeepsIt) {
   constexpr std::size_t k_sends = 3;
   std::vector<std::size_t> sizes_after;
   std::vector<bool> same_storage;
-  client.run_on_reactor(0, [&](automaton&, netout& net) {
+  ASSERT_TRUE(client.run_on_reactor(0, [&](automaton&, netout& net) {
     std::vector<message> buf;
     buf.reserve(8);
     const message* storage = buf.data();
@@ -727,7 +735,7 @@ TEST(DeliveryUnit, TcpSendBatchEmptiesTheCallersBufferAndKeepsIt) {
       sizes_after.push_back(buf.size());
       same_storage.push_back(buf.data() == storage && buf.capacity() >= 8);
     }
-  });
+  }));
   EXPECT_EQ(sizes_after, std::vector<std::size_t>(k_sends, 0));
   EXPECT_EQ(same_storage, std::vector<bool>(k_sends, true));
   std::vector<std::vector<message>> steps;
@@ -737,11 +745,11 @@ TEST(DeliveryUnit, TcpSendBatchEmptiesTheCallersBufferAndKeepsIt) {
   while (steps.size() < k_sends &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    server.run_on_reactor(0, [&](automaton& a, netout&) {
+    ASSERT_TRUE(server.run_on_reactor(0, [&](automaton& a, netout&) {
       const auto& rec = static_cast<const step_recorder&>(a);
       steps = rec.steps;
       direct_messages = rec.direct_messages;
-    });
+    }));
   }
   client.stop();
   server.stop();
@@ -753,6 +761,56 @@ TEST(DeliveryUnit, TcpSendBatchEmptiesTheCallersBufferAndKeepsIt) {
       EXPECT_EQ(steps[s][i].rcounter, 10 * s + i);
     }
   }
+}
+
+// -------------------------------------------------------------------- node
+
+TEST(Node, RunOnReactorRefusesAStoppedNode) {
+  // run_on_reactor never runs a step on its caller's thread: a node that
+  // is not running refuses it, and a stop() racing a stream of calls
+  // leaves every call either run on the reactor or refused.
+  node n(make_cfg(3, 1, 1), std::make_shared<address_book>());
+  n.add_actor(std::make_unique<step_recorder>(reader_id(0)));
+  int runs = 0;
+  const auto count = [&](automaton&, netout&) { ++runs; };
+  EXPECT_FALSE(n.run_on_reactor(0, count));  // never started
+  EXPECT_EQ(runs, 0);
+  n.start();
+  EXPECT_TRUE(n.run_on_reactor(0, count));
+  EXPECT_EQ(runs, 1);
+  n.stop();
+  EXPECT_FALSE(n.run_on_reactor(0, count));
+  EXPECT_EQ(runs, 1);
+
+  n.start();
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> calls{0};
+  std::thread stopper([&] {
+    while (calls.load() < 50) std::this_thread::yield();
+    n.stop();
+  });
+  int ran = 0;
+  int refused = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (refused < 10 && std::chrono::steady_clock::now() < deadline) {
+    std::thread::id ran_on{};
+    const bool ok = n.run_on_reactor(0, [&](automaton&, netout&) {
+      ran_on = std::this_thread::get_id();
+    });
+    ++calls;
+    if (ok) {
+      ++ran;
+      EXPECT_NE(ran_on, std::thread::id{});
+      EXPECT_NE(ran_on, caller);
+    } else {
+      ++refused;
+      EXPECT_EQ(ran_on, std::thread::id{});
+    }
+  }
+  stopper.join();
+  EXPECT_GE(ran, 50);
+  EXPECT_EQ(refused, 10);
 }
 
 // ------------------------------------------------------------- end-to-end
@@ -769,7 +827,9 @@ TEST(Cluster, CorruptStreamResetsConnectionAndServerKeepsServing) {
 
   // A raw connection feeding an implausible length prefix: the server
   // must reset it (frame_buffer's corruption contract) rather than stall
-  // or crash, and unrelated clients keep being served.
+  // or crash, count the corrupt stream, and keep serving unrelated
+  // clients.
+  const std::uint64_t corrupt_before = corrupt_streams();
   unique_fd evil = connect_to(ts.cluster().book().server_ports[0]);
   ASSERT_TRUE(evil.valid());
   const std::uint8_t garbage[] = {0xff, 0xff, 0xff, 0xff, 0x42};
@@ -780,6 +840,7 @@ TEST(Cluster, CorruptStreamResetsConnectionAndServerKeepsServing) {
   ASSERT_GT(::poll(&pfd, 1, 5000), 0) << "server never reset the stream";
   std::uint8_t buf[16];
   EXPECT_LE(::recv(evil.get(), buf, sizeof buf, 0), 0);
+  EXPECT_GE(corrupt_streams() - corrupt_before, 1u);
 
   ASSERT_TRUE(w.write("after-garbage"));
   const auto res = r.read();

@@ -544,11 +544,17 @@ TEST(Durability, TornLogTailRepairedOnConstruction) {
   const std::string log = server_durability::log_path_for(td.path(), 3);
   const std::uint64_t clean = file_size(log);
   append_raw(log, "torn-garbage-tail");
+  const auto truncations = [] {
+    return counter_value("fastreg_persist_torn_tail_truncations_total",
+                         node_label(3));
+  };
+  const std::uint64_t before = truncations();
   server_durability d2(o, 3);
   ASSERT_TRUE(d2.recovered().found);
   EXPECT_EQ(d2.recovered().objects.size(), 2u);
   EXPECT_EQ(file_size(log), clean)
       << "replay should repair-truncate the torn tail on disk";
+  EXPECT_EQ(truncations() - before, 1u);
 }
 
 TEST(Durability, FailedSnapshotKeepsTheLogAndRecoversEveryRecord) {

@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "crypto/sig.h"
-#include "reconfig/control.h"
 #include "reconfig/coordinator.h"
 #include "reconfig/plan.h"
 #include "reconfig/versioned_map.h"
@@ -131,10 +130,8 @@ TEST(SimReconfig, ValuesSurviveProtocolSwitchAndShardCountChange) {
   for (const auto& k : keys) clients.put(0, k, "v:" + k);
   run_until_idle(s, r);
 
-  sim_control ctl(s);
-  coordinator coord(ctl, keys);
-  ASSERT_TRUE(
-      coord.start(s.shards(), reconfig_plan{3, {"fast_swmr", "abd"}}))
+  coordinator coord(s, keys);
+  ASSERT_TRUE(coord.start(reconfig_plan{3, {"fast_swmr", "abd"}}))
       << coord.error();
   drive_reconfig(s, coord, r);
   EXPECT_EQ(s.proto().maps()->epoch(), 1u);
@@ -169,10 +166,8 @@ TEST(SimReconfig, FastReadsAfterPromotionToFastSwmr) {
   clients.get(0, "hot");
   run_until_idle(s, r);
 
-  sim_control ctl(s);
-  coordinator coord(ctl, {"hot"});
-  ASSERT_TRUE(coord.start(s.shards(), reconfig_plan{1, {"fast_swmr"}}))
-      << coord.error();
+  coordinator coord(s, {"hot"});
+  ASSERT_TRUE(coord.start(reconfig_plan{1, {"fast_swmr"}})) << coord.error();
   drive_reconfig(s, coord, r);
 
   clients.get(1, "hot");
@@ -201,10 +196,8 @@ TEST(SimReconfig, OpsHoldDuringDrainAndComplete) {
   clients.put(0, "k", "v1");
   run_until_idle(s, r);
 
-  sim_control ctl(s);
-  coordinator coord(ctl, {"k"});
-  ASSERT_TRUE(coord.start(s.shards(), reconfig_plan{1, {"fast_swmr"}}))
-      << coord.error();
+  coordinator coord(s, {"k"});
+  ASSERT_TRUE(coord.start(reconfig_plan{1, {"fast_swmr"}})) << coord.error();
   // Clients invoke while the key drains. WITHOUT advancing the
   // coordinator, the ops must end up held -- re-issued under the new
   // epoch and buffered behind the servers' lazy seed fetch (no seed
@@ -246,10 +239,8 @@ TEST(SimReconfig, DuplicateKeysInCoordinatorListHandOffOnce) {
   clients.put(0, "k", "v1");
   run_until_idle(s, r);
 
-  sim_control ctl(s);
-  coordinator coord(ctl, {"k", "k", "k"});
-  ASSERT_TRUE(coord.start(s.shards(), reconfig_plan{1, {"fast_swmr"}}))
-      << coord.error();
+  coordinator coord(s, {"k", "k", "k"});
+  ASSERT_TRUE(coord.start(reconfig_plan{1, {"fast_swmr"}})) << coord.error();
   drive_reconfig(s, coord, r);
   EXPECT_EQ(coord.stats().keys_considered, 3u);
   EXPECT_EQ(coord.stats().keys_moved, 1u);
@@ -280,10 +271,8 @@ TEST(SimReconfig, InFlightPutAtNewEpochCannotOutrunWriterFloor) {
   clients.put(0, "k", "v1");
   run_until_idle(s, r);
 
-  sim_control ctl(s);
-  coordinator coord(ctl, {"k"});
-  ASSERT_TRUE(coord.start(s.shards(), reconfig_plan{1, {"abd"}}))
-      << coord.error();
+  coordinator coord(s, {"k"});
+  ASSERT_TRUE(coord.start(reconfig_plan{1, {"abd"}})) << coord.error();
   // The writer learns the new epoch (the map is already published) and
   // invokes while the state read is still in flight: the put's requests
   // leave at the new epoch, from an automaton that never saw a floor.
@@ -352,8 +341,7 @@ TEST(SimReconfig, HistoriesSpanningEpochChangeLinearize) {
     store::sim_store s(make_cfg({"fast_swmr", "abd"}, 4, /*R=*/3));
     rng r(seed);
     store::test::sim_clients clients(s, r);
-    sim_control ctl(s);
-    coordinator coord(ctl, keys);
+    coordinator coord(s, keys);
     bool started = false;
     std::uint32_t puts_left = 24;
     std::vector<std::uint32_t> gets_left(3, 16);
@@ -365,8 +353,7 @@ TEST(SimReconfig, HistoriesSpanningEpochChangeLinearize) {
         // Mid-workload: flip the protocol assignment and change the
         // shard count, so most objects migrate.
         started = true;
-        ASSERT_TRUE(coord.start(s.shards(),
-                                reconfig_plan{5, {"abd", "fast_swmr"}}))
+        ASSERT_TRUE(coord.start(reconfig_plan{5, {"abd", "fast_swmr"}}))
             << coord.error();
       }
       if (started && !coord.done()) coord.step();
@@ -419,19 +406,16 @@ TEST(SimReconfig, SequentialReshardsCompose) {
   for (const auto& k : keys) clients.put(0, k, k + std::to_string(++seq));
   run_until_idle(s, r);
 
-  sim_control ctl(s);
   {
-    coordinator coord(ctl, keys);
-    ASSERT_TRUE(coord.start(s.shards(), reconfig_plan{3, {"fast_swmr"}}))
-        << coord.error();
+    coordinator coord(s, keys);
+    ASSERT_TRUE(coord.start(reconfig_plan{3, {"fast_swmr"}})) << coord.error();
     drive_reconfig(s, coord, r);
   }
   for (const auto& k : keys) clients.put(0, k, k + std::to_string(++seq));
   run_until_idle(s, r);
   {
-    coordinator coord(ctl, keys);
-    ASSERT_TRUE(coord.start(s.shards(), reconfig_plan{2, {"abd"}}))
-        << coord.error();
+    coordinator coord(s, keys);
+    ASSERT_TRUE(coord.start(reconfig_plan{2, {"abd"}})) << coord.error();
     drive_reconfig(s, coord, r);
   }
   EXPECT_EQ(s.proto().maps()->epoch(), 2u);
@@ -458,10 +442,8 @@ TEST(SimReconfig, SameLayoutEpochBumpIsInvisibleToOps) {
   clients.put(0, "y", "y1");
   run_until_idle(s, r);
 
-  sim_control ctl(s);
-  coordinator coord(ctl, {"x", "y"});
-  ASSERT_TRUE(coord.start(s.shards(), reconfig_plan{2, {"fast_bft"}}))
-      << coord.error();
+  coordinator coord(s, {"x", "y"});
+  ASSERT_TRUE(coord.start(reconfig_plan{2, {"fast_bft"}})) << coord.error();
   drive_reconfig(s, coord, r);
   EXPECT_EQ(coord.stats().keys_moved, 0u);  // nothing moves: carried over
   EXPECT_EQ(s.proto().maps()->epoch(), 1u);
@@ -499,10 +481,8 @@ TEST_P(ReconfigEveryPair, PutMigrateGetPutGet) {
   }
   run_until_idle(s, r);
 
-  sim_control ctl(s);
-  coordinator coord(ctl, keys);
-  ASSERT_TRUE(coord.start(s.shards(), reconfig_plan{2, {to}}))
-      << coord.error();
+  coordinator coord(s, keys);
+  ASSERT_TRUE(coord.start(reconfig_plan{2, {to}})) << coord.error();
   drive_reconfig(s, coord, r);
   EXPECT_EQ(coord.stats().keys_moved, from == to ? 0u : keys.size());
 
@@ -557,10 +537,8 @@ TEST(SimReconfig, CrashedServerMidReshardStillCompletes) {
   for (const auto& k : keys) clients.put(0, k, k + std::to_string(++seq));
   run_until_idle(s, r);
 
-  sim_control ctl(s);
-  coordinator coord(ctl, keys);
-  ASSERT_TRUE(coord.start(s.shards(), reconfig_plan{1, {"fast_swmr"}}))
-      << coord.error();
+  coordinator coord(s, keys);
+  ASSERT_TRUE(coord.start(reconfig_plan{1, {"fast_swmr"}})) << coord.error();
   // Kill a server mid-migration, with handoff traffic in flight; invoke
   // ops on draining keys so completions depend on the drain lifting.
   clients.get(0, "k1");
@@ -602,10 +580,8 @@ TEST(SimReconfig, ServerCrashedForEntireMigration) {
   run_until_idle(s, r);
 
   s.world().crash(server_id(3));
-  sim_control ctl(s);
-  coordinator coord(ctl, keys);
-  ASSERT_TRUE(coord.start(s.shards(), reconfig_plan{3, {"fast_swmr"}}))
-      << coord.error();
+  coordinator coord(s, keys);
+  ASSERT_TRUE(coord.start(reconfig_plan{3, {"fast_swmr"}})) << coord.error();
   clients.put(0, "a", "during");
   drive_reconfig(s, coord, r);
   EXPECT_TRUE(coord.done());
@@ -627,9 +603,8 @@ TEST(SimReconfig, TooManyCrashedServersRefusedUpFront) {
   run_until_idle(s, r);
   s.world().crash(server_id(0));
   s.world().crash(server_id(1));  // 3 of 5 reachable < quorum 4
-  sim_control ctl(s);
-  coordinator coord(ctl, {"k"});
-  EXPECT_FALSE(coord.start(s.shards(), reconfig_plan{1, {"fast_swmr"}}));
+  coordinator coord(s, {"k"});
+  EXPECT_FALSE(coord.start(reconfig_plan{1, {"fast_swmr"}}));
   EXPECT_NE(coord.error().find("quorum"), std::string::npos);
   // Nothing was installed or published: the fleet stays at the old epoch
   // (2 of 5 crashed exceeds t = 1, so the data plane is degraded anyway,
@@ -652,10 +627,8 @@ TEST(SimReconfig, UnlistedKeyDiscoveredAndMigrated) {
   for (const auto& k : keys) clients.put(0, k, k + std::to_string(++seq));
   run_until_idle(s, r);
 
-  sim_control ctl(s);
-  coordinator coord(ctl, {"k0", "k1"});  // k2, k3 omitted
-  ASSERT_TRUE(coord.start(s.shards(), reconfig_plan{1, {"fast_swmr"}}))
-      << coord.error();
+  coordinator coord(s, {"k0", "k1"});  // k2, k3 omitted
+  ASSERT_TRUE(coord.start(reconfig_plan{1, {"fast_swmr"}})) << coord.error();
   drive_reconfig(s, coord, r);
   EXPECT_EQ(coord.stats().keys_discovered, keys.size());
   EXPECT_EQ(coord.stats().keys_moved, keys.size());
@@ -685,10 +658,8 @@ TEST(SimReconfig, DiscoveryAloneMigratesEverything) {
   for (const auto& k : keys) clients.put(0, k, k + std::to_string(++seq));
   run_until_idle(s, r);
 
-  sim_control ctl(s);
-  coordinator coord(ctl);
-  ASSERT_TRUE(coord.start(s.shards(), reconfig_plan{2, {"fast_swmr"}}))
-      << coord.error();
+  coordinator coord(s);
+  ASSERT_TRUE(coord.start(reconfig_plan{2, {"fast_swmr"}})) << coord.error();
   drive_reconfig(s, coord, r);
   EXPECT_EQ(coord.stats().keys_discovered, keys.size());
   EXPECT_EQ(coord.stats().keys_moved, keys.size());
@@ -708,10 +679,8 @@ TEST(SimReconfig, LazySeedFetchHealsServerThatMissedTheSeed) {
   clients.put(0, "k", "v1");
   run_until_idle(s, r);
 
-  sim_control ctl(s);
-  coordinator coord(ctl, {"k"});
-  ASSERT_TRUE(coord.start(s.shards(), reconfig_plan{1, {"fast_swmr"}}))
-      << coord.error();
+  coordinator coord(s, {"k"});
+  ASSERT_TRUE(coord.start(reconfig_plan{1, {"fast_swmr"}})) << coord.error();
   std::uint64_t guard = 0;
   while (!coord.done()) {
     ASSERT_LT(++guard, 1'000'000u);
@@ -748,10 +717,8 @@ TEST(SimReconfig, BrandNewKeyUsableUnderDrainedMap) {
   clients.put(0, "old", "o1");
   run_until_idle(s, r);
 
-  sim_control ctl(s);
-  coordinator coord(ctl);
-  ASSERT_TRUE(coord.start(s.shards(), reconfig_plan{1, {"fast_swmr"}}))
-      << coord.error();
+  coordinator coord(s);
+  ASSERT_TRUE(coord.start(reconfig_plan{1, {"fast_swmr"}})) << coord.error();
   drive_reconfig(s, coord, r);
 
   clients.put(0, "brand-new", "n1");
@@ -777,11 +744,9 @@ TEST(SimReconfig, MissedSeedStateReHandedOffByNextReshard) {
   clients.put(0, "k", "v1");
   run_until_idle(s, r);
 
-  sim_control ctl(s);
   {
-    coordinator coord(ctl, {"k"});
-    ASSERT_TRUE(coord.start(s.shards(), reconfig_plan{1, {"fast_swmr"}}))
-        << coord.error();
+    coordinator coord(s, {"k"});
+    ASSERT_TRUE(coord.start(reconfig_plan{1, {"fast_swmr"}})) << coord.error();
     std::uint64_t guard = 0;
     while (!coord.done()) {
       ASSERT_LT(++guard, 1'000'000u);
@@ -797,9 +762,8 @@ TEST(SimReconfig, MissedSeedStateReHandedOffByNextReshard) {
   // Epoch 2: same protocol for every object (fast_swmr -> fast_swmr with
   // a different shard count moves nothing by protocol comparison).
   {
-    coordinator coord(ctl);
-    ASSERT_TRUE(coord.start(s.shards(), reconfig_plan{2, {"fast_swmr"}}))
-        << coord.error();
+    coordinator coord(s);
+    ASSERT_TRUE(coord.start(reconfig_plan{2, {"fast_swmr"}})) << coord.error();
     drive_reconfig(s, coord, r);
     EXPECT_EQ(coord.stats().keys_moved, 1u);  // the force-moved "k"
   }
@@ -825,14 +789,12 @@ TEST(SimReconfig, SeedDelayedPastItsMigrationIsDropped) {
   clients.put(0, "k", "v1");
   run_until_idle(s, r);
 
-  sim_control ctl(s);
   const auto held = [](const sim::envelope& e) {
     return e.msg().type == msg_type::seed_req && e.to == server_id(0);
   };
   {
-    coordinator coord(ctl, {"k"});
-    ASSERT_TRUE(coord.start(s.shards(), reconfig_plan{1, {"fast_swmr"}}))
-        << coord.error();
+    coordinator coord(s, {"k"});
+    ASSERT_TRUE(coord.start(reconfig_plan{1, {"fast_swmr"}})) << coord.error();
     std::uint64_t guard = 0;
     while (!coord.done()) {
       ASSERT_LT(++guard, 1'000'000u);
@@ -845,8 +807,8 @@ TEST(SimReconfig, SeedDelayedPastItsMigrationIsDropped) {
   ASSERT_EQ(s.world().find_envelopes(held).size(), 1u);
   ASSERT_EQ(s.server_at(0).seeded_count(), 0u);
 
-  coordinator coord(ctl);
-  ASSERT_TRUE(coord.start(s.shards(), reconfig_plan{2, {"fast_swmr"}}))
+  coordinator coord(s);
+  ASSERT_TRUE(coord.start(reconfig_plan{2, {"fast_swmr"}}))
       << coord.error();  // epoch 2; "k" force-moved (server 0 missed it)
   // The stale epoch-1 seed finally lands -- after the epoch-2 install.
   ASSERT_EQ(s.world().deliver_matching(held), 1u);
@@ -892,10 +854,8 @@ TEST(TcpReconfig, LiveReshardUnderConcurrentTraffic) {
     });
   }
 
-  tcp_control ctl(ts);
-  coordinator coord(ctl, keys);
-  ASSERT_TRUE(coord.start(ts.proto().shards(),
-                          reconfig_plan{3, {"fast_swmr", "abd"}}))
+  coordinator coord(ts, keys);
+  ASSERT_TRUE(coord.start(reconfig_plan{3, {"fast_swmr", "abd"}}))
       << coord.error();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -952,10 +912,8 @@ TEST(TcpReconfig, ReshardCompletesWithServerCrashedThroughout) {
     });
   }
 
-  tcp_control ctl(ts);
-  coordinator coord(ctl);  // discovery supplies the key set
-  ASSERT_TRUE(coord.start(ts.proto().shards(),
-                          reconfig_plan{3, {"fast_swmr", "abd"}}))
+  coordinator coord(ts);  // discovery supplies the key set
+  ASSERT_TRUE(coord.start(reconfig_plan{3, {"fast_swmr", "abd"}}))
       << coord.error();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);

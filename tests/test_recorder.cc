@@ -27,7 +27,6 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/timeline.h"
-#include "reconfig/control.h"
 #include "reconfig/coordinator.h"
 #include "registers/message.h"
 #include "registers/registry.h"
@@ -543,10 +542,8 @@ TEST(RecorderReshard, SimLazyFetchCarriesTheFencedOpsTrace) {
   clients.put(0, "k", "v1");
   run_until_idle();
 
-  reconfig::sim_control ctl(s);
-  reconfig::coordinator coord(ctl, {"k"});
-  ASSERT_TRUE(
-      coord.start(s.shards(), reconfig::reconfig_plan{1, {"fast_swmr"}}))
+  reconfig::coordinator coord(s, {"k"});
+  ASSERT_TRUE(coord.start(reconfig::reconfig_plan{1, {"fast_swmr"}}))
       << coord.error();
   for (std::uint64_t steps = 0; !coord.done(); ++steps) {
     ASSERT_LT(steps, 1'000'000u);

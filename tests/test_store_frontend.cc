@@ -207,10 +207,10 @@ TEST(StoreFrontend, TcpQueuedAdmissionsLeaveAsOneBatchFramePerServer) {
   std::promise<void> held;
   std::promise<void> release;
   std::thread holder([&] {
-    hub.run_on_reactor(actor, [&](automaton&, netout&) {
+    EXPECT_TRUE(hub.run_on_reactor(actor, [&](automaton&, netout&) {
       held.set_value();
       release.get_future().wait();
-    });
+    }));
   });
   held.get_future().wait();
   obs::interval_scrape scrape;

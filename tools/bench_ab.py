@@ -272,6 +272,11 @@ def main():
     ap.add_argument("--profile", action="store_true")
     ap.add_argument("--profile-workload", default="sim_abd", metavar="W")
     args = ap.parse_args()
+    # Every summary takes quartiles of each side's runs, and tcp_exact
+    # compares traced medians: both need at least one pair.
+    for flag in ("pairs", "trace_pairs"):
+        if getattr(args, flag) < 1:
+            ap.error(f"--{flag.replace('_', '-')} must be at least 1")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
