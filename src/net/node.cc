@@ -216,9 +216,9 @@ bool node::schedule_step(std::size_t actor) {
   // The flag clears BEFORE the step runs its hook, so a caller that finds
   // a step already queued is covered by it.
   if (a.step_scheduled.exchange(true)) return true;
-  post_to(home, [this, &a] {
+  post_to(home, [this, &a, &home] {
     a.step_scheduled = false;
-    run_step_hook(a);
+    mark_step(home, a);
   });
   return true;
 }
@@ -254,6 +254,25 @@ bool node::run_on_reactor(std::size_t actor, const step_fn& fn) {
 void node::run_step_hook(actor_state& a) {
   std::lock_guard<std::mutex> step(a.step_mu);
   if (a.step_hook) a.step_hook(*a.automaton_, a.port);
+}
+
+void node::mark_step(reactor& r, actor_state& a) {
+  if (r.index != a.home_reactor) {
+    run_step_hook(a);
+    return;
+  }
+  if (a.hook_marked) return;
+  a.hook_marked = true;
+  r.marked.push_back(&a);
+}
+
+void node::run_marked_hooks(reactor& r) {
+  // A hook never marks: marks come only from deliveries and tasks.
+  for (actor_state* a : r.marked) {
+    a->hook_marked = false;
+    run_step_hook(*a);
+  }
+  r.marked.clear();
 }
 
 // ------------------------------------------------------------------ reactor --
@@ -343,7 +362,14 @@ void node::reactor_main(reactor& r) {
       if ((events[i].events & EPOLLIN) != 0) handle_readable(r, fd);
       if ((events[i].events & EPOLLOUT) != 0) handle_writable(r, fd);
     }
+    // One hook run per marked actor, after every frame the pass delivered:
+    // a session takes all of the pass's completions and begins every op
+    // admitted by then in one step, one batch frame per server.
+    run_marked_hooks(r);
   }
+  // The last pass ended at the stop check: a step its tasks marked still
+  // gets its hook.
+  run_marked_hooks(r);
   {
     std::lock_guard<std::mutex> lk(mu_);
     r.exited = true;
@@ -476,7 +502,7 @@ void node::handle_readable(reactor& r, int fd) {
     close_conn(r, fd);
   }
   // Even after a close: frames drained before it may have completed ops.
-  run_step_hook(*owner);
+  mark_step(r, *owner);
 }
 
 void node::handle_writable(reactor& r, int fd) {

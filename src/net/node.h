@@ -34,8 +34,11 @@
 // TCP client is a store client, and the store's sessions install a step
 // hook (set_step_hook / schedule_step) that begins their queued ops and
 // takes completions; the hook is the only way a caller learns an op
-// completed. The node's own waits (run_on_reactor, fault application)
-// wait for a posted step or a reactor ack, never for an op.
+// completed. A reactor runs it once per epoll pass for each actor the
+// pass stepped, after every frame the pass delivered, so one hook run
+// takes all of the pass's completions and begins every op admitted by
+// then. The node's own waits (run_on_reactor, fault application) wait for
+// a posted step or a reactor ack, never for an op.
 //
 // Inbound path (allocation-free): each connection's frame_buffer parses
 // frames in place from the reactor's read buffer and decodes each into
@@ -50,8 +53,8 @@
 // the step that queued the frames; a connecting one sends when it turns
 // writable. The receiver delivers each frame as one on_batch step,
 // exactly as the simulator delivers one envelope. A store session begins
-// every op of a step inside one frame per server, so a round costs one
-// frame and one writev per server.
+// every op of a hook run inside one frame per server, so a reactor pass
+// costs a session one frame and one writev per server.
 //
 // Fault hooks: every connection can be paused (no reads, no writes --
 // bytes queue up; healing flushes them), blackholed (reads and writes
@@ -139,14 +142,17 @@ class node final {
   void start();
   void stop();
 
-  /// Installs `hook` (empty = clear) to run at the end of every step of
-  /// the actor (each delivery drain, each posted task) under its step
-  /// mutex -- how a pipelined store session takes completions and begins
-  /// queued ops. Once this returns, the old hook never runs again.
+  /// Installs `hook` (empty = clear) to run under the actor's step mutex
+  /// once per reactor pass that stepped the actor (its delivery drains and
+  /// schedule_step tasks), after the pass's last frame, and right after
+  /// each run_on_reactor step -- how a pipelined store session takes
+  /// completions and begins queued ops. Once this returns, the old hook
+  /// never runs again.
   void set_step_hook(std::size_t actor, step_fn hook);
-  /// Queues a step of the actor that only runs its hook, without waiting;
-  /// calls made before it runs share it. False when the node is not
-  /// running.
+  /// Queues a step of the actor that only runs its hook, at the end of
+  /// the home reactor's next pass, without waiting; calls made before it
+  /// runs share it, and so do the pass's deliveries. False when the node
+  /// is not running.
   [[nodiscard]] bool schedule_step(std::size_t actor);
 
   /// Runs `fn` as a step of the actor on its home reactor and waits for
@@ -217,6 +223,9 @@ class node final {
     std::mutex q_mu;
     std::vector<std::function<void()>> tasks;
     std::vector<std::function<void()>> running;
+    /// Actors homed here whose hook this pass still owes, in the order
+    /// they were first marked (reactor thread only; see mark_step).
+    std::vector<actor_state*> marked;
     /// Guarded by the node's mu_ (paired with cv_).
     bool exited{false};
   };
@@ -249,6 +258,8 @@ class node final {
     step_fn step_hook;
     /// A schedule_step task is queued and has not started yet.
     std::atomic<bool> step_scheduled{false};
+    /// In home_of(*this).marked. Only the home reactor touches it.
+    bool hook_marked{false};
   };
 
   void init_reactors();
@@ -299,8 +310,15 @@ class node final {
   void run_on_all_reactors(const std::function<void(reactor&)>& fn);
 
   /// Runs the actor's step hook, if one is installed, under its step
-  /// mutex: the end of every step of the actor.
+  /// mutex.
   void run_step_hook(actor_state& a);
+  /// Ends a step of the actor taken on reactor `r`: on the actor's home
+  /// reactor, marks it (O(1)) so the pass's end runs its hook once; off
+  /// it, runs the hook now.
+  void mark_step(reactor& r, actor_state& a);
+  /// Runs the hook of every actor marked this pass, once each, in the
+  /// order they were first marked.
+  void run_marked_hooks(reactor& r);
 
   system_config cfg_;
   std::shared_ptr<const address_book> book_;

@@ -186,13 +186,15 @@ class tcp_session final : public async_session {
   }
 
  private:
-  /// The step hook. Takes the step's completions at t1 = the step's time
-  /// (the session's own go to the outbox), then begins every queued op
-  /// whose key is free at t0 = t1 + 1 and flushes once: one batch frame
-  /// per server. A same-key successor begins in the step that took its
-  /// predecessor's completion or later, so its t0 is strictly greater
-  /// than that t1; stamping off the reactor could make the two look
-  /// concurrent, which the checkers reject.
+  /// The step hook, run once per reactor pass that stepped the actor,
+  /// after the pass's last frame. Takes every completion of the pass at
+  /// t1 = the hook's time (the session's own go to the outbox), then
+  /// begins every queued op whose key is free at t0 = t1 + 1 and flushes
+  /// once: one batch frame per server per pass. A same-key successor
+  /// begins in the hook run that took its predecessor's completion or
+  /// later, so its t0 is strictly greater than that t1; stamping off the
+  /// reactor could make the two look concurrent, which the checkers
+  /// reject.
   void step(client& c, netout& net) {
     const std::uint64_t t = steady_now_ns();
     std::vector<store_result>& done = complete(c, t);

@@ -9,9 +9,11 @@
 //
 // One way to learn that an op completed, on both transports: a session
 // installs a step hook on its client's process (sim::world or
-// net::node::set_step_hook) that runs at the end of every step of that
-// client. The hook takes the step's completions and closes their op_log
-// entries at the step's time, so a response is recorded at the step that
+// net::node::set_step_hook). The simulator runs it at the end of every
+// step of that client; a reactor runs it once per epoll pass that stepped
+// the client, after every frame the pass delivered. The hook takes the
+// completions since its last run and closes their op_log entries at its
+// own time, so a response is recorded no earlier than the step that
 // delivered it, however the step was driven (a schedule, a manual
 // world().deliver, a reactor). op_log is the store's only history
 // recorder.
@@ -142,9 +144,10 @@ class async_session {
 
   /// Non-blocking admission attempts. A sim session buffers accepted ops
   /// until the next pump() so they leave in ONE invocation step (batched
-  /// envelopes). A TCP session queues them for the client actor's next
-  /// reactor step, which begins them all -- each behind any op an earlier
-  /// session abandoned on its key -- in one batch frame per server.
+  /// envelopes). A TCP session queues them for the hook run that ends the
+  /// client reactor's next pass, which begins them all -- each behind any
+  /// op an earlier session abandoned on its key -- in one batch frame per
+  /// server.
   [[nodiscard]] submit_status try_get(const std::string& key);
   [[nodiscard]] submit_status try_put(const std::string& key, value_t v);
 

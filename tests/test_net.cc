@@ -11,6 +11,7 @@
 #include <chrono>
 #include <memory>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -811,6 +812,174 @@ TEST(Node, RunOnReactorRefusesAStoppedNode) {
   stopper.join();
   EXPECT_GE(ran, 50);
   EXPECT_EQ(refused, 10);
+}
+
+/// Answers every batch with one read_ack to its sender, then counts the
+/// answer: the connection flushed it in the step that queued it.
+class echo_server final : public automaton {
+ public:
+  echo_server(process_id self, std::atomic<int>& answered)
+      : self_(self), answered_(answered) {}
+
+  void on_message(netout&, const process_id&, const message&) override {}
+  void on_batch(netout& net, const process_id& from,
+                std::span<const message>) override {
+    message m;
+    m.type = msg_type::read_ack;
+    net.send(from, m);
+    ++answered_;
+  }
+  [[nodiscard]] process_id self() const override { return self_; }
+
+ private:
+  process_id self_;
+  std::atomic<int>& answered_;
+};
+
+/// Logs each on_batch step as 'b' (and its size); its step hook logs 'h'.
+/// Both run on the client's reactor, so only the log's reader after
+/// stop() sees it from another thread.
+class cadence_recorder final : public automaton {
+ public:
+  explicit cadence_recorder(process_id self) : self_(self) {}
+
+  void on_message(netout&, const process_id&, const message&) override {}
+  void on_batch(netout&, const process_id&,
+                std::span<const message> msgs) override {
+    log.push_back('b');
+    batch_sizes.push_back(msgs.size());
+    ++batches;
+  }
+  [[nodiscard]] process_id self() const override { return self_; }
+
+  static void hook(automaton& a, netout&) {
+    static_cast<cadence_recorder&>(a).log.push_back('h');
+  }
+
+  std::string log;
+  std::vector<std::size_t> batch_sizes;
+  std::atomic<int> batches{0};
+
+ private:
+  process_id self_;
+};
+
+/// Waits up to 10 s for `done`.
+template <typename Pred>
+bool eventually(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(Node, StepHookRunsOncePerReactorPass) {
+  // Three servers' replies and a schedule_step land in one reactor pass
+  // of the client: the client's hook runs once, after all three on_batch
+  // steps, and each frame is still one on_batch step.
+  constexpr std::uint32_t k_servers = 3;
+  const auto cfg = make_cfg(k_servers, 1, 1);
+  auto book = std::make_shared<address_book>();
+  std::atomic<int> answered{0};
+  std::vector<std::unique_ptr<node>> servers;
+  for (std::uint32_t i = 0; i < k_servers; ++i) {
+    servers.push_back(std::make_unique<node>(cfg, book));
+    servers.back()->add_actor(
+        std::make_unique<echo_server>(server_id(i), answered));
+    servers.back()->bind_listener(0);
+    book->server_ports.push_back(servers.back()->listen_port());
+  }
+  node client(cfg, book);
+  auto owned = std::make_unique<cadence_recorder>(reader_id(0));
+  cadence_recorder& rec = *owned;
+  client.add_actor(std::move(owned));
+  client.set_step_hook(0, cadence_recorder::hook);
+  for (auto& s : servers) s->start();
+  client.start();
+  const auto send_to_all = [&](netout& net) {
+    message m;
+    m.type = msg_type::read_req;
+    for (std::uint32_t i = 0; i < k_servers; ++i) net.send(server_id(i), m);
+  };
+
+  // Warm up: open the connections, so the held pass below only reads.
+  ASSERT_TRUE(client.run_on_reactor(
+      0, [&](automaton&, netout& net) { send_to_all(net); }));
+  ASSERT_TRUE(eventually([&] { return rec.batches.load() == 3; }));
+
+  std::atomic<bool> scheduled{false};
+  std::thread stepper([&] {
+    // Meanwhile, from another thread: one step that only runs the hook.
+    if (!eventually([&] { return answered.load() == 6; })) return;
+    EXPECT_TRUE(client.schedule_step(0));
+    scheduled = true;
+  });
+  bool held = false;
+  ASSERT_TRUE(client.run_on_reactor(0, [&](automaton&, netout& net) {
+    rec.log.clear();
+    send_to_all(net);
+    // Hold the reactor until every server answered and the step is
+    // queued; the grace lets loopback finish handing the bytes over.
+    held = eventually([&] { return scheduled.load(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }));
+  stepper.join();
+  ASSERT_TRUE(held);
+  ASSERT_TRUE(eventually([&] { return rec.batches.load() == 6; }));
+  client.stop();
+  for (auto& s : servers) s->stop();
+
+  // 'h' right after the run_on_reactor step, then one pass: three frames
+  // and one hook run (at one hook per frame and per task: "hhbhbhbh").
+  EXPECT_EQ(rec.log, "hbbbh");
+  EXPECT_EQ(rec.batch_sizes, std::vector<std::size_t>(6, 1));
+}
+
+TEST(Node, EveryMarkedActorRunsItsHookOncePerPass) {
+  // Hundreds of actors on one reactor, all stepped in one pass: each
+  // hook runs exactly once, in the order the actors were stepped.
+  constexpr std::uint32_t k_actors = 300;
+  node n(make_cfg(3, 1, k_actors), std::make_shared<address_book>());
+  std::vector<std::size_t> order;  // read after stop()
+  std::atomic<std::size_t> runs{0};
+  for (std::uint32_t i = 0; i < k_actors; ++i) {
+    const std::size_t id =
+        n.add_actor(std::make_unique<step_recorder>(reader_id(i)));
+    n.set_step_hook(id, [&order, &runs, id](automaton&, netout&) {
+      order.push_back(id);
+      ++runs;
+    });
+  }
+  n.start();
+  // Hold the reactor in a step of actor 0 while every actor's step is
+  // queued, so the next pass runs all of them.
+  std::atomic<bool> holding{false};
+  std::atomic<bool> queued{false};
+  std::thread stepper([&] {
+    if (!eventually([&] { return holding.load(); })) return;
+    for (std::size_t i = k_actors; i-- > 0;) {
+      EXPECT_TRUE(n.schedule_step(i));
+    }
+    queued = true;
+  });
+  bool held = false;
+  ASSERT_TRUE(n.run_on_reactor(0, [&](automaton&, netout&) {
+    holding = true;
+    held = eventually([&] { return queued.load(); });
+  }));
+  stepper.join();
+  ASSERT_TRUE(held);
+  ASSERT_TRUE(eventually([&] { return runs.load() == k_actors + 1; }));
+  n.stop();
+
+  // Actor 0's hook ran right after the holding step; then the pass ran
+  // every hook once, in the (reversed) order schedule_step was called.
+  std::vector<std::size_t> want{0};
+  for (std::size_t i = k_actors; i-- > 0;) want.push_back(i);
+  EXPECT_EQ(order, want);
 }
 
 // ------------------------------------------------------------- end-to-end

@@ -14,8 +14,10 @@ first, so drift on a shared box does not always favour one side. After
 the pairs come --trace-pairs traced pairs (--trace 1), alternating the
 same way, for the per-layer metrics.
 
-The report goes to BENCH_<N>.json at the repository root (without --pr,
-to .bench_build/ab/report.json):
+The report goes to BENCH_<N>.json at the repository root, or to
+BENCH_<N>_seed<S>.json for --seed S other than 1, so a confirmation run on
+a second seed keeps the first report (without --pr, to
+.bench_build/ab/report.json):
   * both shas (the change's with a flag when the tree has uncommitted
     edits), nproc and the date;
   * for each workload and side: every run's end-to-end metrics, their
@@ -334,7 +336,8 @@ def main():
             body["sim_exact"] = sim_exact(digests, trace)
         if w in TCP_EXACT:
             body["tcp_exact"] = tcp_exact(w, trace)
-    out = (ROOT / f"BENCH_{args.pr}.json" if args.pr is not None
+    seed_tag = "" if args.seed == 1 else f"_seed{args.seed}"
+    out = (ROOT / f"BENCH_{args.pr}{seed_tag}.json" if args.pr is not None
            else AB / "report.json")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=2) + "\n")
