@@ -47,6 +47,9 @@ std::string& node_storage() {
   return node;
 }
 
+/// The stepped process a scoped_log_node points at; nullptr outside one.
+thread_local const process_id* tls_stepped = nullptr;
+
 }  // namespace
 
 log_level log_config::level() {
@@ -56,13 +59,18 @@ log_level log_config::level() {
 
 void log_set_node(std::string node) { node_storage() = std::move(node); }
 
-const std::string& log_node() { return node_storage(); }
+scoped_log_node::scoped_log_node(const process_id& p) : prev_(tls_stepped) {
+  tls_stepped = &p;
+}
+
+scoped_log_node::~scoped_log_node() { tls_stepped = prev_; }
 
 void log_write(log_level lv, const char* file, int line,
                const std::string& msg) {
   const char* base = std::strrchr(file, '/');
   base = base != nullptr ? base + 1 : file;
-  const std::string& node = node_storage();
+  const std::string node =
+      tls_stepped != nullptr ? to_string(*tls_stepped) : node_storage();
   std::lock_guard<std::mutex> guard(log_mutex());
   if (node.empty()) {
     std::fprintf(stderr, "[%s %s:%d] %s\n", level_name(lv), base, line,

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <string>
 
+#include "common/types.h"
+
 namespace fastreg {
 
 enum class log_level : int {
@@ -25,25 +27,23 @@ class log_config {
 void log_write(log_level lv, const char* file, int line, const std::string& msg);
 
 /// Thread-local node-id tag prepended to every log line emitted by the
-/// calling thread (reactor threads set it to their node's process id, the
-/// simulator to the automaton being stepped). Empty = no prefix.
+/// calling thread: reactor threads set it to their node's process id,
+/// the simulator to the automaton being stepped (scoped_log_node, which
+/// takes precedence while it is in scope). Empty = no prefix.
 void log_set_node(std::string node);
-[[nodiscard]] const std::string& log_node();
 
-/// RAII node tag for scoped contexts (the simulator sets it around each
-/// automaton step; a thread that owns one node for its lifetime can call
-/// log_set_node directly instead).
+/// RAII node tag for one simulator step: points the calling thread's tag
+/// at `p`, which must outlive the scope. The id is formatted only when a
+/// line is written, so a step with logging off pays two pointer stores.
 class scoped_log_node {
  public:
-  explicit scoped_log_node(std::string node) : prev_(log_node()) {
-    log_set_node(std::move(node));
-  }
-  ~scoped_log_node() { log_set_node(std::move(prev_)); }
+  explicit scoped_log_node(const process_id& p);
+  ~scoped_log_node();
   scoped_log_node(const scoped_log_node&) = delete;
   scoped_log_node& operator=(const scoped_log_node&) = delete;
 
  private:
-  std::string prev_;
+  const process_id* prev_;
 };
 
 namespace detail {

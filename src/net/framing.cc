@@ -23,13 +23,32 @@ obs::counter& corrupt_streams_counter() {
   return c;
 }
 
+const message& deref(const message& m) { return m; }
+const message& deref(const message* m) { return *m; }
+
 /// Payload size (everything after the u32 length prefix, kind byte
 /// included) of each frame flavor.
 std::size_t hello_payload_size() { return 1 + process_id_wire_size(); }
-std::size_t batch_payload_size(std::span<const message> msgs) {
+template <class T>
+std::size_t batch_payload_size(std::span<T> msgs) {
   std::size_t n = 1 + process_id_wire_size() + wire_size_u32();
-  for (const auto& m : msgs) n += message_wire_size(m);
+  for (const auto& m : msgs) n += message_wire_size(deref(m));
   return n;
+}
+
+/// The batch frame encoder, over either message list.
+template <class T>
+std::size_t append_batch(std::vector<std::uint8_t>& out,
+                         const process_id& from, std::span<T> msgs) {
+  const std::size_t payload = batch_payload_size(msgs);
+  out.reserve(out.size() + 4 + payload);
+  byte_writer w(out);
+  w.put_u32(static_cast<std::uint32_t>(payload));
+  w.put_u8(static_cast<std::uint8_t>(frame_kind::batch));
+  encode_process_id(w, from);
+  w.put_u32(static_cast<std::uint32_t>(msgs.size()));
+  for (const auto& m : msgs) encode_message(w, deref(m));
+  return w.written();
 }
 
 }  // namespace
@@ -40,6 +59,10 @@ void preheat_framing_metrics() {
 }
 
 std::size_t batch_frame_wire_size(std::span<const message> msgs) {
+  return 4 + batch_payload_size(msgs);
+}
+
+std::size_t batch_frame_wire_size(message_refs msgs) {
   return 4 + batch_payload_size(msgs);
 }
 
@@ -57,15 +80,12 @@ std::size_t append_hello_frame(std::vector<std::uint8_t>& out,
 std::size_t append_batch_frame(std::vector<std::uint8_t>& out,
                                const process_id& from,
                                std::span<const message> msgs) {
-  const std::size_t payload = batch_payload_size(msgs);
-  out.reserve(out.size() + 4 + payload);
-  byte_writer w(out);
-  w.put_u32(static_cast<std::uint32_t>(payload));
-  w.put_u8(static_cast<std::uint8_t>(frame_kind::batch));
-  encode_process_id(w, from);
-  w.put_u32(static_cast<std::uint32_t>(msgs.size()));
-  for (const auto& m : msgs) encode_message(w, m);
-  return w.written();
+  return append_batch(out, from, msgs);
+}
+
+std::size_t append_batch_frame(std::vector<std::uint8_t>& out,
+                               const process_id& from, message_refs msgs) {
+  return append_batch(out, from, msgs);
 }
 
 std::vector<std::uint8_t> encode_hello(const process_id& from) {
@@ -146,19 +166,20 @@ frame_buffer::parse_result frame_buffer::parse_one(const std::uint8_t* data,
       malformed_frames_counter().inc();
       return parse_result::skip;
     }
-    out.batch.resize(*count);
-    for (auto& m : out.batch) {
-      if (!decode_message(r, m)) {
+    // Decode over the kept messages; only a frame larger than any
+    // before it grows the batch.
+    if (out.batch.size() < *count) out.batch.resize(*count);
+    for (std::size_t i = 0; i < *count; ++i) {
+      if (!decode_message(r, out.batch[i])) {
         malformed_frames_counter().inc();
-        out.batch.clear();
         return parse_result::skip;
       }
     }
     if (r.remaining() != 0) {  // trailing bytes after the last message
       malformed_frames_counter().inc();
-      out.batch.clear();
       return parse_result::skip;
     }
+    out.count = *count;
     return parse_result::ok;
   }
   malformed_frames_counter().inc();
@@ -183,15 +204,15 @@ bool frame_buffer::parse_buffered() {
 std::optional<frame> frame_buffer::next() {
   if (!parse_buffered()) return std::nullopt;
   std::optional<frame> f(std::move(cur_));
+  f->batch.resize(f->count);  // drop the kept messages past this frame's
   release_batch();
   return f;
 }
 
 void frame_buffer::release_batch() {
+  cur_.count = 0;
   if (cur_.batch.capacity() > max_kept_batch) {
-    cur_.batch = std::vector<message>{};
-  } else {
-    cur_.batch.clear();
+    cur_.batch = std::vector<message>{};  // `= {}` would keep the capacity
   }
 }
 

@@ -34,7 +34,16 @@ void preheat_framing_metrics();
 struct frame {
   frame_kind kind{frame_kind::batch};
   process_id from{};
-  std::vector<message> batch{};  // non-empty for kind::batch
+  /// The frame's messages are the first `count` (non-zero for
+  /// kind::batch). A frame drain() lends keeps decoded messages of
+  /// earlier frames past them, for reuse; one next() hands over holds
+  /// exactly its own.
+  std::vector<message> batch{};
+  std::size_t count{0};
+
+  [[nodiscard]] std::span<const message> msgs() const {
+    return {batch.data(), count};
+  }
 };
 
 // Zero-copy frame encoders: append one complete frame to `out` -- the
@@ -42,16 +51,21 @@ struct frame {
 // once the buffer's capacity is warmed, so the steady state performs no
 // per-frame heap allocation), then the codec writes in place. `out` is
 // typically a buffer_chain tail block reused across many frames. Each
-// returns the bytes appended.
+// returns the bytes appended. The batch encoder takes the messages as a
+// contiguous list or as a lent list of pointers (what net::node sends);
+// both overloads are one encoder and emit identical bytes.
 std::size_t append_hello_frame(std::vector<std::uint8_t>& out,
                                const process_id& from);
 std::size_t append_batch_frame(std::vector<std::uint8_t>& out,
                                const process_id& from,
                                std::span<const message> msgs);
+std::size_t append_batch_frame(std::vector<std::uint8_t>& out,
+                               const process_id& from, message_refs msgs);
 
 /// Exact on-wire size of the frame append_*_frame would emit (header
 /// included); what transports pass to buffer_chain::tail_for.
 [[nodiscard]] std::size_t batch_frame_wire_size(std::span<const message> msgs);
+[[nodiscard]] std::size_t batch_frame_wire_size(message_refs msgs);
 
 // Owned-buffer conveniences (tests, one-shot sends).
 [[nodiscard]] std::vector<std::uint8_t> encode_hello(const process_id& from);
@@ -76,17 +90,20 @@ std::size_t append_batch_frame(std::vector<std::uint8_t>& out,
 ///    intact frames popped before the corruption are unaffected.
 ///
 /// Allocation-free in steady state: every frame decodes in place into
-/// one frame the buffer keeps (decode_message overwrites each message),
-/// and its batch is cleared right after delivery, so the vector keeps
-/// its capacity for the next frame. A batch that grew past
-/// max_kept_batch gives its memory back instead, so one huge frame does
-/// not pin it on a connection.
+/// one frame the buffer keeps. Its decoded messages outlive the frame:
+/// the next frame decodes into the same message objects
+/// (decode_message overwrites every field and reuses each string's
+/// capacity) and sets the frame's count, so a stream of like frames
+/// allocates nothing, not even for their values. A batch that grew past
+/// max_kept_batch gives its memory back after delivery instead, so one
+/// huge frame does not pin it on a connection.
 class frame_buffer {
  public:
   void feed(const std::uint8_t* data, std::size_t n);
-  /// The next complete fed frame, handed over with its batch (the kept
-  /// batch starts over empty); nullopt when none is complete. For tests
-  /// and one-shot decoding: the transport's path is drain().
+  /// The next complete fed frame, handed over with exactly its own
+  /// messages (the kept batch starts over empty); nullopt when none is
+  /// complete. For tests and one-shot decoding: the transport's path is
+  /// drain().
   [[nodiscard]] std::optional<frame> next();
 
   /// Zero-copy inbound path: parses every complete frame DIRECTLY from
@@ -96,9 +113,11 @@ class frame_buffer {
   /// frame pending, it is reassembled in the internal buffer first.
   /// Identical frame sequence and corrupt() semantics to feed()+next().
   ///
-  /// The frame is LENT: its batch is cleared when `cb` returns, so a
-  /// span of it must not outlive the callback. A callback that moves the
-  /// batch out owns it, and the next frame allocates a new one.
+  /// The frame is LENT: its messages are the first `count` of its batch
+  /// (frame::msgs), and the next frame overwrites them, so a span of
+  /// them must not outlive the callback. A callback that moves the batch
+  /// out owns it, stale messages past `count` included, and the next
+  /// frame allocates a new one.
   template <class F>
   void drain(const std::uint8_t* data, std::size_t n, F&& cb) {
     if (corrupt_) return;
@@ -137,11 +156,11 @@ class frame_buffer {
  private:
   enum class parse_result : std::uint8_t { ok, need_more, skip, corrupt };
 
-  /// Attempts to parse one frame from `data` into `out` (whose batch is
-  /// empty); on ok/skip sets `used` to the frame's full extent, and on
-  /// anything but ok leaves the batch empty. On corrupt, latches corrupt_
-  /// and discards the internal buffer (the stream has no trustworthy
-  /// boundary left).
+  /// Attempts to parse one frame from `data` into `out`, decoding its
+  /// messages over the first ones `out` keeps; on ok/skip sets `used` to
+  /// the frame's full extent, and on anything but ok leaves the count 0.
+  /// On corrupt, latches corrupt_ and discards the internal buffer (the
+  /// stream has no trustworthy boundary left).
   parse_result parse_one(const std::uint8_t* data, std::size_t avail,
                          std::size_t& used, frame& out);
 
@@ -149,12 +168,13 @@ class frame_buffer {
   /// skipping malformed ones. False when none is complete.
   bool parse_buffered();
 
-  /// Lends cur_ to `cb`, then empties its batch for the next frame.
+  /// Lends cur_ to `cb`, then readies it for the next frame.
   template <class F>
   void deliver(F& cb) {
     cb(std::move(cur_));
     release_batch();
   }
+  /// Zeroes cur_'s count; frees its batch past max_kept_batch.
   void release_batch();
 
   std::vector<std::uint8_t> buf_;

@@ -216,9 +216,11 @@ bool node::schedule_step(std::size_t actor) {
   // The flag clears BEFORE the step runs its hook, so a caller that finds
   // a step already queued is covered by it.
   if (a.step_scheduled.exchange(true)) return true;
-  post_to(home, [this, &a, &home] {
+  // Two pointers fit std::function's inline buffer: posting allocates
+  // nothing on the session thread for the reactor to free.
+  post_to(home, [this, &a] {
     a.step_scheduled = false;
-    mark_step(home, a);
+    mark_step(home_of(a), a);
   });
   return true;
 }
@@ -472,13 +474,13 @@ void node::handle_readable(reactor& r, int fd) {
           return;
         }
         // Every other frame parse_one lets through is a non-empty batch:
-        // one send, delivered as one step. The batch is the connection's
-        // reused one, cleared when this returns: the step must not keep
-        // a span of it.
+        // one send, delivered as one step. Its messages are the
+        // connection's kept ones, which the next frame decodes over: the
+        // step must not keep a span of them.
         if (obs::recording_active()) {
-          record_batch(*owner->rec, obs::rec_event::recv, f.from, f.batch);
+          record_batch(*owner->rec, obs::rec_event::recv, f.from, f.msgs());
         }
-        owner->automaton_->on_batch(owner->port, f.from, f.batch);
+        owner->automaton_->on_batch(owner->port, f.from, f.msgs());
       });
     }
     r.drain_guard_fd = -1;
@@ -690,21 +692,27 @@ void node::apply_fault(reactor& r, int fd, connection& c, conn_fault f) {
 // -------------------------------------------------------------- send path --
 
 void node::actor_port::send(const process_id& to, message m) {
-  std::vector<message> one;
-  one.push_back(std::move(m));
-  n->send_from(*a, to, one);
+  const message* one = &m;
+  n->send_from(*a, to, message_refs(&one, 1));
 }
 
 void node::actor_port::send_batch(const process_id& to,
                                   std::vector<message>& msgs) {
-  n->send_from(*a, to, msgs);
+  a->refs.clear();
+  for (const auto& m : msgs) a->refs.push_back(&m);
+  n->send_from(*a, to, a->refs);
   // Encoded, shipped or dropped: the caller gets its buffer back empty,
   // with its capacity.
   msgs.clear();
 }
 
+void node::actor_port::send_borrowed(const process_id& to,
+                                     message_refs msgs) {
+  n->send_from(*a, to, msgs);
+}
+
 void node::send_from(actor_state& a, const process_id& to,
-                     std::vector<message>& msgs) {
+                     message_refs msgs) {
   FASTREG_EXPECTS(!msgs.empty());
   if (obs::recording_active()) {
     record_batch(*a.rec, obs::rec_event::send, to, msgs);
@@ -713,7 +721,7 @@ void node::send_from(actor_state& a, const process_id& to,
 }
 
 void node::route_from(actor_state& a, const process_id& to,
-                      std::vector<message>& msgs) {
+                      message_refs msgs) {
   // Every step runs on one of this node's reactors: run_on_reactor never
   // runs one on its caller's thread.
   reactor* cur = current_reactor();
@@ -770,20 +778,21 @@ void node::route_from(actor_state& a, const process_id& to,
 }
 
 void node::ship_to(const conn_ref& ref, actor_state& a, int server_index,
-                   std::vector<message>& msgs) {
+                   message_refs msgs) {
   // The connection lives on another reactor: the frames must be encoded
-  // into its chain by the owning thread. Ship them over; the serial
-  // check drops the frames rather than landing them on a recycled fd.
+  // into its chain by the owning thread. Ship copies of the messages
+  // over (the only copy on the send path: the caller's list is only lent
+  // for this call); the serial check drops the frames rather than
+  // landing them on a recycled fd.
   reactor& r = *reactors_[ref.reactor];
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (r.exited) return;
   }
-  // The messages move out; the caller's buffer keeps its capacity.
-  auto moved = std::make_shared<std::vector<message>>(
-      std::make_move_iterator(msgs.begin()),
-      std::make_move_iterator(msgs.end()));
-  post_to(r, [this, &a, ref, server_index, moved] {
+  auto copies = std::make_shared<std::vector<message>>();
+  copies->reserve(msgs.size());
+  for (const message* m : msgs) copies->push_back(*m);
+  post_to(r, [this, &a, ref, server_index, copies] {
     reactor& owner = *reactors_[ref.reactor];
     auto it = owner.conns.find(ref.fd);
     if (it == owner.conns.end() || it->second.serial != ref.serial) {
@@ -800,7 +809,10 @@ void node::ship_to(const conn_ref& ref, actor_state& a, int server_index,
       return;
     }
     rm_[owner.index].ships_in->inc();
-    queue_frames(owner, ref.fd, it->second, a.self, *moved);
+    std::vector<const message*> refs;
+    refs.reserve(copies->size());
+    for (const auto& m : *copies) refs.push_back(&m);
+    queue_frames(owner, ref.fd, it->second, a.self, refs);
   });
 }
 
@@ -837,7 +849,7 @@ node::conn_ref node::open_to_server(reactor& r, actor_state& a,
 }
 
 void node::queue_frames(reactor& r, int fd, connection& c,
-                        const process_id& from, std::vector<message>& msgs) {
+                        const process_id& from, message_refs msgs) {
   if (c.fault == conn_fault::blackhole) return;  // sent into the void
   const std::size_t before = c.out.bytes();
   // Encoded in place into the connection's chain, chunked so no frame
@@ -846,8 +858,7 @@ void node::queue_frames(reactor& r, int fd, connection& c,
   // which batching large values could otherwise trigger.
   constexpr std::size_t chunk_limit = frame_buffer::max_frame_bytes / 4;
   const auto append_chunk = [&](std::size_t begin, std::size_t end) {
-    const auto chunk =
-        std::span<const message>(msgs.data() + begin, end - begin);
+    const message_refs chunk = msgs.subspan(begin, end - begin);
     append_batch_frame(c.out.tail_for(batch_frame_wire_size(chunk)), from,
                        chunk);
     wm_.frames_out->inc();
@@ -855,7 +866,7 @@ void node::queue_frames(reactor& r, int fd, connection& c,
   std::size_t begin = 0;
   std::size_t bytes = 0;
   for (std::size_t i = 0; i < msgs.size(); ++i) {
-    const std::size_t sz = message_wire_size(msgs[i]);
+    const std::size_t sz = message_wire_size(*msgs[i]);
     if (i > begin && bytes + sz > chunk_limit) {
       append_chunk(begin, i);
       begin = i;

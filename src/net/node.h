@@ -41,14 +41,18 @@
 // a posted step or a reactor ack, never for an op.
 //
 // Inbound path (allocation-free): each connection's frame_buffer parses
-// frames in place from the reactor's read buffer and decodes each into
-// the batch it keeps, which the automaton's on_batch step borrows; the
-// batch is cleared (its capacity kept) right after the step.
+// frames in place from the reactor's read buffer and decodes each over
+// the messages it keeps from earlier frames (their strings keep their
+// capacity); the automaton's on_batch step borrows the frame's first
+// `count` of them, which the next frame overwrites.
 //
-// Outbound path (zero-copy): every send -- a one-message send() or a
-// send_batch() -- is one message list, encoded as one count-prefixed
-// batch frame straight into the destination connection's buffer_chain
-// (exact-size reservation, no intermediate byte vector). The one flush
+// Outbound path (zero-copy): every send -- a one-message send(), a
+// send_batch() or a borrowed list (send_borrowed: the store lends a
+// broadcast parked once to every server's send) -- is one lent list of
+// messages, encoded as one count-prefixed batch frame straight into the
+// destination connection's buffer_chain (exact-size reservation, no
+// intermediate byte vector). Only a send to a connection another reactor
+// owns copies the messages, to ship them there (ship_to). The one flush
 // policy: a connected connection hands its whole chain to one writev in
 // the step that queued the frames; a connecting one sends when it turns
 // writable. The receiver delivers each frame as one on_batch step,
@@ -238,6 +242,8 @@ class node final {
     void send(const process_id& to, message m) override;
     void send_batch(const process_id& to,
                     std::vector<message>& msgs) override;
+    [[nodiscard]] bool borrows() const override { return true; }
+    void send_borrowed(const process_id& to, message_refs msgs) override;
   };
 
   struct actor_state {
@@ -250,6 +256,9 @@ class node final {
     /// their steps run on the home reactor); contended only for a server
     /// actor stepped from several reactors. All sends happen under it.
     std::mutex step_mu;
+    /// send_batch's list of its messages, lent to send_from. Guarded by
+    /// step_mu.
+    std::vector<const message*> refs;
     /// Outbound connections to servers, by server index. Guarded by
     /// step_mu. Entries are validated lazily against the connection's
     /// serial (a closed connection leaves a stale ref behind).
@@ -283,28 +292,26 @@ class node final {
   void update_epoll(reactor& r, int fd, connection& c);
   void apply_fault(reactor& r, int fd, connection& c, conn_fault f);
 
-  // Send path. All called on one of this node's reactors with a.step_mu
-  // held (sends only originate inside automaton steps, which run there
-  // and hold it).
-  void send_from(actor_state& a, const process_id& to,
-                 std::vector<message>& msgs);
-  void route_from(actor_state& a, const process_id& to,
-                  std::vector<message>& msgs);
+  // Send path: every send is a lent message list. All called on one of
+  // this node's reactors with a.step_mu held (sends only originate inside
+  // automaton steps, which run there and hold it).
+  void send_from(actor_state& a, const process_id& to, message_refs msgs);
+  void route_from(actor_state& a, const process_id& to, message_refs msgs);
   /// Encodes `msgs` into the connection's chain on its owning reactor
   /// (inline when that is the current context) as count-prefixed batch
   /// frames -- one, unless the messages exceed the chunk limit -- and
   /// flushes them (a connecting connection flushes once writable).
   void queue_frames(reactor& r, int fd, connection& c, const process_id& from,
-                    std::vector<message>& msgs);
+                    message_refs msgs);
   /// Opens an outbound connection to server `index` on reactor `r` for
   /// actor `a` (hello first) and registers it in a.out_to_server.
   conn_ref open_to_server(reactor& r, actor_state& a, std::uint32_t index);
-  /// Moves the messages in `msgs` to the reactor owning `ref`, when that
-  /// is not the current one, for encoding there. Drops (and, for server
-  /// routes, lazily invalidates a.out_to_server) when the serial shows
-  /// the connection is gone.
+  /// Copies the messages `msgs` points at to the reactor owning `ref`,
+  /// when that is not the current one, for encoding there. Drops (and,
+  /// for server routes, lazily invalidates a.out_to_server) when the
+  /// serial shows the connection is gone.
   void ship_to(const conn_ref& ref, actor_state& a, int server_index,
-               std::vector<message>& msgs);
+               message_refs msgs);
   /// Runs `fn` on every reactor and returns once all acknowledged (or
   /// exited). No-op before start().
   void run_on_all_reactors(const std::function<void(reactor&)>& fn);

@@ -87,7 +87,7 @@ void abd_writer::invoke_write(netout& net, value_t v) {
   message m;
   m.type = msg_type::query_req;
   m.rcounter = rcounter_;
-  send_to_servers(net, cfg_.S(), std::move(m));
+  net.broadcast(cfg_.S(), std::move(m));
 }
 
 void abd_writer::send_write(netout& net) {
@@ -100,7 +100,7 @@ void abd_writer::send_write(netout& net) {
   m.wid = wid_;
   m.val = std::move(val_);
   m.rcounter = rcounter_;
-  send_to_servers(net, cfg_.S(), std::move(m));
+  net.broadcast(cfg_.S(), std::move(m));
 }
 
 void abd_writer::on_message(netout& net, const process_id& from,
@@ -152,7 +152,7 @@ void abd_reader::invoke_read(netout& net) {
   message m;
   m.type = msg_type::read_req;
   m.rcounter = rcounter_;
-  send_to_servers(net, cfg_.S(), std::move(m));
+  net.broadcast(cfg_.S(), std::move(m));
 }
 
 void abd_reader::on_message(netout& net, const process_id& from,
@@ -183,7 +183,7 @@ void abd_reader::on_message(netout& net, const process_id& from,
     wb.wid = best_ts_.wid;
     wb.val = best_val_;
     wb.rcounter = rcounter_;
-    send_to_servers(net, cfg_.S(), std::move(wb));
+    net.broadcast(cfg_.S(), std::move(wb));
     return;
   }
   if (phase_ == phase::write_back && m.type == msg_type::wb_ack) {

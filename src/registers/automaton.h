@@ -50,21 +50,42 @@ class netout {
     for (auto& m : msgs) send(to, std::move(m));
     msgs.clear();
   }
-};
 
-/// Sends `m` to servers 0..servers-1 in index order, skipping `except` (a
-/// server broadcasting to its peers). The last send takes `m` by move, so
-/// a broadcast makes one copy fewer than it has targets.
-inline void send_to_servers(netout& net, std::uint32_t servers, message m,
-                            std::uint32_t except = ~0u) {
-  std::uint32_t last = servers;  // one past the last target
-  if (last > 0 && last - 1 == except) --last;
-  if (last == 0) return;
-  for (std::uint32_t i = 0; i + 1 < last; ++i) {
-    if (i != except) net.send(server_id(i), m);
+  /// Sends `m` to servers 0..servers-1 in index order, skipping `except`
+  /// (a server broadcasting to its peers): one round's request. The
+  /// default is one send per target, the last taking `m` by move, so a
+  /// broadcast makes one copy fewer than it has targets. The store's
+  /// tagging_netout parks `m` once instead, and its flush lends it to
+  /// every target (store/batching.h).
+  virtual void broadcast(std::uint32_t servers, message m,
+                         std::uint32_t except = ~0u) {
+    std::uint32_t last = servers;  // one past the last target
+    if (last > 0 && last - 1 == except) --last;
+    if (last == 0) return;
+    for (std::uint32_t i = 0; i + 1 < last; ++i) {
+      if (i != except) send(server_id(i), m);
+    }
+    send(server_id(last - 1), std::move(m));
   }
-  net.send(server_id(last - 1), std::move(m));
-}
+
+  /// True when the transport encodes a borrowed list in place
+  /// (send_borrowed), so a message shared by several destinations need
+  /// not be copied for each. TCP borrows; the simulator keeps every
+  /// envelope's messages and takes owned lists (send_batch).
+  [[nodiscard]] virtual bool borrows() const { return false; }
+
+  /// Sends the messages `msgs` points at, in order, to one destination as
+  /// a single transport unit, without taking them: they stay the
+  /// caller's, and the transport is done with them when this returns.
+  /// Called only when borrows(); the default copies them into one
+  /// send_batch.
+  virtual void send_borrowed(const process_id& to, message_refs msgs) {
+    std::vector<message> owned;
+    owned.reserve(msgs.size());
+    for (const message* m : msgs) owned.push_back(*m);
+    send_batch(to, owned);
+  }
+};
 
 /// Base automaton: a deterministic state machine driven by messages.
 class automaton {

@@ -47,7 +47,7 @@ void fast_swmr_writer::invoke_write(netout& net, value_t v) {
         writer_id(0),
         std::span<const std::uint8_t>(payload.data(), payload.size()));
   }
-  send_to_servers(net, cfg_.S(), std::move(m));
+  net.broadcast(cfg_.S(), std::move(m));
 }
 
 void fast_swmr_writer::on_message(netout&, const process_id& from,
@@ -105,7 +105,7 @@ void fast_swmr_reader::invoke_read(netout& net) {
   m.prev = maxts_.tv.prev;
   m.sig = maxts_.sig;
   m.rcounter = rcounter_;
-  send_to_servers(net, cfg_.S(), std::move(m));
+  net.broadcast(cfg_.S(), std::move(m));
 }
 
 void fast_swmr_reader::on_message(netout&, const process_id& from,

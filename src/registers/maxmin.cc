@@ -30,8 +30,8 @@ void maxmin_server::on_message(netout& net, const process_id& from,
     }
     case msg_type::read_req: {
       if (!from.is_reader()) return;
-      const auto it =
-          gathers_.try_emplace({from.index, m.rcounter, m.attempt}).first;
+      const auto it = gather_for(from.index, m);
+      if (it == gathers_.end()) return;
       gather& g = it->second;
       g.got_read_req = true;
       // Broadcast our current timestamp to the other servers, tagged with
@@ -44,7 +44,7 @@ void maxmin_server::on_message(netout& net, const process_id& from,
       gossip.val = val_;
       gossip.origin = from;
       gossip.rcounter = m.rcounter;
-      send_to_servers(net, cfg_.S(), std::move(gossip), index_);
+      net.broadcast(cfg_.S(), std::move(gossip), index_);
       if (g.senders.insert(index_) && ts_ > g.max_ts) {
         g.max_ts = ts_;
         g.max_val = val_;
@@ -54,9 +54,8 @@ void maxmin_server::on_message(netout& net, const process_id& from,
     }
     case msg_type::gossip: {
       if (!from.is_server()) return;
-      const auto it =
-          gathers_.try_emplace({m.origin.index, m.rcounter, m.attempt})
-              .first;
+      const auto it = gather_for(m.origin.index, m);
+      if (it == gathers_.end()) return;
       gather& g = it->second;
       if (!g.senders.insert(from.index)) return;
       if (m.wts() > g.max_ts) {
@@ -69,6 +68,20 @@ void maxmin_server::on_message(netout& net, const process_id& from,
     default:
       return;
   }
+}
+
+maxmin_server::gather_map::iterator maxmin_server::gather_for(
+    std::uint32_t reader, const message& m) {
+  const read_no read{m.attempt, m.rcounter};
+  auto [newest, first] = newest_.try_emplace(reader, read);
+  if (!first) {
+    if (read < newest->second) return gathers_.end();  // superseded
+    newest->second = read;
+  }
+  const gather_key key{reader, m.attempt, m.rcounter};
+  gathers_.erase(gathers_.lower_bound({reader, 0, 0}),
+                 gathers_.lower_bound(key));
+  return gathers_.try_emplace(key).first;
 }
 
 void maxmin_server::advance(netout& net, const process_id& reader,

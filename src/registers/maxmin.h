@@ -19,6 +19,8 @@
 #include <cstddef>
 #include <map>
 #include <tuple>
+#include <unordered_map>
+#include <utility>
 
 #include "registers/automaton.h"
 
@@ -45,8 +47,10 @@ class maxmin_server final : public automaton, public seedable {
   [[nodiscard]] wts_t stored_ts() const { return ts_; }
   /// Read instances this server still tracks. A gather is erased once it
   /// has replied and heard from all S servers, so with every server up
-  /// the count returns to 0 when the reads end. A crashed server never
-  /// gossips, so then every read leaves its gather behind.
+  /// the count returns to 0 when the reads end, and once a newer read of
+  /// the same reader is heard of here. A crashed server never gossips, so
+  /// while one is down each reader leaves its newest read's gather
+  /// behind, and only that one: at most R in all.
   [[nodiscard]] std::size_t open_gathers() const { return gathers_.size(); }
 
  private:
@@ -58,9 +62,18 @@ class maxmin_server final : public automaton, public seedable {
     bool replied{false};
   };
 
-  using gather_map =
-      std::map<std::tuple<std::uint32_t, std::uint64_t, std::uint32_t>, gather>;
+  /// A reader's read instance, (attempt, rcounter): ordered as the
+  /// reader issues them (see gathers_).
+  using read_no = std::pair<std::uint32_t, std::uint64_t>;
+  /// (reader index, attempt, rcounter): one reader's gathers are
+  /// adjacent, oldest read first.
+  using gather_key = std::tuple<std::uint32_t, std::uint32_t, std::uint64_t>;
+  using gather_map = std::map<gather_key, gather>;
 
+  /// The gather of the read `m` (a read_req, or gossip about one) belongs
+  /// to; end() when a newer read of the same reader was seen here. Erases
+  /// the reader's older gathers.
+  gather_map::iterator gather_for(std::uint32_t reader, const message& m);
   /// Replies once the gather has a quorum, and erases it once nothing
   /// more can arrive for it.
   void advance(netout& net, const process_id& reader, std::uint64_t rc,
@@ -74,14 +87,29 @@ class maxmin_server final : public automaton, public seedable {
   std::uint32_t index_;
   wts_t ts_{};
   value_t val_{};
-  // Keyed by (reader index, rcounter, attempt): one gather per read
+  // Keyed by (reader index, attempt, rcounter): one gather per read
   // instance. The attempt (0 outside the store) separates a re-issued
   // read from a superseded attempt whose straggling request or gossip
   // carries the same rcounter -- the reply a gather produces is tagged
   // with its attempt, and a reply tagged with a stale attempt would be
   // dropped by the store client, starving the live read of this server's
   // answer (advance answers each gather exactly once).
+  //
+  // For one reader (and, in the store, one object: each object has its
+  // own server automaton) (attempt, rcounter) only grows: the store
+  // client bumps the object's attempt for every op and every re-issue,
+  // and outside the store the attempt stays 0 while the reader bumps
+  // rcounter for every read. A reader begins a read only after its last
+  // one completed or was abandoned, so once a message of a newer read
+  // arrives (its read_req, or a peer's gossip about it), no reply to an
+  // older one can matter: the reader has taken its quorum or ignores the
+  // answer. That message erases the reader's older gathers, and requests
+  // and gossip of superseded reads are dropped. Without this, a crashed
+  // server (which never gossips) would leave every read's gather, value
+  // copy included, on each live server.
   gather_map gathers_{};
+  /// Per reader: the newest read heard of here.
+  std::unordered_map<std::uint32_t, read_no> newest_{};
 };
 
 }  // namespace fastreg

@@ -26,12 +26,24 @@ std::vector<std::uint8_t> signed_payload(object_id obj, ts_t ts,
   return w.take();
 }
 
+namespace {
+
+void record_one(obs::recorder& rec, obs::rec_event ev, const process_id& peer,
+                const message& m) {
+  rec.record(ev, m.trace, m.span, static_cast<std::uint8_t>(m.type), peer,
+             m.obj, m.epoch, m.ts);
+}
+
+}  // namespace
+
 void record_batch(obs::recorder& rec, obs::rec_event ev,
                   const process_id& peer, std::span<const message> msgs) {
-  for (const auto& m : msgs) {
-    rec.record(ev, m.trace, m.span, static_cast<std::uint8_t>(m.type), peer,
-               m.obj, m.epoch, m.ts);
-  }
+  for (const auto& m : msgs) record_one(rec, ev, peer, m);
+}
+
+void record_batch(obs::recorder& rec, obs::rec_event ev,
+                  const process_id& peer, message_refs msgs) {
+  for (const message* m : msgs) record_one(rec, ev, peer, *m);
 }
 
 std::vector<std::uint8_t> signed_payload(const message& m) {

@@ -89,12 +89,19 @@ struct message {
   friend bool operator==(const message&, const message&) = default;
 };
 
+/// A message list lent for the length of one call: a send that hands
+/// the transport messages it keeps (a broadcast parked once and lent to
+/// every destination), and the TCP frame encoder's input.
+using message_refs = std::span<const message* const>;
+
 /// Records one flight-recorder event per message of a batch that this
 /// node sent to `peer` (ev = send) or received from it (ev = recv): the
 /// one mapping from a wire message to a recorder event, shared by both
 /// transports. The caller checks obs::recording_active() first.
 void record_batch(obs::recorder& rec, obs::rec_event ev,
                   const process_id& peer, std::span<const message> msgs);
+void record_batch(obs::recorder& rec, obs::rec_event ev,
+                  const process_id& peer, message_refs msgs);
 
 /// Canonical byte payload the writer signs: (obj, ts, wid, val, prev).
 /// Shared by signers (writer) and verifiers (servers, readers). Binding

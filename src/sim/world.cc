@@ -156,7 +156,7 @@ void world::invoke_write(std::uint32_t writer_index, value_t v) {
   // its events agree with the history this run records; log lines carry
   // the stepped automaton's id.
   obs::scoped_trace_time trace_time(now_);
-  scoped_log_node log_node(to_string(wid));
+  scoped_log_node log_node(wid);
   w->invoke_write(*this, std::move(v));
   end_step(wid);
 }
@@ -175,7 +175,7 @@ void world::invoke_read(std::uint32_t reader_index) {
   st.op_index =
       history_.begin_op(rid, /*is_write=*/false, now_, {}, step_trace_);
   obs::scoped_trace_time trace_time(now_);
-  scoped_log_node log_node(to_string(rid));
+  scoped_log_node log_node(rid);
   r->invoke_read(*this);
   end_step(rid);
 }
@@ -187,7 +187,7 @@ void world::invoke_step(const process_id& p,
   step_trace_ = 0;
   step_span_ = 0;
   obs::scoped_trace_time trace_time(now_);
-  scoped_log_node log_node(to_string(p));
+  scoped_log_node log_node(p);
   fn(*this);
   end_step(p);
 }
@@ -248,7 +248,7 @@ void world::do_step(const process_id& to, const envelope& env) {
   // head is the message; store automata stamp replies themselves).
   step_trace_ = env.msg().trace;
   step_span_ = env.msg().span;
-  scoped_log_node log_node(to_string(to));
+  scoped_log_node log_node(to);
   if (obs::recording_active()) {
     record_batch(rec_for(to), obs::rec_event::recv, env.from, env.msgs);
   }

@@ -205,12 +205,12 @@ class tcp_session final : public async_session {
       ops_.insert(ops_.end(), std::make_move_iterator(inbox_.begin()),
                   std::make_move_iterator(inbox_.end()));
       inbox_.clear();
-      if (!done.empty()) {
-        outbox_.insert(outbox_.end(), std::make_move_iterator(done.begin()),
-                       std::make_move_iterator(done.end()));
-        cv_.notify_one();
-      }
+      outbox_.insert(outbox_.end(), std::make_move_iterator(done.begin()),
+                     std::make_move_iterator(done.end()));
     }
+    // Notified after the unlock, so the woken session thread does not
+    // block on mu_ straight away.
+    if (!done.empty()) cv_.notify_one();
     for (auto& a : ops_) {
       // The key's abandoned op is still pending: wait for it here rather
       // than trip begin_*'s precondition.

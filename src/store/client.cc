@@ -186,9 +186,7 @@ void client::begin_state_read(object_id obj, epoch_t old_epoch) {
   m.mig = true;
   m.trace = obs::next_trace_id();
   m.rcounter = mig_->seq;
-  for (std::uint32_t i = 0; i < map_->config().base.S(); ++i) {
-    outbox_.add(server_id(i), message(m));
-  }
+  outbox_.add_broadcast(map_->config().base.S(), std::move(m));
 }
 
 void client::begin_seed(object_id obj, const register_snapshot& s,
@@ -213,9 +211,7 @@ void client::begin_seed(object_id obj, const register_snapshot& s,
   m.val = s.val;
   m.prev = s.prev;
   m.sig = s.sig;
-  for (std::uint32_t i = 0; i < map_->config().base.S(); ++i) {
-    outbox_.add(server_id(i), message(m));
-  }
+  outbox_.add_broadcast(map_->config().base.S(), std::move(m));
 }
 
 const register_snapshot& client::mig_snapshot() const {

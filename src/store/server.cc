@@ -112,6 +112,11 @@ std::size_t server::objects_hosted() const {
   return n;
 }
 
+const automaton* server::replica(object_id obj) const {
+  const object_state* r = objects_.find(obj);
+  return r != nullptr ? r->cur.a.get() : nullptr;
+}
+
 std::vector<object_id> server::list_objects() const {
   std::vector<object_id> out;
   objects_.for_each([&](object_id obj, const object_state& r) {
@@ -342,10 +347,7 @@ void server::enqueue_fetch(const process_id& from, const message& m,
   req.mig = true;
   req.trace = m.trace;
   req.span = m.span;
-  for (std::uint32_t j = 0; j < map_->config().base.S(); ++j) {
-    if (j == index_) continue;
-    outbox_.add(server_id(j), message(req));
-  }
+  outbox_.add_broadcast(map_->config().base.S(), std::move(req), index_);
 }
 
 void server::handle_fetch_req(const process_id& from, const message& m,

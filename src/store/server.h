@@ -102,6 +102,9 @@ class server final : public automaton {
   /// Distinct objects this server hosts in the current generation
   /// (diagnostic).
   [[nodiscard]] std::size_t objects_hosted() const;
+  /// The object's current-generation replica; nullptr when there is none
+  /// (diagnostic).
+  [[nodiscard]] const automaton* replica(object_id obj) const;
 
   /// The server's object index: every object it hosts, current AND
   /// previous generation. The reconfiguration coordinator unions these

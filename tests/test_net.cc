@@ -9,7 +9,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -24,6 +26,7 @@
 #include "registers/registry.h"
 #include "sim/world.h"
 #include "sim_test_util.h"
+#include "store/batching.h"
 #include "store/tcp_store.h"
 #include "store_test_util.h"
 
@@ -762,6 +765,163 @@ TEST(DeliveryUnit, TcpSendBatchEmptiesTheCallersBufferAndKeepsIt) {
       EXPECT_EQ(steps[s][i].rcounter, 10 * s + i);
     }
   }
+}
+
+/// A message of `type` with rcounter `rc` and `val` in val and prev.
+message parked_msg(msg_type type, std::uint64_t rc, const std::string& val) {
+  message m;
+  m.type = type;
+  m.rcounter = rc;
+  m.val = val;
+  m.prev = val;
+  return m;
+}
+
+constexpr std::uint32_t k_parked_servers = 3;
+
+/// One store step's sends through a tagging_netout, then its flush: a
+/// unicast to server 1, a broadcast to all three servers, another
+/// unicast to server 1 and a broadcast that skips server 0. Server 1's
+/// list interleaves its own messages with both broadcasts.
+void park_step(netout& net) {
+  store::batch_collector out;
+  store::tagging_netout tagged(out, /*obj=*/7, /*epoch=*/3, /*attempt=*/2,
+                               /*mig=*/false, /*trace=*/99, /*span=*/1);
+  tagged.send(server_id(1), parked_msg(msg_type::read_req, 1, ""));
+  tagged.broadcast(k_parked_servers,
+                   parked_msg(msg_type::write_req, 2, std::string(16, 'v')));
+  tagged.send(server_id(1), parked_msg(msg_type::read_req, 3, ""));
+  tagged.broadcast(k_parked_servers, parked_msg(msg_type::query_req, 4, "q"),
+                   /*except=*/0);
+  out.flush(net);
+}
+
+using dest_lists = std::vector<std::pair<process_id, std::vector<message>>>;
+
+/// What park_step sends, as per-destination copies each stamped on its
+/// own (a send per target): destinations in first-touch order, each
+/// list in send order.
+dest_lists parked_copies() {
+  const auto stamped = [](message m) {
+    m.obj = 7;
+    m.epoch = 3;
+    m.attempt = 2;
+    m.trace = 99;
+    m.span = 1;
+    return m;
+  };
+  const message u1 = stamped(parked_msg(msg_type::read_req, 1, ""));
+  const message b1 =
+      stamped(parked_msg(msg_type::write_req, 2, std::string(16, 'v')));
+  const message u2 = stamped(parked_msg(msg_type::read_req, 3, ""));
+  const message b2 = stamped(parked_msg(msg_type::query_req, 4, "q"));
+  return {{server_id(1), {u1, b1, u2, b2}},
+          {server_id(0), {b1}},
+          {server_id(2), {b1, b2}}};
+}
+
+TEST(DeliveryUnit, SimBroadcastEnvelopesHoldPerDestinationCopies) {
+  // The simulator takes owned lists: a parked broadcast reaches each
+  // destination's envelope as a message equal to a per-target copy.
+  sim::world w(make_cfg(k_parked_servers, 1, 1));
+  w.install(*make_protocol("abd"));
+  w.invoke_step(reader_id(0), park_step);
+  dest_lists got;
+  for (const auto& e : w.in_transit()) got.emplace_back(e.to, e.msgs);
+  EXPECT_EQ(got, parked_copies());
+  EXPECT_EQ(w.messages_sent(), 7u);
+}
+
+TEST(DeliveryUnit, TcpBroadcastFramesMatchPerDestinationCopies) {
+  // On TCP each destination's frame borrows the broadcast: its bytes
+  // must be exactly the frame of that destination's per-target copies,
+  // after the hello.
+  std::vector<unique_fd> listeners;
+  auto book = std::make_shared<address_book>();
+  for (std::uint32_t i = 0; i < k_parked_servers; ++i) {
+    listeners.push_back(listen_on(0));
+    book->server_ports.push_back(local_port(listeners.back().get()));
+  }
+  node client(make_cfg(k_parked_servers, 1, 1), book);
+  client.add_actor(std::make_unique<step_recorder>(reader_id(0)));
+  client.start();
+  ASSERT_TRUE(client.run_on_reactor(
+      0, [](automaton&, netout& net) { park_step(net); }));
+  for (const auto& [to, msgs] : parked_copies()) {
+    auto want = encode_hello(reader_id(0));
+    const auto frame = encode_batch_frame(reader_id(0), msgs);
+    want.insert(want.end(), frame.begin(), frame.end());
+    std::vector<std::uint8_t> got;
+    std::optional<unique_fd> conn;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (got.size() < want.size() &&
+           std::chrono::steady_clock::now() < deadline) {
+      if (!conn) {
+        conn = accept_one(listeners[to.index].get());
+      } else {
+        std::uint8_t buf[4096];
+        const ssize_t n = ::recv(conn->get(), buf, sizeof buf, 0);
+        if (n > 0) got.insert(got.end(), buf, buf + n);
+      }
+      if (got.size() < want.size()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    EXPECT_EQ(got, want) << to_string(to);
+  }
+  client.stop();
+}
+
+TEST(DeliveryUnit, TcpStepSeesOnlyItsFramesMessagesAfterAMalformedFrame) {
+  // A connection decodes each frame over the messages it kept from the
+  // last one. A good 3-message frame, a malformed one (its third message
+  // is cut short, after two decoded over the kept ones), then a
+  // 1-message frame: the last step sees exactly that one message, every
+  // field of it as sent.
+  const auto cfg = make_cfg(3, 1, 1);
+  auto book = std::make_shared<address_book>();
+  node server(cfg, book);
+  server.add_actor(std::make_unique<step_recorder>(server_id(0)));
+  server.bind_listener(0);
+  server.start();
+  const auto gold = golden_batch();
+  const std::vector<message> three = {gold[1], gold[0], gold[1]};
+  const std::vector<message> one = {gold[0]};
+  auto bad = encode_batch_frame(reader_id(0), three);
+  bad.pop_back();
+  const auto len = static_cast<std::uint32_t>(bad.size() - 4);
+  std::memcpy(bad.data(), &len, 4);
+  auto bytes = encode_hello(reader_id(0));
+  for (const auto& f : {encode_batch_frame(reader_id(0), three), bad,
+                        encode_batch_frame(reader_id(0), one)}) {
+    bytes.insert(bytes.end(), f.begin(), f.end());
+  }
+  const std::uint64_t malformed0 = malformed_frames();
+  unique_fd peer = connect_to(server.listen_port());
+  ASSERT_TRUE(peer.valid());
+  pollfd pfd{peer.get(), POLLOUT, 0};
+  ASSERT_GT(::poll(&pfd, 1, 5000), 0);
+  ASSERT_EQ(::send(peer.get(), bytes.data(), bytes.size(), 0),
+            static_cast<ssize_t>(bytes.size()));
+  std::vector<std::vector<message>> steps;
+  std::size_t direct_messages = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (steps.size() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_TRUE(server.run_on_reactor(0, [&](automaton& a, netout&) {
+      const auto& rec = static_cast<const step_recorder&>(a);
+      steps = rec.steps;
+      direct_messages = rec.direct_messages;
+    }));
+  }
+  server.stop();
+  EXPECT_EQ(direct_messages, 0u);
+  ASSERT_EQ(steps.size(), 2u);
+  EXPECT_EQ(steps[0], three);
+  EXPECT_EQ(steps[1], one);
+  EXPECT_EQ(malformed_frames() - malformed0, 1u);
 }
 
 // -------------------------------------------------------------------- node

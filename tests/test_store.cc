@@ -12,6 +12,7 @@
 #include "benchutil/workload.h"
 #include "crypto/sig.h"
 #include "obs/metrics.h"
+#include "registers/maxmin.h"
 #include "registers/registry.h"
 #include "store/batching.h"
 #include "store/shard_map.h"
@@ -280,6 +281,64 @@ TEST(SimStore, AbandonedOpClosedByNextSessionAtItsCompletionStep) {
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].key, "new");
   EXPECT_TRUE(s.histories().all_complete());
+  EXPECT_TRUE(s.histories().verify().ok);
+}
+
+TEST(SimStore, MaxminGathersStayBoundedWhileAServerIsDown) {
+  // A crashed server never gossips, so no read's gather on a live server
+  // ever hears from all S. Each reader's newer read supersedes its older
+  // gathers: every live server holds at most R per object throughout.
+  const store_config cfg = small_cfg({"maxmin"}, 2, /*R=*/2, /*S=*/5);
+  sim_store s(cfg);
+  s.world().crash(server_id(4));
+  rng r(11);
+  sim_frontend fe(s, r);
+  sim::uniform_delay d(50, 150);
+  const std::vector<std::string> keys = {"k0", "k1", "k2", "k3"};
+  auto w = fe.open_session(writer_id(0), keys.size());
+  std::vector<std::unique_ptr<async_session>> readers;
+  for (std::uint32_t i = 0; i < cfg.base.R(); ++i) {
+    readers.push_back(fe.open_session(reader_id(i), keys.size()));
+  }
+  std::size_t most = 0;
+  const auto check_gathers = [&] {
+    for (std::uint32_t i = 0; i + 1 < cfg.base.S(); ++i) {
+      for (const auto& k : keys) {
+        const auto* mm = dynamic_cast<const maxmin_server*>(
+            s.server_at(i).replica(key_object_id(k)));
+        if (mm == nullptr) continue;
+        most = std::max(most, mm->open_gathers());
+        ASSERT_LE(mm->open_gathers(), cfg.base.R())
+            << "server " << i << " key " << k;
+      }
+    }
+  };
+  std::uint64_t reads = 0;
+  for (std::uint64_t round = 0; reads < 1200; ++round) {
+    for (const auto& k : keys) {
+      if (round % 4 == 0) {
+        ASSERT_EQ(w->try_put(k, "v" + std::to_string(round) + k),
+                  submit_status::submitted);
+      }
+      for (auto& rd : readers) {
+        ASSERT_EQ(rd->try_get(k), submit_status::submitted);
+        ++reads;
+      }
+    }
+    w->pump();
+    for (auto& rd : readers) rd->pump();
+    while (w->in_flight() > 0 || readers[0]->in_flight() > 0 ||
+           readers[1]->in_flight() > 0) {
+      ASSERT_GT(s.run_timed(r, d, 1), 0u);
+      check_gathers();
+      ASSERT_FALSE(HasFatalFailure());
+      w->pump();
+      for (auto& rd : readers) rd->pump();
+    }
+    (void)w->take_results();
+    for (auto& rd : readers) (void)rd->take_results();
+  }
+  EXPECT_GT(most, 0u);
   EXPECT_TRUE(s.histories().verify().ok);
 }
 

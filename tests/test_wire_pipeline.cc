@@ -302,9 +302,9 @@ TEST(DrainParser, OversizedLengthPrefixLatchesViaDrain) {
 }
 
 TEST(DrainParser, HelloAfterABatchCarriesNoMessages) {
-  // The kept batch is emptied after every frame, so a hello that follows
-  // a batch frame is delivered with no messages, on both the in-place
-  // and the buffered path.
+  // A frame's count starts over after every frame, so a hello that
+  // follows a batch frame is delivered with no messages (its kept ones
+  // past the count), on both the in-place and the buffered path.
   std::vector<std::uint8_t> stream;
   append_batch_frame(stream, server_id(1),
                      std::vector<message>{make_msg(), make_msg()});
@@ -315,7 +315,7 @@ TEST(DrainParser, HelloAfterABatchCarriesNoMessages) {
     for (std::size_t pos = 0; pos < stream.size(); pos += chunk) {
       fb.drain(stream.data() + pos, std::min(chunk, stream.size() - pos),
                [&](const frame& f) {
-                 got.emplace_back(f.kind, f.batch.size());
+                 got.emplace_back(f.kind, f.msgs().size());
                });
     }
     ASSERT_EQ(got.size(), 2u) << "chunk=" << chunk;
@@ -358,7 +358,7 @@ struct drain_allocs {
 drain_allocs warmed_drain_allocs(const std::vector<std::uint8_t>& stream) {
   frame_buffer fb;
   std::size_t msgs = 0;
-  const auto count = [&](const frame& f) { msgs += f.batch.size(); };
+  const auto count = [&](const frame& f) { msgs += f.msgs().size(); };
   const auto pass = [&] {
     fb.drain(stream.data(), stream.size(), count);
     for (std::size_t pos = 0; pos < stream.size(); pos += 97) {
@@ -385,13 +385,12 @@ TEST(DrainParser, SteadyStateDecodeReusesItsBatch) {
       warmed_drain_allocs(frames_of_1_to_16(msg_type::read_req, ""));
   EXPECT_EQ(reqs.all, 0u);
 
-  // Acks with 16-byte values: each value outgrows the small-string buffer
-  // and allocates, but no batch vector does, and nothing leaves malloc's
-  // per-thread cache.
+  // Acks with 16-byte values outgrow the small-string buffer, but each
+  // decodes over a kept message whose strings already hold that much:
+  // nothing allocates either.
   const drain_allocs acks = warmed_drain_allocs(
       frames_of_1_to_16(msg_type::read_ack, std::string(16, 'v')));
-  EXPECT_EQ(acks.message_sized, 0u);
-  EXPECT_EQ(acks.large, 0u);
+  EXPECT_EQ(acks.all, 0u);
 
   // Stale contents: a good 8-message frame, then a frame of count 3 whose
   // third message is truncated (skipped), then a good 2-message frame.
@@ -411,7 +410,9 @@ TEST(DrainParser, SteadyStateDecodeReusesItsBatch) {
   const std::uint64_t malformed0 = malformed_frames();
   frame_buffer fb;
   std::vector<std::vector<message>> seen;
-  const auto keep = [&](const frame& f) { seen.push_back(f.batch); };
+  const auto keep = [&](const frame& f) {
+    seen.emplace_back(f.msgs().begin(), f.msgs().end());
+  };
   for (const auto& bytes :
        {encode_batch_frame(server_id(0), eight), bad,
         encode_batch_frame(server_id(0), two)}) {
@@ -434,7 +435,7 @@ TEST(DrainParser, OversizedBatchIsNotKept) {
     const auto bytes = encode_batch_frame(server_id(0), batch);
     frame_buffer fb;
     std::size_t got = 0;
-    const auto count = [&](const frame& f) { got += f.batch.size(); };
+    const auto count = [&](const frame& f) { got += f.msgs().size(); };
     fb.drain(bytes.data(), bytes.size(), count);
     const std::uint64_t before = g_message_sized_count.load();
     fb.drain(bytes.data(), bytes.size(), count);
