@@ -164,7 +164,7 @@ void run_sim_part(table& t, bool crash_one) {
                 // it stays dead through the drains and the rest of the
                 // run, so every handoff and every post-crash op runs on
                 // quorums of 6.
-                if (crash_one) s.world().crash(server_id(cfg.base.S() - 1));
+                if (crash_one) s.crash_server(cfg.base.S() - 1);
                 FASTREG_CHECK(coord.start(plan));
               }
               if (started && !coord.done()) {
@@ -284,7 +284,7 @@ void run_rejoin_part(table& t, persist::fsync_policy policy) {
             /*delays=*/nullptr, [&](std::uint64_t invoked) {
               if (!crashed && invoked >= 200) {
                 crashed = true;
-                s.world().crash(server_id(crash_index));
+                s.crash_server(crash_index);
               }
               // Reshard while the server is down: its durable epoch goes
               // stale.
@@ -306,11 +306,12 @@ void run_rejoin_part(table& t, persist::fsync_policy policy) {
     return ec ? std::uint64_t{0} : static_cast<std::uint64_t>(n);
   }();
   const auto rec_t0 = std::chrono::steady_clock::now();
-  auto& ns = s.restart_server(crash_index);
+  s.restart_server(crash_index);
   const double recover_us =
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - rec_t0)
           .count();
+  const auto& ns = s.server_at(crash_index);
   const auto res = s.histories().verify();
   const std::uint64_t failed = ops_since(s.histories(), 0).incomplete;
   g_bad_rows += !res.ok || failed > 0;

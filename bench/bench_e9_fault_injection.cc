@@ -111,13 +111,14 @@ bool recovery_row(table& t, persist::fsync_policy policy) {
   const double snap_p50_us =
       static_cast<double>(snap_ns(0).percentile(50)) / 1000.0;
 
-  s.world().crash(server_id(crash_index));
+  s.crash_server(crash_index);
   const auto rec_t0 = std::chrono::steady_clock::now();
-  auto& ns = s.restart_server(crash_index);
+  s.restart_server(crash_index);
   const double replay_us =
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - rec_t0)
           .count();
+  const auto& ns = s.server_at(crash_index);
 
   const auto res = s.histories().verify();
   t.add_row({persist::to_string(policy), std::to_string(2000),

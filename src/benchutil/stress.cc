@@ -217,15 +217,96 @@ std::uint32_t stress_iters(std::uint32_t base) {
       std::min<std::uint64_t>(scaled, 0xffffffffull));
 }
 
+namespace {
+
+// The timed schedule's link delays, each TCP client's pipeline depth and
+// the TCP driver's thread count.
+constexpr std::uint64_t k_delay_lo = 5;
+constexpr std::uint64_t k_delay_hi = 80;
+constexpr std::uint32_t k_pipeline_depth = 4;
+constexpr std::uint32_t k_driver_threads = 8;
+
+/// The run's one fault schedule, on either transport's deployment. A
+/// third of the way in (by ops invoked) it isolates the low
+/// partition_servers, crashes the high crash_servers -- disjoint sets in
+/// a combined run -- and starts the reshard; two thirds of the way in it
+/// heals the isolated servers and restarts the crashed ones. Each call
+/// fires what is due and steps a live reshard once.
+class fault_schedule {
+ public:
+  fault_schedule(store::deployment& d, const stress_options& opt,
+                 stress_report& rep)
+      : d_(d), opt_(opt), rep_(rep) {
+    // Crashed and isolated servers are both unreachable until restarted
+    // or healed, so they share one t budget: a combined count above t
+    // would stall every quorum short of the two-thirds trigger.
+    FASTREG_EXPECTS(opt.crash_servers + opt.partition_servers <= opt.t);
+    trigger_ = (static_cast<std::uint64_t>(opt.W) * opt.puts_per_writer +
+                static_cast<std::uint64_t>(opt.R) * opt.gets_per_reader) /
+               3;
+    using store::deployment;
+    for (std::uint32_t i = 0; i < opt.partition_servers; ++i) {
+      plan_.push_back({trigger_, &deployment::isolate_server, i});
+      plan_.push_back({2 * trigger_, &deployment::heal_server, i});
+    }
+    for (std::uint32_t i = 0; i < opt.crash_servers; ++i) {
+      const std::uint32_t k = opt.S - 1 - i;
+      plan_.push_back({trigger_, &deployment::crash_server, k});
+      // With persist_dir set a restarted server replays snapshot + op
+      // log, and the last third checks its state through the checker.
+      if (opt.restart_crashed) {
+        plan_.push_back({2 * trigger_, &deployment::restart_server, k});
+      }
+    }
+    std::ranges::stable_sort(plan_, {}, &due::at);
+  }
+
+  /// Fires every fault due at `invoked` ops, then steps the live reshard;
+  /// true while the reshard has work left.
+  bool operator()(std::uint64_t invoked) {
+    for (; next_ < plan_.size() && plan_[next_].at <= invoked; ++next_) {
+      (d_.*plan_[next_].f)(plan_[next_].server);
+    }
+    if (opt_.reshard && !reshard_started_ && invoked >= trigger_) {
+      reshard_started_ = true;
+      coord_.emplace(d_);
+      if (!coord_->start(make_reshard_plan(opt_))) {
+        // The load runs on without it; the report fails.
+        rep_.check = {false, "reshard failed to start: " + coord_->error()};
+        coord_.reset();
+      }
+    }
+    const bool live = coord_.has_value() && !coord_->done();
+    if (live) coord_->step();
+    return live;
+  }
+
+  /// Every fault of the plan has fired.
+  [[nodiscard]] bool fired() const { return next_ == plan_.size(); }
+
+ private:
+  using fault = void (store::deployment::*)(std::uint32_t);
+  struct due {
+    std::uint64_t at;  // ops invoked
+    fault f;
+    std::uint32_t server;
+  };
+
+  store::deployment& d_;
+  const stress_options& opt_;
+  stress_report& rep_;
+  std::uint64_t trigger_{0};
+  std::vector<due> plan_;  // in `at` order
+  std::size_t next_{0};
+  bool reshard_started_{false};
+  std::optional<reconfig::coordinator> coord_;
+};
+
+}  // namespace
+
 // ------------------------------------------------------------- simulator --
 
 stress_report run_sim_stress(const stress_options& opt) {
-  FASTREG_EXPECTS(opt.crash_servers <= opt.t);
-  // Crashed and partitioned servers are BOTH unreachable until the heal,
-  // so they share one t budget: a combined count above t would stall
-  // every quorum, freeze the invocation counter below the heal trigger,
-  // and spin into the step-guard abort instead of failing here.
-  FASTREG_EXPECTS(opt.crash_servers + opt.partition_servers <= opt.t);
   stress_report rep;
   rep.seed = opt.seed;
   // Recorders are process-global; start each run from an empty ring so a
@@ -233,8 +314,9 @@ stress_report run_sim_stress(const stress_options& opt) {
   if (obs::recording_active()) obs::recorder_reset_all();
 
   store::sim_store s(make_store_cfg(opt));
+  fault_schedule sched(s, opt, rep);
   rng r(opt.seed);
-  sim::uniform_delay delays(opt.delay_lo, opt.delay_hi);
+  sim::uniform_delay delays(k_delay_lo, k_delay_hi);
   const auto keys = make_keys(opt.num_keys);
   // Depth-1 clients: each op is issued in its own invocation step.
   std::vector<sim_client> clients;
@@ -254,74 +336,8 @@ stress_report run_sim_stress(const stress_options& opt) {
                              {keys[r.below(keys.size())], false, {}}};
                        }});
   }
-  const std::uint64_t total =
-      static_cast<std::uint64_t>(opt.W) * opt.puts_per_writer +
-      static_cast<std::uint64_t>(opt.R) * opt.gets_per_reader;
-  const std::uint64_t trigger = total / 3;
-
-  bool crashed = false, restarted = false;
-  bool partitioned = false, healed = false, resharded = false;
-  std::optional<reconfig::coordinator> coord;
-
-  // Every process a partitioned server would talk to: clients and the
-  // rest of the fleet (servers gossip in the maxmin family).
-  const auto isolate = [&](const process_id& srv, bool block) {
-    const auto flip = [&](const process_id& peer) {
-      if (peer == srv) return;
-      if (block) {
-        s.world().partition(srv, peer);
-      } else {
-        s.world().heal(srv, peer);
-      }
-    };
-    for (std::uint32_t j = 0; j < opt.W; ++j) flip(writer_id(j));
-    for (std::uint32_t i = 0; i < opt.R; ++i) flip(reader_id(i));
-    for (std::uint32_t k = 0; k < opt.S; ++k) flip(server_id(k));
-  };
-
-  const auto control = [&](std::uint64_t invoked) {
-    if (!crashed && opt.crash_servers > 0 && invoked >= trigger) {
-      crashed = true;
-      for (std::uint32_t i = 0; i < opt.crash_servers; ++i) {
-        s.world().crash(server_id(opt.S - 1 - i));
-      }
-    }
-    if (!partitioned && opt.partition_servers > 0 && invoked >= trigger) {
-      partitioned = true;
-      for (std::uint32_t i = 0; i < opt.partition_servers; ++i) {
-        isolate(server_id(i), /*block=*/true);
-      }
-    }
-    if (crashed && opt.restart_crashed && !restarted &&
-        invoked >= 2 * trigger) {
-      restarted = true;
-      for (std::uint32_t i = 0; i < opt.crash_servers; ++i) {
-        // Replays snapshot + op log when persist_dir is set; the last
-        // third of the workload then runs against the full fleet, so a
-        // recovery that resurrected stale state shows up in the checker.
-        s.restart_server(opt.S - 1 - i);
-      }
-    }
-    if (partitioned && !healed && invoked >= 2 * trigger) {
-      healed = true;
-      for (std::uint32_t i = 0; i < opt.partition_servers; ++i) {
-        isolate(server_id(i), /*block=*/false);
-      }
-    }
-    if (opt.reshard && !resharded && invoked >= trigger) {
-      resharded = true;
-      coord.emplace(s);
-      if (!coord->start(make_reshard_plan(opt))) {
-        // The load runs on without it, as on TCP; the report fails.
-        rep.check = {false, "reshard failed to start: " + coord->error()};
-        coord.reset();
-      }
-    }
-    const bool coord_active = coord.has_value() && !coord->done();
-    if (coord_active) coord->step();
-    return coord_active;
-  };
-  drive_sim(s, r, std::move(clients), opt.timed ? &delays : nullptr, control);
+  drive_sim(s, r, std::move(clients), opt.timed ? &delays : nullptr,
+            std::ref(sched));
 
   rep.final_epoch = s.proto().maps()->epoch();
   rep.hist = s.histories();
@@ -332,12 +348,6 @@ stress_report run_sim_stress(const stress_options& opt) {
 // ------------------------------------------------------------------- TCP --
 
 stress_report run_tcp_stress(const stress_options& opt) {
-  FASTREG_EXPECTS(opt.crash_servers <= opt.t);
-  // Paused and crashed servers are both unreachable until the heal; a
-  // combined count above t would stall every quorum (same budget rule as
-  // the simulator schedule).
-  FASTREG_EXPECTS(opt.crash_servers + opt.partition_servers <= opt.t);
-  FASTREG_EXPECTS(opt.pipeline_depth >= 1);
   stress_report rep;
   rep.seed = opt.seed;
   if (obs::recording_active()) obs::recorder_reset_all();
@@ -349,6 +359,7 @@ stress_report run_tcp_stress(const stress_options& opt) {
   copt.client_hub = true;
   copt.hub_reactors = 2;
   store::tcp_store ts(make_store_cfg(opt), net::node_options{}, copt);
+  fault_schedule sched(ts, opt, rep);
   ts.start();
   const auto keys = make_keys(opt.num_keys);
 
@@ -357,7 +368,7 @@ stress_report run_tcp_stress(const stress_options& opt) {
   for (std::uint32_t j = 0; j < opt.W; ++j) {
     rng tr(opt.seed ^ (0x9e3779b97f4a7c15ull * (j + 1)));
     scripts.push_back(make_script(
-        writer_id(j), opt.pipeline_depth, opt.puts_per_writer,
+        writer_id(j), k_pipeline_depth, opt.puts_per_writer,
         [&](std::uint32_t n) {
           return store::store_op{
               keys[tr.below(keys.size())], /*is_put=*/true,
@@ -367,54 +378,25 @@ stress_report run_tcp_stress(const stress_options& opt) {
   for (std::uint32_t i = 0; i < opt.R; ++i) {
     rng tr(opt.seed ^ (0xbf58476d1ce4e5b9ull * (i + 1)));
     scripts.push_back(make_script(
-        reader_id(i), opt.pipeline_depth, opt.gets_per_reader,
+        reader_id(i), k_pipeline_depth, opt.gets_per_reader,
         [&](std::uint32_t) {
           return store::store_op{keys[tr.below(keys.size())],
                                  /*is_put=*/false, {}};
         }));
   }
+  tcp_driver drv(ts, std::move(scripts), k_driver_threads);
 
-  const std::uint64_t trigger =
-      (static_cast<std::uint64_t>(opt.W) * opt.puts_per_writer +
-       static_cast<std::uint64_t>(opt.R) * opt.gets_per_reader) /
-      3;
-  tcp_driver drv(ts, std::move(scripts), opt.driver_threads);
-
-  drv.wait_submitted(trigger);
-  // Partition first (it takes the LOW end of the index range; crashes
-  // take the high end, so combined runs exercise disjoint sets).
-  for (std::uint32_t i = 0; i < opt.partition_servers; ++i) {
-    ts.cluster().server(i).set_fault_all(net::conn_fault::pause);
+  // Polled at wait_submitted's cadence until the reshard is done and
+  // every fault fired (or the load ended short of its trigger).
+  const auto give_up = std::chrono::steady_clock::now() + k_drive_deadline;
+  bool resharding = true;
+  while (std::chrono::steady_clock::now() < give_up) {
+    resharding = sched(drv.submitted());
+    if (!resharding && (sched.fired() || !drv.running())) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  for (std::uint32_t i = 0; i < opt.crash_servers; ++i) {
-    ts.cluster().server(opt.S - 1 - i).stop();
-  }
-  if (opt.reshard) {
-    reconfig::coordinator coord(ts);
-    if (!coord.start(make_reshard_plan(opt))) {
-      rep.check = {false, "reshard failed to start: " + coord.error()};
-    } else {
-      const auto give_up = std::chrono::steady_clock::now() + k_drive_deadline;
-      while (!coord.done() && std::chrono::steady_clock::now() < give_up) {
-        coord.step();
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      if (!coord.done()) {
-        rep.check = {false, "reshard did not complete within deadline"};
-      }
-    }
-  }
-  // Heal and restart two thirds of the way in: queued bytes flush and the
-  // stalled ops complete against the full quorum; restarted servers come
-  // back on their ports (replaying snapshot + op log when persist_dir is
-  // set), and the last third checks their state through the checker.
-  drv.wait_submitted(2 * trigger);
-  for (std::uint32_t i = 0; i < opt.partition_servers; ++i) {
-    ts.cluster().server(i).set_fault_all(net::conn_fault::none);
-  }
-  for (std::uint32_t i = 0; opt.restart_crashed && i < opt.crash_servers;
-       ++i) {
-    ts.restart_server(opt.S - 1 - i);
+  if (resharding) {
+    rep.check = {false, "reshard did not complete within deadline"};
   }
 
   rep.op_failures = drv.join();

@@ -1,17 +1,18 @@
 // Seeded, reproducible randomized stress harness: drives any register
 // protocol as a store shard across BOTH transports -- the deterministic
-// simulator (adversarial message reordering or timed uniform delays,
-// mid-run server crashes, link-level minority partitions with a later
-// heal, a live reshard) and the real-socket TCP cluster (pipelined
-// client sessions sharing two client reactors, a stopped server, a pause-fault
-// partition soak with a later heal, a live reshard) -- and
-// verifies every per-key history with the checker the protocol's contract
-// calls for. Each transport's load runs on its one load driver:
-// benchutil/sim_driver.h on the simulator (the fault triggers and the
-// reshard coordinator are its per-round control), benchutil/tcp_driver.h
-// on TCP. The polynomial MWMR checker makes per-key histories of 10^4+
-// operations verifiable, which is the scale where fast-path violations
-// that small histories never hit actually show up.
+// simulator (adversarial message reordering or timed uniform delays) and
+// the real-socket TCP cluster (pipelined client sessions sharing two
+// client reactors) -- under one schedule of mid-run server crashes and
+// restarts, minority isolations with a later heal, and a live reshard,
+// and verifies every per-key history with the checker the protocol's
+// contract calls for. The schedule acts through store::deployment's
+// faults, so it reads the same on both transports. Each transport's load
+// runs on its one load driver: benchutil/sim_driver.h on the simulator
+// (the schedule is its per-round control), benchutil/tcp_driver.h on TCP
+// (the schedule is polled every millisecond). The polynomial MWMR checker
+// makes per-key histories of 10^4+ operations verifiable, which is the
+// scale where fast-path violations that small histories never hit
+// actually show up.
 //
 // Reproducibility contract: every run is a pure function of
 // stress_options::seed. Tests take the seed from FASTREG_STRESS_SEED
@@ -41,35 +42,27 @@ struct stress_options {
   std::uint32_t gets_per_reader{200};
   std::uint64_t seed{1};
   /// Simulator schedule: false = adversarial random reordering, true =
-  /// timed steps with uniform link delays in [delay_lo, delay_hi].
+  /// timed steps with uniform link delays.
   bool timed{false};
-  std::uint64_t delay_lo{5};
-  std::uint64_t delay_hi{80};
-  /// Crash this many servers (<= t) a third of the way into the run
-  /// (sim: world::crash; TCP: node::stop).
+  /// Crash this many servers a third of the way into the run
+  /// (store::deployment::crash_server).
   std::uint32_t crash_servers{0};
-  /// Restart every crashed server two thirds of the way in (sim:
-  /// sim_store::restart_server; TCP: tcp_store::restart_server). With
-  /// persist_dir set the rejoining server replays its snapshot + op log
-  /// before serving (the crash-RECOVERY schedule); without it the server
-  /// rejoins empty, which is only safe because a state-less rejoiner is
-  /// indistinguishable from a still-crashed replica within the t budget.
+  /// Restart every crashed server two thirds of the way in
+  /// (store::deployment::restart_server). With persist_dir set the
+  /// rejoining server replays its snapshot + op log before serving (the
+  /// crash-RECOVERY schedule); without it the server rejoins empty, which
+  /// is only safe because a state-less rejoiner is indistinguishable from
+  /// a still-crashed replica within the t budget.
   bool restart_crashed{false};
-  /// Partition this many servers (<= t, a minority) from EVERY other
-  /// process a third of the way in, and heal two thirds of the way in.
-  /// Sim: link-level cuts (world::partition) -- messages stall in
-  /// transit and arrive in a burst after the heal. TCP: the partitioned
-  /// server's connections are pause-faulted (net::conn_fault::pause) --
-  /// bytes queue on both sides and flush at the heal. Either way the
-  /// protocols' quorum logic must absorb the stale flood without a
-  /// violation. Partitioned servers are taken from the LOW end of the
-  /// index range so a combined crash+partition run (crashes take the
-  /// high end) exercises disjoint sets.
+  /// Isolate this many servers from EVERY other process a third of the
+  /// way in, and heal them two thirds of the way in
+  /// (store::deployment::isolate_server / heal_server): their messages
+  /// are held back, then flush in a burst, and the protocols' quorum
+  /// logic must absorb the stale flood without a violation. Isolated
+  /// servers are taken from the LOW end of the index range so a combined
+  /// crash+partition run (crashes take the high end) exercises disjoint
+  /// sets; crash_servers + partition_servers must be <= t.
   std::uint32_t partition_servers{0};
-  /// TCP: sliding-window depth of each client's pipelined session, and
-  /// the number of driver threads multiplexing all the sessions.
-  std::uint32_t pipeline_depth{4};
-  std::uint32_t driver_threads{8};
   /// Run one live reshard a third of the way in, concurrent with the
   /// workload. Empty reshard_protocols = keep the same protocol and
   /// change only the shard count (epoch bump + routing change); naming
@@ -122,10 +115,9 @@ struct stress_report {
 [[nodiscard]] stress_report run_sim_stress(const stress_options& opt);
 
 /// Runs the workload on the localhost TCP cluster: every client is an
-/// actor of the client node (two reactors for all of them), each drives
-/// a pipelined session
-/// (pipeline_depth ops in flight) through the unified async front-end,
-/// and min(W+R, driver_threads) driver threads multiplex the sessions.
+/// actor of the client node (two reactors for all of them) and drives a
+/// pipelined session through the unified async front-end, and a few
+/// driver threads multiplex the sessions.
 [[nodiscard]] stress_report run_tcp_stress(const stress_options& opt);
 
 /// FASTREG_STRESS_SEED when set, otherwise fresh entropy. Print the seed

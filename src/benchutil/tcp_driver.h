@@ -54,6 +54,8 @@ class tcp_driver {
   /// Sleeps until `n` ops were admitted, every thread finished, or the
   /// deadline passed.
   void wait_submitted(std::uint64_t n) const;
+  /// False once every thread finished.
+  [[nodiscard]] bool running() const { return running_ > 0; }
   /// steady_ns() just before the threads started.
   [[nodiscard]] std::uint64_t start_ns() const { return start_ns_; }
   /// Waits for every thread and returns the failed op count.

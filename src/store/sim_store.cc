@@ -29,13 +29,31 @@ server& sim_store::server_at(std::uint32_t i) {
   return *s;
 }
 
-server& sim_store::restart_server(std::uint32_t i) {
+void sim_store::crash_server(std::uint32_t k) { world_.crash(server_id(k)); }
+
+void sim_store::restart_server(std::uint32_t k) {
   // make_server consults the protocol's CURRENT map (maps_->get()), so a
   // rejoin after a reshard fences against the latest epoch, not the
   // deployment-time one.
-  world_.restart(server_id(i),
-                 proto_.make_server(proto_.config().base, i));
-  return server_at(i);
+  world_.restart(server_id(k),
+                 proto_.make_server(proto_.config().base, k));
+}
+
+void sim_store::isolate_server(std::uint32_t k) { cut_links(k, true); }
+
+void sim_store::heal_server(std::uint32_t k) { cut_links(k, false); }
+
+void sim_store::cut_links(std::uint32_t k, bool cut) {
+  // Clients and the rest of the fleet (servers gossip in the maxmin
+  // family).
+  const auto link = cut ? &sim::world::partition : &sim::world::heal;
+  const process_id srv = server_id(k);
+  const auto& cfg = proto_.config().base;
+  for (std::uint32_t j = 0; j < cfg.W(); ++j) (world_.*link)(srv, writer_id(j));
+  for (std::uint32_t i = 0; i < cfg.R(); ++i) (world_.*link)(srv, reader_id(i));
+  for (std::uint32_t i = 0; i < cfg.S(); ++i) {
+    if (i != k) (world_.*link)(srv, server_id(i));
+  }
 }
 
 bool sim_store::visit(const process_id& p, const visit_fn& fn) {

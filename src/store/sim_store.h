@@ -9,10 +9,12 @@
 // world().deliver ran that step.
 //
 // Scheduling is the world's (random or timed); the usual drivers
-// (adversary surgery, crash injection) work on the underlying world.
+// (adversary surgery, crash_after_sends) work on the underlying world.
 //
 // As a deployment, a visit is a direct call between world steps and a
-// step is world::invoke_step, both refused for a crashed process.
+// step is world::invoke_step, both refused for a crashed process. A crash
+// is world::crash; an isolation is a world::partition between the server
+// and every other process.
 #pragma once
 
 #include "sim/world.h"
@@ -38,16 +40,14 @@ class sim_store final : public deployment {
   [[nodiscard]] store_protocol& proto() override { return proto_; }
   [[nodiscard]] bool visit(const process_id& p, const visit_fn& fn) override;
   [[nodiscard]] bool step(const process_id& p, const step_fn& fn) override;
+  void crash_server(std::uint32_t k) override;
+  void restart_server(std::uint32_t k) override;
+  void isolate_server(std::uint32_t k) override;
+  void heal_server(std::uint32_t k) override;
 
   [[nodiscard]] client& reader_client(std::uint32_t i);
   [[nodiscard]] client& writer_client(std::uint32_t i);
   [[nodiscard]] server& server_at(std::uint32_t i);
-
-  /// Restarts server i (typically after world().crash): builds a fresh
-  /// server automaton under the CURRENT shard map -- replaying its
-  /// persistent log + snapshot when config().persist is enabled, empty
-  /// otherwise -- and swaps it in un-crashed. Returns the new server.
-  server& restart_server(std::uint32_t i);
 
   // ------------------------------------------------------------- schedules --
   /// The world's schedules. Return the number of steps executed.
@@ -71,6 +71,8 @@ class sim_store final : public deployment {
 
  private:
   client& client_at(const process_id& p);
+  /// Partitions (cut) or heals every link between server k and the rest.
+  void cut_links(std::uint32_t k, bool cut);
 
   store_protocol proto_;
   sim::world world_;

@@ -9,11 +9,13 @@
 // installs new epochs into it (after installing them on every server).
 //
 // store::deployment is how code outside the data path -- the reshard
-// coordinator -- acts on the processes of one concrete deployment
-// (sim_store, tcp_store). The paper's model acts on a process only by a
-// step <p, M>; a deployment offers that step, plus a visit between steps
-// for actions that send nothing, and refuses both for a crashed or
-// stopped process.
+// coordinator, the stress schedule -- acts on the processes of one
+// concrete deployment (sim_store, tcp_store). The paper's model acts on a
+// process only by a step <p, M>; a deployment offers that step, plus a
+// visit between steps for actions that send nothing, and refuses both for
+// a crashed or stopped process. It also spells the model's two faults
+// once for both transports: a server crash (with a restart that rebuilds
+// it) and a server whose messages are held back (isolate, then heal).
 #pragma once
 
 #include <functional>
@@ -86,6 +88,18 @@ class deployment {
   /// step hook of any session open on p runs after it. False, without
   /// running `fn`, when p is crashed or stopped.
   [[nodiscard]] virtual bool step(const process_id& p, const step_fn& fn) = 0;
+
+  /// Server k takes no further step; visit and step refuse it.
+  virtual void crash_server(std::uint32_t k) = 0;
+  /// Rebuilds server k under the current shard map, replaying its
+  /// snapshot + op log when persistence is on (empty otherwise), and lets
+  /// it step again. For a crashed server.
+  virtual void restart_server(std::uint32_t k) = 0;
+  /// Holds back every message between server k and any other process;
+  /// k keeps running and nothing is lost.
+  virtual void isolate_server(std::uint32_t k) = 0;
+  /// Ends isolate_server(k): the held-back messages flow again.
+  virtual void heal_server(std::uint32_t k) = 0;
 
  protected:
   /// Deployments are owned as themselves, never through this interface.

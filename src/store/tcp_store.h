@@ -26,7 +26,9 @@
 //
 // As a deployment, both a visit and a step run on the process's reactor
 // (net::node::run_on_reactor), so they serialize with live traffic and
-// may come from any thread; a stopped node refuses them.
+// may come from any thread; a stopped node refuses them. A crash is
+// node::stop; an isolation pause-faults every connection of the server
+// (net::conn_fault::pause: bytes queue on both sides until the heal).
 #pragma once
 
 #include <memory>
@@ -50,12 +52,6 @@ class tcp_store final : public deployment {
   void start() { cluster_.start(); }
   void stop() { cluster_.stop(); }
 
-  /// Restarts server i's node on its original port with a freshly built
-  /// store server automaton -- replaying its op log + snapshot when
-  /// config().persist is enabled (the rejoin-with-state path), empty
-  /// otherwise. Use after cluster().server(i).stop() killed it mid-run.
-  void restart_server(std::uint32_t i) { cluster_.restart_server(i); }
-
   [[nodiscard]] const store_config& config() const {
     return proto_.config();
   }
@@ -63,6 +59,17 @@ class tcp_store final : public deployment {
   [[nodiscard]] store_protocol& proto() override { return proto_; }
   [[nodiscard]] bool visit(const process_id& p, const visit_fn& fn) override;
   [[nodiscard]] bool step(const process_id& p, const step_fn& fn) override;
+  void crash_server(std::uint32_t k) override { cluster_.server(k).stop(); }
+  /// Rebinds the node's original port; clients reconnect lazily.
+  void restart_server(std::uint32_t k) override {
+    cluster_.restart_server(k);
+  }
+  void isolate_server(std::uint32_t k) override {
+    cluster_.server(k).set_fault_all(net::conn_fault::pause);
+  }
+  void heal_server(std::uint32_t k) override {
+    cluster_.server(k).set_fault_all(net::conn_fault::none);
+  }
 
   /// The pipelined front-end over this deployment; every session from it
   /// logs into the deployment's op log, so gather() sees all of them.

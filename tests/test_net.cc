@@ -1373,7 +1373,7 @@ TEST(Cluster, ServerStopModelsCrashToleratedByQuorum) {
   register_client w(ts.frontend(), writer_id(0));
   register_client r(ts.frontend(), reader_id(0));
   ASSERT_TRUE(w.write("before-crash"));
-  ts.cluster().server(0).stop();  // one server goes dark: within t = 1
+  ts.crash_server(0);  // one server goes dark: within t = 1
   ASSERT_TRUE(w.write("after-crash"));
   const auto r0 = r.read();
   ASSERT_TRUE(r0.has_value());

@@ -1069,10 +1069,11 @@ std::size_t run_sim_kill_restart(
       [&](std::uint64_t invoked) {
         if (!crashed && invoked >= total / 3) {
           crashed = true;
-          s.world().crash(server_id(4));
+          s.crash_server(4);
         }
         if (crashed && recovered == 0 && invoked >= 2 * total / 3) {
-          auto& ns = s.restart_server(4);
+          s.restart_server(4);
+          auto& ns = s.server_at(4);
           recovered = ns.recovered_objects();
           if (on_restart) on_restart(ns);
         }

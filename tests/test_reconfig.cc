@@ -549,7 +549,7 @@ TEST(SimReconfig, CrashedServerMidReshardStillCompletes) {
     steps += s.run_random(r, 1);
   }
   ASSERT_FALSE(coord.done());  // still migrating when the crash hits
-  s.world().crash(server_id(6));
+  s.crash_server(6);
   clients.get(1, "k3");
   drive_reconfig(s, coord, r);
   EXPECT_TRUE(coord.done());
@@ -579,7 +579,7 @@ TEST(SimReconfig, ServerCrashedForEntireMigration) {
   for (const auto& k : keys) clients.put(0, k, k + std::to_string(++seq));
   run_until_idle(s, r);
 
-  s.world().crash(server_id(3));
+  s.crash_server(3);
   coordinator coord(s, keys);
   ASSERT_TRUE(coord.start(reconfig_plan{3, {"fast_swmr"}})) << coord.error();
   clients.put(0, "a", "during");
@@ -601,8 +601,8 @@ TEST(SimReconfig, TooManyCrashedServersRefusedUpFront) {
   store::test::sim_clients clients(s, r);
   clients.put(0, "k", "v");
   run_until_idle(s, r);
-  s.world().crash(server_id(0));
-  s.world().crash(server_id(1));  // 3 of 5 reachable < quorum 4
+  s.crash_server(0);
+  s.crash_server(1);  // 3 of 5 reachable < quorum 4
   coordinator coord(s, {"k"});
   EXPECT_FALSE(coord.start(reconfig_plan{1, {"fast_swmr"}}));
   EXPECT_NE(coord.error().find("quorum"), std::string::npos);
@@ -892,7 +892,7 @@ TEST(TcpReconfig, ReshardCompletesWithServerCrashedThroughout) {
   for (const auto& k : keys) {
     ASSERT_TRUE(store::test::put_one(fe, 0, k, k + ":0"));
   }
-  ts.cluster().server(4).stop();  // crashed for the whole reshard
+  ts.crash_server(4);  // crashed for the whole reshard
 
   std::atomic<bool> stop{false};
   std::thread writer([&] {

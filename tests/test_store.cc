@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <tuple>
 #include <thread>
@@ -290,7 +293,7 @@ TEST(SimStore, MaxminGathersStayBoundedWhileAServerIsDown) {
   // gathers: every live server holds at most R per object throughout.
   const store_config cfg = small_cfg({"maxmin"}, 2, /*R=*/2, /*S=*/5);
   sim_store s(cfg);
-  s.world().crash(server_id(4));
+  s.crash_server(4);
   rng r(11);
   sim_frontend fe(s, r);
   sim::uniform_delay d(50, 150);
@@ -754,7 +757,83 @@ TEST(SimStore, PutGetAndMultiGetThroughBlockingHelper) {
   run_helper_script(fe);
 }
 
+// --------------------------------------------------- fault vocabulary
+
+/// Server k's timestamp for `obj`, read in a deployment visit: nullopt
+/// when k is down, k_initial_ts while it holds no replica.
+std::optional<ts_t> replica_ts(deployment& d, std::uint32_t k,
+                               object_id obj) {
+  ts_t ts = k_initial_ts;
+  const bool up = d.visit(server_id(k), [&](automaton& a) {
+    const automaton* rep = dynamic_cast<server&>(a).replica(obj);
+    if (rep != nullptr) {
+      ts = dynamic_cast<const seedable&>(*rep).peek_state().ts;
+    }
+  });
+  if (!up) return std::nullopt;
+  return ts;
+}
+
+/// The four faults of store::deployment, the same on both transports,
+/// checked through the deployment alone (S = 5, t = 1, one abd
+/// register). `settle(done)` lets held-back messages land and returns
+/// done().
+void run_fault_script(deployment& d, store_frontend& fe,
+                      const std::function<bool(
+                          const std::function<bool()>&)>& settle) {
+  const std::string key = "reg";
+  const object_id obj = key_object_id(key);
+  const auto noop = [](automaton&) {};
+
+  d.crash_server(4);
+  EXPECT_FALSE(d.visit(server_id(4), noop));
+  ASSERT_TRUE(test::put_one(fe, 0, key, "v1"));
+  ASSERT_TRUE(test::get_one(fe, 0, key).has_value());
+
+  d.restart_server(4);
+  EXPECT_TRUE(d.visit(server_id(4), noop));
+
+  // The put completes on servers 1-4 while server 0's copy stays behind.
+  d.isolate_server(0);
+  ASSERT_TRUE(test::put_one(fe, 0, key, "v2"));
+  const auto got = test::get_one(fe, 0, key);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->val, "v2");
+  const auto held = replica_ts(d, 0, obj);
+  ASSERT_TRUE(held.has_value());
+  EXPECT_LT(*held, got->ts);
+
+  d.heal_server(0);
+  EXPECT_TRUE(settle([&] { return replica_ts(d, 0, obj) >= got->ts; }));
+  EXPECT_TRUE(fe.gather().verify().ok);
+}
+
+TEST(SimStore, FaultVocabularyCrashRestartIsolateHeal) {
+  sim_store s(small_cfg({"abd"}, 1, /*R=*/1, /*S=*/5));
+  rng r(5);
+  sim_frontend fe(s, r);
+  run_fault_script(s, fe, [&](const std::function<bool()>& done) {
+    while (!s.idle() && s.run_random(r) > 0) {
+    }
+    return done();
+  });
+}
+
 // -------------------------------------------------------------- TCP store
+
+TEST(TcpStore, FaultVocabularyCrashRestartIsolateHeal) {
+  tcp_store ts(small_cfg({"abd"}, 1, /*R=*/1, /*S=*/5));
+  ts.start();
+  run_fault_script(ts, ts.frontend(), [](const std::function<bool()>& done) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done() && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return done();
+  });
+  ts.stop();
+}
 
 TEST(TcpStore, PutGetAndMultiGetOverSockets) {
   tcp_store ts(small_cfg({"fast_swmr", "abd"}, 4, /*R=*/2, /*S=*/5));

@@ -225,6 +225,20 @@ TEST(StressSoak, MwmrTcpCrashAndReshardMidRun) {
   EXPECT_EQ(rep.final_epoch, 1u) << rep.describe();
 }
 
+TEST(StressSoak, MwmrTcpPartitionAndReshardMidRun) {
+  // The heal at two thirds may land while the reshard started at a third
+  // is still running: the coordinator's steps on the server reactors race
+  // the heal's fault change.
+  auto opt = mwmr_base("soak_mwmr_tcp_partition_reshard");
+  opt.partition_servers = 1;
+  opt.reshard = true;
+  opt.puts_per_writer = stress_iters(250);
+  opt.gets_per_reader = stress_iters(250);
+  const auto rep = run_tcp_stress(opt);
+  expect_ok(rep);
+  EXPECT_EQ(rep.final_epoch, 1u) << rep.describe();
+}
+
 // --------------------------------- crash, restart-with-state, verify --
 
 /// Scratch durability directory for one soak run, removed afterwards.
@@ -261,8 +275,8 @@ TEST(StressSoak, MwmrSimCrashThenRestartWithDurableState) {
 }
 
 TEST(StressSoak, MwmrTcpCrashThenRestartWithDurableState) {
-  // Same schedule over real sockets: node::stop mid-load, then
-  // tcp_store::restart_server rebinds the original port and replays;
+  // Same schedule over real sockets: crash_server stops the node
+  // mid-load, then restart_server rebinds the original port and replays;
   // clients reconnect lazily and every history must still linearize.
   soak_dir dir("tcp_restart");
   auto opt = mwmr_base("soak_mwmr_tcp_restart");
