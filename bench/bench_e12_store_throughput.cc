@@ -7,20 +7,17 @@
 // one transport unit). Part 2 (localhost TCP): the same shape on real
 // sockets, wall-clock microseconds.
 // Part 3 (E12c) isolates the pipelined client depth on an 8-session
-// workload whose rows vary ONLY that depth (1 and 8); every connection
-// flushes in the step that queued its frames, so its frames/writev
-// column reads ~1.00. Part 4 (E12d) is the connection fan-in test for
-// the sharded reactor pool: 1000+ pipelined client sessions from ONE
-// process (a 4-reactor hub node) against the same server fleet run with
-// 1 reactor vs 4 reactors per node, equal connection count -- the
-// multi-reactor row must at least match the single-reactor row's
-// aggregate ops/s. `--smoke` runs a seconds-scale E12c (both depths,
-// fewer rounds) plus E12d (the Release CI job uses it as a link/run
-// sanity check and as the 1k-connection gate).
+// workload whose rows vary ONLY that depth (1 and 8); each session has a
+// client reactor, and so connections, of its own, so its frames/writev
+// column reads ~1.00. Part 4 (E12d) is the session fan-in test for the
+// sharded reactor pool: 1000 pipelined client sessions from ONE process
+// (a 4-reactor hub node, one connection per hub reactor and server)
+// against the same server fleet run with 1 reactor vs 4 reactors per
+// node. `--smoke` runs a seconds-scale E12c (both depths, fewer rounds)
+// plus E12d (the Release CI job uses it as a link/run sanity check and
+// as the 1k-session gate).
 // TCP rows run on the one TCP load driver; latencies are the op log's.
 // Exits 1 (`E12 FAILED:` on stderr) when a row is not atomic or lost ops.
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -264,24 +261,11 @@ void run_wire_knob_part(bool smoke) {
               "(a session begins every op of a step inside one batch "
               "frame per server, so up to 8 in-flight ops share a round's "
               "frames); frames/writev ~= 1.00 at both depths, because "
-              "every connection flushes in the step that queued its "
-              "frames.\n");
+              "each session runs on a client reactor of its own, whose "
+              "connections carry one frame per step.\n");
 }
 
-// --------------------------------------------- E12d: connection fan-in --
-
-/// 1000+ sockets per side live in one process; lift RLIMIT_NOFILE as
-/// close to `want` as the hard limit allows (CI also raises `ulimit -n`
-/// so the hard limit itself is not the ceiling there).
-void raise_fd_limit(rlim_t want) {
-  rlimit rl{};
-  if (getrlimit(RLIMIT_NOFILE, &rl) != 0) return;
-  if (rl.rlim_cur >= want) return;
-  rlimit nrl = rl;
-  nrl.rlim_cur =
-      rl.rlim_max == RLIM_INFINITY ? want : std::min(want, rl.rlim_max);
-  if (nrl.rlim_cur > rl.rlim_cur) (void)setrlimit(RLIMIT_NOFILE, &nrl);
-}
+// ------------------------------------------------ E12d: session fan-in --
 
 /// Live sum of every fastreg_net_reactor_connections series belonging to
 /// a server node (labels render as node="s1", node="s2", ...).
@@ -298,13 +282,12 @@ void run_fanin_part(bool smoke) {
   const std::uint32_t depth = 4;
   const std::uint32_t drivers = 8;
   std::printf(
-      "E12d: connection fan-in -- %u pipelined reader sessions (depth %u) "
+      "E12d: session fan-in -- %u pipelined reader sessions (depth %u) "
       "from one process on a 4-reactor hub node, against S=3 abd servers "
       "run with 1 vs 4 reactors each (equal connection count, %u driver "
       "threads, %u gets/session + %u puts from one depth-1 writer "
       "session).\n\n",
       sessions, depth, drivers, ops_per, writer_rounds);
-  raise_fd_limit(4 * (sessions + 64));
 
   table t({"server_reactors", "sessions", "server_conns", "ops/s",
            "get_p50_us", "vs_1reactor", "failed", "atomic"});
@@ -340,8 +323,8 @@ void run_fanin_part(bool smoke) {
           }));
     }
     const auto row = drive(ts, std::move(scripts), drivers);
-    // A client's connections belong to its actor on the hub node, not
-    // to the session, so they are all still live here.
+    // A hub reactor's connections outlive the sessions, so they are all
+    // still live here.
     const double conns = server_connections_now() - conns0;
     if (base_ops == 0) base_ops = row.ops_s;
     t.add_row({std::to_string(sreact), std::to_string(sessions),
@@ -351,12 +334,13 @@ void run_fanin_part(bool smoke) {
     ts.stop();
   }
   t.print();
-  std::printf("\nexpected shape: server_conns = sessions x 3 servers "
-              "(>= 1000 per server node, all live at once); the 4-reactor "
-              "row's ops/s at least matches the 1-reactor row at equal "
-              "connections -- the accept loop deals connections "
-              "round-robin across the pool, so the fan-in load spreads "
-              "instead of serializing on one epoll thread.\n\n");
+  std::printf("\nexpected shape: server_conns = hub_reactors x 3 servers "
+              "= 12 in both rows, however many sessions: each hub reactor "
+              "carries all of its sessions over one connection per "
+              "server. vs_1reactor is what spreading a server node's 4 "
+              "connections round-robin over 4 reactors buys over serving "
+              "them on one epoll thread; failed 0 and atomic yes in both "
+              "rows.\n\n");
 }
 
 // ------------------------------------------ --obs-check: telemetry gate --
@@ -509,7 +493,7 @@ int main(int argc, char** argv) {
   if (smoke) {
     // Link/run sanity for the Release CI job: the full wire path end to
     // end (sim + TCP + pipeline), seconds not minutes, plus the
-    // 1k-connection fan-in gate against the 4-reactor servers.
+    // 1k-session fan-in gate against the 4-reactor servers.
     run_wire_knob_part(/*smoke=*/true);
     run_fanin_part(/*smoke=*/true);
   } else {

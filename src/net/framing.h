@@ -1,14 +1,19 @@
 // Length-prefixed framing for protocol messages over TCP.
 //
 // Frame layout: u32 length (LE) | u8 kind | payload.
-//   kind 0 (hello): payload = sender process_id. Sent once per connection
-//                   so the acceptor learns who is on the other end.
-//   kind 2 (batch): payload = sender process_id + u32 count + count
-//                   encoded messages. Every send is one such frame (a
-//                   one-message send is a frame of count 1) and is
-//                   delivered as one automaton step, so a burst of store
-//                   traffic to one destination pays the frame and syscall
-//                   overhead once.
+//   kind 0 (hello): payload = sender process_id. Sent by each actor
+//                   before its first batch frame on a connection, so the
+//                   acceptor learns which connection reaches it (one
+//                   connection may carry many actors).
+//   kind 2 (batch): payload = process_id + u32 count + count encoded
+//                   messages. The process_id names the connection's
+//                   client-side actor: the sender on the way to the
+//                   acceptor, the addressee on the way back (whose sender
+//                   is the process the connection was opened to). Every
+//                   send is one such frame (a one-message send is a frame
+//                   of count 1) and is delivered as one automaton step, so
+//                   a burst of store traffic to one destination pays the
+//                   frame and syscall overhead once.
 // Kind 1 is retired: a frame of any kind other than 0 or 2 is malformed,
 // and so is a payload with bytes left over after its last field.
 #pragma once
@@ -33,6 +38,7 @@ void preheat_framing_metrics();
 
 struct frame {
   frame_kind kind{frame_kind::batch};
+  /// The process id the frame names (see the layout above).
   process_id from{};
   /// The frame's messages are the first `count` (non-zero for
   /// kind::batch). A frame drain() lends keeps decoded messages of

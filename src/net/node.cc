@@ -10,6 +10,7 @@
 #include <cstring>
 #include <iterator>
 #include <span>
+#include <utility>
 
 #include "common/check.h"
 #include "common/clock.h"
@@ -40,6 +41,7 @@ void node::init_reactors() {
     auto r = std::make_unique<reactor>();
     r->index = i;
     r->owner = this;
+    r->out_to_server.resize(cfg_.S());
     r->epoll_fd.reset(::epoll_create1(0));
     FASTREG_CHECK(r->epoll_fd.valid());
     r->event_fd.reset(::eventfd(0, EFD_NONBLOCK));
@@ -107,6 +109,8 @@ std::size_t node::add_actor(std::unique_ptr<automaton> a) {
   st->rec = &obs::recorder_for(st->self);
   st->port.n = this;
   st->port.a = st.get();
+  st->introduced.assign(std::size_t{opt_.reactors} * cfg_.S(), 0);
+  reactors_[st->home_reactor]->homed.emplace(st->self, st.get());
   if (actors_.empty()) {
     // The first actor names the node (log tag, metric labels).
     self_ = st->self;
@@ -269,12 +273,24 @@ void node::mark_step(reactor& r, actor_state& a) {
 }
 
 void node::run_marked_hooks(reactor& r) {
-  // A hook never marks: marks come only from deliveries and tasks.
+  // A hook never marks: marks come only from deliveries and tasks. A
+  // lone hook has no other session's frames to share a writev with: its
+  // connections flush in its step, as every other step's do.
+  r.defer_flush = r.marked.size() > 1;
   for (actor_state* a : r.marked) {
     a->hook_marked = false;
     run_step_hook(*a);
   }
   r.marked.clear();
+  r.defer_flush = false;
+  // Every hook's frames to a server share the connection: one writev.
+  for (const int fd : r.dirty) {
+    if (auto it = r.conns.find(fd); it != r.conns.end() && it->second.dirty) {
+      it->second.dirty = false;
+      flush(r, fd, it->second);
+    }
+  }
+  r.dirty.clear();
 }
 
 // ------------------------------------------------------------------ reactor --
@@ -391,9 +407,6 @@ void node::adopt_inbound(reactor& r, unique_fd fd) {
   if (cfd < 0) return;  // raced with a shutdown path that closed it
   connection c;
   c.fd = std::move(fd);
-  // Inbound traffic steps the node's primary automaton (servers host
-  // exactly one); the client node never listens.
-  c.owner = actors_.empty() ? nullptr : actors_[0].get();
   c.serial = next_conn_serial_.fetch_add(1, std::memory_order_relaxed);
   c.fault = default_fault_.load(std::memory_order_relaxed);
   c.epoll_mask = c.fault == conn_fault::pause ? 0u : EPOLLIN;
@@ -433,8 +446,6 @@ void node::handle_readable(reactor& r, int fd) {
       if (static_cast<std::size_t>(n) < sizeof buf) return;
     }
   }
-  actor_state* owner = c.owner;
-  FASTREG_CHECK(owner != nullptr);
   bool reset = false;
   for (;;) {
     const ssize_t n = ::read(fd, buf, sizeof buf);
@@ -451,38 +462,54 @@ void node::handle_readable(reactor& r, int fd) {
     // Frames parse IN PLACE from the read buffer (only a trailing
     // partial frame is copied aside); the automaton steps run inside the
     // drain callback, so a burst of frames in one read is one pass over
-    // the bytes. The step mutex is uncontended for client actors (their
-    // whole data path lives on this reactor); it serializes a server
-    // automaton stepped from several reactors.
+    // the bytes.
     r.drain_guard_fd = fd;
-    {
-      std::lock_guard<std::mutex> step(owner->step_mu);
-      c.in.drain(buf, static_cast<std::size_t>(n), [&](const frame& f) {
-        wm_.frames_in->inc();
-        // A server index at or beyond S names no process of this
-        // deployment, and automata count acks by server index in a
-        // server_set, whose insert rejects an index past its mask: such a
-        // frame is malformed. Skip it and keep the stream.
-        if (f.from.is_server() && f.from.index >= cfg_.S()) {
+    c.in.drain(buf, static_cast<std::size_t>(n), [&](const frame& f) {
+      wm_.frames_in->inc();
+      // A server index at or beyond S names no process of this
+      // deployment, and automata count acks by server index in a
+      // server_set, whose insert rejects an index past its mask: such a
+      // frame is malformed. Skip it and keep the stream.
+      if (f.from.is_server() && f.from.index >= cfg_.S()) {
+        wm_.malformed_frames->inc();
+        return;
+      }
+      if (c.server < 0 && f.kind == frame_kind::hello) {
+        std::lock_guard<std::mutex> route(route_mu_);
+        inbound_by_peer_[f.from] = conn_ref{r.index, fd, c.serial};
+        return;
+      }
+      // Inbound frames step the node's one server automaton, from the
+      // sender they name. An outbound connection's frame steps the actor
+      // it names, from the server the connection was opened to.
+      actor_state* a = actors_[0].get();
+      process_id from = f.from;
+      if (c.server >= 0) {
+        const auto it = r.homed.find(f.from);
+        if (f.kind == frame_kind::hello || it == r.homed.end()) {
           wm_.malformed_frames->inc();
           return;
         }
-        if (f.kind == frame_kind::hello) {
-          c.peer = f.from;
-          std::lock_guard<std::mutex> route(route_mu_);
-          inbound_by_peer_[f.from] = conn_ref{r.index, fd, c.serial};
-          return;
-        }
-        // Every other frame parse_one lets through is a non-empty batch:
-        // one send, delivered as one step. Its messages are the
-        // connection's kept ones, which the next frame decodes over: the
-        // step must not keep a span of them.
+        a = it->second;
+        from = server_id(static_cast<std::uint32_t>(c.server));
+      }
+      // Every other frame parse_one lets through is a non-empty batch:
+      // one send, delivered as one step. Its messages are the
+      // connection's kept ones, which the next frame decodes over: the
+      // step must not keep a span of them. The step mutex is uncontended
+      // for client actors (their whole data path lives on this reactor);
+      // it serializes a server automaton stepped from several reactors.
+      {
+        std::lock_guard<std::mutex> step(a->step_mu);
         if (obs::recording_active()) {
-          record_batch(*owner->rec, obs::rec_event::recv, f.from, f.msgs());
+          record_batch(*a->rec, obs::rec_event::recv, from, f.msgs());
         }
-        owner->automaton_->on_batch(owner->port, f.from, f.msgs());
-      });
-    }
+        a->automaton_->on_batch(a->port, from, f.msgs());
+      }
+      // Off its home reactor, mark_step runs the hook, which takes the
+      // step mutex again: only once it is released.
+      mark_step(r, *a);
+    });
     r.drain_guard_fd = -1;
     if (r.drain_close_pending || c.in.corrupt()) {
       reset = true;
@@ -503,8 +530,6 @@ void node::handle_readable(reactor& r, int fd) {
               to_string(self_).c_str(), fd);
     close_conn(r, fd);
   }
-  // Even after a close: frames drained before it may have completed ops.
-  mark_step(r, *owner);
 }
 
 void node::handle_writable(reactor& r, int fd) {
@@ -579,20 +604,15 @@ void node::close_conn(reactor& r, int fd) {
   }
   auto it = r.conns.find(fd);
   if (it == r.conns.end()) return;
-  if (it->second.peer) {
-    // Only erase the route if it still points at THIS connection (the
-    // peer may have reconnected already, on any reactor).
+  if (it->second.server < 0) {
+    // Erase the routes of every client that introduced itself on THIS
+    // connection (one may have reconnected already, on any reactor).
     std::lock_guard<std::mutex> route(route_mu_);
-    if (auto rit = inbound_by_peer_.find(*it->second.peer);
-        rit != inbound_by_peer_.end() &&
-        rit->second.serial == it->second.serial) {
-      inbound_by_peer_.erase(rit);
-    }
+    std::erase_if(inbound_by_peer_, [&](const auto& kv) {
+      return kv.second.serial == it->second.serial;
+    });
   }
-  // Actor out_to_server entries are NOT touched here: they are guarded
-  // by the owning actor's step mutex, which this reactor may not take
-  // mid-step. Stale refs are detected by serial mismatch at the next
-  // send and lazily invalidated there.
+  // r.out_to_server is validated by serial at the next send.
   rm_[r.index].epoll_ctls->inc();
   ::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_DEL, fd, nullptr);
   wm_.backlog_bytes->add(-static_cast<std::int64_t>(it->second.out.bytes()));
@@ -727,29 +747,24 @@ void node::route_from(actor_state& a, const process_id& to,
   reactor* cur = current_reactor();
   FASTREG_CHECK(cur != nullptr);
   if (to.is_server()) {
-    if (auto it = a.out_to_server.find(to.index);
-        it != a.out_to_server.end()) {
-      const conn_ref ref = it->second;
-      if (ref.reactor != cur->index) {
-        ship_to(ref, a, static_cast<int>(to.index), msgs);
-        return;
-      }
-      if (auto cit = cur->conns.find(ref.fd);
-          cit != cur->conns.end() && cit->second.serial == ref.serial) {
-        queue_frames(*cur, ref.fd, cit->second, a.self, msgs);
-        return;
-      }
-      // Stale (connection closed; fd possibly recycled): reconnect.
-      a.out_to_server.erase(to.index);
-    }
-    const conn_ref ref = open_to_server(*cur, a, to.index);
+    FASTREG_EXPECTS(to.index < cfg_.S());
+    const conn_ref ref = cur->out_to_server[to.index];
     auto cit = cur->conns.find(ref.fd);
-    FASTREG_CHECK(cit != cur->conns.end());
-    queue_frames(*cur, ref.fd, cit->second, a.self, msgs);
+    connection& c = cit != cur->conns.end() && cit->second.serial == ref.serial
+                        ? cit->second
+                        : open_to_server(*cur, to.index);
+    // Introduce the ACTOR (the connection carries every actor sending
+    // from this reactor) before its first frame, so the server can route
+    // its replies back.
+    std::uint64_t& introduced =
+        a.introduced[std::size_t{cur->index} * cfg_.S() + to.index];
+    const bool hello = introduced != c.serial;
+    introduced = c.serial;
+    queue_frames(*cur, c.fd.get(), c, a.self, msgs, hello);
     return;
   }
-  // Replies to clients (or servers acting as clients of this server) go
-  // over the connection they introduced themselves on.
+  // Replies to clients go over the connection they introduced themselves
+  // on, naming the addressee: the connection may carry many clients.
   conn_ref ref{};
   bool found = false;
   {
@@ -765,19 +780,19 @@ void node::route_from(actor_state& a, const process_id& to,
     return;
   }
   if (ref.reactor != cur->index) {
-    ship_to(ref, a, /*server_index=*/-1, msgs);
+    ship_to(ref, to, msgs);
     return;
   }
   if (auto cit = cur->conns.find(ref.fd);
       cit != cur->conns.end() && cit->second.serial == ref.serial) {
-    queue_frames(*cur, ref.fd, cit->second, a.self, msgs);
+    queue_frames(*cur, ref.fd, cit->second, to, msgs);
     return;
   }
   LOG_DEBUG("%s: route to %s went away; dropping frame",
             to_string(a.self).c_str(), to_string(to).c_str());
 }
 
-void node::ship_to(const conn_ref& ref, actor_state& a, int server_index,
+void node::ship_to(const conn_ref& ref, const process_id& to,
                    message_refs msgs) {
   // The connection lives on another reactor: the frames must be encoded
   // into its chain by the owning thread. Ship copies of the messages
@@ -792,66 +807,49 @@ void node::ship_to(const conn_ref& ref, actor_state& a, int server_index,
   auto copies = std::make_shared<std::vector<message>>();
   copies->reserve(msgs.size());
   for (const message* m : msgs) copies->push_back(*m);
-  post_to(r, [this, &a, ref, server_index, copies] {
+  post_to(r, [this, to, ref, copies] {
     reactor& owner = *reactors_[ref.reactor];
     auto it = owner.conns.find(ref.fd);
-    if (it == owner.conns.end() || it->second.serial != ref.serial) {
-      // Dropped; protocols retry / quorum-cover the loss. Invalidate the
-      // actor's stale server route so its next send reconnects.
-      if (server_index >= 0) {
-        std::lock_guard<std::mutex> step(a.step_mu);
-        if (auto o =
-                a.out_to_server.find(static_cast<std::uint32_t>(server_index));
-            o != a.out_to_server.end() && o->second.serial == ref.serial) {
-          a.out_to_server.erase(o);
-        }
-      }
-      return;
-    }
+    // Dropped; protocols retry / quorum-cover the loss.
+    if (it == owner.conns.end() || it->second.serial != ref.serial) return;
     rm_[owner.index].ships_in->inc();
     std::vector<const message*> refs;
     refs.reserve(copies->size());
     for (const auto& m : *copies) refs.push_back(&m);
-    queue_frames(owner, ref.fd, it->second, a.self, refs);
+    queue_frames(owner, ref.fd, it->second, to, refs);
   });
 }
 
-node::conn_ref node::open_to_server(reactor& r, actor_state& a,
-                                    std::uint32_t index) {
+node::connection& node::open_to_server(reactor& r, std::uint32_t index) {
   FASTREG_EXPECTS(index < book_->server_ports.size());
   unique_fd fd = connect_to(book_->server_ports[index]);
   const int raw = fd.get();
   connection c;
   c.fd = std::move(fd);
   c.connecting = true;
-  c.owner = &a;
+  c.server = static_cast<int>(index);
   c.serial = next_conn_serial_.fetch_add(1, std::memory_order_relaxed);
   c.fault = default_fault_.load(std::memory_order_relaxed);
   c.epoll_mask = c.fault == conn_fault::pause ? 0u : (EPOLLIN | EPOLLOUT);
   epoll_event ev{};
   ev.events = c.epoll_mask;
   ev.data.fd = raw;
-  r.conns.emplace(raw, std::move(c));
+  auto& cref = r.conns.emplace(raw, std::move(c)).first->second;
   rm_[r.index].connections->add(1);
   rm_[r.index].epoll_ctls->inc();
   ::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_ADD, raw, &ev);
-  // Introduce the ACTOR (not the node: a client node hosts many) so the
-  // server can route replies back. The hello must precede any frame on
-  // this connection: it is appended first and leaves in the same writev
-  // as the frames that triggered the connect.
-  auto& cref = r.conns.find(raw)->second;
-  append_hello_frame(cref.out.tail_for(64), a.self);
-  wm_.frames_out->inc();
-  wm_.backlog_bytes->add(static_cast<std::int64_t>(cref.out.bytes()));
-  const conn_ref ref{r.index, raw, cref.serial};
-  a.out_to_server[index] = ref;
-  return ref;
+  r.out_to_server[index] = conn_ref{r.index, raw, cref.serial};
+  return cref;
 }
 
 void node::queue_frames(reactor& r, int fd, connection& c,
-                        const process_id& from, message_refs msgs) {
+                        const process_id& pid, message_refs msgs, bool hello) {
   if (c.fault == conn_fault::blackhole) return;  // sent into the void
   const std::size_t before = c.out.bytes();
+  if (hello) {
+    append_hello_frame(c.out.tail_for(64), pid);
+    wm_.frames_out->inc();
+  }
   // Encoded in place into the connection's chain, chunked so no frame
   // approaches frame_buffer::max_frame_bytes -- the receiver treats an
   // oversized frame as stream corruption and resets the connection,
@@ -859,7 +857,7 @@ void node::queue_frames(reactor& r, int fd, connection& c,
   constexpr std::size_t chunk_limit = frame_buffer::max_frame_bytes / 4;
   const auto append_chunk = [&](std::size_t begin, std::size_t end) {
     const message_refs chunk = msgs.subspan(begin, end - begin);
-    append_batch_frame(c.out.tail_for(batch_frame_wire_size(chunk)), from,
+    append_batch_frame(c.out.tail_for(batch_frame_wire_size(chunk)), pid,
                        chunk);
     wm_.frames_out->inc();
   };
@@ -877,9 +875,12 @@ void node::queue_frames(reactor& r, int fd, connection& c,
   append_chunk(begin, msgs.size());
   wm_.backlog_bytes->add(static_cast<std::int64_t>(c.out.bytes() - before));
   // A paused connection holds its bytes until apply_fault's heal flushes
-  // them (flush returns early); a connecting one sends once writable.
+  // them (flush returns early); a connecting one sends once writable; a
+  // hook run's connections flush once its last hook ran.
   if (c.connecting) {
     update_epoll(r, fd, c);
+  } else if (r.defer_flush) {
+    if (!std::exchange(c.dirty, true)) r.dirty.push_back(fd);
   } else {
     flush(r, fd, c);
   }

@@ -3,29 +3,36 @@
 // framing.h.
 //
 // Topology (matching the paper's client/server system):
-//  * server nodes listen on a TCP port; clients connect to every server
-//    lazily and keep the connection open; servers answer over the same
-//    connection.
+//  * server nodes listen on a TCP port; each reactor of a client node
+//    connects to every server lazily and keeps the connection open: ONE
+//    connection per server, shared by every actor homed there. Each actor
+//    introduces itself (hello) before its first frame on a connection;
+//    servers answer over the same connection.
 //  * server nodes also open outbound connections to other servers when the
 //    protocol requires it (the max-min variant's gossip round).
+// A batch frame names the connection's client-side actor: the sender on
+// the way to a server, the addressee on the way back, where the sender is
+// the server the connection was opened to -- a server speaks only for
+// itself.
 //
 // Reactor sharding: node_options::reactors picks the number of event-loop
 // threads. Reactor 0 owns the listener and dispatches accepted
 // connections round-robin across the pool; each connection's frame
 // buffer and zero-copy buffer chain are owned by exactly one reactor and
-// never touched from another thread. A send whose destination connection
-// lives on a different reactor ships the messages to the owning
-// reactor's task queue (serial-checked against fd reuse) and is encoded
-// there, so receivers observe the same frame/step structure either way.
+// never touched from another thread. A send to a server takes the
+// current reactor's own connection. A reply whose client connection lives
+// on a different reactor ships the messages to the owning reactor's task
+// queue (serial-checked against fd reuse) and is encoded there, so
+// receivers observe the same frame/step structure either way.
 //
 // Actors: a node hosts one or more automata, installed with add_actor
 // before start() and addressed by actor index. A server has exactly one
 // (actor 0); a cluster's client node hosts every client automaton
 // multiplexed over its reactor pool -- one reactor per client, or a
-// handful carrying thousands of pipelined client connections. Each actor
-// is pinned to a home reactor (index % reactors); its invocations run
-// there and its outbound connections are created there, so a client
-// actor's whole data path is single-threaded. Server automata may be
+// handful carrying thousands of pipelined clients. Each actor is pinned
+// to a home reactor (index % reactors); its invocations and sends run
+// there, so a client actor's whole data path is single-threaded, and
+// per-link FIFO holds per (reactor, server). Server automata may be
 // stepped from any reactor (deliveries arrive on whichever reactor owns
 // the inbound connection); a per-actor step mutex serializes those
 // steps.
@@ -51,14 +58,16 @@
 // broadcast parked once to every server's send) -- is one lent list of
 // messages, encoded as one count-prefixed batch frame straight into the
 // destination connection's buffer_chain (exact-size reservation, no
-// intermediate byte vector). Only a send to a connection another reactor
-// owns copies the messages, to ship them there (ship_to). The one flush
-// policy: a connected connection hands its whole chain to one writev in
-// the step that queued the frames; a connecting one sends when it turns
-// writable. The receiver delivers each frame as one on_batch step,
-// exactly as the simulator delivers one envelope. A store session begins
-// every op of a hook run inside one frame per server, so a reactor pass
-// costs a session one frame and one writev per server.
+// intermediate byte vector). Only a reply to a connection another
+// reactor owns copies the messages, to ship them there (ship_to). The
+// one flush policy: a connected connection hands its whole chain to one
+// writev in the step that queued the frames, except that a pass running
+// several hooks flushes each connection they wrote to once, after the
+// last; a connecting one sends when it turns writable. The receiver
+// delivers each frame as one on_batch step, exactly as the simulator
+// delivers one envelope. A store session begins every op of a hook run
+// inside one frame per server, so a reactor pass costs each session one
+// frame per server, and the reactor one writev per server.
 //
 // Fault hooks: every connection can be paused (no reads, no writes --
 // bytes queue up; healing flushes them), blackholed (reads and writes
@@ -71,10 +80,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -112,9 +119,9 @@ struct node_options {
   std::uint32_t reactors{1};
 
   // There is no batch window: every connection flushes in the step that
-  // queued its frames. These constants keep the names the benchmark's
-  // pinned-config line prints (benchmark/src/report.cc), at the values
-  // of that one policy.
+  // queued its frames, or after the last of a pass's several hooks. These
+  // constants keep the names the benchmark's pinned-config line prints
+  // (benchmark/src/report.cc), at the values of that one policy.
   static constexpr std::uint32_t batch_window_us = 0;
   static constexpr bool adaptive = false;
   static constexpr std::uint32_t flush_bytes = 0;
@@ -197,14 +204,16 @@ class node final {
     frame_buffer in;
     /// Outbound frames, encoded in place; flushed with one writev.
     buffer_chain out;
-    std::optional<process_id> peer;
-    /// Actor whose traffic this connection carries: the opening actor
-    /// for outbound connections, actor 0 for inbound ones.
-    actor_state* owner{nullptr};
+    /// Index of the server an outbound connection was opened to; -1 for
+    /// an inbound one.
+    int server{-1};
     /// Monotone creation serial; cross-reactor sends carry it so a
-    /// shipped frame never lands on a recycled fd.
+    /// shipped frame never lands on a recycled fd, and each actor records
+    /// the serial it introduced itself on.
     std::uint64_t serial{0};
     bool connecting{false};
+    /// Written to while several hooks run; flushed after the last.
+    bool dirty{false};
     /// Interest mask last given to epoll (update_epoll skips no-ops).
     std::uint32_t epoll_mask{0};
     conn_fault fault{conn_fault::none};
@@ -230,12 +239,24 @@ class node final {
     /// Actors homed here whose hook this pass still owes, in the order
     /// they were first marked (reactor thread only; see mark_step).
     std::vector<actor_state*> marked;
+    /// True while run_marked_hooks runs several hooks: queue_frames
+    /// defers flushes to the run's end, listing each connection once.
+    bool defer_flush{false};
+    std::vector<int> dirty;
+    /// This reactor's connection to each server, by server index, shared
+    /// by every actor sending from here (reactor thread only). Entries
+    /// are validated lazily against the connection's serial (a closed
+    /// connection leaves a stale ref behind).
+    std::vector<conn_ref> out_to_server;
+    /// The actors homed here, by process id: the addressees of frames
+    /// read from this reactor's outbound connections. Built by add_actor.
+    std::unordered_map<process_id, actor_state*> homed;
     /// Guarded by the node's mu_ (paired with cv_).
     bool exited{false};
   };
 
   /// The actor's netout: routes sends through the hosting node with the
-  /// actor's identity (hello frames, outbound connection ownership).
+  /// actor's identity (hello frames, batch frames' process id).
   struct actor_port final : netout {
     node* n{nullptr};
     actor_state* a{nullptr};
@@ -259,10 +280,10 @@ class node final {
     /// send_batch's list of its messages, lent to send_from. Guarded by
     /// step_mu.
     std::vector<const message*> refs;
-    /// Outbound connections to servers, by server index. Guarded by
-    /// step_mu. Entries are validated lazily against the connection's
-    /// serial (a closed connection leaves a stale ref behind).
-    std::map<std::uint32_t, conn_ref> out_to_server;
+    /// Per (reactor, server) slot: the serial of the connection this
+    /// actor last introduced itself on; a hello precedes its first frame
+    /// on any other. Guarded by step_mu.
+    std::vector<std::uint64_t> introduced;
     /// See set_step_hook. Guarded by step_mu.
     step_fn step_hook;
     /// A schedule_step task is queued and has not started yet.
@@ -298,20 +319,19 @@ class node final {
   void send_from(actor_state& a, const process_id& to, message_refs msgs);
   void route_from(actor_state& a, const process_id& to, message_refs msgs);
   /// Encodes `msgs` into the connection's chain on its owning reactor
-  /// (inline when that is the current context) as count-prefixed batch
-  /// frames -- one, unless the messages exceed the chunk limit -- and
-  /// flushes them (a connecting connection flushes once writable).
-  void queue_frames(reactor& r, int fd, connection& c, const process_id& from,
-                    message_refs msgs);
-  /// Opens an outbound connection to server `index` on reactor `r` for
-  /// actor `a` (hello first) and registers it in a.out_to_server.
-  conn_ref open_to_server(reactor& r, actor_state& a, std::uint32_t index);
+  /// (the current context) as count-prefixed batch frames naming `pid`
+  /// -- one, unless the messages exceed the chunk limit; after a hello
+  /// of `pid` when `hello` -- and flushes them (a connecting connection
+  /// flushes once writable; in a hook run, once the last hook ran).
+  void queue_frames(reactor& r, int fd, connection& c, const process_id& pid,
+                    message_refs msgs, bool hello = false);
+  /// Opens reactor `r`'s connection to server `index` and registers it in
+  /// r.out_to_server.
+  connection& open_to_server(reactor& r, std::uint32_t index);
   /// Copies the messages `msgs` points at to the reactor owning `ref`,
-  /// when that is not the current one, for encoding there. Drops (and,
-  /// for server routes, lazily invalidates a.out_to_server) when the
-  /// serial shows the connection is gone.
-  void ship_to(const conn_ref& ref, actor_state& a, int server_index,
-               message_refs msgs);
+  /// the connection of client `to`, for encoding there. Drops them when
+  /// the serial shows the connection is gone.
+  void ship_to(const conn_ref& ref, const process_id& to, message_refs msgs);
   /// Runs `fn` on every reactor and returns once all acknowledged (or
   /// exited). No-op before start().
   void run_on_all_reactors(const std::function<void(reactor&)>& fn);
@@ -324,7 +344,8 @@ class node final {
   /// it, runs the hook now.
   void mark_step(reactor& r, actor_state& a);
   /// Runs the hook of every actor marked this pass, once each, in the
-  /// order they were first marked.
+  /// order they were first marked. With several hooks, each connection
+  /// they wrote to flushes once, after the last.
   void run_marked_hooks(reactor& r);
 
   system_config cfg_;
@@ -340,9 +361,9 @@ class node final {
   /// Fault inherited by connections created while a fault is in force.
   std::atomic<conn_fault> default_fault_{conn_fault::none};
 
-  /// Reply routes: peer pid -> connection it introduced itself on.
-  /// Written by the owning reactor on hello/close, read by any reactor
-  /// when routing a send.
+  /// Reply routes: client pid -> connection it introduced itself on
+  /// (many clients may share one). Written by the owning reactor on
+  /// hello/close, read by any reactor when routing a send.
   mutable std::mutex route_mu_;
   std::unordered_map<process_id, conn_ref> inbound_by_peer_;
 

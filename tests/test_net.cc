@@ -620,13 +620,16 @@ class step_recorder final : public automaton {
   void on_message(netout&, const process_id&, const message&) override {
     ++direct_messages;
   }
-  void on_batch(netout&, const process_id&,
+  void on_batch(netout&, const process_id& from,
                 std::span<const message> msgs) override {
     steps.emplace_back(msgs.begin(), msgs.end());
+    senders.push_back(from);
   }
   [[nodiscard]] process_id self() const override { return self_; }
 
   std::vector<std::vector<message>> steps;
+  /// Each step's sender.
+  std::vector<process_id> senders;
   std::size_t direct_messages{0};
 
  private:
@@ -1142,6 +1145,65 @@ TEST(Node, EveryMarkedActorRunsItsHookOncePerPass) {
   EXPECT_EQ(order, want);
 }
 
+TEST(Node, ServerFrameSenderIsTheConnectionsServer) {
+  // A frame a server writes on a client's connection names the client
+  // actor it is for; the sender is the server the connection was opened
+  // to, whatever the frame says. A frame naming a process that is no
+  // actor of the node -- here server 2, which the server at index 1
+  // would pose as -- is malformed: skipped, with the stream kept.
+  constexpr std::uint32_t k_servers = 3;
+  std::vector<unique_fd> listeners;
+  auto book = std::make_shared<address_book>();
+  for (std::uint32_t i = 0; i < k_servers; ++i) {
+    listeners.push_back(listen_on(0));
+    book->server_ports.push_back(local_port(listeners.back().get()));
+  }
+  node client(make_cfg(k_servers, 1, 1), book);
+  client.add_actor(std::make_unique<step_recorder>(reader_id(0)));
+  client.start();
+  ASSERT_TRUE(client.run_on_reactor(0, [](automaton&, netout& net) {
+    message m;
+    m.type = msg_type::read_req;
+    net.send(server_id(1), m);
+  }));
+  std::optional<unique_fd> fake;
+  ASSERT_TRUE(eventually([&] {
+    fake = accept_one(listeners[1].get());
+    return fake.has_value();
+  }));
+
+  const auto rc = [](std::uint64_t n) {
+    message m;
+    m.type = msg_type::read_ack;
+    m.rcounter = n;
+    return m;
+  };
+  std::vector<std::uint8_t> bytes;
+  for (const auto& [named, n] :
+       {std::pair{reader_id(0), 1u}, std::pair{server_id(2), 2u},
+        std::pair{reader_id(0), 3u}}) {
+    const auto f = one_message_frame(named, rc(n));
+    bytes.insert(bytes.end(), f.begin(), f.end());
+  }
+  const std::uint64_t malformed0 = malformed_frames();
+  ASSERT_EQ(::send(fake->get(), bytes.data(), bytes.size(), 0),
+            static_cast<ssize_t>(bytes.size()));
+  std::vector<std::vector<message>> steps;
+  std::vector<process_id> senders;
+  ASSERT_TRUE(eventually([&] {
+    EXPECT_TRUE(client.run_on_reactor(0, [&](automaton& a, netout&) {
+      const auto& rec = static_cast<const step_recorder&>(a);
+      steps = rec.steps;
+      senders = rec.senders;
+    }));
+    return steps.size() >= 2;
+  }));
+  client.stop();
+  EXPECT_EQ(steps, (std::vector<std::vector<message>>{{rc(1)}, {rc(3)}}));
+  EXPECT_EQ(senders, (std::vector<process_id>{server_id(1), server_id(1)}));
+  EXPECT_EQ(malformed_frames() - malformed0, 1u);
+}
+
 // ------------------------------------------------------------- end-to-end
 //
 // Every TCP client is a store client: each protocol runs as a one-shard
@@ -1517,11 +1579,13 @@ ship_run run_maxmin_with_server_reactors(std::uint32_t server_reactors) {
 
 TEST(Cluster, MultiReactorServersShipGossipAcrossReactors) {
   // A server actor steps on whichever of its node's reactors received the
-  // frame, but its connection to a peer server lives on the reactor that
-  // opened it. maxmin servers gossip with each other, so with several
-  // reactors per server node that gossip crosses reactors and is shipped
-  // to the connection's owner (node::ship_to). With one reactor per node
-  // nothing ships.
+  // frame, but a reader's connection lives on the reactor that accepted
+  // it. maxmin servers gossip with each other, and the gossip that
+  // completes a read's quorum makes the server answer the reader from the
+  // reactor the gossip landed on: with several reactors per server node
+  // that answer is shipped to the connection's owner (node::ship_to).
+  // Gossip itself never ships: every reactor sends to a peer server over
+  // a connection of its own. With one reactor per node nothing ships.
   const auto multi = run_maxmin_with_server_reactors(4);
   EXPECT_GT(multi.ships, 0.0);
   EXPECT_TRUE(multi.check.ok) << multi.check.error;

@@ -842,6 +842,34 @@ TEST(TcpStore, PutGetAndMultiGetOverSockets) {
   ts.stop();
 }
 
+TEST(TcpStore, HubSessionsReintroduceAfterConnectionReset) {
+  // The sessions of a one-reactor hub share its connection to each
+  // server and introduce themselves on it once. A reset connection, from
+  // either end, is a new one: every session introduces itself again
+  // before its next frame, so the servers route its replies.
+  net::cluster_options copt;
+  copt.client_hub = true;
+  tcp_store ts(small_cfg({"abd"}, 1, /*R=*/2, /*S=*/5), net::node_options{},
+               copt);
+  ts.start();
+  auto& fe = ts.frontend();
+  const auto one_op_each = [&](const std::string& v) {
+    ASSERT_TRUE(test::put_one(fe, 0, "k", v));
+    const auto r0 = test::get_one(fe, 0, "k");
+    ASSERT_TRUE(r0.has_value());
+    EXPECT_EQ(r0->val, v);
+    ASSERT_TRUE(test::get_one(fe, 1, "k").has_value());
+  };
+  one_op_each("v1");
+  ts.cluster().client_node(writer_id(0)).reset_all_conns();
+  one_op_each("v2");
+  ts.restart_server(2);
+  one_op_each("v3");
+  const auto res = ts.gather().verify();
+  EXPECT_TRUE(res.ok) << res.error;
+  ts.stop();
+}
+
 TEST(TcpStore, ConcurrentClientsStayAtomicPerKey) {
   tcp_store ts(small_cfg({"fast_swmr", "abd"}, 4, /*R=*/2, /*S=*/5));
   ts.start();

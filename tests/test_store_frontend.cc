@@ -4,15 +4,15 @@
 // shape-identical histories on both. Also covered: the non-blocking
 // admission statuses (window_full / key_busy / failed) and their
 // registry counters on both transports, TCP admission coalescing into
-// one batch frame per server, the one flush policy's wire shape (a
-// connecting connection's hello and first frame share a writev, a
-// paused one holds its frames until the heal flushes them, a blackholed
-// server drops its replies while the quorum serves), a session op queued
-// behind a key a
-// timed-out submit_and_drain abandoned, backpressure against a paused
-// (slow) server fleet, connection churn while a pipeline is in flight,
-// and a multi-reactor hub+server run whose data races -- if any -- are
-// TSan's to find.
+// one batch frame per server, a hub reactor's sessions sharing one
+// connection and one writev per server, the one flush policy's wire
+// shape (a connecting connection's hello and first frame share a
+// writev, a paused one holds its frames until the heal flushes them, a
+// blackholed server drops its replies while the quorum serves), a
+// session op queued behind a key a timed-out submit_and_drain abandoned,
+// backpressure against a paused (slow) server fleet, connection churn
+// while a pipeline is in flight, and a multi-reactor hub+server run
+// whose data races -- if any -- are TSan's to find.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -231,6 +231,74 @@ TEST(StoreFrontend, TcpQueuedAdmissionsLeaveAsOneBatchFramePerServer) {
   EXPECT_EQ(obs::series_sum(rows, "fastreg_net_writev_calls_total", hub_label),
             5.0)
       << "each frame must leave in one writev, in the step that queued it";
+  const auto res = ts.gather().verify();
+  EXPECT_TRUE(res.ok) << res.error;
+  ts.stop();
+}
+
+TEST(StoreFrontend, TcpHubSessionsShareOneConnectionAndWritevPerServer) {
+  // The hub reactor keeps one connection per server for all of its
+  // sessions, and a pass's hook run flushes each connection once, after
+  // its last hook: two sessions' queued gets leave as one batch frame per
+  // session and server, in one writev per server. The reactor is held in
+  // a step of the writer, whose own hook has nothing to begin.
+  auto cfg = frontend_cfg(5, 1, 2);
+  cfg.shard_protocols = {"fast_swmr"};
+  net::cluster_options copt;
+  copt.client_hub = true;
+  tcp_store ts(cfg, net::node_options{}, copt);
+  net::node& hub = ts.cluster().client_node(reader_id(0));
+  const std::string hub_label = "node=\"" + to_string(hub.self()) + "\"";
+  // A gauge is a level, and a hub of an earlier deployment in this
+  // process may have left rows under the same label.
+  const auto hub_conns = [&] {
+    return obs::series_sum(obs::snapshot(), "fastreg_net_reactor_connections",
+                           hub_label);
+  };
+  const double conns0 = hub_conns();
+  ts.start();
+  auto& fe = ts.frontend();
+  for (int k = 0; k < 8; ++k) {
+    ASSERT_TRUE(test::put_one(fe, 0, "k" + std::to_string(k), "seed"));
+  }
+  // Introduces both readers on every connection.
+  ASSERT_TRUE(test::get_one(fe, 0, "k0").has_value());
+  ASSERT_TRUE(test::get_one(fe, 1, "k0").has_value());
+  EXPECT_EQ(hub_conns() - conns0, 5.0)
+      << "the writer and both readers must share one connection per server";
+
+  auto s0 = ts.open_session(reader_id(0), /*depth=*/4);
+  auto s1 = ts.open_session(reader_id(1), /*depth=*/4);
+  std::promise<void> held;
+  std::promise<void> release;
+  std::thread holder([&] {
+    EXPECT_TRUE(hub.run_on_reactor(ts.cluster().client_actor(writer_id(0)),
+                                   [&](automaton&, netout&) {
+                                     held.set_value();
+                                     release.get_future().wait();
+                                   }));
+  });
+  held.get_future().wait();
+  obs::interval_scrape scrape;
+  for (int k = 0; k < 4; ++k) {
+    EXPECT_EQ(s0->try_get("k" + std::to_string(k)), submit_status::submitted);
+    EXPECT_EQ(s1->try_get("k" + std::to_string(k + 4)),
+              submit_status::submitted);
+  }
+  release.set_value();
+  holder.join();
+  ASSERT_TRUE(s0->drain(10s));
+  ASSERT_TRUE(s1->drain(10s));
+  EXPECT_EQ(s0->take_results().size(), 4u);
+  EXPECT_EQ(s1->take_results().size(), 4u);
+
+  const auto rows = scrape.take();
+  EXPECT_EQ(obs::series_sum(rows, "fastreg_net_frames_out_total", hub_label),
+            10.0)
+      << "each session's gets must leave as one batch frame per server";
+  EXPECT_EQ(obs::series_sum(rows, "fastreg_net_writev_calls_total", hub_label),
+            5.0)
+      << "both sessions' frames to a server must leave in one writev";
   const auto res = ts.gather().verify();
   EXPECT_TRUE(res.ok) << res.error;
   ts.stop();
