@@ -253,10 +253,11 @@ int main(int argc, char** argv) {
               "visible constant to fast_bft writes and reads. rd/wr_rounds "
               "come from the op histories: fast_swmr and maxmin reads "
               "1.0, abd reads 2.0, all writes 1.0. Each client has a "
-              "reactor, and so a connection per server, of its own, and "
-              "each connection flushes the frames of the step (or hook "
-              "run) that queued them, so a round costs one sendmsg per "
-              "frame.\n");
+              "reactor, and so a connection per server, of its own: a "
+              "reactor pass flushes each connection it wrote to once, "
+              "but a client's pass carries one frame per server and a "
+              "server's pass answers one frame per connection, so a round "
+              "still costs one sendmsg per frame.\n");
   std::printf("\nreactor syscalls per op (one write or one read; every "
               "node of the deployment, timed ops only):\n\n");
   sys.print();

@@ -8,8 +8,10 @@
 // sockets, wall-clock microseconds.
 // Part 3 (E12c) isolates the pipelined client depth on an 8-session
 // workload whose rows vary ONLY that depth (1 and 8); each session has a
-// client reactor, and so connections, of its own, so its frames/writev
-// column reads ~1.00. Part 4 (E12d) is the session fan-in test for the
+// client reactor, and so connections, of its own, so the client node's
+// frames/writev column reads ~1.00, while a server answers every frame a
+// pass read from one connection in one writev, so the servers' column
+// shows the merging. Part 4 (E12d) is the session fan-in test for the
 // sharded reactor pool: 1000 pipelined client sessions from ONE process
 // (a 4-reactor hub node, one connection per hub reactor and server)
 // against the same server fleet run with 1 reactor vs 4 reactors per
@@ -215,15 +217,15 @@ void run_wire_knob_part(bool smoke) {
               "single-key ops). Rows vary ONLY the pipelined client "
               "depth; the first row (depth 1: one op at a time per "
               "client) is the baseline. frames/writev is the measured "
-              "coalescing factor, from a reset-free obs::interval_scrape "
-              "per row.\n\n");
+              "coalescing factor of the client node and of the servers, "
+              "from a reset-free obs::interval_scrape per row.\n\n");
   const std::uint32_t R = 7;
   const std::uint32_t keys = 64;
   const std::uint32_t rounds = smoke ? 40 : 400;
 
   table t({"pipeline_depth", "ops/s", "get_p50_us",
-           "get_p99_us", "vs_baseline", "frames/writev", "failed",
-           "atomic"});
+           "get_p99_us", "vs_baseline", "client frames/writev",
+           "server frames/writev", "failed", "atomic"});
   double base_ops = 0;
   // Registry counters are cumulative across rows (and earlier parts);
   // the interval scrape subtracts the previous snapshot so each row
@@ -245,14 +247,21 @@ void run_wire_knob_part(bool smoke) {
     const auto row = drive(ts, std::move(scripts), 1 + R);
     if (base_ops == 0) base_ops = row.ops_s;
     const auto delta = scrape.take();
-    const double frames =
-        obs::series_sum(delta, "fastreg_net_frames_out_total");
-    const double writevs =
-        obs::series_sum(delta, "fastreg_net_writev_calls_total");
+    // Server labels render as node="s1", ...; the rest is the client node.
+    const auto per_writev = [&](const std::string& label) {
+      const double frames =
+          obs::series_sum(delta, "fastreg_net_frames_out_total", label);
+      const double writevs =
+          obs::series_sum(delta, "fastreg_net_writev_calls_total", label);
+      return fmt(writevs > 0 ? frames / writevs : 0, 2);
+    };
+    const std::string client_label =
+        "node=\"" + to_string(ts.cluster().client_node(writer_id(0)).self()) +
+        "\"";
     t.add_row({std::to_string(depth), fmt(row.ops_s, 0),
                fmt(row.get_us.p50()), fmt(row.get_us.p99()),
                fmt(base_ops > 0 ? row.ops_s / base_ops : 0, 2) + "x",
-               fmt(writevs > 0 ? frames / writevs : 0, 2),
+               per_writev(client_label), per_writev("node=\"s"),
                std::to_string(row.failed), row.atomic ? "yes" : "NO"});
     ts.stop();
   }
@@ -260,9 +269,12 @@ void run_wire_knob_part(bool smoke) {
   std::printf("\nexpected shape: depth 8 beats the baseline row's ops/s "
               "(a session begins every op of a step inside one batch "
               "frame per server, so up to 8 in-flight ops share a round's "
-              "frames); frames/writev ~= 1.00 at both depths, because "
-              "each session runs on a client reactor of its own, whose "
-              "connections carry one frame per step.\n");
+              "frames); client frames/writev ~= 1.00 at both depths, "
+              "because each session runs on a client reactor of its own, "
+              "whose connections carry one frame per pass; server "
+              "frames/writev sits above 1 and rises with depth, because a "
+              "server answers every frame one pass read from a "
+              "connection in one writev.\n");
 }
 
 // ------------------------------------------------ E12d: session fan-in --

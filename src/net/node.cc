@@ -273,17 +273,17 @@ void node::mark_step(reactor& r, actor_state& a) {
 }
 
 void node::run_marked_hooks(reactor& r) {
-  // A hook never marks: marks come only from deliveries and tasks. A
-  // lone hook has no other session's frames to share a writev with: its
-  // connections flush in its step, as every other step's do.
-  r.defer_flush = r.marked.size() > 1;
+  // A hook never marks: marks come only from deliveries and tasks.
   for (actor_state* a : r.marked) {
     a->hook_marked = false;
     run_step_hook(*a);
   }
   r.marked.clear();
-  r.defer_flush = false;
-  // Every hook's frames to a server share the connection: one writev.
+}
+
+void node::flush_dirty(reactor& r) {
+  // Every step of the pass queued its frames here: each connection they
+  // went to leaves in one writev, whichever steps shared it.
   for (const int fd : r.dirty) {
     if (auto it = r.conns.find(fd); it != r.conns.end() && it->second.dirty) {
       it->second.dirty = false;
@@ -382,12 +382,15 @@ void node::reactor_main(reactor& r) {
     }
     // One hook run per marked actor, after every frame the pass delivered:
     // a session takes all of the pass's completions and begins every op
-    // admitted by then in one step, one batch frame per server.
+    // admitted by then in one step, one batch frame per server. Then
+    // every connection the pass wrote to leaves in one writev.
     run_marked_hooks(r);
+    flush_dirty(r);
   }
   // The last pass ended at the stop check: a step its tasks marked still
-  // gets its hook.
+  // gets its hook, and their frames still leave.
   run_marked_hooks(r);
+  flush_dirty(r);
   {
     std::lock_guard<std::mutex> lk(mu_);
     r.exited = true;
@@ -423,9 +426,8 @@ void node::handle_readable(reactor& r, int fd) {
   auto it = r.conns.find(fd);
   if (it == r.conns.end()) return;
   // Reference (not iterator): stable across the insert-rehash a drain
-  // callback can cause by opening a new outbound connection. Erasure of
-  // THIS entry while the drain runs is deferred by close_conn (see the
-  // drain_guard_fd comment there).
+  // callback can cause by opening a new outbound connection. No step
+  // closes a connection (sends only queue), and close_conn checks it.
   auto& c = it->second;
   if (c.fault == conn_fault::pause) return;  // interest mask raced the fault
   // A short read emptied the socket: stop rather than spend a syscall on
@@ -446,7 +448,6 @@ void node::handle_readable(reactor& r, int fd) {
       if (static_cast<std::size_t>(n) < sizeof buf) return;
     }
   }
-  bool reset = false;
   for (;;) {
     const ssize_t n = ::read(fd, buf, sizeof buf);
     rm_[r.index].socket_reads->inc();
@@ -511,24 +512,18 @@ void node::handle_readable(reactor& r, int fd) {
       mark_step(r, *a);
     });
     r.drain_guard_fd = -1;
-    if (r.drain_close_pending || c.in.corrupt()) {
-      reset = true;
-      break;
+    if (c.in.corrupt()) {
+      // Framing lost on this stream (frame_buffer's contract): the only
+      // safe recovery is a reset. The peer reconnects with fresh framing
+      // state; undelivered messages are covered by the protocols' quorum
+      // waits and the store's retry paths.
+      wm_.conn_resets->inc();
+      LOG_DEBUG("%s: resetting connection on fd %d (corrupt stream)",
+                to_string(self_).c_str(), fd);
+      close_conn(r, fd);
+      return;
     }
     if (static_cast<std::size_t>(n) < sizeof buf) break;
-  }
-  if (reset) {
-    // Framing lost on this stream (frame_buffer's contract), or a send
-    // inside the drain hit a fatal write error on this same socket: the
-    // only safe recovery is a reset. The peer reconnects with fresh
-    // framing state; undelivered messages are covered by the protocols'
-    // quorum waits and the store's retry paths.
-    r.drain_close_pending = false;
-    wm_.conn_resets->inc();
-    LOG_DEBUG("%s: resetting connection on fd %d (corrupt stream or "
-              "write failure mid-drain)",
-              to_string(self_).c_str(), fd);
-    close_conn(r, fd);
   }
 }
 
@@ -593,15 +588,9 @@ void node::update_epoll(reactor& r, int fd, connection& c) {
 }
 
 void node::close_conn(reactor& r, int fd) {
-  // An automaton step running inside handle_readable's drain can hit a
-  // fatal write error on the very connection being drained (the server
-  // answers over the inbound socket). Erasing it here would free the
-  // frame_buffer mid-parse; defer -- handle_readable performs the close
-  // as soon as the drain returns.
-  if (fd == r.drain_guard_fd) {
-    r.drain_close_pending = true;
-    return;
-  }
+  // Erasing the connection handle_readable is draining would free its
+  // frame_buffer mid-parse. No step closes one: its sends only queue.
+  FASTREG_CHECK(fd != r.drain_guard_fd);
   auto it = r.conns.find(fd);
   if (it == r.conns.end()) return;
   if (it->second.server < 0) {
@@ -874,15 +863,13 @@ void node::queue_frames(reactor& r, int fd, connection& c,
   }
   append_chunk(begin, msgs.size());
   wm_.backlog_bytes->add(static_cast<std::int64_t>(c.out.bytes() - before));
-  // A paused connection holds its bytes until apply_fault's heal flushes
-  // them (flush returns early); a connecting one sends once writable; a
-  // hook run's connections flush once its last hook ran.
+  // A connecting connection sends once writable; any other flushes at the
+  // end of the pass (a paused one then holds its bytes until apply_fault's
+  // heal flushes them).
   if (c.connecting) {
     update_epoll(r, fd, c);
-  } else if (r.defer_flush) {
-    if (!std::exchange(c.dirty, true)) r.dirty.push_back(fd);
-  } else {
-    flush(r, fd, c);
+  } else if (!std::exchange(c.dirty, true)) {
+    r.dirty.push_back(fd);
   }
 }
 

@@ -60,14 +60,17 @@
 // destination connection's buffer_chain (exact-size reservation, no
 // intermediate byte vector). Only a reply to a connection another
 // reactor owns copies the messages, to ship them there (ship_to). The
-// one flush policy: a connected connection hands its whole chain to one
-// writev in the step that queued the frames, except that a pass running
-// several hooks flushes each connection they wrote to once, after the
-// last; a connecting one sends when it turns writable. The receiver
-// delivers each frame as one on_batch step, exactly as the simulator
-// delivers one envelope. A store session begins every op of a hook run
-// inside one frame per server, so a reactor pass costs each session one
-// frame per server, and the reactor one writev per server.
+// one flush policy: one flush per reactor pass. A step only queues its
+// frames; after the pass's last hook, each connection the pass wrote to
+// hands its whole chain to one writev, whichever steps (deliveries,
+// tasks, run_on_reactor steps, hooks) queued them. A connecting
+// connection sends when it turns writable; a paused one holds its bytes
+// until the heal flushes them. The receiver delivers each frame as one
+// on_batch step, exactly as the simulator delivers one envelope. A store
+// session begins every op of a hook run inside one frame per server, so
+// a reactor pass costs each session one frame per server, and the
+// reactor one writev per connection: a hub's sessions share it, and so
+// do a server's replies to every frame the pass read from it.
 //
 // Fault hooks: every connection can be paused (no reads, no writes --
 // bytes queue up; healing flushes them), blackholed (reads and writes
@@ -118,10 +121,10 @@ struct node_options {
   /// round-robin.
   std::uint32_t reactors{1};
 
-  // There is no batch window: every connection flushes in the step that
-  // queued its frames, or after the last of a pass's several hooks. These
-  // constants keep the names the benchmark's pinned-config line prints
-  // (benchmark/src/report.cc), at the values of that one policy.
+  // There is no batch window: every connection a reactor pass wrote to
+  // flushes once, at the end of the pass. These constants keep the names
+  // the benchmark's pinned-config line prints (benchmark/src/report.cc),
+  // at the values of that one policy.
   static constexpr std::uint32_t batch_window_us = 0;
   static constexpr bool adaptive = false;
   static constexpr std::uint32_t flush_bytes = 0;
@@ -212,7 +215,8 @@ class node final {
     /// the serial it introduced itself on.
     std::uint64_t serial{0};
     bool connecting{false};
-    /// Written to while several hooks run; flushed after the last.
+    /// Written to this pass; flushed at its end (listed in
+    /// reactor::dirty).
     bool dirty{false};
     /// Interest mask last given to epoll (update_epoll skips no-ops).
     std::uint32_t epoll_mask{0};
@@ -227,9 +231,8 @@ class node final {
     std::thread thread;
     std::unordered_map<int, connection> conns;
     /// Connection currently being drained by handle_readable; close_conn
-    /// on it is deferred until the drain returns.
+    /// must never be called on it.
     int drain_guard_fd{-1};
-    bool drain_close_pending{false};
     /// Posted tasks, guarded by q_mu. Each epoll pass swaps them into
     /// `running` (reactor thread only) and runs them there; the two
     /// vectors keep their capacity, so posting allocates no queue node.
@@ -239,9 +242,8 @@ class node final {
     /// Actors homed here whose hook this pass still owes, in the order
     /// they were first marked (reactor thread only; see mark_step).
     std::vector<actor_state*> marked;
-    /// True while run_marked_hooks runs several hooks: queue_frames
-    /// defers flushes to the run's end, listing each connection once.
-    bool defer_flush{false};
+    /// Connections the current pass wrote to, each listed once; the
+    /// pass-end flush_dirty empties it.
     std::vector<int> dirty;
     /// This reactor's connection to each server, by server index, shared
     /// by every actor sending from here (reactor thread only). Entries
@@ -321,8 +323,8 @@ class node final {
   /// Encodes `msgs` into the connection's chain on its owning reactor
   /// (the current context) as count-prefixed batch frames naming `pid`
   /// -- one, unless the messages exceed the chunk limit; after a hello
-  /// of `pid` when `hello` -- and flushes them (a connecting connection
-  /// flushes once writable; in a hook run, once the last hook ran).
+  /// of `pid` when `hello` -- and marks the connection dirty, for the
+  /// pass-end flush (a connecting connection flushes once writable).
   void queue_frames(reactor& r, int fd, connection& c, const process_id& pid,
                     message_refs msgs, bool hello = false);
   /// Opens reactor `r`'s connection to server `index` and registers it in
@@ -344,9 +346,10 @@ class node final {
   /// it, runs the hook now.
   void mark_step(reactor& r, actor_state& a);
   /// Runs the hook of every actor marked this pass, once each, in the
-  /// order they were first marked. With several hooks, each connection
-  /// they wrote to flushes once, after the last.
+  /// order they were first marked.
   void run_marked_hooks(reactor& r);
+  /// Ends a pass: flushes each connection the pass wrote to, once.
+  void flush_dirty(reactor& r);
 
   system_config cfg_;
   std::shared_ptr<const address_book> book_;

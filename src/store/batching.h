@@ -18,8 +18,8 @@
 // borrowed list or a one-message send -- is ALWAYS one delivery unit: a
 // sim envelope delivered as one on_batch step, and one TCP batch frame
 // delivered as one on_batch step (tests/test_net.cc, DeliveryUnit.*). The
-// TCP reactor flushes each connection in the step that queued its frames
-// and never merges or splits the frames themselves, so the receiving
+// TCP reactor flushes each connection once per reactor pass and never
+// merges or splits the frames themselves, so the receiving
 // automaton's step structure is identical on both transports. That is
 // what lets TCP histories be verified by the same checkers as simulator
 // runs.

@@ -978,7 +978,7 @@ TEST(Node, RunOnReactorRefusesAStoppedNode) {
 }
 
 /// Answers every batch with one read_ack to its sender, then counts the
-/// answer: the connection flushed it in the step that queued it.
+/// answer, which leaves at the end of the server's reactor pass.
 class echo_server final : public automaton {
  public:
   echo_server(process_id self, std::atomic<int>& answered)
@@ -1073,6 +1073,12 @@ TEST(Node, StepHookRunsOncePerReactorPass) {
       0, [&](automaton&, netout& net) { send_to_all(net); }));
   ASSERT_TRUE(eventually([&] { return rec.batches.load() == 3; }));
 
+  // The sends leave at the end of their step's pass, so they go out in a
+  // step of their own, to paused servers that leave them unread.
+  for (auto& s : servers) s->set_fault_all(conn_fault::pause);
+  ASSERT_TRUE(client.run_on_reactor(
+      0, [&](automaton&, netout& net) { send_to_all(net); }));
+
   std::atomic<bool> scheduled{false};
   std::thread stepper([&] {
     // Meanwhile, from another thread: one step that only runs the hook.
@@ -1081,9 +1087,9 @@ TEST(Node, StepHookRunsOncePerReactorPass) {
     scheduled = true;
   });
   bool held = false;
-  ASSERT_TRUE(client.run_on_reactor(0, [&](automaton&, netout& net) {
+  ASSERT_TRUE(client.run_on_reactor(0, [&](automaton&, netout&) {
     rec.log.clear();
-    send_to_all(net);
+    for (auto& s : servers) s->set_fault_all(conn_fault::none);
     // Hold the reactor until every server answered and the step is
     // queued; the grace lets loopback finish handing the bytes over.
     held = eventually([&] { return scheduled.load(); });

@@ -6,13 +6,16 @@
 // registry counters on both transports, TCP admission coalescing into
 // one batch frame per server, a hub reactor's sessions sharing one
 // connection and one writev per server, the one flush policy's wire
-// shape (a connecting connection's hello and first frame share a
-// writev, a paused one holds its frames until the heal flushes them, a
-// blackholed server drops its replies while the quorum serves), a
-// session op queued behind a key a timed-out submit_and_drain abandoned,
-// backpressure against a paused (slow) server fleet, connection churn
-// while a pipeline is in flight, and a multi-reactor hub+server run
-// whose data races -- if any -- are TSan's to find.
+// shape (one writev per connection per reactor pass: a server answers
+// the frames one pass read in one writev, and two readers' write-backs
+// sent in one pass share one; a connecting connection's hello and first
+// frame share a writev, a paused one holds its frames until the heal
+// flushes them, a blackholed server drops its replies while the quorum
+// serves), a session op queued behind a key a timed-out
+// submit_and_drain abandoned, backpressure against a paused (slow)
+// server fleet, connection churn while a pipeline is in flight, and a
+// multi-reactor hub+server run whose data races -- if any -- are TSan's
+// to find.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -186,7 +189,7 @@ TEST(StoreFrontend, TcpQueuedAdmissionsLeaveAsOneBatchFramePerServer) {
   // Admission never waits for the reactor. Ops admitted while the hub's
   // reactor is held up queue in the session; the next step begins them
   // all and sends ONE batch frame per server, not one frame per op, and
-  // the reactor flushes each frame with its own writev in that step.
+  // the reactor flushes each frame with its own writev at the pass's end.
   // fast_swmr reads take one round, so those are the hub's only frames.
   auto cfg = frontend_cfg(5, 1, 1);
   cfg.shard_protocols = {"fast_swmr"};
@@ -230,18 +233,59 @@ TEST(StoreFrontend, TcpQueuedAdmissionsLeaveAsOneBatchFramePerServer) {
       << "8 queued gets must leave as one batch frame per server";
   EXPECT_EQ(obs::series_sum(rows, "fastreg_net_writev_calls_total", hub_label),
             5.0)
-      << "each frame must leave in one writev, in the step that queued it";
+      << "each frame must leave in one writev, at the end of its pass";
   const auto res = ts.gather().verify();
   EXPECT_TRUE(res.ok) << res.error;
   ts.stop();
 }
 
+/// Waits (up to 5s) for `done`.
+template <typename Pred>
+bool wait_until(Pred done) {
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(1ms);
+  }
+  return true;
+}
+
+/// Sums `metric` over the rows of every server node of the deployment.
+double servers_sum(const std::vector<obs::sample>& rows, tcp_store& ts,
+                   const char* metric) {
+  double total = 0;
+  for (std::uint32_t i = 0; i < ts.config().base.S(); ++i) {
+    total += obs::series_sum(
+        rows, metric,
+        "node=\"" + to_string(ts.cluster().server(i).self()) + "\"");
+  }
+  return total;
+}
+
+/// Waits (up to 5s) until every frame the deployment's client node and
+/// servers sent each other since `base` has been read: a quorum op
+/// completes without the last server's answer, which may still be on
+/// its way, or not even asked for yet.
+bool traffic_settles(tcp_store& ts, const std::vector<obs::sample>& base) {
+  const std::string hub =
+      "node=\"" + to_string(ts.cluster().client_node(writer_id(0)).self()) +
+      "\"";
+  return wait_until([&] {
+    const auto d = obs::diff_snapshot(obs::snapshot(), base);
+    return servers_sum(d, ts, "fastreg_net_frames_in_total") ==
+               obs::series_sum(d, "fastreg_net_frames_out_total", hub) &&
+           servers_sum(d, ts, "fastreg_net_frames_out_total") ==
+               obs::series_sum(d, "fastreg_net_frames_in_total", hub);
+  });
+}
+
 TEST(StoreFrontend, TcpHubSessionsShareOneConnectionAndWritevPerServer) {
   // The hub reactor keeps one connection per server for all of its
-  // sessions, and a pass's hook run flushes each connection once, after
-  // its last hook: two sessions' queued gets leave as one batch frame per
-  // session and server, in one writev per server. The reactor is held in
-  // a step of the writer, whose own hook has nothing to begin.
+  // sessions, and a pass flushes each connection once, at its end: two
+  // sessions' queued gets leave as one batch frame per session and
+  // server, in one writev per server. Each server reads both frames in
+  // one pass and answers both in one writev. The reactor is held in a
+  // step of the writer, whose own hook has nothing to begin.
   auto cfg = frontend_cfg(5, 1, 2);
   cfg.shard_protocols = {"fast_swmr"};
   net::cluster_options copt;
@@ -256,6 +300,7 @@ TEST(StoreFrontend, TcpHubSessionsShareOneConnectionAndWritevPerServer) {
                            hub_label);
   };
   const double conns0 = hub_conns();
+  const auto base = obs::snapshot();
   ts.start();
   auto& fe = ts.frontend();
   for (int k = 0; k < 8; ++k) {
@@ -266,6 +311,8 @@ TEST(StoreFrontend, TcpHubSessionsShareOneConnectionAndWritevPerServer) {
   ASSERT_TRUE(test::get_one(fe, 1, "k0").has_value());
   EXPECT_EQ(hub_conns() - conns0, 5.0)
       << "the writer and both readers must share one connection per server";
+
+  ASSERT_TRUE(traffic_settles(ts, base));
 
   auto s0 = ts.open_session(reader_id(0), /*depth=*/4);
   auto s1 = ts.open_session(reader_id(1), /*depth=*/4);
@@ -291,6 +338,7 @@ TEST(StoreFrontend, TcpHubSessionsShareOneConnectionAndWritevPerServer) {
   ASSERT_TRUE(s1->drain(10s));
   EXPECT_EQ(s0->take_results().size(), 4u);
   EXPECT_EQ(s1->take_results().size(), 4u);
+  ASSERT_TRUE(traffic_settles(ts, base));
 
   const auto rows = scrape.take();
   EXPECT_EQ(obs::series_sum(rows, "fastreg_net_frames_out_total", hub_label),
@@ -299,6 +347,82 @@ TEST(StoreFrontend, TcpHubSessionsShareOneConnectionAndWritevPerServer) {
   EXPECT_EQ(obs::series_sum(rows, "fastreg_net_writev_calls_total", hub_label),
             5.0)
       << "both sessions' frames to a server must leave in one writev";
+  EXPECT_EQ(servers_sum(rows, ts, "fastreg_net_frames_out_total"), 10.0)
+      << "each server must answer each session's frame with one frame";
+  EXPECT_EQ(servers_sum(rows, ts, "fastreg_net_writev_calls_total"), 5.0)
+      << "a server's answers to one pass's frames must share one writev";
+  const auto res = ts.gather().verify();
+  EXPECT_TRUE(res.ok) << res.error;
+  ts.stop();
+}
+
+TEST(StoreFrontend, TcpWriteBacksOfOnePassShareOneWritevPerServer) {
+  // Two readers' abd round-1 quorums complete in one pass of the hub
+  // reactor, so their write-backs, sent from two delivery steps, leave
+  // in one writev per server. The requests wait unread at paused servers;
+  // the servers heal and answer while the hub reactor is held, so the
+  // pass after the hold reads every answer.
+  const auto cfg = frontend_cfg(5, 1, 2);
+  net::cluster_options copt;
+  copt.client_hub = true;
+  tcp_store ts(cfg, net::node_options{}, copt);
+  const auto base = obs::snapshot();
+  ts.start();
+  auto& fe = ts.frontend();
+  ASSERT_TRUE(test::put_one(fe, 0, "k0", "seed"));
+  ASSERT_TRUE(test::put_one(fe, 0, "k1", "seed"));
+  // Introduces both readers on every connection.
+  ASSERT_TRUE(test::get_one(fe, 0, "k0").has_value());
+  ASSERT_TRUE(test::get_one(fe, 1, "k1").has_value());
+  net::node& hub = ts.cluster().client_node(reader_id(0));
+  const std::size_t writer = ts.cluster().client_actor(writer_id(0));
+  const std::string hub_label = "node=\"" + to_string(hub.self()) + "\"";
+  const auto hub_frames = [&] {
+    return obs::series_sum(obs::snapshot(), "fastreg_net_frames_out_total",
+                           hub_label);
+  };
+
+  auto s0 = ts.open_session(reader_id(0), /*depth=*/1);
+  auto s1 = ts.open_session(reader_id(1), /*depth=*/1);
+  ASSERT_TRUE(traffic_settles(ts, base));
+  fault_servers(ts, net::conn_fault::pause);
+  const double requests0 = hub_frames();
+  EXPECT_EQ(s0->try_get("k0"), submit_status::submitted);
+  EXPECT_EQ(s1->try_get("k1"), submit_status::submitted);
+  // Both round-1 requests are queued; a step posted after that runs in
+  // a later pass, after their pass-end flush.
+  ASSERT_TRUE(wait_until([&] { return hub_frames() == requests0 + 10; }));
+  ASSERT_TRUE(hub.run_on_reactor(writer, [](automaton&, netout&) {}));
+
+  obs::interval_scrape scrape;
+  const double answers0 =
+      servers_sum(obs::snapshot(), ts, "fastreg_net_frames_out_total");
+  bool answered = false;
+  ASSERT_TRUE(hub.run_on_reactor(writer, [&](automaton&, netout&) {
+    fault_servers(ts, net::conn_fault::none);
+    // Every server answers both requests; the grace lets loopback finish
+    // handing the bytes over.
+    answered = wait_until([&] {
+      const auto now = obs::snapshot();
+      return servers_sum(now, ts, "fastreg_net_frames_out_total") ==
+                 answers0 + 10 &&
+             servers_sum(now, ts, "fastreg_net_backlog_bytes") == 0.0;
+    });
+    std::this_thread::sleep_for(20ms);
+  }));
+  ASSERT_TRUE(answered);
+  ASSERT_TRUE(s0->drain(10s));
+  ASSERT_TRUE(s1->drain(10s));
+  EXPECT_EQ(s0->take_results().size(), 1u);
+  EXPECT_EQ(s1->take_results().size(), 1u);
+
+  const auto rows = scrape.take();
+  EXPECT_EQ(obs::series_sum(rows, "fastreg_net_frames_out_total", hub_label),
+            10.0)
+      << "each reader's write-back must leave as one frame per server";
+  EXPECT_EQ(obs::series_sum(rows, "fastreg_net_writev_calls_total", hub_label),
+            5.0)
+      << "both readers' write-backs to a server must leave in one writev";
   const auto res = ts.gather().verify();
   EXPECT_TRUE(res.ok) << res.error;
   ts.stop();
@@ -308,15 +432,10 @@ TEST(StoreFrontend, TcpHubSessionsShareOneConnectionAndWritevPerServer) {
 /// writev its last steps owed has happened.
 bool backlog_drains(const net::node& n) {
   const std::string label = "node=\"" + to_string(n.self()) + "\"";
-  const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (obs::series_sum(obs::snapshot(), "fastreg_net_backlog_bytes",
-                        label) == 0.0) {
-      return true;
-    }
-    std::this_thread::sleep_for(1ms);
-  }
-  return false;
+  return wait_until([&] {
+    return obs::series_sum(obs::snapshot(), "fastreg_net_backlog_bytes",
+                           label) == 0.0;
+  });
 }
 
 TEST(StoreFrontend, TcpFramesQueuedWhileConnectingLeaveWithTheHello) {

@@ -7,8 +7,8 @@
 //  * frame_buffer::drain parses in place, reassembles frames straddling
 //    receive-buffer boundaries, and still latches corrupt(); in steady
 //    state it decodes every frame into the one batch it keeps;
-//  * node_options keeps the one flush policy's constants (flush in the
-//    step that queued the frames);
+//  * node_options keeps the one flush policy's constants (one flush per
+//    reactor pass);
 //  * the pipelined store client keeps N ops in flight and the resulting
 //    histories verify.
 #include <gtest/gtest.h>
@@ -448,8 +448,8 @@ TEST(DrainParser, OversizedBatchIsNotKept) {
 
 // ------------------------------------------------------ one flush policy --
 
-// Every connection flushes in the step that queued its frames; there is
-// no window to configure. The benchmark's pinned-config line prints these
+// Every connection a reactor pass wrote to flushes once, at the pass's
+// end; there is no window to configure. The benchmark's pinned-config line prints these
 // three constants, so they must keep the values of that one policy.
 static_assert(node_options::batch_window_us == 0);
 static_assert(!node_options::adaptive);
